@@ -7,10 +7,10 @@ import (
 )
 
 // AttackerStrategy selects how an attacker added through
-// AddAttackerStrategy behaves. Every strategy rides on the protocol's
-// inflated-subscription attacker; the non-classic ones layer a capability
-// the paper's threat model (§2.2) does not grant a lone receiver — see
-// docs/ADVERSARIES.md for the catalog.
+// AddAttacker(WithStrategy(...)) behaves. Every strategy rides on the
+// protocol's inflated-subscription attacker; the non-classic ones layer a
+// capability the paper's threat model (§2.2) does not grant a lone
+// receiver — see docs/ADVERSARIES.md for the catalog.
 type AttackerStrategy string
 
 const (
@@ -53,56 +53,86 @@ type guessEngine interface {
 	Engine() *sigma.GuessAttack
 }
 
-// AddAttackerStrategy attaches an attacker with the given strategy at the
-// topology's default egress.
-func (s *ExperimentSession) AddAttackerStrategy(st AttackerStrategy) *Receiver {
-	return s.AddAttackerStrategyAt(st, s.exp.Topo.AttachReceiver("", DefaultDelay))
+// UnknownStrategyError is what TryAddAttacker returns for a strategy name
+// outside AttackerStrategies — typically a hand-edited spec or repro file.
+type UnknownStrategyError struct {
+	Strategy AttackerStrategy
 }
 
-// AddAttackerStrategyAt attaches an attacker with the given strategy at an
-// explicit port. An empty strategy means classic. On unprotected variants
-// (no SIGMA control plane to collude against or forge into) colluding and
-// forging degrade to the classic inflator — which already wins outright
-// there; adaptive keeps its timing behavior everywhere.
-//
-// Non-classic strategies force serial execution on sharded experiments:
-// collusion taps and adaptive timeline entries touch cross-shard state.
-// Like AddEvents, the downgrade panics once receivers have migrated — add
-// strategy attackers before plain receivers, or skip WithShards.
-func (s *ExperimentSession) AddAttackerStrategyAt(st AttackerStrategy, port Port) *Receiver {
-	r, err := s.TryAddAttackerStrategyAt(st, port)
+// Error implements error.
+func (e *UnknownStrategyError) Error() string {
+	return fmt.Sprintf("deltasigma: unknown attacker strategy %q (want one of %v)", e.Strategy, AttackerStrategies())
+}
+
+// AttackerOption configures one AddAttacker / TryAddAttacker call.
+type AttackerOption func(*attackerSpec)
+
+type attackerSpec struct {
+	port     Port // zero: the topology's default egress
+	strategy AttackerStrategy
+}
+
+// AtPort attaches the attacker at an explicit port — obtained from a
+// topology's placement methods — instead of the default egress.
+func AtPort(p Port) AttackerOption { return func(a *attackerSpec) { a.port = p } }
+
+// WithStrategy selects the attacker's behavior; without it (or with an
+// empty name) the attacker is classic.
+func WithStrategy(st AttackerStrategy) AttackerOption {
+	return func(a *attackerSpec) { a.strategy = st }
+}
+
+// AddAttacker attaches an inflated-subscription attacker — by default a
+// classic one at the topology's default egress; see AtPort and
+// WithStrategy. It panics where TryAddAttacker errors.
+func (s *ExperimentSession) AddAttacker(opts ...AttackerOption) *Receiver {
+	r, err := s.TryAddAttacker(opts...)
 	if err != nil {
 		panic(err)
 	}
 	return r
 }
 
-// TryAddAttackerStrategy is AddAttackerStrategy returning the protocol's
-// attacker-availability error — e.g. *NoAttackerError — instead of
-// panicking.
-func (s *ExperimentSession) TryAddAttackerStrategy(st AttackerStrategy) (*Receiver, error) {
-	return s.TryAddAttackerStrategyAt(st, s.exp.Topo.AttachReceiver("", DefaultDelay))
-}
-
-// TryAddAttackerStrategyAt is AddAttackerStrategyAt returning the
-// protocol's attacker-availability error instead of panicking. An unknown
-// strategy name still panics: it is caller error, not a protocol property.
-func (s *ExperimentSession) TryAddAttackerStrategyAt(st AttackerStrategy, port Port) (*Receiver, error) {
-	if st == "" {
-		st = StrategyClassic
+// TryAddAttacker is AddAttacker returning a typed error instead of
+// panicking: the protocol's attacker-availability error — *NoAttackerError
+// for variants whose design leaves nothing to inflate; check
+// ProtocolHasAttacker first to avoid attaching a receiver host the error
+// then leaves unused — or *UnknownStrategyError.
+//
+// On unprotected variants (no SIGMA control plane to collude against or
+// forge into) colluding and forging degrade to the classic inflator —
+// which already wins outright there; adaptive keeps its timing behavior
+// everywhere.
+//
+// Non-classic strategies force serial execution on sharded experiments:
+// collusion taps and adaptive timeline entries touch cross-shard state.
+// Like AddEvents, the downgrade panics once receivers have migrated — add
+// strategy attackers before plain receivers, or skip WithShards.
+func (s *ExperimentSession) TryAddAttacker(opts ...AttackerOption) (*Receiver, error) {
+	s.exp.mustNotHaveStarted("AddAttacker")
+	var spec attackerSpec
+	for _, opt := range opts {
+		opt(&spec)
 	}
-	if !st.valid() {
-		panic(fmt.Sprintf("deltasigma: unknown attacker strategy %q", st))
+	st, port := spec.strategy, spec.port
+	if st != "" && !st.valid() {
+		return nil, &UnknownStrategyError{Strategy: st}
 	}
-	if st != StrategyClassic {
-		s.exp.downgradeSharding("AddAttackerStrategy",
+	if port.Host == nil {
+		port = s.exp.Topo.AttachReceiver("", DefaultDelay)
+	}
+	if st != "" && st != StrategyClassic {
+		s.exp.downgradeSharding("AddAttacker",
 			fmt.Sprintf("attacker strategy %q: collusion and adaptive scheduling mutate cross-shard state", st))
 	}
-	r, err := s.TryAddAttackerAt(port)
+	// Migration must precede agent construction, as for AddReceiverAt.
+	s.exp.maybeMigrate(port.Host)
+	agent, err := s.exp.Protocol.NewAttacker(port.Host, s.Sess, port.Edge.Addr(), s.exp.Topo.Rand().Fork())
 	if err != nil {
 		return nil, err
 	}
-	r.strategy = st
+	r := s.wrap(agent, port.Host, port.Edge.Addr())
+	r.strategy = st // empty for plain attackers
 	if !s.exp.Protocol.Protected() && (st == StrategyColluding || st == StrategyForging) {
 		r.strategy = StrategyClassic
 		return r, nil
@@ -125,7 +155,7 @@ func (s *ExperimentSession) TryAddAttackerStrategyAt(st AttackerStrategy, port P
 }
 
 // Strategy reports the attacker strategy this receiver runs (empty for
-// well-behaved receivers and plain AddAttacker attackers; a degraded
+// well-behaved receivers and attackers added without WithStrategy; a degraded
 // strategy reports what actually runs, i.e. classic).
 func (r *Receiver) Strategy() AttackerStrategy { return r.strategy }
 

@@ -1,6 +1,7 @@
 package deltasigma_test
 
 import (
+	"errors"
 	"testing"
 
 	"deltasigma"
@@ -22,10 +23,10 @@ func TestColludingStrategy(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := exp.AddSession(0)
-	s.AddReceiver()                                           // round-robin: fast spoke
-	s.AddReceiver()                                           // slow spoke
-	a1 := s.AddAttackerStrategy(deltasigma.StrategyColluding) // fast spoke: learns high-group keys
-	a2 := s.AddAttackerStrategy(deltasigma.StrategyColluding) // slow spoke: replays them
+	s.AddReceiver()                                                            // round-robin: fast spoke
+	s.AddReceiver()                                                            // slow spoke
+	a1 := s.AddAttacker(deltasigma.WithStrategy(deltasigma.StrategyColluding)) // fast spoke: learns high-group keys
+	a2 := s.AddAttacker(deltasigma.WithStrategy(deltasigma.StrategyColluding)) // slow spoke: replays them
 	if a1.Strategy() != deltasigma.StrategyColluding || a2.Strategy() != deltasigma.StrategyColluding {
 		t.Fatalf("strategies = %q, %q; want colluding", a1.Strategy(), a2.Strategy())
 	}
@@ -60,7 +61,7 @@ func TestForgingStrategy(t *testing.T) {
 	}
 	s := exp.AddSession(0)
 	honest := s.AddReceiver()
-	atk := s.AddAttackerStrategy(deltasigma.StrategyForging)
+	atk := s.AddAttacker(deltasigma.WithStrategy(deltasigma.StrategyForging))
 	if atk.Strategy() != deltasigma.StrategyForging || atk.Forge() == nil {
 		t.Fatalf("forging attacker not wired: strategy %q, forge %v", atk.Strategy(), atk.Forge())
 	}
@@ -108,7 +109,7 @@ func TestAdaptiveStrategy(t *testing.T) {
 	s := exp.AddSession(0)
 	s.AddReceiver()
 	s.AddReceiver()
-	atk := s.AddAttackerStrategy(deltasigma.StrategyAdaptive)
+	atk := s.AddAttacker(deltasigma.WithStrategy(deltasigma.StrategyAdaptive))
 
 	exp.Advance(2 * deltasigma.Second)
 	if atk.Inflated() {
@@ -139,7 +140,7 @@ func TestStrategyDegradesOnUnprotected(t *testing.T) {
 	s := exp.AddSession(0)
 	s.AddReceiver()
 	for _, st := range []deltasigma.AttackerStrategy{deltasigma.StrategyColluding, deltasigma.StrategyForging} {
-		if got := s.AddAttackerStrategy(st).Strategy(); got != deltasigma.StrategyClassic {
+		if got := s.AddAttacker(deltasigma.WithStrategy(st)).Strategy(); got != deltasigma.StrategyClassic {
 			t.Errorf("%s on flid-dl runs %q, want degraded to classic", st, got)
 		}
 	}
@@ -159,10 +160,32 @@ func TestStrategyForcesSerialSharding(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := exp.AddSession(0)
-	s.AddAttackerStrategy(deltasigma.StrategyColluding)
+	s.AddAttacker(deltasigma.WithStrategy(deltasigma.StrategyColluding))
 	s.AddReceiver()
 	if shards, _, reason := exp.ShardStatus(); shards != 1 || reason == "" {
 		t.Fatalf("ShardStatus = %d shards, reason %q; want serial with a recorded reason", shards, reason)
 	}
 	exp.Run(2 * deltasigma.Second) // still runs fine serially
+}
+
+// TestUnknownStrategyIsTypedError: a strategy name outside the catalog —
+// a hand-edited spec, say — comes back from TryAddAttacker as an
+// *UnknownStrategyError before anything is attached, and an attacker at an
+// explicit port lands where it was put.
+func TestUnknownStrategyIsTypedError(t *testing.T) {
+	exp := deltasigma.MustNew(deltasigma.WithProtocol("flid-ds"), deltasigma.WithStar(500_000, 500_000), deltasigma.WithSeed(3))
+	s := exp.AddSession(1)
+	_, err := s.TryAddAttacker(deltasigma.WithStrategy("bribery"))
+	var use *deltasigma.UnknownStrategyError
+	if !errors.As(err, &use) || use.Strategy != "bribery" {
+		t.Fatalf("TryAddAttacker(unknown strategy) = %v, want *UnknownStrategyError", err)
+	}
+	if len(s.Receivers) != 1 {
+		t.Fatalf("%d receivers after a refused attacker, want the 1 honest one", len(s.Receivers))
+	}
+	port := exp.Topo.(*deltasigma.Star).AttachReceiverAt(1, "", deltasigma.DefaultDelay)
+	atk := s.AddAttacker(deltasigma.AtPort(port), deltasigma.WithStrategy(deltasigma.StrategyForging))
+	if !atk.Attacker() || atk.Strategy() != deltasigma.StrategyForging || atk.Forge() == nil {
+		t.Fatalf("attacker at an explicit port: attacker=%v strategy=%q", atk.Attacker(), atk.Strategy())
+	}
 }

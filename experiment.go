@@ -194,8 +194,8 @@ type Receiver struct {
 	startAt Time
 	manual  bool
 
-	// strategy is the attacker behavior selected by AddAttackerStrategy
-	// (empty for well-behaved receivers and plain AddAttacker attackers);
+	// strategy is the attacker behavior selected by WithStrategy (empty
+	// for well-behaved receivers and attackers added without it);
 	// forge is the feedback-forging engine of a StrategyForging attacker.
 	strategy AttackerStrategy
 	forge    *sigma.ForgeAttack
@@ -269,12 +269,7 @@ func (r *Receiver) Deflate() {
 
 // Unwrap returns the concrete protocol agent (e.g. *flid.DSAttacker) for
 // callers that need protocol-specific statistics.
-func (r *Receiver) Unwrap() any {
-	if u, ok := r.agent.(Unwrapper); ok {
-		return u.Unwrap()
-	}
-	return r.agent
-}
+func (r *Receiver) Unwrap() any { return r.agent }
 
 // sched returns the scheduler the receiver's host lives on (its shard
 // under sharded execution), defaulting to the experiment's main scheduler.
@@ -364,43 +359,6 @@ func (s *ExperimentSession) AddReceiverAt(port Port) *Receiver {
 	s.exp.maybeMigrate(port.Host)
 	agent := s.exp.Protocol.NewReceiver(port.Host, s.Sess, port.Edge.Addr())
 	return s.wrap(agent, port.Host, port.Edge.Addr())
-}
-
-// AddAttacker attaches an inflated-subscription attacker at the topology's
-// default egress. It panics if the protocol variant has no attacker; use
-// TryAddAttacker (or check ProtocolHasAttacker first) to handle that case.
-func (s *ExperimentSession) AddAttacker() *Receiver {
-	return s.AddAttackerAt(s.exp.Topo.AttachReceiver("", DefaultDelay))
-}
-
-// AddAttackerAt attaches an attacker at an explicit port.
-func (s *ExperimentSession) AddAttackerAt(port Port) *Receiver {
-	r, err := s.TryAddAttackerAt(port)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// TryAddAttacker attaches an attacker at the topology's default egress,
-// returning the protocol's typed error — e.g. *NoAttackerError for
-// variants whose design leaves nothing to inflate — instead of panicking.
-// Check ProtocolHasAttacker before calling to avoid attaching a receiver
-// host that an error would then leave unused.
-func (s *ExperimentSession) TryAddAttacker() (*Receiver, error) {
-	return s.TryAddAttackerAt(s.exp.Topo.AttachReceiver("", DefaultDelay))
-}
-
-// TryAddAttackerAt attaches an attacker at an explicit port, returning the
-// protocol's error instead of panicking.
-func (s *ExperimentSession) TryAddAttackerAt(port Port) (*Receiver, error) {
-	s.exp.mustNotHaveStarted("AddAttacker")
-	s.exp.maybeMigrate(port.Host)
-	agent, err := s.exp.Protocol.NewAttacker(port.Host, s.Sess, port.Edge.Addr(), s.exp.Topo.Rand().Fork())
-	if err != nil {
-		return nil, err
-	}
-	return s.wrap(agent, port.Host, port.Edge.Addr()), nil
 }
 
 func (s *ExperimentSession) wrap(agent ReceiverAgent, host *Host, edge Addr) *Receiver {

@@ -21,20 +21,11 @@ package abrcf
 
 import (
 	"deltasigma/internal/core"
-	"deltasigma/internal/mcast"
+	"deltasigma/internal/flid"
 	"deltasigma/internal/netsim"
 	"deltasigma/internal/packet"
 	"deltasigma/internal/sim"
-	"deltasigma/internal/stats"
 )
-
-// guardFraction mirrors the FLID receiver's slot-evaluation guard.
-const guardFraction = 0.8
-
-// tallyW is the receiver's slot tally window (a power of two): evaluation
-// of a slot happens after the next slot's packets have begun arriving, so
-// tallies of adjacent slots must not clobber each other.
-const tallyW = 4
 
 // cutFactor is the multiplicative decrease applied to the channel rate on
 // a congested slot; the additive increase on a clean slot is the schedule
@@ -44,81 +35,37 @@ const (
 	raiseDivisor = 4
 )
 
-// Sender is the session source: one group, one AIMD rate controller fed by
-// (consolidated) receiver reports. The session's rate schedule bounds the
-// controller: the base rate is the floor, the schedule's full cumulative
-// rate the ceiling.
+// Sender is the session source: the shared slotted sender loop emitting
+// one group, its rate an AIMD controller fed by (consolidated) receiver
+// reports. The session's rate schedule bounds the controller: the base
+// rate is the floor, the schedule's full cumulative rate the ceiling.
 type Sender struct {
-	Sess *core.Session
-	host *netsim.Host
-	rng  *sim.RNG
+	*core.SlotSender
+	rate int64
 
-	pacer   core.Pacer
-	rate    int64
-	congest bool
-	running bool
-
-	// Stats.
-	PacketsSent, BytesSent, SlotsRun uint64
-	FeedbackReports                  uint64
-	RateCuts, RateRaises             uint64
+	// RateCuts and RateRaises count controller moves.
+	RateCuts, RateRaises uint64
 }
 
-// NewSender builds an abr-cf source on host.
+// NewSender builds an abr-cf source on host. A one-group session
+// authorizes no upgrades, so the increase signal stays zero.
 func NewSender(host *netsim.Host, sess *core.Session, rng *sim.RNG) *Sender {
-	sess.Rates.Validate()
-	s := &Sender{Sess: sess, host: host, rng: rng, rate: sess.Rates.Cumulative(1)}
-	s.pacer.MinOne = true
-	host.Handle(packet.ProtoFeedback, s.onFeedback)
+	s := &Sender{rate: sess.Rates.Cumulative(1)}
+	s.SlotSender = core.NewSlotSender(host, sess, 1, core.PeriodicUpgrades{N: 1}, rng, core.SenderHooks{
+		Rate:  func(int) int64 { return s.rate },
+		Adapt: s.adapt,
+	})
 	return s
 }
 
 // Rate returns the channel's current transmission rate in bits/s.
 func (s *Sender) Rate() int64 { return s.rate }
 
-// Start begins the slot loop at the session epoch.
-func (s *Sender) Start() {
-	if s.running {
-		return
-	}
-	s.running = true
-	sched := s.host.Scheduler()
-	start := s.Sess.Epoch
-	if start < sched.Now() {
-		start = sched.Now()
-	}
-	sched.At(start, func() { s.runSlot(s.Sess.SlotAt(sched.Now())) })
-}
-
-// Stop halts the sender after the current slot.
-func (s *Sender) Stop() { s.running = false }
-
-func (s *Sender) onFeedback(pkt *packet.Packet) {
-	h, ok := pkt.Header.(*packet.FeedbackHeader)
-	if !ok || h.Session != s.Sess.ID {
-		return
-	}
-	n := uint64(h.Reports)
-	if n == 0 {
-		n = 1
-	}
-	s.FeedbackReports += n
-	if h.Congested {
-		s.congest = true
-	}
-}
-
-func (s *Sender) runSlot(slot uint32) {
-	if !s.running {
-		return
-	}
-	s.SlotsRun++
-	sched := s.host.Scheduler()
-
+// adapt is the AIMD step on the feedback gathered during the last slot.
+func (s *Sender) adapt(congested bool) {
 	floor := s.Sess.Rates.Cumulative(1)
 	ceil := s.Sess.Rates.Cumulative(s.Sess.Rates.N)
-	if s.congest {
-		s.congest = false
+	if congested {
 		if s.rate > floor {
 			s.rate = int64(float64(s.rate) * cutFactor)
 			if s.rate < floor {
@@ -133,147 +80,21 @@ func (s *Sender) runSlot(slot uint32) {
 		}
 		s.RateRaises++
 	}
+}
 
-	cnt := s.pacer.Packets(s.rate, s.Sess.SlotDur, s.Sess.PacketSize)
-	if cnt > 0 {
-		slotStart := s.Sess.SlotStart(slot)
-		pool := s.host.Network().Pool()
-		spacing := s.Sess.SlotDur / sim.Time(cnt)
-		for j := 1; j <= cnt; j++ {
-			hdr := pool.FLIDHeader()
-			hdr.Session, hdr.Group, hdr.Slot = s.Sess.ID, 1, slot
-			hdr.Seq, hdr.Count, hdr.IncreaseTo = uint16(j), uint16(cnt), 0
-			at := slotStart + sim.Time(j-1)*spacing + s.rng.Jitter(spacing/2)
-			if at < sched.Now() {
-				at = sched.Now()
-			}
-			pkt := s.host.Network().NewPacket(s.host.Addr(), s.Sess.GroupAddr(1), s.Sess.PacketSize, hdr)
-			sched.Schedule(at, func() { s.emit(pkt) })
-		}
+// rule is the abr-cf receiver's: there are no subscription levels to move
+// between, so it only reports each slot's status toward the source — from
+// the first slot it observed in full; the partial slot it joined in says
+// nothing about the channel.
+func rule(r *flid.Receiver, v flid.SlotView) {
+	if v.Counted {
+		r.Report(v.Slot, v.Loss)
 	}
-
-	sched.Schedule(s.Sess.SlotStart(slot+1), func() { s.runSlot(slot + 1) })
-}
-
-func (s *Sender) emit(pkt *packet.Packet) {
-	s.PacketsSent++
-	s.BytesSent += uint64(pkt.Size)
-	s.host.Send(pkt)
-}
-
-// Receiver is an abr-cf receiver: it subscribes to the single channel and
-// reports each slot's status toward the source. There are no subscription
-// levels to move between — Level is 1 while subscribed.
-type Receiver struct {
-	Sess *core.Session
-	host *netsim.Host
-	igmp *mcast.Client
-
-	running  bool
-	loop     *core.SlotLoop
-	fromSlot uint32 // first fully observed slot
-
-	tags   [tallyW]uint32
-	got    [tallyW]uint16
-	expect [tallyW]uint16
-
-	// Meter records delivered session bytes.
-	Meter *stats.Meter
-	// ReportsSent counts feedback packets emitted; LossSlots counts slots
-	// judged congested.
-	ReportsSent uint64
-	LossSlots   uint64
 }
 
 // NewReceiver builds an abr-cf receiver on host, managing membership
-// through the edge router at routerAddr.
-func NewReceiver(host *netsim.Host, sess *core.Session, routerAddr packet.Addr) *Receiver {
-	r := &Receiver{
-		Sess:  sess,
-		host:  host,
-		igmp:  mcast.NewClient(host, routerAddr),
-		Meter: stats.NewMeter(sim.Second),
-	}
-	r.loop = core.NewSlotLoop(host.Scheduler(), sess,
-		sim.Time(guardFraction*float64(sess.SlotDur)), r.onEval)
-	host.Handle(packet.ProtoFLID, r.onData)
-	return r
-}
-
-// Level reports 1 while subscribed, 0 otherwise.
-func (r *Receiver) Level() int {
-	if r.running {
-		return 1
-	}
-	return 0
-}
-
-// Start joins the channel.
-func (r *Receiver) Start() {
-	if r.running {
-		return
-	}
-	r.running = true
-	cur := r.Sess.SlotAt(r.host.Scheduler().Now())
-	r.fromSlot = cur + 1
-	r.igmp.Join(r.Sess.GroupAddr(1))
-	r.loop.Schedule(cur)
-}
-
-// Stop leaves the channel and halts evaluation.
-func (r *Receiver) Stop() {
-	if !r.running {
-		return
-	}
-	r.running = false
-	r.igmp.Leave(r.Sess.GroupAddr(1))
-}
-
-func (r *Receiver) onData(pkt *packet.Packet) {
-	h, ok := pkt.Header.(*packet.FLIDHeader)
-	if !ok || h.Session != r.Sess.ID || h.Group != 1 {
-		return
-	}
-	r.Meter.Add(r.host.Scheduler().Now(), pkt.Size)
-	idx := int(h.Slot) & (tallyW - 1)
-	if r.tags[idx] != h.Slot {
-		r.tags[idx] = h.Slot
-		r.got[idx] = 0
-	}
-	r.got[idx]++
-	r.expect[idx] = h.Count
-}
-
-func (r *Receiver) onEval(slot uint32) bool {
-	if !r.running {
-		return false
-	}
-	if slot < r.fromSlot {
-		return true // not yet a full member for this slot
-	}
-	idx := int(slot) & (tallyW - 1)
-	has := r.tags[idx] == slot
-	loss := !has || r.got[idx] == 0 || r.got[idx] < r.expect[idx]
-	if loss {
-		r.LossSlots++
-	}
-	r.report(slot, loss)
-	return true
-}
-
-// report unicasts the slot's status toward the session source.
-func (r *Receiver) report(slot uint32, congested bool) {
-	if r.Sess.Src == 0 {
-		return
-	}
-	hdr := &packet.FeedbackHeader{
-		Session:   r.Sess.ID,
-		Slot:      slot,
-		Count:     1,
-		MaxLevel:  1,
-		Congested: congested,
-		Reports:   1,
-	}
-	r.host.Send(r.host.NewPacket(r.Sess.Src, 0, hdr))
-	r.ReportsSent++
+// through the edge router at routerAddr: the tally kernel held at the
+// single channel (Level is 1 while subscribed).
+func NewReceiver(host *netsim.Host, sess *core.Session, routerAddr packet.Addr) *flid.Receiver {
+	return flid.NewReceiver(host, sess, routerAddr, rule)
 }

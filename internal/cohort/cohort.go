@@ -25,10 +25,6 @@ import (
 	"deltasigma/internal/stats"
 )
 
-// guardFraction matches internal/flid: evaluation waits 0.8 of a slot into
-// the following slot so queue-delayed packets of the slot still count.
-const guardFraction = 0.8
-
 // slotTally accumulates per-group receptions for one data slot, shared by
 // every member of the cohort (they all sit behind the same delivery point).
 type slotTally struct {
@@ -143,8 +139,7 @@ func New(host *netsim.Host, edge *mcast.Router, sess *core.Session, n uint64) *A
 		tallies: make(map[uint32]*slotTally),
 		Meter:   stats.NewMeter(sim.Second),
 	}
-	a.loop = core.NewSlotLoop(host.Scheduler(), sess,
-		sim.Time(guardFraction*float64(sess.SlotDur)), a.onEval)
+	a.loop = core.NewSlotLoop(host.Scheduler(), sess, a.onEval)
 	host.Handle(packet.ProtoFLID, a.onData)
 	return a
 }
@@ -419,16 +414,7 @@ func (a *Agent) mergeBuckets(slot uint32) {
 // report emits the cohort's per-slot feedback leaf report.
 func (a *Agent) report(slot uint32, congested bool) {
 	online := a.Online()
-	if a.feedbackDst == 0 || online == 0 {
-		return
+	if online > 0 && a.Sess.SendReport(a.host, a.feedbackDst, slot, online, a.Level(), congested) {
+		a.ReportsSent++
 	}
-	a.host.Send(a.host.Network().NewPacket(a.host.Addr(), a.feedbackDst, 0, &packet.FeedbackHeader{
-		Session:   a.Sess.ID,
-		Slot:      slot,
-		Count:     online,
-		MaxLevel:  uint8(a.Level()),
-		Congested: congested,
-		Reports:   1,
-	}))
-	a.ReportsSent++
 }

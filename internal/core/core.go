@@ -1,16 +1,18 @@
 // Package core assembles the paper's contribution into a reusable frame:
 // session descriptors with the multiplicative layered rate schedule of
 // §5.1, the slotted timeline of Figure 2 (keys distributed during data slot
-// s guard access during slot s+2), and the upgrade-authorization policy
-// that multi-group protocols plug into. The concrete protocols
-// (internal/flid, internal/replicated, internal/threshold) build on these
-// types; DELTA (internal/delta) and SIGMA (internal/sigma) consume them.
+// s guard access during slot s+2), the upgrade-authorization policy that
+// multi-group protocols plug into, and the two slot machines every protocol
+// shares — the sender loop (SlotSender) and the per-slot receiver driver
+// (SlotLoop). The concrete protocols (internal/flid and the rule packages
+// beside it) build on these types; DELTA (internal/delta) and SIGMA (internal/sigma) consume them.
 package core
 
 import (
 	"fmt"
 	"math"
 
+	"deltasigma/internal/keys"
 	"deltasigma/internal/packet"
 	"deltasigma/internal/sim"
 )
@@ -141,6 +143,20 @@ func (s *Session) Addrs() []packet.Addr {
 		out[g-1] = s.GroupAddr(g)
 	}
 	return out
+}
+
+// KeyPairs binds a DELTA outcome's per-group keys to their group addresses
+// for a SIGMA subscription, in ascending group order: the pairs reach the
+// wire, collusion taps and the controller's graft sequence, so map
+// iteration order must not.
+func (s *Session) KeyPairs(byGroup map[int]keys.Key) []packet.AddrKey {
+	pairs := make([]packet.AddrKey, 0, len(byGroup))
+	for g := 1; g <= s.Rates.N && len(pairs) < len(byGroup); g++ {
+		if k, ok := byGroup[g]; ok {
+			pairs = append(pairs, packet.AddrKey{Addr: s.GroupAddr(g), Key: k})
+		}
+	}
+	return pairs
 }
 
 // UpgradePolicy decides, per slot, the highest group receivers are

@@ -2,10 +2,22 @@ package core
 
 import "deltasigma/internal/sim"
 
+// guardFraction is how far into the next slot a receiver waits before
+// evaluating a slot, so in-flight and queue-delayed packets of the slot can
+// still arrive. It must cover the worst-case bottleneck queueing delay (two
+// bandwidth-RTT products ≈ 160 ms at §5.1 settings) or queue-delayed
+// packets read as losses, yet leave enough of the slot for the subscription
+// message to reach the edge before the access slot starts (Figure 2): 0.8
+// of a 250 ms FLID-DS slot leaves ~40 ms for the local round trip. It is
+// spelled once, here, because the guard positions the shared per-slot
+// event: two receivers disagreeing on it by a rounding step would silently
+// stop sharing a driver.
+const guardFraction = 0.8
+
 // SlotDriver batches every slotted receiver that shares a slot clock —
-// same epoch, slot duration and guard interval — behind one scheduler
-// event per slot. Before it existed each receiver armed its own timer at
-// the common guard point, so a slot boundary cost one event pop per
+// same epoch and slot duration, hence the same guard point — behind one
+// scheduler event per slot. Before it existed each receiver armed its own
+// timer at the common guard point, so a slot boundary cost one event pop per
 // receiver; now the driver pops once and walks its member list, which is
 // also what lets protocol packages keep per-receiver state in
 // struct-of-arrays batches and touch it in one contiguous pass.
@@ -35,13 +47,13 @@ type SlotDriver struct {
 type slotClockKey struct {
 	epoch   sim.Time
 	slotDur sim.Time
-	guard   sim.Time
 }
 
-func driverFor(sched *sim.Scheduler, sess *Session, guard sim.Time) *SlotDriver {
-	key := slotClockKey{epoch: sess.Epoch, slotDur: sess.SlotDur, guard: guard}
+func driverFor(sched *sim.Scheduler, sess *Session) *SlotDriver {
+	key := slotClockKey{epoch: sess.Epoch, slotDur: sess.SlotDur}
 	return sched.Anchor(key, func() any {
-		d := &SlotDriver{sched: sched, epoch: sess.Epoch, slotDur: sess.SlotDur, guard: guard}
+		d := &SlotDriver{sched: sched, epoch: sess.Epoch, slotDur: sess.SlotDur,
+			guard: sim.Time(guardFraction * float64(sess.SlotDur))}
 		d.timer = sched.NewTimer(d.fire)
 		return d
 	}).(*SlotDriver)

@@ -19,10 +19,8 @@ type SlotLoop struct {
 // receives the finished slot number and reports whether the loop should
 // continue — a stopped receiver returns false and the loop goes quiet until
 // the next Schedule call.
-func NewSlotLoop(sched *sim.Scheduler, sess *Session, guard sim.Time, eval func(slot uint32) bool) *SlotLoop {
-	l := &SlotLoop{eval: eval}
-	l.driver = driverFor(sched, sess, guard)
-	return l
+func NewSlotLoop(sched *sim.Scheduler, sess *Session, eval func(slot uint32) bool) *SlotLoop {
+	return &SlotLoop{eval: eval, driver: driverFor(sched, sess)}
 }
 
 // Schedule arms evaluation of slot at its guard point by joining the

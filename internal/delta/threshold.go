@@ -178,8 +178,11 @@ func (r *ThresholdReceiver) Begin(slot uint32) {
 	r.increase = 0
 }
 
-// Observe folds one received packet into the slot state.
-func (r *ThresholdReceiver) Observe(h *packet.FLIDHeader) {
+// Observe folds one received packet into the slot state. The signature
+// matches LayeredReceiver.Observe so both accumulate behind one key-receiver
+// kernel; the loss-threshold family has no ECN variant, so the mark is
+// ignored.
+func (r *ThresholdReceiver) Observe(h *packet.FLIDHeader, _ bool) {
 	if h.Slot != r.slot {
 		return
 	}
@@ -236,8 +239,9 @@ func (r *ThresholdReceiver) reconstruct(g int, up bool) (keys.Key, bool) {
 // The receiver is congested when level top's loss rate exceeded its
 // threshold; its entitled next level is the highest contiguous prefix of
 // levels whose keys it reconstructed, plus one more when an upgrade was
-// authorized and the upgrade key came through.
-func (r *ThresholdReceiver) Finish(top int) Outcome {
+// authorized and the upgrade key came through. As with Observe, the ECN
+// mode of LayeredReceiver.Finish is accepted and ignored.
+func (r *ThresholdReceiver) Finish(top int, _ bool) Outcome {
 	if top < 1 || top > r.n {
 		panic(fmt.Sprintf("delta: threshold Finish with top %d of %d", top, r.n))
 	}

@@ -76,10 +76,10 @@ func TestThresholdLossWithinToleranceKeepsKey(t *testing.T) {
 			if g == 2 && i%5 == 0 {
 				continue
 			}
-			r.Observe(h)
+			r.Observe(h, false)
 		}
 	}
-	out := r.Finish(3)
+	out := r.Finish(3, false)
 	if out.Congested {
 		t.Fatal("20% loss under a 25% threshold should not be congestion")
 	}
@@ -103,10 +103,10 @@ func TestThresholdLossAboveToleranceDeniesKey(t *testing.T) {
 			if g == 2 && i < 8 {
 				continue
 			}
-			r.Observe(h)
+			r.Observe(h, false)
 		}
 	}
-	out := r.Finish(3)
+	out := r.Finish(3, false)
 	if !out.Congested {
 		t.Fatal("40% loss over a 25% threshold must be congestion")
 	}
@@ -132,10 +132,10 @@ func TestThresholdUpgradeKey(t *testing.T) {
 			break // receiver subscribed to levels 1..2
 		}
 		for _, h := range hs {
-			r.Observe(h)
+			r.Observe(h, false)
 		}
 	}
-	out := r.Finish(2)
+	out := r.Finish(2, false)
 	if out.Next != 3 {
 		t.Fatalf("Next = %d, want upgrade to 3", out.Next)
 	}
@@ -156,10 +156,10 @@ func TestThresholdUpgradeDeniedWhenLossy(t *testing.T) {
 			if g == 1 && i < 8 { // 40% loss at level 2
 				continue
 			}
-			r.Observe(h)
+			r.Observe(h, false)
 		}
 	}
-	out := r.Finish(2)
+	out := r.Finish(2, false)
 	if out.Next != 1 {
 		t.Fatalf("Next = %d, want 1", out.Next)
 	}
@@ -181,10 +181,10 @@ func TestThresholdGradedPerLevel(t *testing.T) {
 				continue
 			}
 			_ = g
-			r.Observe(h)
+			r.Observe(h, false)
 		}
 	}
-	out := r.Finish(3)
+	out := r.Finish(3, false)
 	if !out.Congested {
 		t.Fatal("15% loss over the 10% level-3 threshold must be congestion")
 	}
@@ -202,7 +202,7 @@ func TestThresholdNothingReceived(t *testing.T) {
 	s, r := newThresholdPair(2, rlmThresholds(2), 56)
 	_, _ = emitThresholdSlot(t, s, 1, auths(2, 0), countsOf(2, 10))
 	r.Begin(1)
-	out := r.Finish(2)
+	out := r.Finish(2, false)
 	if out.Next != 0 || len(out.Keys) != 0 {
 		t.Fatalf("outcome %+v, want nothing", out)
 	}

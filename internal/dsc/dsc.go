@@ -11,27 +11,25 @@
 //   - the sender scales every layer down multiplicatively while any report
 //     says congested, and recovers slowly after consecutive clean slots.
 //
-// Membership stays plain IGMP, so the inflated-subscription attacker joins
-// every group exactly as against FLID-DL — and by silencing its own
-// feedback while honest receivers keep reporting loss, it drives the
-// source's rates down for everyone while keeping the whole (reduced)
-// session for itself.
+// Membership stays plain IGMP, so the inflated-subscription attacker
+// (flid.NewInflator over the receiver) joins every group exactly as against
+// FLID-DL — and by silencing its own feedback while honest receivers keep
+// reporting loss, it drives the source's rates down for everyone while
+// keeping the whole (reduced) session for itself.
+//
+// On the protocol kit that is one rule (FLID's plus a report) and one rate
+// policy (the multiplier below) — the scheme describes itself as a
+// FLID-style receiver plus one extra signal, and that is all this package
+// holds.
 package dsc
 
 import (
 	"deltasigma/internal/core"
-	"deltasigma/internal/mcast"
+	"deltasigma/internal/flid"
 	"deltasigma/internal/netsim"
 	"deltasigma/internal/packet"
 	"deltasigma/internal/sim"
-	"deltasigma/internal/stats"
 )
-
-// guardFraction mirrors the FLID receiver's slot-evaluation guard.
-const guardFraction = 0.8
-
-// tallyW is the receiver's slot tally window (a power of two).
-const tallyW = 4
 
 // Source-rate adaptation constants: one congested slot scales every layer
 // by cutFactor; recoverAfter consecutive clean slots scale it back by
@@ -44,89 +42,34 @@ const (
 	minMult      = 0.25
 )
 
-// Sender is the session source: a slotted layered sender whose per-group
-// rates are the schedule's scaled by a feedback-driven multiplier.
+// Sender is the session source: the shared slotted sender loop whose
+// per-group rates are the schedule's scaled by a feedback-driven
+// multiplier.
 type Sender struct {
-	Sess   *core.Session
-	host   *netsim.Host
-	policy core.UpgradePolicy
-	rng    *sim.RNG
+	*core.SlotSender
+	mult  float64
+	clean int
 
-	pacers  []core.Pacer
-	mult    float64
-	clean   int
-	congest bool // any congested report since the last slot began
-	running bool
-
-	// Stats.
-	PacketsSent, BytesSent, SlotsRun uint64
-	// FeedbackReports counts reports consumed (consolidated ones via their
-	// merged Reports field); RateCuts and RateRaises count multiplier moves.
-	FeedbackReports      uint64
+	// RateCuts and RateRaises count multiplier moves.
 	RateCuts, RateRaises uint64
 }
 
 // NewSender builds a dsc source on host.
 func NewSender(host *netsim.Host, sess *core.Session, policy core.UpgradePolicy, rng *sim.RNG) *Sender {
-	sess.Rates.Validate()
-	s := &Sender{
-		Sess: sess, host: host, policy: policy, rng: rng,
-		pacers: make([]core.Pacer, sess.Rates.N),
-		mult:   1,
-	}
-	for i := range s.pacers {
-		s.pacers[i].MinOne = true
-	}
-	host.Handle(packet.ProtoFeedback, s.onFeedback)
+	s := &Sender{mult: 1}
+	s.SlotSender = core.NewSlotSender(host, sess, sess.Rates.N, policy, rng, core.SenderHooks{
+		Rate:  func(g int) int64 { return int64(s.mult * float64(sess.Rates.GroupRate(g))) },
+		Adapt: s.adapt,
+	})
 	return s
 }
 
 // Mult returns the current rate multiplier applied to every layer.
 func (s *Sender) Mult() float64 { return s.mult }
 
-// Start begins the slot loop at the session epoch.
-func (s *Sender) Start() {
-	if s.running {
-		return
-	}
-	s.running = true
-	sched := s.host.Scheduler()
-	start := s.Sess.Epoch
-	if start < sched.Now() {
-		start = sched.Now()
-	}
-	sched.At(start, func() { s.runSlot(s.Sess.SlotAt(sched.Now())) })
-}
-
-// Stop halts the sender after the current slot.
-func (s *Sender) Stop() { s.running = false }
-
-func (s *Sender) onFeedback(pkt *packet.Packet) {
-	h, ok := pkt.Header.(*packet.FeedbackHeader)
-	if !ok || h.Session != s.Sess.ID {
-		return
-	}
-	n := uint64(h.Reports)
-	if n == 0 {
-		n = 1
-	}
-	s.FeedbackReports += n
-	if h.Congested {
-		s.congest = true
-	}
-}
-
-func (s *Sender) runSlot(slot uint32) {
-	if !s.running {
-		return
-	}
-	s.SlotsRun++
-	sched := s.host.Scheduler()
-	n := s.Sess.Rates.N
-
-	// Adapt the multiplier to the feedback gathered during the last slot.
-	if s.congest {
-		s.congest = false
+// adapt moves the multiplier on the feedback gathered during the last slot.
+func (s *Sender) adapt(congested bool) {
+	if congested {
 		s.clean = 0
 		if s.mult > minMult {
 			s.mult *= cutFactor
@@ -142,249 +85,19 @@ func (s *Sender) runSlot(slot uint32) {
 		}
 		s.RateRaises++
 	}
-
-	inc := s.policy.IncreaseTo(slot)
-	if inc > n {
-		inc = n
-	}
-
-	slotStart := s.Sess.SlotStart(slot)
-	pool := s.host.Network().Pool()
-	for g := 1; g <= n; g++ {
-		rate := int64(s.mult * float64(s.Sess.Rates.GroupRate(g)))
-		cnt := s.pacers[g-1].Packets(rate, s.Sess.SlotDur, s.Sess.PacketSize)
-		if cnt == 0 {
-			continue
-		}
-		spacing := s.Sess.SlotDur / sim.Time(cnt)
-		for j := 1; j <= cnt; j++ {
-			hdr := pool.FLIDHeader()
-			hdr.Session, hdr.Group, hdr.Slot = s.Sess.ID, uint8(g), slot
-			hdr.Seq, hdr.Count, hdr.IncreaseTo = uint16(j), uint16(cnt), uint8(inc)
-			at := slotStart + sim.Time(j-1)*spacing + s.rng.Jitter(spacing/2)
-			if at < sched.Now() {
-				at = sched.Now()
-			}
-			pkt := s.host.Network().NewPacket(s.host.Addr(), s.Sess.GroupAddr(g), s.Sess.PacketSize, hdr)
-			sched.Schedule(at, func() { s.emit(pkt) })
-		}
-	}
-
-	sched.Schedule(s.Sess.SlotStart(slot+1), func() { s.runSlot(slot + 1) })
 }
 
-func (s *Sender) emit(pkt *packet.Packet) {
-	s.PacketsSent++
-	s.BytesSent += uint64(pkt.Size)
-	s.host.Send(pkt)
+// rule is the dsc receiver's: FLID's subscription rules, then a unicast
+// status report toward the session source (routers running consolidation
+// merge it with sibling reports on the way up). The report carries the
+// slot's verdict and the level after the move.
+func rule(r *flid.Receiver, v flid.SlotView) {
+	flid.FLIDRule(r, v)
+	r.Report(v.Slot, v.Loss)
 }
 
-// Receiver is a well-behaved dsc receiver: FLID subscription rules plus a
-// per-slot unicast status report toward the session source.
-type Receiver struct {
-	Sess *core.Session
-	host *netsim.Host
-	igmp *mcast.Client
-
-	running bool
-	level   int
-	loop    *core.SlotLoop
-
-	tags   [tallyW]uint32
-	got    []uint16
-	expect []uint16
-	incs   [tallyW]uint8
-	joined []uint32
-
-	// Meter records delivered session bytes.
-	Meter *stats.Meter
-	// Decreases and Increases count subscription moves; ReportsSent counts
-	// feedback packets emitted.
-	Decreases, Increases uint64
-	ReportsSent          uint64
+// NewReceiver builds a well-behaved dsc receiver on host, managing
+// membership through the edge router at routerAddr.
+func NewReceiver(host *netsim.Host, sess *core.Session, routerAddr packet.Addr) *flid.Receiver {
+	return flid.NewReceiver(host, sess, routerAddr, rule)
 }
-
-// NewReceiver builds a dsc receiver on host, managing membership through
-// the edge router at routerAddr.
-func NewReceiver(host *netsim.Host, sess *core.Session, routerAddr packet.Addr) *Receiver {
-	n := sess.Rates.N
-	r := &Receiver{
-		Sess:   sess,
-		host:   host,
-		igmp:   mcast.NewClient(host, routerAddr),
-		got:    make([]uint16, tallyW*n),
-		expect: make([]uint16, tallyW*n),
-		joined: make([]uint32, n),
-		Meter:  stats.NewMeter(sim.Second),
-	}
-	r.loop = core.NewSlotLoop(host.Scheduler(), sess,
-		sim.Time(guardFraction*float64(sess.SlotDur)), r.onEval)
-	host.Handle(packet.ProtoFLID, r.onData)
-	return r
-}
-
-// Level reports the current subscription level.
-func (r *Receiver) Level() int { return r.level }
-
-// Start joins the session at the minimal level.
-func (r *Receiver) Start() {
-	if r.running {
-		return
-	}
-	r.running = true
-	cur := r.Sess.SlotAt(r.host.Scheduler().Now())
-	r.level = 1
-	r.joined[0] = cur + 1
-	r.igmp.Join(r.Sess.GroupAddr(1))
-	r.loop.Schedule(cur)
-}
-
-// Stop leaves every group and halts evaluation (and with it the feedback
-// stream — a stopped receiver reports nothing).
-func (r *Receiver) Stop() {
-	if !r.running {
-		return
-	}
-	r.running = false
-	for g := 1; g <= r.level; g++ {
-		r.igmp.Leave(r.Sess.GroupAddr(g))
-	}
-	r.level = 0
-}
-
-func (r *Receiver) onData(pkt *packet.Packet) {
-	h, ok := pkt.Header.(*packet.FLIDHeader)
-	if !ok || h.Session != r.Sess.ID {
-		return
-	}
-	r.Meter.Add(r.host.Scheduler().Now(), pkt.Size)
-	g := int(h.Group)
-	n := r.Sess.Rates.N
-	if g < 1 || g > n {
-		return
-	}
-	idx := int(h.Slot) & (tallyW - 1)
-	if r.tags[idx] != h.Slot {
-		r.tags[idx] = h.Slot
-		row := r.got[idx*n : (idx+1)*n]
-		for i := range row {
-			row[i] = 0
-		}
-		r.incs[idx] = 0
-	}
-	r.got[idx*n+g-1]++
-	r.expect[idx*n+g-1] = h.Count
-	if h.IncreaseTo > r.incs[idx] {
-		r.incs[idx] = h.IncreaseTo
-	}
-}
-
-func (r *Receiver) onEval(slot uint32) bool {
-	if !r.running {
-		return false
-	}
-	r.evaluate(slot)
-	return true
-}
-
-func (r *Receiver) evaluate(slot uint32) {
-	if r.level == 0 {
-		return
-	}
-	n := r.Sess.Rates.N
-	idx := int(slot) & (tallyW - 1)
-	has := r.tags[idx] == slot
-	loss := false
-	for g := 1; g <= r.level; g++ {
-		if r.joined[g-1] > slot {
-			continue
-		}
-		got := r.got[idx*n+g-1]
-		if !has || got == 0 || got < r.expect[idx*n+g-1] {
-			loss = true
-			break
-		}
-	}
-	inc := 0
-	if has {
-		inc = int(r.incs[idx])
-	}
-
-	switch {
-	case loss && r.level > 1:
-		r.igmp.Leave(r.Sess.GroupAddr(r.level))
-		r.level--
-		r.Decreases++
-	case loss:
-		// The minimal group is the session floor.
-	case inc >= r.level+1 && r.level < n:
-		r.level++
-		r.joined[r.level-1] = slot + 2
-		r.igmp.Join(r.Sess.GroupAddr(r.level))
-		r.Increases++
-	}
-	r.report(slot, loss)
-}
-
-// report unicasts the slot's status toward the session source; routers
-// running consolidation merge it with sibling reports on the way up.
-func (r *Receiver) report(slot uint32, congested bool) {
-	if r.Sess.Src == 0 {
-		return
-	}
-	hdr := &packet.FeedbackHeader{
-		Session:   r.Sess.ID,
-		Slot:      slot,
-		Count:     1,
-		MaxLevel:  uint8(r.level),
-		Congested: congested,
-		Reports:   1,
-	}
-	r.host.Send(r.host.NewPacket(r.Sess.Src, 0, hdr))
-	r.ReportsSent++
-}
-
-// Attacker is the inflated-subscription misbehaver against dsc: it joins
-// every group through plain IGMP and goes silent on the feedback channel,
-// so the honest receivers' loss reports throttle the source while the
-// attacker keeps the full (reduced) session.
-type Attacker struct {
-	*Receiver
-	igmpAtk  *mcast.Client
-	inflated bool
-}
-
-// NewAttacker builds a dsc attacker on host.
-func NewAttacker(host *netsim.Host, sess *core.Session, routerAddr packet.Addr) *Attacker {
-	return &Attacker{
-		Receiver: NewReceiver(host, sess, routerAddr),
-		igmpAtk:  mcast.NewClient(host, routerAddr),
-	}
-}
-
-// Inflate switches to full-subscription misbehaviour.
-func (a *Attacker) Inflate() {
-	if a.inflated {
-		return
-	}
-	a.inflated = true
-	a.Receiver.Stop()
-	for g := 1; g <= a.Sess.Rates.N; g++ {
-		a.igmpAtk.Join(a.Sess.GroupAddr(g))
-	}
-}
-
-// Deflate withdraws the attack and resumes well-behaved control.
-func (a *Attacker) Deflate() {
-	if !a.inflated {
-		return
-	}
-	a.inflated = false
-	for g := 1; g <= a.Sess.Rates.N; g++ {
-		a.igmpAtk.Leave(a.Sess.GroupAddr(g))
-	}
-	a.Receiver.Start()
-}
-
-// Inflated reports whether the attack is active.
-func (a *Attacker) Inflated() bool { return a.inflated }

@@ -7,10 +7,11 @@ import (
 	"deltasigma/internal/sim"
 )
 
-// This file holds the struct-of-arrays state shared by every FLID receiver
-// of one session. A receiver used to own a map of per-slot tally objects,
-// so the per-packet path hashed a slot number and chased a pointer, and
-// the per-slot path allocated, deleted and garbage-collected map entries.
+// This file holds the struct-of-arrays state shared by every kernel
+// receiver of one session, whatever rule drives it. A receiver used to own
+// a map of per-slot tally objects, so the per-packet path hashed a slot
+// number and chased a pointer, and the per-slot path allocated, deleted
+// and garbage-collected map entries.
 // Now each session anchors one batch on its scheduler (sim.Scheduler
 // Anchor, so concurrently running experiments never share state) and each
 // receiver is an index into parallel slices: subscription levels, probation
@@ -31,7 +32,7 @@ import (
 const tallyW = 8 // per-slot tally ring width, power of two
 const lvlW = 16  // FLID-DS level-by-slot ring width, power of two
 
-// dlBatch is the struct-of-arrays state of every FLID-DL receiver attached
+// dlBatch is the struct-of-arrays state of every tally receiver attached
 // to one session (on one scheduler).
 type dlBatch struct {
 	n int // groups
@@ -100,13 +101,28 @@ func (b *dlBatch) observe(mi int, h *packet.FLIDHeader) {
 	}
 }
 
-// dsBatch is the struct-of-arrays state of every FLID-DS receiver attached
-// to one session. The tally ring holds reusable DELTA layered receivers
-// (Begin resets one in place); the level ring replaces the level-by-slot
-// map with full-slot tags, where tag slot+1 distinguishes a recorded slot
-// 0 from an empty entry.
+// Accumulator is one slot's DELTA receiver state — the part of a key
+// receiver that differs between instantiations (Figure 4 layered nonces,
+// Shamir shares): it observes the slot's packets and concludes with the
+// keys the receiver's congestion state entitles it to. Begin resets it in
+// place for reuse.
+type Accumulator interface {
+	Begin(slot uint32)
+	Observe(h *packet.FLIDHeader, marked bool)
+	Finish(top int, ecnMode bool) delta.Outcome
+}
+
+// Layered builds the Figure 4 accumulator FLID-DS runs.
+func Layered(n int) Accumulator { return delta.NewLayeredReceiver(n) }
+
+// dsBatch is the struct-of-arrays state of every key receiver attached to
+// one session. The tally ring holds reusable DELTA accumulators (Begin
+// resets one in place); the level ring replaces the level-by-slot map with
+// full-slot tags, where tag slot+1 distinguishes a recorded slot 0 from an
+// empty entry.
 type dsBatch struct {
-	n int
+	n      int
+	newAcc func(n int) Accumulator
 
 	// Per member:
 	level     []int32
@@ -115,7 +131,7 @@ type dsBatch struct {
 
 	// DELTA receiver ring, stride tallyW; dtag is slot+1, 0 when empty.
 	dtag  []uint32
-	drecv []*delta.LayeredReceiver
+	drecv []Accumulator
 
 	// Level-in-force ring, stride lvlW; ltag is slot+1, 0 when empty.
 	ltag []uint32
@@ -124,9 +140,9 @@ type dsBatch struct {
 
 type dsKey struct{ sess *core.Session }
 
-func dsBatchFor(sched *sim.Scheduler, sess *core.Session) *dsBatch {
+func dsBatchFor(sched *sim.Scheduler, sess *core.Session, newAcc func(n int) Accumulator) *dsBatch {
 	return sched.Anchor(dsKey{sess}, func() any {
-		return &dsBatch{n: sess.Rates.N}
+		return &dsBatch{n: sess.Rates.N, newAcc: newAcc}
 	}).(*dsBatch)
 }
 
@@ -136,7 +152,7 @@ func (b *dsBatch) join() int {
 	b.evalFloor = append(b.evalFloor, 0)
 	b.joined = append(b.joined, make([]uint32, b.n+2)...)
 	b.dtag = append(b.dtag, make([]uint32, tallyW)...)
-	b.drecv = append(b.drecv, make([]*delta.LayeredReceiver, tallyW)...)
+	b.drecv = append(b.drecv, make([]Accumulator, tallyW)...)
 	b.ltag = append(b.ltag, make([]uint32, lvlW)...)
 	b.lval = append(b.lval, make([]int32, lvlW)...)
 	return mi
@@ -144,13 +160,13 @@ func (b *dsBatch) join() int {
 
 // deltaFor returns member mi's accumulating DELTA receiver for slot,
 // claiming (and resetting) the ring entry on first contact.
-func (b *dsBatch) deltaFor(mi int, slot uint32) *delta.LayeredReceiver {
+func (b *dsBatch) deltaFor(mi int, slot uint32) Accumulator {
 	ri := mi*tallyW + int(slot&(tallyW-1))
 	dr := b.drecv[ri]
 	if b.dtag[ri] != slot+1 {
 		b.dtag[ri] = slot + 1
 		if dr == nil {
-			dr = delta.NewLayeredReceiver(b.n)
+			dr = b.newAcc(b.n)
 			b.drecv[ri] = dr
 		}
 		dr.Begin(slot)
@@ -161,7 +177,7 @@ func (b *dsBatch) deltaFor(mi int, slot uint32) *delta.LayeredReceiver {
 // finished returns the DELTA receiver that accumulated slot, or nil when
 // no packet of the slot arrived — the signal the evaluator reads as a
 // fully lost slot.
-func (b *dsBatch) finished(mi int, slot uint32) *delta.LayeredReceiver {
+func (b *dsBatch) finished(mi int, slot uint32) Accumulator {
 	ri := mi*tallyW + int(slot&(tallyW-1))
 	if b.dtag[ri] != slot+1 {
 		return nil

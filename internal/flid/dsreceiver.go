@@ -9,14 +9,17 @@ import (
 	"deltasigma/internal/stats"
 )
 
-// DSReceiver is a well-behaved FLID-DS receiver: it runs the Figure 4
-// DELTA receiver algorithm over each data slot, derives the keys its
-// congestion state entitles it to, and subscribes through SIGMA for the
-// corresponding access slot (data slot + 2, Figure 2). Congestion control
-// decisions are exactly FLID-DL's — decrease on loss, increase on signal —
-// but enacted through keys instead of trust. Like the DL receiver, its
-// per-slot state lives in the session's struct-of-arrays batch; the DELTA
-// accumulators themselves are reusable ring entries reset in place.
+// DSReceiver is the key-receiver kernel every DELTA+SIGMA-protected
+// layered protocol runs: it feeds each data slot to a DELTA Accumulator,
+// derives the keys its congestion state entitles it to, and subscribes
+// through SIGMA for the corresponding access slot (data slot + 2, Figure
+// 2). With the Layered accumulator it is the well-behaved FLID-DS
+// receiver — congestion control decisions exactly FLID-DL's, decrease on
+// loss, increase on signal, but enacted through keys instead of trust;
+// with a Shamir accumulator it is the loss-threshold receiver. Like the
+// tally kernel, its per-slot state lives in the session's
+// struct-of-arrays batch; the accumulators themselves are reusable ring
+// entries reset in place.
 type DSReceiver struct {
 	Sess   *core.Session
 	host   *netsim.Host
@@ -26,32 +29,34 @@ type DSReceiver struct {
 	mi      int
 	running bool
 	loop    *core.SlotLoop
+	meter   *stats.Meter
 
-	// Meter records delivered session bytes.
-	Meter *stats.Meter
 	// Decreases, Increases, Rejoins count subscription moves.
 	Decreases, Increases, Rejoins uint64
 }
 
-// NewDSReceiver builds a FLID-DS receiver on host against the SIGMA edge
-// router at routerAddr.
-func NewDSReceiver(host *netsim.Host, sess *core.Session, routerAddr packet.Addr) *DSReceiver {
+// NewDSReceiver builds a key receiver on host against the SIGMA edge
+// router at routerAddr, accumulating each slot with what newAcc builds
+// (every receiver of a session must pass the same instantiation).
+func NewDSReceiver(host *netsim.Host, sess *core.Session, routerAddr packet.Addr, newAcc func(n int) Accumulator) *DSReceiver {
 	r := &DSReceiver{
 		Sess:   sess,
 		host:   host,
 		client: sigma.NewClient(host, routerAddr),
-		b:      dsBatchFor(host.Scheduler(), sess),
-		Meter:  stats.NewMeter(sim.Second),
+		b:      dsBatchFor(host.Scheduler(), sess, newAcc),
+		meter:  stats.NewMeter(sim.Second),
 	}
 	r.mi = r.b.join()
-	r.loop = core.NewSlotLoop(host.Scheduler(), sess,
-		sim.Time(guardFraction*float64(sess.SlotDur)), r.onEval)
+	r.loop = core.NewSlotLoop(host.Scheduler(), sess, r.onEval)
 	host.Handle(packet.ProtoFLID, r.onData)
 	return r
 }
 
 // Level reports the latest decided subscription level.
 func (r *DSReceiver) Level() int { return int(r.b.level[r.mi]) }
+
+// Meter returns the meter of delivered session bytes.
+func (r *DSReceiver) Meter() *stats.Meter { return r.meter }
 
 // Client exposes the SIGMA client (attacker subclassing and tests).
 func (r *DSReceiver) Client() *sigma.Client { return r.client }
@@ -95,7 +100,7 @@ func (r *DSReceiver) onData(pkt *packet.Packet) {
 	if !ok || h.Session != r.Sess.ID {
 		return
 	}
-	r.Meter.Add(r.host.Scheduler().Now(), pkt.Size)
+	r.meter.Add(r.host.Scheduler().Now(), pkt.Size)
 	if h.Slot < r.b.evalFloor[r.mi] {
 		return // stray from an already evaluated slot; never read
 	}
@@ -145,11 +150,7 @@ func (r *DSReceiver) evaluate(slot uint32) {
 		return
 	}
 
-	pairs := make([]packet.AddrKey, 0, len(out.Keys))
-	for g, k := range out.Keys {
-		pairs = append(pairs, packet.AddrKey{Addr: r.Sess.GroupAddr(g), Key: k})
-	}
-	r.client.Subscribe(core.AccessSlot(slot), pairs)
+	r.client.Subscribe(core.AccessSlot(slot), r.Sess.KeyPairs(out.Keys))
 
 	next := out.Next
 	if out.Congested {
@@ -190,4 +191,24 @@ func (r *DSReceiver) rejoin(slot uint32) {
 	r.b.level[r.mi] = 1
 	r.b.setLevelAt(r.mi, core.AccessSlot(slot), 1)
 	r.client.SessionJoin(r.Sess.BaseAddr)
+}
+
+// DSAttacker attacks a DELTA+SIGMA-protected layered session: it keeps a
+// legitimate key receiver running (its fair share — the attacker still
+// wants the data) while running the shared sigma.GuessAttack engine —
+// guessed keys for every higher group each slot plus plain IGMP joins the
+// SIGMA router ignores (§4.2, protection against attacks on SIGMA).
+// Against the Shamir instantiation a guess must hit the reconstructed level
+// key exactly, so the success probability per guess is 2^−b either way.
+type DSAttacker struct {
+	*DSReceiver
+	*sigma.GuessAttack
+}
+
+// NewDSAttacker turns r into an attacker guessing with rng.
+func NewDSAttacker(r *DSReceiver, rng *sim.RNG) *DSAttacker {
+	return &DSAttacker{
+		DSReceiver:  r,
+		GuessAttack: sigma.NewGuessAttack(r.Sess, r.client, r.Level, rng),
+	}
 }

@@ -35,7 +35,7 @@ func TestSingleDLReceiverConvergesToFairLevel(t *testing.T) {
 	}
 	policy := core.PeriodicUpgrades{Factor: 2, N: sess.Rates.N}
 	snd := NewSender(srcHost, sess, DL, policy, d.RNG.Fork(), nil, 0)
-	r := NewReceiver(rcv, sess, d.Right.Addr())
+	r := NewReceiver(rcv, sess, d.Right.Addr(), FLIDRule)
 
 	d.Sched.At(0, func() { snd.Start(); r.Start() })
 	d.Sched.RunUntil(60 * sim.Second)
@@ -44,7 +44,7 @@ func TestSingleDLReceiverConvergesToFairLevel(t *testing.T) {
 	if r.Level() < 2 || r.Level() > 4 {
 		t.Fatalf("level = %d, want near fair level 3", r.Level())
 	}
-	avg := r.Meter.AvgKbps(30*sim.Second, 60*sim.Second)
+	avg := r.Meter().AvgKbps(30*sim.Second, 60*sim.Second)
 	if avg < 130 || avg > 260 {
 		t.Fatalf("steady throughput %.0f Kbps, want roughly the 225 Kbps fair level", avg)
 	}
@@ -67,7 +67,7 @@ func TestSingleDSReceiverConvergesToFairLevel(t *testing.T) {
 	}
 	policy := core.PeriodicUpgrades{Factor: 2, N: sess.Rates.N}
 	snd := NewSender(srcHost, sess, DS, policy, d.RNG.Fork(), nil, 2)
-	r := NewDSReceiver(rcv, sess, d.Right.Addr())
+	r := NewDSReceiver(rcv, sess, d.Right.Addr(), Layered)
 
 	d.Sched.At(0, func() { snd.Start(); r.Start() })
 	d.Sched.RunUntil(60 * sim.Second)
@@ -75,7 +75,7 @@ func TestSingleDSReceiverConvergesToFairLevel(t *testing.T) {
 	if r.Level() < 2 || r.Level() > 4 {
 		t.Fatalf("level = %d, want near fair level 3", r.Level())
 	}
-	avg := r.Meter.AvgKbps(30*sim.Second, 60*sim.Second)
+	avg := r.Meter().AvgKbps(30*sim.Second, 60*sim.Second)
 	if avg < 130 || avg > 260 {
 		t.Fatalf("steady throughput %.0f Kbps, want roughly the 225 Kbps fair level", avg)
 	}
@@ -105,13 +105,13 @@ func TestDLAndDSComparableThroughput(t *testing.T) {
 			AvgKbps(from, to sim.Time) float64
 		}
 		if mode == DL {
-			r := NewReceiver(rcv, sess, d.Right.Addr())
+			r := NewReceiver(rcv, sess, d.Right.Addr(), FLIDRule)
 			d.Sched.At(0, func() { snd.Start(); r.Start() })
-			meter = r.Meter
+			meter = r.Meter()
 		} else {
-			r := NewDSReceiver(rcv, sess, d.Right.Addr())
+			r := NewDSReceiver(rcv, sess, d.Right.Addr(), Layered)
 			d.Sched.At(0, func() { snd.Start(); r.Start() })
-			meter = r.Meter
+			meter = r.Meter()
 		}
 		d.Sched.RunUntil(60 * sim.Second)
 		return meter.AvgKbps(30*sim.Second, 60*sim.Second)
@@ -149,16 +149,16 @@ func TestInflatedSubscriptionBoostsDLAttacker(t *testing.T) {
 	policy1 := core.PeriodicUpgrades{Factor: 2, N: s1.Rates.N}
 	snd1 := NewSender(src1, s1, DL, policy1, d.RNG.Fork(), nil, 0)
 	snd2 := NewSender(src2, s2, DL, policy1, d.RNG.Fork(), nil, 0)
-	atk := NewAttacker(r1h, s1, d.Right.Addr())
-	good := NewReceiver(r2h, s2, d.Right.Addr())
+	atk := NewInflator(NewReceiver(r1h, s1, d.Right.Addr(), FLIDRule))
+	good := NewReceiver(r2h, s2, d.Right.Addr(), FLIDRule)
 
 	d.Sched.At(0, func() { snd1.Start(); snd2.Start(); atk.Start(); good.Start() })
 	d.Sched.At(30*sim.Second, func() { atk.Inflate() })
 	d.Sched.RunUntil(90 * sim.Second)
 
-	atkBefore := atk.Meter.AvgKbps(15*sim.Second, 30*sim.Second)
-	atkAfter := atk.Meter.AvgKbps(60*sim.Second, 90*sim.Second)
-	goodAfter := good.Meter.AvgKbps(60*sim.Second, 90*sim.Second)
+	atkBefore := atk.Meter().AvgKbps(15*sim.Second, 30*sim.Second)
+	atkAfter := atk.Meter().AvgKbps(60*sim.Second, 90*sim.Second)
+	goodAfter := good.Meter().AvgKbps(60*sim.Second, 90*sim.Second)
 
 	if atkAfter < 1.5*atkBefore {
 		t.Fatalf("attack ineffective: %.0f -> %.0f Kbps", atkBefore, atkAfter)
@@ -191,15 +191,15 @@ func TestDSPreventsInflatedSubscription(t *testing.T) {
 	policy := core.PeriodicUpgrades{Factor: 2, N: s1.Rates.N}
 	snd1 := NewSender(src1, s1, DS, policy, d.RNG.Fork(), nil, 2)
 	snd2 := NewSender(src2, s2, DS, policy, d.RNG.Fork(), nil, 2)
-	atk := NewDSAttacker(r1h, s1, d.Right.Addr(), d.RNG.Fork())
-	good := NewDSReceiver(r2h, s2, d.Right.Addr())
+	atk := NewDSAttacker(NewDSReceiver(r1h, s1, d.Right.Addr(), Layered), d.RNG.Fork())
+	good := NewDSReceiver(r2h, s2, d.Right.Addr(), Layered)
 
 	d.Sched.At(0, func() { snd1.Start(); snd2.Start(); atk.Start(); good.Start() })
 	d.Sched.At(30*sim.Second, func() { atk.Inflate() })
 	d.Sched.RunUntil(90 * sim.Second)
 
-	atkAfter := atk.Meter.AvgKbps(60*sim.Second, 90*sim.Second)
-	goodAfter := good.Meter.AvgKbps(60*sim.Second, 90*sim.Second)
+	atkAfter := atk.Meter().AvgKbps(60*sim.Second, 90*sim.Second)
+	goodAfter := good.Meter().AvgKbps(60*sim.Second, 90*sim.Second)
 
 	// Fair share is 250 Kbps each → fair level 3 = 225 Kbps. The attacker
 	// must stay near it and must not dominate the victim.
@@ -243,8 +243,8 @@ func TestTwoDSReceiversConvergeTogether(t *testing.T) {
 	}
 	policy := core.PeriodicUpgrades{Factor: 2, N: sess.Rates.N}
 	snd := NewSender(srcHost, sess, DS, policy, d.RNG.Fork(), nil, 2)
-	r1 := NewDSReceiver(r1h, sess, d.Right.Addr())
-	r2 := NewDSReceiver(r2h, sess, d.Right.Addr())
+	r1 := NewDSReceiver(r1h, sess, d.Right.Addr(), Layered)
+	r2 := NewDSReceiver(r2h, sess, d.Right.Addr(), Layered)
 
 	d.Sched.At(0, func() { snd.Start(); r1.Start() })
 	d.Sched.At(10*sim.Second, func() { r2.Start() })
@@ -253,8 +253,8 @@ func TestTwoDSReceiversConvergeTogether(t *testing.T) {
 	if r1.Level() != r2.Level() {
 		t.Fatalf("receivers did not converge: %d vs %d", r1.Level(), r2.Level())
 	}
-	a1 := r1.Meter.AvgKbps(40*sim.Second, 60*sim.Second)
-	a2 := r2.Meter.AvgKbps(40*sim.Second, 60*sim.Second)
+	a1 := r1.Meter().AvgKbps(40*sim.Second, 60*sim.Second)
+	a2 := r2.Meter().AvgKbps(40*sim.Second, 60*sim.Second)
 	if a1 == 0 || a2 == 0 {
 		t.Fatalf("dead receivers: %.0f / %.0f", a1, a2)
 	}

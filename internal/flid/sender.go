@@ -48,57 +48,21 @@ func (m Mode) String() string {
 	return "FLID-DL"
 }
 
-// Sender is the session source: it transmits every group's layer according
-// to the rate schedule, embeds the slot's increase signal, and — in DS mode
-// — generates and announces the DELTA keys.
+// Sender is the session source: the shared slotted sender loop paced at
+// the schedule's per-group rates, plus — in DS mode — the Figure 4 DELTA
+// key generation and SIGMA announcement hooked into it.
 type Sender struct {
-	Sess   *core.Session
-	host   *netsim.Host
-	mode   Mode
-	policy core.UpgradePolicy
-	rng    *sim.RNG
-
-	pacers   []core.Pacer
-	emitters []groupEmitter
-	dsend    *delta.LayeredSender
-	ann      *sigma.Announcer
-
-	running bool
-	// scratch holds the per-slot auth/counts buffers, reused every slot so
-	// the slot loop allocates only packet headers and emission closures.
-	scratch core.SlotScratch
-
-	// Stats.
-	PacketsSent uint64
-	BytesSent   uint64
-	SlotsRun    uint64
-	// PacketsPerGroup[g-1] counts data packets transmitted to group g.
-	PacketsPerGroup []uint64
-	// AuthCount[g-1] counts slots that authorized an upgrade to group g
-	// (the f_g measurements of §5.4).
-	AuthCount []uint64
+	*core.SlotSender
+	dsend *delta.LayeredSender
+	ds    *delta.LayeredSlot // keys of the slot being emitted
+	ann   *sigma.Announcer
 }
 
 // NewSender builds a session source on host. In DS mode, keySrc mints the
 // DELTA nonces and announceRepeat is SIGMA's FEC expansion factor z.
 func NewSender(host *netsim.Host, sess *core.Session, mode Mode, policy core.UpgradePolicy, rng *sim.RNG, keySrc *keys.Source, announceRepeat int) *Sender {
-	sess.Rates.Validate()
-	s := &Sender{
-		Sess: sess, host: host, mode: mode, policy: policy, rng: rng,
-		pacers:          make([]core.Pacer, sess.Rates.N),
-		scratch:         core.NewSlotScratch(sess.Rates.N),
-		AuthCount:       make([]uint64, sess.Rates.N),
-		PacketsPerGroup: make([]uint64, sess.Rates.N),
-	}
-	for i := range s.pacers {
-		s.pacers[i].MinOne = true
-	}
-	s.emitters = make([]groupEmitter, sess.Rates.N)
-	for i := range s.emitters {
-		e := &s.emitters[i]
-		e.s, e.g = s, i+1
-		e.timer = host.Scheduler().NewTimer(e.fire)
-	}
+	s := &Sender{}
+	hooks := core.SenderHooks{Rate: sess.Rates.GroupRate}
 	if mode == DS {
 		if keySrc == nil {
 			keySrc = keys.NewSource(keys.DefaultBits, rng.Fork().Uint64)
@@ -106,145 +70,26 @@ func NewSender(host *netsim.Host, sess *core.Session, mode Mode, policy core.Upg
 		s.dsend = delta.NewLayeredSender(sess.Rates.N, keySrc)
 		s.ann = sigma.NewAnnouncer(host, sess.ID, sess.BaseAddr, sess.Rates.N, announceRepeat)
 		s.ann.Spacing = sess.SlotDur / 4
+		hooks.Begin, hooks.Header = s.beginSlot, s.header
 	}
+	s.SlotSender = core.NewSlotSender(host, sess, sess.Rates.N, policy, rng, hooks)
 	return s
 }
 
 // Announcer exposes the SIGMA announcer (DS mode) for overhead accounting.
 func (s *Sender) Announcer() *sigma.Announcer { return s.ann }
 
-// Start begins the slot loop at the session epoch (or immediately if the
-// epoch has passed).
-func (s *Sender) Start() {
-	if s.running {
-		return
-	}
-	s.running = true
-	sched := s.host.Scheduler()
-	start := s.Sess.Epoch
-	if start < sched.Now() {
-		start = sched.Now()
-	}
-	sched.At(start, func() { s.runSlot(s.Sess.SlotAt(sched.Now())) })
+// beginSlot generates the slot's keys and announces them: they guard the
+// access slot two ahead (Figure 2).
+func (s *Sender) beginSlot(slot uint32, auth []bool, counts []int) {
+	s.ds = s.dsend.BeginSlot(slot, auth, counts)
+	s.ann.Announce(core.AccessSlot(slot), s.ds.Keys.Tuples(s.Sess.BaseAddr))
 }
 
-// Stop halts the sender after the current slot.
-func (s *Sender) Stop() { s.running = false }
-
-func (s *Sender) runSlot(slot uint32) {
-	if !s.running {
-		return
-	}
-	s.SlotsRun++
-	sched := s.host.Scheduler()
-	n := s.Sess.Rates.N
-
-	inc := s.policy.IncreaseTo(slot)
-	if inc > n {
-		inc = n
-	}
-	auth, counts := s.scratch.Begin()
-	for g := 2; g <= inc; g++ {
-		auth[g-1] = true
-		s.AuthCount[g-1]++
-	}
-	for g := 1; g <= n; g++ {
-		counts[g-1] = s.pacers[g-1].Packets(s.Sess.Rates.GroupRate(g), s.Sess.SlotDur, s.Sess.PacketSize)
-	}
-
-	var ds *delta.LayeredSlot
-	if s.mode == DS {
-		ds = s.dsend.BeginSlot(slot, auth, counts)
-		// Announce the keys these components distribute: they guard the
-		// access slot two ahead (Figure 2).
-		s.ann.Announce(core.AccessSlot(slot), ds.Keys.Tuples(s.Sess.BaseAddr))
-	}
-
-	// Schedule the slot's packets, evenly spaced per group with a deter-
-	// ministic per-packet jitter to avoid cross-group phase locking.
-	// Headers come from the pool's typed freelist: after the first few
-	// slots the loop allocates nothing.
-	slotStart := s.Sess.SlotStart(slot)
-	pool := s.host.Network().Pool()
-	for g := 1; g <= n; g++ {
-		cnt := counts[g-1]
-		spacing := s.Sess.SlotDur / sim.Time(cnt)
-		for j := 1; j <= cnt; j++ {
-			hdr := pool.FLIDHeader()
-			hdr.Session, hdr.Group, hdr.Slot = s.Sess.ID, uint8(g), slot
-			hdr.Seq, hdr.Count, hdr.IncreaseTo = uint16(j), uint16(cnt), uint8(inc)
-			if ds != nil {
-				comp, dec := ds.Fields(g)
-				hdr.HasDelta = true
-				hdr.Component = comp
-				hdr.Decrease = dec
-			}
-			at := slotStart + sim.Time(j-1)*spacing + s.rng.Jitter(spacing/2)
-			if at < sched.Now() {
-				at = sched.Now()
-			}
-			pkt := s.host.Network().NewPacket(s.host.Addr(), s.Sess.GroupAddr(g), s.Sess.PacketSize, hdr)
-			s.emitters[g-1].push(pkt, at, sched.Reserve())
-		}
-	}
-
-	sched.Schedule(s.Sess.SlotStart(slot+1), func() { s.runSlot(slot + 1) })
-}
-
-// groupEmitter drains one group's slot emissions through a single
-// reusable timer and a FIFO ring (the netsim.Link flight-ring pattern):
-// per-packet jitter never exceeds half the intra-group spacing, so a
-// group's emission times are strictly increasing and a FIFO suffices.
-// Each packet's tie-break reservation is made at queue time and fired via
-// ResetReserved, so every emission happens at exactly the (time, key) an
-// individually scheduled closure would have used — without allocating a
-// closure and an event per packet.
-type groupEmitter struct {
-	s     *Sender
-	g     int
-	timer *sim.Timer
-	ring  []emission
-	head  int
-}
-
-type emission struct {
-	pkt *packet.Packet
-	at  sim.Time
-	res sim.Reservation
-}
-
-func (e *groupEmitter) push(pkt *packet.Packet, at sim.Time, res sim.Reservation) {
-	if e.head == len(e.ring) {
-		// Fully drained (every slot drains before the next is scheduled):
-		// rewind so the backing array is reused instead of creeping.
-		e.ring = e.ring[:0]
-		e.head = 0
-	}
-	e.ring = append(e.ring, emission{pkt: pkt, at: at, res: res})
-	if len(e.ring)-e.head == 1 {
-		e.timer.ResetReserved(at, res)
-	}
-}
-
-func (e *groupEmitter) fire() {
-	em := e.ring[e.head]
-	e.ring[e.head].pkt = nil
-	e.head++
-	s := e.s
-	s.PacketsSent++
-	s.PacketsPerGroup[e.g-1]++
-	s.BytesSent += uint64(em.pkt.Size)
-	s.host.Send(em.pkt)
-	if e.head < len(e.ring) {
-		next := e.ring[e.head]
-		e.timer.ResetReserved(next.at, next.res)
-	}
-}
-
-// ObservedFrequency returns the measured f_g over the slots run so far.
-func (s *Sender) ObservedFrequency(g int) float64 {
-	if s.SlotsRun == 0 || g < 2 || g > len(s.AuthCount) {
-		return 0
-	}
-	return float64(s.AuthCount[g-1]) / float64(s.SlotsRun)
+// header stamps the packet's DELTA component and decrease fields.
+func (s *Sender) header(st core.Stamp) packet.Header {
+	h := s.FLIDHeader(st)
+	h.HasDelta = true
+	h.Component, h.Decrease = s.ds.Fields(int(st.Group))
+	return h
 }

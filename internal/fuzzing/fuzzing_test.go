@@ -2,9 +2,11 @@ package fuzzing
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"deltasigma"
@@ -71,7 +73,9 @@ func TestGeneratedSpecsAreValid(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		sp.Wire(exp)
+		if err := sp.Wire(exp); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 		exp.Start() // panics on an unresolvable timeline
 	}
 }
@@ -134,6 +138,41 @@ func TestRunContainsBuildErrors(t *testing.T) {
 	if !out.Failed() || out.Err == "" {
 		t.Fatalf("unresolvable timeline not surfaced: %+v", out)
 	}
+
+	// Attackers the facade refuses — only a hand-edited repro asks for them
+	// — come back from Wire as the facade's typed errors, not as panics.
+	sp = failingSpec()
+	sp.Sessions[0].Receivers[2].Strategy = "bribery"
+	var use *deltasigma.UnknownStrategyError
+	if err := wireFresh(t, sp); !errors.As(err, &use) {
+		t.Fatalf("Wire(unknown strategy) = %v, want *UnknownStrategyError", err)
+	}
+	if out = Run(sp, nil); !out.Failed() || out.Err == "" || strings.HasPrefix(out.Err, "panic") {
+		t.Fatalf("unknown strategy not surfaced as an error: %+v", out)
+	}
+	sp = failingSpec()
+	sp.Protocol = "abr-cf"
+	var nae *deltasigma.NoAttackerError
+	if err := wireFresh(t, sp); !errors.As(err, &nae) {
+		t.Fatalf("Wire(attacker on abr-cf) = %v, want *NoAttackerError", err)
+	}
+	if out = Run(sp, nil); !out.Failed() || strings.HasPrefix(out.Err, "panic") {
+		t.Fatalf("attacker on an attackerless protocol not surfaced as an error: %+v", out)
+	}
+}
+
+// wireFresh builds sp's experiment and returns what Wire says.
+func wireFresh(t *testing.T, sp Spec) error {
+	t.Helper()
+	opts, err := sp.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := deltasigma.New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp.Wire(exp)
 }
 
 // Shrinking keeps the failure and strips the junk: the decoy session, the

@@ -66,9 +66,9 @@ func Generate(seed uint64) Spec {
 
 	// Populations: one or two sessions, a handful of receivers, up to two
 	// attackers spread across them. Schemes with no inflated-subscription
-	// attack surface (ProtocolHasAttacker false) get none: Wire attaches
-	// attackers through the panicking AddAttackerAt path, and a generator
-	// that emitted them would drown real findings in sanctioned panics.
+	// attack surface (ProtocolHasAttacker false) get none: Wire would
+	// return their *NoAttackerError, and a generator that emitted them
+	// would drown real findings in sanctioned refusals.
 	nSessions := 1
 	if rng.Float64() < 0.3 {
 		nSessions = 2

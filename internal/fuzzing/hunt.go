@@ -570,7 +570,10 @@ func EvaluateAdvantage(sp Spec, pool *deltasigma.PacketPool) (ev HuntEval) {
 		ev.Err = err.Error()
 		return ev
 	}
-	sp.Wire(exp)
+	if err := sp.Wire(exp); err != nil {
+		ev.Err = err.Error()
+		return ev
+	}
 	exp.Advance(sp.Duration())
 	exp.StopTraffic()
 	ev.Advantage = exp.AttackerAdvantage(sp.Oracle.Session, secs(sp.Oracle.FromSec))

@@ -98,7 +98,11 @@ func Run(spec Spec, pool *deltasigma.PacketPool) (out Outcome) {
 		out.Fingerprint = fingerprint(specJSON, []byte(out.Err))
 		return out
 	}
-	spec.Wire(exp)
+	if err := spec.Wire(exp); err != nil {
+		out.Err = err.Error()
+		out.Fingerprint = fingerprint(specJSON, []byte(out.Err))
+		return out
+	}
 
 	res := exp.Run(spec.Duration())
 	out.Violations = exp.DrainAndAudit(DrainGrace)

@@ -212,9 +212,11 @@ func (sp Spec) timeline() ([]deltasigma.TimelineEvent, error) {
 }
 
 // Wire attaches the spec's sessions, receivers and cross traffic to a
-// freshly built experiment.
-func (sp Spec) Wire(e *deltasigma.Experiment) {
-	for _, ss := range sp.Sessions {
+// freshly built experiment. A spec asking for an attacker the facade
+// refuses — an unknown strategy name, a protocol with nothing to inflate;
+// only a hand-edited repro file does — gets the facade's typed error back.
+func (sp Spec) Wire(e *deltasigma.Experiment) error {
+	for si, ss := range sp.Sessions {
 		s := e.AddSession(0)
 		for _, rs := range ss.Receivers {
 			var r *deltasigma.Receiver
@@ -222,10 +224,13 @@ func (sp Spec) Wire(e *deltasigma.Experiment) {
 			if rs.DelayMs > 0 {
 				delay = sim.Seconds(rs.DelayMs / 1000)
 			}
-			if rs.Attacker && rs.Strategy != "" {
-				r = s.AddAttackerStrategyAt(deltasigma.AttackerStrategy(rs.Strategy), e.Topo.AttachReceiver("", delay))
-			} else if rs.Attacker {
-				r = s.AddAttackerAt(e.Topo.AttachReceiver("", delay))
+			if rs.Attacker {
+				var err error
+				r, err = s.TryAddAttacker(deltasigma.WithStrategy(deltasigma.AttackerStrategy(rs.Strategy)),
+					deltasigma.AtPort(e.Topo.AttachReceiver("", delay)))
+				if err != nil {
+					return fmt.Errorf("fuzzing: session %d: %w", si+1, err)
+				}
 			} else {
 				r = s.AddReceiverDelay(delay)
 			}
@@ -249,4 +254,5 @@ func (sp Spec) Wire(e *deltasigma.Experiment) {
 		}
 		e.AddCBR(int64(sp.CBRFraction*float64(narrowest)), 2*deltasigma.Second, 2*deltasigma.Second)
 	}
+	return nil
 }

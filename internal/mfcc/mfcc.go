@@ -22,21 +22,12 @@ import (
 	"sort"
 
 	"deltasigma/internal/core"
+	"deltasigma/internal/flid"
 	"deltasigma/internal/mcast"
 	"deltasigma/internal/netsim"
 	"deltasigma/internal/packet"
 	"deltasigma/internal/sim"
-	"deltasigma/internal/stats"
 )
-
-// guardFraction mirrors the FLID receiver's evaluation guard: how far into
-// the next slot a receiver waits before judging a slot, so queue-delayed
-// packets still count.
-const guardFraction = 0.8
-
-// tallyW is the per-receiver tally window in slots; evaluation lags
-// arrival by at most one slot, so a small power-of-two ring suffices.
-const tallyW = 4
 
 // EdgeAgent is the router-resident half of the scheme: once per slot it
 // divides the router's upstream bottleneck capacity by the local
@@ -137,207 +128,45 @@ func (a *EdgeAgent) subscribers(sess *core.Session) []packet.Addr {
 	return out
 }
 
-// Receiver is a well-behaved mfcc receiver: it follows the advertised fair
-// share, moving one group per slot toward the level the share affords, and
-// drops a group on any lossy slot regardless of the advertisement.
-type Receiver struct {
-	Sess *core.Session
-	host *netsim.Host
-	igmp *mcast.Client
-
-	running bool
-	level   int
-	target  int // fair level from the latest advertisement (0 before any)
-	loop    *core.SlotLoop
-
-	tags   [tallyW]uint32
-	got    []uint16 // tallyW rows of N groups
-	expect []uint16
-	joined []uint32 // joined[g-1]: first fully observed slot of group g
-
-	// Meter records delivered session bytes.
-	Meter *stats.Meter
-	// Decreases and Increases count subscription moves; SharesHeard counts
-	// advertisements consumed.
-	Decreases, Increases uint64
-	SharesHeard          uint64
+// steer is the receiver half of the scheme: the fair level the latest
+// advertisement affords, and the rule following it.
+type steer struct {
+	sess   *core.Session
+	target int // 0 before any advertisement
 }
 
-// NewReceiver builds an mfcc receiver on host, managing membership through
-// the edge router at routerAddr.
-func NewReceiver(host *netsim.Host, sess *core.Session, routerAddr packet.Addr) *Receiver {
-	n := sess.Rates.N
-	r := &Receiver{
-		Sess:   sess,
-		host:   host,
-		igmp:   mcast.NewClient(host, routerAddr),
-		got:    make([]uint16, tallyW*n),
-		expect: make([]uint16, tallyW*n),
-		joined: make([]uint32, n),
-		Meter:  stats.NewMeter(sim.Second),
-	}
-	r.loop = core.NewSlotLoop(host.Scheduler(), sess,
-		sim.Time(guardFraction*float64(sess.SlotDur)), r.onEval)
-	host.Handle(packet.ProtoFLID, r.onData)
-	host.Handle(packet.ProtoShare, r.onShare)
-	return r
-}
-
-// Level reports the current subscription level.
-func (r *Receiver) Level() int { return r.level }
-
-// Start joins the session at the minimal level.
-func (r *Receiver) Start() {
-	if r.running {
-		return
-	}
-	r.running = true
-	cur := r.Sess.SlotAt(r.host.Scheduler().Now())
-	r.level = 1
-	r.joined[0] = cur + 1
-	r.igmp.Join(r.Sess.GroupAddr(1))
-	r.loop.Schedule(cur)
-}
-
-// Stop leaves every group and halts evaluation.
-func (r *Receiver) Stop() {
-	if !r.running {
-		return
-	}
-	r.running = false
-	for g := 1; g <= r.level; g++ {
-		r.igmp.Leave(r.Sess.GroupAddr(g))
-	}
-	r.level = 0
-	r.target = 0
-}
-
-func (r *Receiver) onShare(pkt *packet.Packet) {
+func (m *steer) onShare(pkt *packet.Packet) {
 	h, ok := pkt.Header.(*packet.ShareHeader)
-	if !ok || h.Session != r.Sess.ID || !r.running {
+	if !ok || h.Session != m.sess.ID {
 		return
 	}
-	r.SharesHeard++
-	t := r.Sess.Rates.FairLevel(h.ShareBps)
+	t := m.sess.Rates.FairLevel(h.ShareBps)
 	if t < 1 {
 		t = 1 // the minimal group is the session floor
 	}
-	if t > r.Sess.Rates.N {
-		t = r.Sess.Rates.N
-	}
-	r.target = t
+	m.target = t
 }
 
-func (r *Receiver) onData(pkt *packet.Packet) {
-	h, ok := pkt.Header.(*packet.FLIDHeader)
-	if !ok || h.Session != r.Sess.ID {
-		return
-	}
-	r.Meter.Add(r.host.Scheduler().Now(), pkt.Size)
-	g := int(h.Group)
-	if g < 1 || g > r.Sess.Rates.N {
-		return
-	}
-	idx := int(h.Slot) & (tallyW - 1)
-	if r.tags[idx] != h.Slot {
-		r.tags[idx] = h.Slot
-		row := r.got[idx*r.Sess.Rates.N : (idx+1)*r.Sess.Rates.N]
-		for i := range row {
-			row[i] = 0
-		}
-	}
-	r.got[idx*r.Sess.Rates.N+g-1]++
-	r.expect[idx*r.Sess.Rates.N+g-1] = h.Count
-}
-
-func (r *Receiver) onEval(slot uint32) bool {
-	if !r.running {
-		return false
-	}
-	r.evaluate(slot)
-	return true
-}
-
-// evaluate judges the finished slot: loss drops the top group (and caps
-// the target until the next advertisement raises it again); a clean slot
-// moves one group toward the advertised fair level.
-func (r *Receiver) evaluate(slot uint32) {
-	if r.level == 0 {
-		return
-	}
-	n := r.Sess.Rates.N
-	idx := int(slot) & (tallyW - 1)
-	has := r.tags[idx] == slot
-	loss := false
-	for g := 1; g <= r.level; g++ {
-		if r.joined[g-1] > slot {
-			continue // not yet a full member for this slot
-		}
-		got := r.got[idx*n+g-1]
-		if !has || got == 0 || got < r.expect[idx*n+g-1] {
-			loss = true
-			break
-		}
-	}
+// rule moves one group per slot toward the advertised fair level, ignoring
+// the sender's increase signal; loss drops the top group regardless of the
+// advertisement and caps the target there until the next advertisement
+// raises it again.
+func (m *steer) rule(r *flid.Receiver, v flid.SlotView) {
 	switch {
-	case loss && r.level > 1:
-		r.igmp.Leave(r.Sess.GroupAddr(r.level))
-		r.level--
-		r.Decreases++
-		if r.target > r.level {
-			r.target = r.level
+	case v.Loss:
+		if r.Drop() && m.target > r.Level() {
+			m.target = r.Level()
 		}
-	case loss:
-		// At the minimal level the receiver stays subscribed.
-	case r.target > r.level && r.level < n:
-		r.level++
-		r.joined[r.level-1] = slot + 2
-		r.igmp.Join(r.Sess.GroupAddr(r.level))
-		r.Increases++
+	case m.target > r.Level():
+		r.Add(v.Slot)
 	}
 }
 
-// Attacker is the inflated-subscription misbehaver against mfcc: the
-// advertised shares are advice, membership is plain IGMP, so the attacker
-// ignores both and joins every group — structurally the same attack as
-// against FLID-DL.
-type Attacker struct {
-	*Receiver
-	igmpAtk  *mcast.Client
-	inflated bool
+// NewReceiver builds a well-behaved mfcc receiver on host, managing
+// membership through the edge router at routerAddr: the tally kernel
+// steered by the edge's share advertisements.
+func NewReceiver(host *netsim.Host, sess *core.Session, routerAddr packet.Addr) *flid.Receiver {
+	m := &steer{sess: sess}
+	host.Handle(packet.ProtoShare, m.onShare)
+	return flid.NewReceiver(host, sess, routerAddr, m.rule)
 }
-
-// NewAttacker builds an mfcc attacker on host.
-func NewAttacker(host *netsim.Host, sess *core.Session, routerAddr packet.Addr) *Attacker {
-	return &Attacker{
-		Receiver: NewReceiver(host, sess, routerAddr),
-		igmpAtk:  mcast.NewClient(host, routerAddr),
-	}
-}
-
-// Inflate switches to full-subscription misbehaviour.
-func (a *Attacker) Inflate() {
-	if a.inflated {
-		return
-	}
-	a.inflated = true
-	a.Receiver.Stop()
-	for g := 1; g <= a.Sess.Rates.N; g++ {
-		a.igmpAtk.Join(a.Sess.GroupAddr(g))
-	}
-}
-
-// Deflate withdraws the attack and resumes well-behaved control.
-func (a *Attacker) Deflate() {
-	if !a.inflated {
-		return
-	}
-	a.inflated = false
-	for g := 1; g <= a.Sess.Rates.N; g++ {
-		a.igmpAtk.Leave(a.Sess.GroupAddr(g))
-	}
-	a.Receiver.Start()
-}
-
-// Inflated reports whether the attack is active.
-func (a *Attacker) Inflated() bool { return a.inflated }

@@ -1,9 +1,6 @@
 package replicated
 
 import (
-	"deltasigma/internal/core"
-	"deltasigma/internal/netsim"
-	"deltasigma/internal/packet"
 	"deltasigma/internal/sigma"
 	"deltasigma/internal/sim"
 )
@@ -18,11 +15,10 @@ type Attacker struct {
 	*sigma.GuessAttack
 }
 
-// NewAttacker builds a replicated-session attacker on host.
-func NewAttacker(host *netsim.Host, sess *core.Session, routerAddr packet.Addr, rng *sim.RNG) *Attacker {
-	r := NewReceiver(host, sess, routerAddr)
+// NewAttacker turns r into an attacker guessing with rng.
+func NewAttacker(r *Receiver, rng *sim.RNG) *Attacker {
 	return &Attacker{
 		Receiver:    r,
-		GuessAttack: sigma.NewGuessAttack(host, sess, routerAddr, r.client, r.Group, rng),
+		GuessAttack: sigma.NewGuessAttack(r.Sess, r.client, r.Level, rng),
 	}
 }

@@ -18,38 +18,21 @@ import (
 )
 
 // Sender transmits every rate group each slot and runs the Figure 5 key
-// generation. Announces go to every group: a replicated receiver sits on
-// only one tree.
+// generation: the shared sender loop pacing group g at the schedule's
+// cumulative rate of level g (each group is a complete stream).
 type Sender struct {
-	Sess   *core.Session
-	host   *netsim.Host
-	policy core.UpgradePolicy
-	rng    *sim.RNG
-
-	pacers []core.Pacer
-	dsend  *delta.ReplicatedSender
-	ann    *sigma.Announcer
-
-	running bool
-	scratch core.SlotScratch // per-slot auth/counts, reused every slot
-
-	// PacketsSent counts data packets.
-	PacketsSent uint64
+	*core.SlotSender
+	dsend *delta.ReplicatedSender
+	rs    *delta.ReplicatedSlot // keys of the slot being emitted
+	ann   *sigma.Announcer
 }
 
-// NewSender builds a protected replicated sender. Group g transmits at the
-// session schedule's cumulative rate of level g (each group is a complete
-// stream).
+// NewSender builds a protected replicated sender.
 func NewSender(host *netsim.Host, sess *core.Session, policy core.UpgradePolicy, rng *sim.RNG, repeat int) *Sender {
-	sess.Rates.Validate()
-	s := &Sender{
-		Sess: sess, host: host, policy: policy, rng: rng,
-		pacers:  make([]core.Pacer, sess.Rates.N),
-		scratch: core.NewSlotScratch(sess.Rates.N),
-	}
-	for i := range s.pacers {
-		s.pacers[i].MinOne = true
-	}
+	s := &Sender{}
+	s.SlotSender = core.NewSlotSender(host, sess, sess.Rates.N, policy, rng, core.SenderHooks{
+		Rate: sess.Rates.Cumulative, Begin: s.beginSlot, Header: s.header,
+	})
 	src := keys.NewSource(keys.DefaultBits, rng.Fork().Uint64)
 	s.dsend = delta.NewReplicatedSender(sess.Rates.N, src)
 	s.ann = sigma.NewAnnouncer(host, sess.ID, sess.BaseAddr, sess.Rates.N, repeat)
@@ -57,68 +40,20 @@ func NewSender(host *netsim.Host, sess *core.Session, policy core.UpgradePolicy,
 	return s
 }
 
-// Start begins the slot loop.
-func (s *Sender) Start() {
-	if s.running {
-		return
-	}
-	s.running = true
-	sched := s.host.Scheduler()
-	start := s.Sess.Epoch
-	if start < sched.Now() {
-		start = sched.Now()
-	}
-	sched.At(start, func() { s.runSlot(s.Sess.SlotAt(sched.Now())) })
+// beginSlot generates the slot's keys and announces them to every group: a
+// replicated receiver sits on only one tree.
+func (s *Sender) beginSlot(slot uint32, auth []bool, counts []int) {
+	s.rs = s.dsend.BeginSlot(slot, auth, counts)
+	s.ann.AnnounceAll(core.AccessSlot(slot), s.rs.Keys.Tuples(s.Sess.BaseAddr))
 }
 
-// Stop halts the sender.
-func (s *Sender) Stop() { s.running = false }
-
-func (s *Sender) runSlot(slot uint32) {
-	if !s.running {
-		return
+func (s *Sender) header(st core.Stamp) packet.Header {
+	comp, dec := s.rs.Fields(int(st.Group))
+	return &packet.ReplHeader{
+		Session: st.Session, Group: st.Group, Slot: st.Slot,
+		Seq: st.Seq, Count: st.Count, IncreaseTo: st.IncreaseTo,
+		HasDelta: true, Component: comp, Decrease: dec,
 	}
-	sched := s.host.Scheduler()
-	n := s.Sess.Rates.N
-
-	inc := s.policy.IncreaseTo(slot)
-	if inc > n {
-		inc = n
-	}
-	auth, counts := s.scratch.Begin()
-	for g := 2; g <= inc; g++ {
-		auth[g-1] = true
-	}
-	for g := 1; g <= n; g++ {
-		counts[g-1] = s.pacers[g-1].Packets(s.Sess.Rates.Cumulative(g), s.Sess.SlotDur, s.Sess.PacketSize)
-	}
-
-	rs := s.dsend.BeginSlot(slot, auth, counts)
-	s.ann.AnnounceAll(core.AccessSlot(slot), rs.Keys.Tuples(s.Sess.BaseAddr))
-
-	slotStart := s.Sess.SlotStart(slot)
-	for g := 1; g <= n; g++ {
-		cnt := counts[g-1]
-		spacing := s.Sess.SlotDur / sim.Time(cnt)
-		for j := 1; j <= cnt; j++ {
-			comp, dec := rs.Fields(g)
-			hdr := &packet.ReplHeader{
-				Session: s.Sess.ID, Group: uint8(g), Slot: slot,
-				Seq: uint16(j), Count: uint16(cnt), IncreaseTo: uint8(inc),
-				HasDelta: true, Component: comp, Decrease: dec,
-			}
-			at := slotStart + sim.Time(j-1)*spacing + s.rng.Jitter(spacing/2)
-			if at < sched.Now() {
-				at = sched.Now()
-			}
-			pkt := s.host.Network().NewPacket(s.host.Addr(), s.Sess.GroupAddr(g), s.Sess.PacketSize, hdr)
-			sched.Schedule(at, func() {
-				s.PacketsSent++
-				s.host.Send(pkt)
-			})
-		}
-	}
-	sched.Schedule(s.Sess.SlotStart(slot+1), func() { s.runSlot(slot + 1) })
 }
 
 // Receiver subscribes to a single rate group and moves between groups per
@@ -134,9 +69,8 @@ type Receiver struct {
 	joinedSlot uint32
 	running    bool
 	loop       *core.SlotLoop
+	meter      *stats.Meter
 
-	// Meter records delivered session bytes.
-	Meter *stats.Meter
 	// Switches counts group changes.
 	Switches uint64
 	// Rejoins counts keyless re-admissions.
@@ -151,15 +85,19 @@ func NewReceiver(host *netsim.Host, sess *core.Session, routerAddr packet.Addr) 
 		client:  sigma.NewClient(host, routerAddr),
 		recvs:   make(map[uint32]*delta.ReplicatedReceiver),
 		groupAt: make(map[uint32]int),
-		Meter:   stats.NewMeter(sim.Second),
+		meter:   stats.NewMeter(sim.Second),
 	}
-	r.loop = core.NewSlotLoop(host.Scheduler(), sess, 8*sess.SlotDur/10, r.onEval)
+	r.loop = core.NewSlotLoop(host.Scheduler(), sess, r.onEval)
 	host.Handle(packet.ProtoRepl, r.onData)
 	return r
 }
 
-// Group reports the current rate group.
-func (r *Receiver) Group() int { return r.group }
+// Level reports the current rate group — a replicated receiver's
+// subscription level is the one group it sits on.
+func (r *Receiver) Level() int { return r.group }
+
+// Meter returns the meter of delivered session bytes.
+func (r *Receiver) Meter() *stats.Meter { return r.meter }
 
 // Start joins the session at the slowest group.
 func (r *Receiver) Start() {
@@ -177,6 +115,9 @@ func (r *Receiver) Start() {
 
 // Stop leaves the session.
 func (r *Receiver) Stop() {
+	if !r.running {
+		return
+	}
 	r.running = false
 	r.client.Unsubscribe(r.Sess.Addrs())
 	r.group = 0
@@ -196,7 +137,7 @@ func (r *Receiver) onData(pkt *packet.Packet) {
 	if !ok || h.Session != r.Sess.ID {
 		return
 	}
-	r.Meter.Add(r.host.Scheduler().Now(), pkt.Size)
+	r.meter.Add(r.host.Scheduler().Now(), pkt.Size)
 	dr := r.recvs[h.Slot]
 	if dr == nil {
 		dr = delta.NewReplicatedReceiver(r.Sess.Rates.N)
@@ -252,11 +193,7 @@ func (r *Receiver) evaluate(slot uint32) {
 		r.rejoin(slot)
 		return
 	}
-	pairs := make([]packet.AddrKey, 0, len(out.Keys))
-	for gg, k := range out.Keys {
-		pairs = append(pairs, packet.AddrKey{Addr: r.Sess.GroupAddr(gg), Key: k})
-	}
-	r.client.Subscribe(core.AccessSlot(slot), pairs)
+	r.client.Subscribe(core.AccessSlot(slot), r.Sess.KeyPairs(out.Keys))
 	if out.Next != g {
 		// Switching groups: abandon the old one right away (a replicated
 		// receiver gains nothing from holding two copies, §3.1.2).

@@ -41,12 +41,12 @@ func TestReceiverClimbsToSustainableGroup(t *testing.T) {
 	d.Sched.At(0, func() { snd.Start(); r.Start() })
 	d.Sched.RunUntil(60 * sim.Second)
 
-	if r.Group() < 2 || r.Group() > 4 {
-		t.Fatalf("group = %d, want near 3", r.Group())
+	if r.Level() < 2 || r.Level() > 4 {
+		t.Fatalf("group = %d, want near 3", r.Level())
 	}
-	avg := r.Meter.AvgKbps(30*sim.Second, 60*sim.Second)
+	avg := r.Meter().AvgKbps(30*sim.Second, 60*sim.Second)
 	if avg < 120 || avg > 360 {
-		t.Fatalf("throughput %.0f Kbps implausible for group %d", avg, r.Group())
+		t.Fatalf("throughput %.0f Kbps implausible for group %d", avg, r.Level())
 	}
 	if r.Switches == 0 {
 		t.Fatal("receiver never switched groups")
@@ -59,10 +59,10 @@ func TestReceiverHoldsSlowestOnTinyLink(t *testing.T) {
 	d.Sched.At(0, func() { snd.Start(); r.Start() })
 	d.Sched.RunUntil(45 * sim.Second)
 
-	if r.Group() > 2 {
-		t.Fatalf("group = %d on a 120 Kbps link", r.Group())
+	if r.Level() > 2 {
+		t.Fatalf("group = %d on a 120 Kbps link", r.Level())
 	}
-	avg := r.Meter.AvgKbps(25*sim.Second, 45*sim.Second)
+	avg := r.Meter().AvgKbps(25*sim.Second, 45*sim.Second)
 	if avg < 50 {
 		t.Fatalf("throughput %.0f Kbps: receiver starved", avg)
 	}
@@ -75,11 +75,11 @@ func TestSingleGroupSubscription(t *testing.T) {
 	d.Sched.At(0, func() { snd.Start(); r.Start() })
 	d.Sched.RunUntil(60 * sim.Second)
 
-	if r.Group() != 6 {
-		t.Fatalf("group = %d, want top group 6 on an uncongested link", r.Group())
+	if r.Level() != 6 {
+		t.Fatalf("group = %d, want top group 6 on an uncongested link", r.Level())
 	}
 	top := float64(759_375) / 1000 // C_6 in Kbps
-	avg := r.Meter.AvgKbps(40*sim.Second, 60*sim.Second)
+	avg := r.Meter().AvgKbps(40*sim.Second, 60*sim.Second)
 	if avg > 1.15*top {
 		t.Fatalf("throughput %.0f Kbps exceeds one stream (%.0f): holding multiple groups", avg, top)
 	}

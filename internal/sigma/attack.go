@@ -48,15 +48,16 @@ type GuessAttack struct {
 // reach the engine with a one-method interface assertion.
 func (a *GuessAttack) Engine() *GuessAttack { return a }
 
-// NewGuessAttack builds the engine on host against the edge at routerAddr,
-// submitting guesses through client on behalf of a receiver whose current
-// entitlement entitled reports.
-func NewGuessAttack(host *netsim.Host, sess *core.Session, routerAddr packet.Addr, client *Client, entitled func() int, rng *sim.RNG) *GuessAttack {
+// NewGuessAttack builds the engine beside a legitimate receiver: it runs on
+// client's host against client's edge, submitting guesses through client on
+// behalf of the receiver whose current entitlement entitled reports.
+func NewGuessAttack(sess *core.Session, client *Client, entitled func() int, rng *sim.RNG) *GuessAttack {
+	host := client.host
 	a := &GuessAttack{
 		sess:           sess,
 		host:           host,
 		client:         client,
-		igmp:           mcast.NewClient(host, routerAddr),
+		igmp:           mcast.NewClient(host, client.router),
 		entitled:       entitled,
 		rng:            rng,
 		GuessesPerSlot: 16,

@@ -4,19 +4,21 @@
 // rate at the level exceeds the protocol's per-level threshold. Protection
 // comes from the Shamir-sharing DELTA instantiation — the level key
 // reconstructs exactly when the receiver's loss stayed within tolerance —
-// plus SIGMA at the edge.
+// plus SIGMA at the edge. Sender and receiver are the shared kit (the core
+// sender loop, the flid key-receiver kernel) with the Shamir pieces plugged
+// in; an attacker is flid.NewDSAttacker over the receiver.
 package threshold
 
 import (
 	"deltasigma/internal/core"
 	"deltasigma/internal/delta"
+	"deltasigma/internal/flid"
 	"deltasigma/internal/keys"
 	"deltasigma/internal/netsim"
 	"deltasigma/internal/packet"
 	"deltasigma/internal/shamir"
 	"deltasigma/internal/sigma"
 	"deltasigma/internal/sim"
-	"deltasigma/internal/stats"
 )
 
 // RLMThresholds returns the flat 25% per-level tolerance RLM defaults to.
@@ -45,34 +47,19 @@ func GradedThresholds(n int) []float64 {
 // Sender transmits cumulative layers and spreads each level's key over its
 // group's packets as Shamir shares.
 type Sender struct {
-	Sess   *core.Session
-	host   *netsim.Host
-	policy core.UpgradePolicy
-	rng    *sim.RNG
-
-	pacers []core.Pacer
-	tsend  *delta.ThresholdSender
-	ann    *sigma.Announcer
-
-	running bool
-	scratch core.SlotScratch // per-slot auth/counts, reused every slot
-
-	// PacketsSent counts data packets.
-	PacketsSent uint64
+	*core.SlotSender
+	tsend *delta.ThresholdSender
+	ts    *delta.ThresholdSlot // keys and polynomials of the slot being emitted
+	ann   *sigma.Announcer
 }
 
 // NewSender builds a protected threshold sender with the given per-level
 // loss tolerances.
 func NewSender(host *netsim.Host, sess *core.Session, thresh []float64, policy core.UpgradePolicy, rng *sim.RNG, repeat int) *Sender {
-	sess.Rates.Validate()
-	s := &Sender{
-		Sess: sess, host: host, policy: policy, rng: rng,
-		pacers:  make([]core.Pacer, sess.Rates.N),
-		scratch: core.NewSlotScratch(sess.Rates.N),
-	}
-	for i := range s.pacers {
-		s.pacers[i].MinOne = true
-	}
+	s := &Sender{}
+	s.SlotSender = core.NewSlotSender(host, sess, sess.Rates.N, policy, rng, core.SenderHooks{
+		Rate: sess.Rates.GroupRate, Begin: s.beginSlot, Header: s.header,
+	})
 	src := keys.NewSource(keys.DefaultBits, rng.Fork().Uint64)
 	sp := shamir.NewSplitter(rng.Fork().Uint64)
 	s.tsend = delta.NewThresholdSender(sess.Rates.N, thresh, src, sp)
@@ -81,237 +68,29 @@ func NewSender(host *netsim.Host, sess *core.Session, thresh []float64, policy c
 	return s
 }
 
-// Start begins the slot loop.
-func (s *Sender) Start() {
-	if s.running {
-		return
-	}
-	s.running = true
-	sched := s.host.Scheduler()
-	start := s.Sess.Epoch
-	if start < sched.Now() {
-		start = sched.Now()
-	}
-	sched.At(start, func() { s.runSlot(s.Sess.SlotAt(sched.Now())) })
-}
-
-// Stop halts the sender.
-func (s *Sender) Stop() { s.running = false }
-
-func (s *Sender) runSlot(slot uint32) {
-	if !s.running {
-		return
-	}
-	sched := s.host.Scheduler()
-	n := s.Sess.Rates.N
-
-	inc := s.policy.IncreaseTo(slot)
-	if inc > n {
-		inc = n
-	}
-	auth, counts := s.scratch.Begin()
-	for g := 2; g <= inc; g++ {
-		auth[g-1] = true
-	}
-	for g := 1; g <= n; g++ {
-		counts[g-1] = s.pacers[g-1].Packets(s.Sess.Rates.GroupRate(g), s.Sess.SlotDur, s.Sess.PacketSize)
-	}
-
+func (s *Sender) beginSlot(slot uint32, auth []bool, counts []int) {
 	ts, err := s.tsend.BeginSlot(slot, auth, counts)
 	if err != nil {
 		panic(err) // counts are >= 1 by construction
 	}
+	s.ts = ts
 	s.ann.Announce(core.AccessSlot(slot), ts.Keys.Tuples(s.Sess.BaseAddr))
-
-	slotStart := s.Sess.SlotStart(slot)
-	for g := 1; g <= n; g++ {
-		cnt := counts[g-1]
-		spacing := s.Sess.SlotDur / sim.Time(cnt)
-		for j := 1; j <= cnt; j++ {
-			share, up := ts.Shares(g)
-			hdr := s.host.Network().Pool().FLIDHeader()
-			hdr.Session, hdr.Group, hdr.Slot = s.Sess.ID, uint8(g), slot
-			hdr.Seq, hdr.Count, hdr.IncreaseTo = uint16(j), uint16(cnt), uint8(inc)
-			hdr.ShareX, hdr.ShareY = share.X, share.Y
-			hdr.UpShareX, hdr.UpShareY = up.X, up.Y
-			at := slotStart + sim.Time(j-1)*spacing + s.rng.Jitter(spacing/2)
-			if at < sched.Now() {
-				at = sched.Now()
-			}
-			pkt := s.host.Network().NewPacket(s.host.Addr(), s.Sess.GroupAddr(g), s.Sess.PacketSize, hdr)
-			sched.Schedule(at, func() {
-				s.PacketsSent++
-				s.host.Send(pkt)
-			})
-		}
-	}
-	sched.Schedule(s.Sess.SlotStart(slot+1), func() { s.runSlot(slot + 1) })
 }
 
-// Receiver is a well-behaved threshold-protocol receiver.
-type Receiver struct {
-	Sess   *core.Session
-	host   *netsim.Host
-	client *sigma.Client
-	thresh []float64
-
-	level       int
-	recvs       map[uint32]*delta.ThresholdReceiver
-	levelBySlot map[uint32]int
-	joinedSlot  []uint32
-	running     bool
-	loop        *core.SlotLoop
-
-	// Meter records delivered session bytes.
-	Meter *stats.Meter
-	// Rejoins counts keyless re-admissions.
-	Rejoins uint64
+// header stamps the packet's share of its level's key and, when an upgrade
+// is authorized, of the next level's increase key.
+func (s *Sender) header(st core.Stamp) packet.Header {
+	share, up := s.ts.Shares(int(st.Group))
+	h := s.FLIDHeader(st)
+	h.ShareX, h.ShareY = share.X, share.Y
+	h.UpShareX, h.UpShareY = up.X, up.Y
+	return h
 }
 
-// NewReceiver builds a threshold receiver; thresh must match the sender's.
-func NewReceiver(host *netsim.Host, sess *core.Session, thresh []float64, routerAddr packet.Addr) *Receiver {
-	r := &Receiver{
-		Sess:        sess,
-		host:        host,
-		client:      sigma.NewClient(host, routerAddr),
-		thresh:      thresh,
-		recvs:       make(map[uint32]*delta.ThresholdReceiver),
-		levelBySlot: make(map[uint32]int),
-		joinedSlot:  make([]uint32, sess.Rates.N+2),
-		Meter:       stats.NewMeter(sim.Second),
-	}
-	r.loop = core.NewSlotLoop(host.Scheduler(), sess, 8*sess.SlotDur/10, r.onEval)
-	host.Handle(packet.ProtoFLID, r.onData)
-	return r
-}
-
-// Level reports the current subscription level.
-func (r *Receiver) Level() int { return r.level }
-
-// Start joins the session at the minimal level.
-func (r *Receiver) Start() {
-	if r.running {
-		return
-	}
-	r.running = true
-	cur := r.Sess.SlotAt(r.host.Scheduler().Now())
-	r.level = 1
-	r.levelBySlot[cur] = 1
-	r.joinedSlot[1] = cur + 1
-	r.client.SessionJoin(r.Sess.BaseAddr)
-	r.loop.Schedule(cur)
-}
-
-// Stop leaves the session.
-func (r *Receiver) Stop() {
-	r.running = false
-	r.client.Unsubscribe(r.Sess.Addrs())
-	r.level = 0
-}
-
-// onEval fires once per slot on the loop's reusable timer.
-func (r *Receiver) onEval(slot uint32) bool {
-	if !r.running {
-		return false
-	}
-	r.evaluate(slot)
-	return true
-}
-
-func (r *Receiver) onData(pkt *packet.Packet) {
-	h, ok := pkt.Header.(*packet.FLIDHeader)
-	if !ok || h.Session != r.Sess.ID {
-		return
-	}
-	r.Meter.Add(r.host.Scheduler().Now(), pkt.Size)
-	dr := r.recvs[h.Slot]
-	if dr == nil {
-		dr = delta.NewThresholdReceiver(r.Sess.Rates.N, r.thresh)
-		dr.Begin(h.Slot)
-		r.recvs[h.Slot] = dr
-	}
-	dr.Observe(h)
-}
-
-func (r *Receiver) levelAt(slot uint32) int {
-	for s := slot; ; s-- {
-		if l, ok := r.levelBySlot[s]; ok {
-			return l
-		}
-		if s == 0 || slot-s > 16 {
-			return r.level
-		}
-	}
-}
-
-func (r *Receiver) evaluate(slot uint32) {
-	dr := r.recvs[slot]
-	delete(r.recvs, slot)
-	for s := range r.recvs {
-		if s+4 < slot {
-			delete(r.recvs, s)
-		}
-	}
-	for s := range r.levelBySlot {
-		if s+8 < slot {
-			delete(r.levelBySlot, s)
-		}
-	}
-
-	lvl := r.levelAt(slot)
-	if lvl == 0 {
-		lvl = 1
-	}
-	effTop := 0
-	for g := 1; g <= lvl; g++ {
-		if r.joinedSlot[g] <= slot {
-			effTop = g
-		} else {
-			break
-		}
-	}
-	if effTop == 0 || dr == nil {
-		if dr == nil && effTop > 0 {
-			r.rejoin(slot)
-			return
-		}
-		r.levelBySlot[core.AccessSlot(slot)] = r.level
-		return
-	}
-
-	out := dr.Finish(effTop)
-	if out.Next == 0 {
-		r.rejoin(slot)
-		return
-	}
-	pairs := make([]packet.AddrKey, 0, len(out.Keys))
-	for g, k := range out.Keys {
-		pairs = append(pairs, packet.AddrKey{Addr: r.Sess.GroupAddr(g), Key: k})
-	}
-	r.client.Subscribe(core.AccessSlot(slot), pairs)
-
-	next := out.Next
-	if out.Congested && next < lvl {
-		addrs := make([]packet.Addr, 0, lvl-next)
-		for g := next + 1; g <= lvl; g++ {
-			addrs = append(addrs, r.Sess.GroupAddr(g))
-		}
-		r.client.Unsubscribe(addrs)
-	} else if !out.Congested {
-		if next > effTop {
-			r.joinedSlot[next] = slot + 2
-		}
-		if lvl > next {
-			next = lvl
-		}
-	}
-	r.level = next
-	r.levelBySlot[core.AccessSlot(slot)] = next
-}
-
-func (r *Receiver) rejoin(slot uint32) {
-	r.Rejoins++
-	r.level = 1
-	r.levelBySlot[core.AccessSlot(slot)] = 1
-	r.client.SessionJoin(r.Sess.BaseAddr)
+// NewReceiver builds a well-behaved threshold receiver: the key-receiver
+// kernel accumulating Shamir shares. thresh must match the sender's.
+func NewReceiver(host *netsim.Host, sess *core.Session, thresh []float64, routerAddr packet.Addr) *flid.DSReceiver {
+	return flid.NewDSReceiver(host, sess, routerAddr, func(n int) flid.Accumulator {
+		return delta.NewThresholdReceiver(n, thresh)
+	})
 }

@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"deltasigma/internal/core"
+	"deltasigma/internal/flid"
 	"deltasigma/internal/packet"
 	"deltasigma/internal/sigma"
 	"deltasigma/internal/sim"
 	"deltasigma/internal/topo"
 )
 
-func buildRig(capacity int64, thresh []float64, seed uint64) (*topo.Dumbbell, *Sender, *Receiver) {
+func buildRig(capacity int64, thresh []float64, seed uint64) (*topo.Dumbbell, *Sender, *flid.DSReceiver) {
 	d := topo.New(topo.PaperConfig(capacity, seed))
 	src := d.AddSource("src")
 	rcv := d.AddReceiver("rcv")
@@ -47,7 +48,7 @@ func TestThresholdReceiverFindsFairLevel(t *testing.T) {
 	if r.Level() < 2 || r.Level() > 5 {
 		t.Fatalf("level = %d, want near the fair level 4", r.Level())
 	}
-	avg := r.Meter.AvgKbps(30*sim.Second, 60*sim.Second)
+	avg := r.Meter().AvgKbps(30*sim.Second, 60*sim.Second)
 	if avg < 120 || avg > 400 {
 		t.Fatalf("throughput %.0f Kbps implausible", avg)
 	}
@@ -68,7 +69,7 @@ func TestFlatThresholdOscillates(t *testing.T) {
 	if len(levels) < 3 {
 		t.Fatalf("flat thresholds settled on %v; expected oscillation", levels)
 	}
-	avg := r.Meter.AvgKbps(20*sim.Second, 60*sim.Second)
+	avg := r.Meter().AvgKbps(20*sim.Second, 60*sim.Second)
 	if avg < 80 {
 		t.Fatalf("throughput %.0f Kbps: oscillation starved the receiver", avg)
 	}
@@ -85,7 +86,7 @@ func TestThresholdToleratesMildLoss(t *testing.T) {
 	if r.Level() < 2 {
 		t.Fatalf("level = %d: threshold protocol collapsed under mild loss", r.Level())
 	}
-	avg := r.Meter.AvgKbps(30*sim.Second, 60*sim.Second)
+	avg := r.Meter().AvgKbps(30*sim.Second, 60*sim.Second)
 	if avg < 130 {
 		t.Fatalf("throughput %.0f Kbps too low", avg)
 	}
@@ -113,7 +114,7 @@ func TestThresholdUncongestedClimbs(t *testing.T) {
 	if r.Level() != 6 {
 		t.Fatalf("level = %d, want 6 on an uncongested link", r.Level())
 	}
-	avg := r.Meter.AvgKbps(40*sim.Second, 60*sim.Second)
+	avg := r.Meter().AvgKbps(40*sim.Second, 60*sim.Second)
 	if avg < 500 {
 		t.Fatalf("throughput %.0f Kbps far below the ~759 Kbps top level", avg)
 	}

@@ -6,7 +6,6 @@ import (
 	"deltasigma/internal/core"
 	"deltasigma/internal/flid"
 	"deltasigma/internal/replicated"
-	"deltasigma/internal/stats"
 	"deltasigma/internal/threshold"
 )
 
@@ -17,7 +16,8 @@ type SenderAgent interface {
 	Stop()
 }
 
-// ReceiverAgent is a running protocol receiver.
+// ReceiverAgent is a running protocol receiver. The kit's receivers
+// (internal/flid's two kernels, internal/replicated) satisfy it directly.
 type ReceiverAgent interface {
 	Start()
 	Stop()
@@ -40,13 +40,6 @@ type Inflater interface {
 // attackers implement it.
 type Deflater interface {
 	Deflate()
-}
-
-// Unwrapper exposes the concrete protocol agent behind a facade wrapper
-// (e.g. *flid.DSAttacker) for callers that need protocol-specific
-// statistics.
-type Unwrapper interface {
-	Unwrap() any
 }
 
 // Protocol builds the agents of one congestion control variant. The four
@@ -162,38 +155,18 @@ func (p FLIDProtocol) NewSender(host *Host, sess *Session, rng *RNG) SenderAgent
 // NewReceiver implements Protocol.
 func (p FLIDProtocol) NewReceiver(host *Host, sess *Session, edge Addr) ReceiverAgent {
 	if p.DS {
-		return dsReceiver{flid.NewDSReceiver(host, sess, edge)}
+		return flid.NewDSReceiver(host, sess, edge, flid.Layered)
 	}
-	return dlReceiver{flid.NewReceiver(host, sess, edge)}
+	return flid.NewReceiver(host, sess, edge, flid.FLIDRule)
 }
 
 // NewAttacker implements Protocol.
 func (p FLIDProtocol) NewAttacker(host *Host, sess *Session, edge Addr, rng *RNG) (ReceiverAgent, error) {
 	if p.DS {
-		return dsAttacker{flid.NewDSAttacker(host, sess, edge, rng)}, nil
+		return flid.NewDSAttacker(flid.NewDSReceiver(host, sess, edge, flid.Layered), rng), nil
 	}
-	return dlAttacker{flid.NewAttacker(host, sess, edge)}, nil
+	return flid.NewInflator(flid.NewReceiver(host, sess, edge, flid.FLIDRule)), nil
 }
-
-type dlReceiver struct{ *flid.Receiver }
-
-func (r dlReceiver) Meter() *stats.Meter { return r.Receiver.Meter }
-func (r dlReceiver) Unwrap() any         { return r.Receiver }
-
-type dsReceiver struct{ *flid.DSReceiver }
-
-func (r dsReceiver) Meter() *stats.Meter { return r.DSReceiver.Meter }
-func (r dsReceiver) Unwrap() any         { return r.DSReceiver }
-
-type dlAttacker struct{ *flid.Attacker }
-
-func (a dlAttacker) Meter() *stats.Meter { return a.Attacker.Meter }
-func (a dlAttacker) Unwrap() any         { return a.Attacker }
-
-type dsAttacker struct{ *flid.DSAttacker }
-
-func (a dsAttacker) Meter() *stats.Meter { return a.DSAttacker.Meter }
-func (a dsAttacker) Unwrap() any         { return a.DSAttacker }
 
 // ---------------------------------------------------------------------------
 // Replicated multicast (Figure 5 instantiation).
@@ -226,29 +199,17 @@ func (ReplicatedProtocol) NewSender(host *Host, sess *Session, rng *RNG) SenderA
 
 // NewReceiver implements Protocol.
 func (ReplicatedProtocol) NewReceiver(host *Host, sess *Session, edge Addr) ReceiverAgent {
-	return replReceiver{replicated.NewReceiver(host, sess, edge)}
+	return replicated.NewReceiver(host, sess, edge)
 }
 
 // NewAttacker implements Protocol.
 func (ReplicatedProtocol) NewAttacker(host *Host, sess *Session, edge Addr, rng *RNG) (ReceiverAgent, error) {
-	return replAttacker{replicated.NewAttacker(host, sess, edge, rng)}, nil
+	return replicated.NewAttacker(replicated.NewReceiver(host, sess, edge), rng), nil
 }
 
 // SupportsCohorts implements CohortCapable: replicated sessions carry
 // ProtoRepl data the layered fluid aggregate never observes.
 func (ReplicatedProtocol) SupportsCohorts() bool { return false }
-
-type replReceiver struct{ *replicated.Receiver }
-
-func (r replReceiver) Level() int          { return r.Group() }
-func (r replReceiver) Meter() *stats.Meter { return r.Receiver.Meter }
-func (r replReceiver) Unwrap() any         { return r.Receiver }
-
-type replAttacker struct{ *replicated.Attacker }
-
-func (a replAttacker) Level() int          { return a.Group() }
-func (a replAttacker) Meter() *stats.Meter { return a.Attacker.Meter }
-func (a replAttacker) Unwrap() any         { return a.Attacker }
 
 // ---------------------------------------------------------------------------
 // Loss-rate-threshold protocol (Shamir instantiation).
@@ -286,20 +247,10 @@ func (p ThresholdProtocol) NewSender(host *Host, sess *Session, rng *RNG) Sender
 
 // NewReceiver implements Protocol.
 func (p ThresholdProtocol) NewReceiver(host *Host, sess *Session, edge Addr) ReceiverAgent {
-	return threshReceiver{threshold.NewReceiver(host, sess, p.thresholds(sess), edge)}
+	return threshold.NewReceiver(host, sess, p.thresholds(sess), edge)
 }
 
 // NewAttacker implements Protocol.
 func (p ThresholdProtocol) NewAttacker(host *Host, sess *Session, edge Addr, rng *RNG) (ReceiverAgent, error) {
-	return threshAttacker{threshold.NewAttacker(host, sess, p.thresholds(sess), edge, rng)}, nil
+	return flid.NewDSAttacker(threshold.NewReceiver(host, sess, p.thresholds(sess), edge), rng), nil
 }
-
-type threshReceiver struct{ *threshold.Receiver }
-
-func (r threshReceiver) Meter() *stats.Meter { return r.Receiver.Meter }
-func (r threshReceiver) Unwrap() any         { return r.Receiver }
-
-type threshAttacker struct{ *threshold.Attacker }
-
-func (a threshAttacker) Meter() *stats.Meter { return a.Attacker.Meter }
-func (a threshAttacker) Unwrap() any         { return a.Attacker }

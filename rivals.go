@@ -7,7 +7,6 @@ import (
 	"deltasigma/internal/dsc"
 	"deltasigma/internal/flid"
 	"deltasigma/internal/mfcc"
-	"deltasigma/internal/stats"
 )
 
 // This file holds the competitor protocol suite — schemes from the related
@@ -132,12 +131,12 @@ func (MFCCProtocol) NewSender(host *Host, sess *Session, rng *RNG) SenderAgent {
 
 // NewReceiver implements Protocol.
 func (MFCCProtocol) NewReceiver(host *Host, sess *Session, edge Addr) ReceiverAgent {
-	return mfccReceiver{mfcc.NewReceiver(host, sess, edge)}
+	return mfcc.NewReceiver(host, sess, edge)
 }
 
 // NewAttacker implements Protocol.
 func (MFCCProtocol) NewAttacker(host *Host, sess *Session, edge Addr, rng *RNG) (ReceiverAgent, error) {
-	return mfccAttacker{mfcc.NewAttacker(host, sess, edge)}, nil
+	return flid.NewInflator(mfcc.NewReceiver(host, sess, edge)), nil
 }
 
 // NewEdgeAgent implements EdgeAssisted: the per-edge fair-share advertiser.
@@ -148,16 +147,6 @@ func (MFCCProtocol) NewEdgeAgent(router *EdgeRouter, sessions []*Session) EdgeAg
 // SupportsCohorts implements CohortCapable: mfcc receivers move on share
 // advertisements, which the layered fluid aggregate does not model.
 func (MFCCProtocol) SupportsCohorts() bool { return false }
-
-type mfccReceiver struct{ *mfcc.Receiver }
-
-func (r mfccReceiver) Meter() *stats.Meter { return r.Receiver.Meter }
-func (r mfccReceiver) Unwrap() any         { return r.Receiver }
-
-type mfccAttacker struct{ *mfcc.Attacker }
-
-func (a mfccAttacker) Meter() *stats.Meter { return a.Attacker.Meter }
-func (a mfccAttacker) Unwrap() any         { return a.Attacker }
 
 // ---------------------------------------------------------------------------
 // dsc — dynamic source channels (Lucas et al.).
@@ -185,27 +174,17 @@ func (DSCProtocol) NewSender(host *Host, sess *Session, rng *RNG) SenderAgent {
 
 // NewReceiver implements Protocol.
 func (DSCProtocol) NewReceiver(host *Host, sess *Session, edge Addr) ReceiverAgent {
-	return dscReceiver{dsc.NewReceiver(host, sess, edge)}
+	return dsc.NewReceiver(host, sess, edge)
 }
 
 // NewAttacker implements Protocol.
 func (DSCProtocol) NewAttacker(host *Host, sess *Session, edge Addr, rng *RNG) (ReceiverAgent, error) {
-	return dscAttacker{dsc.NewAttacker(host, sess, edge)}, nil
+	return flid.NewInflator(dsc.NewReceiver(host, sess, edge)), nil
 }
 
 // ConsumesFeedback implements FeedbackDriven: the dsc source adapts to
 // consolidated receiver reports.
 func (DSCProtocol) ConsumesFeedback() bool { return true }
-
-type dscReceiver struct{ *dsc.Receiver }
-
-func (r dscReceiver) Meter() *stats.Meter { return r.Receiver.Meter }
-func (r dscReceiver) Unwrap() any         { return r.Receiver }
-
-type dscAttacker struct{ *dsc.Attacker }
-
-func (a dscAttacker) Meter() *stats.Meter { return a.Attacker.Meter }
-func (a dscAttacker) Unwrap() any         { return a.Attacker }
 
 // ---------------------------------------------------------------------------
 // abr-cf — ABR-style single channel with consolidated feedback (Fahmy et al.).
@@ -233,7 +212,7 @@ func (ABRCFProtocol) NewSender(host *Host, sess *Session, rng *RNG) SenderAgent 
 
 // NewReceiver implements Protocol.
 func (ABRCFProtocol) NewReceiver(host *Host, sess *Session, edge Addr) ReceiverAgent {
-	return abrcfReceiver{abrcf.NewReceiver(host, sess, edge)}
+	return abrcf.NewReceiver(host, sess, edge)
 }
 
 // NewAttacker implements Protocol: structurally not applicable.
@@ -253,8 +232,3 @@ func (ABRCFProtocol) SupportsCohorts() bool { return false }
 
 // HasAttacker implements AttackerCapable.
 func (ABRCFProtocol) HasAttacker() bool { return false }
-
-type abrcfReceiver struct{ *abrcf.Receiver }
-
-func (r abrcfReceiver) Meter() *stats.Meter { return r.Receiver.Meter }
-func (r abrcfReceiver) Unwrap() any         { return r.Receiver }

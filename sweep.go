@@ -615,18 +615,10 @@ func (sw Sweep) runPoint(a axes, p SweepPoint, spec TopologySpec, pool *packet.P
 		s.AddReceiverDelay(delay)
 	}
 	for i := 0; i < p.Attackers; i++ {
-		// The classic path goes through TryAddAttacker so attackerless
-		// protocols (ProtocolHasAttacker false) surface their typed
-		// *NoAttackerError as the point's Error instead of panicking the
-		// campaign; RNG draws are identical to AddAttacker, keeping goldens
-		// stable.
-		var err error
-		if p.Strategy == "" {
-			_, err = s.TryAddAttacker()
-		} else {
-			_, err = s.TryAddAttackerStrategy(AttackerStrategy(p.Strategy))
-		}
-		if err != nil {
+		// The Try form, so attackerless protocols (ProtocolHasAttacker
+		// false) surface their typed *NoAttackerError as the point's Error
+		// instead of panicking the campaign.
+		if _, err := s.TryAddAttacker(WithStrategy(AttackerStrategy(p.Strategy))); err != nil {
 			return pr, err
 		}
 	}

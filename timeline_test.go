@@ -64,7 +64,7 @@ func TestAttackerOnsetSlotBoundaryVsMidSlot(t *testing.T) {
 		atk := sess.AddAttacker()
 		exp.Advance(12 * deltasigma.Second)
 
-		a := atk.Unwrap().(*flid.Attacker)
+		a := atk.Unwrap().(*flid.Inflator)
 		if !a.Inflated() {
 			t.Fatalf("%s: attacker not inflated after onset at %v", name, onset)
 		}
@@ -90,7 +90,7 @@ func TestAttackerStopDeflates(t *testing.T) {
 	sess := exp.AddSession(1)
 	atk := sess.AddAttacker()
 	exp.Advance(4 * deltasigma.Second)
-	a := atk.Unwrap().(*flid.Attacker)
+	a := atk.Unwrap().(*flid.Inflator)
 	if !a.Inflated() {
 		t.Fatal("attacker not inflated at t=4s")
 	}
