@@ -99,6 +99,11 @@ type Audit struct {
 	aud     invariant.Auditor
 	lastNow Time
 	timer   *sim.Timer
+	// edges and groups are what the graft check walks; sessions, cohorts
+	// and topology are fixed once the experiment starts, so install
+	// resolves them once for the sampler.
+	edges  []*mcast.Router
+	groups []packet.Addr
 }
 
 func newAudit(e *Experiment, cfg auditSettings) *Audit {
@@ -114,6 +119,7 @@ func (e *Experiment) Audit() *Audit { return e.audit }
 // install arms the during-run sampler; called from Experiment.Start.
 func (a *Audit) install(sched *sim.Scheduler) {
 	a.lastNow = sched.Now()
+	a.edges, a.groups = a.exp.graftScope()
 	if a.cfg.interval <= 0 {
 		return
 	}
@@ -131,13 +137,16 @@ func (a *Audit) Violations() []Violation { return a.aud.Violations() }
 // the recorded violations.
 func (a *Audit) Err() error { return a.aud.Err() }
 
-// groups lists every session's group addresses, in session order.
-func (e *Experiment) groups() []packet.Addr {
-	var out []packet.Addr
+// graftScope lists every gatekept edge router — the topology's plus each
+// cohort's private one — and every session's group addresses, in session
+// order: the two sides of the graft-consistency check.
+func (e *Experiment) graftScope() ([]*mcast.Router, []packet.Addr) {
+	edges := append(append([]*mcast.Router(nil), e.Topo.Edges()...), e.cohortEdges()...)
+	var groups []packet.Addr
 	for _, s := range e.sessions {
-		out = append(out, s.Sess.Addrs()...)
+		groups = append(groups, s.Sess.Addrs()...)
 	}
-	return out
+	return edges, groups
 }
 
 // Check runs the instantaneous rule set now: clock monotonicity, per-link
@@ -152,11 +161,11 @@ func (a *Audit) Check() {
 	for _, l := range e.Topo.Network().Links() {
 		a.aud.CheckLink(now, l)
 	}
-	edges := e.Topo.Edges()
-	if ce := e.cohortEdges(); len(ce) > 0 {
-		edges = append(append([]*mcast.Router(nil), edges...), ce...)
+	edges, groups := a.edges, a.groups
+	if edges == nil {
+		edges, groups = e.graftScope() // not started: still being assembled
 	}
-	a.aud.CheckGraftConsistency(now, e.Topo.Multicast(), edges, e.groups())
+	a.aud.CheckGraftConsistency(now, e.Topo.Multicast(), edges, groups)
 	for _, s := range e.sessions {
 		n := s.Sess.Rates.N
 		for _, r := range s.Receivers {

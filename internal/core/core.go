@@ -145,18 +145,15 @@ func (s *Session) Addrs() []packet.Addr {
 	return out
 }
 
-// KeyPairs binds a DELTA outcome's per-group keys to their group addresses
-// for a SIGMA subscription, in ascending group order: the pairs reach the
-// wire, collusion taps and the controller's graft sequence, so map
-// iteration order must not.
-func (s *Session) KeyPairs(byGroup map[int]keys.Key) []packet.AddrKey {
-	pairs := make([]packet.AddrKey, 0, len(byGroup))
-	for g := 1; g <= s.Rates.N && len(pairs) < len(byGroup); g++ {
-		if k, ok := byGroup[g]; ok {
-			pairs = append(pairs, packet.AddrKey{Addr: s.GroupAddr(g), Key: k})
-		}
+// KeyPairs appends to buf the SIGMA subscription pairs of a DELTA outcome
+// — ks[i] opens group first+i — binding each key to its group address.
+// Ascending group order is the outcome's own: the pairs reach the wire,
+// collusion taps and the controller's graft sequence in it.
+func (s *Session) KeyPairs(buf []packet.AddrKey, first int, ks []keys.Key) []packet.AddrKey {
+	for i, k := range ks {
+		buf = append(buf, packet.AddrKey{Addr: s.GroupAddr(first + i), Key: k})
 	}
-	return pairs
+	return buf
 }
 
 // UpgradePolicy decides, per slot, the highest group receivers are

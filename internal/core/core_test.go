@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"deltasigma/internal/keys"
 	"deltasigma/internal/packet"
 	"deltasigma/internal/sim"
 )
@@ -90,6 +91,35 @@ func TestSessionAddressing(t *testing.T) {
 	}
 	if got := s.Addrs(); len(got) != 10 || got[9] != s.GroupAddr(10) {
 		t.Fatalf("Addrs wrong: %v", got)
+	}
+}
+
+// KeyPairs binds a run of keys to the run of group addresses starting at
+// first — a layered prefix, or a replicated group and its neighbour — and
+// appends into the caller's buffer without allocating once it has grown.
+func TestKeyPairsAppendsRunInGroupOrder(t *testing.T) {
+	s := &Session{ID: 1, BaseAddr: packet.MulticastBase, Rates: PaperSchedule()}
+	for _, tc := range []struct {
+		name  string
+		first int
+		keys  []keys.Key
+	}{
+		{"layered prefix", 1, []keys.Key{11, 12, 13, 14}},
+		{"replicated group", 3, []keys.Key{33}},
+		{"replicated upgrade", 3, []keys.Key{33, 33}},
+		{"nothing reconstructed", 1, nil},
+	} {
+		buf := make([]packet.AddrKey, 1, 8)
+		buf[0] = packet.AddrKey{Addr: 7, Key: 7} // what the caller already had
+		got := s.KeyPairs(buf, tc.first, tc.keys)
+		if len(got) != 1+len(tc.keys) || got[0] != buf[0] || &got[0] != &buf[0] {
+			t.Fatalf("%s: KeyPairs returned %v, want the buffer extended in place by %d pairs", tc.name, got, len(tc.keys))
+		}
+		for i, k := range tc.keys {
+			if want := (packet.AddrKey{Addr: s.GroupAddr(tc.first + i), Key: k}); got[1+i] != want {
+				t.Fatalf("%s: pair %d = %v, want %v", tc.name, i, got[1+i], want)
+			}
+		}
 	}
 }
 

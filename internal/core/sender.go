@@ -53,6 +53,10 @@ type SlotSender struct {
 
 	pacers   []Pacer
 	emitters []groupEmitter
+	// slotTimer fires runSlot(nextSlot) at each slot start, re-armed in
+	// place for the sender's lifetime.
+	slotTimer *sim.Timer
+	nextSlot  uint32
 	// scratch holds the per-slot auth/counts buffers, reused every slot so
 	// the slot loop allocates only what the hooks do.
 	scratch SlotScratch
@@ -94,6 +98,7 @@ func NewSlotSender(host *netsim.Host, sess *Session, groups int, policy UpgradeP
 		e.s, e.g = s, i+1
 		e.timer = host.Scheduler().NewTimer(e.fire)
 	}
+	s.slotTimer = host.Scheduler().NewTimer(func() { s.runSlot(s.nextSlot) })
 	if hooks.Adapt != nil {
 		host.Handle(packet.ProtoFeedback, s.onFeedback)
 	}
@@ -112,7 +117,8 @@ func (s *SlotSender) Start() {
 	if start < sched.Now() {
 		start = sched.Now()
 	}
-	sched.At(start, func() { s.runSlot(s.Sess.SlotAt(sched.Now())) })
+	s.nextSlot = s.Sess.SlotAt(start)
+	s.slotTimer.ResetAt(start)
 }
 
 // Stop halts the sender after the current slot.
@@ -135,10 +141,14 @@ func (s *SlotSender) onFeedback(pkt *packet.Packet) {
 	}
 }
 
+// Pool returns the pool the loop mints data packets from; a Header hook
+// draws its header from the same one.
+func (s *SlotSender) Pool() *packet.Pool { return s.host.Network().Pool() }
+
 // FLIDHeader returns a pooled FLID header carrying st, for Header hooks
 // that add protocol fields to the layered data header.
 func (s *SlotSender) FLIDHeader(st Stamp) *packet.FLIDHeader {
-	h := s.host.Network().Pool().FLIDHeader()
+	h := s.Pool().FLIDHeader()
 	h.Session, h.Group, h.Slot = st.Session, st.Group, st.Slot
 	h.Seq, h.Count, h.IncreaseTo = st.Seq, st.Count, st.IncreaseTo
 	return h
@@ -199,7 +209,8 @@ func (s *SlotSender) runSlot(slot uint32) {
 		}
 	}
 
-	sched.Schedule(s.Sess.SlotStart(slot+1), func() { s.runSlot(slot + 1) })
+	s.nextSlot = slot + 1
+	s.slotTimer.ResetAt(s.Sess.SlotStart(slot + 1))
 }
 
 // groupEmitter drains one group's slot emissions through a single
@@ -269,13 +280,9 @@ func (s *Session) SendReport(host *netsim.Host, dst packet.Addr, slot uint32, co
 	if dst == 0 {
 		return false
 	}
-	host.Send(host.NewPacket(dst, 0, &packet.FeedbackHeader{
-		Session:   s.ID,
-		Slot:      slot,
-		Count:     count,
-		MaxLevel:  uint8(maxLevel),
-		Congested: congested,
-		Reports:   1,
-	}))
+	h := host.Pool().FeedbackHeader()
+	h.Session, h.Slot, h.Count = s.ID, slot, count
+	h.MaxLevel, h.Congested, h.Reports = uint8(maxLevel), congested, 1
+	host.Send(host.NewPacket(dst, 0, h))
 	return true
 }

@@ -93,6 +93,92 @@ func (k *SlotKeys) Tuples(base packet.Addr) []packet.KeyTuple {
 	return out
 }
 
+// newSlotKeys sizes the Figure 3 table for n groups; senders keep one and
+// reset it every slot.
+func newSlotKeys(n int) SlotKeys {
+	return SlotKeys{
+		Top:  make([]keys.Key, n),
+		Dec:  make([]keys.Key, max(n-1, 0)),
+		Inc:  make([]keys.Key, n),
+		Auth: make([]bool, n),
+	}
+}
+
+// reset clears the table for a new slot.
+func (k *SlotKeys) reset(slot uint32) {
+	k.Slot = slot
+	clear(k.Top)
+	clear(k.Dec)
+	clear(k.Inc)
+	clear(k.Auth)
+}
+
+// componentSlot is the per-slot sender state the two XOR instantiations
+// (Figures 4 and 5) share: the precomputed keys plus, per group, the
+// real-time component generator — every non-final packet carries a fresh
+// nonce, the final one the closing value that makes the group's components
+// XOR to its secret.
+type componentSlot struct {
+	Keys SlotKeys
+
+	src       *keys.Source
+	accum     []keys.Key // C_g of Figure 4: the running closing value
+	remaining []int      // packets left to emit per group
+	counts    []int
+}
+
+func newComponentSlot(n int, src *keys.Source) componentSlot {
+	return componentSlot{
+		Keys:      newSlotKeys(n),
+		src:       src,
+		accum:     make([]keys.Key, n),
+		remaining: make([]int, n),
+		counts:    make([]int, n),
+	}
+}
+
+// schedule arms group g's generator for count packets. C_g ← nonce; this
+// initial nonce is the group secret X_g, because the closing component
+// cancels every later nonce folded into C_g.
+func (cs *componentSlot) schedule(g, count int) {
+	cs.remaining[g-1] = count
+	cs.counts[g-1] = count
+	cs.accum[g-1] = cs.src.Nonce()
+}
+
+// Fields returns the component and decrease fields for the next packet of
+// group g (1-based). It must be called exactly counts[g-1] times per slot
+// per group; the final call emits the closing component. The decrease field
+// d_g is δ_{g-1} for g ≥ 2 and zero for the minimal group.
+func (cs *componentSlot) Fields(g int) (component, decrease keys.Key) {
+	idx := g - 1
+	if cs.remaining[idx] <= 0 {
+		panic(fmt.Sprintf("delta: group %d exceeded its %d scheduled packets", g, cs.counts[idx]))
+	}
+	cs.remaining[idx]--
+	if g >= 2 {
+		decrease = cs.Keys.Dec[g-2]
+	}
+	if cs.remaining[idx] == 0 {
+		// Last packet carries the accumulated closing value C_g.
+		return cs.accum[idx], decrease
+	}
+	c := cs.src.Nonce()
+	cs.accum[idx] = keys.XOR(cs.accum[idx], c)
+	return c, decrease
+}
+
+// Done reports whether every scheduled packet of every group has had its
+// fields generated.
+func (cs *componentSlot) Done() bool {
+	for _, r := range cs.remaining {
+		if r != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Outcome is what a receiver-side DELTA instantiation concludes at the end
 // of a time slot: the next subscription level the receiver is entitled to
 // and the keys proving it.
@@ -105,9 +191,22 @@ type Outcome struct {
 	// receiver could not even keep the minimal group and must rejoin the
 	// session from scratch.
 	Next int
-	// Keys maps each group of the entitled subscription to the
-	// reconstructed key that opens it.
-	Keys map[int]keys.Key
+	// Keys[i] is the reconstructed key that opens group First+i. An
+	// entitlement is always a run of adjacent groups — a prefix of the
+	// layers, or a replicated group and its neighbour — so the keys are in
+	// ascending group order by construction. The slice is the receiver's
+	// scratch: it is valid until that receiver's next Finish.
+	First int
+	Keys  []keys.Key
+}
+
+// Key returns the reconstructed key that opens group g, if the outcome
+// holds one.
+func (o *Outcome) Key(g int) (keys.Key, bool) {
+	if i := g - o.First; i >= 0 && i < len(o.Keys) {
+		return o.Keys[i], true
+	}
+	return 0, false
 }
 
 func checkGroupCount(n int) {

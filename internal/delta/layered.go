@@ -20,15 +20,16 @@ import (
 // X_g, increase keys are the next-lower top key, and decrease keys are
 // dedicated nonces carried in the decrease field one group up.
 type LayeredSender struct {
-	n   int
-	src *keys.Source
+	n    int
+	src  *keys.Source
+	slot LayeredSlot // the one slot in progress, reset by BeginSlot
 }
 
 // NewLayeredSender builds a sender-side instantiation for a session with n
 // groups, minting nonces from src.
 func NewLayeredSender(n int, src *keys.Source) *LayeredSender {
 	checkGroupCount(n)
-	return &LayeredSender{n: n, src: src}
+	return &LayeredSender{n: n, src: src, slot: LayeredSlot{newComponentSlot(n, src)}}
 }
 
 // Groups reports the session's group count.
@@ -36,46 +37,28 @@ func (s *LayeredSender) Groups() int { return s.n }
 
 // LayeredSlot is the per-slot state of a LayeredSender: the precomputed
 // keys plus the real-time component generators.
-type LayeredSlot struct {
-	Keys SlotKeys
-
-	src       *keys.Source
-	accum     []keys.Key // C_g of Figure 4: the running closing value
-	remaining []int      // packets left to emit per group
-	counts    []int
-}
+type LayeredSlot struct{ componentSlot }
 
 // BeginSlot precomputes the keys for one slot. auth[g-1] declares whether
 // the protocol authorizes an upgrade to group g this slot (auth[0] is
 // ignored: there is no upgrade to the minimal group). counts[g-1] is the
 // number of packets group g will transmit this slot; every group must send
 // at least one packet so its key components can travel.
+//
+// The returned slot is the sender's one slot state, reset in place: it and
+// its Keys are valid until the next BeginSlot. A slotted sender builds
+// every header of a slot before it begins the next, so nothing outlives it.
 func (s *LayeredSender) BeginSlot(slot uint32, auth []bool, counts []int) *LayeredSlot {
 	if len(auth) != s.n || len(counts) != s.n {
 		panic(fmt.Sprintf("delta: BeginSlot with %d auth / %d counts for %d groups", len(auth), len(counts), s.n))
 	}
-	ls := &LayeredSlot{
-		src:       s.src,
-		accum:     make([]keys.Key, s.n),
-		remaining: make([]int, s.n),
-		counts:    make([]int, s.n),
-	}
-	ls.Keys = SlotKeys{
-		Slot: slot,
-		Top:  make([]keys.Key, s.n),
-		Dec:  make([]keys.Key, max(s.n-1, 0)),
-		Inc:  make([]keys.Key, s.n),
-		Auth: make([]bool, s.n),
-	}
+	ls := &s.slot
+	ls.Keys.reset(slot)
 	for g := 1; g <= s.n; g++ {
 		if counts[g-1] < 1 {
 			panic(fmt.Sprintf("delta: group %d scheduled %d packets; need >= 1", g, counts[g-1]))
 		}
-		ls.remaining[g-1] = counts[g-1]
-		ls.counts[g-1] = counts[g-1]
-		// C_g ← nonce; this initial nonce is the group secret X_g, because
-		// the closing component cancels every later nonce folded into C_g.
-		ls.accum[g-1] = s.src.Nonce()
+		ls.schedule(g, counts[g-1])
 		if g == 1 {
 			ls.Keys.Top[0] = ls.accum[0]
 		} else {
@@ -90,39 +73,6 @@ func (s *LayeredSender) BeginSlot(slot uint32, auth []bool, counts []int) *Layer
 	return ls
 }
 
-// Fields returns the component and decrease fields for the next packet of
-// group g (1-based). It must be called exactly counts[g-1] times per slot
-// per group; the final call emits the closing component. The decrease field
-// d_g is δ_{g-1} for g ≥ 2 and zero for the minimal group.
-func (ls *LayeredSlot) Fields(g int) (component, decrease keys.Key) {
-	idx := g - 1
-	if ls.remaining[idx] <= 0 {
-		panic(fmt.Sprintf("delta: group %d exceeded its %d scheduled packets", g, ls.counts[idx]))
-	}
-	ls.remaining[idx]--
-	if g >= 2 {
-		decrease = ls.Keys.Dec[g-2]
-	}
-	if ls.remaining[idx] == 0 {
-		// Last packet carries the accumulated closing value C_g.
-		return ls.accum[idx], decrease
-	}
-	c := ls.src.Nonce()
-	ls.accum[idx] = keys.XOR(ls.accum[idx], c)
-	return c, decrease
-}
-
-// Done reports whether every scheduled packet of every group has had its
-// fields generated.
-func (ls *LayeredSlot) Done() bool {
-	for _, r := range ls.remaining {
-		if r != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // LayeredReceiver implements the receiver half of Figure 4: it accumulates
 // the component and decrease fields observed during a slot and, at slot
 // end, derives the receiver's entitled next level and the keys for it.
@@ -135,8 +85,9 @@ type LayeredReceiver struct {
 	expect    []int              // Count field per group (0 = never seen)
 	dec       []keys.Key         // δ_{g-1} seen in group-g packets (index g-1)
 	haveDec   []bool
-	increase  int  // highest group an upgrade was authorized to (from headers)
-	sawMarked bool // an ECN CE mark counts as congestion for ECN-driven protocols
+	increase  int        // highest group an upgrade was authorized to (from headers)
+	sawMarked bool       // an ECN CE mark counts as congestion for ECN-driven protocols
+	keyBuf    []keys.Key // Outcome.Keys scratch, capacity n
 }
 
 // NewLayeredReceiver builds the receiver-side instantiation for a session
@@ -154,6 +105,7 @@ func (r *LayeredReceiver) alloc() {
 	r.expect = make([]int, r.n)
 	r.dec = make([]keys.Key, r.n)
 	r.haveDec = make([]bool, r.n)
+	r.keyBuf = make([]keys.Key, 0, r.n)
 	r.increase = 0
 	r.sawMarked = false
 }
@@ -222,7 +174,7 @@ func (r *LayeredReceiver) Finish(top int, ecnMode bool) Outcome {
 	if top > r.n {
 		top = r.n
 	}
-	out := Outcome{Slot: r.slot, Keys: make(map[int]keys.Key)}
+	out := Outcome{Slot: r.slot, First: 1}
 
 	lossy := -1 // highest lossy group ≤ top; -1 = none
 	nLossy := 0
@@ -234,19 +186,6 @@ func (r *LayeredReceiver) Finish(top int, ecnMode bool) Outcome {
 	}
 	congested := nLossy > 0 || (ecnMode && r.sawMarked)
 
-	// lowerKeys fills out.Keys[1..m] from decrease fields; the key for
-	// group j travels in group j+1's packets, so it is available only while
-	// packets from each group above kept arriving.
-	lowerKeys := func(m int) int {
-		for j := 1; j <= m; j++ {
-			if !r.haveDec[j] { // note: haveDec[j] ⇔ a packet of group j+1 arrived
-				return j - 1
-			}
-			out.Keys[j] = r.dec[j]
-		}
-		return m
-	}
-
 	if !congested {
 		out.Congested = false
 		// u_g: XOR of every component of groups 1..top = α_top.
@@ -254,20 +193,20 @@ func (r *LayeredReceiver) Finish(top int, ecnMode bool) Outcome {
 		for g := 1; g <= top; g++ {
 			alpha = keys.XOR(alpha, r.comp[g-1].Sum())
 		}
-		reach := lowerKeys(top - 1)
-		if reach == top-1 {
-			out.Keys[top] = alpha
+		out.Keys = r.lowerKeys(top - 1)
+		if len(out.Keys) == top-1 {
+			out.Keys = append(out.Keys, alpha)
 			out.Next = top
 			if top < r.n && r.increase >= top+1 {
 				// ε_{top+1} = α_top: the same value opens the next group.
-				out.Keys[top+1] = alpha
+				out.Keys = append(out.Keys, alpha)
 				out.Next = top + 1
 			}
 		} else {
 			// No loss, yet a decrease field is missing — can only happen
 			// when a group legitimately sent zero... the sender forbids
 			// that, so treat as congestion-equivalent demotion.
-			out.Next = reach
+			out.Next = len(out.Keys)
 		}
 		return out
 	}
@@ -284,19 +223,32 @@ func (r *LayeredReceiver) Finish(top int, ecnMode bool) Outcome {
 		for g := 1; g < top; g++ {
 			alpha = keys.XOR(alpha, r.comp[g-1].Sum())
 		}
-		reach := lowerKeys(top - 1)
-		if reach == top-1 {
-			out.Keys[top] = alpha
+		if out.Keys = r.lowerKeys(top - 1); len(out.Keys) == top-1 {
+			out.Keys = append(out.Keys, alpha)
 			out.Next = top
 			return out
 		}
-		// Fall through to the plain congested path with partial keys.
-		out.Keys = make(map[int]keys.Key)
+		// Fall through to the plain congested path.
 	}
 
 	// Plain decrease: entitled to groups 1..top−1, bounded by how far the
 	// decrease-field chain reaches (a group that lost *all* packets breaks
 	// the chain below it — "forced to reduce by more than one group").
-	out.Next = lowerKeys(top - 1)
+	out.Keys = r.lowerKeys(top - 1)
+	out.Next = len(out.Keys)
 	return out
+}
+
+// lowerKeys returns the keys of groups 1..m from decrease fields, as far as
+// the chain reaches: the key for group j travels in group j+1's packets, so
+// it is available only while packets from each group above kept arriving.
+func (r *LayeredReceiver) lowerKeys(m int) []keys.Key {
+	ks := r.keyBuf[:0]
+	for j := 1; j <= m; j++ {
+		if !r.haveDec[j] { // note: haveDec[j] ⇔ a packet of group j+1 arrived
+			break
+		}
+		ks = append(ks, r.dec[j])
+	}
+	return ks
 }

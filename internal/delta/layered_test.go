@@ -70,16 +70,22 @@ func countsOf(n int, c int) []int {
 	return out
 }
 
+// keyOf is the outcome's key for group g, zero when it holds none.
+func keyOf(out Outcome, g int) keys.Key {
+	k, _ := out.Key(g)
+	return k
+}
+
 // verifyKeys asserts every key in the outcome opens its group.
 func verifyKeys(t *testing.T, sk *SlotKeys, out Outcome) {
 	t.Helper()
-	for g, k := range out.Keys {
-		if !sk.Opens(g, k) {
+	for i, k := range out.Keys {
+		if g := out.First + i; !sk.Opens(g, k) {
 			t.Fatalf("outcome key for group %d (%v) does not open the group", g, k)
 		}
 	}
 	for g := 1; g <= out.Next; g++ {
-		if _, ok := out.Keys[g]; !ok {
+		if _, ok := out.Key(g); !ok {
 			t.Fatalf("entitled to group %d but no key provided", g)
 		}
 	}
@@ -142,8 +148,8 @@ func TestUncongestedReceiverKeepsLevel(t *testing.T) {
 	}
 	verifyKeys(t, &ls.Keys, out)
 	// The top-group key must be the real top key, not a decrease key.
-	if out.Keys[3] != ls.Keys.Top[2] {
-		t.Fatalf("top key %v != α_3 %v", out.Keys[3], ls.Keys.Top[2])
+	if keyOf(out, 3) != ls.Keys.Top[2] {
+		t.Fatalf("top key %v != α_3 %v", keyOf(out, 3), ls.Keys.Top[2])
 	}
 }
 
@@ -158,8 +164,8 @@ func TestAuthorizedUpgrade(t *testing.T) {
 		t.Fatalf("Next = %d, want upgrade to 4", out.Next)
 	}
 	verifyKeys(t, &ls.Keys, out)
-	if out.Keys[4] != ls.Keys.Inc[3] {
-		t.Fatalf("upgrade key %v != ε_4 %v", out.Keys[4], ls.Keys.Inc[3])
+	if keyOf(out, 4) != ls.Keys.Inc[3] {
+		t.Fatalf("upgrade key %v != ε_4 %v", keyOf(out, 4), ls.Keys.Inc[3])
 	}
 }
 
@@ -173,7 +179,7 @@ func TestUpgradeNotAuthorizedStays(t *testing.T) {
 	if out.Next != 3 {
 		t.Fatalf("Next = %d, want 3 without authorization", out.Next)
 	}
-	if _, ok := out.Keys[4]; ok {
+	if _, ok := out.Key(4); ok {
 		t.Fatal("receiver obtained a key for group 4 without authorization")
 	}
 	verifyKeys(t, &ls.Keys, out)
@@ -192,7 +198,7 @@ func TestUpgradeOnlyToNextGroup(t *testing.T) {
 	if out.Next != 3 {
 		t.Fatalf("Next = %d, want 3", out.Next)
 	}
-	if _, ok := out.Keys[4]; ok {
+	if _, ok := out.Key(4); ok {
 		t.Fatal("receiver skipped a level")
 	}
 	verifyKeys(t, &ls.Keys, out)
@@ -213,7 +219,7 @@ func TestCongestedReceiverDropsTopGroup(t *testing.T) {
 	}
 	verifyKeys(t, &ls.Keys, out)
 	// The congested receiver must NOT hold a key that opens group 4.
-	if k, ok := out.Keys[4]; ok && ls.Keys.Opens(4, k) {
+	if k, ok := out.Key(4); ok && ls.Keys.Opens(4, k) {
 		t.Fatal("congested receiver obtained a key for its lossy level")
 	}
 }
@@ -251,8 +257,8 @@ func TestResolutionKeepsTopWhenOnlyTopLossyAndAuthorized(t *testing.T) {
 		t.Fatalf("Next = %d, want 4 (resolution case)", out.Next)
 	}
 	verifyKeys(t, &ls.Keys, out)
-	if out.Keys[4] != ls.Keys.Inc[3] {
-		t.Fatalf("resolution key %v != ε_4 %v", out.Keys[4], ls.Keys.Inc[3])
+	if keyOf(out, 4) != ls.Keys.Inc[3] {
+		t.Fatalf("resolution key %v != ε_4 %v", keyOf(out, 4), ls.Keys.Inc[3])
 	}
 }
 
@@ -323,7 +329,7 @@ func TestSingleGroupSession(t *testing.T) {
 	r.Begin(1)
 	deliver(r, headers, nil)
 	out := r.Finish(1, false)
-	if out.Next != 1 || out.Keys[1] != ls.Keys.Top[0] {
+	if out.Next != 1 || keyOf(out, 1) != ls.Keys.Top[0] {
 		t.Fatalf("single-group session outcome wrong: %+v", out)
 	}
 }
@@ -400,7 +406,7 @@ func TestScrubbedComponentDeniesTopKeyEvenWithoutECNMode(t *testing.T) {
 	if out.Congested {
 		t.Fatal("expected nominally uncongested outcome")
 	}
-	if ls.Keys.Opens(3, out.Keys[3]) {
+	if ls.Keys.Opens(3, keyOf(out, 3)) {
 		t.Fatal("scrubbed component still yielded a valid top key")
 	}
 }
@@ -532,8 +538,8 @@ func TestEntitlementProperty(t *testing.T) {
 		out := r.Finish(top, false)
 
 		// 1. Every emitted key must be valid.
-		for g, k := range out.Keys {
-			if !ls.Keys.Opens(g, k) {
+		for i, k := range out.Keys {
+			if !ls.Keys.Opens(out.First+i, k) {
 				return false
 			}
 		}
@@ -570,7 +576,7 @@ func TestEntitlementProperty(t *testing.T) {
 		for g := 2; g <= top; g++ {
 			if allLost[g] && out.Next >= g-1 && g-1 >= 1 {
 				// key for g-1 requires a packet from g
-				if _, ok := out.Keys[g-1]; ok && allLost[g] {
+				if _, ok := out.Key(g - 1); ok && allLost[g] {
 					return false
 				}
 			}

@@ -14,56 +14,37 @@ import (
 // the top key of group g is the XOR of group g's own components only, and
 // the increase key for group g is group g−1's top key (Eq. 6).
 type ReplicatedSender struct {
-	n   int
-	src *keys.Source
+	n    int
+	src  *keys.Source
+	slot ReplicatedSlot // the one slot in progress, reset by BeginSlot
 }
 
 // NewReplicatedSender builds the sender-side instantiation for a session
 // with n rate groups.
 func NewReplicatedSender(n int, src *keys.Source) *ReplicatedSender {
 	checkGroupCount(n)
-	return &ReplicatedSender{n: n, src: src}
+	return &ReplicatedSender{n: n, src: src, slot: ReplicatedSlot{newComponentSlot(n, src)}}
 }
 
 // Groups reports the session's group count.
 func (s *ReplicatedSender) Groups() int { return s.n }
 
 // ReplicatedSlot is the per-slot state of a ReplicatedSender.
-type ReplicatedSlot struct {
-	Keys SlotKeys
-
-	src       *keys.Source
-	accum     []keys.Key
-	remaining []int
-	counts    []int
-}
+type ReplicatedSlot struct{ componentSlot }
 
 // BeginSlot precomputes the slot's keys; see LayeredSender.BeginSlot for
-// the argument contract.
+// the argument contract and the lifetime of the returned slot.
 func (s *ReplicatedSender) BeginSlot(slot uint32, auth []bool, counts []int) *ReplicatedSlot {
 	if len(auth) != s.n || len(counts) != s.n {
 		panic(fmt.Sprintf("delta: BeginSlot with %d auth / %d counts for %d groups", len(auth), len(counts), s.n))
 	}
-	rs := &ReplicatedSlot{
-		src:       s.src,
-		accum:     make([]keys.Key, s.n),
-		remaining: make([]int, s.n),
-		counts:    make([]int, s.n),
-	}
-	rs.Keys = SlotKeys{
-		Slot: slot,
-		Top:  make([]keys.Key, s.n),
-		Dec:  make([]keys.Key, max(s.n-1, 0)),
-		Inc:  make([]keys.Key, s.n),
-		Auth: make([]bool, s.n),
-	}
+	rs := &s.slot
+	rs.Keys.reset(slot)
 	for g := 1; g <= s.n; g++ {
 		if counts[g-1] < 1 {
 			panic(fmt.Sprintf("delta: group %d scheduled %d packets; need >= 1", g, counts[g-1]))
 		}
-		rs.remaining[g-1] = counts[g-1]
-		rs.counts[g-1] = counts[g-1]
-		rs.accum[g-1] = s.src.Nonce()
+		rs.schedule(g, counts[g-1])
 		rs.Keys.Top[g-1] = rs.accum[g-1] // α_g = XOR of group g components only
 		if g >= 2 {
 			rs.Keys.Dec[g-2] = s.src.Nonce()
@@ -74,35 +55,6 @@ func (s *ReplicatedSender) BeginSlot(slot uint32, auth []bool, counts []int) *Re
 		}
 	}
 	return rs
-}
-
-// Fields returns the component and decrease fields for the next packet of
-// group g; the contract matches LayeredSlot.Fields.
-func (rs *ReplicatedSlot) Fields(g int) (component, decrease keys.Key) {
-	idx := g - 1
-	if rs.remaining[idx] <= 0 {
-		panic(fmt.Sprintf("delta: group %d exceeded its %d scheduled packets", g, rs.counts[idx]))
-	}
-	rs.remaining[idx]--
-	if g >= 2 {
-		decrease = rs.Keys.Dec[g-2]
-	}
-	if rs.remaining[idx] == 0 {
-		return rs.accum[idx], decrease
-	}
-	c := rs.src.Nonce()
-	rs.accum[idx] = keys.XOR(rs.accum[idx], c)
-	return c, decrease
-}
-
-// Done reports whether every scheduled packet has had its fields generated.
-func (rs *ReplicatedSlot) Done() bool {
-	for _, r := range rs.remaining {
-		if r != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // ReplicatedReceiver implements the receiver half of Figure 5 for a
@@ -118,6 +70,7 @@ type ReplicatedReceiver struct {
 	haveDec  bool
 	increase int
 	marked   bool
+	keyBuf   [2]keys.Key // Outcome.Keys scratch: a group and its neighbour
 }
 
 // NewReplicatedReceiver builds the receiver-side instantiation for a
@@ -162,7 +115,7 @@ func (r *ReplicatedReceiver) Finish(g int, ecnMode bool) Outcome {
 	if g < 1 || g > r.n {
 		panic(fmt.Sprintf("delta: replicated Finish with group %d of %d", g, r.n))
 	}
-	out := Outcome{Slot: r.slot, Keys: make(map[int]keys.Key)}
+	out := Outcome{Slot: r.slot}
 	lost := r.got == 0 || r.got < r.expect
 	congested := lost || (ecnMode && r.marked)
 	if congested {
@@ -172,15 +125,15 @@ func (r *ReplicatedReceiver) Finish(g int, ecnMode bool) Outcome {
 			return out
 		}
 		out.Next = g - 1
-		out.Keys[g-1] = r.dec
+		out.First, out.Keys = g-1, append(r.keyBuf[:0], r.dec)
 		return out
 	}
 	alpha := r.comp.Sum()
-	out.Keys[g] = alpha
+	out.First, out.Keys = g, append(r.keyBuf[:0], alpha)
 	out.Next = g
 	if g < r.n && r.increase >= g+1 {
 		// ε_{g+1} = α_g: the receiver may switch up using the same value.
-		out.Keys[g+1] = alpha
+		out.Keys = append(out.Keys, alpha)
 		out.Next = g + 1
 	}
 	return out

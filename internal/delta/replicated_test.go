@@ -71,7 +71,7 @@ func TestReplicatedUncongestedStays(t *testing.T) {
 	if out.Congested || out.Next != 2 {
 		t.Fatalf("outcome %+v, want uncongested stay at 2", out)
 	}
-	if !rs.Keys.Opens(2, out.Keys[2]) {
+	if !rs.Keys.Opens(2, keyOf(out, 2)) {
 		t.Fatal("key does not open group 2")
 	}
 }
@@ -88,11 +88,12 @@ func TestReplicatedUpgradeSwitchesUp(t *testing.T) {
 	if out.Next != 3 {
 		t.Fatalf("Next = %d, want 3", out.Next)
 	}
-	if !rs.Keys.Opens(3, out.Keys[3]) {
+	up, _ := out.Key(3)
+	if !rs.Keys.Opens(3, up) {
 		t.Fatal("upgrade key does not open group 3")
 	}
 	// ε_3 = α_2: the same reconstructed value.
-	if out.Keys[3] != out.Keys[2] {
+	if cur, ok := out.Key(2); !ok || up != cur {
 		t.Fatal("replicated upgrade key should equal the current top key")
 	}
 }
@@ -112,10 +113,10 @@ func TestReplicatedCongestedStepsDown(t *testing.T) {
 	if !out.Congested || out.Next != 2 {
 		t.Fatalf("outcome %+v, want congested step down to 2", out)
 	}
-	if !rs.Keys.Opens(2, out.Keys[2]) {
+	if !rs.Keys.Opens(2, keyOf(out, 2)) {
 		t.Fatal("decrease key does not open group 2")
 	}
-	if k, ok := out.Keys[3]; ok && rs.Keys.Opens(3, k) {
+	if k, ok := out.Key(3); ok && rs.Keys.Opens(3, k) {
 		t.Fatal("congested receiver still opened its group")
 	}
 }
@@ -165,7 +166,7 @@ func TestReplicatedECNMode(t *testing.T) {
 	if !out.Congested || out.Next != 1 {
 		t.Fatalf("outcome %+v, want ECN-congested step down", out)
 	}
-	if !rs.Keys.Opens(1, out.Keys[1]) {
+	if !rs.Keys.Opens(1, keyOf(out, 1)) {
 		t.Fatal("decrease key invalid after ECN scrub")
 	}
 }

@@ -33,7 +33,8 @@ type ThresholdSender struct {
 	n        int
 	src      *keys.Source
 	splitter *shamir.Splitter
-	thresh   []float64 // loss-rate threshold per level, e.g. 0.25
+	thresh   []float64     // loss-rate threshold per level, e.g. 0.25
+	slot     ThresholdSlot // the one slot in progress, reset by BeginSlot
 }
 
 // NewThresholdSender builds a sender for n levels with the given per-level
@@ -48,7 +49,17 @@ func NewThresholdSender(n int, thresh []float64, src *keys.Source, splitter *sha
 			panic(fmt.Sprintf("delta: threshold %v for level %d out of [0,1)", th, g+1))
 		}
 	}
-	return &ThresholdSender{n: n, src: src, splitter: splitter, thresh: thresh}
+	s := &ThresholdSender{n: n, src: src, splitter: splitter, thresh: thresh}
+	s.slot = ThresholdSlot{
+		Keys:   newSlotKeys(n), // Dec unused: zero-valued, never submitted
+		sender: s,
+		polys:  make([]shamir.Polynomial, n),
+		ups:    make([]shamir.Polynomial, n),
+		hasUp:  make([]bool, n),
+		seq:    make([]uint32, n),
+		counts: make([]int, n),
+	}
+	return s
 }
 
 // ShareThreshold returns k_g for a level transmitting count packets:
@@ -70,45 +81,35 @@ type ThresholdSlot struct {
 	Keys SlotKeys
 
 	sender *ThresholdSender
-	polys  []*shamir.Polynomial // level key polynomials
-	ups    []*shamir.Polynomial // ups[g-1]: ε_{g+1} shared over level g packets (nil unless authorized)
-	seq    []uint32             // next share index per level
+	polys  []shamir.Polynomial // level key polynomials, coefficient buffers kept across slots
+	ups    []shamir.Polynomial // ups[g-1]: ε_{g+1} shared over level g packets
+	hasUp  []bool              // ups[g-1] was sampled this slot (the upgrade is authorized)
+	seq    []uint32            // next share index per level
 	counts []int
 }
 
 // BeginSlot samples the slot's polynomials. auth[g-1] authorizes an upgrade
-// to level g; counts[g-1] is the packet count of level g this slot.
+// to level g; counts[g-1] is the packet count of level g this slot. The
+// returned slot is the sender's one slot state, reset in place: see
+// LayeredSender.BeginSlot for its lifetime.
 func (s *ThresholdSender) BeginSlot(slot uint32, auth []bool, counts []int) (*ThresholdSlot, error) {
 	if len(auth) != s.n || len(counts) != s.n {
 		panic(fmt.Sprintf("delta: BeginSlot with %d auth / %d counts for %d levels", len(auth), len(counts), s.n))
 	}
-	ts := &ThresholdSlot{
-		sender: s,
-		polys:  make([]*shamir.Polynomial, s.n),
-		ups:    make([]*shamir.Polynomial, s.n),
-		seq:    make([]uint32, s.n),
-		// Copy: callers reuse their counts scratch across slots, and the
-		// sibling Layered/Replicated BeginSlot implementations copy too.
-		counts: append([]int(nil), counts...),
-	}
-	ts.Keys = SlotKeys{
-		Slot: slot,
-		Top:  make([]keys.Key, s.n),
-		Dec:  make([]keys.Key, max(s.n-1, 0)), // unused: zero-valued, never submitted
-		Inc:  make([]keys.Key, s.n),
-		Auth: make([]bool, s.n),
-	}
+	ts := &s.slot
+	ts.Keys.reset(slot)
+	clear(ts.hasUp)
+	clear(ts.seq)
+	copy(ts.counts, counts)
 	for g := 1; g <= s.n; g++ {
 		if counts[g-1] < 1 {
 			return nil, fmt.Errorf("delta: level %d scheduled %d packets", g, counts[g-1])
 		}
 		secret := s.src.Nonce()
 		ts.Keys.Top[g-1] = secret
-		poly, err := s.splitter.Sample(uint64(secret), s.ShareThreshold(g, counts[g-1]))
-		if err != nil {
+		if err := s.splitter.Resample(&ts.polys[g-1], uint64(secret), s.ShareThreshold(g, counts[g-1])); err != nil {
 			return nil, err
 		}
-		ts.polys[g-1] = poly
 	}
 	for g := 2; g <= s.n; g++ {
 		if !auth[g-1] {
@@ -117,11 +118,10 @@ func (s *ThresholdSender) BeginSlot(slot uint32, auth []bool, counts []int) (*Th
 		ts.Keys.Auth[g-1] = true
 		ts.Keys.Inc[g-1] = s.src.Nonce()
 		// ε_g rides on level g−1's packets with level g−1's threshold.
-		poly, err := s.splitter.Sample(uint64(ts.Keys.Inc[g-1]), s.ShareThreshold(g-1, counts[g-2]))
-		if err != nil {
+		if err := s.splitter.Resample(&ts.ups[g-2], uint64(ts.Keys.Inc[g-1]), s.ShareThreshold(g-1, counts[g-2])); err != nil {
 			return nil, err
 		}
-		ts.ups[g-2] = poly
+		ts.hasUp[g-2] = true
 	}
 	return ts, nil
 }
@@ -136,7 +136,7 @@ func (ts *ThresholdSlot) Shares(g int) (share, upShare shamir.Share) {
 	ts.seq[idx]++
 	x := ts.seq[idx] // 1-based share coordinate
 	share = ts.polys[idx].ShareAt(x)
-	if ts.ups[idx] != nil {
+	if ts.hasUp[idx] {
 		upShare = ts.ups[idx].ShareAt(x)
 	}
 	return share, upShare
@@ -154,6 +154,7 @@ type ThresholdReceiver struct {
 	got      []int
 	expect   []int
 	increase int
+	keyBuf   []keys.Key // Outcome.Keys scratch, capacity n
 }
 
 // NewThresholdReceiver builds a receiver for n levels with the protocol's
@@ -163,18 +164,26 @@ func NewThresholdReceiver(n int, thresh []float64) *ThresholdReceiver {
 	if len(thresh) != n {
 		panic(fmt.Sprintf("delta: %d thresholds for %d levels", len(thresh), n))
 	}
-	r := &ThresholdReceiver{n: n, thresh: thresh}
-	r.Begin(0)
-	return r
+	return &ThresholdReceiver{
+		n: n, thresh: thresh,
+		shares:   make([][]shamir.Share, n),
+		upShares: make([][]shamir.Share, n),
+		got:      make([]int, n),
+		expect:   make([]int, n),
+		keyBuf:   make([]keys.Key, 0, n),
+	}
 }
 
-// Begin resets the receiver for a new slot.
+// Begin resets the receiver for a new slot. The share lists are truncated,
+// not dropped: Observe appends into the capacity earlier slots grew.
 func (r *ThresholdReceiver) Begin(slot uint32) {
 	r.slot = slot
-	r.shares = make([][]shamir.Share, r.n)
-	r.upShares = make([][]shamir.Share, r.n)
-	r.got = make([]int, r.n)
-	r.expect = make([]int, r.n)
+	for i := range r.shares {
+		r.shares[i] = r.shares[i][:0]
+		r.upShares[i] = r.upShares[i][:0]
+	}
+	clear(r.got)
+	clear(r.expect)
 	r.increase = 0
 }
 
@@ -194,14 +203,23 @@ func (r *ThresholdReceiver) Observe(h *packet.FLIDHeader, _ bool) {
 	r.got[idx]++
 	r.expect[idx] = int(h.Count)
 	if h.ShareX != 0 {
-		r.shares[idx] = append(r.shares[idx], shamir.Share{X: h.ShareX, Y: h.ShareY})
+		r.shares[idx] = appendShare(r.shares[idx], h.ShareX, h.ShareY, h.Count)
 	}
 	if h.UpShareX != 0 {
-		r.upShares[idx] = append(r.upShares[idx], shamir.Share{X: h.UpShareX, Y: h.UpShareY})
+		r.upShares[idx] = appendShare(r.upShares[idx], h.UpShareX, h.UpShareY, h.Count)
 	}
 	if int(h.IncreaseTo) > r.increase {
 		r.increase = int(h.IncreaseTo)
 	}
+}
+
+// appendShare appends one share to a level's list, sizing a list's first
+// allocation for the count packets the level sends in a slot.
+func appendShare(list []shamir.Share, x, y uint32, count uint16) []shamir.Share {
+	if list == nil {
+		list = make([]shamir.Share, 0, count)
+	}
+	return append(list, shamir.Share{X: x, Y: y})
 }
 
 // need returns k_g given the expected count for the level.
@@ -245,30 +263,22 @@ func (r *ThresholdReceiver) Finish(top int, _ bool) Outcome {
 	if top < 1 || top > r.n {
 		panic(fmt.Sprintf("delta: threshold Finish with top %d of %d", top, r.n))
 	}
-	out := Outcome{Slot: r.slot, Keys: make(map[int]keys.Key)}
+	out := Outcome{Slot: r.slot, First: 1, Keys: r.keyBuf[:0]}
 	out.Congested = r.got[top-1] < r.need(top) || r.expect[top-1] == 0
 
-	reach := 0
 	for g := 1; g <= top; g++ {
 		key, ok := r.reconstruct(g, false)
 		if !ok {
 			break
 		}
-		out.Keys[g] = key
-		reach = g
+		out.Keys = append(out.Keys, key)
 	}
+	reach := len(out.Keys)
 	out.Next = reach
 	if reach == top && !out.Congested && top < r.n && r.increase >= top+1 {
 		if up, ok := r.reconstruct(top, true); ok {
-			out.Keys[top+1] = up
+			out.Keys = append(out.Keys, up)
 			out.Next = top + 1
-		}
-	}
-	// Trim keys above the entitled level (a break in the middle leaves
-	// stale higher keys out already; this guards the upgrade path).
-	for g := range out.Keys {
-		if g > out.Next {
-			delete(out.Keys, g)
 		}
 	}
 	return out

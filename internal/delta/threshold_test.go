@@ -87,7 +87,7 @@ func TestThresholdLossWithinToleranceKeepsKey(t *testing.T) {
 		t.Fatalf("Next = %d, want 3", out.Next)
 	}
 	for g := 1; g <= 3; g++ {
-		if !ts.Keys.Opens(g, out.Keys[g]) {
+		if !ts.Keys.Opens(g, keyOf(out, g)) {
 			t.Fatalf("key for level %d invalid", g)
 		}
 	}
@@ -113,11 +113,11 @@ func TestThresholdLossAboveToleranceDeniesKey(t *testing.T) {
 	if out.Next != 2 {
 		t.Fatalf("Next = %d, want 2", out.Next)
 	}
-	if k, ok := out.Keys[3]; ok && ts.Keys.Opens(3, k) {
+	if k, ok := out.Key(3); ok && ts.Keys.Opens(3, k) {
 		t.Fatal("receiver above threshold still got the level key")
 	}
 	for g := 1; g <= 2; g++ {
-		if !ts.Keys.Opens(g, out.Keys[g]) {
+		if !ts.Keys.Opens(g, keyOf(out, g)) {
 			t.Fatalf("lower key for level %d invalid", g)
 		}
 	}
@@ -139,7 +139,7 @@ func TestThresholdUpgradeKey(t *testing.T) {
 	if out.Next != 3 {
 		t.Fatalf("Next = %d, want upgrade to 3", out.Next)
 	}
-	if !ts.Keys.Opens(3, out.Keys[3]) {
+	if !ts.Keys.Opens(3, keyOf(out, 3)) {
 		t.Fatal("upgrade key invalid")
 	}
 }
@@ -163,7 +163,7 @@ func TestThresholdUpgradeDeniedWhenLossy(t *testing.T) {
 	if out.Next != 1 {
 		t.Fatalf("Next = %d, want 1", out.Next)
 	}
-	if k, ok := out.Keys[3]; ok && ts.Keys.Opens(3, k) {
+	if k, ok := out.Key(3); ok && ts.Keys.Opens(3, k) {
 		t.Fatal("lossy receiver obtained the upgrade key")
 	}
 }
@@ -192,7 +192,7 @@ func TestThresholdGradedPerLevel(t *testing.T) {
 		t.Fatalf("Next = %d, want 2", out.Next)
 	}
 	for g := 1; g <= 2; g++ {
-		if !ts.Keys.Opens(g, out.Keys[g]) {
+		if !ts.Keys.Opens(g, keyOf(out, g)) {
 			t.Fatalf("key for level %d invalid", g)
 		}
 	}

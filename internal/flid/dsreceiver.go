@@ -30,6 +30,10 @@ type DSReceiver struct {
 	running bool
 	loop    *core.SlotLoop
 	meter   *stats.Meter
+	// Message scratch, reused every slot: the SIGMA client copies what it
+	// sends.
+	pairs []packet.AddrKey
+	addrs []packet.Addr
 
 	// Decreases, Increases, Rejoins count subscription moves.
 	Decreases, Increases, Rejoins uint64
@@ -150,18 +154,19 @@ func (r *DSReceiver) evaluate(slot uint32) {
 		return
 	}
 
-	r.client.Subscribe(core.AccessSlot(slot), r.Sess.KeyPairs(out.Keys))
+	r.pairs = r.Sess.KeyPairs(r.pairs[:0], out.First, out.Keys)
+	r.client.Subscribe(core.AccessSlot(slot), r.pairs)
 
 	next := out.Next
 	if out.Congested {
 		// Abandon anything above the entitled level, including pending
 		// upgrades, and tell the router immediately.
 		if next < lvl {
-			addrs := make([]packet.Addr, 0, lvl-next)
+			r.addrs = r.addrs[:0]
 			for g := next + 1; g <= lvl; g++ {
-				addrs = append(addrs, r.Sess.GroupAddr(g))
+				r.addrs = append(r.addrs, r.Sess.GroupAddr(g))
 			}
-			r.client.Unsubscribe(addrs)
+			r.client.Unsubscribe(r.addrs)
 			r.Decreases++
 		}
 	} else {

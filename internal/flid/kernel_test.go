@@ -9,6 +9,7 @@ import (
 	"deltasigma/internal/mcast"
 	"deltasigma/internal/netsim"
 	"deltasigma/internal/packet"
+	"deltasigma/internal/shamir"
 	"deltasigma/internal/sigma"
 	"deltasigma/internal/sim"
 	"deltasigma/internal/topo"
@@ -166,7 +167,10 @@ func TestInflatorStopsTheRule(t *testing.T) {
 
 // The SIGMA subscribe pairs reach the wire, collusion taps and the
 // controller's graft order, so a multi-key subscription must list its
-// groups in one order — ascending — however the outcome map iterates.
+// groups in one order — ascending. An outcome's keys are a run of adjacent
+// groups starting at First, so the order holds by construction for every
+// instantiation and every kind of slot; each pair must also carry the key
+// that opens its own group.
 func TestSubscribePairsAscending(t *testing.T) {
 	d := topo.New(topo.PaperConfig(250_000, 1))
 	d.AddSource("src")
@@ -174,42 +178,90 @@ func TestSubscribePairsAscending(t *testing.T) {
 	d.Done()
 	slot := 250 * sim.Millisecond
 	sigma.NewController(d.Right, sigma.DefaultConfig(slot))
-	sess := session(1, slot)
+	n := core.PaperSchedule().N
 
-	// One slot's worth of DELTA fields for a receiver of 4 groups with an
-	// upgrade to 5 authorized: the outcome carries keys for groups 1..5.
-	const top, pkts = 4, 3
-	auth := make([]bool, sess.Rates.N)
-	counts := make([]int, sess.Rates.N)
+	// A receiver of 4 groups, 4 packets a group, an upgrade to 5 authorized.
+	const top, pkts = 4, 4
+	auth, counts := make([]bool, n), make([]int, n)
 	for i := range counts {
 		auth[i], counts[i] = i > 0 && i <= top, pkts
 	}
+	thresh := make([]float64, n)
+	for i := range thresh {
+		thresh[i] = 0.25
+	}
 
-	for try := 0; try < 50; try++ {
-		src := keys.NewSource(keys.DefaultBits, sim.NewRNG(uint64(try)).Uint64)
-		ds := delta.NewLayeredSender(sess.Rates.N, src).BeginSlot(5, auth, counts)
-		r := NewDSReceiver(rcv, sess, d.Right.Addr(), Layered)
-		var pairs []packet.AddrKey
-		r.Client().Tap = func(_ uint32, p []packet.AddrKey) { pairs = append([]packet.AddrKey(nil), p...) }
-		r.Start()
-		r.b.level[r.mi] = top
-		r.b.setLevelAt(r.mi, 5, top)
-		for g := 1; g <= top; g++ {
-			for j := 1; j <= pkts; j++ {
-				comp, dec := ds.Fields(g)
-				rcv.Receive(packet.New(0, sess.GroupAddr(g), sess.PacketSize, &packet.FLIDHeader{
-					Session: sess.ID, Group: uint8(g), Slot: 5, Seq: uint16(j), Count: pkts,
-					IncreaseTo: top + 1, HasDelta: true, Component: comp, Decrease: dec,
-				}), nil)
+	// A slot source stamps the DELTA fields of one instantiation onto data
+	// headers and says which keys open which group. Each has a session of
+	// its own: a session's receivers share one accumulator ring.
+	type slotSource struct {
+		sess   *core.Session
+		newAcc func(n int) Accumulator
+		begin  func(seed uint64) (stamp func(h *packet.FLIDHeader), keys *delta.SlotKeys)
+	}
+	layered := slotSource{session(1, slot), Layered, func(seed uint64) (func(*packet.FLIDHeader), *delta.SlotKeys) {
+		src := keys.NewSource(keys.DefaultBits, sim.NewRNG(seed).Uint64)
+		ds := delta.NewLayeredSender(n, src).BeginSlot(5, auth, counts)
+		return func(h *packet.FLIDHeader) {
+			h.HasDelta = true
+			h.Component, h.Decrease = ds.Fields(int(h.Group))
+		}, &ds.Keys
+	}}
+	shamirShared := slotSource{session(2, slot),
+		func(n int) Accumulator { return delta.NewThresholdReceiver(n, thresh) },
+		func(seed uint64) (func(*packet.FLIDHeader), *delta.SlotKeys) {
+			rng := sim.NewRNG(seed)
+			src := keys.NewSource(keys.DefaultBits, rng.Fork().Uint64)
+			ts, err := delta.NewThresholdSender(n, thresh, src, shamir.NewSplitter(rng.Fork().Uint64)).BeginSlot(5, auth, counts)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		r.evaluate(5)
-		if len(pairs) < 3 {
-			t.Fatalf("try %d: subscribe carried %d pairs, want a multi-key subscription", try, len(pairs))
-		}
-		for i := 1; i < len(pairs); i++ {
-			if pairs[i-1].Addr >= pairs[i].Addr {
-				t.Fatalf("try %d: subscribe pairs out of group order: %v", try, pairs)
+			return func(h *packet.FLIDHeader) {
+				share, up := ts.Shares(int(h.Group))
+				h.ShareX, h.ShareY, h.UpShareX, h.UpShareY = share.X, share.Y, up.X, up.Y
+			}, &ts.Keys
+		}}
+
+	for _, tc := range []struct {
+		name string
+		src  slotSource
+		lose func(g, seq int) bool // which packets the receiver misses
+		want int                   // pairs in the subscription: groups 1..want
+	}{
+		{"layered, clean slot, upgrade", layered, func(g, seq int) bool { return false }, top + 1},
+		{"layered, loss in the top group", layered, func(g, seq int) bool { return g == top && seq == 2 }, top},
+		{"layered, loss lower down", layered, func(g, seq int) bool { return g == 2 && seq == 1 }, top - 1},
+		{"layered, a group lost whole", layered, func(g, seq int) bool { return g == 3 }, 1},
+		{"threshold, clean slot, upgrade", shamirShared, func(g, seq int) bool { return false }, top + 1},
+		{"threshold, tolerable loss", shamirShared, func(g, seq int) bool { return g == top && seq == 2 }, top + 1},
+		{"threshold, top level over tolerance", shamirShared, func(g, seq int) bool { return g == top && seq <= 2 }, top - 1},
+	} {
+		for try := uint64(0); try < 10; try++ {
+			stamp, slotKeys := tc.src.begin(try)
+			sess := tc.src.sess
+			r := NewDSReceiver(rcv, sess, d.Right.Addr(), tc.src.newAcc)
+			var pairs []packet.AddrKey
+			r.Client().Tap = func(_ uint32, p []packet.AddrKey) { pairs = append([]packet.AddrKey(nil), p...) }
+			r.Start()
+			r.b.level[r.mi] = top
+			r.b.setLevelAt(r.mi, 5, top)
+			for g := 1; g <= top; g++ {
+				for j := 1; j <= pkts; j++ {
+					h := &packet.FLIDHeader{Session: sess.ID, Group: uint8(g), Slot: 5, Seq: uint16(j), Count: pkts, IncreaseTo: top + 1}
+					stamp(h) // every scheduled packet draws its fields, received or not
+					if !tc.lose(g, j) {
+						rcv.Receive(packet.New(0, sess.GroupAddr(g), sess.PacketSize, h), nil)
+					}
+				}
+			}
+			r.evaluate(5)
+			if len(pairs) != tc.want {
+				t.Fatalf("%s, try %d: subscribe carried %d pairs, want groups 1..%d", tc.name, try, len(pairs), tc.want)
+			}
+			for i, p := range pairs {
+				if g := i + 1; p.Addr != sess.GroupAddr(g) || !slotKeys.Opens(g, p.Key) {
+					t.Fatalf("%s, try %d: pair %d is %v, want the key opening group %d at %v", tc.name, try, i, p, g, sess.GroupAddr(g))
+				}
 			}
 		}
 	}

@@ -35,7 +35,7 @@ package invariant
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"deltasigma/internal/mcast"
@@ -108,7 +108,8 @@ type Auditor struct {
 	// Total counts every violation observed, recorded or not.
 	Total int
 
-	vs []Violation
+	vs    []Violation
+	hosts []packet.Addr // CheckGraftConsistency's scratch, reused per sample
 }
 
 // Report records a violation (subject to Limit).
@@ -182,10 +183,10 @@ func (a *Auditor) CheckPoolBalance(at sim.Time, pool *packet.Pool, baseline uint
 
 // CheckLink asserts the instantaneous per-link laws: packet conservation,
 // the capacity-integral bound on serialized bytes, and queue occupancy.
-// Safe to call at any virtual time, running or drained.
+// Safe to call at any virtual time, running or drained. A sampled audit
+// calls this on every link at every sample: the link's label is built
+// only when a law is broken.
 func (a *Auditor) CheckLink(at sim.Time, l *netsim.Link) {
-	label := l.String()
-
 	// Conservation: every arrival is in exactly one place.
 	serializing := uint64(0)
 	if l.Serializing() {
@@ -194,7 +195,7 @@ func (a *Auditor) CheckLink(at sim.Time, l *netsim.Link) {
 	accounted := l.Delivered + l.Queue.Dropped + l.DroppedDown +
 		uint64(l.Queue.Len()) + uint64(l.InFlight()) + serializing
 	if l.Arrived != accounted {
-		a.Reportf(RuleLinkConservation, label, at, float64(accounted), float64(l.Arrived),
+		a.Reportf(RuleLinkConservation, l.String(), at, float64(accounted), float64(l.Arrived),
 			"arrived %d != delivered %d + dropped %d + dropped-down %d + queued %d + in-flight %d + serializing %d",
 			l.Arrived, l.Delivered, l.Queue.Dropped, l.DroppedDown,
 			l.Queue.Len(), l.InFlight(), serializing)
@@ -206,18 +207,18 @@ func (a *Auditor) CheckLink(at sim.Time, l *netsim.Link) {
 	capBits := l.CapacityBits()
 	slack := float64(8*l.MaxPacketBytes) * float64(1+l.RateChanges)
 	if sent := float64(l.SentBytes) * 8; sent > capBits+slack {
-		a.Reportf(RuleUtilizationBound, label, at, sent, capBits+slack,
+		a.Reportf(RuleUtilizationBound, l.String(), at, sent, capBits+slack,
 			"serialized %.0f bits exceeds capacity integral %.0f + slack %.0f", sent, capBits, slack)
 	}
 
 	// Occupancy: a bounded queue stays within its byte capacity.
 	if limit := l.Queue.CapBytes; limit > 0 {
 		if b := l.Queue.Bytes(); b > limit {
-			a.Reportf(RuleQueueOccupancy, label, at, float64(b), float64(limit),
+			a.Reportf(RuleQueueOccupancy, l.String(), at, float64(b), float64(limit),
 				"queue holds %d bytes over its %d-byte capacity", b, limit)
 		}
 		if l.Queue.MaxFilled > limit {
-			a.Reportf(RuleQueueOccupancy, label, at, float64(l.Queue.MaxFilled), float64(limit),
+			a.Reportf(RuleQueueOccupancy, l.String(), at, float64(l.Queue.MaxFilled), float64(limit),
 				"queue high-water mark %d exceeded its %d-byte capacity", l.Queue.MaxFilled, limit)
 		}
 	}
@@ -263,12 +264,12 @@ func (a *Auditor) CheckGraftConsistency(at sim.Time, fabric *mcast.Fabric, edges
 		}
 		// Locals is a map; sort the addresses so violation order (and with
 		// it any fingerprint of the audit) is deterministic.
-		hosts := make([]packet.Addr, 0, len(edge.Locals()))
+		a.hosts = a.hosts[:0]
 		for host := range edge.Locals() {
-			hosts = append(hosts, host)
+			a.hosts = append(a.hosts, host)
 		}
-		sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
-		for _, host := range hosts {
+		slices.Sort(a.hosts)
+		for _, host := range a.hosts {
 			for _, g := range groups {
 				if reader.Entitled(g, host) && !fabric.Joined(g, edge.ID()) {
 					a.Reportf(RuleGraftConsistency, edge.Name(), at, 1, 0,

@@ -50,6 +50,28 @@ func TestCleanLinkPassesAllChecks(t *testing.T) {
 	}
 }
 
+// A sampled audit walks every link at every sample; on a healthy network
+// that walk must cost no allocation — the link's label and the diagnostic
+// are built only when a law is broken.
+func TestSamplingHealthyLinksAllocatesNothing(t *testing.T) {
+	n, a, b, _ := testNet(t, 1<<20)
+	for i := 0; i < 20; i++ {
+		send(n, a, b, 576)
+	}
+	n.Scheduler().RunUntil(30 * sim.Millisecond) // packets queued, serializing and in flight
+
+	var aud Auditor
+	now := n.Scheduler().Now()
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, l := range n.Links() {
+			aud.CheckLink(now, l)
+		}
+	})
+	if allocs != 0 || !aud.Ok() {
+		t.Fatalf("one audit sample over healthy links allocated %.0f times (violations: %v)", allocs, aud.Err())
+	}
+}
+
 // Mid-run, with packets still queued and in flight, conservation must hold
 // with the in-transit terms.
 func TestConservationHoldsMidRun(t *testing.T) {

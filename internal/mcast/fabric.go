@@ -52,11 +52,18 @@ type graftKey struct {
 	edge  netsim.NodeID
 }
 
+// graftState is one edge router's branch of one group's tree. An edge under
+// a forged teardown or an oscillating receiver grafts and prunes every
+// slot, so the state is kept and reused: the route is resolved once (unicast
+// routes are fixed once computed) and the propagation timer is re-armed in
+// place.
 type graftState struct {
+	f       *Fabric
+	group   packet.Addr
 	joined  bool
-	applied bool
-	timer   *sim.Timer
-	path    []*netsim.Link // links incremented when the graft applied
+	applied bool           // route's links currently count this edge
+	timer   sim.Timer      // graft propagation toward the tree
+	route   []*netsim.Link // source→edge links; nil until the first graft finds one
 }
 
 // NewFabric creates a fabric over net.
@@ -92,7 +99,8 @@ func (f *Fabric) Graft(group packet.Addr, edge netsim.NodeID) {
 	key := graftKey{group, edge}
 	st := f.grafts[key]
 	if st == nil {
-		st = &graftState{}
+		st = &graftState{f: f, group: group}
+		st.timer = f.net.Scheduler().MakeTimer(st.apply)
 		f.grafts[key] = st
 	}
 	if st.joined {
@@ -105,24 +113,27 @@ func (f *Fabric) Graft(group packet.Addr, edge netsim.NodeID) {
 	st.joined = true
 	f.Grafts++
 
-	path := f.downstreamPath(src, edge)
-	if path == nil {
+	if st.route == nil {
+		st.route = f.downstreamPath(src, edge)
+	}
+	if st.route == nil {
 		// No route; stay joined so a later prune is a no-op, but never apply.
 		return
 	}
-	delay := f.graftDelay(group, path)
-	st.timer = f.net.Scheduler().After(delay, func() {
-		if !st.joined {
-			return // pruned while the graft was in flight
-		}
-		st.applied = true
-		st.path = path
-		r := f.groupRefs(group)
-		for _, l := range path {
-			r[l]++
-		}
-		f.version++
-	})
+	st.timer.Reset(f.graftDelay(group, st.route))
+}
+
+// apply activates the branch once the graft has reached the tree.
+func (st *graftState) apply() {
+	if !st.joined {
+		return // pruned while the graft was in flight
+	}
+	st.applied = true
+	r := st.f.groupRefs(st.group)
+	for _, l := range st.route {
+		r[l]++
+	}
+	st.f.version++
 }
 
 // Prune requests that group traffic stop flowing to edge. With
@@ -139,22 +150,22 @@ func (f *Fabric) Prune(group packet.Addr, edge netsim.NodeID) {
 		return
 	}
 	st.applied = false
-	path := st.path
-	st.path = nil
-	deactivate := func() {
-		r := f.groupRefs(group)
-		for _, l := range path {
-			if r[l] > 0 {
-				r[l]--
-			}
-		}
-		f.version++
-	}
 	if f.PruneDelayPerPath > 0 {
-		f.net.Scheduler().After(f.PruneDelayPerPath, deactivate)
+		f.net.Scheduler().After(f.PruneDelayPerPath, st.deactivate)
 	} else {
-		deactivate()
+		st.deactivate()
 	}
+}
+
+// deactivate withdraws this edge's count from its route's links.
+func (st *graftState) deactivate() {
+	r := st.f.groupRefs(st.group)
+	for _, l := range st.route {
+		if r[l] > 0 {
+			r[l]--
+		}
+	}
+	st.f.version++
 }
 
 // EntitlementReader is the side-effect-free twin of Gatekeeper.Deliver,

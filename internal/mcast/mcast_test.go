@@ -373,3 +373,37 @@ func TestUnicastForwardingThroughRouters(t *testing.T) {
 		t.Fatal("unicast packet not forwarded host-to-host across routers")
 	}
 }
+
+// An edge whose receiver oscillates, or whose grants a forger tears down,
+// grafts and prunes the same branch every slot: after the first round the
+// branch's state, route and propagation timer are reused, and a
+// prune-before-graft-completes still cancels the graft in flight.
+func TestRegraftReusesBranchState(t *testing.T) {
+	tb := newTestbed(t)
+	e1 := tb.e1.ID()
+	cycle := func() {
+		tb.fabric.Graft(grp, e1)
+		tb.sched.RunUntil(tb.sched.Now() + 50*sim.Millisecond) // graft reaches the source and applies
+		if tb.fabric.ActiveLinks(grp) != 2 {
+			t.Fatalf("%d links carry the group after a graft, want src->core->e1", tb.fabric.ActiveLinks(grp))
+		}
+		tb.fabric.Prune(grp, e1)
+		if tb.fabric.ActiveLinks(grp) != 0 {
+			t.Fatal("prune left the branch active")
+		}
+		tb.fabric.Graft(grp, e1)
+		tb.fabric.Prune(grp, e1) // pruned while the graft is in flight
+		tb.sched.RunUntil(tb.sched.Now() + 50*sim.Millisecond)
+		if tb.fabric.ActiveLinks(grp) != 0 {
+			t.Fatal("a graft pruned in flight applied anyway")
+		}
+	}
+	// Each round lands its events in calendar buckets further along; let the
+	// scheduler's queue meet all of them before counting what a round costs.
+	for i := 0; i < 500; i++ {
+		cycle()
+	}
+	if got := testing.AllocsPerRun(20, cycle); got != 0 {
+		t.Fatalf("a graft/prune round on a known branch allocated %.0f times", got)
+	}
+}

@@ -289,14 +289,10 @@ func (r *Router) flushFeedback(k fbKey) {
 		return
 	}
 	delete(r.fbPending, k)
-	out := r.net.NewPacket(r.addr, k.dst, 0, &packet.FeedbackHeader{
-		Session:   k.session,
-		Slot:      k.slot,
-		Count:     e.count,
-		MaxLevel:  e.maxLevel,
-		Congested: e.congested,
-		Reports:   e.reports,
-	})
+	h := r.net.Pool().FeedbackHeader()
+	h.Session, h.Slot, h.Count = k.session, k.slot, e.count
+	h.MaxLevel, h.Congested, h.Reports = e.maxLevel, e.congested, e.reports
+	out := r.net.NewPacket(r.addr, k.dst, 0, h)
 	r.FeedbackForwarded++
 	if next := r.net.NextHopLink(r.id, k.dst); next != nil {
 		next.Send(out)

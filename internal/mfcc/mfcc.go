@@ -19,7 +19,7 @@
 package mfcc
 
 import (
-	"sort"
+	"slices"
 
 	"deltasigma/internal/core"
 	"deltasigma/internal/flid"
@@ -37,6 +37,9 @@ type EdgeAgent struct {
 	router   *mcast.Router
 	sessions []*core.Session
 	running  bool
+	period   sim.Time
+	timer    *sim.Timer    // reusable per-slot advertisement timer
+	subs     []packet.Addr // subscribers scratch, reused every slot
 
 	// SharesSent counts advertisement packets emitted.
 	SharesSent uint64
@@ -45,7 +48,9 @@ type EdgeAgent struct {
 // NewEdgeAgent builds the advertiser for one gatekept edge router serving
 // the given sessions.
 func NewEdgeAgent(r *mcast.Router, sessions []*core.Session) *EdgeAgent {
-	return &EdgeAgent{router: r, sessions: sessions}
+	a := &EdgeAgent{router: r, sessions: sessions}
+	a.timer = r.Network().Scheduler().NewTimer(a.advertise)
+	return a
 }
 
 // Start begins the per-slot advertisement loop, phase-shifted half a slot
@@ -55,15 +60,14 @@ func (a *EdgeAgent) Start() {
 		return
 	}
 	a.running = true
-	period := a.sessions[0].SlotDur
-	sched := a.router.Network().Scheduler()
-	sched.At(sched.Now()+period/2, func() { a.advertise(period) })
+	a.period = a.sessions[0].SlotDur
+	a.timer.Reset(a.period / 2)
 }
 
 // Stop halts the advertisement loop.
 func (a *EdgeAgent) Stop() { a.running = false }
 
-func (a *EdgeAgent) advertise(period sim.Time) {
+func (a *EdgeAgent) advertise() {
 	if !a.running {
 		return
 	}
@@ -76,17 +80,13 @@ func (a *EdgeAgent) advertise(period sim.Time) {
 		}
 		share := up / int64(len(subs))
 		for _, dst := range subs {
-			hdr := &packet.ShareHeader{
-				Session:     sess.ID,
-				ShareBps:    share,
-				Subscribers: uint32(len(subs)),
-			}
+			hdr := net.Pool().ShareHeader()
+			hdr.Session, hdr.ShareBps, hdr.Subscribers = sess.ID, share, uint32(len(subs))
 			a.router.SendLocal(net.NewPacket(a.router.Addr(), dst, 0, hdr))
 			a.SharesSent++
 		}
 	}
-	sched := net.Scheduler()
-	sched.Schedule(sched.Now()+period, func() { a.advertise(period) })
+	a.timer.Reset(a.period)
 }
 
 // uplinkBps is the capacity the router divides among subscribers: the
@@ -111,21 +111,22 @@ func (a *EdgeAgent) uplinkBps() int64 {
 }
 
 // subscribers lists the local hosts currently entitled to the session's
-// minimal group, in address order for determinism.
+// minimal group, in address order for determinism. The slice is the
+// agent's scratch, valid until the next call.
 func (a *EdgeAgent) subscribers(sess *core.Session) []packet.Addr {
 	gate := a.router.Gatekeeper()
 	if gate == nil {
 		return nil
 	}
 	g1 := sess.GroupAddr(1)
-	var out []packet.Addr
+	a.subs = a.subs[:0]
 	for addr := range a.router.Locals() {
 		if gate.Deliver(g1, addr) {
-			out = append(out, addr)
+			a.subs = append(a.subs, addr)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(a.subs)
+	return a.subs
 }
 
 // steer is the receiver half of the scheme: the fair level the latest

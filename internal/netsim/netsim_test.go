@@ -434,3 +434,110 @@ func BenchmarkLinkSaturation(b *testing.B) {
 	}
 	sched.Run()
 }
+
+// Only nodes with a routing choice get a next-hop row; a host (or a stub
+// router) answers from its one link and its neighbour's row. The answers
+// must be the ones a row of its own would have held — checked against
+// Dijkstra run from every node — including "unreachable".
+func TestRoutesFromSingleLinkNodes(t *testing.T) {
+	_, n := newNet()
+	a, b := n.AddHost("a"), n.AddHost("b")
+	c, d := n.AddHost("c"), n.AddHost("d") // an island: two leaves facing each other
+	lone := n.AddHost("lone")              // no link at all
+	r1, r2 := addFwd(n, "r1"), addFwd(n, "r2")
+	stub := addFwd(n, "stub") // a router with one link
+	n.Connect(a, r1, 10_000_000, 1*sim.Millisecond, 1<<20)
+	n.Connect(r1, r2, 10_000_000, 5*sim.Millisecond, 1<<20)
+	n.Connect(r2, b, 10_000_000, 2*sim.Millisecond, 1<<20)
+	n.Connect(stub, r1, 10_000_000, 3*sim.Millisecond, 1<<20)
+	n.Connect(c, d, 10_000_000, 4*sim.Millisecond, 1<<20)
+	n.ComputeRoutes()
+
+	ids := func(nodes ...Node) []NodeID {
+		out := make([]NodeID, len(nodes))
+		for i, nd := range nodes {
+			out[i] = nd.ID()
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name     string
+		from, to Node
+		path     []NodeID // nil: unreachable
+		delay    sim.Time
+	}{
+		{"host to host", a, b, ids(a, r1, r2, b), 8 * sim.Millisecond},
+		{"host to its router", a, r1, ids(a, r1), 1 * sim.Millisecond},
+		{"host to stub router", a, stub, ids(a, r1, stub), 4 * sim.Millisecond},
+		{"stub router to host", stub, b, ids(stub, r1, r2, b), 10 * sim.Millisecond},
+		{"router to host", r2, a, ids(r2, r1, a), 6 * sim.Millisecond},
+		{"host to itself", a, a, ids(a), 0},
+		{"host to unreachable host", a, c, nil, 0},
+		{"router to unreachable host", r1, c, nil, 0},
+		{"leaf to leaf", c, d, ids(c, d), 4 * sim.Millisecond},
+		{"island leaf to the mainland", c, a, nil, 0},
+		{"from a node with no link", lone, a, nil, 0},
+		{"to a node with no link", a, lone, nil, 0},
+	} {
+		got := n.Path(tc.from.ID(), tc.to.ID())
+		if len(got) != len(tc.path) {
+			t.Errorf("%s: path %v, want %v", tc.name, got, tc.path)
+			continue
+		}
+		for i := range got {
+			if got[i] != tc.path[i] {
+				t.Errorf("%s: path %v, want %v", tc.name, got, tc.path)
+				break
+			}
+		}
+		delay, ok := n.PathDelay(tc.from.ID(), tc.to.ID())
+		if ok != (tc.path != nil) || delay != tc.delay {
+			t.Errorf("%s: PathDelay = %v, %v; want %v, %v", tc.name, delay, ok, tc.delay, tc.path != nil)
+		}
+	}
+
+	var q distHeap
+	dist := make([]int64, n.NodeCount())
+	for from := 0; from < n.NodeCount(); from++ {
+		hasRow := n.nextHop[from] != nil
+		if want := len(n.OutLinks(NodeID(from))) > 1; hasRow != want {
+			t.Errorf("%s: next-hop row present = %v, want %v", n.Node(NodeID(from)).Name(), hasRow, want)
+		}
+		row := n.dijkstra(NodeID(from), int64(sim.Microsecond), dist, &q)
+		for to := 0; to < n.NodeCount(); to++ {
+			if got := n.NextHopTo(NodeID(from), NodeID(to)); got != row[to] {
+				t.Errorf("NextHopTo(%s, %s) = %v, a row of its own says %v",
+					n.Node(NodeID(from)).Name(), n.Node(NodeID(to)).Name(), got, row[to])
+			}
+		}
+	}
+}
+
+// Links() hands out one cached slice until the topology grows.
+func TestLinksCachedUntilConnect(t *testing.T) {
+	_, n := newNet()
+	a, b, c := n.AddHost("a"), n.AddHost("b"), n.AddHost("c")
+	ab, ba := n.Connect(a, b, 1_000_000, 0, 1<<20)
+	first := n.Links()
+	if len(first) != 2 || first[0] != ab || first[1] != ba {
+		t.Fatalf("Links() = %v, want a->b then b->a", first)
+	}
+	if again := n.Links(); &again[0] != &first[0] {
+		t.Fatal("Links() rebuilt its slice with no Connect in between")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { n.Links() }); allocs != 0 {
+		t.Fatalf("Links() allocated %.0f times per call", allocs)
+	}
+	bc, cb := n.Connect(b, c, 1_000_000, 0, 1<<20)
+	// Nodes by ID, each node's out-links in registration order.
+	want := []*Link{ab, ba, bc, cb}
+	got := n.Links()
+	if len(got) != len(want) {
+		t.Fatalf("Links() after Connect has %d links, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Links()[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -27,8 +26,12 @@ type Network struct {
 	addrOf map[packet.Addr]NodeID
 
 	nextAddr packet.Addr
-	nextHop  [][]*Link // nextHop[from][dstNode]; nil = unreachable
-	uid      uint64
+	// nextHop[from][dstNode] is the first link toward dstNode, nil when
+	// unreachable. Only nodes with several out-links have a row; see
+	// NextHopTo for the rest.
+	nextHop [][]*Link
+	links   []*Link // Links()'s flattened view; nil after a Connect
+	uid     uint64
 
 	// shard is non-nil when the network executes across a ShardGroup; see
 	// shard.go.
@@ -145,6 +148,7 @@ func (n *Network) registerLink(l *Link) {
 		n.linkTo[from] = make(map[NodeID]*Link)
 	}
 	n.linkTo[from][to] = l
+	n.links = nil
 }
 
 // OutLinks returns the outgoing links of a node.
@@ -152,13 +156,15 @@ func (n *Network) OutLinks(id NodeID) []*Link { return n.out[id] }
 
 // Links returns every directed link in deterministic order (nodes by ID,
 // each node's out-links in registration order) — the audit layer iterates
-// this, and violation order must not depend on map iteration.
+// this, and violation order must not depend on map iteration. The slice
+// is cached until the next Connect; callers must not modify it.
 func (n *Network) Links() []*Link {
-	var all []*Link
-	for id := range n.nodes {
-		all = append(all, n.out[NodeID(id)]...)
+	if n.links == nil {
+		for id := range n.nodes {
+			n.links = append(n.links, n.out[NodeID(id)]...)
+		}
 	}
-	return all
+	return n.links
 }
 
 // LinkBetween returns the directed link from a to b, or nil.
@@ -184,46 +190,82 @@ func (n *Network) AccessRouter(h *Host) Node {
 	return l.dst
 }
 
-// ComputeRoutes runs Dijkstra from every node with link propagation delay
-// as the cost (plus a small per-hop term so equal-delay paths prefer fewer
-// hops). Must be called after topology construction and before traffic.
+// ComputeRoutes runs Dijkstra with link propagation delay as the cost
+// (plus a small per-hop term so equal-delay paths prefer fewer hops) from
+// every node that has a routing choice to make. Hosts and other nodes with
+// a single out-link get no row — NextHopTo answers for them — so the table
+// is O(routers·N), not O(N²). Must be called after topology construction
+// and before traffic.
 func (n *Network) ComputeRoutes() {
 	const hopEpsilon = int64(sim.Microsecond)
 	count := len(n.nodes)
 	n.nextHop = make([][]*Link, count)
+	dist := make([]int64, count)
+	var q distHeap
 	for src := 0; src < count; src++ {
-		n.nextHop[src] = n.dijkstra(NodeID(src), hopEpsilon)
+		if len(n.out[NodeID(src)]) > 1 {
+			n.nextHop[src] = n.dijkstra(NodeID(src), hopEpsilon, dist, &q)
+		}
 	}
 }
 
-type pqItem struct {
+// distItem is one tentative distance in Dijkstra's frontier.
+type distItem struct {
 	node NodeID
 	dist int64
-	idx  int
 }
 
-type pq []*pqItem
+// distHeap is a binary min-heap of distItems by value — container/heap's
+// sift order exactly, so equal-distance ties pop as they always have,
+// without boxing an item per push.
+type distHeap []distItem
 
-func (p pq) Len() int           { return len(p) }
-func (p pq) Less(i, j int) bool { return p[i].dist < p[j].dist }
-func (p pq) Swap(i, j int)      { p[i], p[j] = p[j], p[i]; p[i].idx = i; p[j].idx = j }
-func (p *pq) Push(x any)        { it := x.(*pqItem); it.idx = len(*p); *p = append(*p, it) }
-func (p *pq) Pop() any          { old := *p; n := len(old); it := old[n-1]; *p = old[:n-1]; return it }
+func (h *distHeap) push(it distItem) {
+	*h = append(*h, it)
+	q := *h
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || q[j].dist >= q[i].dist {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *distHeap) pop() distItem {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q[r].dist < q[j].dist {
+			j = r
+		}
+		if q[j].dist >= q[i].dist {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
+}
 
 // dijkstra returns, for every destination, the first link out of src on a
-// shortest path toward it.
-func (n *Network) dijkstra(src NodeID, hopEpsilon int64) []*Link {
-	count := len(n.nodes)
-	dist := make([]int64, count)
-	first := make([]*Link, count) // first hop link from src toward node
+// shortest path toward it. dist and q are scratch shared across sources.
+func (n *Network) dijkstra(src NodeID, hopEpsilon int64, dist []int64, q *distHeap) []*Link {
+	first := make([]*Link, len(n.nodes)) // first hop link from src toward node
 	for i := range dist {
 		dist[i] = math.MaxInt64
 	}
 	dist[src] = 0
-	q := &pq{}
-	heap.Push(q, &pqItem{node: src})
-	for q.Len() > 0 {
-		it := heap.Pop(q).(*pqItem)
+	q.push(distItem{node: src})
+	for len(*q) > 0 {
+		it := q.pop()
 		if it.dist > dist[it.node] {
 			continue
 		}
@@ -237,7 +279,7 @@ func (n *Network) dijkstra(src NodeID, hopEpsilon int64) []*Link {
 				} else {
 					first[to] = first[it.node]
 				}
-				heap.Push(q, &pqItem{node: to, dist: d})
+				q.push(distItem{node: to, dist: d})
 			}
 		}
 	}
@@ -255,7 +297,10 @@ func (n *Network) NextHopLink(from NodeID, dst packet.Addr) *Link {
 }
 
 // NextHopTo returns the first link on the shortest path from one node to
-// another, or nil.
+// another, or nil. A node with a single out-link has no row of its own:
+// its link is the first hop to its neighbour and to whatever the
+// neighbour's row reaches. (A neighbour without a row has one link too,
+// and links come in duplex pairs, so that link leads straight back.)
 func (n *Network) NextHopTo(from, to NodeID) *Link {
 	if n.nextHop == nil {
 		panic("netsim: ComputeRoutes not called")
@@ -263,7 +308,19 @@ func (n *Network) NextHopTo(from, to NodeID) *Link {
 	if from == to {
 		return nil
 	}
-	return n.nextHop[from][to]
+	if row := n.nextHop[from]; row != nil {
+		return row[to]
+	}
+	l := n.accessLink(from)
+	if l == nil {
+		return nil
+	}
+	if via := l.dst.ID(); via != to {
+		if row := n.nextHop[via]; row == nil || row[to] == nil {
+			return nil
+		}
+	}
+	return l
 }
 
 // PathDelay sums propagation delays on the shortest path between two nodes.

@@ -113,6 +113,16 @@ func (h *Host) Scheduler() *sim.Scheduler {
 	return h.net.sched
 }
 
+// Pool returns the packet pool agents on this host mint from: the host's
+// shard pool when migrated, the network's otherwise. Pooled headers must
+// come from the same pool as the packet that carries them.
+func (h *Host) Pool() *packet.Pool {
+	if h.pool != nil {
+		return h.pool
+	}
+	return h.net.pool
+}
+
 // Shard reports which shard the host runs on (0 unless migrated).
 func (h *Host) Shard() int { return h.shard }
 

@@ -131,18 +131,12 @@ func (p *Packet) Clone() *Packet {
 }
 
 // cloneHeaderHeap copies a pool-recyclable header onto the GC heap so an
-// un-pooled copy never aliases a header the original's Release will recycle.
+// un-pooled copy never aliases a header the original's Release will recycle:
+// an empty pool has nothing parked, so every clone through it is fresh.
 // Non-recyclable headers remain shared (immutable by convention).
 func cloneHeaderHeap(h Header) Header {
-	switch t := h.(type) {
-	case *FLIDHeader:
-		c := *t
-		return &c
-	case *TCPHeader:
-		c := *t
-		return &c
-	}
-	return h
+	var heap Pool
+	return heap.cloneHeader(h)
 }
 
 // String summarizes the packet for traces.

@@ -81,7 +81,7 @@ func TestCloneIsIndependentCopy(t *testing.T) {
 		t.Fatal("cloned header differs in value")
 	}
 	// Non-recyclable headers stay shared (immutable by convention).
-	s := New(1, 2, 100, &SigmaHeader{})
+	s := New(1, 2, 100, &IGMPHeader{})
 	if c := s.Clone(); c.Header != s.Header {
 		t.Fatal("non-recyclable header should stay shared")
 	}

@@ -1,5 +1,7 @@
 package packet
 
+import "deltasigma/internal/sim"
+
 // Pool recycles Packet envelopes through a reference-counted lifecycle so
 // the simulation hot path allocates no packets in steady state. One Pool
 // belongs to one experiment (one scheduler); everything is single-threaded
@@ -20,13 +22,22 @@ package packet
 type Pool struct {
 	free []*Packet
 
-	// Typed header freelists. FLID and TCP data packets dominate steady
-	// state and each carries a fresh header, so the pool recycles those two
-	// header types alongside envelopes. A recyclable header's lifetime is
-	// tied 1:1 to its envelope: the final Release parks it, and Writable's
-	// copy-on-write branch clones it so two envelopes never share one.
-	flidFree []*FLIDHeader
-	tcpFree  []*TCPHeader
+	// Typed header freelists. Every header a steady-state sender mints per
+	// packet or per slot is recycled alongside its envelope. A recyclable
+	// header's lifetime is tied 1:1 to its envelope: the final Release
+	// parks it, and every copy path (Writable's copy-on-write, Clone,
+	// AdoptCopy) clones it so two envelopes never share one. A header owns
+	// what a queued packet can reach through it — a SigmaHeader's Pairs and
+	// Addrs backing arrays park and come back with it — except
+	// KeyAnnounce.Tuples, which the Repeat × groups copies of one slot's
+	// announcement share and the GC therefore owns.
+	flid     freelist[FLIDHeader]
+	tcp      freelist[TCPHeader]
+	repl     freelist[ReplHeader]
+	sigma    freelist[SigmaHeader]
+	keyAnn   freelist[KeyAnnounce]
+	feedback freelist[FeedbackHeader]
+	share    freelist[ShareHeader]
 
 	// Issued counts packets handed out (fresh or recycled); Recycled counts
 	// envelopes returned to the freelist; Fresh counts heap allocations.
@@ -35,47 +46,89 @@ type Pool struct {
 	Fresh    uint64
 }
 
+// freelist parks the recycled headers of one type.
+type freelist[T any] struct{ sim.Freelist[T] }
+
+// zeroed returns a recycled header reset to its zero value.
+func (f *freelist[T]) zeroed() *T {
+	h := f.Get()
+	var zero T
+	*h = zero
+	return h
+}
+
+// park keeps h for reuse — unless the list already holds as many headers
+// as the pool has envelopes. A header in use rides exactly one envelope, so
+// a longer list could only be hoarding headers minted outside the pool
+// (literals in tests and drivers); those are left to the GC.
+func (f *freelist[T]) park(h *T, envelopes uint64) {
+	if uint64(len(f.Freelist)) < envelopes {
+		f.Put(h)
+	}
+}
+
+// clone returns a recycled header holding a copy of *t.
+func (f *freelist[T]) clone(t *T) *T {
+	h := f.Get()
+	*h = *t
+	return h
+}
+
 // FLIDHeader returns a zeroed FLID header, recycled when possible. The
 // header must be installed on a packet built from this pool; the packet's
-// final Release returns it to the freelist.
-func (pl *Pool) FLIDHeader() *FLIDHeader {
-	if n := len(pl.flidFree); n > 0 {
-		h := pl.flidFree[n-1]
-		pl.flidFree[n-1] = nil
-		pl.flidFree = pl.flidFree[:n-1]
-		*h = FLIDHeader{}
-		return h
-	}
-	return &FLIDHeader{}
+// final Release returns it to the freelist. The other typed getters follow
+// the same lifecycle.
+func (pl *Pool) FLIDHeader() *FLIDHeader { return pl.flid.zeroed() }
+
+// TCPHeader returns a zeroed, recycled TCP header.
+func (pl *Pool) TCPHeader() *TCPHeader { return pl.tcp.zeroed() }
+
+// ReplHeader returns a zeroed, recycled replicated-data header.
+func (pl *Pool) ReplHeader() *ReplHeader { return pl.repl.zeroed() }
+
+// SigmaHeader returns a zeroed, recycled SIGMA message whose Pairs and
+// Addrs are empty but keep the capacity of their previous use: callers
+// append into them instead of installing slices of their own.
+func (pl *Pool) SigmaHeader() *SigmaHeader {
+	h := pl.sigma.Get()
+	*h = SigmaHeader{Pairs: h.Pairs[:0], Addrs: h.Addrs[:0]}
+	return h
 }
 
-// TCPHeader returns a zeroed TCP header, recycled when possible, under the
-// same lifecycle as FLIDHeader.
-func (pl *Pool) TCPHeader() *TCPHeader {
-	if n := len(pl.tcpFree); n > 0 {
-		h := pl.tcpFree[n-1]
-		pl.tcpFree[n-1] = nil
-		pl.tcpFree = pl.tcpFree[:n-1]
-		*h = TCPHeader{}
-		return h
-	}
-	return &TCPHeader{}
-}
+// KeyAnnounce returns a zeroed, recycled key-announce header.
+func (pl *Pool) KeyAnnounce() *KeyAnnounce { return pl.keyAnn.zeroed() }
 
-// cloneHeader copies a recyclable header through the pool freelists so the
-// copy-on-write path never leaves two envelopes pointing at one recyclable
-// header (which the two final Releases would then park twice). Other header
+// FeedbackHeader returns a zeroed, recycled feedback report.
+func (pl *Pool) FeedbackHeader() *FeedbackHeader { return pl.feedback.zeroed() }
+
+// ShareHeader returns a zeroed, recycled fair-share advertisement.
+func (pl *Pool) ShareHeader() *ShareHeader { return pl.share.zeroed() }
+
+// cloneHeader copies a recyclable header through the pool freelists so no
+// copy path ever leaves two envelopes pointing at one recyclable header
+// (which the two final Releases would then park twice). A SigmaHeader's
+// slices are copied into the clone's own backing arrays. Other header
 // types stay shared — they are immutable and GC-owned.
 func (pl *Pool) cloneHeader(h Header) Header {
 	switch t := h.(type) {
 	case *FLIDHeader:
-		c := pl.FLIDHeader()
-		*c = *t
-		return c
+		return pl.flid.clone(t)
 	case *TCPHeader:
-		c := pl.TCPHeader()
+		return pl.tcp.clone(t)
+	case *ReplHeader:
+		return pl.repl.clone(t)
+	case *SigmaHeader:
+		c := pl.SigmaHeader()
+		pairs, addrs := append(c.Pairs, t.Pairs...), append(c.Addrs, t.Addrs...)
 		*c = *t
+		c.Pairs, c.Addrs = pairs, addrs
 		return c
+	case *KeyAnnounce:
+		return pl.keyAnn.clone(t)
+	case *FeedbackHeader:
+		return pl.feedback.clone(t)
+	case *ShareHeader:
+		return pl.share.clone(t)
 	}
 	return h
 }
@@ -106,9 +159,9 @@ func (pl *Pool) Get(src, dst Addr, size int, hdr Header) *Packet {
 }
 
 // AdoptCopy duplicates p into an envelope owned by this pool and returns
-// the copy with one reference. Recyclable headers (FLID, TCP) are cloned
-// through this pool's freelists so the copy's final Release parks them
-// here; other header types are immutable and stay shared. This is the
+// the copy with one reference. Recyclable headers are cloned through this
+// pool's freelists so the copy's final Release parks them here; other
+// header types are immutable and stay shared. This is the
 // cross-shard hand-off primitive: a packet crossing a shard boundary is
 // copied into the destination shard's pool at a quiescent point, and the
 // original is released back to its own pool — each pool's balance closes
@@ -154,11 +207,23 @@ func (p *Packet) Release() {
 	}
 	pl := p.pool
 	pl.Recycled++
-	switch h := p.Header.(type) {
+	switch t := p.Header.(type) { // park a recyclable header with its envelope
+	case nil:
 	case *FLIDHeader:
-		pl.flidFree = append(pl.flidFree, h)
+		pl.flid.park(t, pl.Fresh)
 	case *TCPHeader:
-		pl.tcpFree = append(pl.tcpFree, h)
+		pl.tcp.park(t, pl.Fresh)
+	case *ReplHeader:
+		pl.repl.park(t, pl.Fresh)
+	case *SigmaHeader:
+		pl.sigma.park(t, pl.Fresh)
+	case *KeyAnnounce:
+		t.Tuples = nil // GC-owned and shared: do not pin it while parked
+		pl.keyAnn.park(t, pl.Fresh)
+	case *FeedbackHeader:
+		pl.feedback.park(t, pl.Fresh)
+	case *ShareHeader:
+		pl.share.park(t, pl.Fresh)
 	}
 	p.Header = nil // drop the header reference while parked
 	pl.free = append(pl.free, p)

@@ -48,12 +48,12 @@ func (s *Sender) beginSlot(slot uint32, auth []bool, counts []int) {
 }
 
 func (s *Sender) header(st core.Stamp) packet.Header {
-	comp, dec := s.rs.Fields(int(st.Group))
-	return &packet.ReplHeader{
-		Session: st.Session, Group: st.Group, Slot: st.Slot,
-		Seq: st.Seq, Count: st.Count, IncreaseTo: st.IncreaseTo,
-		HasDelta: true, Component: comp, Decrease: dec,
-	}
+	h := s.Pool().ReplHeader()
+	h.Session, h.Group, h.Slot = st.Session, st.Group, st.Slot
+	h.Seq, h.Count, h.IncreaseTo = st.Seq, st.Count, st.IncreaseTo
+	h.HasDelta = true
+	h.Component, h.Decrease = s.rs.Fields(int(st.Group))
+	return h
 }
 
 // Receiver subscribes to a single rate group and moves between groups per
@@ -63,13 +63,26 @@ type Receiver struct {
 	host   *netsim.Host
 	client *sigma.Client
 
-	group      int // current group; 0 = none
-	recvs      map[uint32]*delta.ReplicatedReceiver
-	groupAt    map[uint32]int
+	group int // current group; 0 = none
+	// Per-slot state lives in two tag-indexed rings, as in the kernel
+	// receivers (flid/batch.go has the correctness argument): an entry is
+	// claimed by writing slot+1 into its tag, 0 when empty, and lookups
+	// compare the exact slot. accs holds the DELTA accumulators of the few
+	// slots received but not yet evaluated; groups holds the group in
+	// force from each recent data slot on.
+	accTag     [accW]uint32
+	accs       [accW]delta.ReplicatedReceiver
+	evalFloor  uint32 // first slot not yet evaluated; older data is stray
+	groupTag   [groupW]uint32
+	groupVal   [groupW]int
 	joinedSlot uint32
 	running    bool
 	loop       *core.SlotLoop
 	meter      *stats.Meter
+	// Message scratch, reused every slot: the SIGMA client copies what it
+	// sends.
+	pairs []packet.AddrKey
+	addrs []packet.Addr
 
 	// Switches counts group changes.
 	Switches uint64
@@ -77,15 +90,24 @@ type Receiver struct {
 	Rejoins uint64
 }
 
+// Ring widths, powers of two: accumulators as wide as the kernel's tally
+// ring, groups wide enough for the eleven slots a record stays live (eight
+// behind the evaluated slot, two ahead).
+const (
+	accW   = 8
+	groupW = 16
+)
+
 // NewReceiver builds a replicated receiver.
 func NewReceiver(host *netsim.Host, sess *core.Session, routerAddr packet.Addr) *Receiver {
 	r := &Receiver{
-		Sess:    sess,
-		host:    host,
-		client:  sigma.NewClient(host, routerAddr),
-		recvs:   make(map[uint32]*delta.ReplicatedReceiver),
-		groupAt: make(map[uint32]int),
-		meter:   stats.NewMeter(sim.Second),
+		Sess:   sess,
+		host:   host,
+		client: sigma.NewClient(host, routerAddr),
+		meter:  stats.NewMeter(sim.Second),
+	}
+	for i := range r.accs {
+		r.accs[i] = *delta.NewReplicatedReceiver(sess.Rates.N)
 	}
 	r.loop = core.NewSlotLoop(host.Scheduler(), sess, r.onEval)
 	host.Handle(packet.ProtoRepl, r.onData)
@@ -107,7 +129,7 @@ func (r *Receiver) Start() {
 	r.running = true
 	cur := r.Sess.SlotAt(r.host.Scheduler().Now())
 	r.group = 1
-	r.groupAt[cur] = 1
+	r.setGroupAt(cur, 1)
 	r.joinedSlot = cur + 1
 	r.client.SessionJoin(r.Sess.BaseAddr)
 	r.loop.Schedule(cur)
@@ -138,21 +160,30 @@ func (r *Receiver) onData(pkt *packet.Packet) {
 		return
 	}
 	r.meter.Add(r.host.Scheduler().Now(), pkt.Size)
-	dr := r.recvs[h.Slot]
-	if dr == nil {
-		dr = delta.NewReplicatedReceiver(r.Sess.Rates.N)
-		dr.Begin(h.Slot)
-		r.recvs[h.Slot] = dr
+	if h.Slot < r.evalFloor {
+		return // stray from an already evaluated slot; never read
 	}
-	g := r.groupDuring(h.Slot)
-	dr.Observe(h, g, pkt.ECN)
+	i := h.Slot & (accW - 1)
+	dr := &r.accs[i]
+	if r.accTag[i] != h.Slot+1 {
+		r.accTag[i] = h.Slot + 1
+		dr.Begin(h.Slot)
+	}
+	dr.Observe(h, r.groupDuring(h.Slot), pkt.ECN)
 }
 
-// groupDuring returns the group subscribed during a slot.
+// setGroupAt records the group in force from data slot slot.
+func (r *Receiver) setGroupAt(slot uint32, g int) {
+	r.groupTag[slot&(groupW-1)] = slot + 1
+	r.groupVal[slot&(groupW-1)] = g
+}
+
+// groupDuring returns the group subscribed during a slot: the most recent
+// record at or before it, within sixteen slots, else the current group.
 func (r *Receiver) groupDuring(slot uint32) int {
 	for s := slot; ; s-- {
-		if g, ok := r.groupAt[s]; ok {
-			return g
+		if r.groupTag[s&(groupW-1)] == s+1 {
+			return r.groupVal[s&(groupW-1)]
 		}
 		if s == 0 || slot-s > 16 {
 			return r.group
@@ -161,16 +192,16 @@ func (r *Receiver) groupDuring(slot uint32) int {
 }
 
 func (r *Receiver) evaluate(slot uint32) {
-	dr := r.recvs[slot]
-	delete(r.recvs, slot)
-	for s := range r.recvs {
-		if s+4 < slot {
-			delete(r.recvs, s)
-		}
+	var dr *delta.ReplicatedReceiver
+	if i := slot & (accW - 1); r.accTag[i] == slot+1 {
+		dr = &r.accs[i]
 	}
-	for s := range r.groupAt {
-		if s+8 < slot {
-			delete(r.groupAt, s)
+	r.evalFloor = slot + 1
+	// Records more than eight slots old are forgotten, so groupDuring
+	// falls back to the current group rather than a decision that stale.
+	for i, t := range r.groupTag {
+		if t != 0 && t-1+8 < slot {
+			r.groupTag[i] = 0
 		}
 	}
 	g := r.groupDuring(slot)
@@ -184,7 +215,7 @@ func (r *Receiver) evaluate(slot uint32) {
 		}
 		// Carry the latest decision, not the group active during the
 		// evaluated slot — mid-switch they differ.
-		r.groupAt[core.AccessSlot(slot)] = r.group
+		r.setGroupAt(core.AccessSlot(slot), r.group)
 		return
 	}
 
@@ -193,21 +224,23 @@ func (r *Receiver) evaluate(slot uint32) {
 		r.rejoin(slot)
 		return
 	}
-	r.client.Subscribe(core.AccessSlot(slot), r.Sess.KeyPairs(out.Keys))
+	r.pairs = r.Sess.KeyPairs(r.pairs[:0], out.First, out.Keys)
+	r.client.Subscribe(core.AccessSlot(slot), r.pairs)
 	if out.Next != g {
 		// Switching groups: abandon the old one right away (a replicated
 		// receiver gains nothing from holding two copies, §3.1.2).
-		r.client.Unsubscribe([]packet.Addr{r.Sess.GroupAddr(g)})
+		r.addrs = append(r.addrs[:0], r.Sess.GroupAddr(g))
+		r.client.Unsubscribe(r.addrs)
 		r.Switches++
 		r.joinedSlot = slot + 2
 	}
 	r.group = out.Next
-	r.groupAt[core.AccessSlot(slot)] = out.Next
+	r.setGroupAt(core.AccessSlot(slot), out.Next)
 }
 
 func (r *Receiver) rejoin(slot uint32) {
 	r.Rejoins++
 	r.group = 1
-	r.groupAt[core.AccessSlot(slot)] = 1
+	r.setGroupAt(core.AccessSlot(slot), 1)
 	r.client.SessionJoin(r.Sess.BaseAddr)
 }

@@ -53,15 +53,29 @@ type Polynomial struct {
 // Sample picks a uniform polynomial of degree k−1 with q(0) = secret mod
 // Prime. k must be at least 1.
 func (s *Splitter) Sample(secret uint64, k int) (*Polynomial, error) {
+	p := &Polynomial{}
+	if err := s.Resample(p, secret, k); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Resample is Sample into an existing polynomial, reusing its coefficient
+// buffer: a sender that shares one key per level per slot keeps one
+// Polynomial per level for the life of the session.
+func (s *Splitter) Resample(p *Polynomial, secret uint64, k int) error {
 	if k < 1 {
-		return nil, fmt.Errorf("shamir: threshold k=%d must be >= 1", k)
+		return fmt.Errorf("shamir: threshold k=%d must be >= 1", k)
 	}
-	coeff := make([]uint64, k)
-	coeff[0] = secret % Prime
+	if cap(p.coeff) < k {
+		p.coeff = make([]uint64, k)
+	}
+	p.coeff = p.coeff[:k]
+	p.coeff[0] = secret % Prime
 	for i := 1; i < k; i++ {
-		coeff[i] = s.next() % Prime
+		p.coeff[i] = s.next() % Prime
 	}
-	return &Polynomial{coeff: coeff}, nil
+	return nil
 }
 
 // Threshold reports k, the number of shares needed for reconstruction.
@@ -95,15 +109,10 @@ func Reconstruct(shares []Share) (uint64, error) {
 	if len(shares) == 0 {
 		return 0, ErrInsufficient
 	}
-	seen := make(map[uint32]bool, len(shares))
 	for _, sh := range shares {
 		if sh.X == 0 {
 			return 0, fmt.Errorf("shamir: invalid share x=0")
 		}
-		if seen[sh.X] {
-			return 0, ErrInsufficient
-		}
-		seen[sh.X] = true
 	}
 	// Lagrange interpolation at x = 0:
 	//   q(0) = Σ_i y_i · Π_{j≠i} x_j / (x_j − x_i)  (mod Prime)
@@ -114,6 +123,9 @@ func Reconstruct(shares []Share) (uint64, error) {
 		for j, sj := range shares {
 			if j == i {
 				continue
+			}
+			if sj.X == si.X {
+				return 0, ErrInsufficient
 			}
 			xj := uint64(sj.X) % Prime
 			num = num * xj % Prime

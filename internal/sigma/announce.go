@@ -31,6 +31,15 @@ type Announcer struct {
 	// the standard companion of FEC). Zero sends copies back-to-back.
 	Spacing sim.Time
 
+	// spaced holds the copies waiting out their Spacing, ordered by send
+	// time; one timer drains it. Each copy's tie-break reservation is made
+	// when it is queued, so it leaves at exactly the (time, key) an event
+	// scheduled on the spot would have had (the core.SlotSender emission
+	// ring, with an ordered insert because Repeat > 2 interleaves groups).
+	spaced []spacedCopy
+	head   int
+	timer  *sim.Timer
+
 	// Stats consumed by the §5.4 overhead accounting.
 	PacketsSent uint64
 	BytesSent   uint64
@@ -45,7 +54,15 @@ func NewAnnouncer(host *netsim.Host, session uint16, base packet.Addr, n, repeat
 	if repeat < 1 {
 		repeat = 1
 	}
-	return &Announcer{host: host, session: session, base: base, groups: n, Repeat: repeat}
+	a := &Announcer{host: host, session: session, base: base, groups: n, Repeat: repeat}
+	a.timer = host.Scheduler().NewTimer(a.sendSpaced)
+	return a
+}
+
+type spacedCopy struct {
+	pkt *packet.Packet
+	at  sim.Time
+	res sim.Reservation
 }
 
 // Announce multicasts the slot's tuples on the minimal group.
@@ -65,24 +82,52 @@ func (a *Announcer) AnnounceAll(slot uint32, tuples []packet.KeyTuple) {
 }
 
 func (a *Announcer) announceOn(group packet.Addr, slot uint32, tuples []packet.KeyTuple) {
+	net := a.host.Network()
 	for i := 0; i < a.Repeat; i++ {
-		hdr := &packet.KeyAnnounce{
-			Session:  a.session,
-			Slot:     slot,
-			FECIndex: uint8(i),
-			FECTotal: uint8(a.Repeat),
-			Tuples:   tuples,
-		}
-		pkt := a.host.Network().NewPacket(a.host.Addr(), group, 0, hdr)
+		hdr := net.Pool().KeyAnnounce()
+		hdr.Session, hdr.Slot = a.session, slot
+		hdr.FECIndex, hdr.FECTotal = uint8(i), uint8(a.Repeat)
+		hdr.Tuples = tuples
+		pkt := net.NewPacket(a.host.Addr(), group, 0, hdr)
 		pkt.Alert = true
 		a.PacketsSent++
 		a.BytesSent += uint64(pkt.Size)
 		a.HeaderBytes += uint64(packet.CommonWireLen + hdr.WireLen() - len(tuples)*29)
 		a.TupleBytes += uint64(len(tuples) * 29)
 		if a.Spacing > 0 && i > 0 {
-			a.host.Scheduler().ScheduleAfter(sim.Time(i)*a.Spacing, func() { a.host.Send(pkt) })
+			a.sendAfter(sim.Time(i)*a.Spacing, pkt)
 		} else {
 			a.host.Send(pkt)
 		}
+	}
+}
+
+// sendAfter queues pkt to leave d from now.
+func (a *Announcer) sendAfter(d sim.Time, pkt *packet.Packet) {
+	sched := a.host.Scheduler()
+	c := spacedCopy{pkt: pkt, at: sched.Now() + d, res: sched.Reserve()}
+	if a.head == len(a.spaced) {
+		a.spaced, a.head = a.spaced[:0], 0 // drained: rewind, reuse the array
+	}
+	i := len(a.spaced)
+	a.spaced = append(a.spaced, c)
+	for ; i > a.head && a.spaced[i-1].at > c.at; i-- {
+		a.spaced[i] = a.spaced[i-1]
+	}
+	a.spaced[i] = c
+	if i == a.head {
+		a.timer.ResetReserved(c.at, c.res)
+	}
+}
+
+// sendSpaced sends the copy that has come due and re-arms for the next.
+func (a *Announcer) sendSpaced() {
+	c := a.spaced[a.head]
+	a.spaced[a.head].pkt = nil
+	a.head++
+	a.host.Send(c.pkt)
+	if a.head < len(a.spaced) {
+		next := a.spaced[a.head]
+		a.timer.ResetReserved(next.at, next.res)
 	}
 }

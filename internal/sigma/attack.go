@@ -24,7 +24,8 @@ type GuessAttack struct {
 	igmp     *mcast.Client
 	entitled func() int
 	rng      *sim.RNG
-	timer    *sim.Timer // reusable per-slot guessing timer
+	timer    *sim.Timer       // reusable per-slot guessing timer
+	pairs    []packet.AddrKey // per-message scratch; Subscribe copies it
 
 	// GuessesPerSlot is y: how many random keys per group per slot the
 	// attacker can afford to submit.
@@ -114,7 +115,7 @@ func (a *GuessAttack) attackSlot() {
 	if a.pool != nil {
 		a.pooledSlot(cur, target)
 	} else {
-		pairs := make([]packet.AddrKey, 0, a.sess.Rates.N*a.GuessesPerSlot)
+		pairs := a.pairs[:0]
 		for g := a.entitled() + 1; g <= a.sess.Rates.N; g++ {
 			for i := 0; i < a.GuessesPerSlot; i++ {
 				pairs = append(pairs, packet.AddrKey{
@@ -124,6 +125,7 @@ func (a *GuessAttack) attackSlot() {
 				a.GuessesSent++
 			}
 		}
+		a.pairs = pairs
 		if len(pairs) > 0 {
 			a.client.Subscribe(target, pairs)
 		}
@@ -142,7 +144,7 @@ func (a *GuessAttack) attackSlot() {
 func (a *GuessAttack) pooledSlot(cur, target uint32) {
 	a.pool.gc(cur)
 	for _, slot := range a.pool.slots() {
-		var pairs []packet.AddrKey
+		pairs := a.pairs[:0]
 		for g := a.entitled() + 1; g <= a.sess.Rates.N; g++ {
 			addr := a.sess.GroupAddr(g)
 			if k, ok := a.pool.sharedKey(slot, addr); ok {
@@ -150,13 +152,14 @@ func (a *GuessAttack) pooledSlot(cur, target uint32) {
 				a.pool.SharedSubmitted++
 			}
 		}
+		a.pairs = pairs
 		if len(pairs) > 0 {
 			a.mute = true
 			a.client.Subscribe(slot, pairs)
 			a.mute = false
 		}
 	}
-	pairs := make([]packet.AddrKey, 0, a.sess.Rates.N*a.GuessesPerSlot)
+	pairs := a.pairs[:0]
 	for g := a.entitled() + 1; g <= a.sess.Rates.N; g++ {
 		addr := a.sess.GroupAddr(g)
 		if _, ok := a.pool.sharedKey(target, addr); ok {
@@ -167,6 +170,7 @@ func (a *GuessAttack) pooledSlot(cur, target uint32) {
 			a.GuessesSent++
 		}
 	}
+	a.pairs = pairs
 	if len(pairs) > 0 {
 		a.mute = true
 		a.client.Subscribe(target, pairs)

@@ -119,7 +119,40 @@ type iface struct {
 	grants map[packet.Addr]*grant
 	// guesses tallies distinct invalid keys per group, the §4.2 guessing-
 	// attack indicator.
-	guesses map[packet.Addr]map[keys.Key]bool
+	guesses map[packet.Addr]*keySet
+}
+
+// keySet counts distinct keys exactly. A guessing attacker feeds it a few
+// thousand uniform keys per group over a run, so it is a paged bitmap
+// rather than a hash set: a page is allocated once, when the first key
+// lands in it, and nothing is ever rehashed or copied as the set grows.
+// The b = 16 keys of the evaluation fill at most 16 pages (8 KB).
+type keySet struct {
+	pages map[keys.Key]*keyPage
+	n     int
+}
+
+// keyPageBits is the width of a page's key range: 4096 keys, 512 bytes.
+const keyPageBits = 12
+
+type keyPage [1 << keyPageBits / 64]uint64
+
+// add records k; distinct keys are counted once.
+func (s *keySet) add(k keys.Key) {
+	pg := s.pages[k>>keyPageBits]
+	if pg == nil {
+		if s.pages == nil {
+			s.pages = make(map[keys.Key]*keyPage)
+		}
+		pg = new(keyPage)
+		s.pages[k>>keyPageBits] = pg
+	}
+	i := k & (1<<keyPageBits - 1) // position within the page
+	word, bit := &pg[i>>6], uint64(1)<<(i&63)
+	if *word&bit == 0 {
+		*word |= bit
+		s.n++
+	}
 }
 
 // Controller is the SIGMA gatekeeper installed on an edge router. It
@@ -129,12 +162,13 @@ type Controller struct {
 	sched  *sim.Scheduler
 	cfg    Config
 
-	store     map[packet.Addr]map[uint32]storedKeys
-	ifaces    map[packet.Addr]*iface
-	grafted   map[packet.Addr]bool
-	seen      map[[2]uint64]bool   // announce dedup: (session<<32|slot, fecIndex)
-	tickTimer *sim.Timer           // reusable per-slot housekeeping timer
-	inUse     map[packet.Addr]bool // tick scratch, cleared and reused each slot
+	store      map[packet.Addr]map[uint32]storedKeys
+	ifaces     map[packet.Addr]*iface
+	grafted    map[packet.Addr]bool
+	seen       map[announceID]bool  // announce dedup, pruned with store
+	tickTimer  *sim.Timer           // reusable per-slot housekeeping timer
+	inUse      map[packet.Addr]bool // tick scratch, cleared and reused each slot
+	freeGrants sim.Freelist[grant]  // revoked grants awaiting reuse
 
 	// alter, when non-nil, applies §4.2 interface keying; see keying.go.
 	alter *InterfaceKeying
@@ -148,6 +182,12 @@ type Controller struct {
 	GrantsIssued         uint64
 	InvalidKeys          uint64
 	Acked                uint64
+}
+
+// announceID names one logical key announcement: repetition copies share it.
+type announceID struct {
+	session uint16
+	slot    uint32
 }
 
 // NewController installs a SIGMA controller as the gatekeeper of router.
@@ -168,7 +208,7 @@ func NewController(router *mcast.Router, cfg Config) *Controller {
 		store:   make(map[packet.Addr]map[uint32]storedKeys),
 		ifaces:  make(map[packet.Addr]*iface),
 		grafted: make(map[packet.Addr]bool),
-		seen:    make(map[[2]uint64]bool),
+		seen:    make(map[announceID]bool),
 	}
 	router.SetGatekeeper(c)
 	c.tickTimer = c.sched.NewTimer(c.onTick)
@@ -209,7 +249,9 @@ func (c *Controller) tick() {
 	cur := c.CurrentSlot()
 	now := c.sched.Now()
 
-	// Drop stored keys older than the previous slot.
+	// Drop stored keys older than the previous slot, and with them the
+	// dedup entries of their announcements: Intercept turns a copy that
+	// late away before it consults the dedup set.
 	for group, slots := range c.store {
 		for s := range slots {
 			if s+1 < cur {
@@ -218,6 +260,11 @@ func (c *Controller) tick() {
 		}
 		if len(slots) == 0 {
 			delete(c.store, group)
+		}
+	}
+	for id := range c.seen {
+		if id.slot+1 < cur {
+			delete(c.seen, id)
 		}
 	}
 
@@ -241,7 +288,7 @@ func (c *Controller) tick() {
 			if active {
 				inUse[group] = true
 			} else if g.penaltyUntil <= now {
-				delete(ifc.grants, group)
+				c.revoke(ifc, group)
 			}
 		}
 		for group := range ifc.guesses {
@@ -268,7 +315,7 @@ func (c *Controller) ifaceFor(host packet.Addr) *iface {
 	if ifc == nil {
 		ifc = &iface{
 			grants:  make(map[packet.Addr]*grant),
-			guesses: make(map[packet.Addr]map[keys.Key]bool),
+			guesses: make(map[packet.Addr]*keySet),
 		}
 		c.ifaces[host] = ifc
 	}
@@ -278,10 +325,21 @@ func (c *Controller) ifaceFor(host packet.Addr) *iface {
 func (c *Controller) grantFor(ifc *iface, group packet.Addr) *grant {
 	g := ifc.grants[group]
 	if g == nil {
-		g = &grant{}
+		g = c.freeGrants.Get()
+		*g = grant{}
 		ifc.grants[group] = g
 	}
 	return g
+}
+
+// revoke removes the interface's grant for group, if any, and keeps the
+// struct for the next grantFor: a forged unsubscribe tears a victim's
+// grants down every slot and the victim's next subscription restores them.
+func (c *Controller) revoke(ifc *iface, group packet.Addr) {
+	if g := ifc.grants[group]; g != nil {
+		delete(ifc.grants, group)
+		c.freeGrants.Put(g)
+	}
 }
 
 func (c *Controller) ensureGraft(group packet.Addr) {
@@ -298,18 +356,17 @@ func (c *Controller) Intercept(pkt *packet.Packet) {
 	if !ok {
 		return
 	}
+	if ann.Slot+1 < c.CurrentSlot() {
+		return // stale: nothing to store, and its dedup entry is pruned
+	}
 	// Repetition copies carry identical content; one logical announce per
 	// (session, slot) suffices.
-	dedup := [2]uint64{uint64(ann.Session)<<32 | uint64(ann.Slot), 0}
-	if c.seen[dedup] {
+	id := announceID{session: ann.Session, slot: ann.Slot}
+	if c.seen[id] {
 		return
 	}
-	c.seen[dedup] = true
+	c.seen[id] = true
 	c.AnnouncesIntercepted++
-	cur := c.CurrentSlot()
-	if ann.Slot+1 < cur {
-		return // stale
-	}
 	for _, t := range ann.Tuples {
 		slots := c.store[t.Addr]
 		if slots == nil {
@@ -389,12 +446,12 @@ func (c *Controller) subscribe(from packet.Addr, hdr *packet.SigmaHeader) {
 			}
 			if !valid {
 				c.InvalidKeys++
-				gm := ifc.guesses[pair.Addr]
-				if gm == nil {
-					gm = make(map[keys.Key]bool)
-					ifc.guesses[pair.Addr] = gm
+				tally := ifc.guesses[pair.Addr]
+				if tally == nil {
+					tally = &keySet{}
+					ifc.guesses[pair.Addr] = tally
 				}
-				gm[key] = true
+				tally.add(key)
 				continue
 			}
 			g := c.grantFor(ifc, pair.Addr)
@@ -416,11 +473,11 @@ func (c *Controller) subscribe(from packet.Addr, hdr *packet.SigmaHeader) {
 		}
 	}
 	// Acknowledge the subscription message (reliable subscription).
-	ack := c.router.Network().NewPacket(c.router.Addr(), from, 0, &packet.SigmaHeader{
-		Kind: packet.SigmaAck, Slot: hdr.Slot, AckID: hdr.AckID,
-	})
+	net := c.router.Network()
+	ack := net.Pool().SigmaHeader()
+	ack.Kind, ack.Slot, ack.AckID = packet.SigmaAck, hdr.Slot, hdr.AckID
 	c.Acked++
-	c.router.SendLocal(ack)
+	c.router.SendLocal(net.NewPacket(c.router.Addr(), from, 0, ack))
 }
 
 // unsubscribe revokes the sender's own grants; other interfaces subscribed
@@ -428,7 +485,7 @@ func (c *Controller) subscribe(from packet.Addr, hdr *packet.SigmaHeader) {
 func (c *Controller) unsubscribe(from packet.Addr, hdr *packet.SigmaHeader) {
 	ifc := c.ifaceFor(from)
 	for _, addr := range hdr.Addrs {
-		delete(ifc.grants, addr)
+		c.revoke(ifc, addr)
 	}
 	// Prune any group nobody is entitled to anymore.
 	for _, addr := range hdr.Addrs {
@@ -502,5 +559,8 @@ func (c *Controller) GuessCount(group, host packet.Addr) int {
 	if ifc == nil {
 		return 0
 	}
-	return len(ifc.guesses[group])
+	if tally := ifc.guesses[group]; tally != nil {
+		return tally.n
+	}
+	return 0
 }

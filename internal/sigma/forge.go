@@ -86,21 +86,16 @@ func (f *ForgeAttack) forgeSlot() {
 		return
 	}
 	cur := f.sess.SlotAt(f.host.Scheduler().Now())
-	addrs := f.sess.Addrs()
 	for _, v := range f.victims {
-		hdr := &packet.SigmaHeader{Kind: packet.SigmaUnsubscribe, Addrs: addrs}
+		hdr := f.host.Pool().SigmaHeader()
+		hdr.Kind = packet.SigmaUnsubscribe
+		for g := 1; g <= f.sess.Rates.N; g++ {
+			hdr.Addrs = append(hdr.Addrs, f.sess.GroupAddr(g))
+		}
 		f.host.Send(f.host.NewPacketFrom(v, f.router, 0, hdr))
 		f.ForgedUnsubscribes++
 	}
-	if f.feedbackTo != 0 {
-		f.host.Send(f.host.NewPacket(f.feedbackTo, 0, &packet.FeedbackHeader{
-			Session:   f.sess.ID,
-			Slot:      cur,
-			Count:     forgedCount,
-			MaxLevel:  uint8(f.sess.Rates.N),
-			Congested: true,
-			Reports:   1,
-		}))
+	if f.sess.SendReport(f.host, f.feedbackTo, cur, forgedCount, f.sess.Rates.N, true) {
 		f.ForgedReports++
 	}
 	// 0.9 into the next slot: behind the honest ~0.8-slot re-subscribes,

@@ -25,7 +25,6 @@ type rig struct {
 	edge   *mcast.Router
 	ctl    *Controller
 	h1, h2 *netsim.Host
-	sender *delta.LayeredSender
 	ann    *Announcer
 	keySrc *keys.Source
 	slots  map[uint32]*delta.LayeredSlot
@@ -58,9 +57,17 @@ func newRig(t *testing.T) *rig {
 		fabric.SetSource(packet.Group(grp, g), r.src.ID())
 	}
 	r.keySrc = keys.NewSource(keys.DefaultBits, rng.Fork().Uint64)
-	r.sender = delta.NewLayeredSender(nGroups, r.keySrc)
 	r.ann = NewAnnouncer(r.src, 1, grp, nGroups, 2)
 	return r
+}
+
+// beginSlot precomputes sender keys for slot s. A sender keeps one slot's
+// state, and these tests keep several slots side by side, so each slot gets
+// a sender of its own on the shared nonce stream.
+func (r *rig) beginSlot(s uint32, auth []bool, counts []int) *delta.LayeredSlot {
+	ls := delta.NewLayeredSender(nGroups, r.keySrc).BeginSlot(s, auth, counts)
+	r.slots[s] = ls
+	return ls
 }
 
 // makeSlot precomputes sender keys for slot s (no upgrades unless authTo>0)
@@ -74,8 +81,7 @@ func (r *rig) makeSlot(s uint32, authTo int) *delta.LayeredSlot {
 	for i := range counts {
 		counts[i] = 2
 	}
-	ls := r.sender.BeginSlot(s, auth, counts)
-	r.slots[s] = ls
+	ls := r.beginSlot(s, auth, counts)
 	r.ann.Announce(s, ls.Keys.Tuples(grp))
 	return ls
 }
@@ -132,8 +138,7 @@ func TestAnnounceSurvivesLossOfOneCopy(t *testing.T) {
 	// Drop the first copy by sending it before the edge joins the tree;
 	// the second copy goes once joined.
 	r.sched.At(10*sim.Millisecond, func() {
-		ls := r.sender.BeginSlot(3, make([]bool, nGroups), []int{2, 2, 2, 2})
-		r.slots[3] = ls
+		ls := r.beginSlot(3, make([]bool, nGroups), []int{2, 2, 2, 2})
 		tuples := ls.Keys.Tuples(grp)
 		// Simulate FEC: only one of the two copies arrives (send just one).
 		hdr := &packet.KeyAnnounce{Session: 1, Slot: 3, FECIndex: 1, FECTotal: 2, Tuples: tuples}

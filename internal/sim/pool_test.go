@@ -182,3 +182,30 @@ func TestScheduleZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("Schedule+Run allocates %.1f objects in steady state, want 0", allocs)
 	}
 }
+
+// A Freelist hands back what was put, newest first, and mints a zero value
+// when empty; parked slots are cleared so the list pins nothing it gave out.
+func TestFreelistRecycles(t *testing.T) {
+	type item struct{ n int }
+	var f Freelist[item]
+	a := f.Get()
+	if a == nil || a.n != 0 {
+		t.Fatalf("empty Get = %+v, want a fresh zero item", a)
+	}
+	a.n = 7
+	b := f.Get()
+	f.Put(a)
+	f.Put(b)
+	if got := f.Get(); got != b {
+		t.Fatal("Get did not return the most recently parked item")
+	}
+	if got := f.Get(); got != a || got.n != 7 {
+		t.Fatalf("Get = %+v, want the parked item back, contents untouched", got)
+	}
+	if len(f) != 0 || f[:1][0] != nil {
+		t.Fatal("a handed-out item is still referenced by the list")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { f.Put(f.Get()) }); allocs != 0 {
+		t.Fatalf("a Get/Put round trip allocated %.0f times once the list held an item", allocs)
+	}
+}
