@@ -125,6 +125,9 @@ func run(args []string, out io.Writer) error {
 	if *sessions < 1 {
 		return fmt.Errorf("-sessions must be at least 1, got %d", *sessions)
 	}
+	if err := nonNegative(fs, "cohort", "groups", "tcp", "dur", "attack", "attackstop", "churn", "flap", "cbr"); err != nil {
+		return err
+	}
 	caps, err := parseCaps(*capacity, int64(*sessions)*250_000)
 	if err != nil {
 		return err
@@ -180,9 +183,6 @@ func run(args []string, out io.Writer) error {
 	exp, err := deltasigma.New(opts...)
 	if err != nil {
 		return err
-	}
-	if *cohort < 0 {
-		return fmt.Errorf("-cohort must be non-negative, got %d", *cohort)
 	}
 	if *cohort > 0 {
 		if !deltasigma.ProtocolSupportsCohorts(*protocol) {

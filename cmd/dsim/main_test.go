@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,6 +45,38 @@ func TestRunFlagValidation(t *testing.T) {
 			err := run(tc.args, &buf)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("run(%v) error = %v, want substring %q", tc.args, err, tc.want)
+			}
+		})
+	}
+}
+
+// Negative counts, times, rates and shares are rejected with an error naming
+// the flag, never read as "unset" or as the default.
+func TestNegativeFlagsRejected(t *testing.T) {
+	cases := []struct {
+		cmd  func([]string, io.Writer) error
+		args []string
+		want string
+	}{
+		{run, []string{"-dur", "-1"}, "-dur"},
+		{run, []string{"-attack", "-3"}, "-attack"},
+		{run, []string{"-attack", "5", "-attackstop", "-1"}, "-attackstop"},
+		{run, []string{"-churn", "-1"}, "-churn"},
+		{run, []string{"-flap", "-2"}, "-flap"},
+		{run, []string{"-tcp", "-1"}, "-tcp"},
+		{run, []string{"-cbr", "-1"}, "-cbr"},
+		{run, []string{"-groups", "-3"}, "-groups"},
+		{runSweep, []string{"-dur", "-5"}, "-dur"},
+		{runSweep, []string{"-warmup", "-1"}, "-warmup"},
+		{runSweep, []string{"-attack", "-1"}, "-attack"},
+		{runSweep, []string{"-workers", "-2", "-dur", "1"}, "-workers"},
+	}
+	for _, tc := range cases {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			var buf bytes.Buffer
+			err := tc.cmd(tc.args, &buf)
+			if err == nil || !strings.Contains(err.Error(), tc.want+" must be non-negative") {
+				t.Fatalf("%v: error = %v, want one naming %s", tc.args, err, tc.want)
 			}
 		})
 	}

@@ -43,8 +43,8 @@ func runSweep(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be non-negative (0 = serial), got %d", *shards)
+	if err := nonNegative(fs, "shards", "workers", "dur", "warmup", "attack"); err != nil {
+		return err
 	}
 
 	if *list {
@@ -223,6 +223,18 @@ func printSweepTable(res *deltasigma.CampaignResult, workers int, out io.Writer)
 			p.Point, p.GoodMeanKbps, p.GoodP90Kbps, p.AttackerMeanKbps, 100*p.Utilization, p.LostPackets)
 	}
 	fmt.Fprintf(out, "\n%d workers, %d failures, wall clock %v\n", workers, res.Failures, res.Elapsed.Round(res.Elapsed/100+1))
+}
+
+// nonNegative rejects the first of the named numeric flags that is negative;
+// it would otherwise read as "unset" and quietly run a different experiment
+// from the one asked for.
+func nonNegative(fs *flag.FlagSet, names ...string) error {
+	for _, name := range names {
+		if v, _ := strconv.ParseFloat(fs.Lookup(name).Value.String(), 64); v < 0 {
+			return fmt.Errorf("-%s must be non-negative, got %g", name, v)
+		}
+	}
+	return nil
 }
 
 // flagWasSet reports whether the named flag was set explicitly on the

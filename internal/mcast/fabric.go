@@ -187,12 +187,6 @@ func (f *Fabric) Joined(group packet.Addr, edge netsim.NodeID) bool {
 	return st != nil && st.joined
 }
 
-// ShouldForward reports whether a packet of group arriving at l.From()
-// should be replicated onto l.
-func (f *Fabric) ShouldForward(group packet.Addr, l *netsim.Link) bool {
-	return f.refs[group][l] > 0
-}
-
 // ForwardSet returns the group's live link reference counts (nil when the
 // group has no active branches). Routers resolve it once per packet and
 // probe their out-links against it, instead of re-hashing the group

@@ -259,9 +259,6 @@ func (r *Router) EnableConsolidation(hold sim.Time) {
 	}
 }
 
-// ConsolidationEnabled reports whether the router merges feedback.
-func (r *Router) ConsolidationEnabled() bool { return r.consolidate }
-
 // absorbFeedback merges one report into the pending bucket, arming the
 // bucket's flush timer on first contact. Timers are armed in packet-arrival
 // order, so seeded runs replay exactly.

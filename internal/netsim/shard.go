@@ -71,9 +71,6 @@ func (n *Network) EnableSharding(group *sim.ShardGroup) {
 	n.shard = &shardState{group: group, pools: pools, uids: make([]uint64, group.Shards())}
 }
 
-// Sharded reports whether the network runs in sharded mode.
-func (n *Network) Sharded() bool { return n.shard != nil }
-
 // ShardPools returns the per-shard packet pools (index 0 is the main
 // pool), or nil when sharding is off — the audit layer rolls pool balance
 // up across them.

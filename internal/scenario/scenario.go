@@ -1,7 +1,7 @@
 // Package scenario reproduces every experiment in the paper's evaluation
 // (§5): one function per figure, each returning labelled data series so
-// that cmd/figures can regenerate the plots, bench_test.go can time them,
-// and the integration tests can assert their shape.
+// that cmd/figures can regenerate the plots, bench/ can time them, and the
+// integration tests can assert their shape.
 //
 // All experiments use the §5.1 settings unless a figure overrides them:
 // single-bottleneck topology, 250 Kbps fair share per session, 20 ms

@@ -42,6 +42,3 @@ func (g *RNG) Jitter(max Time) Time {
 	}
 	return Time(g.r.Int64N(int64(max)))
 }
-
-// Perm returns a random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }

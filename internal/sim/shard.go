@@ -78,9 +78,6 @@ type CrossEdge struct {
 	nextPost  uint64
 }
 
-// Lookahead reports the edge's minimum latency.
-func (e *CrossEdge) Lookahead() Time { return e.lookahead }
-
 // Post files fn to run in the destination shard at virtual time at. The
 // conservative contract requires at >= post-instant + lookahead; Post
 // panics otherwise, because a violation would silently break the window

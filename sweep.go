@@ -362,16 +362,21 @@ func (sw Sweep) normalize() (axes, error) {
 	if len(a.seeds) == 0 {
 		a.seeds = []uint64{1}
 	}
-	if a.duration <= 0 {
+	// Zero means "default"; a negative value is a mistake, not a request
+	// for the default.
+	if a.duration < 0 || a.warmup < 0 || a.attackAt < 0 {
+		return axes{}, fmt.Errorf("deltasigma: sweep duration %v, warmup %v and attack time %v must not be negative", a.duration, a.warmup, a.attackAt)
+	}
+	if a.duration == 0 {
 		a.duration = defaultSweepDuration
 	}
-	if a.warmup <= 0 {
+	if a.warmup == 0 {
 		a.warmup = a.duration / 10
 	}
 	if a.warmup >= a.duration {
 		return axes{}, fmt.Errorf("deltasigma: sweep warmup %v must be shorter than duration %v", a.warmup, a.duration)
 	}
-	if a.attackAt <= 0 {
+	if a.attackAt == 0 {
 		a.attackAt = a.duration / 4
 	}
 	for _, n := range a.attackers {

@@ -249,6 +249,9 @@ func TestSweepValidation(t *testing.T) {
 		{Duration: 10 * deltasigma.Second, Warmup: 10 * deltasigma.Second},
 		{Attackers: []int{1}, Duration: 10 * deltasigma.Second, AttackAt: 10 * deltasigma.Second},
 		{Topologies: []deltasigma.TopologySpec{{Name: "hollow"}}},
+		{Duration: -5 * deltasigma.Second},
+		{Duration: 10 * deltasigma.Second, Warmup: -deltasigma.Second},
+		{Duration: 10 * deltasigma.Second, AttackAt: -deltasigma.Second},
 	}
 	// An out-of-range attack time is fine when no point has attackers.
 	ok := deltasigma.Sweep{Duration: 2 * deltasigma.Second, AttackAt: 5 * deltasigma.Second}
