@@ -1,36 +1,58 @@
 package sim
 
+import "slices"
+
 // This file implements the scheduler's pending-event store as a calendar
 // (bucket) queue in the style of Brown's calendar queues, tuned for the
 // slot-periodic schedules this simulator produces: virtual time is cut
 // into fixed-width "days", each day hashes to one bucket of an unordered
-// power-of-two array, and a cursor sweeps the calendar day by day. Insert
-// appends to a bucket and removal swaps with the bucket's last element,
-// both O(1); finding the minimum scans only the cursor's day, which the
-// width feedback below keeps near one event, so pop is O(1) amortized
-// where the previous container/heap implementation paid O(log n) pointer
-// sifts (heap.Pop/Push were >55% of the Fig01/Fig07 CPU profile).
+// power-of-two array, and a cursor sweeps the calendar day by day.
 //
-// Buckets store (at, seq) inline next to the event pointer: the minimum
-// scan — the hottest loop in the whole simulator — walks contiguous
-// entries and never dereferences an event, so it runs at cache speed
+// A day is drained in one of two ways, chosen by how many entries it holds
+// when the cursor reaches it — a property the queue observes, not a mode
+// anyone sets:
+//
+//   - A light day (fewer than calRunMin entries; every day of a small
+//     session) is scanned in place for its minimum on each pop. Insert
+//     appends to the bucket and removal swaps with the bucket's last
+//     element, both O(1); the width feedback below keeps such days near
+//     one event, so pop is O(1) amortized.
+//   - A crowded day is ordered once: its entries become the run, a slice
+//     sorted by (at, akey, seq), and every pop after that takes the run's
+//     head. Slot protocols crowd days with *ties* — every receiver's timer
+//     on one boundary, every copy of a multicast packet finishing
+//     serialization at one instant — and no day width separates a tie, so
+//     rescanning cost k²/2 entry reads for a burst of k (64 % of a
+//     1000-receiver profile); the run costs one sort plus O(1) per pop.
+//     While the run exists its day is filed there and nowhere else: an
+//     event armed into the day goes to its ordered position (the end, when
+//     it sorts last — the common case, seq being monotone), and a member
+//     is removed by binary search on its key, which is unique among
+//     pending events (see Timer.ResetReserved). Members carry no position,
+//     so neither touches another event.
+//
+// Buckets and the run store (at, akey, seq) inline next to the event
+// pointer: the minimum scan, the sort and the searches walk contiguous
+// entries and never dereference an event, so they run at cache speed
 // regardless of where the freelist scattered the event objects.
 //
-// Ordering is exactly the heap's: strict (at, seq) order. All events whose
-// timestamp falls inside the cursor's day live in the cursor's bucket, so
-// the in-bucket minimum by (at, seq) is the global minimum; ties at equal
-// timestamps resolve by the same insertion-stable seq the heap compared,
-// which is what keeps every seeded golden byte-identical across the swap.
+// Ordering is strict (at, akey, seq) on both paths. All events whose
+// timestamp falls inside the cursor's day live in the cursor's bucket or
+// in the run, so the minimum of that day is the global minimum; ties at
+// equal timestamps resolve by the insertion-stable seq the original heap
+// compared, which is what keeps every seeded golden byte-identical.
 //
 // Sizing is grow-only: simulation populations burst every slot (a sender
 // schedules its whole slot's emissions at once, then the calendar drains),
 // and shrinking on the trough just to re-grow on the next burst would
 // reallocate every bucket twice per slot. A calendar that grew once stays
-// grown; bucket capacity persists, so steady state inserts allocate
-// nothing. The day width self-tunes instead: it is seeded from the
+// grown and bucket capacity persists, so steady state inserts allocate
+// nothing. Ordering a day allocates nothing either, and copies nothing: the
+// run *is* its bucket's array, and arrays only change hands (see startRun
+// and tradeUp). The day width self-tunes instead: it is seeded from the
 // observed mean inter-event spacing whenever the calendar grows, then
-// corrected by a feedback loop measuring where the minimum scan actually
-// spends its steps — many events examined per day means days are too wide
+// corrected by a feedback loop measuring where pop actually spends its
+// steps — many entries examined or moved per pop means days are too wide
 // (halve), many empty days walked means days are too narrow (double).
 // Retuning refiles events through a reusable scratch buffer in place.
 const (
@@ -45,6 +67,17 @@ const (
 	// day width when either kind of work dominates.
 	calRetuneWindow = 1024
 	calRetuneScan   = 8
+	// calRunMin is the day occupancy from which the cursor orders a day
+	// instead of rescanning it: above the handful of entries an inline
+	// scan reads faster than a sort can start, below the tens where a
+	// rescan's k²/2 shows. Measured in shuffled order at 8, 24, 64 and 256
+	// on the benchmark's `population` workload (1000 receivers tie on every
+	// boundary): 0.52, 0.48, 0.49 and 0.58 s per repetition, flat from 8 to
+	// 64; `figures`, whose days rarely crowd, read the same at 8, 24 and 64.
+	calRunMin = 24
+	// calNoRun is runDay when no day is ordered: timestamps are
+	// non-negative int64s, so no event's day reaches it.
+	calNoRun = ^uint64(0)
 )
 
 // calEntry files one pending event with its ordering key inline. Ordering
@@ -57,6 +90,27 @@ type calEntry struct {
 	e    *event
 }
 
+// before reports whether a fires before b.
+func (a *calEntry) before(b *calEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.akey != b.akey {
+		return a.akey < b.akey
+	}
+	return a.seq < b.seq
+}
+
+func calCompare(a, b calEntry) int {
+	switch {
+	case a.before(&b):
+		return -1
+	case b.before(&a):
+		return 1
+	}
+	return 0
+}
+
 type calQueue struct {
 	buckets [][]calEntry
 	scratch []calEntry // reused by refile; never shrinks
@@ -67,9 +121,26 @@ type calQueue struct {
 	curBkt  int  // bucket under the cursor
 	curTop  Time // exclusive end of the day under the cursor
 
+	// The ordered run: every pending entry of day runDay, sorted by
+	// (at, akey, seq), live from runHead on. While a run exists its day has
+	// no entry in the bucket array — place and remove route by day — so
+	// buckets and run partition the pending set. The run belongs to a day,
+	// not to the cursor: a rewind leaves it where it is.
+	run       []calEntry
+	runHead   int
+	runCharge int    // feedback steps charged per pop from the run, see startRun
+	runDay    uint64 // calNoRun when no day is ordered
+	runTop    Time   // exclusive end of runDay; 0, which no curTop equals, when none is
+	// The run's storage is its bucket's own array. spare is an array lying
+	// idle — the last dissolved run's, or what a bucket left in exchange
+	// for it — and lent the bucket that was handed the spare when its own
+	// array last became the run; see startRun and tradeUp.
+	spare []calEntry
+	lent  int
+
 	// Scan-cost accounting driving the width feedback.
 	peeks       int
-	bucketSteps int // events examined inside days (high => width too large)
+	bucketSteps int // entries examined or moved inside days (high => width too large)
 	dayAdvances int // empty days walked past (high => width too small)
 }
 
@@ -79,17 +150,49 @@ func (q *calQueue) init() {
 	q.shift = calInitialShift
 	q.width = 1 << q.shift
 	q.curTop = q.width
+	q.runDay = calNoRun
 }
 
-// place files e into the bucket owning its day. e.at is never negative
+// place files e where its day is kept: in the run if the day is the ordered
+// one, else in the bucket owning the day — after trading the bucket's array
+// for a larger idle one if a crowd has filled it. e.at is never negative
 // (the scheduler panics on past scheduling before any event reaches the
 // queue, and the clock starts at zero).
 func (q *calQueue) place(e *event) {
 	day := uint64(e.at) >> q.shift
+	if day == q.runDay {
+		q.runInsert(e)
+		return
+	}
 	b := int(day) & q.mask
+	arr := q.buckets[b]
+	if len(arr) >= calRunMin && len(arr) == cap(arr) {
+		arr = q.tradeUp(arr)
+	}
 	e.bkt = b
-	e.idx = len(q.buckets[b])
-	q.buckets[b] = append(q.buckets[b], calEntry{at: e.at, akey: e.akey, seq: e.seq, e: e})
+	e.idx = len(arr)
+	q.buckets[b] = append(arr, calEntry{at: e.at, akey: e.akey, seq: e.seq, e: e})
+}
+
+// tradeUp is the answer to a bucket array a crowd has filled: rather
+// than grow a new one the crowd will leave behind in its turn, swap it for
+// a larger one lying idle — the last dissolved run's, or the one lent to
+// the last ordered day's bucket if nothing has been filed there since. It
+// returns the array to keep filing into. One array a crowd's size then
+// follows the crowd from bucket to bucket, where every bucket a burst ever
+// landed on used to grow and keep its own.
+func (q *calQueue) tradeUp(arr []calEntry) []calEntry {
+	idle := &q.spare
+	if lent := &q.buckets[q.lent]; cap(*idle) <= len(arr) && len(*lent) == 0 {
+		idle = lent
+	}
+	if cap(*idle) <= len(arr) {
+		return arr
+	}
+	big := append((*idle)[:0], arr...)
+	clear(arr)
+	*idle = arr[:0]
+	return big
 }
 
 func (q *calQueue) setCursor(day uint64) {
@@ -104,21 +207,36 @@ func (q *calQueue) insert(e *event) {
 	if q.count >= 2*len(q.buckets) {
 		q.grow()
 	}
-	q.place(e)
+	day := uint64(e.at) >> q.shift
+	b := int(day) & q.mask
+	if arr := q.buckets[b]; day != q.runDay && len(arr) < calRunMin {
+		// place, spelled out for the insert every light day takes: one
+		// predictable branch, no call.
+		e.bkt = b
+		e.idx = len(arr)
+		q.buckets[b] = append(arr, calEntry{at: e.at, akey: e.akey, seq: e.seq, e: e})
+	} else {
+		q.place(e)
+	}
 	q.count++
 	if q.count == 1 || e.at < q.curTop-q.width {
 		// The event lands on a day before the cursor — or the queue was
 		// empty, leaving the cursor parked wherever the last drain ended —
 		// so rewind to the new event's day. This preserves the scan
 		// invariant: no pending event's day precedes the cursor's day.
-		q.setCursor(uint64(e.at) >> q.shift)
+		q.setCursor(day)
 	}
 }
 
-// remove unfiles a pending event in O(1) by swapping it with the last
-// element of its bucket. The cursor never moves here; removal can only
-// leave the cursor's day emptier, which the scan skips naturally.
+// remove unfiles a pending event: from a bucket in O(1) by swapping it with
+// the bucket's last element, from the run by runRemove. The cursor never
+// moves here; removal can only leave the cursor's day emptier, which pop
+// skips naturally.
 func (q *calQueue) remove(e *event) {
+	if uint64(e.at)>>q.shift == q.runDay {
+		q.runRemove(e)
+		return
+	}
 	arr := q.buckets[e.bkt]
 	last := len(arr) - 1
 	moved := arr[last]
@@ -130,23 +248,30 @@ func (q *calQueue) remove(e *event) {
 	q.count--
 }
 
-// pop removes and returns the earliest pending event by (at, seq). In
+// pop removes and returns the earliest pending event by (at, akey, seq). In
 // bounded mode an event past limit is left queued and pop returns nil —
 // the run loop's horizon check is fused into the scan. Callers must ensure
 // count > 0.
 //
-// The minimum scan and the swap-removal share one loop so the winning
-// bucket slice and index stay in registers: the cursor advances day by day
-// past empty days, and the first day holding an entry holds the global
-// minimum. A full cycle without a hit means every pending event is at
-// least one calendar year ahead, so pop falls back to a direct sweep for
-// the global minimum, jumps the cursor to its day, and retries — sparse
-// populations therefore cost O(buckets) per pop instead of walking empty
-// virtual time.
+// The cursor advances day by day past empty days, and the first day
+// holding an entry holds the global minimum: the run's head when the day
+// is ordered (or crowded enough to order now), else the winner of an
+// inline scan that shares one loop with its swap-removal so the bucket
+// slice and index stay in registers. A full cycle without a hit means every
+// pending event is at least one calendar year ahead, so pop falls back to
+// a direct sweep for the global minimum, jumps the cursor to its day, and
+// retries — sparse populations therefore cost O(buckets) per pop instead
+// of walking empty virtual time.
 func (q *calQueue) pop(bounded bool, limit Time) *event {
 	q.peeks++
 	for cycle := 0; cycle < len(q.buckets); cycle++ {
 		arr := q.buckets[q.curBkt]
+		if q.curTop == q.runTop || len(arr) >= calRunMin {
+			if e, done := q.popRun(bounded, limit); done {
+				return e
+			}
+			arr = q.buckets[q.curBkt]
+		}
 		// Seeding bestAt with the day's exclusive end folds the "entry is on
 		// this day" bound into the ordinary best comparison: an entry at
 		// exactly curTop belongs to a later day and can never win the tie
@@ -199,6 +324,7 @@ func (q *calQueue) pop(bounded bool, limit Time) *event {
 			return nil
 		}
 	}
+	q.endRun() // a run a year or more ahead of the cursor is swept with the rest
 	var beste *event
 	for _, arr := range q.buckets {
 		for i := range arr {
@@ -214,15 +340,171 @@ func (q *calQueue) pop(bounded bool, limit Time) *event {
 	return q.pop(bounded, limit)
 }
 
+// popRun is pop on a day that is ordered, or crowded enough to order now.
+// done reports that pop's work is: e is the run's head, or nil for a head
+// past a bounded pop's limit. Otherwise the day is not the run's — too few
+// of the bucket's entries are on it, or the run is drained — and pop scans
+// what the bucket holds. Kept out of pop's loop so that loop stays as tight
+// as a light day needs it.
+func (q *calQueue) popRun(bounded bool, limit Time) (e *event, done bool) {
+	if q.curTop != q.runTop && !q.startRun() {
+		return nil, false
+	}
+	if q.runHead == len(q.run) {
+		// Drained, or emptied by Stop: the day has nothing left, here or in
+		// its bucket, and pop's scan finds that out.
+		q.endRun()
+		return nil, false
+	}
+	en := &q.run[q.runHead]
+	q.bucketSteps += q.runCharge
+	if !bounded || en.at <= limit {
+		e = en.e
+		*en = calEntry{}
+		q.runHead++
+		e.idx = -1
+		q.count--
+	}
+	q.maybeRetune()
+	return e, true
+}
+
+// startRun orders the cursor's day if at least calRunMin of its bucket's
+// entries are on it (the rest are later years aliased onto the bucket). The
+// day's entries close up in place, in bucket order — usually already arming
+// order, which the sort then only verifies — and the bucket's array becomes
+// the run; the later years move to the spare array, which the bucket is
+// lent in its place. It reports whether the day is now the run's.
+func (q *calQueue) startRun() bool {
+	n := 0
+	for _, en := range q.buckets[q.curBkt] {
+		if en.at < q.curTop {
+			n++
+		}
+	}
+	if n < calRunMin {
+		return false
+	}
+	q.endRun() // one run at a time: whatever another day's still holds goes back to its bucket
+	arr := q.buckets[q.curBkt]
+	rest := q.spare[:0]
+	w := 0
+	for i := range arr {
+		if arr[i].at < q.curTop {
+			arr[w] = arr[i]
+			w++
+			continue
+		}
+		arr[i].e.idx = len(rest)
+		rest = append(rest, arr[i])
+	}
+	clear(arr[w:])
+	q.run, q.buckets[q.curBkt], q.spare, q.lent = arr[:w], rest, nil, q.curBkt
+	slices.SortFunc(q.run, calCompare)
+	q.runTop = q.curTop
+	q.runDay = uint64(q.curTop-1) >> q.shift
+	// What the width feedback is charged per pop: one step to read the
+	// head, one for the entry's share of this pass, and its share of what a
+	// narrower day would have saved — scanning the day's d distinct
+	// instants apart costs d²/2 reads. Ties cost nothing extra: no width
+	// separates them, so a burst of any size reads as 2 steps a pop, where
+	// the rescan read half the burst and drove the width down until the
+	// wheel aliased. Charged pop by pop, not here, or ordering a large
+	// burst would fill a feedback window by itself.
+	d := 1
+	for i := 1; i < w; i++ {
+		if q.run[i].at != q.run[i-1].at {
+			d++
+		}
+	}
+	q.runCharge = 2 + d*d/(2*w)
+	return true
+}
+
+// endRun dissolves the run. Whatever it still holds (nothing, when pop
+// drained it) is filed back into its bucket, so callers that sweep or
+// refile the bucket array find every pending entry there; its array becomes
+// the spare.
+func (q *calQueue) endRun() {
+	if q.runDay == calNoRun {
+		return
+	}
+	q.runDay, q.runTop = calNoRun, 0
+	for i := q.runHead; i < len(q.run); i++ {
+		q.place(q.run[i].e)
+	}
+	clear(q.run)
+	q.run, q.runHead, q.spare = nil, 0, q.run[:0]
+}
+
+// runInsert files e at its ordered position in the run: appended when it
+// sorts last, else found by binary search, with the entries after it moved
+// up one. The moves are charged to the width feedback — a narrower day
+// would not have held them.
+func (q *calQueue) runInsert(e *event) {
+	en := calEntry{at: e.at, akey: e.akey, seq: e.seq, e: e}
+	e.idx = 0 // pending; a member's position is found by key, never stored
+	n := len(q.run)
+	if n == cap(q.run) && 16*q.runHead >= n && n > 0 {
+		// Out of room with a sixteenth or more of it already popped: close
+		// up instead of growing, so a day that refills as it drains reuses
+		// its storage, at no more than 16 entries moved per slot regained.
+		n = copy(q.run, q.run[q.runHead:])
+		clear(q.run[n:])
+		q.run, q.runHead = q.run[:n], 0
+	}
+	if n == q.runHead || !en.before(&q.run[n-1]) {
+		q.run = append(q.run, en)
+		return
+	}
+	i := q.runSearch(&en)
+	q.run = append(q.run, calEntry{})
+	copy(q.run[i+1:], q.run[i:n])
+	q.run[i] = en
+	q.bucketSteps += n - i
+}
+
+// runRemove unfiles a member: binary search for its key, then the shorter
+// side of the run closes the gap. No other event is touched.
+func (q *calQueue) runRemove(e *event) {
+	en := calEntry{at: e.at, akey: e.akey, seq: e.seq}
+	i := q.runSearch(&en)
+	if i == len(q.run) || q.run[i].e != e {
+		panic("sim: pending event missing from its ordered day")
+	}
+	if last := len(q.run) - 1; i-q.runHead < last-i {
+		copy(q.run[q.runHead+1:i+1], q.run[q.runHead:i])
+		q.run[q.runHead] = calEntry{}
+		q.runHead++
+	} else {
+		copy(q.run[i:], q.run[i+1:])
+		q.run[last] = calEntry{}
+		q.run = q.run[:last]
+	}
+	e.idx = -1
+	q.count--
+}
+
+// runSearch returns the position of the first live run entry that does not
+// fire before en.
+func (q *calQueue) runSearch(en *calEntry) int {
+	i, _ := slices.BinarySearchFunc(q.run[q.runHead:], *en, calCompare)
+	return q.runHead + i
+}
+
 // nextAt reports the earliest pending timestamp without removing anything.
 // It advances the cursor past empty days exactly as pop would (idempotent
 // under the cursor invariant) but leaves the width-feedback counters alone
-// so probes between windows don't skew the retune loop.
+// so probes between windows don't skew the retune loop. It never orders a
+// day: a crowded one is scanned until a pop reaches it.
 func (q *calQueue) nextAt() (Time, bool) {
 	if q.count == 0 {
 		return 0, false
 	}
 	for cycle := 0; cycle < len(q.buckets); cycle++ {
+		if q.curTop == q.runTop && q.runHead < len(q.run) {
+			return q.run[q.runHead].at, true
+		}
 		arr := q.buckets[q.curBkt]
 		bestAt := q.curTop
 		found := false
@@ -238,6 +520,7 @@ func (q *calQueue) nextAt() (Time, bool) {
 		q.curBkt = (q.curBkt + 1) & q.mask
 		q.curTop += q.width
 	}
+	q.endRun()
 	var best Time
 	first := true
 	for _, arr := range q.buckets {
@@ -252,26 +535,27 @@ func (q *calQueue) nextAt() (Time, bool) {
 	return best, true
 }
 
-// maybeRetune closes the width feedback loop once per window: if the scan
-// examined many events per day, days hold too much and the width halves;
-// if it mostly walked empty days, days are too fine and the width doubles.
-// Either way events are refiled in place — no bucket reallocation — and
-// the counters restart, so a population whose density drifts (slot bursts
-// draining into sparse idle stretches) converges within a window or two.
+// maybeRetune closes the width feedback loop once per window: if pop
+// examined or moved many entries per day, days hold too much and the width
+// halves; if it mostly walked empty days, days are too fine and the width
+// doubles. Either way events are refiled in place — no bucket reallocation
+// — and the counters restart, so a population whose density drifts (slot
+// bursts draining into sparse idle stretches) converges within a window or
+// two.
 func (q *calQueue) maybeRetune() {
 	if q.peeks < calRetuneWindow {
 		return
 	}
-	// Test the empty-day signal before the crowded-day one. Slot-periodic
-	// populations schedule bursts of events at the *same* timestamp (every
-	// receiver's timer on a slot boundary), and no width separates ties, so
-	// a "halve on crowded scans" response to a tied burst can never win —
-	// it just narrows the days until the wheel aliases and the walks blow
-	// up, and with both counters then high, halving first means halving
-	// forever (the collapse pins the width at one nanosecond). Widening
-	// first is safe in every regime: scanning a tied burst costs the same
-	// at any width, while each empty day walked is pure overhead that
-	// widening removes.
+	// A burst of ties — every receiver's timer on one slot boundary — is
+	// work no width can spread, and an ordered day does not charge it as
+	// crowding (see startRun). What does read as crowding is what narrowing
+	// fixes: light days scanned with several instants on them, ordered days
+	// holding many distinct instants, and arms that land mid-run and move
+	// the entries behind them.
+	//
+	// The empty-day signal is tested first. Widening is safe in every
+	// regime — each empty day walked is pure overhead — whereas with both
+	// counters high, halving first means halving forever.
 	if q.dayAdvances > calRetuneScan*q.peeks {
 		q.setShift(int(q.shift) + 1)
 	} else if q.bucketSteps > calRetuneScan*q.peeks {
@@ -288,6 +572,7 @@ func (q *calQueue) setShift(sh int) {
 	if uint(sh) == q.shift {
 		return
 	}
+	q.endRun() // under the old width, which is what its day was cut by
 	q.shift = uint(sh)
 	q.width = 1 << q.shift
 	q.refile(len(q.buckets))
@@ -297,6 +582,7 @@ func (q *calQueue) setShift(sh int) {
 // population's observed mean inter-event spacing, the estimate the
 // feedback loop then refines.
 func (q *calQueue) grow() {
+	q.endRun()
 	var lo, hi Time
 	first := true
 	for _, arr := range q.buckets {
@@ -328,7 +614,8 @@ func (q *calQueue) grow() {
 // buckets, reusing the existing bucket arrays (and their capacity) when n
 // is unchanged, and leaves the cursor on the earliest event's day. Event
 // pointers stay valid throughout — only their bkt/idx coordinates move —
-// so a caller holding peek's result may still remove it afterwards.
+// so a caller holding peek's result may still remove it afterwards. Callers
+// dissolve the run first, before they change the width.
 func (q *calQueue) refile(n int) {
 	q.scratch = q.scratch[:0]
 	var lo Time

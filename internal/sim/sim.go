@@ -66,7 +66,9 @@ type event struct {
 	// it is filed in and its position within that bucket. idx is -1 once
 	// popped or removed. An event is pending if and only if idx >= 0:
 	// Timer.Stop removes its event from the calendar immediately, so no
-	// dead events ever drain through the run loop.
+	// dead events ever drain through the run loop. While the event's day is
+	// the calendar's ordered run it is filed there, found by its key, and
+	// idx says only that it is pending.
 	bkt int
 	idx int
 	// gen counts how many times this event object has been recycled through
@@ -209,7 +211,9 @@ func (s *Scheduler) Schedule(t Time, f func()) {
 // akey instead of the current clock. The shard coordinator uses it to file
 // cross-shard deliveries under their sender-side reservation instant, so a
 // delivery competes in the destination scheduler exactly as it would have
-// in a single serial scheduler. akey must not exceed t.
+// in a single serial scheduler. akey must not exceed t. The event still
+// takes a fresh seq from this scheduler, so its (t, akey, seq) key is
+// unique among pending events whatever akey the caller passes.
 func (s *Scheduler) ScheduleKeyed(t, akey Time, f func()) {
 	r := Reservation{Akey: akey, Seq: s.seq}
 	s.seq++
@@ -307,8 +311,10 @@ func (t *Timer) valid() bool {
 // The event is removed from the scheduler's calendar immediately and
 // recycled — cancelled timers do not linger until their timestamp drains,
 // so workloads that set and cancel many timers (TCP retransmission) keep
-// Pending() proportional to live events only, and removal itself is O(1):
-// a swap with the last event in the same calendar bucket.
+// Pending() proportional to live events only, and removal itself is O(1),
+// a swap with the last event in the same calendar bucket — or, when the
+// event's day is the crowded one being drained in order, a binary search
+// on its key. Neither touches any other event.
 func (t *Timer) Stop() bool {
 	if !t.valid() {
 		if t != nil {
@@ -337,8 +343,9 @@ func (t *Timer) When() Time {
 
 // Reset arms the timer to run its function d after the current virtual time.
 // An active timer keeps its event object and is simply refiled into the
-// calendar bucket owning the new timestamp — no allocation, two O(1) bucket
-// operations; an inactive one is re-armed from the freelist. Negative d
+// calendar bucket owning the new timestamp — no allocation, one removal and
+// one insert as Stop and At would do them; an inactive one is re-armed from
+// the freelist. Negative d
 // clamps to zero. The timer must have a function (from NewTimer, MakeTimer,
 // At or After).
 func (t *Timer) Reset(d Time) {
@@ -360,6 +367,13 @@ func (t *Timer) ResetAt(at Time) {
 // component that queues future work in its own FIFO fire each item exactly
 // where an individually scheduled event would have fired — the deterministic
 // replay guarantee survives the pooling.
+//
+// The calendar relies on (at, Akey, Seq) being unique among pending events:
+// it finds a member of a crowded day by that key. Every other way of arming
+// draws a fresh Seq, so the scheduler guarantees it there; here the caller
+// does, by arming at most one pending event per reservation at a time — one
+// reservation per queued item, one timer on the head item, as the link
+// flight ring, the group emitters and the SIGMA announcer do.
 func (t *Timer) ResetReserved(at Time, r Reservation) {
 	t.resetAt(at, r)
 }
