@@ -16,7 +16,7 @@ import (
 	"deltasigma/internal/fuzzing"
 )
 
-func runFuzz(args []string, out io.Writer) error {
+func runFuzz(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("dsim fuzz", flag.ContinueOnError)
 	n := fs.Int("n", 64, "number of scenarios to generate and run")
 	seed := fs.Uint64("seed", 1, "first fuzz seed; scenarios use seed..seed+n-1")
@@ -27,9 +27,15 @@ func runFuzz(args []string, out io.Writer) error {
 	verbose := fs.Bool("v", false, "print one line per scenario")
 	shrink := fs.Int("shrink", fuzzing.DefaultShrinkBudget, "max runs spent minimizing each failure (0 disables shrinking)")
 	shards := fs.Int("shards", -1, "request WithShards on every scenario (0 = auto, -1 = off); audited runs fall back to serial, so fingerprints never move")
+	prof := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfiles, err := prof.start()
+	if err != nil {
+		return err
+	}
+	defer stopProfiles(&err)
 	if *shards < -1 {
 		return fmt.Errorf("-shards must be -1 (off), 0 (auto) or a positive shard count, got %d", *shards)
 	}

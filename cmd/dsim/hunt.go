@@ -19,7 +19,7 @@ import (
 	"deltasigma/internal/fuzzing"
 )
 
-func runHunt(args []string, out io.Writer) error {
+func runHunt(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("dsim hunt", flag.ContinueOnError)
 	gens := fs.Int("gens", 8, "generations of evolutionary search")
 	pop := fs.Int("pop", 24, "population per generation")
@@ -30,9 +30,15 @@ func runHunt(args []string, out io.Writer) error {
 	keep := fs.Int("keep", 8, "ranked scenarios kept in the corpus")
 	shrinkTop := fs.Int("shrink-top", 2, "top scenarios to shrink into minimal repros")
 	shrinkBudget := fs.Int("shrink", fuzzing.DefaultHuntShrinkBudget, "max evaluation runs per shrink")
+	prof := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfiles, err := prof.start()
+	if err != nil {
+		return err
+	}
+	defer stopProfiles(&err)
 	if *gens <= 0 || *pop <= 1 {
 		return fmt.Errorf("-gens must be positive and -pop at least 2, got %d and %d", *gens, *pop)
 	}

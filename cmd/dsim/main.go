@@ -50,6 +50,12 @@
 //	go run ./cmd/dsim hunt -gens 8 -pop 24 -seed 1 -workers 4
 //	go run ./cmd/dsim hunt -gens 3 -pop 16 -seed 1 -out hunt-out -json
 //	go run ./cmd/dsim fuzz -repro hunt-out/hunt_repro_rank1.json
+//
+// Every mode accepts -cpuprofile FILE and -memprofile FILE (the heap
+// profile is written at exit, after a GC):
+//
+//	go run ./cmd/dsim -sessions 1 -cohort 1000000 -dur 600 -cpuprofile cpu.pprof -memprofile mem.pprof
+//	go tool pprof -top -sample_index=alloc_space mem.pprof
 package main
 
 import (
@@ -92,7 +98,7 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("dsim", flag.ContinueOnError)
 	protocol := fs.String("protocol", "flid-ds", "protocol variant (see -list)")
 	topology := fs.String("topology", "dumbbell", "topology: dumbbell, chain or star")
@@ -111,9 +117,15 @@ func run(args []string, out io.Writer) error {
 	shards := fs.Int("shards", -1, "parallel simulation shards: 0 = auto (one per core), 1 = serial, >1 explicit (results are identical either way)")
 	jsonOut := fs.Bool("json", false, "dump the typed Result as JSON instead of the progress table")
 	list := fs.Bool("list", false, "list registered protocols and exit")
+	prof := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfiles, err := prof.start()
+	if err != nil {
+		return err
+	}
+	defer stopProfiles(&err)
 
 	if *list {
 		for _, name := range deltasigma.Protocols() {

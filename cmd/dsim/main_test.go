@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -414,5 +417,79 @@ func TestFuzzReproReplay(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "suppression-oracle") {
 		t.Errorf("violations not printed:\n%s", buf.String())
+	}
+}
+
+// profiledCommands is every subcommand at a size that takes a moment, each
+// with the arguments that make it so.
+var profiledCommands = []struct {
+	name string
+	run  func([]string, io.Writer) error
+	args []string
+}{
+	{"run", run, []string{"-sessions", "1", "-dur", "2", "-json"}},
+	{"sweep", runSweep, []string{"-protocols", "flid-dl", "-receivers", "1", "-dur", "2", "-workers", "1", "-json"}},
+	{"fuzz", runFuzz, []string{"-n", "1", "-workers", "1", "-json"}},
+	{"hunt", runHunt, []string{"-gens", "1", "-pop", "2", "-workers", "1", "-shrink-top", "0", "-json"}},
+}
+
+// checkProfile asserts path holds what runtime/pprof writes: a gzip stream
+// that inflates to a non-empty protobuf.
+func checkProfile(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatalf("profile not written: %v", err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("%s is not a pprof file: %v", path, err)
+	}
+	body, err := io.ReadAll(zr)
+	if err != nil || len(body) == 0 {
+		t.Fatalf("%s inflates to %d bytes, error %v", path, len(body), err)
+	}
+}
+
+func TestCPUProfileFlag(t *testing.T) {
+	for _, c := range profiledCommands {
+		path := filepath.Join(t.TempDir(), c.name+".cpu.pprof")
+		if err := c.run(append([]string{"-cpuprofile", path}, c.args...), io.Discard); err != nil {
+			t.Fatalf("dsim %s -cpuprofile: %v", c.name, err)
+		}
+		checkProfile(t, path)
+	}
+}
+
+func TestMemProfileFlag(t *testing.T) {
+	for _, c := range profiledCommands {
+		path := filepath.Join(t.TempDir(), c.name+".mem.pprof")
+		if err := c.run(append([]string{"-memprofile", path}, c.args...), io.Discard); err != nil {
+			t.Fatalf("dsim %s -memprofile: %v", c.name, err)
+		}
+		checkProfile(t, path)
+	}
+}
+
+// A profile path that cannot be created is a typed error before anything
+// runs — main prints it and exits 1 — for either flag, on every subcommand.
+func TestUnwritableProfilePath(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "no", "such", "dir", "p.pprof")
+	for _, c := range profiledCommands {
+		for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+			var out bytes.Buffer
+			err := c.run(append([]string{flag, bad}, c.args...), &out)
+			var perr *profileError
+			if !errors.As(err, &perr) || perr.path != bad || "-"+perr.flag != flag {
+				t.Fatalf("dsim %s %s %s: error %v, want a profileError naming the flag and path", c.name, flag, bad, err)
+			}
+			if !errors.Is(err, fs.ErrNotExist) {
+				t.Errorf("dsim %s %s: %v does not wrap the cause", c.name, flag, err)
+			}
+			if out.Len() != 0 {
+				t.Errorf("dsim %s %s ran before rejecting the path:\n%s", c.name, flag, out.String())
+			}
+		}
 	}
 }

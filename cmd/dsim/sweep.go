@@ -15,7 +15,7 @@ import (
 	"deltasigma/internal/scenario"
 )
 
-func runSweep(args []string, out io.Writer) error {
+func runSweep(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("dsim sweep", flag.ContinueOnError)
 	camp := fs.String("campaign", "", "run a canned campaign (see -list) instead of an ad-hoc grid")
 	scale := fs.Float64("scale", 1, "duration scale for canned campaigns (1 = full length)")
@@ -40,9 +40,15 @@ func runSweep(args []string, out io.Writer) error {
 	jsonOut := fs.Bool("json", false, "emit the CampaignResult as JSON")
 	csvOut := fs.Bool("csv", false, "emit the CampaignResult as CSV")
 	list := fs.Bool("list", false, "list canned campaigns and exit")
+	prof := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfiles, err := prof.start()
+	if err != nil {
+		return err
+	}
+	defer stopProfiles(&err)
 	if err := nonNegative(fs, "shards", "workers", "dur", "warmup", "attack"); err != nil {
 		return err
 	}

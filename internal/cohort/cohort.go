@@ -103,6 +103,7 @@ type Agent struct {
 	running bool
 	loop    *core.SlotLoop
 	tallies map[uint32]*slotTally
+	idle    sim.Freelist[slotTally] // evaluated tallies, cleared, for the slots to come
 
 	// feedbackDst, when nonzero, is the unicast address (the session
 	// source) the cohort reports its slot status to — one FeedbackHeader
@@ -336,10 +337,27 @@ func (a *Agent) onData(pkt *packet.Packet) {
 	}
 	t := a.tallies[h.Slot]
 	if t == nil {
-		t = newSlotTally(a.Sess.Rates.N)
+		t = a.tally()
 		a.tallies[h.Slot] = t
 	}
 	t.observe(h)
+}
+
+// tally returns an empty tally, an idle one when there is one.
+func (a *Agent) tally() *slotTally {
+	t := a.idle.Get()
+	if t.got == nil {
+		*t = *newSlotTally(a.Sess.Rates.N)
+	}
+	return t
+}
+
+// retire empties t and keeps it for a later slot.
+func (a *Agent) retire(t *slotTally) {
+	clear(t.got)
+	clear(t.expect)
+	t.inc = 0
+	a.idle.Put(t)
 }
 
 // evaluate applies the FLID subscription rules to the finished slot, bucket
@@ -347,16 +365,18 @@ func (a *Agent) onData(pkt *packet.Packet) {
 func (a *Agent) evaluate(slot uint32) {
 	t := a.tallies[slot]
 	delete(a.tallies, slot)
-	for s := range a.tallies {
+	for s, stray := range a.tallies {
 		if s+4 < slot {
-			delete(a.tallies, s) // GC strays
+			delete(a.tallies, s)
+			a.retire(stray)
 		}
 	}
+	if t == nil {
+		t = a.tally() // nothing arrived: every group reads as lost
+	}
+	defer a.retire(t)
 	if len(a.buckets) == 0 {
 		return
-	}
-	if t == nil {
-		t = newSlotTally(a.Sess.Rates.N)
 	}
 
 	congested := false

@@ -80,44 +80,34 @@ type LayeredReceiver struct {
 	n    int
 	slot uint32
 
-	comp      []keys.Accumulator // XOR of received component fields per group
-	got       []int              // packets received per group
-	expect    []int              // Count field per group (0 = never seen)
-	dec       []keys.Key         // δ_{g-1} seen in group-g packets (index g-1)
-	haveDec   []bool
-	increase  int        // highest group an upgrade was authorized to (from headers)
-	sawMarked bool       // an ECN CE mark counts as congestion for ECN-driven protocols
-	keyBuf    []keys.Key // Outcome.Keys scratch, capacity n
+	groups    []layeredGroup // what the slot has accumulated, group g at index g-1
+	increase  int            // highest group an upgrade was authorized to (from headers)
+	sawMarked bool           // an ECN CE mark counts as congestion for ECN-driven protocols
+	keyBuf    []keys.Key     // Outcome.Keys scratch, capacity n
+}
+
+// layeredGroup is one group's share of a slot's state. A session has eight
+// accumulators per receiver, so the groups sit in one slice, not a slice
+// per field.
+type layeredGroup struct {
+	comp    keys.Accumulator // XOR of received component fields
+	got     int              // packets received
+	expect  int              // Count field (0 = never seen)
+	dec     keys.Key         // δ_{g-1}, seen in group-g packets
+	haveDec bool
 }
 
 // NewLayeredReceiver builds the receiver-side instantiation for a session
 // with n groups.
 func NewLayeredReceiver(n int) *LayeredReceiver {
 	checkGroupCount(n)
-	r := &LayeredReceiver{n: n}
-	r.alloc()
-	return r
-}
-
-func (r *LayeredReceiver) alloc() {
-	r.comp = make([]keys.Accumulator, r.n)
-	r.got = make([]int, r.n)
-	r.expect = make([]int, r.n)
-	r.dec = make([]keys.Key, r.n)
-	r.haveDec = make([]bool, r.n)
-	r.keyBuf = make([]keys.Key, 0, r.n)
-	r.increase = 0
-	r.sawMarked = false
+	return &LayeredReceiver{n: n, groups: make([]layeredGroup, n), keyBuf: make([]keys.Key, 0, n)}
 }
 
 // Begin resets the receiver for a new slot.
 func (r *LayeredReceiver) Begin(slot uint32) {
 	r.slot = slot
-	clear(r.comp)
-	clear(r.got)
-	clear(r.expect)
-	clear(r.dec)
-	clear(r.haveDec)
+	clear(r.groups)
 	r.increase = 0
 	r.sawMarked = false
 }
@@ -136,12 +126,13 @@ func (r *LayeredReceiver) Observe(h *packet.FLIDHeader, marked bool) {
 	if g < 1 || g > r.n {
 		return
 	}
-	r.got[g-1]++
-	r.expect[g-1] = int(h.Count)
-	r.comp[g-1].Add(h.Component)
+	gr := &r.groups[g-1]
+	gr.got++
+	gr.expect = int(h.Count)
+	gr.comp.Add(h.Component)
 	if g >= 2 {
-		r.dec[g-1] = h.Decrease
-		r.haveDec[g-1] = true
+		gr.dec = h.Decrease
+		gr.haveDec = true
 	}
 	if int(h.IncreaseTo) > r.increase {
 		r.increase = int(h.IncreaseTo)
@@ -152,16 +143,14 @@ func (r *LayeredReceiver) Observe(h *packet.FLIDHeader, marked bool) {
 }
 
 // Received reports how many packets arrived for group g this slot.
-func (r *LayeredReceiver) Received(g int) int { return r.got[g-1] }
+func (r *LayeredReceiver) Received(g int) int { return r.groups[g-1].got }
 
 // lost reports whether group g (1-based) lost at least one packet this
 // slot. A group from which nothing arrived counts as lossy: the sender
 // guarantees at least one packet per group per slot.
 func (r *LayeredReceiver) lost(g int) bool {
-	if r.got[g-1] == 0 {
-		return true
-	}
-	return r.got[g-1] < r.expect[g-1]
+	gr := &r.groups[g-1]
+	return gr.got == 0 || gr.got < gr.expect
 }
 
 // Finish concludes the slot for a receiver whose current subscription is
@@ -191,7 +180,7 @@ func (r *LayeredReceiver) Finish(top int, ecnMode bool) Outcome {
 		// u_g: XOR of every component of groups 1..top = α_top.
 		var alpha keys.Key
 		for g := 1; g <= top; g++ {
-			alpha = keys.XOR(alpha, r.comp[g-1].Sum())
+			alpha = keys.XOR(alpha, r.groups[g-1].comp.Sum())
 		}
 		out.Keys = r.lowerKeys(top - 1)
 		if len(out.Keys) == top-1 {
@@ -221,7 +210,7 @@ func (r *LayeredReceiver) Finish(top int, ecnMode bool) Outcome {
 	if nLossy == 1 && lossy == top && top >= 2 && r.increase >= top && !(ecnMode && r.sawMarked) {
 		var alpha keys.Key
 		for g := 1; g < top; g++ {
-			alpha = keys.XOR(alpha, r.comp[g-1].Sum())
+			alpha = keys.XOR(alpha, r.groups[g-1].comp.Sum())
 		}
 		if out.Keys = r.lowerKeys(top - 1); len(out.Keys) == top-1 {
 			out.Keys = append(out.Keys, alpha)
@@ -245,10 +234,10 @@ func (r *LayeredReceiver) Finish(top int, ecnMode bool) Outcome {
 func (r *LayeredReceiver) lowerKeys(m int) []keys.Key {
 	ks := r.keyBuf[:0]
 	for j := 1; j <= m; j++ {
-		if !r.haveDec[j] { // note: haveDec[j] ⇔ a packet of group j+1 arrived
+		if !r.groups[j].haveDec { // note: groups[j].haveDec ⇔ a packet of group j+1 arrived
 			break
 		}
-		ks = append(ks, r.dec[j])
+		ks = append(ks, r.groups[j].dec)
 	}
 	return ks
 }

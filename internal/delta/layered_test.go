@@ -234,7 +234,7 @@ func TestCongestedCannotReconstructTopKey(t *testing.T) {
 	deliver(r, headers[:4], map[[2]int]bool{{4, 2}: true})
 	var naive keys.Key
 	for g := 1; g <= 4; g++ {
-		naive = keys.XOR(naive, r.comp[g-1].Sum())
+		naive = keys.XOR(naive, r.groups[g-1].comp.Sum())
 	}
 	if ls.Keys.Opens(4, naive) {
 		t.Fatal("naive XOR of a lossy trace opened the top group")

@@ -84,6 +84,7 @@ type Router struct {
 	consolidate bool
 	fbHold      sim.Time
 	fbPending   map[fbKey]*fbEntry
+	fbFree      sim.Freelist[fbEntry] // flushed buckets, emptied, awaiting the next key
 	// FeedbackAbsorbed counts feedback reports merged into pending state.
 	FeedbackAbsorbed uint64
 	// FeedbackForwarded counts consolidated reports sent upstream.
@@ -119,8 +120,13 @@ type fbKey struct {
 	dst     packet.Addr
 }
 
-// fbEntry accumulates the reports absorbed for one bucket.
+// fbEntry accumulates the reports absorbed for one bucket. Entries recycle
+// through the router's freelist, each with the closure that flushes it: a
+// router consolidating a million-member session opens a bucket per slot per
+// branch, and none of them should cost the heap anything once warm.
 type fbEntry struct {
+	key       fbKey
+	flush     func() // flushes this entry; bound when the entry is first made
 	count     uint64
 	maxLevel  uint8
 	congested bool
@@ -260,15 +266,19 @@ func (r *Router) EnableConsolidation(hold sim.Time) {
 }
 
 // absorbFeedback merges one report into the pending bucket, arming the
-// bucket's flush timer on first contact. Timers are armed in packet-arrival
+// bucket's flush on first contact. Flushes are armed in packet-arrival
 // order, so seeded runs replay exactly.
 func (r *Router) absorbFeedback(fb *packet.FeedbackHeader, dst packet.Addr) {
 	k := fbKey{session: fb.Session, slot: fb.Slot, dst: dst}
 	e := r.fbPending[k]
 	if e == nil {
-		e = &fbEntry{}
+		e = r.fbFree.Get()
+		if e.flush == nil {
+			e.flush = func() { r.flushFeedback(e) }
+		}
+		e.key = k
 		r.fbPending[k] = e
-		r.net.Scheduler().After(r.fbHold, func() { r.flushFeedback(k) })
+		r.net.Scheduler().ScheduleAfter(r.fbHold, e.flush)
 	}
 	e.count += fb.Count
 	if fb.MaxLevel > e.maxLevel {
@@ -279,16 +289,16 @@ func (r *Router) absorbFeedback(fb *packet.FeedbackHeader, dst packet.Addr) {
 	r.FeedbackAbsorbed++
 }
 
-// flushFeedback emits one consolidated report for the bucket and clears it.
-func (r *Router) flushFeedback(k fbKey) {
-	e := r.fbPending[k]
-	if e == nil {
-		return
-	}
+// flushFeedback emits one consolidated report for the bucket and parks the
+// bucket, emptied, for the next key.
+func (r *Router) flushFeedback(e *fbEntry) {
+	k := e.key
 	delete(r.fbPending, k)
 	h := r.net.Pool().FeedbackHeader()
 	h.Session, h.Slot, h.Count = k.session, k.slot, e.count
 	h.MaxLevel, h.Congested, h.Reports = e.maxLevel, e.congested, e.reports
+	*e = fbEntry{flush: e.flush}
+	r.fbFree.Put(e)
 	out := r.net.NewPacket(r.addr, k.dst, 0, h)
 	r.FeedbackForwarded++
 	if next := r.net.NextHopLink(r.id, k.dst); next != nil {

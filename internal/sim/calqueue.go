@@ -1,6 +1,9 @@
 package sim
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // This file implements the scheduler's pending-event store as a calendar
 // (bucket) queue in the style of Brown's calendar queues, tuned for the
@@ -42,21 +45,38 @@ import "slices"
 // equal timestamps resolve by the insertion-stable seq the original heap
 // compared, which is what keeps every seeded golden byte-identical.
 //
-// Sizing is grow-only: simulation populations burst every slot (a sender
-// schedules its whole slot's emissions at once, then the calendar drains),
-// and shrinking on the trough just to re-grow on the next burst would
-// reallocate every bucket twice per slot. A calendar that grew once stays
-// grown and bucket capacity persists, so steady state inserts allocate
-// nothing. Ordering a day allocates nothing either, and copies nothing: the
-// run *is* its bucket's array, and arrays only change hands (see startRun
-// and tradeUp). The day width self-tunes instead: it is seeded from the
-// observed mean inter-event spacing whenever the calendar grows, then
-// corrected by a feedback loop measuring where pop actually spends its
-// steps — many entries examined or moved per pop means days are too wide
-// (halve), many empty days walked means days are too narrow (double).
-// Retuning refiles events through a reusable scratch buffer in place.
+// The bucket count is grow-only: simulation populations burst every slot (a
+// sender schedules its whole slot's emissions at once, then the calendar
+// drains), and shrinking on the trough just to re-grow on the next burst
+// would rebuild the calendar twice per slot. Bucket storage follows the
+// population, not the buckets. Every bucket owns a home chunk of calChunk
+// entries, all carved from one slab allocated with the bucket array — a
+// light day never needs more. A bucket that outgrows its array borrows one
+// of twice the capacity from the freelist, which keeps idle arrays by
+// power-of-two size and allocates only when it has none of the size asked
+// for, and gives the old one back; the moment a bucket drains it returns
+// what it borrowed and is back on its home chunk. So arrays change hands: a
+// crowd moving from boundary to boundary finds the arrays the last boundary
+// released, the calendar holds its slab plus what its largest simultaneous
+// crowd needed, and steady state allocates nothing. Ordering a day allocates
+// nothing either, and copies nothing: the run *is* its bucket's borrowed
+// array, released when the run dissolves (see startRun and endRun). Growing
+// the calendar carves a new slab and keeps every borrowed array. The day
+// width self-tunes: it is seeded from the observed mean inter-event spacing
+// whenever the calendar grows, then corrected by a feedback loop measuring
+// where pop actually spends its steps — many entries examined or moved per
+// pop means days are too wide (halve), many empty days walked means days are
+// too narrow (double). Retuning refiles events through a reusable scratch
+// buffer in place.
 const (
 	calMinBuckets = 64
+	// calChunk is the capacity of a bucket's home chunk: what the width
+	// feedback keeps a light day under, so most buckets never borrow, at 128
+	// bytes of slab per bucket. A constant, not a knob: at 2, 4 and 8 the
+	// benchmark's `population` workload allocated 28.7, 28.3 and 30.2 MB per
+	// repetition (41.1 before there was a slab). A power of two, like every
+	// array the freelist lends.
+	calChunk = 4
 	// calInitialShift makes the initial day width 2^20 ns (~1.05 ms). Day
 	// widths are always powers of two so filing an event is a shift and a
 	// mask, not a 64-bit division — place and the cursor math sit on the
@@ -113,10 +133,12 @@ func calCompare(a, b calEntry) int {
 
 type calQueue struct {
 	buckets [][]calEntry
-	scratch []calEntry // reused by refile; never shrinks
-	mask    int        // len(buckets)-1; the bucket count is a power of two
-	shift   uint       // log2 of the day width
-	width   Time       // day width (1<<shift): the span of virtual time one bucket covers
+	slab    []calEntry     // the buckets' home chunks, calChunk entries each
+	free    [][][]calEntry // free[c]: idle borrowed arrays of capacity 1<<c, all cleared
+	scratch []calEntry     // reused by refile; never shrinks
+	mask    int            // len(buckets)-1; the bucket count is a power of two
+	shift   uint           // log2 of the day width
+	width   Time           // day width (1<<shift): the span of virtual time one bucket covers
 	count   int
 	curBkt  int  // bucket under the cursor
 	curTop  Time // exclusive end of the day under the cursor
@@ -131,12 +153,6 @@ type calQueue struct {
 	runCharge int    // feedback steps charged per pop from the run, see startRun
 	runDay    uint64 // calNoRun when no day is ordered
 	runTop    Time   // exclusive end of runDay; 0, which no curTop equals, when none is
-	// The run's storage is its bucket's own array. spare is an array lying
-	// idle — the last dissolved run's, or what a bucket left in exchange
-	// for it — and lent the bucket that was handed the spare when its own
-	// array last became the run; see startRun and tradeUp.
-	spare []calEntry
-	lent  int
 
 	// Scan-cost accounting driving the width feedback.
 	peeks       int
@@ -145,19 +161,72 @@ type calQueue struct {
 }
 
 func (q *calQueue) init() {
-	q.buckets = make([][]calEntry, calMinBuckets)
-	q.mask = calMinBuckets - 1
+	q.carve(calMinBuckets)
 	q.shift = calInitialShift
 	q.width = 1 << q.shift
 	q.curTop = q.width
 	q.runDay = calNoRun
 }
 
+// carve rebuilds the calendar with n empty buckets, each on its home chunk
+// of a fresh slab. Callers have unfiled every entry.
+func (q *calQueue) carve(n int) {
+	q.buckets = make([][]calEntry, n)
+	q.slab = make([]calEntry, n*calChunk)
+	q.mask = n - 1
+	for b := range q.buckets {
+		q.buckets[b] = q.home(b)
+	}
+}
+
+// home returns bucket b's chunk of the slab, empty. The capacity is capped
+// so that a full chunk reads as full instead of running into its neighbour.
+func (q *calQueue) home(b int) []calEntry {
+	return q.slab[b*calChunk : b*calChunk : (b+1)*calChunk]
+}
+
+// roomier moves arr's entries, positions kept, into an array of twice the
+// capacity — an idle one of that size if the freelist has any — and releases
+// arr.
+func (q *calQueue) roomier(arr []calEntry) []calEntry {
+	c := bits.TrailingZeros(uint(cap(arr))) + 1
+	var big []calEntry
+	if c < len(q.free) && len(q.free[c]) > 0 {
+		idle := q.free[c]
+		big, q.free[c] = idle[len(idle)-1], idle[:len(idle)-1]
+	} else {
+		big = make([]calEntry, 0, 1<<c)
+	}
+	big = append(big, arr...)
+	q.release(arr)
+	return big
+}
+
+// release clears arr and, unless it is a home chunk — capacity tells, every
+// borrowed array being larger — files it with the idle arrays of its size.
+func (q *calQueue) release(arr []calEntry) {
+	clear(arr)
+	if cap(arr) == calChunk {
+		return
+	}
+	c := bits.TrailingZeros(uint(cap(arr)))
+	for len(q.free) <= c {
+		q.free = append(q.free, nil)
+	}
+	q.free[c] = append(q.free[c], arr[:0])
+}
+
+// vacate puts bucket b, just drained, back on its home chunk and releases
+// the array it had borrowed.
+func (q *calQueue) vacate(b int) {
+	q.release(q.buckets[b])
+	q.buckets[b] = q.home(b)
+}
+
 // place files e where its day is kept: in the run if the day is the ordered
-// one, else in the bucket owning the day — after trading the bucket's array
-// for a larger idle one if a crowd has filled it. e.at is never negative
-// (the scheduler panics on past scheduling before any event reaches the
-// queue, and the clock starts at zero).
+// one, else in the bucket owning the day, in a roomier array if the bucket's
+// is full. e.at is never negative (the scheduler panics on past scheduling
+// before any event reaches the queue, and the clock starts at zero).
 func (q *calQueue) place(e *event) {
 	day := uint64(e.at) >> q.shift
 	if day == q.runDay {
@@ -166,33 +235,12 @@ func (q *calQueue) place(e *event) {
 	}
 	b := int(day) & q.mask
 	arr := q.buckets[b]
-	if len(arr) >= calRunMin && len(arr) == cap(arr) {
-		arr = q.tradeUp(arr)
+	if len(arr) == cap(arr) {
+		arr = q.roomier(arr)
 	}
 	e.bkt = b
 	e.idx = len(arr)
 	q.buckets[b] = append(arr, calEntry{at: e.at, akey: e.akey, seq: e.seq, e: e})
-}
-
-// tradeUp is the answer to a bucket array a crowd has filled: rather
-// than grow a new one the crowd will leave behind in its turn, swap it for
-// a larger one lying idle — the last dissolved run's, or the one lent to
-// the last ordered day's bucket if nothing has been filed there since. It
-// returns the array to keep filing into. One array a crowd's size then
-// follows the crowd from bucket to bucket, where every bucket a burst ever
-// landed on used to grow and keep its own.
-func (q *calQueue) tradeUp(arr []calEntry) []calEntry {
-	idle := &q.spare
-	if lent := &q.buckets[q.lent]; cap(*idle) <= len(arr) && len(*lent) == 0 {
-		idle = lent
-	}
-	if cap(*idle) <= len(arr) {
-		return arr
-	}
-	big := append((*idle)[:0], arr...)
-	clear(arr)
-	*idle = arr[:0]
-	return big
 }
 
 func (q *calQueue) setCursor(day uint64) {
@@ -209,9 +257,9 @@ func (q *calQueue) insert(e *event) {
 	}
 	day := uint64(e.at) >> q.shift
 	b := int(day) & q.mask
-	if arr := q.buckets[b]; day != q.runDay && len(arr) < calRunMin {
-		// place, spelled out for the insert every light day takes: one
-		// predictable branch, no call.
+	if arr := q.buckets[b]; day != q.runDay && len(arr) < cap(arr) {
+		// place, spelled out for the insert that finds room, as on a light
+		// day every insert does: one predictable branch, no call.
 		e.bkt = b
 		e.idx = len(arr)
 		q.buckets[b] = append(arr, calEntry{at: e.at, akey: e.akey, seq: e.seq, e: e})
@@ -229,9 +277,9 @@ func (q *calQueue) insert(e *event) {
 }
 
 // remove unfiles a pending event: from a bucket in O(1) by swapping it with
-// the bucket's last element, from the run by runRemove. The cursor never
-// moves here; removal can only leave the cursor's day emptier, which pop
-// skips naturally.
+// the bucket's last element, from the run by runRemove. A bucket it empties
+// gives back what it borrowed. The cursor never moves here; removal can only
+// leave the cursor's day emptier, which pop skips naturally.
 func (q *calQueue) remove(e *event) {
 	if uint64(e.at)>>q.shift == q.runDay {
 		q.runRemove(e)
@@ -244,6 +292,9 @@ func (q *calQueue) remove(e *event) {
 	moved.e.idx = e.idx
 	arr[last] = calEntry{}
 	q.buckets[e.bkt] = arr[:last]
+	if last == 0 && cap(arr) > calChunk {
+		q.vacate(e.bkt)
+	}
 	e.idx = -1
 	q.count--
 }
@@ -304,6 +355,9 @@ func (q *calQueue) pop(bounded bool, limit Time) *event {
 			}
 			arr[last] = calEntry{}
 			q.buckets[q.curBkt] = arr[:last]
+			if last == 0 && cap(arr) > calChunk {
+				q.vacate(q.curBkt)
+			}
 			e.idx = -1
 			q.count--
 			q.maybeRetune()
@@ -372,9 +426,10 @@ func (q *calQueue) popRun(bounded bool, limit Time) (e *event, done bool) {
 // startRun orders the cursor's day if at least calRunMin of its bucket's
 // entries are on it (the rest are later years aliased onto the bucket). The
 // day's entries close up in place, in bucket order — usually already arming
-// order, which the sort then only verifies — and the bucket's array becomes
-// the run; the later years move to the spare array, which the bucket is
-// lent in its place. It reports whether the day is now the run's.
+// order, which the sort then only verifies — and the bucket's array, borrowed
+// like any that holds a crowd, becomes the run; the bucket goes back on its
+// home chunk, where the later years are filed. It reports whether the day is
+// now the run's.
 func (q *calQueue) startRun() bool {
 	n := 0
 	for _, en := range q.buckets[q.curBkt] {
@@ -387,7 +442,7 @@ func (q *calQueue) startRun() bool {
 	}
 	q.endRun() // one run at a time: whatever another day's still holds goes back to its bucket
 	arr := q.buckets[q.curBkt]
-	rest := q.spare[:0]
+	q.buckets[q.curBkt] = q.home(q.curBkt)
 	w := 0
 	for i := range arr {
 		if arr[i].at < q.curTop {
@@ -395,11 +450,10 @@ func (q *calQueue) startRun() bool {
 			w++
 			continue
 		}
-		arr[i].e.idx = len(rest)
-		rest = append(rest, arr[i])
+		q.place(arr[i].e) // no run yet, so into the bucket
 	}
 	clear(arr[w:])
-	q.run, q.buckets[q.curBkt], q.spare, q.lent = arr[:w], rest, nil, q.curBkt
+	q.run = arr[:w]
 	slices.SortFunc(q.run, calCompare)
 	q.runTop = q.curTop
 	q.runDay = uint64(q.curTop-1) >> q.shift
@@ -423,8 +477,8 @@ func (q *calQueue) startRun() bool {
 
 // endRun dissolves the run. Whatever it still holds (nothing, when pop
 // drained it) is filed back into its bucket, so callers that sweep or
-// refile the bucket array find every pending entry there; its array becomes
-// the spare.
+// refile the bucket array find every pending entry there; its array is
+// released.
 func (q *calQueue) endRun() {
 	if q.runDay == calNoRun {
 		return
@@ -433,8 +487,8 @@ func (q *calQueue) endRun() {
 	for i := q.runHead; i < len(q.run); i++ {
 		q.place(q.run[i].e)
 	}
-	clear(q.run)
-	q.run, q.runHead, q.spare = nil, 0, q.run[:0]
+	q.release(q.run)
+	q.run, q.runHead = nil, 0
 }
 
 // runInsert files e at its ordered position in the run: appended when it
@@ -452,6 +506,9 @@ func (q *calQueue) runInsert(e *event) {
 		n = copy(q.run, q.run[q.runHead:])
 		clear(q.run[n:])
 		q.run, q.runHead = q.run[:n], 0
+	}
+	if n == cap(q.run) {
+		q.run = q.roomier(q.run)
 	}
 	if n == q.runHead || !en.before(&q.run[n-1]) {
 		q.run = append(q.run, en)
@@ -611,8 +668,9 @@ func (q *calQueue) grow() {
 }
 
 // refile redistributes every pending event under the current width into n
-// buckets, reusing the existing bucket arrays (and their capacity) when n
-// is unchanged, and leaves the cursor on the earliest event's day. Event
+// buckets — the existing ones when n is unchanged, else a newly carved
+// calendar; either way every borrowed array passes through the freelist and
+// none is dropped — and leaves the cursor on the earliest event's day. Event
 // pointers stay valid throughout — only their bkt/idx coordinates move —
 // so a caller holding peek's result may still remove it afterwards. Callers
 // dissolve the run first, before they change the width.
@@ -625,13 +683,11 @@ func (q *calQueue) refile(n int) {
 				lo = arr[i].at
 			}
 			q.scratch = append(q.scratch, arr[i])
-			arr[i] = calEntry{}
 		}
-		q.buckets[bi] = arr[:0]
+		q.vacate(bi)
 	}
 	if n != len(q.buckets) {
-		q.buckets = make([][]calEntry, n)
-		q.mask = n - 1
+		q.carve(n)
 	}
 	for i := range q.scratch {
 		q.place(q.scratch[i].e)

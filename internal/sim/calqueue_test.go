@@ -3,6 +3,8 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"math/bits"
+	"slices"
 	"testing"
 )
 
@@ -188,6 +190,77 @@ func (h *refSched) finish() {
 	if h.s.Pending() != 0 {
 		h.t.Fatalf("scheduler still holds %d events after drain", h.s.Pending())
 	}
+	if err := storageSound(&h.s.cal); err != nil {
+		h.t.Fatalf("after drain: %v", err)
+	}
+}
+
+// storageSound checks what the calendar's storage promises at any instant
+// between operations: a bucket is on its own chunk of the slab or, holding
+// something, on a borrowed power-of-two array; idle arrays are empty, filed
+// under their size and cleared; no array is in two places; and nothing
+// outside the pending entries pins an event.
+func storageSound(q *calQueue) error {
+	seen := map[*calEntry]string{}
+	claim := func(arr []calEntry, who string) error {
+		full := arr[:cap(arr)]
+		if prev, dup := seen[&full[0]]; dup {
+			return fmt.Errorf("%s shares its array with %s", who, prev)
+		}
+		seen[&full[0]] = who
+		return nil
+	}
+	cleared := func(arr []calEntry) bool {
+		for _, en := range arr {
+			if en != (calEntry{}) {
+				return false
+			}
+		}
+		return true
+	}
+	for b, arr := range q.buckets {
+		who := fmt.Sprintf("bucket %d", b)
+		switch c := cap(arr); {
+		case c == calChunk:
+			if &arr[:1][0] != &q.slab[b*calChunk] {
+				return fmt.Errorf("%s sits on a chunk-sized array that is not its home chunk", who)
+			}
+		case c < calChunk || c&(c-1) != 0:
+			return fmt.Errorf("%s has capacity %d, neither its home chunk nor a power of two above it", who, c)
+		case len(arr) == 0:
+			return fmt.Errorf("%s is empty and still holds a borrowed array of %d", who, c)
+		default:
+			if err := claim(arr, who); err != nil {
+				return err
+			}
+		}
+		if !cleared(arr[len(arr):cap(arr)]) {
+			return fmt.Errorf("%s keeps entries past its length", who)
+		}
+	}
+	if q.runDay != calNoRun {
+		if err := claim(q.run, "the run"); err != nil {
+			return err
+		}
+		if !cleared(q.run[:q.runHead]) || !cleared(q.run[len(q.run):cap(q.run)]) {
+			return fmt.Errorf("the run keeps entries outside its live part")
+		}
+	}
+	for c, idle := range q.free {
+		for _, arr := range idle {
+			who := fmt.Sprintf("an idle array of class %d", c)
+			if len(arr) != 0 || cap(arr) != 1<<c || c <= bits.TrailingZeros(calChunk) {
+				return fmt.Errorf("%s has length %d and capacity %d", who, len(arr), cap(arr))
+			}
+			if !cleared(arr[:cap(arr)]) {
+				return fmt.Errorf("%s was not cleared", who)
+			}
+			if err := claim(arr, who); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // burstAt and burstSpan place every crowded-day row: the burst ties on
@@ -234,7 +307,12 @@ func (h *refSched) loadBurst(k int) {
 //     a day, NextAt probed between windows, an event armed earlier than the
 //     crowded day after the cursor has already walked to it;
 //   - grow and retune: a calendar resize and a width change forced while the
-//     crowded day is half drained.
+//     crowded day is half drained;
+//   - hand-back: every way a bucket returns the array it borrowed, while the
+//     crowded day drains — stops that empty a crowded bucket on another day
+//     and one aliased onto the run's own, resets into a bucket that has
+//     outgrown its home chunk, and a calendar resize with all of that pending
+//     — each checked against the storage it should leave behind.
 func TestSchedulerMatchesReferenceHeap(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42, 20260808} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -385,6 +463,92 @@ func TestSchedulerMatchesReferenceHeap(t *testing.T) {
 		}
 	})
 
+	t.Run("hand-back", func(t *testing.T) {
+		h := newRefSched(t, 6)
+		s, q := h.s, &h.s.cal
+		bucketOf := func(at Time) int { return int(uint64(at)>>q.shift) & q.mask }
+		borrowed := func(at Time) bool { return cap(q.buckets[bucketOf(at)]) > calChunk }
+		// A second crowd a second behind the burst, too small to be ordered,
+		// large enough to borrow: what the members stop and reset into.
+		const sideAt, nSide = burstAt + Second, calRunMin - 4
+		var side, aliased []int
+		stopAll := func(ids *[]int) {
+			for _, id := range *ids {
+				h.stop(id)
+			}
+			*ids = nil
+		}
+		h.onFire = func() {
+			if s.Now() != burstAt {
+				return
+			}
+			switch h.fired {
+			case 100:
+				// The day is ordered, so its bucket is back on its home chunk;
+				// events a calendar year on alias into that bucket and push it
+				// off the chunk again, under the live run.
+				if q.runDay == calNoRun || borrowed(burstAt) {
+					t.Fatalf("100 ties in: run live %v, its bucket off the home chunk %v", q.runDay != calNoRun, borrowed(burstAt))
+				}
+				year := Time(len(q.buckets)) << q.shift
+				for i := 0; i < 2*calChunk; i++ {
+					aliased = append(aliased, h.nextID)
+					h.arm(burstAt + year + Time(i))
+				}
+				if bucketOf(burstAt+year) != bucketOf(burstAt) || !borrowed(burstAt) {
+					t.Fatal("the aliased events did not crowd the run's bucket: the row tests nothing")
+				}
+			case 200:
+				stopAll(&aliased)
+				if borrowed(burstAt) {
+					t.Error("stopping the last aliased event left the run's bucket off its home chunk")
+				}
+			case 300:
+				if !borrowed(sideAt) {
+					t.Fatal("the side crowd fits its home chunk: the row tests nothing")
+				}
+				for i := 0; i < nSide; i++ { // fill the side bucket's array, and the next size up
+					id, _ := h.victim()
+					h.reset(id, sideAt+Time(i))
+				}
+			case 400:
+				// Resize with the run a third drained and the side bucket
+				// borrowed. The new width may alias anything onto the side
+				// day's bucket, so from here storageSound speaks for it.
+				before := len(q.buckets)
+				for i := 0; i < 2*before; i++ {
+					h.arm(burstAt + 2*Second + Time(i)*Millisecond)
+				}
+				if len(q.buckets) == before {
+					t.Fatal("the calendar did not grow mid-drain: the row tests nothing")
+				}
+			case 500:
+				// Every side event is a timer: the originals, and members reset there.
+				for id := range h.timers {
+					if tm := h.timers[id]; tm.Active() && tm.When() >= sideAt && tm.When() < sideAt+nSide {
+						side = append(side, id)
+					}
+				}
+				slices.Sort(side) // map order must not pick the victims' order
+				if len(side) != 2*nSide {
+					t.Fatalf("%d events pending on the side day, want %d", len(side), 2*nSide)
+				}
+				stopAll(&side)
+			}
+			if err := storageSound(q); err != nil {
+				t.Fatalf("after %d ties: %v", h.fired, err)
+			}
+		}
+		h.loadBurst(1024)
+		for i := 0; i < nSide; i++ {
+			h.arm(sideAt + Time(i))
+		}
+		h.finish()
+		if len(aliased)+len(side) != 0 || h.stopped != 2*calChunk+2*nSide {
+			t.Fatalf("stopped %d events, want %d: a step of the row never ran", h.stopped, 2*calChunk+2*nSide)
+		}
+	})
+
 	t.Run("retune-mid-drain", func(t *testing.T) {
 		h := newRefSched(t, 5)
 		s := h.s
@@ -489,11 +653,8 @@ func TestTieBurstStepsPerPop(t *testing.T) {
 // emissions — allocates nothing once the buckets in play have been filed
 // into before.
 func TestTieBurstAllocatesNothing(t *testing.T) {
-	// A power-of-two slot, so that slots recur on the same few buckets and
-	// "filed into before" takes a few slots. With the benchmark driver's
-	// 250 ms every boundary lands on a bucket of its own until the wheel
-	// has gone round; the burst's array follows it there (tradeUp), but a
-	// bucket's first few entries still grow it a small one of its own.
+	// A power-of-two slot, so that slots recur on the same few buckets;
+	// TestRotatingCrowdAllocatesNothing walks the crowd round the wheel.
 	const slot = Time(1) << 30
 	for _, width := range tieBurstWidths {
 		s := tieBurstLoad(width, slot, func() {})
@@ -501,6 +662,157 @@ func TestTieBurstAllocatesNothing(t *testing.T) {
 		if avg := testing.AllocsPerRun(10, func() { s.RunUntil(s.Now() + slot) }); avg != 0 {
 			t.Errorf("width %d: %.1f allocations per slot once warm, want 0", width, avg)
 		}
+	}
+}
+
+// TestCrowdReturnsItsArrays pins where a crowd's storage goes when the crowd
+// has gone: 1000 ties borrow an array of every size on the way up, and once
+// they have fired every bucket is back on its home chunk and the arrays sit
+// in the freelist, one class each, for the next crowd on any day.
+func TestCrowdReturnsItsArrays(t *testing.T) {
+	s := NewScheduler()
+	crowd := func() {
+		at := s.Now() + Second
+		for i := 0; i < 1000; i++ {
+			s.Schedule(at, func() {})
+		}
+		s.Schedule(at+Second, func() {}) // the cursor leaves the crowded day, as it does mid-simulation
+		s.Run()
+	}
+	crowd()
+	q := &s.cal
+	if err := storageSound(q); err != nil {
+		t.Fatal(err)
+	}
+	for b, arr := range q.buckets {
+		if cap(arr) != calChunk {
+			t.Fatalf("bucket %d still holds an array of %d after the drain", b, cap(arr))
+		}
+	}
+	for c := bits.TrailingZeros(calChunk) + 1; 1<<c <= 1024; c++ {
+		if c >= len(q.free) || len(q.free[c]) == 0 {
+			t.Errorf("no idle array of %d entries: the crowd's storage was dropped, not released", 1<<c)
+		}
+	}
+	// The next crowd, on another day, needs nothing new.
+	if avg := testing.AllocsPerRun(1, crowd); avg != 0 {
+		t.Errorf("a second crowd of the same size allocated %.0f times", avg)
+	}
+
+	// Rebuilding the calendar keeps every array: with a crowd pending, a
+	// width change allocates nothing and a resize only the new calendar's
+	// bucket array and slab.
+	for i := 0; i < 1000; i++ {
+		s.Schedule(s.Now()+Second+Time(i%4)*Millisecond, func() {})
+	}
+	q.setShift(int(q.shift) ^ 1) // sizes refile's scratch buffer
+	if avg := testing.AllocsPerRun(4, func() { q.setShift(int(q.shift) ^ 1) }); avg != 0 {
+		t.Errorf("changing the day width under a pending crowd allocated %.1f times, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(1, q.grow); avg != 2 {
+		t.Errorf("doubling the calendar under a pending crowd allocated %.0f times, want 2", avg)
+	}
+	if err := storageSound(q); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRotatingCrowdAllocatesNothing is the zero-allocation slot where the
+// calendar's storage has to move to stay allocation-free: a slot that is no
+// multiple of the day width, so every boundary crowds a different bucket and
+// the wheel goes round under the crowd; a calendar resize and a width change
+// with the crowd half drained; and, every slot, events aliased onto the
+// ordered day's bucket that are stopped under the live run, so the bucket
+// borrows and hands back while its own day's array is the run. After a
+// warm-up of two calendar years a slot allocates nothing.
+func TestRotatingCrowdAllocatesNothing(t *testing.T) {
+	const width, slot = 1024, 250 * Millisecond
+	var s *Scheduler
+	var q *calQueue
+	// The first event off every ordered day runs the slot's storage script.
+	aliased := make([]Timer, 2*calChunk)
+	handedBack := 0
+	first := func() {
+		b := q.curBkt
+		wasOff := cap(q.buckets[b]) > calChunk
+		for i := range aliased {
+			aliased[i].Stop()
+		}
+		if wasOff && q.curTop == q.runTop && cap(q.buckets[b]) == calChunk {
+			handedBack++
+		}
+		// A calendar year past the next boundary is the next boundary's bucket.
+		year := Time(len(q.buckets)) << q.shift
+		for i := range aliased {
+			aliased[i].ResetAt(s.Now() + slot + year)
+		}
+	}
+	var script func()
+	s = tieBurstLoad(width, slot, func() {
+		if q.curTop == q.runTop && q.runHead == 1 {
+			first()
+		}
+		if script != nil {
+			script()
+		}
+	})
+	q = &s.cal
+	for i := range aliased {
+		aliased[i] = s.MakeTimer(func() { t.Error("an aliased timer outlived its boundary") })
+	}
+
+	// Warm-up, part one: with a boundary half drained, enough one-shot events
+	// to double the calendar; a boundary later, a day width the feedback then
+	// has to put back.
+	grew, retuned := false, false
+	script = func() {
+		if q.curTop != q.runTop || q.runHead != width/2 {
+			return
+		}
+		switch before, sh := len(q.buckets), q.shift; {
+		case !grew:
+			for i := 0; i < 2*before; i++ {
+				s.Schedule(s.Now()+Time(i+1)*(slot/Time(2*before)), func() {})
+			}
+			grew = len(q.buckets) > before
+		case !retuned:
+			q.setShift(int(sh) + 2)
+			retuned = q.shift != sh
+		}
+	}
+	s.RunUntil(8 * slot)
+	script = nil
+	if !grew || !retuned {
+		t.Fatalf("warm-up resized the calendar %v and changed the day width %v under a live run, want both", grew, retuned)
+	}
+	// Part two: the wheel goes round twice under the crowd.
+	from := s.Now()
+	for n := 0; uint64(s.Now()-from)>>q.shift < 2*uint64(len(q.buckets)); n++ {
+		if n == 4096 {
+			t.Fatalf("two calendar years of 2^%d ns days and %d buckets are more than %d slots", q.shift, len(q.buckets), n)
+		}
+		s.RunUntil(s.Now() + slot)
+	}
+	t.Logf("warm-up: %d slots, %d buckets, day width 2^%d ns, %d events fired", s.Now()/slot, len(q.buckets), q.shift, s.Fired())
+	handedBack = 0
+	if avg := testing.AllocsPerRun(10, func() { s.RunUntil(s.Now() + slot) }); avg != 0 {
+		t.Errorf("%.1f allocations per slot once warm, want 0", avg)
+	}
+	if handedBack != 11 {
+		t.Errorf("the ordered day's bucket borrowed and handed back under the live run in %d of 11 slots", handedBack)
+	}
+	if err := storageSound(q); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestFreshSchedulerAllocationBound bounds what a calendar of one's own
+// costs: BenchmarkSchedulerFanOut's body — build, 1000 timers, drain — is
+// 1000 events and a few dozen allocations of calendar, where growing every
+// bucket's array by append made it 2695.
+func TestFreshSchedulerAllocationBound(t *testing.T) {
+	if avg := testing.AllocsPerRun(10, fanOut); avg > 1200 {
+		t.Errorf("a fresh scheduler with 1000 timers cost %.0f allocations, want at most 1200", avg)
 	}
 }
 
