@@ -11,22 +11,16 @@ import (
 // SIGMA one subscription message per receiver per slot, so once a protected
 // session is warm, a slot must cost what a FLID-DL slot costs — no
 // allocation per packet, per message or per receiver. Per-slot state is
-// reset in place and everything a queued packet references recycles with
-// its header, so what remains is what the design leaves on the GC heap on
-// purpose — the slot's key-tuple slice, shared by every copy of its
-// announcement: one per sender per slot — plus the rare growth of a meter
-// series, ring or scratch buffer meeting its largest slot yet, which the
-// average over many slots rounds away.
+// reset in place and everything a queued packet references — headers,
+// their pairs and tuples — recycles with its envelope, so a warm slot
+// allocates nothing: for every protocol, every attacker strategy and a
+// 10^6-member cohort alike.
 func TestSteadyStateAllocationBudget(t *testing.T) {
 	const (
 		// Forty slots take a receiver's eight-entry accumulator ring
 		// through every level it will oscillate between.
 		warmSlots = 40
 		runSlots  = 40
-		// The sender's tuple slice, and room for the growth tail: measured
-		// 1 on every row but the Shamir ones, which read 1–2 while share
-		// lists of newly reached levels are still being sized.
-		protectedBudget = 3
 	)
 	// Every row but the cohort's starts from two honest receivers.
 	honest := func(s *deltasigma.ExperimentSession) { s.AddReceiver(); s.AddReceiver() }
@@ -35,39 +29,54 @@ func TestSteadyStateAllocationBudget(t *testing.T) {
 		honest(s)
 		s.AddAttacker(deltasigma.WithStrategy(deltasigma.StrategyForging)).Inflate()
 	}
+	colluding := func(s *deltasigma.ExperimentSession) {
+		honest(s)
+		for i := 0; i < 2; i++ {
+			s.AddAttacker(deltasigma.WithStrategy(deltasigma.StrategyColluding)).Inflate()
+		}
+	}
+	// An adaptive attacker inflates on its own schedule (its fallback
+	// onset, here), well inside the warm-up.
+	adaptive := func(s *deltasigma.ExperimentSession) {
+		honest(s)
+		s.AddAttacker(deltasigma.WithStrategy(deltasigma.StrategyAdaptive))
+	}
 	million := func(s *deltasigma.ExperimentSession) { s.AddCohort(1_000_000) }
 
 	rows := []struct {
 		protocol, members string
 		populate          func(*deltasigma.ExperimentSession)
-		budget            float64
 	}{
-		{"flid-ds", "honest", honest, protectedBudget},
-		{"flid-ds", "classic", classic, protectedBudget},
-		{"flid-ds", "forging", forging, protectedBudget},
-		{"flid-ds-threshold", "honest", honest, protectedBudget},
-		{"flid-ds-threshold", "classic", classic, protectedBudget},
-		{"flid-ds-threshold", "forging", forging, protectedBudget},
-		{"flid-ds-replicated", "honest", honest, protectedBudget},
-		{"flid-ds-replicated", "classic", classic, protectedBudget},
-		{"flid-ds-replicated", "forging", forging, protectedBudget},
-		// The unprotected baseline and the rivals are not held to the
-		// paper's claim; their rows pin what a warm slot measured when the
-		// row was added, plus one for the growth tail, so the shoot-out's
-		// cost cannot creep unseen. abr-cf has no attacker to add.
-		{"flid-dl", "honest", honest, 2},
-		{"flid-dl", "classic", classic, 1},
-		{"mfcc", "honest", honest, 1},
-		{"mfcc", "classic", classic, 1},
-		{"dsc", "honest", honest, 8},
-		{"dsc", "classic", classic, 7},
-		{"abr-cf", "honest", honest, 7},
+		{"flid-ds", "honest", honest},
+		{"flid-ds", "classic", classic},
+		{"flid-ds", "forging", forging},
+		{"flid-ds", "colluding", colluding},
+		{"flid-ds", "adaptive", adaptive},
+		{"flid-ds-threshold", "honest", honest},
+		{"flid-ds-threshold", "classic", classic},
+		{"flid-ds-threshold", "forging", forging},
+		{"flid-ds-threshold", "colluding", colluding},
+		{"flid-ds-threshold", "adaptive", adaptive},
+		{"flid-ds-replicated", "honest", honest},
+		{"flid-ds-replicated", "classic", classic},
+		{"flid-ds-replicated", "forging", forging},
+		{"flid-ds-replicated", "colluding", colluding},
+		{"flid-ds-replicated", "adaptive", adaptive},
+		// The unprotected baseline and the rivals are held to the same
+		// zero, so the shoot-out's cost cannot creep unseen. abr-cf has no
+		// attacker to add.
+		{"flid-dl", "honest", honest},
+		{"flid-dl", "classic", classic},
+		{"mfcc", "honest", honest},
+		{"mfcc", "classic", classic},
+		{"dsc", "honest", honest},
+		{"dsc", "classic", classic},
+		{"abr-cf", "honest", honest},
 		// One fluid cohort of 10^6 members costs what its buckets cost,
 		// not what its members would: slot tallies and the edge's
-		// consolidation buckets recycle, so flid-dl measures 0 and flid-ds
-		// its sender's tuple slice.
-		{"flid-dl", "cohort-1M", million, 1},
-		{"flid-ds", "cohort-1M", million, 2},
+		// consolidation buckets recycle.
+		{"flid-dl", "cohort-1M", million},
+		{"flid-ds", "cohort-1M", million},
 	}
 	for _, row := range rows {
 		t.Run(row.protocol+"/"+row.members, func(t *testing.T) {
@@ -80,8 +89,8 @@ func TestSteadyStateAllocationBudget(t *testing.T) {
 			exp.Advance(warmSlots * slot)
 
 			got := testing.AllocsPerRun(runSlots, func() { exp.Advance(exp.Now() + slot) })
-			if got > row.budget {
-				t.Fatalf("one warm slot of %s with %s members allocated %.1f times, budget %.0f", row.protocol, row.members, got, row.budget)
+			if got != 0 {
+				t.Fatalf("one warm slot of %s with %s members allocated %.1f times, want 0", row.protocol, row.members, got)
 			}
 			drainAndVerify(t, exp)
 		})

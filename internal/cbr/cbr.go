@@ -90,8 +90,10 @@ func (s *Source) emit() {
 		return
 	}
 	s.seq++
-	pkt := s.host.Network().NewPacket(s.host.Addr(), s.dst, s.PacketSize, &packet.CBRHeader{Flow: s.flow, Seq: s.seq})
-	s.host.Send(pkt)
+	net := s.host.Network()
+	hdr := net.Pool().CBRHeader() // from the pool the packet comes from
+	hdr.Flow, hdr.Seq = s.flow, s.seq
+	s.host.Send(net.NewPacket(s.host.Addr(), s.dst, s.PacketSize, hdr))
 	s.PacketsSent++
 	s.emitTimer.Reset(s.interval())
 }

@@ -16,6 +16,7 @@ package cohort
 
 import (
 	"fmt"
+	"slices"
 
 	"deltasigma/internal/core"
 	"deltasigma/internal/mcast"
@@ -99,7 +100,8 @@ type Agent struct {
 	members uint64 // configured population
 	offline uint64 // members currently left
 	buckets []*bucket
-	subTop  int // highest group subscribed at the edge
+	probe   bucket // admit's candidate: a fresh level-1 joiner
+	subTop  int    // highest group subscribed at the edge
 	running bool
 	loop    *core.SlotLoop
 	tallies map[uint32]*slotTally
@@ -278,17 +280,21 @@ func (a *Agent) Toggle(idx uint64) {
 }
 
 // admit adds n members at the minimal level with fresh join probation,
-// merging into an equivalent bucket when one exists.
+// merging into an equivalent bucket when one exists. The comparison runs
+// against the agent's kept probe, so a merging admission — most churn
+// rejoins — allocates nothing.
 func (a *Agent) admit(n uint64, cur uint32) {
-	nb := &bucket{count: n, level: 1, joinedSlot: make([]uint32, a.Sess.Rates.N+1)}
-	nb.joinedSlot[1] = cur + 1
+	if a.probe.joinedSlot == nil {
+		a.probe = bucket{level: 1, joinedSlot: make([]uint32, a.Sess.Rates.N+1)}
+	}
+	a.probe.joinedSlot[1] = cur + 1
 	for _, b := range a.buckets {
-		if b.pendingEqual(nb, cur) {
+		if b.pendingEqual(&a.probe, cur) {
 			b.count += n
 			return
 		}
 	}
-	a.buckets = append(a.buckets, nb)
+	a.buckets = append(a.buckets, &bucket{count: n, level: 1, joinedSlot: slices.Clone(a.probe.joinedSlot)})
 }
 
 // resubscribe diffs the edge subscription against the distribution's top

@@ -99,6 +99,19 @@ func TestAdmitMergesEquivalentBuckets(t *testing.T) {
 	}
 }
 
+// A merging admission — a churn rejoin landing in an existing level-1
+// bucket — compares against the agent's probe and allocates nothing.
+func TestMergingAdmitAllocatesNothing(t *testing.T) {
+	_, _, a := testAgent(t, 100)
+	a.admit(40, 5)
+	if got := testing.AllocsPerRun(20, func() { a.admit(1, 7) }); got != 0 {
+		t.Fatalf("a merging admit allocated %.0f times", got)
+	}
+	if len(a.buckets) != 1 || a.buckets[0].count != 61 {
+		t.Fatalf("after 21 merging admits: %d buckets, first count %d; want 1 and 61", len(a.buckets), a.buckets[0].count)
+	}
+}
+
 func TestLevelsMeanLevelSubscribers(t *testing.T) {
 	_, sess, a := testAgent(t, 100)
 	a.offline = 40

@@ -189,6 +189,7 @@ func (s *SlotSender) runSlot(slot uint32) {
 	for g := 1; g <= n; g++ {
 		cnt := counts[g-1]
 		spacing := s.Sess.SlotDur / sim.Time(cnt)
+		s.emitters[g-1].reserve(cnt)
 		for j := 1; j <= cnt; j++ {
 			st := Stamp{
 				Session: s.Sess.ID, Group: uint8(g), Slot: slot,
@@ -235,13 +236,22 @@ type emission struct {
 	res sim.Reservation
 }
 
-func (e *groupEmitter) push(pkt *packet.Packet, at sim.Time, res sim.Reservation) {
-	if e.head == len(e.ring) {
-		// Fully drained (every slot drains before the next is scheduled):
-		// rewind so the backing array is reused instead of creeping.
-		e.ring = e.ring[:0]
-		e.head = 0
+// reserve readies the ring for a slot of n emissions. A drained ring
+// (every slot drains before the next is scheduled) rewinds so its backing
+// array is reused instead of creeping, and one too small for the slot is
+// replaced once, with headroom for the pacer's slot-to-slot wobble, so the
+// slot's pushes never double it.
+func (e *groupEmitter) reserve(n int) {
+	if e.head != len(e.ring) {
+		return
 	}
+	e.ring, e.head = e.ring[:0], 0
+	if cap(e.ring) < n {
+		e.ring = make([]emission, 0, n+n/8+1)
+	}
+}
+
+func (e *groupEmitter) push(pkt *packet.Packet, at sim.Time, res sim.Reservation) {
 	e.ring = append(e.ring, emission{pkt: pkt, at: at, res: res})
 	if len(e.ring)-e.head == 1 {
 		e.timer.ResetReserved(at, res)

@@ -74,11 +74,16 @@ func (k *SlotKeys) Opens(g int, key keys.Key) bool {
 }
 
 // Tuples renders the slot's keys as SIGMA address-key tuples for a session
-// whose group g has address base+g−1 (§3.2.1).
+// whose group g has address base+g−1 (§3.2.1), in a fresh slice.
 func (k *SlotKeys) Tuples(base packet.Addr) []packet.KeyTuple {
-	n := len(k.Top)
-	out := make([]packet.KeyTuple, n)
-	for g := 1; g <= n; g++ {
+	return k.AppendTuples(make([]packet.KeyTuple, 0, len(k.Top)), base)
+}
+
+// AppendTuples appends the slot's tuples to dst and returns the extended
+// slice; senders pass their previous slot's tuples truncated, so a warm
+// slot allocates nothing.
+func (k *SlotKeys) AppendTuples(dst []packet.KeyTuple, base packet.Addr) []packet.KeyTuple {
+	for g := 1; g <= len(k.Top); g++ {
 		t := packet.KeyTuple{Addr: packet.Group(base, g-1), Top: k.Top[g-1]}
 		if g-1 < len(k.Dec) {
 			t.Dec = k.Dec[g-1]
@@ -88,9 +93,9 @@ func (k *SlotKeys) Tuples(base packet.Addr) []packet.KeyTuple {
 			t.Inc = k.Inc[g-1]
 			t.HasInc = true
 		}
-		out[g-1] = t
+		dst = append(dst, t)
 	}
-	return out
+	return dst
 }
 
 // newSlotKeys sizes the Figure 3 table for n groups; senders keep one and

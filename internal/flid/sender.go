@@ -56,6 +56,9 @@ type Sender struct {
 	dsend *delta.LayeredSender
 	ds    *delta.LayeredSlot // keys of the slot being emitted
 	ann   *sigma.Announcer
+	// tuples is the slot's announcement, refilled every slot; the
+	// announcer copies it into each announcement's header.
+	tuples []packet.KeyTuple
 }
 
 // NewSender builds a session source on host. In DS mode, keySrc mints the
@@ -83,7 +86,8 @@ func (s *Sender) Announcer() *sigma.Announcer { return s.ann }
 // access slot two ahead (Figure 2).
 func (s *Sender) beginSlot(slot uint32, auth []bool, counts []int) {
 	s.ds = s.dsend.BeginSlot(slot, auth, counts)
-	s.ann.Announce(core.AccessSlot(slot), s.ds.Keys.Tuples(s.Sess.BaseAddr))
+	s.tuples = s.ds.Keys.AppendTuples(s.tuples[:0], s.Sess.BaseAddr)
+	s.ann.Announce(core.AccessSlot(slot), s.tuples)
 }
 
 // header stamps the packet's DELTA component and decrease fields.

@@ -113,5 +113,7 @@ func (c *Client) Leave(group packet.Addr) {
 }
 
 func (c *Client) send(op packet.IGMPOp, group packet.Addr) {
-	c.host.Send(c.host.NewPacket(c.router, 0, &packet.IGMPHeader{Op: op, Group: group}))
+	hdr := c.host.Pool().IGMPHeader()
+	hdr.Op, hdr.Group = op, group
+	c.host.Send(c.host.NewPacket(c.router, 0, hdr))
 }

@@ -118,10 +118,10 @@ func New(src, dst Addr, size int, hdr Header) *Packet {
 	return p
 }
 
-// Clone returns an independent un-pooled shallow copy; headers are immutable
-// by convention once a packet is sent, so cloning copies the envelope only.
-// The simulator's replication paths use Retain/Writable instead — Clone
-// remains for callers outside the pooled lifecycle (tests, one-shot tools).
+// Clone returns an independent un-pooled copy, header and header slices
+// included. The simulator's replication paths use Retain/Writable instead —
+// Clone remains for callers outside the pooled lifecycle (tests, one-shot
+// tools).
 func (p *Packet) Clone() *Packet {
 	q := *p
 	q.refs = 1
@@ -130,10 +130,9 @@ func (p *Packet) Clone() *Packet {
 	return &q
 }
 
-// cloneHeaderHeap copies a pool-recyclable header onto the GC heap so an
-// un-pooled copy never aliases a header the original's Release will recycle:
-// an empty pool has nothing parked, so every clone through it is fresh.
-// Non-recyclable headers remain shared (immutable by convention).
+// cloneHeaderHeap copies a header onto the GC heap so an un-pooled copy
+// never aliases a header the original's Release will recycle: an empty pool
+// has nothing parked, so every clone through it is fresh.
 func cloneHeaderHeap(h Header) Header {
 	var heap Pool
 	return heap.cloneHeader(h)

@@ -22,20 +22,20 @@ import "deltasigma/internal/sim"
 type Pool struct {
 	free []*Packet
 
-	// Typed header freelists. Every header a steady-state sender mints per
-	// packet or per slot is recycled alongside its envelope. A recyclable
-	// header's lifetime is tied 1:1 to its envelope: the final Release
-	// parks it, and every copy path (Writable's copy-on-write, Clone,
-	// AdoptCopy) clones it so two envelopes never share one. A header owns
-	// what a queued packet can reach through it — a SigmaHeader's Pairs and
-	// Addrs backing arrays park and come back with it — except
-	// KeyAnnounce.Tuples, which the Repeat × groups copies of one slot's
-	// announcement share and the GC therefore owns.
+	// Typed header freelists, one per header type. Every header the
+	// simulator mints is recycled alongside its envelope. A header's
+	// lifetime is tied 1:1 to its envelope: the final Release parks it, and
+	// every copy path (Writable's copy-on-write, Clone, AdoptCopy) clones it
+	// so two envelopes never share one. A header owns what a queued packet
+	// can reach through it — a SigmaHeader's Pairs and Addrs and a
+	// KeyAnnounce's Tuples backing arrays park and come back with it.
 	flid     freelist[FLIDHeader]
 	tcp      freelist[TCPHeader]
+	cbr      freelist[CBRHeader]
 	repl     freelist[ReplHeader]
 	sigma    freelist[SigmaHeader]
 	keyAnn   freelist[KeyAnnounce]
+	igmp     freelist[IGMPHeader]
 	feedback freelist[FeedbackHeader]
 	share    freelist[ShareHeader]
 
@@ -83,6 +83,9 @@ func (pl *Pool) FLIDHeader() *FLIDHeader { return pl.flid.zeroed() }
 // TCPHeader returns a zeroed, recycled TCP header.
 func (pl *Pool) TCPHeader() *TCPHeader { return pl.tcp.zeroed() }
 
+// CBRHeader returns a zeroed, recycled constant-bit-rate header.
+func (pl *Pool) CBRHeader() *CBRHeader { return pl.cbr.zeroed() }
+
 // ReplHeader returns a zeroed, recycled replicated-data header.
 func (pl *Pool) ReplHeader() *ReplHeader { return pl.repl.zeroed() }
 
@@ -95,8 +98,17 @@ func (pl *Pool) SigmaHeader() *SigmaHeader {
 	return h
 }
 
-// KeyAnnounce returns a zeroed, recycled key-announce header.
-func (pl *Pool) KeyAnnounce() *KeyAnnounce { return pl.keyAnn.zeroed() }
+// KeyAnnounce returns a zeroed, recycled key-announce header whose Tuples
+// are empty but keep the capacity of their previous use: the announcer
+// appends the slot's tuples into every copy's own array.
+func (pl *Pool) KeyAnnounce() *KeyAnnounce {
+	h := pl.keyAnn.Get()
+	*h = KeyAnnounce{Tuples: h.Tuples[:0]}
+	return h
+}
+
+// IGMPHeader returns a zeroed, recycled IGMP join/leave message.
+func (pl *Pool) IGMPHeader() *IGMPHeader { return pl.igmp.zeroed() }
 
 // FeedbackHeader returns a zeroed, recycled feedback report.
 func (pl *Pool) FeedbackHeader() *FeedbackHeader { return pl.feedback.zeroed() }
@@ -106,15 +118,18 @@ func (pl *Pool) ShareHeader() *ShareHeader { return pl.share.zeroed() }
 
 // cloneHeader copies a recyclable header through the pool freelists so no
 // copy path ever leaves two envelopes pointing at one recyclable header
-// (which the two final Releases would then park twice). A SigmaHeader's
-// slices are copied into the clone's own backing arrays. Other header
-// types stay shared — they are immutable and GC-owned.
+// (which the two final Releases would then park twice). Slices — a
+// SigmaHeader's Pairs and Addrs, a KeyAnnounce's Tuples — are copied into
+// the clone's own backing arrays. A header type the pool does not know
+// (none is minted by the simulator) is returned shared.
 func (pl *Pool) cloneHeader(h Header) Header {
 	switch t := h.(type) {
 	case *FLIDHeader:
 		return pl.flid.clone(t)
 	case *TCPHeader:
 		return pl.tcp.clone(t)
+	case *CBRHeader:
+		return pl.cbr.clone(t)
 	case *ReplHeader:
 		return pl.repl.clone(t)
 	case *SigmaHeader:
@@ -124,7 +139,13 @@ func (pl *Pool) cloneHeader(h Header) Header {
 		c.Pairs, c.Addrs = pairs, addrs
 		return c
 	case *KeyAnnounce:
-		return pl.keyAnn.clone(t)
+		c := pl.KeyAnnounce()
+		tuples := append(c.Tuples, t.Tuples...)
+		*c = *t
+		c.Tuples = tuples
+		return c
+	case *IGMPHeader:
+		return pl.igmp.clone(t)
 	case *FeedbackHeader:
 		return pl.feedback.clone(t)
 	case *ShareHeader:
@@ -159,9 +180,8 @@ func (pl *Pool) Get(src, dst Addr, size int, hdr Header) *Packet {
 }
 
 // AdoptCopy duplicates p into an envelope owned by this pool and returns
-// the copy with one reference. Recyclable headers are cloned through this
-// pool's freelists so the copy's final Release parks them here; other
-// header types are immutable and stay shared. This is the
+// the copy with one reference. The header is cloned through this pool's
+// freelists so the copy's final Release parks it here. This is the
 // cross-shard hand-off primitive: a packet crossing a shard boundary is
 // copied into the destination shard's pool at a quiescent point, and the
 // original is released back to its own pool — each pool's balance closes
@@ -213,13 +233,16 @@ func (p *Packet) Release() {
 		pl.flid.park(t, pl.Fresh)
 	case *TCPHeader:
 		pl.tcp.park(t, pl.Fresh)
+	case *CBRHeader:
+		pl.cbr.park(t, pl.Fresh)
 	case *ReplHeader:
 		pl.repl.park(t, pl.Fresh)
 	case *SigmaHeader:
 		pl.sigma.park(t, pl.Fresh)
 	case *KeyAnnounce:
-		t.Tuples = nil // GC-owned and shared: do not pin it while parked
 		pl.keyAnn.park(t, pl.Fresh)
+	case *IGMPHeader:
+		pl.igmp.park(t, pl.Fresh)
 	case *FeedbackHeader:
 		pl.feedback.park(t, pl.Fresh)
 	case *ShareHeader:

@@ -131,6 +131,11 @@ var recyclable = []struct {
 		func(h Header) bool { f := h.(*TCPHeader); return f.Flow == 7 && f.Seq == 1460 },
 		func(h Header) { *h.(*TCPHeader) = TCPHeader{Flow: 9} },
 		func(pl *Pool) int { return len(pl.tcp.Freelist) }},
+	{"cbr",
+		func(pl *Pool) Header { h := pl.CBRHeader(); h.Flow, h.Seq = 7, 41; return h },
+		func(h Header) bool { f := h.(*CBRHeader); return f.Flow == 7 && f.Seq == 41 },
+		func(h Header) { *h.(*CBRHeader) = CBRHeader{Flow: 9} },
+		func(pl *Pool) int { return len(pl.cbr.Freelist) }},
 	{"repl",
 		func(pl *Pool) Header {
 			h := pl.ReplHeader()
@@ -168,15 +173,25 @@ var recyclable = []struct {
 		func(pl *Pool) Header {
 			h := pl.KeyAnnounce()
 			h.Session, h.Slot, h.FECTotal = 1, 5, 2
-			h.Tuples = []KeyTuple{{Addr: MulticastBase, Top: 1}, {Addr: MulticastBase + 1, Top: 2}}
+			h.Tuples = append(h.Tuples, KeyTuple{Addr: MulticastBase, Top: 1}, KeyTuple{Addr: MulticastBase + 1, Top: 2})
 			return h
 		},
 		func(h Header) bool {
 			f := h.(*KeyAnnounce)
-			return f.Session == 1 && f.Slot == 5 && f.FECTotal == 2 && len(f.Tuples) == 2 && f.Tuples[1].Top == 2
+			return f.Session == 1 && f.Slot == 5 && f.FECTotal == 2 && len(f.Tuples) == 2 &&
+				f.Tuples[0] == (KeyTuple{Addr: MulticastBase, Top: 1}) && f.Tuples[1] == (KeyTuple{Addr: MulticastBase + 1, Top: 2})
 		},
-		func(h Header) { *h.(*KeyAnnounce) = KeyAnnounce{Slot: 99} },
+		func(h Header) {
+			f := h.(*KeyAnnounce)
+			f.Session, f.Slot, f.FECTotal = 9, 99, 9
+			f.Tuples = append(f.Tuples[:0], KeyTuple{Addr: 1, Top: 9}, KeyTuple{Addr: 2, Top: 9})
+		},
 		func(pl *Pool) int { return len(pl.keyAnn.Freelist) }},
+	{"igmp",
+		func(pl *Pool) Header { h := pl.IGMPHeader(); h.Op, h.Group = IGMPLeave, MulticastBase+3; return h },
+		func(h Header) bool { f := h.(*IGMPHeader); return f.Op == IGMPLeave && f.Group == MulticastBase+3 },
+		func(h Header) { *h.(*IGMPHeader) = IGMPHeader{Op: IGMPJoin, Group: 1} },
+		func(pl *Pool) int { return len(pl.igmp.Freelist) }},
 	{"feedback",
 		func(pl *Pool) Header {
 			h := pl.FeedbackHeader()
@@ -285,15 +300,30 @@ func TestRecyclableHeaderLifecycle(t *testing.T) {
 	}
 }
 
-// A parked key announcement must not pin its slot's tuple slice: the slice
-// is shared between copies and owned by the GC, not by any one header.
-func TestParkedKeyAnnounceDropsTuples(t *testing.T) {
+// A key announcement owns its tuple array the way a SIGMA message owns its
+// pairs: parking keeps the array, the next getter hands it back empty, and
+// a warm announcement allocates nothing.
+func TestParkedKeyAnnounceKeepsTuples(t *testing.T) {
 	var pl Pool
 	h := pl.KeyAnnounce()
-	h.Tuples = make([]KeyTuple, 4)
+	h.Tuples = append(h.Tuples, make([]KeyTuple, 4)...)
+	array := &h.Tuples[:1][0]
 	pl.Get(1, MulticastBase, 0, h).Release()
-	if pl.keyAnn.Freelist[0].Tuples != nil {
-		t.Fatal("parked KeyAnnounce still references its tuples")
+	if parked := pl.keyAnn.Freelist[0].Tuples; cap(parked) < 4 || &parked[:1][0] != array {
+		t.Fatal("parked KeyAnnounce dropped its tuple array")
+	}
+	again := pl.KeyAnnounce()
+	if len(again.Tuples) != 0 || cap(again.Tuples) < 4 {
+		t.Fatalf("recycled KeyAnnounce has %d tuples (cap %d), want 0 and its old capacity", len(again.Tuples), cap(again.Tuples))
+	}
+	pl.Get(1, MulticastBase, 0, again).Release()
+	got := testing.AllocsPerRun(100, func() {
+		m := pl.KeyAnnounce()
+		m.Tuples = append(m.Tuples, make([]KeyTuple, 4)...)
+		pl.Get(1, MulticastBase, 0, m).Release()
+	})
+	if got != 0 {
+		t.Fatalf("minting a warm key announcement allocated %.0f times", got)
 	}
 }
 

@@ -25,6 +25,9 @@ type Sender struct {
 	dsend *delta.ReplicatedSender
 	rs    *delta.ReplicatedSlot // keys of the slot being emitted
 	ann   *sigma.Announcer
+	// tuples is the slot's announcement, refilled every slot; the
+	// announcer copies it into each announcement's header.
+	tuples []packet.KeyTuple
 }
 
 // NewSender builds a protected replicated sender.
@@ -44,7 +47,8 @@ func NewSender(host *netsim.Host, sess *core.Session, policy core.UpgradePolicy,
 // replicated receiver sits on only one tree.
 func (s *Sender) beginSlot(slot uint32, auth []bool, counts []int) {
 	s.rs = s.dsend.BeginSlot(slot, auth, counts)
-	s.ann.AnnounceAll(core.AccessSlot(slot), s.rs.Keys.Tuples(s.Sess.BaseAddr))
+	s.tuples = s.rs.Keys.AppendTuples(s.tuples[:0], s.Sess.BaseAddr)
+	s.ann.AnnounceAll(core.AccessSlot(slot), s.tuples)
 }
 
 func (s *Sender) header(st core.Stamp) packet.Header {

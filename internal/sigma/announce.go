@@ -65,7 +65,9 @@ type spacedCopy struct {
 	res sim.Reservation
 }
 
-// Announce multicasts the slot's tuples on the minimal group.
+// Announce multicasts the slot's tuples on the minimal group. Every copy
+// carries the tuples in its header's own array, so the caller may refill
+// tuples as soon as Announce returns.
 func (a *Announcer) Announce(slot uint32, tuples []packet.KeyTuple) {
 	a.announceOn(a.base, slot, tuples)
 	a.SlotsDone++
@@ -87,7 +89,7 @@ func (a *Announcer) announceOn(group packet.Addr, slot uint32, tuples []packet.K
 		hdr := net.Pool().KeyAnnounce()
 		hdr.Session, hdr.Slot = a.session, slot
 		hdr.FECIndex, hdr.FECTotal = uint8(i), uint8(a.Repeat)
-		hdr.Tuples = tuples
+		hdr.Tuples = append(hdr.Tuples, tuples...) // each copy owns its array
 		pkt := net.NewPacket(a.host.Addr(), group, 0, hdr)
 		pkt.Alert = true
 		a.PacketsSent++

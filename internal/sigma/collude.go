@@ -1,7 +1,7 @@
 package sigma
 
 import (
-	"sort"
+	"slices"
 
 	"deltasigma/internal/keys"
 	"deltasigma/internal/packet"
@@ -18,14 +18,22 @@ import (
 // groups 1..k. Second, random guesses are deduplicated across the cohort,
 // so y colluders sample y·GuessesPerSlot distinct keys per group instead
 // of overlapping draws.
+//
+// The pool keeps its maps between slots: a warm cohort allocates nothing.
 type Collusion struct {
 	members []*GuessAttack
 	// shared maps slot → group address → a real key learned from a
-	// member's legitimate subscription.
+	// member's legitimate subscription; gc clears the maps of past slots
+	// onto idle, where learn takes them back.
 	shared map[uint32]map[packet.Addr]keys.Key
-	// guessed maps slot → group address → the set of keys any member has
-	// already burned a guess on.
-	guessed map[uint32]map[packet.Addr]map[keys.Key]bool
+	idle   []map[packet.Addr]keys.Key
+	order  []uint32 // slots' scratch
+	// guessed maps group address → the keys any member has already burned
+	// a guess on for guessSlot. Members guess for the access slot of the
+	// current one, which only moves forward, so the sets are cleared when
+	// the target slot changes instead of being kept per slot.
+	guessed   map[packet.Addr]map[keys.Key]bool
+	guessSlot uint32
 
 	// KeysLearned counts real keys captured from members' legitimate
 	// subscription traffic.
@@ -39,7 +47,7 @@ type Collusion struct {
 func NewCollusion() *Collusion {
 	return &Collusion{
 		shared:  make(map[uint32]map[packet.Addr]keys.Key),
-		guessed: make(map[uint32]map[packet.Addr]map[keys.Key]bool),
+		guessed: make(map[packet.Addr]map[keys.Key]bool),
 	}
 }
 
@@ -70,7 +78,12 @@ func (c *Collusion) Members() int { return len(c.members) }
 func (c *Collusion) learn(slot uint32, pairs []packet.AddrKey) {
 	bySlot := c.shared[slot]
 	if bySlot == nil {
-		bySlot = make(map[packet.Addr]keys.Key)
+		if n := len(c.idle); n > 0 {
+			bySlot = c.idle[n-1]
+			c.idle = c.idle[:n-1]
+		} else {
+			bySlot = make(map[packet.Addr]keys.Key)
+		}
 		c.shared[slot] = bySlot
 	}
 	for _, p := range pairs {
@@ -82,14 +95,15 @@ func (c *Collusion) learn(slot uint32, pairs []packet.AddrKey) {
 }
 
 // slots lists the slots the pool holds learned keys for, ascending — a
-// deterministic replay order independent of map iteration.
+// deterministic replay order independent of map iteration. The slice is
+// the pool's scratch, valid until the next call.
 func (c *Collusion) slots() []uint32 {
-	out := make([]uint32, 0, len(c.shared))
+	c.order = c.order[:0]
 	for slot := range c.shared {
-		out = append(out, slot)
+		c.order = append(c.order, slot)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(c.order)
+	return c.order
 }
 
 // sharedKey returns the pooled real key for a group in a slot, if any
@@ -103,15 +117,16 @@ func (c *Collusion) sharedKey(slot uint32, addr packet.Addr) (keys.Key, bool) {
 // (slot, group) yet, with a bounded number of redraws so the per-slot
 // work stays O(GuessesPerSlot) even when the unseen space thins out.
 func (c *Collusion) freshGuess(rng *sim.RNG, slot uint32, addr packet.Addr) keys.Key {
-	byAddr := c.guessed[slot]
-	if byAddr == nil {
-		byAddr = make(map[packet.Addr]map[keys.Key]bool)
-		c.guessed[slot] = byAddr
+	if slot != c.guessSlot {
+		for _, seen := range c.guessed {
+			clear(seen)
+		}
+		c.guessSlot = slot
 	}
-	seen := byAddr[addr]
+	seen := c.guessed[addr]
 	if seen == nil {
 		seen = make(map[keys.Key]bool)
-		byAddr[addr] = seen
+		c.guessed[addr] = seen
 	}
 	k := keys.Key(rng.Uint64()) & keyMask
 	for tries := 0; tries < 3 && seen[k]; tries++ {
@@ -121,18 +136,16 @@ func (c *Collusion) freshGuess(rng *sim.RNG, slot uint32, addr packet.Addr) keys
 	return k
 }
 
-// gc discards pooled state for slots that can no longer be subscribed.
-// Map iteration order is irrelevant here: only entries strictly below cur
-// are deleted, so the surviving state is order-independent.
+// gc discards pooled state for slots that can no longer be subscribed,
+// keeping the cleared maps for later slots. Map iteration order is
+// irrelevant here: only entries strictly below cur are deleted, so the
+// surviving state is order-independent.
 func (c *Collusion) gc(cur uint32) {
-	for slot := range c.shared {
+	for slot, bySlot := range c.shared {
 		if slot < cur {
 			delete(c.shared, slot)
-		}
-	}
-	for slot := range c.guessed {
-		if slot < cur {
-			delete(c.guessed, slot)
+			clear(bySlot)
+			c.idle = append(c.idle, bySlot)
 		}
 	}
 }

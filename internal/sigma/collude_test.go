@@ -26,6 +26,17 @@ func TestCollusionLearnsOnceAndGC(t *testing.T) {
 	if _, ok := c.sharedKey(5, g1); ok {
 		t.Fatal("gc(6) left slot 5 keys behind")
 	}
+	// The collected slot's map is kept, cleared, for the next slot learned.
+	if len(c.idle) != 1 || len(c.idle[0]) != 0 {
+		t.Fatalf("gc kept %d idle maps (first holding %d keys), want 1 empty", len(c.idle), len(c.idle[0]))
+	}
+	c.learn(7, []packet.AddrKey{{Addr: g2, Key: 33}})
+	if len(c.idle) != 0 || c.KeysLearned != 3 {
+		t.Fatalf("learn after gc: %d idle maps, %d keys learned; want 0 and 3", len(c.idle), c.KeysLearned)
+	}
+	if _, ok := c.sharedKey(7, g1); ok {
+		t.Fatal("a reused map carried a collected slot's key")
+	}
 }
 
 func TestCollusionFreshGuessDeduplicates(t *testing.T) {
@@ -43,9 +54,25 @@ func TestCollusionFreshGuessDeduplicates(t *testing.T) {
 		}
 		seen[k] = true
 	}
-	// A different slot has its own dedup space.
-	if len(c.guessed[9]) != 1 || len(c.guessed[9][g]) != 64 {
-		t.Fatalf("guessed bookkeeping off: %d groups, %d keys", len(c.guessed[9]), len(c.guessed[9][g]))
+	if len(c.guessed) != 1 || len(c.guessed[g]) != 64 {
+		t.Fatalf("guessed bookkeeping off: %d groups, %d keys", len(c.guessed), len(c.guessed[g]))
+	}
+	// The next target slot starts a fresh dedup space.
+	c.freshGuess(rng, 10, g)
+	if len(c.guessed[g]) != 1 || c.guessSlot != 10 {
+		t.Fatalf("new target slot: %d keys remembered for slot %d, want 1 for slot 10", len(c.guessed[g]), c.guessSlot)
+	}
+	// ...in the same set, cleared: a warm cohort's slot of guesses
+	// allocates nothing.
+	slot := uint32(10)
+	got := testing.AllocsPerRun(10, func() {
+		slot++
+		for i := 0; i < 64; i++ {
+			c.freshGuess(rng, slot, g)
+		}
+	})
+	if got != 0 {
+		t.Fatalf("a warm slot of 64 deduplicated guesses allocated %.0f times", got)
 	}
 }
 

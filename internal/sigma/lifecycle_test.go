@@ -1,6 +1,7 @@
 package sigma
 
 import (
+	"slices"
 	"testing"
 
 	"deltasigma/internal/delta"
@@ -103,6 +104,68 @@ func TestECNScrubReplacesPooledHeader(t *testing.T) {
 	// different objects.
 	if a, b := pool.ReplHeader(), pool.ReplHeader(); a == b {
 		t.Fatal("one header was parked twice")
+	}
+}
+
+// Every copy of a slot's announcement carries the tuples in an array of its
+// own. The sender refills its scratch for the next slot while copies still
+// wait out their spacing, and overwriting one copy — a sibling, a Clone or
+// an AdoptCopy — must leave every other copy as it was announced.
+func TestAnnouncementCopiesOwnTheirTuples(t *testing.T) {
+	r := newRig(t)
+	r.ann.Repeat, r.ann.Spacing = 3, slotDur/4
+	cl := NewClient(r.h1, r.edge.Addr())
+	r.sched.At(0, func() { cl.SessionJoin(grp) })
+	tuplesOf := func(p *packet.Packet) []packet.KeyTuple { return p.Header.(*packet.KeyAnnounce).Tuples }
+	scribble := func(p *packet.Packet) {
+		h := p.Header.(*packet.KeyAnnounce)
+		h.Tuples = append(h.Tuples[:0], make([]packet.KeyTuple, len(h.Tuples))...)
+	}
+	var want []packet.KeyTuple
+	var other packet.Pool // a second shard's pool
+	r.sched.At(10*sim.Millisecond, func() {
+		counts := []int{2, 2, 2, 2}
+		scratch := r.beginSlot(5, make([]bool, nGroups), counts).Keys.AppendTuples(nil, grp)
+		want = slices.Clone(scratch)
+		r.ann.Announce(5, scratch)
+		if queued := len(r.ann.spaced) - r.ann.head; queued != 2 {
+			t.Fatalf("%d copies wait out their spacing, want 2", queued)
+		}
+		c1, c2 := r.ann.spaced[r.ann.head].pkt, r.ann.spaced[r.ann.head+1].pkt
+
+		scratch = r.beginSlot(6, make([]bool, nGroups), counts).Keys.AppendTuples(scratch[:0], grp)
+		if slices.Equal(scratch, want) {
+			t.Fatal("slot 6 drew slot 5's keys; the refill proves nothing")
+		}
+		for i, c := range []*packet.Packet{c1, c2} {
+			if !slices.Equal(tuplesOf(c), want) {
+				t.Fatalf("queued copy %d changed when the sender refilled its scratch", i+1)
+			}
+		}
+
+		clone, adopted := c1.Clone(), other.AdoptCopy(c1)
+		copies := []*packet.Packet{c2, clone, adopted}
+		for i, victim := range copies {
+			scribble(victim)
+			for _, p := range append([]*packet.Packet{c1}, copies[i+1:]...) {
+				if !slices.Equal(tuplesOf(p), want) {
+					t.Fatalf("overwriting copy %d of 3 (sibling, clone, adopted) reached another copy", i+1)
+				}
+			}
+		}
+		clone.Release()
+		adopted.Release()
+	})
+	r.sched.RunUntil(300 * sim.Millisecond)
+
+	// Copy 0 left before the refill; the edge stored what it carried.
+	for _, tp := range want {
+		if got := r.ctl.store[tp.Addr][5]; got.top != tp.Top || got.dec != tp.Dec {
+			t.Fatalf("edge stored %+v for %v, want the announced %+v", got, tp.Addr, tp)
+		}
+	}
+	if r.net.Pool().Outstanding() != 0 || other.Outstanding() != 0 {
+		t.Fatalf("outstanding after drain: %d in the network's pool, %d in the other", r.net.Pool().Outstanding(), other.Outstanding())
 	}
 }
 

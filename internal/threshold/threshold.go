@@ -51,6 +51,9 @@ type Sender struct {
 	tsend *delta.ThresholdSender
 	ts    *delta.ThresholdSlot // keys and polynomials of the slot being emitted
 	ann   *sigma.Announcer
+	// tuples is the slot's announcement, refilled every slot; the
+	// announcer copies it into each announcement's header.
+	tuples []packet.KeyTuple
 }
 
 // NewSender builds a protected threshold sender with the given per-level
@@ -74,7 +77,8 @@ func (s *Sender) beginSlot(slot uint32, auth []bool, counts []int) {
 		panic(err) // counts are >= 1 by construction
 	}
 	s.ts = ts
-	s.ann.Announce(core.AccessSlot(slot), ts.Keys.Tuples(s.Sess.BaseAddr))
+	s.tuples = ts.Keys.AppendTuples(s.tuples[:0], s.Sess.BaseAddr)
+	s.ann.Announce(core.AccessSlot(slot), s.tuples)
 }
 
 // header stamps the packet's share of its level's key and, when an upgrade
