@@ -1,0 +1,117 @@
+package deltasigma_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// facadeSurface lists the root package's exported API as parsed from its
+// non-test files: every exported func, type and const, and every exported
+// method on an exported type, one "kind Name" line each, sorted.
+func facadeSurface(t *testing.T) []string {
+	t.Helper()
+	fset := token.NewFileSet()
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if !d.Name.IsExported() {
+					continue
+				}
+				if d.Recv == nil {
+					out = append(out, "func "+d.Name.Name)
+					continue
+				}
+				if recv := receiverType(d.Recv.List[0].Type); ast.IsExported(recv) {
+					out = append(out, "method "+recv+"."+d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						if s.Name.IsExported() {
+							out = append(out, "type "+s.Name.Name)
+						}
+					case *ast.ValueSpec:
+						if d.Tok != token.CONST {
+							continue
+						}
+						for _, n := range s.Names {
+							if n.IsExported() {
+								out = append(out, "const "+n.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// receiverType names a method receiver's base type: T for T, *T and T[P].
+func receiverType(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
+		}
+	}
+}
+
+// TestFacadeSurface pins the facade's exported names against
+// testdata/facade_api.txt, so every name a change adds or removes shows up
+// in its diff. Regenerate with -update-golden.
+func TestFacadeSurface(t *testing.T) {
+	got := facadeSurface(t)
+	path := filepath.Join("testdata", "facade_api.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
+	}
+	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	for _, g := range got {
+		if !slices.Contains(want, g) {
+			t.Errorf("exported but not in %s: %s", path, g)
+		}
+	}
+	for _, w := range want {
+		if !slices.Contains(got, w) {
+			t.Errorf("in %s but no longer exported: %s", path, w)
+		}
+	}
+}
