@@ -40,9 +40,9 @@ func (st AttackerStrategy) valid() bool {
 	return false
 }
 
-// AttackerStrategies lists the defined strategy names in catalog order,
-// for validation messages and sweep axes.
-func AttackerStrategies() []AttackerStrategy {
+// attackerStrategies lists the defined strategy names in catalog order,
+// for validation messages.
+func attackerStrategies() []AttackerStrategy {
 	return []AttackerStrategy{StrategyClassic, StrategyColluding, StrategyAdaptive, StrategyForging}
 }
 
@@ -54,14 +54,15 @@ type guessEngine interface {
 }
 
 // UnknownStrategyError is what TryAddAttacker returns for a strategy name
-// outside AttackerStrategies — typically a hand-edited spec or repro file.
+// outside the four defined ones — typically a hand-edited spec or repro
+// file.
 type UnknownStrategyError struct {
 	Strategy AttackerStrategy
 }
 
 // Error implements error.
 func (e *UnknownStrategyError) Error() string {
-	return fmt.Sprintf("deltasigma: unknown attacker strategy %q (want one of %v)", e.Strategy, AttackerStrategies())
+	return fmt.Sprintf("deltasigma: unknown attacker strategy %q (want one of %v)", e.Strategy, attackerStrategies())
 }
 
 // AttackerOption configures one AddAttacker / TryAddAttacker call.

@@ -19,8 +19,8 @@ type Violation = invariant.Violation
 type auditSettings struct {
 	enabled  bool
 	interval Time
-	limit    int
 	oracles  []SuppressionOracle
+	err      error // the first misused sub-option, surfaced by New
 }
 
 // AuditOption configures the audit layer inside WithAudit.
@@ -41,6 +41,9 @@ func WithAudit(opts ...AuditOption) Option {
 		for _, o := range opts {
 			o(&s.audit)
 		}
+		if s.audit.err != nil {
+			s.fail(s.audit.err)
+		}
 	}
 }
 
@@ -49,16 +52,11 @@ func WithAudit(opts ...AuditOption) Option {
 func AuditEvery(d Time) AuditOption {
 	return func(a *auditSettings) {
 		if d <= 0 {
-			panic(fmt.Sprintf("deltasigma: AuditEvery(%v) must be positive", d))
+			a.err = fmt.Errorf("deltasigma: AuditEvery(%v) must be positive", d)
+			return
 		}
 		a.interval = d
 	}
-}
-
-// AuditLimit caps how many violations are recorded (detection keeps
-// counting past the cap). The default is invariant.DefaultLimit.
-func AuditLimit(n int) AuditOption {
-	return func(a *auditSettings) { a.limit = n }
 }
 
 // AuditSuppression arms the protocol oracle for the run (see
@@ -107,9 +105,7 @@ type Audit struct {
 }
 
 func newAudit(e *Experiment, cfg auditSettings) *Audit {
-	a := &Audit{exp: e, cfg: cfg}
-	a.aud.Limit = cfg.limit
-	return a
+	return &Audit{exp: e, cfg: cfg}
 }
 
 // Audit returns the audit layer, or nil when the experiment was built
@@ -317,11 +313,10 @@ func (e *Experiment) StopTraffic() {
 	}
 }
 
-// CheckDrained runs the post-drain structural invariants without requiring
+// checkDrained runs the post-drain structural invariants without requiring
 // WithAudit: pool balance against the experiment's baseline, per-link
-// conservation, and link emptiness. It returns the violations found — the
-// facade test suite's shared leak check is built on this.
-func (e *Experiment) CheckDrained() []Violation {
+// conservation, and link emptiness.
+func (e *Experiment) checkDrained() []Violation {
 	var aud invariant.Auditor
 	now := e.Now()
 	aud.CheckPoolBalance(now, e.Pool(), e.poolBase)
@@ -349,12 +344,13 @@ func (e *Experiment) shardPoolTail() []*PacketPool {
 // DrainAndAudit is the packaged end-of-run sequence: stop all traffic, let
 // the network drain for grace of virtual time, then run the full final
 // audit. With WithAudit enabled it returns Audit().Finish; otherwise it
-// returns the structural CheckDrained violations.
+// returns the structural post-drain violations (pool balance, link
+// conservation and emptiness).
 func (e *Experiment) DrainAndAudit(grace Time) []Violation {
 	e.StopTraffic()
 	e.Advance(e.Now() + grace)
 	if e.audit != nil {
 		return e.audit.Finish()
 	}
-	return e.CheckDrained()
+	return e.checkDrained()
 }

@@ -26,7 +26,6 @@ func runFuzz(args []string, out io.Writer) (err error) {
 	repro := fs.String("repro", "", "replay a repro file instead of fuzzing")
 	verbose := fs.Bool("v", false, "print one line per scenario")
 	shrink := fs.Int("shrink", fuzzing.DefaultShrinkBudget, "max runs spent minimizing each failure (0 disables shrinking)")
-	shards := fs.Int("shards", -1, "request WithShards on every scenario (0 = auto, -1 = off); audited runs fall back to serial, so fingerprints never move")
 	prof := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -36,10 +35,6 @@ func runFuzz(args []string, out io.Writer) (err error) {
 		return err
 	}
 	defer stopProfiles(&err)
-	if *shards < -1 {
-		return fmt.Errorf("-shards must be -1 (off), 0 (auto) or a positive shard count, got %d", *shards)
-	}
-	fuzzing.ShardRequest = *shards
 
 	if *repro != "" {
 		return replayRepro(*repro, *jsonOut, out)

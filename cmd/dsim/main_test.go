@@ -286,8 +286,8 @@ func TestSweepCSVShape(t *testing.T) {
 	}
 }
 
-// -shards validation across the three subcommands: negative values (other
-// than fuzz's -1 = off default) are rejected before anything runs.
+// -shards validation for run and sweep: negative values are rejected before
+// anything runs.
 func TestShardsFlagValidation(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-shards", "-2"}, &buf); err == nil || !strings.Contains(err.Error(), "-shards") {
@@ -295,9 +295,6 @@ func TestShardsFlagValidation(t *testing.T) {
 	}
 	if err := runSweep([]string{"-shards", "-1"}, &buf); err == nil || !strings.Contains(err.Error(), "-shards") {
 		t.Fatalf("runSweep accepted negative -shards: %v", err)
-	}
-	if err := runFuzz([]string{"-shards", "-2"}, &buf); err == nil || !strings.Contains(err.Error(), "-shards") {
-		t.Fatalf("runFuzz accepted -shards below -1: %v", err)
 	}
 }
 

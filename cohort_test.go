@@ -162,24 +162,6 @@ func TestFeedbackConsolidationScalesWithFanOut(t *testing.T) {
 	}
 }
 
-// TestWithCohortThreshold checks the auto-aggregation option: AddSession
-// populations above the threshold become one cohort, below it stay exact
-// receiver objects, and individually added receivers are never aggregated.
-func TestWithCohortThreshold(t *testing.T) {
-	e := deltasigma.MustNew(deltasigma.WithCohortThreshold(100))
-	big := e.AddSession(5000)
-	if len(big.Receivers) != 0 || len(big.Cohorts) != 1 || big.Cohorts[0].Members() != 5000 {
-		t.Fatalf("session over threshold: %d receivers, %d cohorts", len(big.Receivers), len(big.Cohorts))
-	}
-	small := e.AddSession(10)
-	if len(small.Receivers) != 10 || len(small.Cohorts) != 0 {
-		t.Fatalf("session under threshold: %d receivers, %d cohorts", len(small.Receivers), len(small.Cohorts))
-	}
-	if _, err := deltasigma.New(deltasigma.WithCohortThreshold(0)); err == nil {
-		t.Fatal("WithCohortThreshold(0) accepted")
-	}
-}
-
 // TestCohortAuditClean runs a churned cohort experiment under the full
 // periodic audit — including the new cohort-conservation and private-edge
 // graft-consistency rules — and requires a clean drain.

@@ -63,8 +63,8 @@ type (
 	Link = netsim.Link
 	// Addr is a network (host or group) address.
 	Addr = packet.Addr
-	// EdgeRouter is a gatekept multicast edge router — what EdgeAssisted
-	// protocols hang their router-resident agents on.
+	// EdgeRouter is a gatekept multicast edge router — what a protocol's
+	// Capabilities.EdgeAgent hangs its router-resident agent on.
 	EdgeRouter = mcast.Router
 	// PacketPool recycles packet envelopes across experiments; see
 	// WithPacketPool. One pool must never serve concurrent experiments.
@@ -74,18 +74,10 @@ type (
 	Topology = topo.Topology
 	// Port couples a receiver host with its gatekeeping edge router.
 	Port = topo.Port
-	// Dumbbell is the paper's single-bottleneck topology.
-	Dumbbell = topo.Dumbbell
-	// DumbbellConfig parameterizes a Dumbbell.
-	DumbbellConfig = topo.Config
-	// Chain is a multi-bottleneck parking-lot topology.
+	// Chain is a multi-bottleneck parking-lot topology (WithChain).
 	Chain = topo.Chain
-	// ChainConfig parameterizes a Chain.
-	ChainConfig = topo.ChainConfig
-	// Star is a hub-and-spoke topology with per-edge gatekeepers.
+	// Star is a hub-and-spoke topology with per-edge gatekeepers (WithStar).
 	Star = topo.Star
-	// StarConfig parameterizes a Star.
-	StarConfig = topo.StarConfig
 )
 
 // Virtual time units.
@@ -101,18 +93,3 @@ const DefaultDelay = topo.DefaultDelay
 // PaperSchedule returns the §5.1 rate schedule: 10 groups from 100 Kbps,
 // factor 1.5.
 func PaperSchedule() RateSchedule { return core.PaperSchedule() }
-
-// PaperDumbbell builds the §5.1 dumbbell with the given bottleneck
-// capacity in bits/s, ready for WithTopology.
-func PaperDumbbell(bottleneck int64, seed uint64) *Dumbbell {
-	return topo.New(topo.PaperConfig(bottleneck, seed))
-}
-
-// NewDumbbell builds a dumbbell from an explicit configuration.
-func NewDumbbell(cfg DumbbellConfig) *Dumbbell { return topo.New(cfg) }
-
-// NewChain builds a multi-bottleneck chain.
-func NewChain(cfg ChainConfig) *Chain { return topo.NewChain(cfg) }
-
-// NewStar builds a star with one bottleneck spoke per edge router.
-func NewStar(cfg StarConfig) *Star { return topo.NewStar(cfg) }

@@ -8,17 +8,21 @@ import (
 )
 
 func TestProtocolRegistryNames(t *testing.T) {
-	want := map[string]bool{ // name -> Protected()
-		"flid-dl":            false,
-		"flid-ds":            true,
-		"flid-ds-replicated": true,
-		"flid-ds-threshold":  true,
-		"mfcc":               false,
-		"dsc":                false,
-		"abr-cf":             false,
+	type caps [4]bool // attacker, cohorts, feedback, edge agent
+	want := map[string]struct {
+		protected bool
+		caps      caps
+	}{
+		"flid-dl":            {false, caps{true, true, false, false}},
+		"flid-ds":            {true, caps{true, true, false, false}},
+		"flid-ds-replicated": {true, caps{true, false, false, false}},
+		"flid-ds-threshold":  {true, caps{true, true, false, false}},
+		"mfcc":               {false, caps{true, false, false, true}},
+		"dsc":                {false, caps{true, true, true, false}},
+		"abr-cf":             {false, caps{false, false, true, false}},
 	}
 	got := deltasigma.Protocols()
-	for name, protected := range want {
+	for name, w := range want {
 		p, ok := deltasigma.LookupProtocol(name)
 		if !ok {
 			t.Fatalf("protocol %q not registered (have %v)", name, got)
@@ -26,8 +30,22 @@ func TestProtocolRegistryNames(t *testing.T) {
 		if p.Name() != name {
 			t.Fatalf("protocol %q reports name %q", name, p.Name())
 		}
-		if prot := p.Protected(); prot != protected {
-			t.Fatalf("protocol %q: Protected() = %v, want %v", name, prot, protected)
+		if prot := p.Protected(); prot != w.protected {
+			t.Fatalf("protocol %q: Protected() = %v, want %v", name, prot, w.protected)
+		}
+		c := p.Capabilities()
+		if got := (caps{c.Attacker, c.Cohorts, c.Feedback, c.EdgeAgent != nil}); got != w.caps {
+			t.Errorf("protocol %q: capabilities (attacker, cohorts, feedback, edge agent) = %v, want %v", name, got, w.caps)
+		}
+		// AddCohort honours the declaration.
+		s := deltasigma.MustNew(deltasigma.WithProtocol(name)).AddSession(0)
+		panicked := func() (panicked bool) {
+			defer func() { panicked = recover() != nil }()
+			s.AddCohort(10)
+			return false
+		}()
+		if panicked == c.Cohorts {
+			t.Errorf("protocol %q: AddCohort panicked=%v with Cohorts=%v", name, panicked, c.Cohorts)
 		}
 	}
 	if len(got) < len(want) {
@@ -59,8 +77,14 @@ func TestNewRejectsBadOptions(t *testing.T) {
 	if _, err := deltasigma.New(deltasigma.WithStar(-1)); err == nil {
 		t.Fatal("negative star spoke accepted (must error, not panic)")
 	}
+	if _, err := deltasigma.New(deltasigma.WithTopology(nil)); err == nil {
+		t.Fatal("nil topology builder accepted (must error, not panic)")
+	}
 	if _, err := deltasigma.New(deltasigma.WithDumbbell(0)); err == nil {
 		t.Fatal("zero dumbbell capacity accepted (must error, not panic)")
+	}
+	if _, err := deltasigma.New(deltasigma.WithAudit(deltasigma.AuditEvery(0))); err == nil {
+		t.Fatal("zero audit interval accepted (must error, not panic)")
 	}
 }
 

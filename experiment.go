@@ -38,13 +38,12 @@ type Experiment struct {
 	// Protocol is the congestion control variant sessions run.
 	Protocol Protocol
 
-	seed      uint64
-	slot      Time
-	schedule  RateSchedule
-	pktSize   int
-	ecnFrac   float64
-	cohortThr int  // AddSession populations above this aggregate (0 = never)
-	noConsol  bool // WithFeedbackConsolidation(false)
+	seed     uint64
+	slot     Time
+	schedule RateSchedule
+	pktSize  int
+	ecnFrac  float64
+	noConsol bool // WithFeedbackConsolidation(false)
 
 	nextID    uint16
 	started   bool
@@ -76,9 +75,6 @@ type Experiment struct {
 	shardNext     int
 	shardMigrated int
 	shardFallback string
-
-	controllers []*sigma.Controller
-	edgeAgents  []EdgeAgent
 }
 
 // New assembles an experiment from functional options. With no options it
@@ -86,6 +82,7 @@ type Experiment struct {
 func New(opts ...Option) (*Experiment, error) {
 	s := settings{
 		seed:     1,
+		topology: func(seed uint64) Topology { return dumbbell(1_000_000, seed) },
 		schedule: core.PaperSchedule(),
 		pktSize:  defaultPacketSize,
 	}
@@ -101,29 +98,21 @@ func New(opts ...Option) (*Experiment, error) {
 	if s.slot == 0 {
 		s.slot = s.protocol.DefaultSlot()
 	}
-	t := s.topology
-	if t == nil {
-		fn := s.topoFn
-		if fn == nil {
-			fn = func(seed uint64) Topology { return PaperDumbbell(1_000_000, seed) }
-		}
-		t = fn(s.seed)
-	}
+	t := s.topology(s.seed)
 	if s.pool != nil {
 		t.Network().SetPool(s.pool)
 	}
 	e := &Experiment{
-		Topo:      t,
-		Protocol:  s.protocol,
-		seed:      s.seed,
-		slot:      s.slot,
-		schedule:  s.schedule,
-		pktSize:   s.pktSize,
-		ecnFrac:   s.ecnFrac,
-		cohortThr: s.cohortThr,
-		noConsol:  s.noConsol,
-		events:    s.events,
-		poolBase:  t.Network().Pool().Outstanding(),
+		Topo:     t,
+		Protocol: s.protocol,
+		seed:     s.seed,
+		slot:     s.slot,
+		schedule: s.schedule,
+		pktSize:  s.pktSize,
+		ecnFrac:  s.ecnFrac,
+		noConsol: s.noConsol,
+		events:   s.events,
+		poolBase: t.Network().Pool().Outstanding(),
 	}
 	if s.audit.enabled {
 		e.audit = newAudit(e, s.audit)
@@ -315,14 +304,8 @@ func (e *Experiment) AddSession(receivers int) *ExperimentSession {
 		index:  int(e.nextID),
 		src:    src,
 	}
-	if e.cohortThr > 0 && receivers > e.cohortThr {
-		// WithCohortThreshold: a population this large rides the fluid
-		// aggregate instead of per-packet receiver objects.
-		s.AddCohort(receivers)
-	} else {
-		for i := 0; i < receivers; i++ {
-			s.AddReceiver()
-		}
+	for i := 0; i < receivers; i++ {
+		s.AddReceiver()
 	}
 	e.sessions = append(e.sessions, s)
 	return s
@@ -402,7 +385,6 @@ func (e *Experiment) Start() {
 			if e.ecnFrac > 0 {
 				ctl.EnableECNScrub(keys.NewSource(keys.DefaultBits, e.Topo.Rand().Fork().Uint64))
 			}
-			e.controllers = append(e.controllers, ctl)
 		} else {
 			mcast.NewIGMP(edge)
 		}
@@ -413,11 +395,8 @@ func (e *Experiment) Start() {
 	// session source; with consolidation on (the default), every router
 	// merges the child reports of a slot into one before forwarding, so the
 	// source-side control volume scales with tree fan-out, not population.
-	consumes := false
-	if fd, ok := e.Protocol.(FeedbackDriven); ok {
-		consumes = fd.ConsumesFeedback()
-	}
-	if (len(e.Cohorts()) > 0 || consumes) && !e.noConsol {
+	caps := e.Protocol.Capabilities()
+	if (len(e.Cohorts()) > 0 || caps.Feedback) && !e.noConsol {
 		e.enableConsolidation()
 	}
 
@@ -426,15 +405,13 @@ func (e *Experiment) Start() {
 	// Network-assisted protocols hang an agent on every gatekept edge
 	// (mfcc's fair-share advertiser), created after the gatekeepers above
 	// so the agents can interrogate the installed membership policy.
-	if ea, ok := e.Protocol.(EdgeAssisted); ok {
+	if caps.EdgeAgent != nil {
 		sessList := make([]*Session, len(e.sessions))
 		for i, s := range e.sessions {
 			sessList[i] = s.Sess
 		}
 		for _, edge := range e.Topo.Edges() {
-			agent := ea.NewEdgeAgent(edge, sessList)
-			e.edgeAgents = append(e.edgeAgents, agent)
-			sched.At(0, agent.Start)
+			sched.At(0, caps.EdgeAgent(edge, sessList).Start)
 		}
 	}
 	for _, s := range e.sessions {
@@ -520,14 +497,6 @@ func (e *Experiment) Start() {
 		e.audit.install(sched)
 	}
 }
-
-// Controllers returns the SIGMA controllers installed at Start (empty for
-// unprotected experiments or before Start).
-func (e *Experiment) Controllers() []*sigma.Controller { return e.controllers }
-
-// EdgeAgents returns the per-edge protocol agents installed at Start
-// (empty unless the protocol is EdgeAssisted).
-func (e *Experiment) EdgeAgents() []EdgeAgent { return e.edgeAgents }
 
 // At schedules fn at virtual time t.
 func (e *Experiment) At(t Time, fn func()) { e.Topo.Scheduler().At(t, fn) }

@@ -105,7 +105,7 @@ func Generate(seed uint64) Spec {
 	// protocol exposes a layered fluid aggregate for the cohort model to
 	// observe — AddCohort rejects the replicated sender and the competitor
 	// schemes alike, so the registry capability is the gate.
-	if deltasigma.ProtocolSupportsCohorts(sp.Protocol) {
+	if p, ok := deltasigma.LookupProtocol(sp.Protocol); ok && p.Capabilities().Cohorts {
 		for si := range sp.Sessions {
 			if rng.Float64() < 0.3 {
 				n := 1 + rng.IntN(2)

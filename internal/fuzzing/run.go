@@ -22,14 +22,6 @@ const (
 	DrainGrace = 10 * deltasigma.Second
 )
 
-// ShardRequest, when above 1 (or 0 for automatic), builds every scenario
-// with WithShards. Fuzzed scenarios run under the full audit, which forces
-// the serial fallback, so outcomes and fingerprints are identical to a
-// plain campaign — the knob exists exactly to prove that: the golden
-// corpus must not move however sharding is requested. Set it before
-// Campaign; campaign workers read it concurrently.
-var ShardRequest = -1
-
 // Outcome is the result of running one spec: a pass/fail verdict, the
 // scenario fingerprint, and the violations when the audit tripped. An
 // Outcome is a pure function of its Spec, so a campaign's outcome list is
@@ -86,9 +78,6 @@ func Run(spec Spec, pool *deltasigma.PacketPool) (out Outcome) {
 		}))
 	}
 	opts = append(opts, deltasigma.WithAudit(auditOpts...))
-	if ShardRequest >= 0 {
-		opts = append(opts, deltasigma.WithShards(ShardRequest))
-	}
 	if pool != nil {
 		opts = append(opts, deltasigma.WithPacketPool(pool))
 	}
@@ -108,10 +97,6 @@ func Run(spec Spec, pool *deltasigma.PacketPool) (out Outcome) {
 	out.Violations = exp.DrainAndAudit(DrainGrace)
 	out.Pass = len(out.Violations) == 0
 
-	// The fingerprint pins what the simulation computed; how execution was
-	// dispatched (the sharding request's disposition) is metadata and must
-	// not move the corpus digest.
-	res.Sharding = nil
 	resJSON, err := json.Marshal(res)
 	if err != nil {
 		out.Err = fmt.Sprintf("marshal result: %v", err)

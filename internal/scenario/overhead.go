@@ -40,8 +40,9 @@ func runOverheadPoint(opt Options, n int, slotDur sim.Time) overheadPoint {
 	// Uncongested topology: overhead is a property of the sender's
 	// emission, not of contention. One receiver keeps the edge on the
 	// tree so announces traverse it.
+	cfg := topo.PaperConfig(20_000_000, opt.Seed+uint64(n)+uint64(slotDur))
 	e := deltasigma.MustNew(
-		deltasigma.WithDumbbellConfig(topo.PaperConfig(20_000_000, opt.Seed+uint64(n)+uint64(slotDur))),
+		deltasigma.WithTopology(func(uint64) deltasigma.Topology { return topo.New(cfg) }),
 		deltasigma.WithProtocol("flid-ds"),
 		deltasigma.WithSchedule(core.ScheduleForTotal(overheadBase, overheadTotal, n)),
 		deltasigma.WithSlot(slotDur),

@@ -119,7 +119,7 @@ type lab struct {
 // and protocol mode.
 func newLab(cfg topo.Config, mode flid.Mode) *lab {
 	return &lab{e: deltasigma.MustNew(
-		deltasigma.WithDumbbellConfig(cfg),
+		deltasigma.WithTopology(func(uint64) deltasigma.Topology { return topo.New(cfg) }),
 		deltasigma.WithProtocol(protoName(mode)),
 		deltasigma.WithSeed(cfg.Seed),
 	)}

@@ -117,42 +117,6 @@ func (g *grant) hasSlot(s uint32) bool {
 // iface is the state of one local interface (one attached receiver host).
 type iface struct {
 	grants map[packet.Addr]*grant
-	// guesses tallies distinct invalid keys per group, the §4.2 guessing-
-	// attack indicator.
-	guesses map[packet.Addr]*keySet
-}
-
-// keySet counts distinct keys exactly. A guessing attacker feeds it a few
-// thousand uniform keys per group over a run, so it is a paged bitmap
-// rather than a hash set: a page is allocated once, when the first key
-// lands in it, and nothing is ever rehashed or copied as the set grows.
-// The b = 16 keys of the evaluation fill at most 16 pages (8 KB).
-type keySet struct {
-	pages map[keys.Key]*keyPage
-	n     int
-}
-
-// keyPageBits is the width of a page's key range: 4096 keys, 512 bytes.
-const keyPageBits = 12
-
-type keyPage [1 << keyPageBits / 64]uint64
-
-// add records k; distinct keys are counted once.
-func (s *keySet) add(k keys.Key) {
-	pg := s.pages[k>>keyPageBits]
-	if pg == nil {
-		if s.pages == nil {
-			s.pages = make(map[keys.Key]*keyPage)
-		}
-		pg = new(keyPage)
-		s.pages[k>>keyPageBits] = pg
-	}
-	i := k & (1<<keyPageBits - 1) // position within the page
-	word, bit := &pg[i>>6], uint64(1)<<(i&63)
-	if *word&bit == 0 {
-		*word |= bit
-		s.n++
-	}
 }
 
 // Controller is the SIGMA gatekeeper installed on an edge router. It
@@ -291,13 +255,6 @@ func (c *Controller) tick() {
 				c.revoke(ifc, group)
 			}
 		}
-		for group := range ifc.guesses {
-			// Guess tallies are the attack indicator; retain them for as
-			// long as the session's keys are live.
-			if _, live := c.store[group]; !live {
-				delete(ifc.guesses, group)
-			}
-		}
 	}
 	for group := range c.grafted {
 		if !inUse[group] {
@@ -313,10 +270,7 @@ func (c *Controller) tick() {
 func (c *Controller) ifaceFor(host packet.Addr) *iface {
 	ifc := c.ifaces[host]
 	if ifc == nil {
-		ifc = &iface{
-			grants:  make(map[packet.Addr]*grant),
-			guesses: make(map[packet.Addr]*keySet),
-		}
+		ifc = &iface{grants: make(map[packet.Addr]*grant)}
 		c.ifaces[host] = ifc
 	}
 	return ifc
@@ -446,12 +400,6 @@ func (c *Controller) subscribe(from packet.Addr, hdr *packet.SigmaHeader) {
 			}
 			if !valid {
 				c.InvalidKeys++
-				tally := ifc.guesses[pair.Addr]
-				if tally == nil {
-					tally = &keySet{}
-					ifc.guesses[pair.Addr] = tally
-				}
-				tally.add(key)
 				continue
 			}
 			g := c.grantFor(ifc, pair.Addr)
@@ -550,17 +498,4 @@ func (c *Controller) Entitled(group, host packet.Addr) bool {
 		return true
 	}
 	return g.hasSlot(c.CurrentSlot())
-}
-
-// GuessCount reports how many distinct invalid keys host has submitted for
-// group — the §4.2 guessing-attack tally.
-func (c *Controller) GuessCount(group, host packet.Addr) int {
-	ifc := c.ifaces[host]
-	if ifc == nil {
-		return 0
-	}
-	if tally := ifc.guesses[group]; tally != nil {
-		return tally.n
-	}
-	return 0
 }

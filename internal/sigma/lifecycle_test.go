@@ -217,35 +217,3 @@ func TestControllerStateBoundedOverLongRun(t *testing.T) {
 		t.Fatal("a stale re-arrival was counted or stored")
 	}
 }
-
-// The guess tally counts distinct invalid keys exactly — duplicates once,
-// keys of any width — in pages that are allocated once and never rehashed:
-// a full b = 16 key space is sixteen pages.
-func TestGuessTallyExactInFixedPages(t *testing.T) {
-	var tally keySet
-	want := make(map[keys.Key]bool)
-	rng := sim.NewRNG(4)
-	for i := 0; i < 50_000; i++ {
-		k := keys.Key(rng.Uint64()) & keyMask
-		tally.add(k)
-		want[k] = true
-	}
-	if tally.n != len(want) {
-		t.Fatalf("tally counts %d distinct keys, a set counts %d", tally.n, len(want))
-	}
-	if len(tally.pages) != 1<<(keys.DefaultBits-keyPageBits) {
-		t.Fatalf("%d pages hold a 16-bit key space, want %d", len(tally.pages), 1<<(keys.DefaultBits-keyPageBits))
-	}
-	if got := testing.AllocsPerRun(100, func() { tally.add(keys.Key(rng.Uint64()) & keyMask) }); got != 0 {
-		t.Fatalf("a guess landing in a known page allocated %.0f times", got)
-	}
-
-	before := tally.n
-	wide := keys.Key(0xfeed_0000_0000_0abc)
-	tally.add(wide)
-	tally.add(wide)
-	tally.add(wide + 1<<keyPageBits)
-	if tally.n != before+2 {
-		t.Fatalf("two distinct 64-bit keys, one repeated, added %d to the tally", tally.n-before)
-	}
-}

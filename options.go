@@ -10,14 +10,12 @@ import (
 // settings accumulates the functional options New applies.
 type settings struct {
 	seed      uint64
-	topology  Topology                   // prebuilt; wins over topoFn
-	topoFn    func(seed uint64) Topology // deferred builder, seeded by New
+	topology  func(seed uint64) Topology // seeded by New
 	protocol  Protocol
 	schedule  RateSchedule
 	slot      Time // 0 selects the protocol default
 	pktSize   int
 	ecnFrac   float64
-	cohortThr int
 	noConsol  bool
 	pool      *packet.Pool
 	events    []TimelineEvent
@@ -42,30 +40,17 @@ func WithSeed(seed uint64) Option {
 	return func(s *settings) { s.seed = seed }
 }
 
-// WithTopology runs the experiment on a prebuilt topology. The topology's
-// own seed governs its RNG; WithSeed does not reach into it.
-func WithTopology(t Topology) Option {
+// WithTopology builds the experiment's network once New has resolved the
+// experiment seed; build receives that seed. This is the generic hook custom
+// topologies plug in through; WithDumbbell, WithChain and WithStar are its
+// shorthands for the three built-in shapes.
+func WithTopology(build func(seed uint64) Topology) Option {
 	return func(s *settings) {
-		if t == nil {
+		if build == nil {
 			s.fail(fmt.Errorf("deltasigma: WithTopology(nil)"))
 			return
 		}
-		s.topology = t
-		s.topoFn = nil
-	}
-}
-
-// WithTopologyFunc defers topology construction until New has resolved the
-// experiment seed; fn receives that seed. This is the generic hook custom
-// topologies plug in through.
-func WithTopologyFunc(fn func(seed uint64) Topology) Option {
-	return func(s *settings) {
-		if fn == nil {
-			s.fail(fmt.Errorf("deltasigma: WithTopologyFunc(nil)"))
-			return
-		}
-		s.topology = nil
-		s.topoFn = fn
+		s.topology = build
 	}
 }
 
@@ -83,6 +68,21 @@ func checkCaps(opt string, caps []int64) error {
 	return nil
 }
 
+// The three built-in shapes, shared by the topology options and the sweep
+// specs.
+
+func dumbbell(bottleneck int64, seed uint64) Topology {
+	return topo.New(topo.PaperConfig(bottleneck, seed))
+}
+
+func chain(caps []int64, seed uint64) Topology {
+	return topo.NewChain(topo.ChainConfig{Bottlenecks: caps, Seed: seed})
+}
+
+func star(caps []int64, seed uint64) Topology {
+	return topo.NewStar(topo.StarConfig{Spokes: caps, Seed: seed})
+}
+
 // WithDumbbell runs the experiment on the §5.1 dumbbell with the given
 // bottleneck capacity in bits/s. This is the default topology (at 1 Mbps)
 // when no topology option is given.
@@ -90,20 +90,7 @@ func WithDumbbell(bottleneck int64) Option {
 	if err := checkCaps("WithDumbbell", []int64{bottleneck}); err != nil {
 		return func(s *settings) { s.fail(err) }
 	}
-	return WithTopologyFunc(func(seed uint64) Topology {
-		return topo.New(topo.PaperConfig(bottleneck, seed))
-	})
-}
-
-// WithDumbbellConfig runs the experiment on a fully parameterized
-// dumbbell. A zero cfg.Seed inherits the experiment seed.
-func WithDumbbellConfig(cfg DumbbellConfig) Option {
-	return WithTopologyFunc(func(seed uint64) Topology {
-		if cfg.Seed == 0 {
-			cfg.Seed = seed
-		}
-		return topo.New(cfg)
-	})
+	return WithTopology(func(seed uint64) Topology { return dumbbell(bottleneck, seed) })
 }
 
 // WithChain runs the experiment on a multi-bottleneck chain with the given
@@ -114,20 +101,7 @@ func WithChain(capacities ...int64) Option {
 	if err := checkCaps("WithChain", caps); err != nil {
 		return func(s *settings) { s.fail(err) }
 	}
-	return WithTopologyFunc(func(seed uint64) Topology {
-		return topo.NewChain(topo.ChainConfig{Bottlenecks: caps, Seed: seed})
-	})
-}
-
-// WithChainConfig runs the experiment on a fully parameterized chain. A
-// zero cfg.Seed inherits the experiment seed.
-func WithChainConfig(cfg ChainConfig) Option {
-	return WithTopologyFunc(func(seed uint64) Topology {
-		if cfg.Seed == 0 {
-			cfg.Seed = seed
-		}
-		return topo.NewChain(cfg)
-	})
+	return WithTopology(func(seed uint64) Topology { return chain(caps, seed) })
 }
 
 // WithStar runs the experiment on a star with one bottleneck spoke (and
@@ -138,20 +112,7 @@ func WithStar(capacities ...int64) Option {
 	if err := checkCaps("WithStar", caps); err != nil {
 		return func(s *settings) { s.fail(err) }
 	}
-	return WithTopologyFunc(func(seed uint64) Topology {
-		return topo.NewStar(topo.StarConfig{Spokes: caps, Seed: seed})
-	})
-}
-
-// WithStarConfig runs the experiment on a fully parameterized star. A zero
-// cfg.Seed inherits the experiment seed.
-func WithStarConfig(cfg StarConfig) Option {
-	return WithTopologyFunc(func(seed uint64) Topology {
-		if cfg.Seed == 0 {
-			cfg.Seed = seed
-		}
-		return topo.NewStar(cfg)
-	})
+	return WithTopology(func(seed uint64) Topology { return star(caps, seed) })
 }
 
 // WithProtocol selects a registered congestion control variant by name
@@ -248,22 +209,6 @@ func WithTimeline(events ...TimelineEvent) Option {
 			}
 		}
 		s.events = append(s.events, events...)
-	}
-}
-
-// WithCohortThreshold turns large AddSession populations into cohorts: a
-// session asked for more than n well-behaved receivers gets one aggregated
-// Cohort of that size (see ExperimentSession.AddCohort) instead of n
-// per-packet receiver objects. Receivers added individually — AddReceiver,
-// AddAttacker — are never aggregated, so attackers and probes on contested
-// paths stay exact. Zero (the default) never aggregates.
-func WithCohortThreshold(n int) Option {
-	return func(s *settings) {
-		if n <= 0 {
-			s.fail(fmt.Errorf("deltasigma: WithCohortThreshold(%d) must be positive", n))
-			return
-		}
-		s.cohortThr = n
 	}
 }
 

@@ -42,14 +42,41 @@ type Deflater interface {
 	Deflate()
 }
 
+// EdgeAgent is a protocol's router-resident participant (see
+// Capabilities.EdgeAgent).
+type EdgeAgent interface {
+	Start()
+	Stop()
+}
+
+// Capabilities declares what a protocol brings beyond its sender and
+// receivers. Every field is read once, at construction time.
+type Capabilities struct {
+	// Attacker reports whether NewAttacker can succeed, so sweeps and
+	// fuzzers can skip attacker wiring without attaching throwaway hosts.
+	Attacker bool
+	// Cohorts reports whether AddCohort can aggregate receivers. The fluid
+	// aggregate models FLID slot rules over layered data; variants whose
+	// receivers follow other rules — replicated group switching, share
+	// advertisements, a single dynamic channel — cannot.
+	Cohorts bool
+	// Feedback reports whether the sender consumes receiver feedback
+	// reports (dsc, abr-cf). Experiment.Start then enables hierarchical
+	// feedback consolidation at the routers, exactly as it does when
+	// cohorts exist, unless WithFeedbackConsolidation(false).
+	Feedback bool
+	// EdgeAgent, when non-nil, builds the protocol's participant on one
+	// gatekept edge router (mfcc's fair-share advertiser). Experiment.Start
+	// calls it once per edge, after the gatekeeper is installed, and starts
+	// every agent at time zero.
+	EdgeAgent func(router *EdgeRouter, sessions []*Session) EdgeAgent
+}
+
 // Protocol builds the agents of one congestion control variant. The four
 // paper variants — "flid-dl", "flid-ds", "flid-ds-replicated",
 // "flid-ds-threshold" — and the competitor suite — "mfcc", "dsc",
 // "abr-cf" (see rivals.go) — are registered at init; RegisterProtocol adds
-// custom ones. Protocols may additionally implement the optional
-// EdgeAssisted, FeedbackDriven, CohortCapable and AttackerCapable
-// interfaces to hook router participation, feedback consolidation, cohort
-// aggregation and attacker availability.
+// custom ones.
 type Protocol interface {
 	// Name is the registry key.
 	Name() string
@@ -66,6 +93,9 @@ type Protocol interface {
 	// NewAttacker builds an inflated-subscription attacker, or errors if
 	// the variant has none. The returned agent implements Inflater.
 	NewAttacker(host *Host, sess *Session, edge Addr, rng *RNG) (ReceiverAgent, error)
+	// Capabilities declares attacker availability, cohort support,
+	// feedback consumption and router participation.
+	Capabilities() Capabilities
 }
 
 // announceRepeat is z, SIGMA's announcement FEC expansion factor (§5.4).
@@ -168,6 +198,11 @@ func (p FLIDProtocol) NewAttacker(host *Host, sess *Session, edge Addr, rng *RNG
 	return flid.NewInflator(flid.NewReceiver(host, sess, edge, flid.FLIDRule)), nil
 }
 
+// Capabilities implements Protocol.
+func (FLIDProtocol) Capabilities() Capabilities {
+	return Capabilities{Attacker: true, Cohorts: true, Feedback: false, EdgeAgent: nil}
+}
+
 // ---------------------------------------------------------------------------
 // Replicated multicast (Figure 5 instantiation).
 
@@ -207,9 +242,11 @@ func (ReplicatedProtocol) NewAttacker(host *Host, sess *Session, edge Addr, rng 
 	return replicated.NewAttacker(replicated.NewReceiver(host, sess, edge), rng), nil
 }
 
-// SupportsCohorts implements CohortCapable: replicated sessions carry
-// ProtoRepl data the layered fluid aggregate never observes.
-func (ReplicatedProtocol) SupportsCohorts() bool { return false }
+// Capabilities implements Protocol: replicated sessions carry ProtoRepl
+// data the layered fluid aggregate never observes, so no cohorts.
+func (ReplicatedProtocol) Capabilities() Capabilities {
+	return Capabilities{Attacker: true, Cohorts: false, Feedback: false, EdgeAgent: nil}
+}
 
 // ---------------------------------------------------------------------------
 // Loss-rate-threshold protocol (Shamir instantiation).
@@ -253,4 +290,9 @@ func (p ThresholdProtocol) NewReceiver(host *Host, sess *Session, edge Addr) Rec
 // NewAttacker implements Protocol.
 func (p ThresholdProtocol) NewAttacker(host *Host, sess *Session, edge Addr, rng *RNG) (ReceiverAgent, error) {
 	return flid.NewDSAttacker(threshold.NewReceiver(host, sess, p.thresholds(sess), edge), rng), nil
+}
+
+// Capabilities implements Protocol.
+func (ThresholdProtocol) Capabilities() Capabilities {
+	return Capabilities{Attacker: true, Cohorts: true, Feedback: false, EdgeAgent: nil}
 }

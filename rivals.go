@@ -31,72 +31,11 @@ func (e *NoAttackerError) Error() string {
 	return fmt.Sprintf("deltasigma: protocol %q has no inflated-subscription attacker: %s", e.Protocol, e.Reason)
 }
 
-// EdgeAgent is a protocol's router-resident participant (see EdgeAssisted).
-type EdgeAgent interface {
-	Start()
-	Stop()
-}
-
-// EdgeAssisted is implemented by protocols whose routers actively
-// participate in congestion control (mfcc's fair-share advertisements).
-// Experiment.Start calls NewEdgeAgent once per gatekept edge router, after
-// the gatekeeper is installed, and starts every agent at time zero.
-type EdgeAssisted interface {
-	NewEdgeAgent(router *EdgeRouter, sessions []*Session) EdgeAgent
-}
-
-// FeedbackDriven is implemented by protocols whose senders consume
-// receiver feedback reports (dsc, abr-cf). Experiment.Start enables
-// hierarchical feedback consolidation at the routers for them, exactly as
-// it does when cohorts exist, unless WithFeedbackConsolidation(false).
-type FeedbackDriven interface {
-	ConsumesFeedback() bool
-}
-
-// CohortCapable is implemented by protocols that opt out of (or explicitly
-// into) cohort aggregation. Protocols without the method support cohorts:
-// the fluid aggregate models FLID slot rules over layered data, which is
-// the default behaviour. Variants whose receivers follow other rules —
-// replicated group switching, share advertisements, a single dynamic
-// channel — return false.
-type CohortCapable interface {
-	SupportsCohorts() bool
-}
-
-// AttackerCapable is implemented by protocols that declare up front
-// whether NewAttacker can succeed, so sweeps and fuzzers can skip attacker
-// wiring without attaching throwaway hosts. Protocols without the method
-// have an attacker.
-type AttackerCapable interface {
-	HasAttacker() bool
-}
-
-// supportsCohorts resolves the CohortCapable default.
-func supportsCohorts(p Protocol) bool {
-	if c, ok := p.(CohortCapable); ok {
-		return c.SupportsCohorts()
-	}
-	return true
-}
-
-// ProtocolSupportsCohorts reports whether the named registered protocol
-// can aggregate receivers into cohorts (false for unknown names).
-func ProtocolSupportsCohorts(name string) bool {
-	p, ok := LookupProtocol(name)
-	return ok && supportsCohorts(p)
-}
-
 // ProtocolHasAttacker reports whether the named registered protocol has an
 // inflated-subscription attacker (false for unknown names).
 func ProtocolHasAttacker(name string) bool {
 	p, ok := LookupProtocol(name)
-	if !ok {
-		return false
-	}
-	if a, ok := p.(AttackerCapable); ok {
-		return a.HasAttacker()
-	}
-	return true
+	return ok && p.Capabilities().Attacker
 }
 
 func init() {
@@ -139,14 +78,19 @@ func (MFCCProtocol) NewAttacker(host *Host, sess *Session, edge Addr, rng *RNG) 
 	return flid.NewInflator(mfcc.NewReceiver(host, sess, edge)), nil
 }
 
-// NewEdgeAgent implements EdgeAssisted: the per-edge fair-share advertiser.
-func (MFCCProtocol) NewEdgeAgent(router *EdgeRouter, sessions []*Session) EdgeAgent {
-	return mfcc.NewEdgeAgent(router, sessions)
+// Capabilities implements Protocol: every edge runs a fair-share
+// advertiser, and mfcc receivers move on its advertisements, which the
+// layered fluid aggregate does not model.
+func (MFCCProtocol) Capabilities() Capabilities {
+	return Capabilities{
+		Attacker: true,
+		Cohorts:  false,
+		Feedback: false,
+		EdgeAgent: func(router *EdgeRouter, sessions []*Session) EdgeAgent {
+			return mfcc.NewEdgeAgent(router, sessions)
+		},
+	}
 }
-
-// SupportsCohorts implements CohortCapable: mfcc receivers move on share
-// advertisements, which the layered fluid aggregate does not model.
-func (MFCCProtocol) SupportsCohorts() bool { return false }
 
 // ---------------------------------------------------------------------------
 // dsc — dynamic source channels (Lucas et al.).
@@ -182,9 +126,11 @@ func (DSCProtocol) NewAttacker(host *Host, sess *Session, edge Addr, rng *RNG) (
 	return flid.NewInflator(dsc.NewReceiver(host, sess, edge)), nil
 }
 
-// ConsumesFeedback implements FeedbackDriven: the dsc source adapts to
-// consolidated receiver reports.
-func (DSCProtocol) ConsumesFeedback() bool { return true }
+// Capabilities implements Protocol: the dsc source adapts to consolidated
+// receiver reports.
+func (DSCProtocol) Capabilities() Capabilities {
+	return Capabilities{Attacker: true, Cohorts: true, Feedback: true, EdgeAgent: nil}
+}
 
 // ---------------------------------------------------------------------------
 // abr-cf — ABR-style single channel with consolidated feedback (Fahmy et al.).
@@ -223,12 +169,9 @@ func (ABRCFProtocol) NewAttacker(host *Host, sess *Session, edge Addr, rng *RNG)
 	}
 }
 
-// ConsumesFeedback implements FeedbackDriven.
-func (ABRCFProtocol) ConsumesFeedback() bool { return true }
-
-// SupportsCohorts implements CohortCapable: the fluid aggregate models
-// layered subscription moves, which a single-channel session lacks.
-func (ABRCFProtocol) SupportsCohorts() bool { return false }
-
-// HasAttacker implements AttackerCapable.
-func (ABRCFProtocol) HasAttacker() bool { return false }
+// Capabilities implements Protocol: no attacker (see NewAttacker), and no
+// cohorts — the fluid aggregate models layered subscription moves, which a
+// single-channel session lacks.
+func (ABRCFProtocol) Capabilities() Capabilities {
+	return Capabilities{Attacker: false, Cohorts: false, Feedback: true, EdgeAgent: nil}
+}

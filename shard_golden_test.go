@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"deltasigma"
-	"deltasigma/internal/fuzzing"
 )
 
 // sweepShards is the shard count the sharded golden tests run the pinned
@@ -240,28 +239,5 @@ func TestSweepGoldenSharded(t *testing.T) {
 				t.Errorf("%s campaign with Shards=%d diverged from its serial golden", tc.name, sw.Shards)
 			}
 		})
-	}
-}
-
-// TestFuzzGoldenSharded replays the pinned fuzz corpus with a shard request
-// on every scenario: the audit forces the serial fallback, so all 64
-// fingerprints — and hence the corpus digest on disk — must not move.
-func TestFuzzGoldenSharded(t *testing.T) {
-	if *updateGolden {
-		t.Skip("goldens are written by the serial tests")
-	}
-	defer func() { fuzzing.ShardRequest = -1 }()
-	fuzzing.ShardRequest = *sweepShards
-	sums := fuzzing.Summarize(fuzzing.Campaign(1, fuzzGoldenSeeds, *sweepWorkers))
-	js, err := marshalFuzzSummary(sums)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "fuzz_golden.json"))
-	if err != nil {
-		t.Fatalf("missing golden file (run the serial test with -update-golden): %v", err)
-	}
-	if !bytes.Equal(append(js, '\n'), want) {
-		t.Errorf("fuzz corpus with ShardRequest=%d diverged from the serial golden", *sweepShards)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"deltasigma/internal/campaign"
 	"deltasigma/internal/packet"
 	"deltasigma/internal/stats"
-	"deltasigma/internal/topo"
 )
 
 // TopologySpec names a topology family for sweep grids: Build constructs
@@ -28,46 +27,29 @@ type TopologySpec struct {
 // DumbbellSpec is the paper's single-bottleneck dumbbell sized to the grid
 // point's capacity.
 func DumbbellSpec() TopologySpec {
-	return TopologySpec{
-		Name: "dumbbell",
-		Build: func(bottleneck int64, seed uint64) Topology {
-			return topo.New(topo.PaperConfig(bottleneck, seed))
-		},
-	}
+	return TopologySpec{Name: "dumbbell", Build: dumbbell}
 }
 
 // ChainSpec is a parking-lot chain of `hops` bottlenecks, each at the grid
 // point's capacity.
-func ChainSpec(hops int) TopologySpec {
-	if hops < 1 {
-		hops = 1
-	}
-	return TopologySpec{
-		Name: fmt.Sprintf("chain%d", hops),
-		Build: func(bottleneck int64, seed uint64) Topology {
-			caps := make([]int64, hops)
-			for i := range caps {
-				caps[i] = bottleneck
-			}
-			return topo.NewChain(topo.ChainConfig{Bottlenecks: caps, Seed: seed})
-		},
-	}
-}
+func ChainSpec(hops int) TopologySpec { return uniformSpec("chain", hops, chain) }
 
 // StarSpec is a hub-and-spoke star with `spokes` gatekept spokes, each at
 // the grid point's capacity; receivers round-robin across the spokes.
-func StarSpec(spokes int) TopologySpec {
-	if spokes < 1 {
-		spokes = 1
-	}
+func StarSpec(spokes int) TopologySpec { return uniformSpec("star", spokes, star) }
+
+// uniformSpec sizes all n (at least one) hops or spokes of shape to the
+// grid point's capacity.
+func uniformSpec(name string, n int, shape func(caps []int64, seed uint64) Topology) TopologySpec {
+	n = max(n, 1)
 	return TopologySpec{
-		Name: fmt.Sprintf("star%d", spokes),
+		Name: fmt.Sprintf("%s%d", name, n),
 		Build: func(bottleneck int64, seed uint64) Topology {
-			caps := make([]int64, spokes)
+			caps := make([]int64, n)
 			for i := range caps {
 				caps[i] = bottleneck
 			}
-			return topo.NewStar(topo.StarConfig{Spokes: caps, Seed: seed})
+			return shape(caps, seed)
 		},
 	}
 }
@@ -430,10 +412,8 @@ func (sw Sweep) normalize() (axes, error) {
 		}
 	}
 	for _, st := range a.strategies {
-		switch AttackerStrategy(st) {
-		case "", StrategyClassic, StrategyColluding, StrategyAdaptive, StrategyForging:
-		default:
-			return axes{}, fmt.Errorf("deltasigma: sweep attacker strategy %q is not one of %v", st, AttackerStrategies())
+		if st != "" && !AttackerStrategy(st).valid() {
+			return axes{}, fmt.Errorf("deltasigma: sweep attacker strategy %q is not one of %v", st, attackerStrategies())
 		}
 	}
 	for _, c := range a.bottlenecks {
@@ -587,7 +567,7 @@ func (sw Sweep) runPoint(a axes, p SweepPoint, spec TopologySpec, pool *packet.P
 	opts := []Option{
 		WithProtocol(p.Protocol),
 		WithSeed(p.Seed),
-		WithTopologyFunc(func(seed uint64) Topology { return spec.Build(p.BottleneckBps, seed) }),
+		WithTopology(func(seed uint64) Topology { return spec.Build(p.BottleneckBps, seed) }),
 	}
 	if pool != nil {
 		opts = append(opts, WithPacketPool(pool))

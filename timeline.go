@@ -315,10 +315,6 @@ func (e *Experiment) AddEvents(events ...TimelineEvent) {
 	e.events = append(e.events, events...)
 }
 
-// TimelineLen reports how many scripted timeline entries the experiment
-// carries (after Start this includes resolved multi-action events).
-func (e *Experiment) TimelineLen() int { return e.timeline.Len() }
-
 // ChurnEvents totals membership toggles fired by PoissonChurn generators
 // so far.
 func (e *Experiment) ChurnEvents() uint64 {

@@ -62,9 +62,6 @@ func (e *Experiment) AddTCP(startAt Time) *TCPFlow {
 	return f
 }
 
-// TCPFlows returns every attached TCP flow in creation order.
-func (e *Experiment) TCPFlows() []*TCPFlow { return e.tcps }
-
 // CBR is one constant-bit-rate cross-traffic source from the ingress to
 // the default egress, optionally duty-cycled or burst-windowed.
 type CBR struct {
@@ -130,6 +127,3 @@ func (e *Experiment) AddCBR(rate int64, on, off Time) *CBR {
 	e.cbrs = append(e.cbrs, c)
 	return c
 }
-
-// CBRSources returns every attached CBR source in creation order.
-func (e *Experiment) CBRSources() []*CBR { return e.cbrs }
