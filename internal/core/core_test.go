@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"deltasigma/internal/keys"
 	"deltasigma/internal/packet"
@@ -272,4 +273,13 @@ func TestValidatePanics(t *testing.T) {
 		}()
 	}
 	PaperSchedule().Validate() // must not panic
+}
+
+// A sender's rings hold a whole slot of emissions and campaign workers pay
+// for every experiment's rings, so an entry stays as small as the
+// (packet, time, reservation) triple it replaced.
+func TestEmissionFitsThirtyTwoBytes(t *testing.T) {
+	if size := unsafe.Sizeof(emission{}); size > 32 {
+		t.Fatalf("emission is %d bytes, want <= 32", size)
+	}
 }

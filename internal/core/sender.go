@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"deltasigma/internal/netsim"
 	"deltasigma/internal/packet"
 	"deltasigma/internal/sim"
@@ -34,7 +36,9 @@ type SenderHooks struct {
 	// slot — copy what you keep.
 	Begin func(slot uint32, auth []bool, counts []int)
 	// Header builds one packet's header from its stamp; nil sends the plain
-	// pooled FLID header. Called once per packet in (group, seq) order.
+	// pooled FLID header. It is called at send time, once per packet: in seq
+	// order within a group, with the groups' packets interleaved by send
+	// time. Anything it draws from a shared stream must be drawn in Begin.
 	Header func(st Stamp) packet.Header
 }
 
@@ -106,12 +110,17 @@ func NewSlotSender(host *netsim.Host, sess *Session, groups int, policy UpgradeP
 }
 
 // Start begins the slot loop at the session epoch (or immediately if the
-// epoch has passed).
+// epoch has passed). A Start before a Stop has taken effect — the slot the
+// source was stopped in is still sending — resumes the loop at the next
+// slot instead of running the current one a second time.
 func (s *SlotSender) Start() {
 	if s.running {
 		return
 	}
 	s.running = true
+	if s.slotTimer.Active() {
+		return
+	}
 	sched := s.host.Scheduler()
 	start := s.Sess.Epoch
 	if start < sched.Now() {
@@ -121,7 +130,9 @@ func (s *SlotSender) Start() {
 	s.slotTimer.ResetAt(start)
 }
 
-// Stop halts the sender after the current slot.
+// Stop halts the sender after the current slot. The slot's emission
+// rings hold stamps, not packets, so a stopped source holds no pool
+// references.
 func (s *SlotSender) Stop() { s.running = false }
 
 // onFeedback tallies one (possibly consolidated) receiver report; a merged
@@ -183,30 +194,26 @@ func (s *SlotSender) runSlot(slot uint32) {
 		s.hooks.Begin(slot, auth, counts)
 	}
 
-	// Headers come from the pool's typed freelist and emissions ride each
-	// group's ring: after the first few slots the loop allocates nothing.
+	// Emissions ride each group's ring as stamps; fire mints each packet
+	// at its send time, so after the first few slots the loop allocates
+	// nothing and the pool holds only packets in flight. Jitter and the
+	// tie-break reservations are drawn here, in (group, seq) order.
 	slotStart := s.Sess.SlotStart(slot)
+	akey := sched.Now()
 	for g := 1; g <= n; g++ {
 		cnt := counts[g-1]
 		spacing := s.Sess.SlotDur / sim.Time(cnt)
-		s.emitters[g-1].reserve(cnt)
+		e := &s.emitters[g-1]
+		e.reserve(cnt, akey)
 		for j := 1; j <= cnt; j++ {
-			st := Stamp{
+			at := slotStart + sim.Time(j-1)*spacing + s.rng.Jitter(spacing/2)
+			if at < akey {
+				at = akey
+			}
+			e.push(Stamp{
 				Session: s.Sess.ID, Group: uint8(g), Slot: slot,
 				Seq: uint16(j), Count: uint16(cnt), IncreaseTo: uint8(inc),
-			}
-			var hdr packet.Header
-			if s.hooks.Header != nil {
-				hdr = s.hooks.Header(st)
-			} else {
-				hdr = s.FLIDHeader(st)
-			}
-			at := slotStart + sim.Time(j-1)*spacing + s.rng.Jitter(spacing/2)
-			if at < sched.Now() {
-				at = sched.Now()
-			}
-			pkt := s.host.Network().NewPacket(s.host.Addr(), s.Sess.GroupAddr(g), s.Sess.PacketSize, hdr)
-			s.emitters[g-1].push(pkt, at, sched.Reserve())
+			}, at, sched.Reserve())
 		}
 	}
 
@@ -217,59 +224,73 @@ func (s *SlotSender) runSlot(slot uint32) {
 // groupEmitter drains one group's slot emissions through a single
 // reusable timer and a FIFO ring (the netsim.Link flight-ring pattern):
 // per-packet jitter never exceeds half the intra-group spacing, so a
-// group's emission times are strictly increasing and a FIFO suffices.
-// Each packet's tie-break reservation is made at queue time and fired via
-// ResetReserved, so every emission happens at exactly the (time, key) an
-// individually scheduled closure would have used — without allocating a
-// closure and an event per packet.
+// group's emission times are strictly increasing, every one falls inside
+// its slot, and a FIFO suffices. Each emission's tie-break reservation is
+// made at slot start and fired via ResetReserved, so every packet leaves
+// at exactly the (time, key) an individually scheduled closure would have
+// used — without allocating a closure and an event per packet. The packet
+// itself is minted only when it fires.
 type groupEmitter struct {
 	s     *SlotSender
 	g     int
 	timer *sim.Timer
 	ring  []emission
 	head  int
+	// akey is the instant the queued slot was set up: the Akey every
+	// entry's reservation shares.
+	akey sim.Time
 }
 
+// emission is one queued packet as values — its stamp, send time and
+// tie-break sequence — kept to 32 bytes: a ring holds a slot's worth.
 type emission struct {
-	pkt *packet.Packet
+	st  Stamp
 	at  sim.Time
-	res sim.Reservation
+	seq uint64
 }
 
-// reserve readies the ring for a slot of n emissions. A drained ring
-// (every slot drains before the next is scheduled) rewinds so its backing
-// array is reused instead of creeping, and one too small for the slot is
-// replaced once, with headroom for the pacer's slot-to-slot wobble, so the
-// slot's pushes never double it.
-func (e *groupEmitter) reserve(n int) {
+// reserve readies the ring for a slot of n emissions reserved at akey. The
+// previous slot has drained (its last emission precedes this slot's
+// start), so the ring rewinds and its backing array is reused instead of
+// creeping; one too small for the slot is replaced once, with headroom
+// for the pacer's slot-to-slot wobble, so the slot's pushes never double
+// it.
+func (e *groupEmitter) reserve(n int, akey sim.Time) {
 	if e.head != len(e.ring) {
-		return
+		panic(fmt.Sprintf("core: group %d begins slot at %v with %d emissions of the last still queued", e.g, akey, len(e.ring)-e.head))
 	}
-	e.ring, e.head = e.ring[:0], 0
+	e.ring, e.head, e.akey = e.ring[:0], 0, akey
 	if cap(e.ring) < n {
 		e.ring = make([]emission, 0, n+n/8+1)
 	}
 }
 
-func (e *groupEmitter) push(pkt *packet.Packet, at sim.Time, res sim.Reservation) {
-	e.ring = append(e.ring, emission{pkt: pkt, at: at, res: res})
+func (e *groupEmitter) push(st Stamp, at sim.Time, res sim.Reservation) {
+	e.ring = append(e.ring, emission{st: st, at: at, seq: res.Seq})
 	if len(e.ring)-e.head == 1 {
 		e.timer.ResetReserved(at, res)
 	}
 }
 
+// fire mints and sends the head emission, then arms the next.
 func (e *groupEmitter) fire() {
-	em := e.ring[e.head]
-	e.ring[e.head].pkt = nil
+	em := &e.ring[e.head]
 	e.head++
 	s := e.s
+	var hdr packet.Header
+	if s.hooks.Header != nil {
+		hdr = s.hooks.Header(em.st)
+	} else {
+		hdr = s.FLIDHeader(em.st)
+	}
+	pkt := s.host.Network().NewPacket(s.host.Addr(), s.Sess.GroupAddr(e.g), s.Sess.PacketSize, hdr)
 	s.PacketsSent++
 	s.PacketsPerGroup[e.g-1]++
-	s.BytesSent += uint64(em.pkt.Size)
-	s.host.Send(em.pkt)
+	s.BytesSent += uint64(pkt.Size)
+	s.host.Send(pkt)
 	if e.head < len(e.ring) {
-		next := e.ring[e.head]
-		e.timer.ResetReserved(next.at, next.res)
+		next := &e.ring[e.head]
+		e.timer.ResetReserved(next.at, sim.Reservation{Akey: e.akey, Seq: next.seq})
 	}
 }
 

@@ -119,65 +119,83 @@ func (k *SlotKeys) reset(slot uint32) {
 }
 
 // componentSlot is the per-slot sender state the two XOR instantiations
-// (Figures 4 and 5) share: the precomputed keys plus, per group, the
-// real-time component generator — every non-final packet carries a fresh
-// nonce, the final one the closing value that makes the group's components
-// XOR to its secret.
+// (Figures 4 and 5) share: the precomputed keys plus, per group, the slot's
+// component fields — every non-final packet carries a fresh nonce, the
+// final one the closing value that makes the group's components XOR to its
+// secret.
+//
+// The components are drawn at slot start, in (group, seq) order, and
+// Fields hands them out in seq order per group. The nonce stream is the
+// sender's one keys.Source, so drawing up front keeps every key the same
+// however a sender interleaves its groups' packets at send time.
 type componentSlot struct {
 	Keys SlotKeys
 
-	src       *keys.Source
-	accum     []keys.Key // C_g of Figure 4: the running closing value
-	remaining []int      // packets left to emit per group
-	counts    []int
+	src    *keys.Source
+	secret []keys.Key   // X_g: the first nonce of group g, which its components XOR to
+	comps  [][]keys.Key // comps[g-1]: group g's component fields in seq order, reused every slot
+	next   []int        // next component to hand out per group
 }
 
 func newComponentSlot(n int, src *keys.Source) componentSlot {
 	return componentSlot{
-		Keys:      newSlotKeys(n),
-		src:       src,
-		accum:     make([]keys.Key, n),
-		remaining: make([]int, n),
-		counts:    make([]int, n),
+		Keys:   newSlotKeys(n),
+		src:    src,
+		secret: make([]keys.Key, n),
+		comps:  make([][]keys.Key, n),
+		next:   make([]int, n),
 	}
 }
 
-// schedule arms group g's generator for count packets. C_g ← nonce; this
-// initial nonce is the group secret X_g, because the closing component
-// cancels every later nonce folded into C_g.
+// schedule arms group g for count packets and draws its secret X_g: the
+// closing component cancels every later nonce, so the group's components
+// XOR to this first one.
 func (cs *componentSlot) schedule(g, count int) {
-	cs.remaining[g-1] = count
-	cs.counts[g-1] = count
-	cs.accum[g-1] = cs.src.Nonce()
+	if cap(cs.comps[g-1]) < count {
+		cs.comps[g-1] = make([]keys.Key, count)
+	}
+	cs.comps[g-1], cs.next[g-1] = cs.comps[g-1][:count], 0
+	cs.secret[g-1] = cs.src.Nonce()
+}
+
+// draw fills every group's components once the slot's keys are set, in
+// (group, seq) order: each non-final packet a fresh nonce folded into the
+// running closing value C_g of Figure 4, the final one C_g itself.
+func (cs *componentSlot) draw() {
+	for g, comps := range cs.comps {
+		accum := cs.secret[g]
+		last := len(comps) - 1
+		for p := range last {
+			c := cs.src.Nonce()
+			accum = keys.XOR(accum, c)
+			comps[p] = c
+		}
+		comps[last] = accum
+	}
 }
 
 // Fields returns the component and decrease fields for the next packet of
 // group g (1-based). It must be called exactly counts[g-1] times per slot
-// per group; the final call emits the closing component. The decrease field
-// d_g is δ_{g-1} for g ≥ 2 and zero for the minimal group.
+// per group; the final call returns the closing component. The decrease
+// field d_g is δ_{g-1} for g ≥ 2 and zero for the minimal group.
 func (cs *componentSlot) Fields(g int) (component, decrease keys.Key) {
 	idx := g - 1
-	if cs.remaining[idx] <= 0 {
-		panic(fmt.Sprintf("delta: group %d exceeded its %d scheduled packets", g, cs.counts[idx]))
+	if cs.next[idx] >= len(cs.comps[idx]) {
+		panic(fmt.Sprintf("delta: group %d exceeded its %d scheduled packets", g, len(cs.comps[idx])))
 	}
-	cs.remaining[idx]--
+	component = cs.comps[idx][cs.next[idx]]
+	cs.next[idx]++
 	if g >= 2 {
 		decrease = cs.Keys.Dec[g-2]
 	}
-	if cs.remaining[idx] == 0 {
-		// Last packet carries the accumulated closing value C_g.
-		return cs.accum[idx], decrease
-	}
-	c := cs.src.Nonce()
-	cs.accum[idx] = keys.XOR(cs.accum[idx], c)
-	return c, decrease
+	return component, decrease
 }
 
 // Done reports whether every scheduled packet of every group has had its
-// fields generated.
+// fields handed out.
 func (cs *componentSlot) Done() bool {
-	for _, r := range cs.remaining {
-		if r != 0 {
+	for g, comps := range cs.comps {
+		if cs.next[g] != len(comps) {
 			return false
 		}
 	}

@@ -13,7 +13,7 @@ import (
 //
 // Per time slot the sender precomputes every key before transmitting a
 // single packet (the property that lets SIGMA announce keys to edge routers
-// ahead of the data), then generates component fields in real time:
+// ahead of the data), then draws the slot's component fields:
 // each non-final packet of group g carries a fresh nonce, and the final
 // packet carries the closing value that makes the XOR of all of group g's
 // components equal the group's secret X_g. Top keys are prefix XORs of the
@@ -36,7 +36,7 @@ func NewLayeredSender(n int, src *keys.Source) *LayeredSender {
 func (s *LayeredSender) Groups() int { return s.n }
 
 // LayeredSlot is the per-slot state of a LayeredSender: the precomputed
-// keys plus the real-time component generators.
+// keys plus the slot's component fields.
 type LayeredSlot struct{ componentSlot }
 
 // BeginSlot precomputes the keys for one slot. auth[g-1] declares whether
@@ -46,8 +46,10 @@ type LayeredSlot struct{ componentSlot }
 // at least one packet so its key components can travel.
 //
 // The returned slot is the sender's one slot state, reset in place: it and
-// its Keys are valid until the next BeginSlot. A slotted sender builds
-// every header of a slot before it begins the next, so nothing outlives it.
+// its Keys are valid until the next BeginSlot. A slotted sender sends
+// every packet of a slot before it begins the next, so nothing outlives it.
+// Every nonce of the slot is drawn here, the component fields last, so
+// Fields draws nothing and its callers may interleave groups freely.
 func (s *LayeredSender) BeginSlot(slot uint32, auth []bool, counts []int) *LayeredSlot {
 	if len(auth) != s.n || len(counts) != s.n {
 		panic(fmt.Sprintf("delta: BeginSlot with %d auth / %d counts for %d groups", len(auth), len(counts), s.n))
@@ -60,9 +62,9 @@ func (s *LayeredSender) BeginSlot(slot uint32, auth []bool, counts []int) *Layer
 		}
 		ls.schedule(g, counts[g-1])
 		if g == 1 {
-			ls.Keys.Top[0] = ls.accum[0]
+			ls.Keys.Top[0] = ls.secret[0]
 		} else {
-			ls.Keys.Top[g-1] = keys.XOR(ls.Keys.Top[g-2], ls.accum[g-1])
+			ls.Keys.Top[g-1] = keys.XOR(ls.Keys.Top[g-2], ls.secret[g-1])
 			ls.Keys.Dec[g-2] = s.src.Nonce() // δ_{g-1}, carried as d_g
 			if auth[g-1] {
 				ls.Keys.Auth[g-1] = true
@@ -70,6 +72,7 @@ func (s *LayeredSender) BeginSlot(slot uint32, auth []bool, counts []int) *Layer
 			}
 		}
 	}
+	ls.draw()
 	return ls
 }
 

@@ -45,7 +45,7 @@ func (s *ReplicatedSender) BeginSlot(slot uint32, auth []bool, counts []int) *Re
 			panic(fmt.Sprintf("delta: group %d scheduled %d packets; need >= 1", g, counts[g-1]))
 		}
 		rs.schedule(g, counts[g-1])
-		rs.Keys.Top[g-1] = rs.accum[g-1] // α_g = XOR of group g components only
+		rs.Keys.Top[g-1] = rs.secret[g-1] // α_g = XOR of group g components only
 		if g >= 2 {
 			rs.Keys.Dec[g-2] = s.src.Nonce()
 			if auth[g-1] {
@@ -54,6 +54,7 @@ func (s *ReplicatedSender) BeginSlot(slot uint32, auth []bool, counts []int) *Re
 			}
 		}
 	}
+	rs.draw()
 	return rs
 }
 

@@ -41,15 +41,15 @@ func runOverheadPoint(opt Options, n int, slotDur sim.Time) overheadPoint {
 	// emission, not of contention. One receiver keeps the edge on the
 	// tree so announces traverse it.
 	cfg := topo.PaperConfig(20_000_000, opt.Seed+uint64(n)+uint64(slotDur))
-	e := deltasigma.MustNew(
+	l := adopt(deltasigma.MustNew(
 		deltasigma.WithTopology(func(uint64) deltasigma.Topology { return topo.New(cfg) }),
 		deltasigma.WithProtocol("flid-ds"),
 		deltasigma.WithSchedule(core.ScheduleForTotal(overheadBase, overheadTotal, n)),
 		deltasigma.WithSlot(slotDur),
 		deltasigma.WithPacketSize(overheadPktBytes),
-	)
-	sess := e.AddSession(1)
-	e.Run(dur)
+	))
+	sess := l.addSession(1)
+	l.e.Run(dur)
 	snd := sess.Sender.(*flid.Sender)
 
 	pt := overheadPoint{N: n, T: slotDur}

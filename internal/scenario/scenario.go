@@ -118,11 +118,24 @@ type lab struct {
 // newLab builds an experiment on a dumbbell with the given configuration
 // and protocol mode.
 func newLab(cfg topo.Config, mode flid.Mode) *lab {
-	return &lab{e: deltasigma.MustNew(
+	return adopt(deltasigma.MustNew(
 		deltasigma.WithTopology(func(uint64) deltasigma.Topology { return topo.New(cfg) }),
 		deltasigma.WithProtocol(protoName(mode)),
 		deltasigma.WithSeed(cfg.Seed),
-	)}
+	))
+}
+
+// labHook, when set, sees every lab a figure builds before it runs; tests
+// use it to audit the experiments once the figure has returned.
+var labHook func(*lab)
+
+// adopt wraps one of a figure's experiments as a lab.
+func adopt(e *deltasigma.Experiment) *lab {
+	l := &lab{e: e}
+	if labHook != nil {
+		labHook(l)
+	}
+	return l
 }
 
 // addSession creates a session with nRecv receivers at the default egress.

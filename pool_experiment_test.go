@@ -30,29 +30,37 @@ func TestExperimentPoolBalancedAfterDrain(t *testing.T) {
 	}
 }
 
-// The same pool handed to consecutive experiments (the campaign-worker
-// pattern) keeps recycling: the second run issues packets without growing
-// the pool's fresh-allocation count proportionally.
+// A sender mints each packet when it sends it, so a session's pool holds
+// only what is in flight: one 2 s session of either FLID variant draws at
+// most freshBound envelopes (minting a whole slot up front drew 427 under
+// flid-dl and 220 under flid-ds). The same pool handed to a second
+// experiment (the campaign-worker pattern) keeps recycling and grows by at
+// most warmGrowth.
 func TestPoolReuseAcrossExperiments(t *testing.T) {
-	pool := &deltasigma.PacketPool{}
-	run := func(seed uint64) {
-		exp := deltasigma.MustNew(
-			deltasigma.WithProtocol("flid-dl"),
-			deltasigma.WithSeed(seed),
-			deltasigma.WithPacketPool(pool),
-		)
-		exp.AddSession(1)
-		exp.Advance(2 * deltasigma.Second)
-		drainAndVerify(t, exp)
-	}
-	run(1)
-	fresh := pool.Fresh
-	if fresh == 0 {
-		t.Fatal("first run allocated nothing — test is vacuous")
-	}
-	run(2)
-	grown := pool.Fresh - fresh
-	if grown > fresh/10 {
-		t.Errorf("second experiment allocated %d fresh envelopes (first run: %d); the warm pool should cover nearly all of it", grown, fresh)
+	const freshBound, warmGrowth = 32, 4
+	for _, proto := range []string{"flid-dl", "flid-ds"} {
+		pool := &deltasigma.PacketPool{}
+		run := func(seed uint64) {
+			exp := deltasigma.MustNew(
+				deltasigma.WithProtocol(proto),
+				deltasigma.WithSeed(seed),
+				deltasigma.WithPacketPool(pool),
+			)
+			exp.AddSession(1)
+			exp.Advance(2 * deltasigma.Second)
+			drainAndVerify(t, exp)
+		}
+		run(1)
+		fresh := pool.Fresh
+		if fresh == 0 {
+			t.Fatalf("%s: first run allocated nothing — test is vacuous", proto)
+		}
+		if fresh > freshBound {
+			t.Errorf("%s: one session minted %d fresh envelopes, want <= %d: emissions are minted ahead of their send time", proto, fresh, freshBound)
+		}
+		run(2)
+		if grown := pool.Fresh - fresh; grown > warmGrowth {
+			t.Errorf("%s: second experiment allocated %d fresh envelopes (first run: %d), want <= %d on the warm pool", proto, grown, fresh, warmGrowth)
+		}
 	}
 }
