@@ -89,9 +89,9 @@ type LayeredReceiver struct {
 	keyBuf    []keys.Key     // Outcome.Keys scratch, capacity n
 }
 
-// layeredGroup is one group's share of a slot's state. A session has eight
-// accumulators per receiver, so the groups sit in one slice, not a slice
-// per field.
+// layeredGroup is one group's share of a slot's state. A session holds an
+// accumulator per receiver and slot in flight, so the groups sit in one
+// slice, not a slice per field.
 type layeredGroup struct {
 	comp    keys.Accumulator // XOR of received component fields
 	got     int              // packets received

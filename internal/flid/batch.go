@@ -19,6 +19,11 @@ import (
 // fixed ring of tallyW slots wide, and the shared SlotDriver evaluates all
 // members of a slot clock in one pass over adjacent rows.
 //
+// A key receiver's DELTA accumulator is not owned by its ring entry: it
+// is leased from the batch when the slot's first packet arrives and given
+// back when the slot is evaluated, so a member holds one accumulator per
+// slot in flight — two in steady state — not one per ring entry.
+//
 // Ring correctness: an entry is claimed by writing the full 32-bit slot
 // number into its tag, so a stale entry can never be mistaken for another
 // slot — lookups compare the exact slot, not slot mod tallyW. Two live
@@ -66,14 +71,27 @@ func dlBatchFor(sched *sim.Scheduler, sess *core.Session) *dlBatch {
 // as an empty tally for slot 0 — exactly what a missing map entry meant.
 func (b *dlBatch) join() int {
 	mi := len(b.level)
-	b.level = append(b.level, 0)
-	b.evalFloor = append(b.evalFloor, 0)
-	b.joined = append(b.joined, make([]uint32, b.n+1)...)
-	b.tag = append(b.tag, make([]uint32, tallyW)...)
-	b.inc = append(b.inc, make([]int32, tallyW)...)
-	b.got = append(b.got, make([]int32, tallyW*b.n)...)
-	b.expect = append(b.expect, make([]int32, tallyW*b.n)...)
+	b.level = extend(b.level, 1)
+	b.evalFloor = extend(b.evalFloor, 1)
+	b.joined = extend(b.joined, b.n+1)
+	b.tag = extend(b.tag, tallyW)
+	b.inc = extend(b.inc, tallyW)
+	b.got = extend(b.got, tallyW*b.n)
+	b.expect = extend(b.expect, tallyW*b.n)
 	return mi
+}
+
+// extend appends k zero values to a batch column, at least doubling its
+// capacity when it must grow: append alone grows a large slice by ~1.25×,
+// which copies a batch about five times over while its members join.
+func extend[T any](s []T, k int) []T {
+	n := len(s)
+	if n+k > cap(s) {
+		s = append(make([]T, 0, max(2*cap(s), n+k)), s...)
+	}
+	s = s[:n+k]
+	clear(s[n:]) // not append(s, make(…)...): that allocates under -race
+	return s
 }
 
 // observe tallies one data packet for member mi.
@@ -116,13 +134,15 @@ type Accumulator interface {
 func Layered(n int) Accumulator { return delta.NewLayeredReceiver(n) }
 
 // dsBatch is the struct-of-arrays state of every key receiver attached to
-// one session. The tally ring holds reusable DELTA accumulators (Begin
-// resets one in place); the level ring replaces the level-by-slot map with
-// full-slot tags, where tag slot+1 distinguishes a recorded slot 0 from an
-// empty entry.
+// one session. The tally ring holds the DELTA accumulators of the slots in
+// flight, leased from idle on a slot's first packet and given back when the
+// slot is evaluated (Begin resets a leased one in place); the level ring
+// replaces the level-by-slot map with full-slot tags, where tag slot+1
+// distinguishes a recorded slot 0 from an empty entry.
 type dsBatch struct {
 	n      int
 	newAcc func(n int) Accumulator
+	idle   []Accumulator // given back by evaluated slots, ready to lease
 
 	// Per member:
 	level     []int32
@@ -148,25 +168,34 @@ func dsBatchFor(sched *sim.Scheduler, sess *core.Session, newAcc func(n int) Acc
 
 func (b *dsBatch) join() int {
 	mi := len(b.level)
-	b.level = append(b.level, 0)
-	b.evalFloor = append(b.evalFloor, 0)
-	b.joined = append(b.joined, make([]uint32, b.n+2)...)
-	b.dtag = append(b.dtag, make([]uint32, tallyW)...)
-	b.drecv = append(b.drecv, make([]Accumulator, tallyW)...)
-	b.ltag = append(b.ltag, make([]uint32, lvlW)...)
-	b.lval = append(b.lval, make([]int32, lvlW)...)
+	b.level = extend(b.level, 1)
+	b.evalFloor = extend(b.evalFloor, 1)
+	b.joined = extend(b.joined, b.n+2)
+	b.dtag = extend(b.dtag, tallyW)
+	b.drecv = extend(b.drecv, tallyW)
+	b.ltag = extend(b.ltag, lvlW)
+	b.lval = extend(b.lval, lvlW)
 	return mi
 }
 
 // deltaFor returns member mi's accumulating DELTA receiver for slot,
-// claiming (and resetting) the ring entry on first contact.
+// claiming (and resetting) the ring entry on first contact. An empty entry
+// leases an idle accumulator, or builds one when none is idle; an entry
+// still holding a slot that will never be evaluated (its receiver is
+// stopped) resets that one.
 func (b *dsBatch) deltaFor(mi int, slot uint32) Accumulator {
 	ri := mi*tallyW + int(slot&(tallyW-1))
 	dr := b.drecv[ri]
 	if b.dtag[ri] != slot+1 {
 		b.dtag[ri] = slot + 1
 		if dr == nil {
-			dr = b.newAcc(b.n)
+			if last := len(b.idle) - 1; last >= 0 {
+				dr = b.idle[last]
+				b.idle[last] = nil
+				b.idle = b.idle[:last]
+			} else {
+				dr = b.newAcc(b.n)
+			}
 			b.drecv[ri] = dr
 		}
 		dr.Begin(slot)
@@ -174,15 +203,39 @@ func (b *dsBatch) deltaFor(mi int, slot uint32) Accumulator {
 	return dr
 }
 
-// finished returns the DELTA receiver that accumulated slot, or nil when
-// no packet of the slot arrived — the signal the evaluator reads as a
-// fully lost slot.
-func (b *dsBatch) finished(mi int, slot uint32) Accumulator {
+// take empties the ring entry of slot and returns the DELTA receiver that
+// accumulated it, or nil when no packet of the slot arrived — the signal
+// the evaluator reads as a fully lost slot. The caller gives a non-nil
+// receiver back once it is done with its Outcome.
+func (b *dsBatch) take(mi int, slot uint32) Accumulator {
 	ri := mi*tallyW + int(slot&(tallyW-1))
 	if b.dtag[ri] != slot+1 {
 		return nil
 	}
-	return b.drecv[ri]
+	dr := b.drecv[ri]
+	b.dtag[ri], b.drecv[ri] = 0, nil
+	return dr
+}
+
+// giveBack returns a taken accumulator to the idle list. Its Outcome's
+// Keys alias its scratch, so it must come after they have been copied.
+func (b *dsBatch) giveBack(dr Accumulator) {
+	if dr != nil {
+		b.idle = append(b.idle, dr)
+	}
+}
+
+// releaseBefore gives back member mi's accumulators of slots before slot
+// and raises its evaluation floor to slot: a receiver stopped or (re)started
+// during slot never evaluates an earlier one, so their packets are strays.
+func (b *dsBatch) releaseBefore(mi int, slot uint32) {
+	b.evalFloor[mi] = max(b.evalFloor[mi], slot)
+	for ri := mi * tallyW; ri < (mi+1)*tallyW; ri++ {
+		if t := b.dtag[ri]; t != 0 && t-1 < slot {
+			b.giveBack(b.drecv[ri])
+			b.dtag[ri], b.drecv[ri] = 0, nil
+		}
+	}
 }
 
 // setLevelAt records the subscription level in force from data slot slot.

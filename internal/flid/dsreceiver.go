@@ -18,8 +18,8 @@ import (
 // loss, increase on signal, but enacted through keys instead of trust;
 // with a Shamir accumulator it is the loss-threshold receiver. Like the
 // tally kernel, its per-slot state lives in the session's
-// struct-of-arrays batch; the accumulators themselves are reusable ring
-// entries reset in place.
+// struct-of-arrays batch; the accumulators themselves are leased from the
+// batch for the slots in flight and given back as each slot is evaluated.
 type DSReceiver struct {
 	Sess   *core.Session
 	host   *netsim.Host
@@ -73,6 +73,7 @@ func (r *DSReceiver) Start() {
 	r.running = true
 	sched := r.host.Scheduler()
 	cur := r.Sess.SlotAt(sched.Now())
+	r.b.releaseBefore(r.mi, cur)
 	r.b.level[r.mi] = 1
 	r.b.setLevelAt(r.mi, cur, 1)
 	r.b.joined[r.mi*(r.b.n+2)+1] = cur + 1
@@ -88,6 +89,7 @@ func (r *DSReceiver) Stop() {
 	r.running = false
 	r.client.Unsubscribe(r.Sess.Addrs())
 	r.b.level[r.mi] = 0
+	r.b.releaseBefore(r.mi, r.Sess.SlotAt(r.host.Scheduler().Now()))
 }
 
 // onEval fires once per slot, batched behind the session's slot driver.
@@ -112,10 +114,11 @@ func (r *DSReceiver) onData(pkt *packet.Packet) {
 }
 
 // evaluate runs the DELTA receiver conclusion for the finished data slot
-// and subscribes for the access slot it guards.
+// and subscribes for the access slot it guards. The slot's accumulator goes
+// back to the batch on every path.
 func (r *DSReceiver) evaluate(slot uint32) {
 	b, mi := r.b, r.mi
-	dr := b.finished(mi, slot)
+	dr := b.take(mi, slot)
 	b.evalFloor[mi] = slot + 1
 	b.gcLevels(mi, slot)
 
@@ -135,6 +138,7 @@ func (r *DSReceiver) evaluate(slot uint32) {
 		}
 	}
 	if effTop == 0 || dr == nil {
+		b.giveBack(dr)
 		// Nothing fully observed yet (just joined): wait for a full slot.
 		if dr == nil && effTop > 0 {
 			// A full slot passed with zero packets: the session may be
@@ -150,11 +154,13 @@ func (r *DSReceiver) evaluate(slot uint32) {
 
 	out := dr.Finish(effTop, false)
 	if out.Next == 0 {
+		b.giveBack(dr)
 		r.rejoin(slot)
 		return
 	}
 
 	r.pairs = r.Sess.KeyPairs(r.pairs[:0], out.First, out.Keys)
+	b.giveBack(dr) // after the copy: out.Keys aliases dr's scratch
 	r.client.Subscribe(core.AccessSlot(slot), r.pairs)
 
 	next := out.Next

@@ -22,7 +22,7 @@ type Network struct {
 
 	nodes  []Node
 	out    map[NodeID][]*Link
-	linkTo map[NodeID]map[NodeID]*Link
+	linkTo map[[2]NodeID]*Link // directed link by (from, to)
 	addrOf map[packet.Addr]NodeID
 
 	nextAddr packet.Addr
@@ -47,7 +47,7 @@ func New(sched *sim.Scheduler, rng *sim.RNG) *Network {
 		rng:      rng,
 		pool:     &packet.Pool{},
 		out:      make(map[NodeID][]*Link),
-		linkTo:   make(map[NodeID]map[NodeID]*Link),
+		linkTo:   make(map[[2]NodeID]*Link),
 		addrOf:   make(map[packet.Addr]NodeID),
 		nextAddr: hostAddrBase,
 	}
@@ -144,10 +144,7 @@ func (n *Network) Connect(a, b Node, rate int64, delay sim.Time, qcap int) (*Lin
 func (n *Network) registerLink(l *Link) {
 	from, to := l.src.ID(), l.dst.ID()
 	n.out[from] = append(n.out[from], l)
-	if n.linkTo[from] == nil {
-		n.linkTo[from] = make(map[NodeID]*Link)
-	}
-	n.linkTo[from][to] = l
+	n.linkTo[[2]NodeID{from, to}] = l
 	n.links = nil
 }
 
@@ -169,7 +166,7 @@ func (n *Network) Links() []*Link {
 
 // LinkBetween returns the directed link from a to b, or nil.
 func (n *Network) LinkBetween(a, b NodeID) *Link {
-	return n.linkTo[a][b]
+	return n.linkTo[[2]NodeID{a, b}]
 }
 
 // accessLink returns a host's single outgoing link.

@@ -102,7 +102,7 @@ func (n *Network) CanMigrate(h *Host) bool {
 	if up == nil || up.Delay <= 0 {
 		return false
 	}
-	down := n.linkTo[up.dst.ID()][h.id]
+	down := n.LinkBetween(up.dst.ID(), h.id)
 	return down != nil && down.Delay > 0
 }
 
@@ -123,7 +123,7 @@ func (n *Network) MigrateHost(h *Host, s int) {
 		panic(fmt.Sprintf("netsim: host %s cannot migrate (zero-delay or missing access links)", h.name))
 	}
 	up := n.accessLink(h.id)
-	down := n.linkTo[up.dst.ID()][h.id]
+	down := n.LinkBetween(up.dst.ID(), h.id)
 
 	h.sched = n.shard.group.Shard(s)
 	h.pool = n.shard.pools[s]
