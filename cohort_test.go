@@ -8,15 +8,15 @@ import (
 	"deltasigma/internal/packet"
 )
 
-// cohortRun runs one 30-second FLID-DL dumbbell session carrying n honest
-// members — as n individual receivers or as one cohort — plus the scripted
-// dynamics, and reduces it to the aggregate statistics the consistency
-// tests compare: highest honest level, population-mean level, and aggregate
-// honest throughput in Kbps.
-func cohortRun(t *testing.T, n int, asCohort bool, churnRate float64, attacker bool) (top int, mean, aggKbps float64) {
+// cohortRun runs one 30-second dumbbell session of protocol proto carrying
+// n honest members — as n individual receivers or as one cohort — plus the
+// scripted dynamics, and reduces it to the aggregate statistics the
+// consistency tests compare: highest honest level, population-mean level,
+// and aggregate honest throughput in Kbps.
+func cohortRun(t *testing.T, proto string, seed uint64, n int, asCohort bool, churnRate float64, attacker bool) (top int, mean, aggKbps float64) {
 	t.Helper()
 	const dur = 30 * deltasigma.Second
-	e := deltasigma.MustNew(deltasigma.WithProtocol("flid-dl"), deltasigma.WithSeed(7))
+	e := deltasigma.MustNew(deltasigma.WithProtocol(proto), deltasigma.WithSeed(seed))
 	s := e.AddSession(0)
 	if asCohort {
 		s.AddCohort(n)
@@ -65,8 +65,8 @@ func relDiff(a, b float64) float64 {
 // match their sum to within the skew of the cohort's extra stub hop.
 func TestCohortConsistencyStatic(t *testing.T) {
 	for _, n := range []int{10, 100, 1000} {
-		iTop, iMean, iAgg := cohortRun(t, n, false, 0, false)
-		cTop, cMean, cAgg := cohortRun(t, n, true, 0, false)
+		iTop, iMean, iAgg := cohortRun(t, "flid-dl", 7, n, false, 0, false)
+		cTop, cMean, cAgg := cohortRun(t, "flid-dl", 7, n, true, 0, false)
 		if cTop != iTop {
 			t.Errorf("n=%d: cohort top level %d, individuals %d", n, cTop, iTop)
 		}
@@ -87,8 +87,8 @@ func TestCohortConsistencyStatic(t *testing.T) {
 // mean is stable across realizations.
 func TestCohortConsistencyChurn(t *testing.T) {
 	for _, n := range []int{100, 1000} {
-		iTop, iMean, iAgg := cohortRun(t, n, false, 2, false)
-		cTop, cMean, cAgg := cohortRun(t, n, true, 2, false)
+		iTop, iMean, iAgg := cohortRun(t, "flid-dl", 7, n, false, 2, false)
+		cTop, cMean, cAgg := cohortRun(t, "flid-dl", 7, n, true, 2, false)
 		if d := cTop - iTop; d < -1 || d > 1 {
 			t.Errorf("n=%d: cohort top level %d vs individuals %d", n, cTop, iTop)
 		}
@@ -109,8 +109,8 @@ func TestCohortConsistencyChurn(t *testing.T) {
 // crushed identically.
 func TestCohortConsistencyAttackerOnset(t *testing.T) {
 	for _, n := range []int{10, 100, 1000} {
-		iTop, iMean, iAgg := cohortRun(t, n, false, 0, true)
-		cTop, cMean, cAgg := cohortRun(t, n, true, 0, true)
+		iTop, iMean, iAgg := cohortRun(t, "flid-dl", 7, n, false, 0, true)
+		cTop, cMean, cAgg := cohortRun(t, "flid-dl", 7, n, true, 0, true)
 		if cTop != iTop {
 			t.Errorf("n=%d: cohort top level %d, individuals %d", n, cTop, iTop)
 		}
@@ -121,6 +121,48 @@ func TestCohortConsistencyAttackerOnset(t *testing.T) {
 			t.Errorf("n=%d: aggregate throughput off by %.1f%%: cohort %.0f vs individuals %.0f Kbps",
 				n, 100*d, cAgg, iAgg)
 		}
+	}
+}
+
+// TestCohortMatchesExactPerProtocol is the fluid-vs-exact differential over
+// every protocol that takes cohorts. A cohort moves its buckets by the FLID
+// rule on the kernel's tally, so where exact receivers run that rule on
+// plain IGMP (flid-dl, dsc) the two must agree as closely as the static
+// FLID-DL check demands, at 1 % throughput. Exact DS receivers reach their
+// level through keys and SIGMA grants, which the fluid model idealizes
+// away; for them the cohort is the upper envelope of honest throughput.
+func TestCohortMatchesExactPerProtocol(t *testing.T) {
+	for _, proto := range deltasigma.Protocols() {
+		p, _ := deltasigma.LookupProtocol(proto)
+		if !p.Capabilities().Cohorts {
+			continue
+		}
+		t.Run(proto, func(t *testing.T) {
+			for _, seed := range []uint64{7, 2003} {
+				for _, n := range []int{10, 100, 1000} {
+					iTop, iMean, iAgg := cohortRun(t, proto, seed, n, false, 0, false)
+					cTop, cMean, cAgg := cohortRun(t, proto, seed, n, true, 0, false)
+					t.Logf("seed %d n=%d: top %d/%d, mean %.3f/%.3f, aggregate %.0f/%.0f Kbps (exact/cohort)",
+						seed, n, iTop, cTop, iMean, cMean, iAgg, cAgg)
+					if p.Protected() {
+						if cAgg < iAgg {
+							t.Errorf("seed %d n=%d: cohort aggregate %.0f Kbps under exact %.0f", seed, n, cAgg, iAgg)
+						}
+						continue
+					}
+					if cTop != iTop {
+						t.Errorf("seed %d n=%d: cohort top level %d, individuals %d", seed, n, cTop, iTop)
+					}
+					if d := math.Abs(cMean - iMean); d > 0.05 {
+						t.Errorf("seed %d n=%d: cohort mean level %.3f vs individuals %.3f", seed, n, cMean, iMean)
+					}
+					if d := relDiff(cAgg, iAgg); d > 0.01 {
+						t.Errorf("seed %d n=%d: aggregate throughput off by %.2f%%: cohort %.0f vs individuals %.0f Kbps",
+							seed, n, 100*d, cAgg, iAgg)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -2,13 +2,15 @@
 // receivers behind one shared edge as a fluid aggregate: a subscription-level
 // distribution plus a member count, instead of N per-packet receiver objects.
 //
-// The aggregate advances with exactly the FLID-DL/DS slot rules individual
-// receivers run (internal/flid: decrease on loss, increase on signal, join
-// probation of two slots), applied to buckets of members that share a level
-// and probation state. Because multicast delivers one copy of each group per
-// edge regardless of how many receivers sit behind it, per-slot work is
-// O(groups + buckets) — independent of the member count — which is what
-// makes million-receiver sessions simulable. Attackers and receivers on
+// The aggregate is a row of the FLID kernel (flid.Tally): it tallies each
+// slot's delivery in the kernel's ring, reads one flid.SlotView per bucket
+// of members sharing a level and probation state — the view an individual
+// receiver reads — and moves each bucket by flid.FLIDRule, the rule pair
+// individual receivers run (decrease on loss, increase on signal, join
+// probation of two slots). Because multicast delivers one copy of each
+// group per edge regardless of how many receivers sit behind it, per-slot
+// work is O(groups + buckets) — independent of the member count — which is
+// what makes million-receiver sessions simulable. Attackers and receivers on
 // contested paths stay exact per-packet objects; cohorts coexist with them
 // in the same experiment and share the same bottlenecks, graft machinery and
 // slot clock.
@@ -19,41 +21,13 @@ import (
 	"slices"
 
 	"deltasigma/internal/core"
+	"deltasigma/internal/flid"
 	"deltasigma/internal/mcast"
 	"deltasigma/internal/netsim"
 	"deltasigma/internal/packet"
 	"deltasigma/internal/sim"
 	"deltasigma/internal/stats"
 )
-
-// slotTally accumulates per-group receptions for one data slot, shared by
-// every member of the cohort (they all sit behind the same delivery point).
-type slotTally struct {
-	got    []int
-	expect []int
-	inc    int
-}
-
-func newSlotTally(n int) *slotTally {
-	return &slotTally{got: make([]int, n), expect: make([]int, n)}
-}
-
-func (t *slotTally) observe(h *packet.FLIDHeader) {
-	g := int(h.Group)
-	if g < 1 || g > len(t.got) {
-		return
-	}
-	t.got[g-1]++
-	t.expect[g-1] = int(h.Count)
-	if int(h.IncreaseTo) > t.inc {
-		t.inc = int(h.IncreaseTo)
-	}
-}
-
-// lost reports whether group g (1-based) is missing packets.
-func (t *slotTally) lost(g int) bool {
-	return t.got[g-1] == 0 || t.got[g-1] < t.expect[g-1]
-}
 
 // bucket is a set of members sharing one subscription level and one join
 // history. Absent churn the whole cohort is a single bucket moving in
@@ -104,8 +78,7 @@ type Agent struct {
 	subTop  int    // highest group subscribed at the edge
 	running bool
 	loop    *core.SlotLoop
-	tallies map[uint32]*slotTally
-	idle    sim.Freelist[slotTally] // evaluated tallies, cleared, for the slots to come
+	tally   flid.Tally
 
 	// feedbackDst, when nonzero, is the unicast address (the session
 	// source) the cohort reports its slot status to — one FeedbackHeader
@@ -139,7 +112,7 @@ func New(host *netsim.Host, edge *mcast.Router, sess *core.Session, n uint64) *A
 		igmp:    mcast.NewClient(host, edge.Addr()),
 		members: n,
 		offline: n,
-		tallies: make(map[uint32]*slotTally),
+		tally:   flid.NewTally(host.Scheduler(), sess),
 		Meter:   stats.NewMeter(sim.Second),
 	}
 	a.loop = core.NewSlotLoop(host.Scheduler(), sess, a.onEval)
@@ -341,80 +314,55 @@ func (a *Agent) onData(pkt *packet.Packet) {
 	if n := a.subscribers(int(h.Group)); n > 0 {
 		a.Meter.Add(a.host.Scheduler().Now(), int(n)*pkt.Size)
 	}
-	t := a.tallies[h.Slot]
-	if t == nil {
-		t = a.tally()
-		a.tallies[h.Slot] = t
-	}
-	t.observe(h)
-}
-
-// tally returns an empty tally, an idle one when there is one.
-func (a *Agent) tally() *slotTally {
-	t := a.idle.Get()
-	if t.got == nil {
-		*t = *newSlotTally(a.Sess.Rates.N)
-	}
-	return t
-}
-
-// retire empties t and keeps it for a later slot.
-func (a *Agent) retire(t *slotTally) {
-	clear(t.got)
-	clear(t.expect)
-	t.inc = 0
-	a.idle.Put(t)
+	a.tally.Observe(h)
 }
 
 // evaluate applies the FLID subscription rules to the finished slot, bucket
 // by bucket, then reconciles the edge subscription and reports upstream.
 func (a *Agent) evaluate(slot uint32) {
-	t := a.tallies[slot]
-	delete(a.tallies, slot)
-	for s, stray := range a.tallies {
-		if s+4 < slot {
-			delete(a.tallies, s)
-			a.retire(stray)
-		}
-	}
-	if t == nil {
-		t = a.tally() // nothing arrived: every group reads as lost
-	}
-	defer a.retire(t)
+	a.tally.Close(slot)
 	if len(a.buckets) == 0 {
 		return
 	}
-
 	congested := false
 	for _, b := range a.buckets {
-		loss := false
-		for g := 1; g <= b.level; g++ {
-			if b.joinedSlot[g] > slot {
-				continue // not yet a full member for this slot
-			}
-			if t.lost(g) {
-				loss = true
-				break
-			}
-		}
-		switch {
-		case loss && b.level > 1:
-			// Rule 2: a congested receiver of g groups must drop group g.
-			b.level--
-			a.Decreases += b.count
-			congested = true
-		case loss:
-			congested = true
-		case t.inc >= b.level+1 && b.level < a.Sess.Rates.N:
-			// Rule 3: an authorized uncongested receiver adds one group.
-			b.level++
-			b.joinedSlot[b.level] = slot + 2
-			a.Increases += b.count
-		}
+		v := a.tally.View(slot, b.level, b.joinedSlot)
+		congested = congested || v.Loss
+		flid.FLIDRule(mover{a, b}, v)
 	}
 	a.mergeBuckets(slot)
 	a.resubscribe(slot)
 	a.report(slot, congested)
+}
+
+// mover hands one bucket to flid.FLIDRule; every move counts once per
+// member of the bucket.
+type mover struct {
+	a *Agent
+	b *bucket
+}
+
+func (m mover) Level() int { return m.b.level }
+
+// Drop leaves the top group unless at the minimal level, as a receiver's.
+func (m mover) Drop() bool {
+	if m.b.level <= 1 {
+		return false
+	}
+	m.b.level--
+	m.a.Decreases += m.b.count
+	return true
+}
+
+// Add joins the next group after evaluating slot, unless already at the
+// top; it counts fully from slot+2.
+func (m mover) Add(slot uint32) {
+	if m.b.level >= m.a.Sess.Rates.N {
+		return
+	}
+	m.b.level++
+	m.b.joinedSlot[m.b.level] = slot + 2
+	m.a.Increases += m.b.count
 }
 
 // mergeBuckets coalesces buckets that have become behaviourally identical,

@@ -31,16 +31,23 @@ func testAgent(t *testing.T, n uint64) (*topo.Dumbbell, *core.Session, *Agent) {
 	return d, sess, New(p.Host, p.Edge, sess, n)
 }
 
-// fullTally builds a tally where groups 1..upTo were fully received and the
-// sender signalled an increase to level inc.
-func fullTally(sess *core.Session, upTo, inc int) *slotTally {
-	tl := newSlotTally(sess.Rates.N)
-	for g := 1; g <= upTo; g++ {
-		tl.got[g-1] = 2
-		tl.expect[g-1] = 2
+// deliver hands the agent got of count packets of group g in slot, the slot
+// carrying increase signal inc.
+func deliver(a *Agent, slot uint32, g, got, count, inc int) {
+	for j := 1; j <= got; j++ {
+		a.onData(packet.New(0, a.Sess.GroupAddr(g), a.Sess.PacketSize, &packet.FLIDHeader{
+			Session: a.Sess.ID, Group: uint8(g), Slot: slot,
+			Seq: uint16(j), Count: uint16(count), IncreaseTo: uint8(inc),
+		}))
 	}
-	tl.inc = inc
-	return tl
+}
+
+// deliverFull delivers groups 1..upTo of slot in full, the slot signalling
+// an increase to level inc.
+func deliverFull(a *Agent, slot uint32, upTo, inc int) {
+	for g := 1; g <= upTo; g++ {
+		deliver(a, slot, g, 2, 2, inc)
+	}
 }
 
 func TestPendingEqualNormalizesPastDeadlines(t *testing.T) {
@@ -170,10 +177,8 @@ func TestEvaluateRuleDecreaseOnLoss(t *testing.T) {
 	a.buckets = []*bucket{{count: 80, level: 3, joinedSlot: make([]uint32, sess.Rates.N+1)}}
 	a.subTop = 3
 	// Group 3 saw half its packets: loss, so Rule 2 drops the bucket to 2.
-	tl := fullTally(sess, 2, 0)
-	tl.got[2] = 1
-	tl.expect[2] = 2
-	a.tallies[9] = tl
+	deliverFull(a, 9, 2, 0)
+	deliver(a, 9, 3, 1, 2, 0)
 	a.evaluate(9)
 	if a.buckets[0].level != 2 || a.Decreases != 80 {
 		t.Fatalf("level %d, decreases %d; want 2, 80", a.buckets[0].level, a.Decreases)
@@ -181,8 +186,7 @@ func TestEvaluateRuleDecreaseOnLoss(t *testing.T) {
 	// A level-1 bucket under loss holds at 1: a receiver never leaves its
 	// last group on congestion (Rule 2 applies only above the base layer).
 	a.buckets[0].level = 1
-	a.tallies[10] = newSlotTally(sess.Rates.N) // nothing received: total loss
-	a.evaluate(10)
+	a.evaluate(10) // nothing received: total loss
 	if a.buckets[0].level != 1 {
 		t.Fatalf("base level dropped to %d", a.buckets[0].level)
 	}
@@ -194,7 +198,7 @@ func TestEvaluateRuleIncreaseOnSignal(t *testing.T) {
 	a.subTop = 2
 	// Clean slot with an increase signal to level 3: Rule 3 climbs and arms
 	// the new group's two-slot join probation.
-	a.tallies[7] = fullTally(sess, 2, 3)
+	deliverFull(a, 7, 2, 3)
 	a.evaluate(7)
 	b := a.buckets[0]
 	if b.level != 3 || a.Increases != 60 {
@@ -208,7 +212,7 @@ func TestEvaluateRuleIncreaseOnSignal(t *testing.T) {
 	}
 	// The probationary group is exempt from the loss rule until its deadline:
 	// a slot with group 3 missing entirely must not demote the bucket.
-	a.tallies[8] = fullTally(sess, 2, 0)
+	deliverFull(a, 8, 2, 0)
 	a.evaluate(8)
 	if a.buckets[0].level != 3 {
 		t.Fatalf("probationary group loss demoted bucket to %d", a.buckets[0].level)
@@ -219,24 +223,29 @@ func TestEvaluateMissingTallyIsTotalLoss(t *testing.T) {
 	_, sess, a := testAgent(t, 10)
 	a.buckets = []*bucket{{count: 10, level: 4, joinedSlot: make([]uint32, sess.Rates.N+1)}}
 	a.subTop = 4
-	a.evaluate(42) // no tally recorded for slot 42 at all
+	a.evaluate(42) // no packet of slot 42 arrived at all
 	if a.buckets[0].level != 3 || a.Decreases != 10 {
 		t.Fatalf("level %d, decreases %d; want 3, 10", a.buckets[0].level, a.Decreases)
 	}
 }
 
+// A slot's verdict reads that slot's packets and nothing else: not a tally
+// eight slots older left on the same ring entry, and not a late packet of
+// a slot already evaluated. Both strays below carry a clean slot and an
+// increase signal, so reading either would climb instead of drop.
 func TestEvaluateGarbageCollectsStrayTallies(t *testing.T) {
 	_, sess, a := testAgent(t, 10)
-	a.buckets = []*bucket{{count: 10, level: 1, joinedSlot: make([]uint32, sess.Rates.N+1)}}
-	a.tallies[1] = newSlotTally(sess.Rates.N)
-	a.tallies[8] = newSlotTally(sess.Rates.N)
-	a.tallies[10] = fullTally(sess, 1, 0)
-	a.evaluate(10)
-	if _, ok := a.tallies[1]; ok {
-		t.Fatal("stale tally for slot 1 survived GC")
+	a.buckets = []*bucket{{count: 10, level: 3, joinedSlot: make([]uint32, sess.Rates.N+1)}}
+	a.subTop = 3
+	deliverFull(a, 10, 3, 4) // a slot never evaluated
+	a.evaluate(10 + 8)       // same ring entry, nothing of its own arrived
+	if a.buckets[0].level != 2 || a.Decreases != 10 || a.Increases != 0 {
+		t.Fatalf("slot 18 read slot 10's tally: level %d, decreases %d, increases %d", a.buckets[0].level, a.Decreases, a.Increases)
 	}
-	if _, ok := a.tallies[8]; !ok {
-		t.Fatal("recent tally for slot 8 collected too early")
+	deliverFull(a, 18, 3, 4) // late packets of the slot just evaluated
+	a.evaluate(18 + 8)
+	if a.buckets[0].level != 1 || a.Decreases != 20 || a.Increases != 0 {
+		t.Fatalf("slot 26 read slot 18's late packets: level %d, decreases %d, increases %d", a.buckets[0].level, a.Decreases, a.Increases)
 	}
 }
 

@@ -17,12 +17,15 @@ import (
 // receiver is an index into parallel slices: subscription levels, probation
 // clocks and per-slot tallies live in flat arrays, per-slot storage is a
 // fixed ring of tallyW slots wide, and the shared SlotDriver evaluates all
-// members of a slot clock in one pass over adjacent rows.
+// members of a slot clock in one pass over adjacent rows. A cohort is one
+// more row (Tally): it tallies its edge's delivery in the same ring and
+// reads each bucket's SlotView through the same view a receiver does.
 //
 // A key receiver's DELTA accumulator is not owned by its ring entry: it
 // is leased from the batch when the slot's first packet arrives and given
 // back when the slot is evaluated, so a member holds one accumulator per
-// slot in flight — two in steady state — not one per ring entry.
+// slot in flight — two in steady state — not one per ring entry. Its
+// level-by-slot history is a core.LevelRing per member.
 //
 // Ring correctness: an entry is claimed by writing the full 32-bit slot
 // number into its tag, so a stale entry can never be mistaken for another
@@ -35,7 +38,6 @@ import (
 // code accumulated them into entries its evaluator, which reads only the
 // exact finished slot, never looked at.
 const tallyW = 8 // per-slot tally ring width, power of two
-const lvlW = 16  // FLID-DS level-by-slot ring width, power of two
 
 // dlBatch is the struct-of-arrays state of every tally receiver attached
 // to one session (on one scheduler).
@@ -119,6 +121,57 @@ func (b *dlBatch) observe(mi int, h *packet.FLIDHeader) {
 	}
 }
 
+// view reads member mi's tally of a finished slot as a rule sees it, for a
+// subscriber of lvl groups whose probation clocks are joined (indexed by
+// group): only groups fully counted by the slot are checked for loss.
+func (b *dlBatch) view(mi int, slot uint32, lvl int, joined []uint32) SlotView {
+	ri := mi*tallyW + int(slot&(tallyW-1))
+	base := ri * b.n
+	has := b.tag[ri] == slot // any packet of the slot tallied (slot 0: zero state reads as an empty tally, like a missing map entry)
+	v := SlotView{Slot: slot}
+	for g := 1; g <= lvl; g++ {
+		if joined[g] > slot {
+			continue // not yet a full member for this slot
+		}
+		v.Counted = true
+		if !has || b.got[base+g-1] == 0 || b.got[base+g-1] < b.expect[base+g-1] {
+			v.Loss = true
+			break
+		}
+	}
+	if has {
+		v.Inc = int(b.inc[ri])
+	}
+	return v
+}
+
+// Tally is a cohort's row in its session's tally batch. Members behind one
+// edge share its delivery, so the fluid aggregate tallies each slot once,
+// in the ring a kernel receiver uses, and reads one SlotView per bucket of
+// members from it.
+type Tally struct {
+	b  *dlBatch
+	mi int
+}
+
+// NewTally joins a row to sess's batch on sched.
+func NewTally(sched *sim.Scheduler, sess *core.Session) Tally {
+	b := dlBatchFor(sched, sess)
+	return Tally{b: b, mi: b.join()}
+}
+
+// Observe tallies one data packet.
+func (t Tally) Observe(h *packet.FLIDHeader) { t.b.observe(t.mi, h) }
+
+// Close marks slot evaluated: its late packets are strays from now on.
+func (t Tally) Close(slot uint32) { t.b.evalFloor[t.mi] = slot + 1 }
+
+// View reads the finished slot for a subscriber of lvl groups with
+// probation clocks joined, indexed by group.
+func (t Tally) View(slot uint32, lvl int, joined []uint32) SlotView {
+	return t.b.view(t.mi, slot, lvl, joined)
+}
+
 // Accumulator is one slot's DELTA receiver state — the part of a key
 // receiver that differs between instantiations (Figure 4 layered nonces,
 // Shamir shares): it observes the slot's packets and concludes with the
@@ -136,9 +189,7 @@ func Layered(n int) Accumulator { return delta.NewLayeredReceiver(n) }
 // dsBatch is the struct-of-arrays state of every key receiver attached to
 // one session. The tally ring holds the DELTA accumulators of the slots in
 // flight, leased from idle on a slot's first packet and given back when the
-// slot is evaluated (Begin resets a leased one in place); the level ring
-// replaces the level-by-slot map with full-slot tags, where tag slot+1
-// distinguishes a recorded slot 0 from an empty entry.
+// slot is evaluated (Begin resets a leased one in place).
 type dsBatch struct {
 	n      int
 	newAcc func(n int) Accumulator
@@ -147,15 +198,12 @@ type dsBatch struct {
 	// Per member:
 	level     []int32
 	evalFloor []uint32
-	joined    []uint32 // stride n+2, as the map-based receiver sized it
+	joined    []uint32         // stride n+1, as dlBatch's
+	inForce   []core.LevelRing // the level in force during each recent slot
 
 	// DELTA receiver ring, stride tallyW; dtag is slot+1, 0 when empty.
 	dtag  []uint32
 	drecv []Accumulator
-
-	// Level-in-force ring, stride lvlW; ltag is slot+1, 0 when empty.
-	ltag []uint32
-	lval []int32
 }
 
 type dsKey struct{ sess *core.Session }
@@ -170,11 +218,10 @@ func (b *dsBatch) join() int {
 	mi := len(b.level)
 	b.level = extend(b.level, 1)
 	b.evalFloor = extend(b.evalFloor, 1)
-	b.joined = extend(b.joined, b.n+2)
+	b.joined = extend(b.joined, b.n+1)
+	b.inForce = extend(b.inForce, 1)
 	b.dtag = extend(b.dtag, tallyW)
 	b.drecv = extend(b.drecv, tallyW)
-	b.ltag = extend(b.ltag, lvlW)
-	b.lval = extend(b.lval, lvlW)
 	return mi
 }
 
@@ -234,43 +281,6 @@ func (b *dsBatch) releaseBefore(mi int, slot uint32) {
 		if t := b.dtag[ri]; t != 0 && t-1 < slot {
 			b.giveBack(b.drecv[ri])
 			b.dtag[ri], b.drecv[ri] = 0, nil
-		}
-	}
-}
-
-// setLevelAt records the subscription level in force from data slot slot.
-func (b *dsBatch) setLevelAt(mi int, slot uint32, lvl int) {
-	li := mi*lvlW + int(slot&(lvlW-1))
-	b.ltag[li] = slot + 1
-	b.lval[li] = int32(lvl)
-}
-
-// gcLevels drops level records older than the walk horizon, mirroring the
-// map-based receiver's per-evaluate garbage collection (delete s+8 < slot)
-// so levelAt can never resurrect a record the map would have discarded.
-func (b *dsBatch) gcLevels(mi int, slot uint32) {
-	base := mi * lvlW
-	for i := base; i < base+lvlW; i++ {
-		if t := b.ltag[i]; t != 0 && t-1+8 < slot {
-			b.ltag[i] = 0
-		}
-	}
-}
-
-// levelAt returns the subscription level in force during a data slot,
-// walking back to the most recent decision exactly as the map-based
-// receiver did: sixteen slots of history, then the latest decided level.
-func (b *dsBatch) levelAt(mi int, slot uint32) int {
-	base := mi * lvlW
-	for s := slot; ; s-- {
-		if b.ltag[base+int(s&(lvlW-1))] == s+1 {
-			return int(b.lval[base+int(s&(lvlW-1))])
-		}
-		if s == 0 {
-			return 1
-		}
-		if slot-s > 16 {
-			return int(b.level[mi])
 		}
 	}
 }

@@ -140,7 +140,7 @@ func TestBatchJoinCopiesLinearBytes(t *testing.T) {
 		}},
 		{"dsBatch", ds.join, func() uint64 {
 			return colBytes(ds.level) + colBytes(ds.evalFloor) + colBytes(ds.joined) +
-				colBytes(ds.dtag) + colBytes(ds.drecv) + colBytes(ds.ltag) + colBytes(ds.lval)
+				colBytes(ds.inForce) + colBytes(ds.dtag) + colBytes(ds.drecv)
 		}},
 	} {
 		var before, after runtime.MemStats

@@ -75,8 +75,8 @@ func (r *DSReceiver) Start() {
 	cur := r.Sess.SlotAt(sched.Now())
 	r.b.releaseBefore(r.mi, cur)
 	r.b.level[r.mi] = 1
-	r.b.setLevelAt(r.mi, cur, 1)
-	r.b.joined[r.mi*(r.b.n+2)+1] = cur + 1
+	r.b.inForce[r.mi].Set(cur, 1)
+	r.b.joined[r.mi*(r.b.n+1)+1] = cur + 1
 	r.client.SessionJoin(r.Sess.BaseAddr)
 	r.loop.Schedule(cur)
 }
@@ -120,15 +120,16 @@ func (r *DSReceiver) evaluate(slot uint32) {
 	b, mi := r.b, r.mi
 	dr := b.take(mi, slot)
 	b.evalFloor[mi] = slot + 1
-	b.gcLevels(mi, slot)
+	ring := &b.inForce[mi]
+	ring.Forget(slot)
 
-	lvl := b.levelAt(mi, slot)
+	lvl := ring.At(slot, int(b.level[mi]))
 	if lvl == 0 {
 		lvl = 1
 	}
 	// Only groups fully observed for the whole slot count toward the
 	// evaluation; newer grants are still covered by SIGMA's grace window.
-	joined := b.joined[mi*(b.n+2):]
+	joined := b.joined[mi*(b.n+1):]
 	effTop := 0
 	for g := 1; g <= lvl; g++ {
 		if joined[g] <= slot {
@@ -148,7 +149,7 @@ func (r *DSReceiver) evaluate(slot uint32) {
 		}
 		// Carry the latest decision, not the level active during the
 		// evaluated slot — mid-upgrade they differ.
-		b.setLevelAt(mi, core.AccessSlot(slot), int(b.level[mi]))
+		ring.Set(core.AccessSlot(slot), int(b.level[mi]))
 		return
 	}
 
@@ -188,7 +189,7 @@ func (r *DSReceiver) evaluate(slot uint32) {
 		}
 	}
 	b.level[mi] = int32(next)
-	b.setLevelAt(mi, core.AccessSlot(slot), next)
+	ring.Set(core.AccessSlot(slot), next)
 }
 
 // rejoin re-enters the session keylessly from the minimal group. The
@@ -200,7 +201,7 @@ func (r *DSReceiver) evaluate(slot uint32) {
 func (r *DSReceiver) rejoin(slot uint32) {
 	r.Rejoins++
 	r.b.level[r.mi] = 1
-	r.b.setLevelAt(r.mi, core.AccessSlot(slot), 1)
+	r.b.inForce[r.mi].Set(core.AccessSlot(slot), 1)
 	r.client.SessionJoin(r.Sess.BaseAddr)
 }
 

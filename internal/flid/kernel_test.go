@@ -244,7 +244,7 @@ func TestSubscribePairsAscending(t *testing.T) {
 			r.Client().Tap = func(_ uint32, p []packet.AddrKey) { pairs = append([]packet.AddrKey(nil), p...) }
 			r.Start()
 			r.b.level[r.mi] = top
-			r.b.setLevelAt(r.mi, 5, top)
+			r.b.inForce[r.mi].Set(5, top)
 			for g := 1; g <= top; g++ {
 				for j := 1; j <= pkts; j++ {
 					h := &packet.FLIDHeader{Session: sess.ID, Group: uint8(g), Slot: 5, Seq: uint16(j), Count: pkts, IncreaseTo: top + 1}

@@ -31,10 +31,18 @@ type SlotView struct {
 // tally ring, probation, the slot clock — is the kernel's.
 type Rule func(r *Receiver, v SlotView)
 
+// Mover is what FLIDRule moves: a kernel Receiver, or a cohort's bucket of
+// members that share a level and a join history.
+type Mover interface {
+	Level() int
+	Drop() bool
+	Add(slot uint32)
+}
+
 // FLIDRule is FLID-DL's rule pair: a congested receiver of g groups drops
 // group g (Rule 2; the minimal group is the session's floor), an
 // authorized uncongested one adds a group (Rule 3).
-func FLIDRule(r *Receiver, v SlotView) {
+func FLIDRule[M Mover](r M, v SlotView) {
 	switch {
 	case v.Loss:
 		r.Drop()
@@ -173,32 +181,10 @@ func (r *Receiver) onData(pkt *packet.Packet) {
 // evaluate reads the finished slot's tally and applies the rule.
 func (r *Receiver) evaluate(slot uint32) {
 	b, mi := r.b, r.mi
-	ri := mi*tallyW + int(slot&(tallyW-1))
-	base := ri * b.n
-	has := b.tag[ri] == slot // any packet of the slot tallied (slot 0: zero state reads as an empty tally, like a missing map entry)
 	b.evalFloor[mi] = slot + 1
-
-	lvl := r.Level()
-	if lvl == 0 {
-		return
+	if lvl := r.Level(); lvl > 0 {
+		r.rule(r, b.view(mi, slot, lvl, b.joined[mi*(b.n+1):]))
 	}
-
-	v := SlotView{Slot: slot}
-	joined := b.joined[mi*(b.n+1):]
-	for g := 1; g <= lvl; g++ {
-		if joined[g] > slot {
-			continue // not yet a full member for this slot
-		}
-		v.Counted = true
-		if !has || b.got[base+g-1] == 0 || b.got[base+g-1] < b.expect[base+g-1] {
-			v.Loss = true
-			break
-		}
-	}
-	if has {
-		v.Inc = int(b.inc[ri])
-	}
-	r.rule(r, v)
 }
 
 // Inflator is the inflated-subscription misbehaver of §2.1 against any

@@ -662,9 +662,7 @@ func mutateOnce(sp *Spec, rng *sim.RNG) {
 		}
 	case 4: // remove the last attacker (repair re-adds one if none left)
 		if len(attackers) > 1 {
-			ri := attackers[len(attackers)-1]
-			ss.Receivers = append(ss.Receivers[:ri], ss.Receivers[ri+1:]...)
-			dropReceiverEvents(sp, 1, ri+1)
+			*sp = removeReceiver(*sp, 0, attackers[len(attackers)-1])
 		}
 	case 5: // add a disturbance
 		link := rng.IntN(len(sp.Topology.CapacitiesBps))
@@ -725,8 +723,7 @@ func mutateOnce(sp *Spec, rng *sim.RNG) {
 		} else if honest > 2 {
 			for ri := len(ss.Receivers) - 1; ri >= 0; ri-- {
 				if !ss.Receivers[ri].Attacker {
-					ss.Receivers = append(ss.Receivers[:ri], ss.Receivers[ri+1:]...)
-					dropReceiverEvents(sp, 1, ri+1)
+					*sp = removeReceiver(*sp, 0, ri)
 					break
 				}
 			}
@@ -790,26 +787,6 @@ func directedChildren(best Spec) []Spec {
 	repairHunt(&tall)
 
 	return []Spec{capUp, press, both, tall}
-}
-
-// dropReceiverEvents removes events referencing a removed receiver and
-// renumbers references to the receivers behind it (mirrors the shrinker's
-// removeReceiver, on an in-place spec).
-func dropReceiverEvents(sp *Spec, session, receiver int) {
-	var events []EventSpec
-	for _, ev := range sp.Events {
-		if eventReferencesReceiver(ev, session, receiver) {
-			continue
-		}
-		if ev.Session == session && ev.Receiver > receiver {
-			switch ev.Kind {
-			case EvJoin, EvLeave, EvOnset, EvStop:
-				ev.Receiver--
-			}
-		}
-		events = append(events, ev)
-	}
-	sp.Events = events
 }
 
 // specFingerprint digests a spec alone (no outcome), keying the archive.

@@ -72,13 +72,13 @@ type Receiver struct {
 	// receivers (flid/batch.go has the correctness argument): an entry is
 	// claimed by writing slot+1 into its tag, 0 when empty, and lookups
 	// compare the exact slot. accs holds the DELTA accumulators of the few
-	// slots received but not yet evaluated; groups holds the group in
-	// force from each recent data slot on.
+	// slots received but not yet evaluated; groups, the level ring every
+	// key receiver keeps, holds the group in force from each recent data
+	// slot on.
 	accTag     [accW]uint32
 	accs       [accW]delta.ReplicatedReceiver
 	evalFloor  uint32 // first slot not yet evaluated; older data is stray
-	groupTag   [groupW]uint32
-	groupVal   [groupW]int
+	groups     core.LevelRing
 	joinedSlot uint32
 	running    bool
 	loop       *core.SlotLoop
@@ -94,13 +94,9 @@ type Receiver struct {
 	Rejoins uint64
 }
 
-// Ring widths, powers of two: accumulators as wide as the kernel's tally
-// ring, groups wide enough for the eleven slots a record stays live (eight
-// behind the evaluated slot, two ahead).
-const (
-	accW   = 8
-	groupW = 16
-)
+// accW is the accumulator ring's width, a power of two as wide as the
+// kernel's tally ring.
+const accW = 8
 
 // NewReceiver builds a replicated receiver.
 func NewReceiver(host *netsim.Host, sess *core.Session, routerAddr packet.Addr) *Receiver {
@@ -133,7 +129,7 @@ func (r *Receiver) Start() {
 	r.running = true
 	cur := r.Sess.SlotAt(r.host.Scheduler().Now())
 	r.group = 1
-	r.setGroupAt(cur, 1)
+	r.groups.Set(cur, 1)
 	r.joinedSlot = cur + 1
 	r.client.SessionJoin(r.Sess.BaseAddr)
 	r.loop.Schedule(cur)
@@ -173,26 +169,7 @@ func (r *Receiver) onData(pkt *packet.Packet) {
 		r.accTag[i] = h.Slot + 1
 		dr.Begin(h.Slot)
 	}
-	dr.Observe(h, r.groupDuring(h.Slot), pkt.ECN)
-}
-
-// setGroupAt records the group in force from data slot slot.
-func (r *Receiver) setGroupAt(slot uint32, g int) {
-	r.groupTag[slot&(groupW-1)] = slot + 1
-	r.groupVal[slot&(groupW-1)] = g
-}
-
-// groupDuring returns the group subscribed during a slot: the most recent
-// record at or before it, within sixteen slots, else the current group.
-func (r *Receiver) groupDuring(slot uint32) int {
-	for s := slot; ; s-- {
-		if r.groupTag[s&(groupW-1)] == s+1 {
-			return r.groupVal[s&(groupW-1)]
-		}
-		if s == 0 || slot-s > 16 {
-			return r.group
-		}
-	}
+	dr.Observe(h, r.groups.At(h.Slot, r.group), pkt.ECN)
 }
 
 func (r *Receiver) evaluate(slot uint32) {
@@ -201,14 +178,8 @@ func (r *Receiver) evaluate(slot uint32) {
 		dr = &r.accs[i]
 	}
 	r.evalFloor = slot + 1
-	// Records more than eight slots old are forgotten, so groupDuring
-	// falls back to the current group rather than a decision that stale.
-	for i, t := range r.groupTag {
-		if t != 0 && t-1+8 < slot {
-			r.groupTag[i] = 0
-		}
-	}
-	g := r.groupDuring(slot)
+	r.groups.Forget(slot)
+	g := r.groups.At(slot, r.group)
 	if g == 0 {
 		g = 1
 	}
@@ -219,7 +190,7 @@ func (r *Receiver) evaluate(slot uint32) {
 		}
 		// Carry the latest decision, not the group active during the
 		// evaluated slot — mid-switch they differ.
-		r.setGroupAt(core.AccessSlot(slot), r.group)
+		r.groups.Set(core.AccessSlot(slot), r.group)
 		return
 	}
 
@@ -239,12 +210,12 @@ func (r *Receiver) evaluate(slot uint32) {
 		r.joinedSlot = slot + 2
 	}
 	r.group = out.Next
-	r.setGroupAt(core.AccessSlot(slot), out.Next)
+	r.groups.Set(core.AccessSlot(slot), out.Next)
 }
 
 func (r *Receiver) rejoin(slot uint32) {
 	r.Rejoins++
 	r.group = 1
-	r.setGroupAt(core.AccessSlot(slot), 1)
+	r.groups.Set(core.AccessSlot(slot), 1)
 	r.client.SessionJoin(r.Sess.BaseAddr)
 }
