@@ -20,7 +20,7 @@ func runFuzz(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("dsim fuzz", flag.ContinueOnError)
 	n := fs.Int("n", 64, "number of scenarios to generate and run")
 	seed := fs.Uint64("seed", 1, "first fuzz seed; scenarios use seed..seed+n-1")
-	workers := fs.Int("workers", 0, "worker goroutines (0 = one per CPU)")
+	workers := fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	jsonOut := fs.Bool("json", false, "emit the per-seed summary as JSON")
 	outDir := fs.String("out", ".", "directory for repro files of failing seeds")
 	repro := fs.String("repro", "", "replay a repro file instead of fuzzing")

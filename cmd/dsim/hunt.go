@@ -24,7 +24,7 @@ func runHunt(args []string, out io.Writer) (err error) {
 	gens := fs.Int("gens", 8, "generations of evolutionary search")
 	pop := fs.Int("pop", 24, "population per generation")
 	seed := fs.Uint64("seed", 1, "master seed for the whole search")
-	workers := fs.Int("workers", 0, "evaluation worker goroutines (0 = one per CPU)")
+	workers := fs.Int("workers", 0, "evaluation worker goroutines (0 = GOMAXPROCS)")
 	jsonOut := fs.Bool("json", false, "emit the full report as JSON")
 	outDir := fs.String("out", "", "directory for the corpus and repro files (empty = don't write)")
 	keep := fs.Int("keep", 8, "ranked scenarios kept in the corpus")

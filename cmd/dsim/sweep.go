@@ -35,7 +35,7 @@ func runSweep(args []string, out io.Writer) (err error) {
 	dur := fs.Float64("dur", 30, "simulated seconds per grid point")
 	warmup := fs.Float64("warmup", 0, "seconds excluded from statistics (0 = dur/10)")
 	attackAt := fs.Float64("attack", 0, "seconds until attackers inflate (0 = dur/4)")
-	workers := fs.Int("workers", 0, "worker goroutines (0 = one per CPU)")
+	workers := fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	shards := fs.Int("shards", 0, "parallel shards inside each static grid point (0 or 1 = serial; dynamic points always run serial; results are identical)")
 	jsonOut := fs.Bool("json", false, "emit the CampaignResult as JSON")
 	csvOut := fs.Bool("csv", false, "emit the CampaignResult as CSV")

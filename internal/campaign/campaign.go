@@ -76,8 +76,9 @@ func (g Grid) Index(coords []int) int {
 }
 
 // DefaultWorkers is the worker count used when a caller passes 0: one per
-// logical CPU.
-func DefaultWorkers() int { return runtime.NumCPU() }
+// core the runtime may use (GOMAXPROCS), so a pinned process or a
+// container CPU limit is honoured.
+func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // EffectiveWorkers resolves the worker count Run will actually use for n
 // jobs: callers that keep per-worker state (packet pools, scratch arenas)

@@ -3,6 +3,7 @@ package campaign
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -141,10 +142,25 @@ func TestRunZeroJobs(t *testing.T) {
 }
 
 func TestRunDefaultWorkers(t *testing.T) {
+	// The default honours GOMAXPROCS, not the host's CPU count, so a
+	// pinned process or a container CPU limit sizes the pool.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	if got := DefaultWorkers(); got != 3 {
+		t.Fatalf("DefaultWorkers() = %d under GOMAXPROCS(3), want 3", got)
+	}
 	var ran atomic.Int64
-	Run(25, 0, func(int, int) error { ran.Add(1); return nil })
+	errs := Run(25, 0, func(w, _ int) error {
+		ran.Add(1)
+		if w >= 3 {
+			return fmt.Errorf("worker index %d with a default pool of 3", w)
+		}
+		return nil
+	})
 	if ran.Load() != 25 {
 		t.Fatalf("ran %d jobs with default workers, want 25", ran.Load())
+	}
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
 	}
 }
 

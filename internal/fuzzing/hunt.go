@@ -65,7 +65,7 @@ type HuntConfig struct {
 	Pop int `json:"pop"`
 	// Seed drives the entire search (default 1).
 	Seed uint64 `json:"seed"`
-	// Workers is the evaluation pool size (0 = one per CPU).
+	// Workers is the evaluation pool size (0 = one per core GOMAXPROCS allows).
 	Workers int `json:"-"`
 	// Elite is how many top scenarios survive unchanged into the next
 	// generation (default max(2, Pop/6)) — elitism is also what makes the

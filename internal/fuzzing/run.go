@@ -117,9 +117,9 @@ func fingerprint(specJSON, resultJSON []byte) string {
 }
 
 // Campaign generates and runs n scenarios for seeds start..start+n-1 on a
-// bounded worker pool (0 = one worker per CPU). Outcomes are indexed by
-// seed offset, and each worker reuses one packet pool across its runs, so
-// the returned slice is byte-identical for any worker count.
+// bounded worker pool (0 = one worker per core GOMAXPROCS allows). Outcomes
+// are indexed by seed offset, and each worker reuses one packet pool across
+// its runs, so the returned slice is byte-identical for any worker count.
 func Campaign(start uint64, n, workers int) []Outcome {
 	outs := make([]Outcome, n)
 	if n <= 0 {

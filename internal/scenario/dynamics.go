@@ -27,13 +27,13 @@ func responsivenessRun(opt Options, mode flid.Mode) Series {
 // Fig8e reproduces Figure 8(e): FLID-DS backs off and recovers around the
 // CBR burst just like FLID-DL.
 func Fig8e(opt Options) *Result {
-	dl := responsivenessRun(opt, flid.DL)
-	ds := responsivenessRun(opt, flid.DS)
-	dl.Label, ds.Label = "FLID-DL", "FLID-DS"
+	runs := make([]Series, len(bothModes))
+	fanOut(len(runs), func(i int) { runs[i] = responsivenessRun(opt, bothModes[i]) })
+	runs[0].Label, runs[1].Label = "FLID-DL", "FLID-DS"
 	r := &Result{
 		Name:   "fig8e",
 		Title:  "Responsiveness to an 800 Kbps on-off CBR burst",
-		Series: []Series{dl, ds},
+		Series: runs,
 	}
 	r.Notef("CBR burst between t=%.0fs and t=%.0fs", opt.scale(45*sim.Second).Sec(), opt.scale(75*sim.Second).Sec())
 	return r
@@ -76,12 +76,12 @@ func rttRun(opt Options, mode flid.Mode) Curve {
 // Fig8f reproduces Figure 8(f): throughput is flat across heterogeneous
 // round-trip times for both FLID-DL and FLID-DS.
 func Fig8f(opt Options) *Result {
-	dl := rttRun(opt, flid.DL)
-	ds := rttRun(opt, flid.DS)
+	runs := make([]Curve, len(bothModes))
+	fanOut(len(runs), func(i int) { runs[i] = rttRun(opt, bothModes[i]) })
 	return &Result{
 		Name:   "fig8f",
 		Title:  "Heterogeneous round-trip times",
-		Curves: []Curve{dl, ds},
+		Curves: runs,
 	}
 }
 

@@ -105,11 +105,14 @@ func groupSweep(opt Options) []int {
 // Fig9a reproduces Figure 9(a): communication overhead of DELTA and SIGMA
 // versus the number of groups, at t = 250 ms.
 func Fig9a(opt Options) *Result {
+	ns := groupSweep(opt)
+	pts := make([]overheadPoint, len(ns))
+	fanOut(len(pts), func(i int) { pts[i] = runOverheadPoint(opt, ns[i], 250*sim.Millisecond) })
 	res := &Result{Name: "fig9a", Title: "Overhead vs number of groups"}
 	var dCur, sCur Curve
 	dCur.Label, sCur.Label = "DELTA", "SIGMA"
-	for _, n := range groupSweep(opt) {
-		pt := runOverheadPoint(opt, n, 250*sim.Millisecond)
+	for i, n := range ns {
+		pt := pts[i]
 		dCur.Points = append(dCur.Points, XY{X: float64(n), Y: pt.DeltaPct})
 		sCur.Points = append(sCur.Points, XY{X: float64(n), Y: pt.SigmaPct})
 		res.Notef("N=%2d: delta=%.3f%% (measured %.3f%%), sigma=%.3f%%, Σf_g=%.2f, h=%.0f bits, wire=%.3f%%",
@@ -134,11 +137,14 @@ func slotSweep(opt Options) []sim.Time {
 // Fig9b reproduces Figure 9(b): overhead versus the time-slot duration, at
 // N = 10.
 func Fig9b(opt Options) *Result {
+	ts := slotSweep(opt)
+	pts := make([]overheadPoint, len(ts))
+	fanOut(len(pts), func(i int) { pts[i] = runOverheadPoint(opt, 10, ts[i]) })
 	res := &Result{Name: "fig9b", Title: "Overhead vs time slot duration"}
 	var dCur, sCur Curve
 	dCur.Label, sCur.Label = "DELTA", "SIGMA"
-	for _, t := range slotSweep(opt) {
-		pt := runOverheadPoint(opt, 10, t)
+	for i, t := range ts {
+		pt := pts[i]
 		dCur.Points = append(dCur.Points, XY{X: t.Sec(), Y: pt.DeltaPct})
 		sCur.Points = append(sCur.Points, XY{X: t.Sec(), Y: pt.SigmaPct})
 		res.Notef("t=%.1fs: delta=%.3f%%, sigma=%.3f%%", t.Sec(), pt.DeltaPct, pt.SigmaPct)

@@ -12,12 +12,16 @@
 // Every experiment is assembled through the public deltasigma facade —
 // the same options API users build on — so the figures double as an
 // integration test of that surface.
+//
+// A figure's independent experiments run side by side on the campaign
+// pool, and its output does not depend on how many run at once.
 package scenario
 
 import (
 	"fmt"
 
 	"deltasigma"
+	"deltasigma/internal/campaign"
 	"deltasigma/internal/flid"
 	"deltasigma/internal/sim"
 	"deltasigma/internal/stats"
@@ -99,6 +103,23 @@ func SeriesAvg(s Series, from, to float64) float64 {
 	return sum / float64(n)
 }
 
+// fanOut runs job(0..n-1) on the campaign pool, one worker per core the
+// runtime may use. Each job writes only its own slot of a result slice the
+// caller preallocated, and the caller assembles the figure from the slots
+// in index order, so output is the same at any width. The pool turns a
+// panic into an error; fanOut re-raises the first, so misuse stays as loud
+// as on one goroutine.
+func fanOut(n int, job func(i int)) {
+	for _, err := range campaign.Run(n, 0, func(_, i int) error { job(i); return nil }) {
+		if err != nil {
+			panic(err)
+		}
+	}
+}
+
+// bothModes is the job list of a figure that runs FLID-DL beside FLID-DS.
+var bothModes = []flid.Mode{flid.DL, flid.DS}
+
 // protoName maps a flid mode to its facade registry name.
 func protoName(mode flid.Mode) string {
 	if mode == flid.DS {
@@ -126,7 +147,8 @@ func newLab(cfg topo.Config, mode flid.Mode) *lab {
 }
 
 // labHook, when set, sees every lab a figure builds before it runs; tests
-// use it to audit the experiments once the figure has returned.
+// use it to audit the experiments once the figure has returned. Labs are
+// built on pool workers, so the hook must be safe for concurrent use.
 var labHook func(*lab)
 
 // adopt wraps one of a figure's experiments as a lab.

@@ -22,7 +22,7 @@ func sweepCounts(opt Options) []int {
 // throughputRun measures every multicast receiver's average throughput with
 // M sessions of the given mode, optionally with M TCP sessions and an
 // on-off CBR session as cross traffic (Figure 8a/b/d body).
-func throughputRun(opt Options, mode flid.Mode, m int, cross bool) (indiv []float64, avg float64) {
+func throughputRun(opt Options, mode flid.Mode, m int, cross bool) (indiv []float64) {
 	dur := opt.scale(200 * sim.Second)
 	warmup := dur / 10
 
@@ -51,17 +51,30 @@ func throughputRun(opt Options, mode flid.Mode, m int, cross bool) (indiv []floa
 	for _, s := range sessions {
 		indiv = append(indiv, s.Receivers[0].Meter().AvgKbps(warmup, dur))
 	}
-	return indiv, stats.Mean(indiv)
+	return indiv
 }
 
-// throughputSweep runs throughputRun across the session counts.
-func throughputSweep(opt Options, mode flid.Mode, cross bool) (indiv Curve, avg Curve) {
-	for _, m := range sweepCounts(opt) {
-		rates, mean := throughputRun(opt, mode, m, cross)
-		for _, r := range rates {
-			indiv.Points = append(indiv.Points, XY{X: float64(m), Y: r})
+// throughputSweeps runs throughputRun across the session counts for every
+// mode as one job list, so no worker idles between two modes' sweeps, and
+// returns one individual-rates and one average-rate curve per mode.
+func throughputSweeps(opt Options, cross bool, modes ...flid.Mode) (indiv, avg []Curve) {
+	counts := sweepCounts(opt)
+	rates := make([][]float64, len(modes)*len(counts)) // mode-major
+	// The pool hands out indices in order, so the list runs the largest m
+	// first: the longest runs start first and a short one finishes last.
+	fanOut(len(rates), func(j int) {
+		k, c := j%len(modes), len(counts)-1-j/len(modes)
+		rates[k*len(counts)+c] = throughputRun(opt, modes[k], counts[c], cross)
+	})
+	indiv, avg = make([]Curve, len(modes)), make([]Curve, len(modes))
+	for k := range modes {
+		for c, m := range counts {
+			r := rates[k*len(counts)+c]
+			for _, y := range r {
+				indiv[k].Points = append(indiv[k].Points, XY{X: float64(m), Y: y})
+			}
+			avg[k].Points = append(avg[k].Points, XY{X: float64(m), Y: stats.Mean(r)})
 		}
-		avg.Points = append(avg.Points, XY{X: float64(m), Y: mean})
 	}
 	return indiv, avg
 }
@@ -69,49 +82,47 @@ func throughputSweep(opt Options, mode flid.Mode, cross bool) (indiv Curve, avg 
 // Fig8a reproduces Figure 8(a): FLID-DL individual and average receiver
 // throughput versus the number of multicast sessions, no cross traffic.
 func Fig8a(opt Options) *Result {
-	indiv, avg := throughputSweep(opt, flid.DL, false)
-	indiv.Label, avg.Label = "Individual rates", "Average rate"
+	indiv, avg := throughputSweeps(opt, false, flid.DL)
+	indiv[0].Label, avg[0].Label = "Individual rates", "Average rate"
 	return &Result{
 		Name:   "fig8a",
 		Title:  "Throughput for FLID-DL without cross traffic",
-		Curves: []Curve{indiv, avg},
+		Curves: []Curve{indiv[0], avg[0]},
 	}
 }
 
 // Fig8b reproduces Figure 8(b): the same for FLID-DS.
 func Fig8b(opt Options) *Result {
-	indiv, avg := throughputSweep(opt, flid.DS, false)
-	indiv.Label, avg.Label = "Individual rates", "Average rate"
+	indiv, avg := throughputSweeps(opt, false, flid.DS)
+	indiv[0].Label, avg[0].Label = "Individual rates", "Average rate"
 	return &Result{
 		Name:   "fig8b",
 		Title:  "Throughput for FLID-DS without cross traffic",
-		Curves: []Curve{indiv, avg},
+		Curves: []Curve{indiv[0], avg[0]},
 	}
 }
 
 // Fig8c reproduces Figure 8(c): FLID-DL and FLID-DS average throughput
 // without cross traffic coincide.
 func Fig8c(opt Options) *Result {
-	_, dl := throughputSweep(opt, flid.DL, false)
-	_, ds := throughputSweep(opt, flid.DS, false)
-	dl.Label, ds.Label = "FLID-DL average rate", "FLID-DS average rate"
+	_, avg := throughputSweeps(opt, false, bothModes...)
+	avg[0].Label, avg[1].Label = "FLID-DL average rate", "FLID-DS average rate"
 	return &Result{
 		Name:   "fig8c",
 		Title:  "Average throughput without cross traffic",
-		Curves: []Curve{dl, ds},
+		Curves: avg,
 	}
 }
 
 // Fig8d reproduces Figure 8(d): averages with TCP and on-off CBR cross
 // traffic remain comparable between FLID-DL and FLID-DS.
 func Fig8d(opt Options) *Result {
-	_, dl := throughputSweep(opt, flid.DL, true)
-	_, ds := throughputSweep(opt, flid.DS, true)
-	dl.Label, ds.Label = "FLID-DL average rate", "FLID-DS average rate"
+	_, avg := throughputSweeps(opt, true, bothModes...)
+	avg[0].Label, avg[1].Label = "FLID-DL average rate", "FLID-DS average rate"
 	r := &Result{
 		Name:   "fig8d",
 		Title:  "Average throughput with cross traffic",
-		Curves: []Curve{dl, ds},
+		Curves: avg,
 	}
 	r.Notef("cross traffic: one TCP per multicast session plus on-off CBR at 10%% capacity, 5 s periods")
 	return r

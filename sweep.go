@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strconv"
 	"time"
@@ -130,7 +129,7 @@ func (p SweepPoint) String() string {
 //		Receivers: []int{1, 10, 100},
 //		Attackers: []int{0, 1},
 //		Duration:  30 * deltasigma.Second,
-//	}.Run(0) // 0 = one worker per CPU
+//	}.Run(0) // 0 = one worker per core GOMAXPROCS allows
 type Sweep struct {
 	// Name labels the campaign in results.
 	Name string
@@ -495,9 +494,9 @@ func (sw Sweep) Points() ([]SweepPoint, error) {
 }
 
 // Run executes every grid point on a pool of `workers` goroutines (0 = one
-// per CPU) and merges the results in grid order. Each point is one
-// independent Experiment with its own scheduler and RNG, so the returned
-// CampaignResult — including its JSON and CSV serializations — is
+// per core GOMAXPROCS allows) and merges the results in grid order. Each
+// point is one independent Experiment with its own scheduler and RNG, so the
+// returned CampaignResult — including its JSON and CSV serializations — is
 // byte-identical for any worker count. A point that fails to build or
 // panics reports through its PointResult.Error; the rest of the grid is
 // unaffected.
@@ -515,7 +514,7 @@ func (sw Sweep) Run(workers int) (*CampaignResult, error) {
 		// worker pool so shards × workers stays at the declared budget
 		// (grid order keeps output byte-identical whatever the split).
 		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
+			workers = campaign.DefaultWorkers()
 		}
 		if workers = workers / sw.Shards; workers < 1 {
 			workers = 1
