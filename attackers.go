@@ -105,10 +105,9 @@ func (s *ExperimentSession) AddAttacker(opts ...AttackerOption) *Receiver {
 // which already wins outright there; adaptive keeps its timing behavior
 // everywhere.
 //
-// Non-classic strategies force serial execution on sharded experiments:
-// collusion taps and adaptive timeline entries touch cross-shard state.
-// Like AddEvents, the downgrade panics once receivers have migrated — add
-// strategy attackers before plain receivers, or skip WithShards.
+// On an experiment built with WithShards(n ≥ 2) every non-classic strategy
+// is refused: collusion taps, forged control and adaptive timeline entries
+// touch cross-shard state.
 func (s *ExperimentSession) TryAddAttacker(opts ...AttackerOption) (*Receiver, error) {
 	s.exp.mustNotHaveStarted("AddAttacker")
 	var spec attackerSpec
@@ -119,12 +118,12 @@ func (s *ExperimentSession) TryAddAttacker(opts ...AttackerOption) (*Receiver, e
 	if st != "" && !st.valid() {
 		return nil, &UnknownStrategyError{Strategy: st}
 	}
+	if st != "" && st != StrategyClassic && s.exp.shardGroup != nil {
+		call := fmt.Sprintf("TryAddAttacker(WithStrategy(%q))", st)
+		return nil, s.exp.shardRefusal(call, "the strategy mutates cross-shard state")
+	}
 	if port.Host == nil {
 		port = s.exp.Topo.AttachReceiver("", DefaultDelay)
-	}
-	if st != "" && st != StrategyClassic {
-		s.exp.downgradeSharding("AddAttacker",
-			fmt.Sprintf("attacker strategy %q: collusion and adaptive scheduling mutate cross-shard state", st))
 	}
 	// Migration must precede agent construction, as for AddReceiverAt.
 	s.exp.maybeMigrate(port.Host)
@@ -191,19 +190,4 @@ func (s *ExperimentSession) victimAddrs(atk *Receiver) []Addr {
 		out = append(out, r.host.Addr())
 	}
 	return out
-}
-
-// downgradeSharding forces serial execution for wiring whose runtime
-// behavior crosses shard boundaries, recording reason for Result.Sharding.
-// Mirrors the AddEvents downgrade: a no-op when sharding is off, a panic
-// once receivers have migrated (their schedulers are already pinned).
-func (e *Experiment) downgradeSharding(op, reason string) {
-	if e.shardGroup == nil {
-		return
-	}
-	if e.shardMigrated > 0 {
-		panic("deltasigma: " + op + " on a sharded experiment with migrated receivers; wire strategies before receivers or drop WithShards")
-	}
-	e.shardGroup = nil
-	e.shardFallback = reason
 }

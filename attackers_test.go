@@ -2,6 +2,7 @@ package deltasigma_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"deltasigma"
@@ -147,25 +148,33 @@ func TestStrategyDegradesOnUnprotected(t *testing.T) {
 }
 
 // TestStrategyForcesSerialSharding: non-classic strategies mutate
-// cross-shard state, so a sharded experiment downgrades to serial with a
-// recorded reason, exactly like scripted timelines do.
+// cross-shard state, so a sharded experiment refuses them with an error,
+// and the same attacker runs on an explicitly serial one.
 func TestStrategyForcesSerialSharding(t *testing.T) {
-	exp, err := deltasigma.New(
-		deltasigma.WithProtocol("flid-ds"),
-		deltasigma.WithDumbbell(500_000),
-		deltasigma.WithSeed(3),
-		deltasigma.WithShards(4),
-	)
-	if err != nil {
-		t.Fatal(err)
+	for _, shards := range []int{4, 1} {
+		exp, err := deltasigma.New(
+			deltasigma.WithProtocol("flid-ds"),
+			deltasigma.WithDumbbell(500_000),
+			deltasigma.WithSeed(3),
+			deltasigma.WithShards(shards),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := exp.AddSession(0)
+		_, err = s.TryAddAttacker(deltasigma.WithStrategy(deltasigma.StrategyColluding))
+		if shards > 1 {
+			if err == nil || !strings.Contains(err.Error(), "WithShards(4)") {
+				t.Fatalf("colluding attacker on WithShards(4): error = %v, want a refusal", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.AddReceiver()
+		exp.Run(2 * deltasigma.Second)
 	}
-	s := exp.AddSession(0)
-	s.AddAttacker(deltasigma.WithStrategy(deltasigma.StrategyColluding))
-	s.AddReceiver()
-	if shards, _, reason := exp.ShardStatus(); shards != 1 || reason == "" {
-		t.Fatalf("ShardStatus = %d shards, reason %q; want serial with a recorded reason", shards, reason)
-	}
-	exp.Run(2 * deltasigma.Second) // still runs fine serially
 }
 
 // TestUnknownStrategyIsTypedError: a strategy name outside the catalog —

@@ -197,11 +197,6 @@ func (a *Audit) Finish() []Violation {
 	now := e.Now()
 	a.Check()
 	a.aud.CheckPoolBalance(now, e.Topo.Network().Pool(), e.poolBase)
-	// Sharded runs mint from per-shard pools; each must close independently
-	// (the cut hand-off copies between pools, never moves ownership across).
-	for _, p := range e.shardPoolTail() {
-		a.aud.CheckPoolBalance(now, p, 0)
-	}
 	for _, l := range e.Topo.Network().Links() {
 		a.aud.CheckLinkDrained(now, l)
 	}
@@ -320,25 +315,19 @@ func (e *Experiment) checkDrained() []Violation {
 	var aud invariant.Auditor
 	now := e.Now()
 	aud.CheckPoolBalance(now, e.Pool(), e.poolBase)
-	for _, p := range e.shardPoolTail() {
-		aud.CheckPoolBalance(now, p, 0)
+	// Sharded runs mint from per-shard pools; each must close independently
+	// (the cut hand-off copies between pools, never moves ownership across).
+	// Shard 0's pool is the main pool, checked against poolBase above.
+	for i, p := range e.Topo.Network().ShardPools() {
+		if i > 0 {
+			aud.CheckPoolBalance(now, p, 0)
+		}
 	}
 	for _, l := range e.Topo.Network().Links() {
 		aud.CheckLink(now, l)
 		aud.CheckLinkDrained(now, l)
 	}
 	return aud.Violations()
-}
-
-// shardPoolTail returns the packet pools of shards 1..n-1 (empty for serial
-// runs); shard 0's pool is the network's main pool, audited against
-// poolBase separately.
-func (e *Experiment) shardPoolTail() []*PacketPool {
-	pools := e.Topo.Network().ShardPools()
-	if len(pools) < 2 {
-		return nil
-	}
-	return pools[1:]
 }
 
 // DrainAndAudit is the packaged end-of-run sequence: stop all traffic, let

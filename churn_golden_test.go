@@ -1,20 +1,10 @@
 package deltasigma_test
 
 import (
-	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"deltasigma"
 )
-
-// sweepWorkers is the parallel worker count the golden determinism tests
-// compare against the serial run. CI's determinism job varies it to prove
-// byte-identical output is independent of scheduling, not an artifact of
-// one lucky worker count.
-var sweepWorkers = flag.Int("sweep-workers", 8, "parallel worker count the golden sweep tests compare against workers=1")
 
 // dynamicsSweep is the canned campaign pinned by testdata/churn_golden.json:
 // every family of mid-run dynamics at once — Poisson membership churn, a
@@ -49,59 +39,20 @@ func dynamicsSweep() deltasigma.Sweep {
 // testdata/churn_golden.json so engine changes cannot silently reshuffle
 // seeded dynamic runs.
 func TestDynamicsGolden(t *testing.T) {
-	sw := dynamicsSweep()
-	res1, err := sw.Run(1)
-	if err != nil {
-		t.Fatal(err)
+	var res *deltasigma.CampaignResult
+	checkGolden(t, "churn_golden.json", campaignGolden(dynamicsSweep(), &res))
+	if res.Failures != 0 {
+		t.Fatalf("dynamics sweep had %d failures", res.Failures)
 	}
-	js1, err := res1.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.Failures != 0 {
-		t.Fatalf("dynamics sweep had %d failures:\n%s", res1.Failures, js1)
-	}
-
-	resN, err := sw.Run(*sweepWorkers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsN, err := resN.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(js1, jsN) {
-		t.Fatalf("dynamics sweep JSON differs between -workers=1 and -workers=%d", *sweepWorkers)
-	}
-
 	// The churned points must actually have churned, or the golden file
 	// pins a vacuous scenario.
 	churned := false
-	for _, p := range res1.Points {
+	for _, p := range res.Points {
 		if p.Point.ChurnRate > 0 && p.GoodMeanKbps != 0 {
 			churned = true
 		}
 	}
 	if !churned {
 		t.Fatal("no churned point produced throughput — scenario is vacuous")
-	}
-
-	path := filepath.Join("testdata", "churn_golden.json")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, js1, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
-	}
-	if !bytes.Equal(js1, want) {
-		t.Errorf("dynamics sweep JSON diverged from golden file %s:\ngot:\n%s\nwant:\n%s", path, js1, want)
 	}
 }

@@ -71,10 +71,6 @@ import (
 	"deltasigma"
 )
 
-// warnOut receives advisory warnings (never the command output itself);
-// tests swap it to capture warnings.
-var warnOut io.Writer = os.Stderr
-
 func main() {
 	var err error
 	switch {
@@ -114,7 +110,6 @@ func run(args []string, out io.Writer) (err error) {
 	cbrFrac := fs.Float64("cbr", 0, "on-off CBR cross traffic at this fraction of the narrowest bottleneck (0 = none)")
 	dur := fs.Float64("dur", 60, "simulated seconds")
 	seed := fs.Uint64("seed", 1, "random seed")
-	shards := fs.Int("shards", -1, "parallel simulation shards: 0 = auto (one per core), 1 = serial, >1 explicit (results are identical either way)")
 	jsonOut := fs.Bool("json", false, "dump the typed Result as JSON instead of the progress table")
 	list := fs.Bool("list", false, "list registered protocols and exit")
 	prof := addProfileFlags(fs)
@@ -137,7 +132,10 @@ func run(args []string, out io.Writer) (err error) {
 	if *sessions < 1 {
 		return fmt.Errorf("-sessions must be at least 1, got %d", *sessions)
 	}
-	if err := nonNegative(fs, "cohort", "groups", "tcp", "dur", "attack", "attackstop", "churn", "flap", "cbr"); err != nil {
+	if *dur <= 0 {
+		return fmt.Errorf("-dur must be positive, got %g", *dur)
+	}
+	if err := nonNegative(fs, "cohort", "groups", "tcp", "attack", "attackstop", "churn", "flap", "cbr"); err != nil {
 		return err
 	}
 	caps, err := parseCaps(*capacity, int64(*sessions)*250_000)
@@ -153,25 +151,9 @@ func run(args []string, out io.Writer) (err error) {
 		}
 	}
 
-	// Mid-run dynamics are scripted through the timeline, which mutates
-	// cross-shard state; dsim declines the shard request up front rather
-	// than let AddEvents reject it after receivers have migrated.
-	shardsRequested := flagWasSet(fs, "shards")
-	if shardsRequested && *shards < 0 {
-		return fmt.Errorf("-shards must be non-negative (0 = auto, 1 = serial), got %d", *shards)
-	}
-	dynamics := *attackAt > 0 || *churn > 0 || *flap > 0
-	if shardsRequested && dynamics && *shards != 1 {
-		fmt.Fprintln(warnOut, "dsim: -shards ignored: mid-run dynamics (-attack, -churn, -flap) require serial execution")
-		shardsRequested = false
-	}
-
 	opts := []deltasigma.Option{
 		deltasigma.WithProtocol(*protocol),
 		deltasigma.WithSeed(*seed),
-	}
-	if shardsRequested {
-		opts = append(opts, deltasigma.WithShards(*shards))
 	}
 	if *groups > 0 {
 		opts = append(opts, deltasigma.WithSchedule(deltasigma.RateSchedule{
@@ -270,14 +252,6 @@ func run(args []string, out io.Writer) (err error) {
 		}
 	}
 	exp.AddEvents(events...)
-	if shardsRequested {
-		if got, migrated, reason := exp.ShardStatus(); reason != "" {
-			fmt.Fprintf(warnOut, "dsim: running serial: %s\n", reason)
-		} else if got > 1 && migrated < got-1 {
-			fmt.Fprintf(warnOut, "dsim: -shards %d exceeds the usable cuts: %d migratable receiver host(s) fill only %d of %d receiver shards\n",
-				got, migrated, migrated, got-1)
-		}
-	}
 	if *jsonOut {
 		res := exp.Run(end)
 		enc := json.NewEncoder(out)
@@ -288,28 +262,27 @@ func run(args []string, out io.Writer) (err error) {
 	fmt.Fprintf(out, "%s on %s, %d sessions, bottleneck(s) %v bits/s\n\n",
 		*protocol, *topology, *sessions, caps)
 
+	// One row per 5 s step; a -dur that is not a multiple of 5 s gets a
+	// shorter last step, so the table and the summary end at -dur.
 	step := deltasigma.Time(5) * deltasigma.Second
-	var last deltasigma.Time
-	for t := step; t <= end; t += step {
+	for from := deltasigma.Time(0); from < end; from += step {
+		t := min(from+step, end)
 		exp.Advance(t) // step cheaply; snapshot one Result at the end
-		last = t
-		fmt.Fprintf(out, "t=%4.0fs", t.Sec())
+		fmt.Fprintf(out, "t=%4gs", t.Sec())
 		for _, r := range receivers {
-			fmt.Fprintf(out, "  %s: %3.0fKbps (lvl %d)", r.Label(), r.Meter().AvgKbps(t-step, t), r.Level())
+			fmt.Fprintf(out, "  %s: %3.0fKbps (lvl %d)", r.Label(), r.Meter().AvgKbps(from, t), r.Level())
 		}
 		for _, c := range exp.Cohorts() {
 			fmt.Fprintf(out, "  %s: %3.0fKbps/member (lvl %d, %d online)",
-				c.Label(), c.Meter().AvgKbps(t-step, t)/float64(c.Members()), c.Level(), c.Online())
+				c.Label(), c.Meter().AvgKbps(from, t)/float64(c.Members()), c.Level(), c.Online())
 		}
 		fmt.Fprintln(out)
 	}
-	if last > 0 {
-		res := exp.Run(last)
-		fmt.Fprintf(out, "\nbottleneck utilization %.0f%%, %d packets lost\n",
-			100*res.Utilization(), res.LostPackets)
-		for _, c := range res.Cross {
-			fmt.Fprintf(out, "%s: %.0f Kbps average\n", c.Label, c.AvgKbps)
-		}
+	res := exp.Run(end)
+	fmt.Fprintf(out, "\nbottleneck utilization %.0f%%, %d packets lost\n",
+		100*res.Utilization(), res.LostPackets)
+	for _, c := range res.Cross {
+		fmt.Fprintf(out, "%s: %.0f Kbps average\n", c.Label, c.AvgKbps)
 	}
 	return nil
 }

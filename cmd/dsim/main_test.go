@@ -10,6 +10,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,8 +54,8 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 }
 
-// Negative counts, times, rates and shares are rejected with an error naming
-// the flag, never read as "unset" or as the default.
+// Negative counts, times, rates and shares — and a zero -dur — are rejected
+// with an error naming the flag, never read as "unset" or as the default.
 func TestNegativeFlagsRejected(t *testing.T) {
 	cases := []struct {
 		cmd  func([]string, io.Writer) error
@@ -62,6 +63,7 @@ func TestNegativeFlagsRejected(t *testing.T) {
 		want string
 	}{
 		{run, []string{"-dur", "-1"}, "-dur"},
+		{run, []string{"-dur", "0"}, "-dur"},
 		{run, []string{"-attack", "-3"}, "-attack"},
 		{run, []string{"-attack", "5", "-attackstop", "-1"}, "-attackstop"},
 		{run, []string{"-churn", "-1"}, "-churn"},
@@ -70,6 +72,7 @@ func TestNegativeFlagsRejected(t *testing.T) {
 		{run, []string{"-cbr", "-1"}, "-cbr"},
 		{run, []string{"-groups", "-3"}, "-groups"},
 		{runSweep, []string{"-dur", "-5"}, "-dur"},
+		{runSweep, []string{"-dur", "0"}, "-dur"},
 		{runSweep, []string{"-warmup", "-1"}, "-warmup"},
 		{runSweep, []string{"-attack", "-1"}, "-attack"},
 		{runSweep, []string{"-workers", "-2", "-dur", "1"}, "-workers"},
@@ -78,7 +81,7 @@ func TestNegativeFlagsRejected(t *testing.T) {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			var buf bytes.Buffer
 			err := tc.cmd(tc.args, &buf)
-			if err == nil || !strings.Contains(err.Error(), tc.want+" must be non-negative") {
+			if err == nil || !strings.Contains(err.Error(), tc.want+" must be") {
 				t.Fatalf("%v: error = %v, want one naming %s", tc.args, err, tc.want)
 			}
 		})
@@ -121,18 +124,37 @@ func TestRunJSONShape(t *testing.T) {
 	}
 }
 
-// The progress table renders a line per 5-second step plus the summary.
+// The progress table renders a row per 5-second step, a shorter last step
+// when -dur is not a multiple of 5 s, and the summary line.
 func TestRunTableOutput(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-sessions", "1", "-dur", "10"}, &buf); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		dur  string
+		rows []string // each row's time column, in order
+	}{
+		{"2", []string{"t=   2s"}},
+		{"7", []string{"t=   5s", "t=   7s"}},
+		{"10", []string{"t=   5s", "t=  10s"}},
 	}
-	s := buf.String()
-	if !strings.Contains(s, "t=   5s") || !strings.Contains(s, "t=  10s") {
-		t.Errorf("missing progress rows:\n%s", s)
-	}
-	if !strings.Contains(s, "bottleneck utilization") {
-		t.Errorf("missing summary row:\n%s", s)
+	for _, tc := range cases {
+		t.Run(tc.dur+"s", func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := run([]string{"-sessions", "1", "-dur", tc.dur}, &buf); err != nil {
+				t.Fatal(err)
+			}
+			s := buf.String()
+			var rows []string
+			for _, line := range strings.Split(s, "\n") {
+				if strings.HasPrefix(line, "t=") {
+					rows = append(rows, line[:len("t=   5s")])
+				}
+			}
+			if !slices.Equal(rows, tc.rows) {
+				t.Errorf("row times = %q, want %q:\n%s", rows, tc.rows, s)
+			}
+			if !strings.Contains(s, "bottleneck utilization") {
+				t.Errorf("missing summary row:\n%s", s)
+			}
+		})
 	}
 }
 
@@ -283,81 +305,6 @@ func TestSweepCSVShape(t *testing.T) {
 	}
 	if rows[1][0] != "flid-dl" || rows[2][0] != "flid-ds" {
 		t.Errorf("protocol axis out of order: %q, %q", rows[1][0], rows[2][0])
-	}
-}
-
-// -shards validation for run and sweep: negative values are rejected before
-// anything runs.
-func TestShardsFlagValidation(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-shards", "-2"}, &buf); err == nil || !strings.Contains(err.Error(), "-shards") {
-		t.Fatalf("run accepted negative -shards: %v", err)
-	}
-	if err := runSweep([]string{"-shards", "-1"}, &buf); err == nil || !strings.Contains(err.Error(), "-shards") {
-		t.Fatalf("runSweep accepted negative -shards: %v", err)
-	}
-}
-
-// -shards with mid-run dynamics warns and runs serial; a request wider
-// than the topology's usable cuts warns about unfilled shards. Neither
-// warning touches the command output itself.
-func TestShardsWarnings(t *testing.T) {
-	defer func() { warnOut = os.Stderr }()
-	var warn, buf bytes.Buffer
-	warnOut = &warn
-
-	if err := run([]string{"-sessions", "1", "-dur", "2", "-attack", "1", "-shards", "2"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(warn.String(), "-shards ignored") {
-		t.Errorf("no dynamics warning:\n%s", warn.String())
-	}
-
-	warn.Reset()
-	buf.Reset()
-	if err := run([]string{"-sessions", "2", "-dur", "2", "-shards", "6", "-json"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(warn.String(), "usable cuts") {
-		t.Errorf("no under-fill warning:\n%s", warn.String())
-	}
-	if strings.Contains(buf.String(), "usable cuts") {
-		t.Errorf("warning leaked into the JSON output:\n%s", buf.String())
-	}
-}
-
-// The typed Result is byte-identical whatever -shards says; only the
-// sharding metadata block differs.
-func TestShardsJSONEquivalence(t *testing.T) {
-	strip := func(args []string) ([]byte, *deltasigma.ShardingResult) {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := run(args, &buf); err != nil {
-			t.Fatal(err)
-		}
-		var res deltasigma.Result
-		if err := json.Unmarshal(buf.Bytes(), &res); err != nil {
-			t.Fatalf("non-JSON output: %v\n%s", err, buf.String())
-		}
-		sh := res.Sharding
-		res.Sharding = nil
-		js, err := json.Marshal(&res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return js, sh
-	}
-
-	serial, shSerial := strip([]string{"-sessions", "2", "-dur", "5", "-json", "-shards", "1"})
-	sharded, shSharded := strip([]string{"-sessions", "2", "-dur", "5", "-json", "-shards", "2"})
-	if !bytes.Equal(serial, sharded) {
-		t.Errorf("-shards 2 changed the Result:\nserial:  %s\nsharded: %s", serial, sharded)
-	}
-	if shSerial == nil || shSerial.Shards != 1 {
-		t.Errorf("serial sharding block = %+v, want shards=1", shSerial)
-	}
-	if shSharded == nil || shSharded.Shards != 2 || shSharded.MigratedHosts == 0 || shSharded.Windows == 0 {
-		t.Errorf("sharded sharding block = %+v, want shards=2 with migrated hosts and windows", shSharded)
 	}
 }
 

@@ -36,7 +36,6 @@ func runSweep(args []string, out io.Writer) (err error) {
 	warmup := fs.Float64("warmup", 0, "seconds excluded from statistics (0 = dur/10)")
 	attackAt := fs.Float64("attack", 0, "seconds until attackers inflate (0 = dur/4)")
 	workers := fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 0, "parallel shards inside each static grid point (0 or 1 = serial; dynamic points always run serial; results are identical)")
 	jsonOut := fs.Bool("json", false, "emit the CampaignResult as JSON")
 	csvOut := fs.Bool("csv", false, "emit the CampaignResult as CSV")
 	list := fs.Bool("list", false, "list canned campaigns and exit")
@@ -49,7 +48,10 @@ func runSweep(args []string, out io.Writer) (err error) {
 		return err
 	}
 	defer stopProfiles(&err)
-	if err := nonNegative(fs, "shards", "workers", "dur", "warmup", "attack"); err != nil {
+	if *dur <= 0 {
+		return fmt.Errorf("-dur must be positive, got %g", *dur)
+	}
+	if err := nonNegative(fs, "workers", "warmup", "attack"); err != nil {
 		return err
 	}
 
@@ -96,7 +98,6 @@ func runSweep(args []string, out io.Writer) (err error) {
 		}
 	}
 
-	sw.Shards = *shards
 	res, err := sw.Run(*workers)
 	if err != nil {
 		return err

@@ -65,16 +65,11 @@ type Experiment struct {
 	churns   []*dynamics.Churn
 
 	// Sharded execution (WithShards; see shard.go): the group is non-nil
-	// when the run partitions across per-core schedulers, shardWant records
-	// the resolved request for reporting, and shardFallback says why a
-	// requested sharded run executes serially.
+	// when the run partitions across per-core schedulers (n ≥ 2), and
+	// shardWant records n for Result.Sharding (0 without WithShards).
 	shardGroup    *sim.ShardGroup
 	shardWant     int
-	shardAuto     bool
-	shardSeen     int
-	shardNext     int
 	shardMigrated int
-	shardFallback string
 }
 
 // New assembles an experiment from functional options. With no options it
@@ -91,6 +86,9 @@ func New(opts ...Option) (*Experiment, error) {
 	}
 	if s.err != nil {
 		return nil, s.err
+	}
+	if err := s.shardConflict(); err != nil {
+		return nil, err
 	}
 	if s.protocol == nil {
 		s.protocol, _ = LookupProtocol("flid-ds")
@@ -117,7 +115,7 @@ func New(opts ...Option) (*Experiment, error) {
 	if s.audit.enabled {
 		e.audit = newAudit(e, s.audit)
 	}
-	e.setupShards(&s)
+	e.setupShards(s.shards)
 	return e, nil
 }
 

@@ -1,10 +1,7 @@
 package deltasigma_test
 
 import (
-	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"deltasigma/internal/fuzzing"
@@ -14,9 +11,11 @@ import (
 // generator, summarized as seed → fingerprint → pass.
 const fuzzGoldenSeeds = 64
 
-// marshalFuzzSummary renders the corpus digest the golden file pins.
-func marshalFuzzSummary(sums []fuzzing.Summary) ([]byte, error) {
-	return json.MarshalIndent(sums, "", "  ")
+// goldenJSON renders a fuzz or hunt report as its golden file holds it:
+// indented, with a trailing newline.
+func goldenJSON(v any) ([]byte, error) {
+	js, err := json.MarshalIndent(v, "", "  ")
+	return append(js, '\n'), err
 }
 
 // TestFuzzGolden locks the fuzzer end to end, alongside the sweep and
@@ -27,41 +26,17 @@ func marshalFuzzSummary(sums []fuzzing.Summary) ([]byte, error) {
 // pinned corpus is all-pass: any engine change that breaks a conservation
 // law flips a pass bit and fails here before CI's bigger fuzz-smoke runs.
 func TestFuzzGolden(t *testing.T) {
-	serial := fuzzing.Summarize(fuzzing.Campaign(1, fuzzGoldenSeeds, 1))
-	js1, err := marshalFuzzSummary(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel := fuzzing.Summarize(fuzzing.Campaign(1, fuzzGoldenSeeds, *sweepWorkers))
-	jsN, err := marshalFuzzSummary(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(js1, jsN) {
-		t.Fatalf("fuzz corpus summary differs between -workers=1 and -workers=%d", *sweepWorkers)
-	}
+	var serial []fuzzing.Summary
+	checkGolden(t, "fuzz_golden.json", func(workers int) ([]byte, error) {
+		sums := fuzzing.Summarize(fuzzing.Campaign(1, fuzzGoldenSeeds, workers))
+		if workers == 1 {
+			serial = sums
+		}
+		return goldenJSON(sums)
+	})
 	for _, s := range serial {
 		if !s.Pass {
 			t.Errorf("seed %d fails its invariants in the pinned corpus", s.Seed)
 		}
-	}
-
-	path := filepath.Join("testdata", "fuzz_golden.json")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(js1, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
-	}
-	if !bytes.Equal(append(js1, '\n'), want) {
-		t.Errorf("fuzz corpus diverged from golden file %s:\ngot:\n%s\nwant:\n%s", path, js1, want)
 	}
 }

@@ -1,10 +1,6 @@
 package deltasigma_test
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"deltasigma/internal/fuzzing"
@@ -20,10 +16,6 @@ func huntGoldenConfig(workers int) fuzzing.HuntConfig {
 	}
 }
 
-func marshalHuntReport(r fuzzing.HuntReport) ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
-
 // TestHuntGolden locks the attack optimizer end to end, alongside the
 // sweep, churn and fuzz goldens: the full hunt report — every ranked
 // scenario, its measured advantage, and the shrunk repro — is
@@ -31,43 +23,19 @@ func marshalHuntReport(r fuzzing.HuntReport) ([]byte, error) {
 // testdata/hunt_golden.json, so neither the generator, the mutator, the
 // fitness measurement nor the engine underneath can drift silently.
 func TestHuntGolden(t *testing.T) {
-	serial := fuzzing.Hunt(huntGoldenConfig(1))
-	js1, err := marshalHuntReport(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel := fuzzing.Hunt(huntGoldenConfig(*sweepWorkers))
-	jsN, err := marshalHuntReport(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(js1, jsN) {
-		t.Fatalf("hunt report differs between -workers=1 and -workers=%d", *sweepWorkers)
-	}
+	var serial fuzzing.HuntReport
+	checkGolden(t, "hunt_golden.json", func(workers int) ([]byte, error) {
+		r := fuzzing.Hunt(huntGoldenConfig(workers))
+		if workers == 1 {
+			serial = r
+		}
+		return goldenJSON(r)
+	})
 	if serial.Best() <= 1 {
 		t.Errorf("pinned hunt found no attacker advantage (best %.3f); the corpus should document real attacks", serial.Best())
 	}
 	if len(serial.Scenarios) == 0 || serial.Scenarios[0].Shrunk == nil {
 		t.Fatalf("pinned hunt is missing the shrunk repro for its top scenario")
-	}
-
-	path := filepath.Join("testdata", "hunt_golden.json")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(js1, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
-	}
-	if !bytes.Equal(append(js1, '\n'), want) {
-		t.Errorf("hunt report diverged from golden file %s:\ngot:\n%s\nwant:\n%s", path, js1, want)
 	}
 }
 

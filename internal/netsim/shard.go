@@ -173,7 +173,7 @@ func drainCut(l *Link, c *cutPort) {
 }
 
 // guardCut panics when a live mutator touches a cut link: sharded
-// experiments exclude link dynamics (the serial fallback handles them), and
+// experiments exclude link dynamics (the facade refuses timelines), and
 // re-parameterizing a cut mid-run would break both the lookahead contract
 // (delay) and the FIFO hand-off (down/up flushing).
 func (l *Link) guardCut(op string) {

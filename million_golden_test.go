@@ -1,9 +1,6 @@
 package deltasigma_test
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"deltasigma"
@@ -31,56 +28,17 @@ func millionSweep() deltasigma.Sweep {
 // byte-identical JSON across worker counts, pinned against
 // testdata/million_golden.json.
 func TestMillionGolden(t *testing.T) {
-	sw := millionSweep()
-	res1, err := sw.Run(1)
-	if err != nil {
-		t.Fatal(err)
+	var res *deltasigma.CampaignResult
+	checkGolden(t, "million_golden.json", campaignGolden(millionSweep(), &res))
+	if res.Failures != 0 {
+		t.Fatalf("million sweep had %d failures", res.Failures)
 	}
-	js1, err := res1.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.Failures != 0 {
-		t.Fatalf("million sweep had %d failures:\n%s", res1.Failures, js1)
-	}
-
-	resN, err := sw.Run(*sweepWorkers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsN, err := resN.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(js1, jsN) {
-		t.Fatalf("million sweep JSON differs between -workers=1 and -workers=%d", *sweepWorkers)
-	}
-
 	// Every point must have delivered throughput to its population, or the
 	// golden file pins a vacuous scenario.
-	for _, p := range res1.Points {
+	for _, p := range res.Points {
 		if p.GoodMeanKbps <= 0 {
 			t.Fatalf("point %s delivered nothing to its million receivers", p.Point)
 		}
-	}
-
-	path := filepath.Join("testdata", "million_golden.json")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, js1, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
-	}
-	if !bytes.Equal(js1, want) {
-		t.Errorf("million sweep JSON diverged from golden file %s:\ngot:\n%s\nwant:\n%s", path, js1, want)
 	}
 }
 

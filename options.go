@@ -9,20 +9,19 @@ import (
 
 // settings accumulates the functional options New applies.
 type settings struct {
-	seed      uint64
-	topology  func(seed uint64) Topology // seeded by New
-	protocol  Protocol
-	schedule  RateSchedule
-	slot      Time // 0 selects the protocol default
-	pktSize   int
-	ecnFrac   float64
-	noConsol  bool
-	pool      *packet.Pool
-	events    []TimelineEvent
-	audit     auditSettings
-	shards    int
-	shardsSet bool
-	err       error
+	seed     uint64
+	topology func(seed uint64) Topology // seeded by New
+	protocol Protocol
+	schedule RateSchedule
+	slot     Time // 0 selects the protocol default
+	pktSize  int
+	ecnFrac  float64
+	noConsol bool
+	pool     *packet.Pool
+	events   []TimelineEvent
+	audit    auditSettings
+	shards   int // WithShards; 0 when not given
+	err      error
 }
 
 // Option configures an Experiment under construction.
@@ -222,23 +221,29 @@ func WithFeedbackConsolidation(on bool) Option {
 	return func(s *settings) { s.noConsol = !on }
 }
 
-// WithShards asks the experiment to execute across n parallel shards: the
-// topology is partitioned so that each migrated receiver host (and its
-// access links' sender sides) runs on its own per-core scheduler, with
-// conservative lookahead windows keeping results byte-identical to a serial
-// run — sharding changes wall-clock time, never output. n = 0 picks an
-// automatic shard count from GOMAXPROCS; n = 1 is explicit serial
-// execution. Experiments that script timeline events or enable the audit
-// layer's mid-run sampling fall back to serial execution and record why
-// (see Result.Sharding).
+// WithShards runs the experiment across n parallel shards: each receiver
+// host that can migrate (single-homed, positive-delay access links) moves
+// to one of shards 1..n-1 in attachment order, round-robin, and runs on its
+// own per-core scheduler; conservative lookahead windows keep results
+// byte-identical to a serial run — sharding changes wall-clock time, never
+// output. n must be at least 1; n = 1 is explicit serial execution.
+//
+// With n ≥ 2 the experiment must be static, and every call that would
+// cross the shard cut mid-run is refused rather than run serially:
+//   - New returns an error when WithAudit or WithTimeline is also given;
+//   - TryAddAttacker returns an error for any non-classic strategy, and
+//     AddAttacker panics with it;
+//   - AddEvents panics.
+//
+// A run with no migratable receiver host executes on shard 0 and reports
+// Shards 1, MigratedHosts 0 in Result.Sharding.
 func WithShards(n int) Option {
 	return func(s *settings) {
-		if n < 0 {
-			s.fail(fmt.Errorf("deltasigma: WithShards(%d) must be non-negative", n))
+		if n < 1 {
+			s.fail(fmt.Errorf("deltasigma: WithShards(%d) must be at least 1", n))
 			return
 		}
 		s.shards = n
-		s.shardsSet = true
 	}
 }
 

@@ -101,11 +101,11 @@ type Result struct {
 	// LostPackets totals packets lost at the bottlenecks: drop-tail drops
 	// plus outage (down-link) discards.
 	LostPackets uint64 `json:"lost_packets"`
-	// Sharding describes sharded execution when WithShards was requested
-	// (nil otherwise): shard count, per-shard event counts, barrier waits
-	// and mailbox high-water marks, or the reason the run fell back to
-	// serial. Wall-clock fields vary run to run; every other Result field
-	// is byte-identical whatever the shard count.
+	// Sharding describes sharded execution when WithShards was given (nil
+	// otherwise): shard count, migrated hosts, per-shard event counts,
+	// barrier waits and mailbox high-water marks. Wall-clock fields vary
+	// run to run; every other Result field is byte-identical whatever the
+	// shard count.
 	Sharding *ShardingResult `json:"sharding,omitempty"`
 }
 

@@ -1,7 +1,7 @@
 package deltasigma
 
 import (
-	"runtime"
+	"fmt"
 
 	"deltasigma/internal/sim"
 )
@@ -15,54 +15,36 @@ import (
 // order doubles as cut-edge creation order, which is what makes the merged
 // event order replay a serial run exactly.
 
-// maxAutoShards caps WithShards(0): beyond a handful of shards the window
-// barriers outweigh the extra cores for typical topologies.
-const maxAutoShards = 8
-
-// autoKeepLocal is how many receivers auto mode leaves on shard 0 before
-// migrating the rest: tiny topologies decline parallelism (the whole run
-// fits one core's cache), and on larger ones the resident receivers
-// balance shard 0's router work against the receiver shards.
-const autoKeepLocal = 32
-
-// autoShardCount resolves WithShards(0).
-func autoShardCount() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > maxAutoShards {
-		n = maxAutoShards
+// shardConflict refuses the construction options a sharded experiment
+// cannot honour: both read or mutate state across the shard cut mid-run.
+func (s *settings) shardConflict() error {
+	if s.shards < 2 {
+		return nil
 	}
-	if n < 1 {
-		n = 1
+	switch {
+	case s.audit.enabled:
+		return fmt.Errorf("deltasigma: WithShards(%d) with WithAudit: mid-run sampling reads cross-shard state", s.shards)
+	case len(s.events) > 0:
+		return fmt.Errorf("deltasigma: WithShards(%d) with WithTimeline: dynamics mutate cross-shard state", s.shards)
 	}
-	return n
+	return nil
 }
 
-// setupShards wires the shard group during New, or records why sharded
-// execution was declined. Serial fallback keeps the run on the plain
-// scheduler path with identical results.
-func (e *Experiment) setupShards(s *settings) {
-	if !s.shardsSet {
+// setupShards wires the shard group during New (WithShards(n ≥ 2) only).
+func (e *Experiment) setupShards(n int) {
+	e.shardWant = n
+	if n < 2 {
 		return
 	}
-	n := s.shards
-	auto := n == 0
-	if auto {
-		n = autoShardCount()
-	}
-	e.shardWant = n
-	switch {
-	case n <= 1:
-		// Explicit serial (or a single-core auto resolution): not a fallback.
-	case s.audit.enabled:
-		e.shardFallback = "audit enabled: mid-run sampling reads cross-shard state"
-	case len(s.events) > 0:
-		e.shardFallback = "timeline events scripted: dynamics mutate cross-shard state"
-	default:
-		e.shardGroup = sim.NewShardGroupFrom(e.Topo.Scheduler(), n)
-		e.shardGroup.Parallel = true
-		e.Topo.Network().EnableSharding(e.shardGroup)
-		e.shardAuto = auto
-	}
+	e.shardGroup = sim.NewShardGroupFrom(e.Topo.Scheduler(), n)
+	e.shardGroup.Parallel = true
+	e.Topo.Network().EnableSharding(e.shardGroup)
+}
+
+// shardRefusal is the error of a wiring call whose runtime behaviour would
+// cross the shard cut of an experiment built with WithShards(n ≥ 2).
+func (e *Experiment) shardRefusal(call, why string) error {
+	return fmt.Errorf("deltasigma: %s on an experiment built with WithShards(%d): %s", call, e.shardWant, why)
 }
 
 // maybeMigrate moves a freshly attached receiver host onto the next shard,
@@ -73,18 +55,11 @@ func (e *Experiment) maybeMigrate(h *Host) {
 	if e.shardGroup == nil {
 		return
 	}
-	e.shardSeen++
-	if e.shardAuto && e.shardSeen <= autoKeepLocal {
-		return
-	}
 	net := e.Topo.Network()
 	if !net.CanMigrate(h) {
 		return
 	}
-	n := e.shardGroup.Shards()
-	s := 1 + e.shardNext%(n-1)
-	e.shardNext++
-	net.MigrateHost(h, s)
+	net.MigrateHost(h, 1+e.shardMigrated%(e.shardGroup.Shards()-1))
 	e.shardMigrated++
 }
 
@@ -93,29 +68,6 @@ func (e *Experiment) maybeMigrate(h *Host) {
 // scheduler path is both correct and cheaper.
 func (e *Experiment) shardsActive() bool {
 	return e.shardGroup != nil && e.shardMigrated > 0
-}
-
-// ShardStatus reports the sharded-execution state: how many shards the run
-// executes on (1 for serial), how many receiver hosts migrated off shard 0,
-// and — when sharding was requested but declined — why. Command-line
-// front-ends use this to warn about under-filled shard requests.
-func (e *Experiment) ShardStatus() (shards, migrated int, fallback string) {
-	if e.shardsActive() {
-		return e.shardGroup.Shards(), e.shardMigrated, ""
-	}
-	return 1, 0, e.shardFallbackReason()
-}
-
-// shardFallbackReason names why a requested sharded run executes serially
-// ("" when sharding was never requested, or is active).
-func (e *Experiment) shardFallbackReason() string {
-	if e.shardWant <= 1 || e.shardsActive() {
-		return ""
-	}
-	if e.shardFallback != "" {
-		return e.shardFallback
-	}
-	return "no migratable receivers: every host is on shard 0"
 }
 
 // ShardResult is one shard's share of a sharded run (see sim.ShardStats).
@@ -130,17 +82,15 @@ type ShardResult struct {
 	MailboxMax int `json:"mailbox_max"`
 }
 
-// ShardingResult describes how a run that requested WithShards actually
-// executed. Wall-clock fields (barrier waits) vary run to run; everything
-// the simulation computes is byte-identical to a serial run regardless.
+// ShardingResult describes how a run built with WithShards executed.
+// Wall-clock fields (barrier waits) vary run to run; everything the
+// simulation computes is byte-identical to a serial run regardless.
 type ShardingResult struct {
-	// Shards is the executing shard count (1 when the request fell back to
-	// serial).
+	// Shards is the executing shard count: 1 for WithShards(1), and for a
+	// run whose receiver hosts could not migrate.
 	Shards int `json:"shards"`
 	// MigratedHosts is how many receiver hosts run off shard 0.
 	MigratedHosts int `json:"migrated_hosts"`
-	// FallbackReason says why a requested sharded run executed serially.
-	FallbackReason string `json:"fallback_reason,omitempty"`
 	// Windows is the number of conservative window rounds executed.
 	Windows uint64 `json:"windows,omitempty"`
 	// Efficiency is sum(events) / (shards × max-shard events) in (0,1]: 1
@@ -158,7 +108,7 @@ func (e *Experiment) shardingResult() *ShardingResult {
 		return nil
 	}
 	if !e.shardsActive() {
-		return &ShardingResult{Shards: 1, FallbackReason: e.shardFallbackReason()}
+		return &ShardingResult{Shards: 1}
 	}
 	stats := e.shardGroup.Stats()
 	sr := &ShardingResult{

@@ -3,34 +3,26 @@ package deltasigma_test
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
-	"os"
-	"path/filepath"
+	"fmt"
 	"strings"
 	"testing"
 
 	"deltasigma"
 )
 
-// sweepShards is the shard count the sharded golden tests run the pinned
-// campaigns at. CI's determinism job varies it (alongside -sweep-workers)
-// to prove the goldens are independent of the execution partition, not an
-// artifact of one lucky shard count.
-var sweepShards = flag.Int("sweep-shards", 2, "shard count the sharded golden tests compare against serial")
-
-// shardScenario builds the differential scenario: a protected two-session
-// run with heterogeneous access delays plus TCP and CBR cross traffic —
-// SIGMA control exchanges, DELTA keys, IGMP grafts and cross-traffic
-// queueing all cross the shard cut. shards < 0 means WithShards was never
-// given (the plain serial engine).
-func shardScenario(t *testing.T, shards int) (*deltasigma.Experiment, *deltasigma.Result) {
+// shardScenario runs the differential scenario: a two-session run of the
+// protocol with heterogeneous access delays plus TCP and CBR cross traffic
+// — IGMP grafts, cross-traffic queueing and, under flid-ds, SIGMA control
+// exchanges and DELTA keys all cross the shard cut. shards = 0 leaves
+// WithShards out (the plain serial engine).
+func shardScenario(t *testing.T, protocol string, shards int) *deltasigma.Result {
 	t.Helper()
 	opts := []deltasigma.Option{
-		deltasigma.WithProtocol("flid-ds"),
+		deltasigma.WithProtocol(protocol),
 		deltasigma.WithDumbbell(1_000_000),
 		deltasigma.WithSeed(7),
 	}
-	if shards >= 0 {
+	if shards > 0 {
 		opts = append(opts, deltasigma.WithShards(shards))
 	}
 	exp, err := deltasigma.New(opts...)
@@ -45,7 +37,7 @@ func shardScenario(t *testing.T, shards int) (*deltasigma.Experiment, *deltasigm
 	}
 	exp.AddTCP(0)
 	exp.AddCBR(150_000, deltasigma.Second, deltasigma.Second)
-	return exp, exp.Run(8 * deltasigma.Second)
+	return exp.Run(8 * deltasigma.Second)
 }
 
 // stripSharding marshals a Result minus its sharding metadata block — the
@@ -62,35 +54,34 @@ func stripSharding(t *testing.T, res *deltasigma.Result) []byte {
 	return js
 }
 
-// TestShardedMatchesSerial is the tentpole's headline claim as a test: the
-// typed Result of a sharded run is byte-identical to the serial engine's at
-// every shard count, including auto.
+// TestShardedMatchesSerial is the sharded engine's headline claim as a
+// test: for the unprotected and the protected FLID variant, the typed
+// Result of a sharded run is byte-identical to the serial engine's at
+// every shard count.
 func TestShardedMatchesSerial(t *testing.T) {
-	_, base := shardScenario(t, -1)
-	want := stripSharding(t, base)
-	for _, n := range []int{1, 2, 3, 0} {
-		_, res := shardScenario(t, n)
-		if got := stripSharding(t, res); !bytes.Equal(got, want) {
-			t.Errorf("WithShards(%d) changed the Result:\ngot:  %s\nwant: %s", n, got, want)
+	for _, protocol := range []string{"flid-dl", "flid-ds"} {
+		want := stripSharding(t, shardScenario(t, protocol, 0))
+		for _, n := range []int{1, 2, 3} {
+			t.Run(fmt.Sprintf("%s/shards=%d", protocol, n), func(t *testing.T) {
+				if got := stripSharding(t, shardScenario(t, protocol, n)); !bytes.Equal(got, want) {
+					t.Errorf("WithShards(%d) changed the Result:\ngot:  %s\nwant: %s", n, got, want)
+				}
+			})
 		}
 	}
 }
 
 // TestShardingObservability pins the metadata block of an actively sharded
-// run: shard count, migrated hosts, window count, per-shard event totals
-// and the efficiency gauge.
+// run — shard count, migrated hosts, window count, per-shard event totals
+// and the efficiency gauge — and of the two runs that execute on shard 0:
+// WithShards(1), and a fan-out whose zero-delay hosts cannot migrate.
 func TestShardingObservability(t *testing.T) {
-	exp, res := shardScenario(t, 2)
-	shards, migrated, fallback := exp.ShardStatus()
-	if shards != 2 || migrated != 12 || fallback != "" {
-		t.Fatalf("ShardStatus() = (%d, %d, %q), want (2, 12, \"\")", shards, migrated, fallback)
-	}
-	sh := res.Sharding
+	sh := shardScenario(t, "flid-ds", 2).Sharding
 	if sh == nil {
 		t.Fatal("no sharding block on a WithShards(2) result")
 	}
-	if sh.Shards != 2 || sh.MigratedHosts != 12 || sh.FallbackReason != "" {
-		t.Errorf("sharding block = %+v, want 2 shards, 12 migrated hosts, no fallback", sh)
+	if sh.Shards != 2 || sh.MigratedHosts != 12 {
+		t.Errorf("sharding block = %+v, want 2 shards, 12 migrated hosts", sh)
 	}
 	if sh.Windows == 0 {
 		t.Error("no conservative windows recorded")
@@ -109,134 +100,105 @@ func TestShardingObservability(t *testing.T) {
 	if sh.PerShard[1].MailboxMax == 0 {
 		t.Error("no cross-shard envelopes ever reached shard 1")
 	}
+
+	for _, tc := range []struct {
+		shards int
+		delay  deltasigma.Time
+	}{{1, deltasigma.DefaultDelay}, {2, 0}} {
+		exp := deltasigma.MustNew(deltasigma.WithShards(tc.shards))
+		exp.AddSession(0).AddReceiverDelay(tc.delay)
+		sh := exp.Run(deltasigma.Second).Sharding
+		if sh == nil || sh.Shards != 1 || sh.MigratedHosts != 0 || sh.Windows != 0 {
+			t.Errorf("WithShards(%d), access delay %v: sharding block = %+v, want 1 shard, nothing migrated", tc.shards, tc.delay, sh)
+		}
+	}
 }
 
-// TestShardFallbackReasons pins every path by which a shard request
-// degrades to serial execution — each with its recorded reason — plus the
-// rejections that never build at all.
-func TestShardFallbackReasons(t *testing.T) {
-	runShort := func(t *testing.T, opts ...deltasigma.Option) *deltasigma.Result {
-		t.Helper()
-		all := append([]deltasigma.Option{
+// TestShardRefusals pins the WithShards contract: a shard count below 1
+// never builds, and on a sharded experiment every call whose runtime
+// behaviour would cross the shard cut is refused with an error (or, for the
+// panicking wiring calls, a panic) naming WithShards and the call.
+func TestShardRefusals(t *testing.T) {
+	build := func(opts ...deltasigma.Option) (*deltasigma.Experiment, error) {
+		return deltasigma.New(append([]deltasigma.Option{
 			deltasigma.WithProtocol("flid-ds"),
 			deltasigma.WithDumbbell(500_000),
-			deltasigma.WithShards(2),
-		}, opts...)
-		exp, err := deltasigma.New(all...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exp.AddSession(2)
-		return exp.Run(deltasigma.Second)
+		}, opts...)...)
 	}
-
-	t.Run("audit", func(t *testing.T) {
-		res := runShort(t, deltasigma.WithAudit())
-		if res.Sharding == nil || res.Sharding.Shards != 1 || !strings.Contains(res.Sharding.FallbackReason, "audit") {
-			t.Errorf("sharding block = %+v, want serial fallback naming the audit", res.Sharding)
-		}
-	})
-
-	t.Run("timeline option", func(t *testing.T) {
-		res := runShort(t, deltasigma.WithTimeline(
-			deltasigma.LinkDown{At: 200 * deltasigma.Millisecond, Link: 0},
-			deltasigma.LinkUp{At: 300 * deltasigma.Millisecond, Link: 0},
-		))
-		if res.Sharding == nil || res.Sharding.Shards != 1 || !strings.Contains(res.Sharding.FallbackReason, "timeline") {
-			t.Errorf("sharding block = %+v, want serial fallback naming the timeline", res.Sharding)
-		}
-	})
-
-	t.Run("events before receivers downgrade", func(t *testing.T) {
-		exp, err := deltasigma.New(
-			deltasigma.WithProtocol("flid-ds"),
-			deltasigma.WithDumbbell(500_000),
-			deltasigma.WithShards(2),
-		)
+	// sharded is a two-shard experiment with one session of two receivers.
+	sharded := func(t *testing.T) (*deltasigma.Experiment, *deltasigma.ExperimentSession) {
+		exp, err := build(deltasigma.WithShards(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		exp.AddEvents(deltasigma.LinkDown{At: 200 * deltasigma.Millisecond, Link: 0})
-		exp.AddSession(2)
-		res := exp.Run(deltasigma.Second)
-		if res.Sharding == nil || res.Sharding.Shards != 1 || !strings.Contains(res.Sharding.FallbackReason, "timeline") {
-			t.Errorf("sharding block = %+v, want serial downgrade naming the timeline", res.Sharding)
-		}
-	})
-
-	t.Run("events after migration panic", func(t *testing.T) {
-		exp, err := deltasigma.New(
-			deltasigma.WithProtocol("flid-ds"),
-			deltasigma.WithDumbbell(500_000),
-			deltasigma.WithShards(2),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exp.AddSession(2)
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("AddEvents after migration did not panic")
+		return exp, exp.AddSession(2)
+	}
+	strategy := func(st deltasigma.AttackerStrategy) func(*testing.T) error {
+		return func(t *testing.T) error {
+			_, s := sharded(t)
+			_, err := s.TryAddAttacker(deltasigma.WithStrategy(st))
+			if len(s.Receivers) != 2 {
+				t.Errorf("%d receivers after a refused attacker, want the 2 honest ones", len(s.Receivers))
 			}
-			if s, ok := r.(string); !ok || !strings.Contains(s, "migrated") {
-				t.Fatalf("panic = %v, want a migrated-receivers message", r)
+			return err
+		}
+	}
+	panics := func(f func()) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("%v", r)
 			}
 		}()
-		exp.AddEvents(deltasigma.LinkDown{At: 200 * deltasigma.Millisecond, Link: 0})
-	})
-
-	t.Run("negative rejected", func(t *testing.T) {
-		_, err := deltasigma.New(
-			deltasigma.WithProtocol("flid-ds"),
-			deltasigma.WithDumbbell(500_000),
-			deltasigma.WithShards(-1),
-		)
-		if err == nil || !strings.Contains(err.Error(), "WithShards") {
-			t.Fatalf("WithShards(-1) error = %v, want rejection", err)
-		}
-	})
-}
-
-// TestSweepGoldenSharded replays the three pinned sweep campaigns with
-// Sweep.Shards set: static points run sharded, dynamic points take the
-// serial fallback, and the campaign JSON must stay byte-identical to the
-// serial goldens on disk.
-func TestSweepGoldenSharded(t *testing.T) {
-	if *updateGolden {
-		t.Skip("goldens are written by the serial tests")
+		f()
+		return nil
 	}
+	linkDown := deltasigma.LinkDown{At: 200 * deltasigma.Millisecond, Link: 0}
+
 	cases := []struct {
 		name   string
-		sweep  deltasigma.Sweep
-		golden string
+		refuse func(t *testing.T) error
+		want   string // the conflicting call the message names
 	}{
-		{"sweep", goldenSweep(), "sweep_golden.json"},
-		{"churn", dynamicsSweep(), "churn_golden.json"},
-		{"million", millionSweep(), "million_golden.json"},
-		// Every shootout point carries an attacker, so the shard request
-		// falls back to serial on each — the trivial but load-bearing claim
-		// that a -sweep-shards run cannot move the competitor numbers.
-		{"shootout", shootoutSweep(), "shootout_golden.json"},
+		{"zero shards", func(*testing.T) error {
+			_, err := build(deltasigma.WithShards(0))
+			return err
+		}, "WithShards(0)"},
+		{"negative shards", func(*testing.T) error {
+			_, err := build(deltasigma.WithShards(-1))
+			return err
+		}, "WithShards(-1)"},
+		{"audit", func(*testing.T) error {
+			_, err := build(deltasigma.WithShards(2), deltasigma.WithAudit())
+			return err
+		}, "WithAudit"},
+		{"timeline", func(*testing.T) error {
+			_, err := build(deltasigma.WithShards(2), deltasigma.WithTimeline(linkDown))
+			return err
+		}, "WithTimeline"},
+		{"colluding attacker", strategy(deltasigma.StrategyColluding), "TryAddAttacker"},
+		{"adaptive attacker", strategy(deltasigma.StrategyAdaptive), "TryAddAttacker"},
+		{"forging attacker", strategy(deltasigma.StrategyForging), "TryAddAttacker"},
+		{"AddAttacker panics", func(t *testing.T) error {
+			_, s := sharded(t)
+			return panics(func() { s.AddAttacker(deltasigma.WithStrategy(deltasigma.StrategyAdaptive)) })
+		}, "TryAddAttacker"},
+		{"AddEvents panics", func(t *testing.T) error {
+			exp, _ := sharded(t)
+			return panics(func() { exp.AddEvents(linkDown) })
+		}, "AddEvents"},
+		{"AddEvents before receivers panics", func(*testing.T) error {
+			exp, err := build(deltasigma.WithShards(2))
+			if err != nil {
+				return err
+			}
+			return panics(func() { exp.AddEvents(linkDown) })
+		}, "AddEvents"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sw := tc.sweep
-			sw.Shards = *sweepShards
-			res, err := sw.Run(*sweepWorkers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			js, err := res.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
-			if err != nil {
-				t.Fatalf("missing golden file (run the serial test with -update-golden): %v", err)
-			}
-			if !bytes.Equal(js, want) {
-				t.Errorf("%s campaign with Shards=%d diverged from its serial golden", tc.name, sw.Shards)
+			err := tc.refuse(t)
+			if err == nil || !strings.Contains(err.Error(), "WithShards") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error = %v, want a refusal naming WithShards and %s", err, tc.want)
 			}
 		})
 	}

@@ -1,9 +1,6 @@
 package deltasigma_test
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -30,27 +27,8 @@ func shootoutSweep() deltasigma.Sweep {
 // fail their attacker points with the typed no-attacker reason — the
 // interesting structural result — and every other point must succeed.
 func TestShootoutGolden(t *testing.T) {
-	sw := shootoutSweep()
-	res1, err := sw.Run(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	js1, err := res1.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	resN, err := sw.Run(*sweepWorkers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsN, err := resN.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(js1, jsN) {
-		t.Fatalf("shootout JSON differs between -workers=1 and -workers=%d", *sweepWorkers)
-	}
+	var res1 *deltasigma.CampaignResult
+	checkGolden(t, "shootout_golden.json", campaignGolden(shootoutSweep(), &res1))
 
 	// Structure check: only attackerless protocols may fail, and each of
 	// their points must carry the typed no-attacker reason; every protocol
@@ -75,22 +53,4 @@ func TestShootoutGolden(t *testing.T) {
 		}
 	}
 
-	path := filepath.Join("testdata", "shootout_golden.json")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, js1, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
-	}
-	if !bytes.Equal(js1, want) {
-		t.Errorf("shootout JSON diverged from golden file %s:\ngot:\n%s\nwant:\n%s", path, js1, want)
-	}
 }

@@ -157,13 +157,6 @@ type Sweep struct {
 	AttackAt Time
 	// Schedule overrides the session rate schedule (zero value = paper's).
 	Schedule RateSchedule
-	// Shards, when above 1, runs each static grid point under sharded
-	// execution (WithShards): results are byte-identical to serial, only
-	// wall-clock changes. Points with mid-run dynamics — attackers, churn,
-	// link flapping — always run serially (their events ride the timeline).
-	// Run divides the worker pool by the shard count so shards × workers
-	// stays within the machine. 0 (the default) and 1 run everything serial.
-	Shards int
 	// Configure, when set, customizes each point's experiment after the
 	// session is wired and before it runs — cross traffic, extra sessions,
 	// protocol knobs. Returning an error fails the point, not the campaign.
@@ -509,17 +502,6 @@ func (sw Sweep) Run(workers int) (*CampaignResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sw.Shards > 1 {
-		// Shards multiply each point's goroutine footprint: shrink the
-		// worker pool so shards × workers stays at the declared budget
-		// (grid order keeps output byte-identical whatever the split).
-		if workers <= 0 {
-			workers = campaign.DefaultWorkers()
-		}
-		if workers = workers / sw.Shards; workers < 1 {
-			workers = 1
-		}
-	}
 	start := time.Now()
 	results := make([]PointResult, g.Size())
 	// One packet pool per worker: a worker runs its grid points
@@ -570,11 +552,6 @@ func (sw Sweep) runPoint(a axes, p SweepPoint, spec TopologySpec, pool *packet.P
 	}
 	if pool != nil {
 		opts = append(opts, WithPacketPool(pool))
-	}
-	if sw.Shards > 1 && p.Attackers == 0 && p.ChurnRate == 0 && p.FlapPeriodNs == 0 {
-		// Static points shard; dynamic ones script timeline events below,
-		// which forces serial execution anyway — skip the detour.
-		opts = append(opts, WithShards(sw.Shards))
 	}
 	if p.SlotNs > 0 {
 		opts = append(opts, WithSlot(p.SlotNs))

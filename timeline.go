@@ -292,12 +292,7 @@ func (ev LinkFlap) resolve(e *Experiment) error {
 // construction-time option.
 //
 // Timeline events run on the main scheduler and mutate receiver state, so
-// they are incompatible with sharded execution: on an experiment built
-// with WithShards, AddEvents downgrades to serial execution while no
-// receiver has migrated yet (recording the reason in Result.Sharding), and
-// panics once receivers live on other shards — script events through
-// WithTimeline, which forces the serial fallback up front, or add them
-// before attaching receivers.
+// AddEvents panics on an experiment built with WithShards(n ≥ 2).
 func (e *Experiment) AddEvents(events ...TimelineEvent) {
 	e.mustNotHaveStarted("AddEvents")
 	for _, ev := range events {
@@ -306,11 +301,7 @@ func (e *Experiment) AddEvents(events ...TimelineEvent) {
 		}
 	}
 	if len(events) > 0 && e.shardGroup != nil {
-		if e.shardMigrated > 0 {
-			panic("deltasigma: AddEvents on a sharded experiment with migrated receivers; use WithTimeline or add events before receivers")
-		}
-		e.shardGroup = nil
-		e.shardFallback = "timeline events added: dynamics mutate cross-shard state"
+		panic(e.shardRefusal("AddEvents", "dynamics mutate cross-shard state"))
 	}
 	e.events = append(e.events, events...)
 }
