@@ -132,12 +132,8 @@ func (s *ExperimentSession) TryAddAttacker(opts ...AttackerOption) (*Receiver, e
 		return nil, err
 	}
 	r := s.wrap(agent, port.Host, port.Edge.Addr())
-	r.strategy = st // empty for plain attackers
-	if !s.exp.Protocol.Protected() && (st == StrategyColluding || st == StrategyForging) {
-		r.strategy = StrategyClassic
-		return r, nil
-	}
-	switch st {
+	r.strategy = effectiveStrategy(s.exp.Protocol, st) // empty for plain attackers
+	switch r.strategy {
 	case StrategyColluding:
 		eng, ok := r.agent.(guessEngine)
 		if !ok {
@@ -152,6 +148,18 @@ func (s *ExperimentSession) TryAddAttacker(opts ...AttackerOption) (*Receiver, e
 		r.forge = sigma.NewForgeAttack(r.host, s.Sess, r.edge, s.src.Addr())
 	}
 	return r, nil
+}
+
+// effectiveStrategy is the strategy an attacker asking for st runs under p:
+// an unprotected variant has no SIGMA control plane to collude against or
+// forge into, so colluding and forging degrade to classic there. Sweep
+// keys its grid points with it, so merged points stay the ones
+// TryAddAttacker builds identically.
+func effectiveStrategy(p Protocol, st AttackerStrategy) AttackerStrategy {
+	if !p.Protected() && (st == StrategyColluding || st == StrategyForging) {
+		return StrategyClassic
+	}
+	return st
 }
 
 // Strategy reports the attacker strategy this receiver runs (empty for

@@ -1,0 +1,50 @@
+package deltasigma
+
+// This file opens the sweep's run merging to the external test package,
+// which can import internal/scenario's canned campaigns where a test in
+// this package could not (scenario imports deltasigma).
+
+// RunEachPoint is Run without merging: every raw grid point goes through
+// runPoint in turn, on one goroutine and without a packet pool. Its JSON is
+// what Run's must equal.
+func (sw Sweep) RunEachPoint() (*CampaignResult, error) {
+	a, err := sw.normalize()
+	if err != nil {
+		return nil, err
+	}
+	g, err := a.grid()
+	if err != nil {
+		return nil, err
+	}
+	res := &CampaignResult{Name: sw.Name, DurationNs: a.duration}
+	for i := 0; i < g.Size(); i++ {
+		p, spec := a.point(g.Coords(i))
+		r, err := sw.runPoint(a, p, spec, nil)
+		r.Point = p
+		if err != nil {
+			r.Error = err.Error()
+			res.Failures++
+		}
+		res.Points = append(res.Points, r)
+	}
+	return res, nil
+}
+
+// DistinctRuns counts the experiments Run simulates for sw.
+func (sw Sweep) DistinctRuns() (int, error) {
+	a, err := sw.normalize()
+	if err != nil {
+		return 0, err
+	}
+	g, err := a.grid()
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for i, o := range sw.owners(a, g) {
+		if o == i {
+			n++
+		}
+	}
+	return n, nil
+}

@@ -606,6 +606,37 @@ func evalAll(specs []Spec, workers int) []HuntEval {
 	return evals
 }
 
+// evalUnseen measures a population like evalAll, but runs each spec
+// fingerprint at most once: a spec already in seen, or earlier in pop,
+// reuses that eval, since an eval is a pure function of its spec. It also
+// returns every spec's fingerprint.
+func evalUnseen(pop []Spec, seen map[string]scored, workers int) ([]HuntEval, []string) {
+	evals := make([]HuntEval, len(pop))
+	fps := make([]string, len(pop))
+	first := map[string]int{} // fingerprint → index of its first unseen spec
+	var fresh []Spec
+	var freshAt []int
+	for i, sp := range pop {
+		fps[i] = specFingerprint(sp)
+		if s, ok := seen[fps[i]]; ok {
+			evals[i] = s.eval
+		} else if _, ok := first[fps[i]]; !ok {
+			first[fps[i]] = i
+			fresh = append(fresh, sp)
+			freshAt = append(freshAt, i)
+		}
+	}
+	for j, ev := range evalAll(fresh, workers) {
+		evals[freshAt[j]] = ev
+	}
+	for i, fp := range fps {
+		if j, ok := first[fp]; ok && j != i {
+			evals[i] = evals[j]
+		}
+	}
+	return evals, fps
+}
+
 // Mutate derives a child spec: one or two random moves from the mutation
 // menu — onset jitter, capacity perturbation, strategy switches, attacker
 // and honest population changes, disturbance edits, duration and seed
@@ -836,12 +867,12 @@ func Hunt(cfg HuntConfig) HuntReport {
 	var elites []scored
 
 	for gen := 0; gen < cfg.Gens; gen++ {
-		evals := evalAll(pop, cfg.Workers)
+		evals, fps := evalUnseen(pop, seen, cfg.Workers)
 		report.Evaluated += len(pop)
 
 		gener := make([]scored, 0, len(pop)+len(elites))
 		for i, sp := range pop {
-			s := scored{spec: sp, eval: evals[i], fp: specFingerprint(sp), gen: gen}
+			s := scored{spec: sp, eval: evals[i], fp: fps[i], gen: gen}
 			if prev, ok := seen[s.fp]; !ok || s.eval.Fitness > prev.eval.Fitness {
 				seen[s.fp] = s
 			}
@@ -954,12 +985,21 @@ func ShrinkHunt(spec Spec, budget int) (Spec, HuntEval) {
 	}
 	floor := best.Fitness * HuntShrinkSlack
 	runs := 1
+	// Evals by spec fingerprint: a pass often re-proposes a candidate an
+	// earlier pass rejected. A repeat still spends budget, so the shrink
+	// takes the same path it would re-evaluating.
+	memo := map[string]HuntEval{specFingerprint(spec): best}
 	try := func(cand Spec) (HuntEval, bool) {
 		if runs >= budget || cand.Oracle == nil {
 			return HuntEval{}, false
 		}
 		runs++
-		ev := EvaluateAdvantage(cand, nil)
+		fp := specFingerprint(cand)
+		ev, ok := memo[fp]
+		if !ok {
+			ev = EvaluateAdvantage(cand, nil)
+			memo[fp] = ev
+		}
 		return ev, ev.Err == "" && ev.Fitness >= floor
 	}
 

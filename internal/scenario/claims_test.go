@@ -2,7 +2,10 @@ package scenario
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+
+	"deltasigma"
 )
 
 // labelAvg averages the series labelled label over [from, to) seconds.
@@ -28,31 +31,74 @@ func TestPaperClaims(t *testing.T) {
 	const mid = dur / 2
 	claims := []struct {
 		name  string
-		fig   func(Options) *Result
-		holds func(*Result) error
+		holds func(seed uint64) error
 	}{
-		{"fig1/inflation wins under FLID-DL", Fig1, func(r *Result) error {
+		{"fig1/inflation wins under FLID-DL", func(seed uint64) error {
+			r := Fig1(Options{Scale: scale, Seed: seed})
 			f1, f2 := labelAvg(r, "F1", mid*1.2, dur), labelAvg(r, "F2", mid*1.2, dur)
 			if f1 <= f2 {
 				return fmt.Errorf("attacker F1 ends at %.0f Kbps, not above the honest F2 at %.0f", f1, f2)
 			}
 			return nil
 		}},
-		{"fig7/inflation neutralised under FLID-DS", Fig7, func(r *Result) error {
+		{"fig7/inflation neutralised under FLID-DS", func(seed uint64) error {
+			r := Fig7(Options{Scale: scale, Seed: seed})
 			pre, post := labelAvg(r, "F1", mid*0.4, mid*0.9), labelAvg(r, "F1", mid*1.2, dur)
 			if post > 1.5*pre+50 {
 				return fmt.Errorf("attacker F1 profited: %.0f -> %.0f Kbps", pre, post)
 			}
 			return nil
 		}},
+		{"shootout/DELTA+SIGMA holds parity, unprotected rivals collapse", shootoutClaim},
 	}
 	for _, c := range claims {
 		for _, seed := range []uint64{2003, 7} {
 			t.Run(fmt.Sprintf("%s/seed%d", c.name, seed), func(t *testing.T) {
-				if err := c.holds(c.fig(Options{Scale: scale, Seed: seed})); err != nil {
+				if err := c.holds(seed); err != nil {
 					t.Fatal(err)
 				}
 			})
 		}
 	}
+}
+
+// shootoutClaim reads the shoot-out campaign at Scale 0.2. Every DELTA+SIGMA
+// variant holds classic and adaptive attackers to parity (suppression at
+// least 0.49); every unprotected protocol with an attacker loses to it, at
+// every strategy (at most 0.25); and abr-cf refuses an attacker outright.
+func shootoutClaim(seed uint64) error {
+	res, err := RunCampaign("shootout", Options{Scale: 0.2, Seed: seed}, 0)
+	if err != nil {
+		return err
+	}
+	var held, lost, refused int
+	for _, pt := range res.Points {
+		p := pt.Point
+		proto, ok := deltasigma.LookupProtocol(p.Protocol)
+		switch {
+		case !ok:
+			return fmt.Errorf("%s: protocol not registered", p)
+		case !proto.Capabilities().Attacker:
+			if !strings.Contains(pt.Error, "no inflated-subscription attacker") {
+				return fmt.Errorf("%s: error %q is not the no-attacker refusal", p, pt.Error)
+			}
+			refused++
+		case pt.Error != "":
+			return fmt.Errorf("%s failed: %s", p, pt.Error)
+		case !proto.Protected():
+			if pt.Suppression > 0.25 {
+				return fmt.Errorf("%s: unprotected protocol suppressed the attacker to %.3f", p, pt.Suppression)
+			}
+			lost++
+		case p.Strategy == string(deltasigma.StrategyClassic) || p.Strategy == string(deltasigma.StrategyAdaptive):
+			if pt.Suppression < 0.49 {
+				return fmt.Errorf("%s: DELTA+SIGMA variant let the attacker reach %.3f", p, pt.Suppression)
+			}
+			held++
+		}
+	}
+	if held == 0 || lost == 0 || refused == 0 {
+		return fmt.Errorf("vacuous shoot-out: %d protected, %d unprotected and %d refused points", held, lost, refused)
+	}
+	return nil
 }

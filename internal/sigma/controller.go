@@ -62,6 +62,11 @@ type grant struct {
 	pendingGrace bool     // start the grace window at first delivery
 	probation    bool     // admitted keyless via session-join
 	penaltyUntil sim.Time // forwarding stopped until then
+
+	// prev and next link every interface's grant for the same group
+	// (Controller.holders), so an unsubscribe's prune check visits only
+	// the group's holders.
+	prev, next *grant
 }
 
 // setSlot records a valid key presentation for slot s.
@@ -109,6 +114,12 @@ func (g *grant) expireBefore(cur uint32) {
 	g.slotBase = cur
 }
 
+// active reports whether the grant still entitles its interface to the
+// group: in grace, awaiting its first delivery, or keyed for a live slot.
+func (g *grant) active(now sim.Time) bool {
+	return g.graceUntil > now || g.pendingGrace || g.slotMask != 0
+}
+
 // hasSlot reports whether a valid key was presented for slot s.
 func (g *grant) hasSlot(s uint32) bool {
 	return s >= g.slotBase && s-g.slotBase < 32 && g.slotMask>>(s-g.slotBase)&1 == 1
@@ -128,6 +139,7 @@ type Controller struct {
 
 	store      map[packet.Addr]map[uint32]storedKeys
 	ifaces     map[packet.Addr]*iface
+	holders    map[packet.Addr]*grant // head of each group's grant list, unordered
 	grafted    map[packet.Addr]bool
 	seen       map[announceID]bool  // announce dedup, pruned with store
 	tickTimer  *sim.Timer           // reusable per-slot housekeeping timer
@@ -171,6 +183,7 @@ func NewController(router *mcast.Router, cfg Config) *Controller {
 		cfg:     cfg,
 		store:   make(map[packet.Addr]map[uint32]storedKeys),
 		ifaces:  make(map[packet.Addr]*iface),
+		holders: make(map[packet.Addr]*grant),
 		grafted: make(map[packet.Addr]bool),
 		seen:    make(map[announceID]bool),
 	}
@@ -248,8 +261,7 @@ func (c *Controller) tick() {
 				g.graceUntil = 0
 				g.penaltyUntil = now + sim.Time(c.cfg.PenaltySlots)*c.cfg.SlotDuration
 			}
-			active := g.graceUntil > now || g.pendingGrace || g.slotMask != 0
-			if active {
+			if g.active(now) {
 				inUse[group] = true
 			} else if g.penaltyUntil <= now {
 				c.revoke(ifc, group)
@@ -282,6 +294,10 @@ func (c *Controller) grantFor(ifc *iface, group packet.Addr) *grant {
 		g = c.freeGrants.Get()
 		*g = grant{}
 		ifc.grants[group] = g
+		if g.next = c.holders[group]; g.next != nil {
+			g.next.prev = g
+		}
+		c.holders[group] = g
 	}
 	return g
 }
@@ -292,6 +308,14 @@ func (c *Controller) grantFor(ifc *iface, group packet.Addr) *grant {
 func (c *Controller) revoke(ifc *iface, group packet.Addr) {
 	if g := ifc.grants[group]; g != nil {
 		delete(ifc.grants, group)
+		if g.prev != nil {
+			g.prev.next = g.next
+		} else {
+			c.holders[group] = g.next
+		}
+		if g.next != nil {
+			g.next.prev = g.prev
+		}
 		c.freeGrants.Put(g)
 	}
 }
@@ -435,15 +459,15 @@ func (c *Controller) unsubscribe(from packet.Addr, hdr *packet.SigmaHeader) {
 	for _, addr := range hdr.Addrs {
 		c.revoke(ifc, addr)
 	}
-	// Prune any group nobody is entitled to anymore.
+	// Prune any group nobody is entitled to anymore. Only the group's
+	// holders can keep it; the order they are asked in cannot matter.
+	now := c.sched.Now()
 	for _, addr := range hdr.Addrs {
 		stillUsed := false
-		for _, other := range c.ifaces {
-			if g := other.grants[addr]; g != nil {
-				if g.graceUntil > c.sched.Now() || g.pendingGrace || g.slotMask != 0 {
-					stillUsed = true
-					break
-				}
+		for g := c.holders[addr]; g != nil; g = g.next {
+			if g.active(now) {
+				stillUsed = true
+				break
 			}
 		}
 		if !stillUsed && c.grafted[addr] {

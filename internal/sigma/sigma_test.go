@@ -313,6 +313,46 @@ func TestUnsubscribeDoesNotHarmOtherInterface(t *testing.T) {
 	}
 }
 
+// An unsubscribe prunes a group only once no other interface holds it:
+// with two holders the first to leave keeps the edge on the tree, and the
+// last one takes it off.
+func TestUnsubscribePrunesAfterLastHolder(t *testing.T) {
+	r := newRig(t)
+	cl1 := NewClient(r.h1, r.edge.Addr())
+	cl2 := NewClient(r.h2, r.edge.Addr())
+	r.sched.At(5*sim.Millisecond, func() { r.makeSlot(5, 0) })
+	r.sched.At(20*sim.Millisecond, func() {
+		key := r.slots[5].Keys.Top[0]
+		cl1.Subscribe(5, []packet.AddrKey{{Addr: grp, Key: key}})
+		cl2.Subscribe(5, []packet.AddrKey{{Addr: grp, Key: key}})
+	})
+	r.sched.At(520*sim.Millisecond, func() { cl1.Unsubscribe([]packet.Addr{grp}) })
+	r.sched.RunUntil(540 * sim.Millisecond)
+	if !r.ctl.grafted[grp] {
+		t.Fatal("group pruned while the other interface still holds it")
+	}
+	if n := holderCount(r.ctl, grp); n != 1 {
+		t.Fatalf("%d holders after one of two left, want 1", n)
+	}
+	r.sched.At(550*sim.Millisecond, func() { cl2.Unsubscribe([]packet.Addr{grp}) })
+	r.sched.RunUntil(580 * sim.Millisecond)
+	if r.ctl.grafted[grp] {
+		t.Fatal("group still grafted after its last holder left")
+	}
+	if n := holderCount(r.ctl, grp); n != 0 {
+		t.Fatalf("%d holders after both left, want 0", n)
+	}
+}
+
+// holderCount walks group's grant list.
+func holderCount(c *Controller, group packet.Addr) int {
+	n := 0
+	for g := c.holders[group]; g != nil; g = g.next {
+		n++
+	}
+	return n
+}
+
 func TestDecreaseAndIncreaseKeysOpen(t *testing.T) {
 	r := newRig(t)
 	cl := NewClient(r.h1, r.edge.Addr())

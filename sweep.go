@@ -117,12 +117,14 @@ func (p SweepPoint) String() string {
 }
 
 // Sweep declares a parameter-sweep campaign: the cartesian product of its
-// axes, one independent Experiment per grid point. Zero-length axes
-// collapse to a single default value, so callers set only the dimensions
-// they sweep. Run executes the grid on a bounded worker pool; because
-// every point owns its scheduler, RNG and topology, points run in
-// parallel without sharing state, and results are merged in grid order so
-// the campaign output is byte-identical whatever the worker count.
+// axes, one independent Experiment per distinct grid point. Zero-length
+// axes collapse to a single default value, so callers set only the
+// dimensions they sweep. Run executes the grid on a bounded worker pool;
+// because every experiment owns its scheduler, RNG and topology, they run
+// in parallel without sharing state, and results are merged in grid order
+// so the campaign output is byte-identical whatever the worker count.
+// Points whose axes cannot change the run (an adaptive attacker's onset,
+// say) share one experiment; see Run.
 //
 //	res, err := deltasigma.Sweep{
 //		Protocols: []string{"flid-dl", "flid-ds"},
@@ -486,13 +488,18 @@ func (sw Sweep) Points() ([]SweepPoint, error) {
 	return pts, nil
 }
 
-// Run executes every grid point on a pool of `workers` goroutines (0 = one
-// per core GOMAXPROCS allows) and merges the results in grid order. Each
-// point is one independent Experiment with its own scheduler and RNG, so the
-// returned CampaignResult — including its JSON and CSV serializations — is
-// byte-identical for any worker count. A point that fails to build or
-// panics reports through its PointResult.Error; the rest of the grid is
-// unaffected.
+// Run executes every distinct grid point on a pool of `workers` goroutines
+// (0 = one per core GOMAXPROCS allows) and merges the results in grid
+// order. Each distinct point is one independent Experiment with its own
+// scheduler and RNG, so the returned CampaignResult — including its JSON and
+// CSV serializations — is byte-identical for any worker count. A point that
+// fails to build or panics reports through its PointResult.Error; the rest
+// of the grid is unaffected.
+//
+// Points that build the same experiment (see runKey) run once: the first
+// one in grid order is simulated, and every later one copies its result and
+// error under its own Point. A sweep with a Configure hook runs every point,
+// since the hook sees the raw point.
 func (sw Sweep) Run(workers int) (*CampaignResult, error) {
 	a, err := sw.normalize()
 	if err != nil {
@@ -503,6 +510,7 @@ func (sw Sweep) Run(workers int) (*CampaignResult, error) {
 		return nil, err
 	}
 	start := time.Now()
+	owner := sw.owners(a, g)
 	results := make([]PointResult, g.Size())
 	// One packet pool per worker: a worker runs its grid points
 	// sequentially, so consecutive experiments recycle the same warm
@@ -513,11 +521,14 @@ func (sw Sweep) Run(workers int) (*CampaignResult, error) {
 	for i := range pools {
 		pools[i] = &packet.Pool{}
 	}
+	// Jobs stay indexed by grid point, so a panic names the point that ran.
 	errs := campaign.Run(g.Size(), workers, func(w, i int) error {
+		if owner[i] != i {
+			return nil // copied below from the point it shares a run with
+		}
 		p, spec := a.point(g.Coords(i))
-		r, err := sw.runPoint(a, p, spec, pools[w])
-		r.Point = p
-		results[i] = r
+		var err error
+		results[i], err = sw.runPoint(a, p, spec, pools[w])
 		return err
 	})
 	res := &CampaignResult{
@@ -526,18 +537,66 @@ func (sw Sweep) Run(workers int) (*CampaignResult, error) {
 		Points:     results,
 		Elapsed:    time.Since(start),
 	}
-	for i, err := range errs {
-		if err != nil {
-			// A panicking job never stored its result; rebuild the point so
-			// the failed entry still says what it was.
-			if results[i].Point == (SweepPoint{}) {
-				results[i].Point, _ = a.point(g.Coords(i))
-			}
+	for i := range results {
+		o := owner[i] // o <= i, so results[o] is already final
+		results[i] = results[o]
+		results[i].Point, _ = a.point(g.Coords(i))
+		if err := errs[o]; err != nil {
 			results[i].Error = err.Error()
 			res.Failures++
 		}
 	}
 	return res, nil
+}
+
+// runKey is a grid point as its experiment sees it: points with equal keys
+// build identical experiments. A key only merges points proven equal by
+// reading runPoint and TryAddAttacker; missing a merge costs a redundant
+// run, never a wrong result.
+type runKey struct {
+	point    SweepPoint // canonical: no topology name, ignored axes zeroed
+	topology int        // the topology's axis index: two specs may share a name
+}
+
+// runKey canonicalizes the point at coords:
+//   - without attackers, strategy and onset build nothing;
+//   - an attacker's strategy is the one it runs (effectiveStrategy), so on
+//     an unprotected protocol forging and colluding are classic;
+//   - an adaptive attacker compiles its own onset, so the onset axis is
+//     dropped.
+func (a axes) runKey(coords []int) runKey {
+	p, _ := a.point(coords)
+	p.Topology = ""
+	if p.Attackers == 0 {
+		p.Strategy, p.AttackAtNs = "", 0
+	} else if proto, ok := LookupProtocol(p.Protocol); ok {
+		p.Strategy = string(effectiveStrategy(proto, AttackerStrategy(p.Strategy)))
+	}
+	if AttackerStrategy(p.Strategy) == StrategyAdaptive {
+		p.AttackAtNs = 0
+	}
+	return runKey{point: p, topology: coords[1]}
+}
+
+// owners maps every grid point to the first point whose experiment it
+// builds: itself when its key is new. With a Configure hook every point
+// owns itself, because the hook may read any axis of the raw point.
+func (sw Sweep) owners(a axes, g campaign.Grid) []int {
+	owner := make([]int, g.Size())
+	first := make(map[runKey]int, g.Size())
+	for i := range owner {
+		owner[i] = i
+		if sw.Configure != nil {
+			continue
+		}
+		k := a.runKey(g.Coords(i))
+		if o, ok := first[k]; ok {
+			owner[i] = o
+		} else {
+			first[k] = i
+		}
+	}
+	return owner
 }
 
 // runPoint builds and runs one grid point's experiment and aggregates its
