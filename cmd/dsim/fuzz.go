@@ -42,6 +42,9 @@ func runFuzz(args []string, out io.Writer) (err error) {
 	if *n <= 0 {
 		return fmt.Errorf("-n must be positive, got %d", *n)
 	}
+	if *shrink < 0 {
+		return fmt.Errorf("-shrink must be non-negative, got %d", *shrink)
+	}
 
 	outs := fuzzing.Campaign(*seed, *n, *workers)
 	sums := fuzzing.Summarize(outs)

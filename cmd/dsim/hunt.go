@@ -28,7 +28,7 @@ func runHunt(args []string, out io.Writer) (err error) {
 	jsonOut := fs.Bool("json", false, "emit the full report as JSON")
 	outDir := fs.String("out", "", "directory for the corpus and repro files (empty = don't write)")
 	keep := fs.Int("keep", 8, "ranked scenarios kept in the corpus")
-	shrinkTop := fs.Int("shrink-top", 2, "top scenarios to shrink into minimal repros")
+	shrinkTop := fs.Int("shrink-top", 2, "top scenarios to shrink into minimal repros (0 = none)")
 	shrinkBudget := fs.Int("shrink", fuzzing.DefaultHuntShrinkBudget, "max evaluation runs per shrink")
 	prof := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -41,6 +41,17 @@ func runHunt(args []string, out io.Writer) (err error) {
 	defer stopProfiles(&err)
 	if *gens <= 0 || *pop <= 1 {
 		return fmt.Errorf("-gens must be positive and -pop at least 2, got %d and %d", *gens, *pop)
+	}
+	switch {
+	case *keep < 1:
+		return fmt.Errorf("-keep must be at least 1, got %d", *keep)
+	case *shrinkTop < 0:
+		return fmt.Errorf("-shrink-top must be non-negative, got %d", *shrinkTop)
+	case *shrinkBudget < 1:
+		return fmt.Errorf("-shrink must be at least 1, got %d", *shrinkBudget)
+	}
+	if *shrinkTop == 0 {
+		*shrinkTop = -1 // HuntConfig reads 0 as its default of 2
 	}
 
 	report := fuzzing.Hunt(fuzzing.HuntConfig{

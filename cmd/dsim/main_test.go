@@ -76,6 +76,11 @@ func TestNegativeFlagsRejected(t *testing.T) {
 		{runSweep, []string{"-warmup", "-1"}, "-warmup"},
 		{runSweep, []string{"-attack", "-1"}, "-attack"},
 		{runSweep, []string{"-workers", "-2", "-dur", "1"}, "-workers"},
+		{runFuzz, []string{"-n", "1", "-shrink", "-1"}, "-shrink"},
+		{runHunt, []string{"-gens", "1", "-pop", "2", "-shrink-top", "-1"}, "-shrink-top"},
+		{runHunt, []string{"-gens", "1", "-pop", "2", "-keep", "0"}, "-keep"},
+		{runHunt, []string{"-gens", "1", "-pop", "2", "-shrink", "0"}, "-shrink"},
+		{runHunt, []string{"-gens", "1", "-pop", "2", "-shrink", "-3"}, "-shrink"},
 	}
 	for _, tc := range cases {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
@@ -361,6 +366,25 @@ func TestFuzzReproReplay(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "suppression-oracle") {
 		t.Errorf("violations not printed:\n%s", buf.String())
+	}
+}
+
+// -shrink-top 0 shrinks nothing; HuntConfig would read a literal 0 as its
+// default of two.
+func TestHuntShrinkTopZero(t *testing.T) {
+	var buf bytes.Buffer
+	if err := runHunt([]string{"-gens", "1", "-pop", "2", "-workers", "1", "-shrink-top", "0", "-json"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	var report fuzzing.HuntReport
+	if err := json.Unmarshal(buf.Bytes(), &report); err != nil {
+		t.Fatalf("non-JSON report: %v\n%s", err, buf.String())
+	}
+	if len(report.Scenarios) == 0 {
+		t.Fatal("report has no scenarios")
+	}
+	if strings.Contains(buf.String(), `"shrunk"`) {
+		t.Errorf("-shrink-top 0 shrank a scenario:\n%s", buf.String())
 	}
 }
 

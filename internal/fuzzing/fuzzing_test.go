@@ -1,8 +1,10 @@
 package fuzzing
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -264,18 +266,7 @@ func TestShrinkMinimizesAcrossProtocolSwaps(t *testing.T) {
 // candidate passes — the shrinker must instead halve the membership all the
 // way down to one.
 func TestShrinkCollapsesCohortToSmallestCount(t *testing.T) {
-	sp := Spec{
-		Seed:        9,
-		Protocol:    "flid-dl",
-		Topology:    TopoSpec{Kind: "dumbbell", CapacitiesBps: []int64{600_000}},
-		DurationSec: 10,
-		Sessions: []SessionSpec{{
-			Receivers: []ReceiverSpec{{Attacker: true}},
-			Cohorts:   []int{100_000},
-		}},
-		Events: []EventSpec{{Kind: EvOnset, AtSec: 2, Session: 1, Receiver: 1}},
-		Oracle: &OracleSpec{Session: 1, FromSec: 6, Factor: 1.25, FloorKbps: 30},
-	}
+	sp := cohortSpec()
 	if out := Run(sp, nil); !out.Failed() {
 		t.Fatalf("cohort under attack did not trip the oracle: %+v", out)
 	}
@@ -292,6 +283,104 @@ func TestShrinkCollapsesCohortToSmallestCount(t *testing.T) {
 	}
 	if re := Run(shrunk, nil); !re.Failed() || re.Fingerprint != out.Fingerprint {
 		t.Fatalf("collapsed repro does not replay: pass=%v", re.Pass)
+	}
+}
+
+// cohortSpec is an attack whose only honest population is one cohort.
+func cohortSpec() Spec {
+	return Spec{
+		Seed:        9,
+		Protocol:    "flid-dl",
+		Topology:    TopoSpec{Kind: "dumbbell", CapacitiesBps: []int64{600_000}},
+		DurationSec: 10,
+		Sessions: []SessionSpec{{
+			Receivers: []ReceiverSpec{{Attacker: true}},
+			Cohorts:   []int{100_000},
+		}},
+		Events: []EventSpec{{Kind: EvOnset, AtSec: 2, Session: 1, Receiver: 1}},
+		Oracle: &OracleSpec{Session: 1, FromSec: 6, Factor: 1.25, FloorKbps: 30},
+	}
+}
+
+// TestShrinkOutputsPinned pins what both shrinkers return, byte for byte:
+// the sha256 of the shrunk spec's JSON and of its Outcome or HuntEval JSON.
+// The small budgets run out in the middle of a pass; at budget 6 the hunt
+// reaches its shrunk spec only because candidates that lost the oracle
+// are rejected without spending budget. The values were recorded before
+// Shrink and ShrinkHunt shared one walk.
+func TestShrinkOutputsPinned(t *testing.T) {
+	dsc := failingSpec()
+	dsc.Protocol = "dsc"
+	hunt, _ := bestHuntSpec()
+	shrink := func(sp Spec, budget int) func() (Spec, any) {
+		return func() (Spec, any) { return Shrink(sp, budget) }
+	}
+	shrinkHunt := func(sp Spec, budget int) func() (Spec, any) {
+		return func() (Spec, any) { return ShrinkHunt(sp, budget) }
+	}
+	cases := []struct {
+		name      string
+		shrink    func() (Spec, any)
+		spec, out string
+	}{
+		{
+			"failing/0", shrink(failingSpec(), 0),
+			"e9afc42e058383a812c46b0d89b162ed88a17e7d3f27f67038fee807ee042811",
+			"494e2f437933953264500551c9e096a6e4afc01fe9d423fefae5d93f05a527ee",
+		},
+		{
+			"failing/5", shrink(failingSpec(), 5),
+			"e79ae5181cc47ada183735ffd3a191126388b988b3a7a89247cb3cee3f61b7b5",
+			"e15842bc9008b1ad9fb043bb87975f6917b2fbd8cbb09faca9cec5aede148c5c",
+		},
+		{
+			"dsc/0", shrink(dsc, 0),
+			"e9afc42e058383a812c46b0d89b162ed88a17e7d3f27f67038fee807ee042811",
+			"494e2f437933953264500551c9e096a6e4afc01fe9d423fefae5d93f05a527ee",
+		},
+		{
+			"dsc/9", shrink(dsc, 9),
+			"e57dade920c7f3b9033a73c79d218c3465c4ce9d074d4d3b23ad1b58eedc7473",
+			"6d37c4ad3062a2d4b84fcfdf6ed61ab1a9687e3cc02cc1a08041c42c1332e5db",
+		},
+		{
+			"cohort/0", shrink(cohortSpec(), 0),
+			"53ba81aeafe8d57f6de96ccbb406a5661d3a5a345c22617e608a358ce70eb9d1",
+			"605182a2150bb5edd3f7d334c2c3d0220f096698a38e0912bb4c819f507880f9",
+		},
+		{
+			"hunt/40", shrinkHunt(hunt, 40),
+			"536238716406ca8f513313de51df56a5d60dc9db4af9ed6f3af6e54330f76fae",
+			"8bd5d0157a7e47e346e58773e81f7cbf8d43cbcb8f004defb567572946bd297a",
+		},
+		{
+			"hunt/7", shrinkHunt(hunt, 7),
+			"536238716406ca8f513313de51df56a5d60dc9db4af9ed6f3af6e54330f76fae",
+			"8bd5d0157a7e47e346e58773e81f7cbf8d43cbcb8f004defb567572946bd297a",
+		},
+		{
+			"hunt/6", shrinkHunt(hunt, 6),
+			"536238716406ca8f513313de51df56a5d60dc9db4af9ed6f3af6e54330f76fae",
+			"8bd5d0157a7e47e346e58773e81f7cbf8d43cbcb8f004defb567572946bd297a",
+		},
+	}
+	digest := func(v any) string {
+		js, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%x", sha256.Sum256(js))
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sp, out := tc.shrink()
+			if got := digest(sp); got != tc.spec {
+				t.Errorf("shrunk spec sha256 %s, want %s", got, tc.spec)
+			}
+			if got := digest(out); got != tc.out {
+				t.Errorf("outcome sha256 %s, want %s", got, tc.out)
+			}
+		})
 	}
 }
 
@@ -330,6 +419,20 @@ func TestReadBareSpec(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r.Spec, failingSpec()) {
 		t.Fatalf("bare spec mangled: %+v", r.Spec)
+	}
+}
+
+// A file that is neither a repro nor a spec is an error naming the file,
+// not an empty repro that fails for an unrelated reason when replayed.
+func TestReadReproRejectsNonRepro(t *testing.T) {
+	for _, body := range []string{`{}`, `{"spec":{}}`} {
+		path := filepath.Join(t.TempDir(), "empty.json")
+		if err := writeFile(path, []byte(body)); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := ReadRepro(path); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: ReadRepro = %+v, %v; want an error naming the file", body, r, err)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"deltasigma"
-	"deltasigma/internal/campaign"
 	"deltasigma/internal/sim"
 )
 
@@ -557,20 +556,8 @@ func EvaluateAdvantage(sp Spec, pool *deltasigma.PacketPool) (ev HuntEval) {
 		ev.Err = "hunt spec has no oracle window"
 		return ev
 	}
-	opts, err := sp.Options()
+	exp, err := sp.build(pool)
 	if err != nil {
-		ev.Err = err.Error()
-		return ev
-	}
-	if pool != nil {
-		opts = append(opts, deltasigma.WithPacketPool(pool))
-	}
-	exp, err := deltasigma.New(opts...)
-	if err != nil {
-		ev.Err = err.Error()
-		return ev
-	}
-	if err := sp.Wire(exp); err != nil {
 		ev.Err = err.Error()
 		return ev
 	}
@@ -586,24 +573,9 @@ func EvaluateAdvantage(sp Spec, pool *deltasigma.PacketPool) (ev HuntEval) {
 // evalAll measures a population on the campaign worker pool, results
 // stored by index — worker-count-independent like Campaign.
 func evalAll(specs []Spec, workers int) []HuntEval {
-	evals := make([]HuntEval, len(specs))
-	if len(specs) == 0 {
-		return evals
-	}
-	pools := make([]*deltasigma.PacketPool, campaign.EffectiveWorkers(len(specs), workers))
-	for i := range pools {
-		pools[i] = &deltasigma.PacketPool{}
-	}
-	errs := campaign.Run(len(specs), workers, func(w, i int) error {
-		evals[i] = EvaluateAdvantage(specs[i], pools[w])
-		return nil
-	})
-	for i, err := range errs {
-		if err != nil {
-			evals[i] = HuntEval{Err: err.Error()}
-		}
-	}
-	return evals
+	return fanOut(len(specs), workers,
+		func(i int, pool *deltasigma.PacketPool) HuntEval { return EvaluateAdvantage(specs[i], pool) },
+		func(_ int, err error) HuntEval { return HuntEval{Err: err.Error()} })
 }
 
 // evalUnseen measures a population like evalAll, but runs each spec
@@ -780,7 +752,23 @@ func directedChildren(best Spec) []Spec {
 	}
 	repairHunt(&capUp)
 
-	press := clone(best) // full-pressure attack: forge everywhere, from the start
+	press := pressed(best)
+	both := pressed(capUp)
+
+	tall := clone(both) // taller schedule: more rate at the top to take
+	if tall.Groups == 0 {
+		tall.Groups = 10
+	}
+	tall.Groups++
+	repairHunt(&tall)
+
+	return []Spec{capUp, press, both, tall}
+}
+
+// pressed is the full-pressure variant of sp: every attacker forges, every
+// onset fires at 1 s.
+func pressed(sp Spec) Spec {
+	press := clone(sp)
 	for si := range press.Sessions {
 		for ri := range press.Sessions[si].Receivers {
 			if press.Sessions[si].Receivers[ri].Attacker {
@@ -794,30 +782,7 @@ func directedChildren(best Spec) []Spec {
 		}
 	}
 	repairHunt(&press)
-
-	both := clone(capUp)
-	for si := range both.Sessions {
-		for ri := range both.Sessions[si].Receivers {
-			if both.Sessions[si].Receivers[ri].Attacker {
-				both.Sessions[si].Receivers[ri].Strategy = "forging"
-			}
-		}
-	}
-	for i := range both.Events {
-		if both.Events[i].Kind == EvOnset {
-			both.Events[i].AtSec = 1
-		}
-	}
-	repairHunt(&both)
-
-	tall := clone(both) // taller schedule: more rate at the top to take
-	if tall.Groups == 0 {
-		tall.Groups = 10
-	}
-	tall.Groups++
-	repairHunt(&tall)
-
-	return []Spec{capUp, press, both, tall}
+	return press
 }
 
 // specFingerprint digests a spec alone (no outcome), keying the archive.
@@ -969,12 +934,13 @@ func RandomBaseline(seed uint64, n, workers int) HuntEval {
 	return best
 }
 
-// ShrinkHunt greedily minimizes a hunt scenario under the fitness rule:
-// every accepted candidate must retain at least HuntShrinkSlack of the
-// original advantage (where the invariant shrinker demands the same
+// ShrinkHunt greedily minimizes a hunt scenario with Shrink's walk under
+// the fitness rule: every accepted candidate must retain at least
+// HuntShrinkSlack of the original advantage (where Shrink demands the same
 // failure key). Candidates whose repair loses the oracle or that fail to
-// build are rejected outright. Returns the smallest accepted spec and its
-// measured eval; budget 0 means DefaultHuntShrinkBudget.
+// build are rejected outright, and the walk neither swaps the protocol nor
+// halves the duration. Returns the smallest accepted spec and its measured
+// eval; budget 0 means DefaultHuntShrinkBudget.
 func ShrinkHunt(spec Spec, budget int) (Spec, HuntEval) {
 	if budget <= 0 {
 		budget = DefaultHuntShrinkBudget
@@ -984,76 +950,10 @@ func ShrinkHunt(spec Spec, budget int) (Spec, HuntEval) {
 		return spec, best
 	}
 	floor := best.Fitness * HuntShrinkSlack
-	runs := 1
-	// Evals by spec fingerprint: a pass often re-proposes a candidate an
-	// earlier pass rejected. A repeat still spends budget, so the shrink
-	// takes the same path it would re-evaluating.
-	memo := map[string]HuntEval{specFingerprint(spec): best}
-	try := func(cand Spec) (HuntEval, bool) {
-		if runs >= budget || cand.Oracle == nil {
-			return HuntEval{}, false
-		}
-		runs++
-		fp := specFingerprint(cand)
-		ev, ok := memo[fp]
-		if !ok {
-			ev = EvaluateAdvantage(cand, nil)
-			memo[fp] = ev
-		}
-		return ev, ev.Err == "" && ev.Fitness >= floor
-	}
-
-	for pass := 0; pass < 6; pass++ {
-		shrunk := false
-
-		// Drop events, last to first.
-		for i := len(spec.Events) - 1; i >= 0; i-- {
-			cand := clone(spec)
-			cand.Events = append(cand.Events[:i], cand.Events[i+1:]...)
-			if ev, ok := try(cand); ok {
-				spec, best, shrunk = cand, ev, true
-			}
-		}
-
-		// Drop receivers, attackers last.
-		for si := range spec.Sessions {
-			for ri := len(spec.Sessions[si].Receivers) - 1; ri >= 0; ri-- {
-				cand := removeReceiver(spec, si, ri)
-				if ev, ok := try(cand); ok {
-					spec, best, shrunk = cand, ev, true
-				}
-			}
-		}
-
-		// Drop cross traffic.
-		for spec.TCP > 0 {
-			cand := clone(spec)
-			cand.TCP--
-			ev, ok := try(cand)
-			if !ok {
-				break
-			}
-			spec, best, shrunk = cand, ev, true
-		}
-		if spec.CBRFraction > 0 {
-			cand := clone(spec)
-			cand.CBRFraction = 0
-			if ev, ok := try(cand); ok {
-				spec, best, shrunk = cand, ev, true
-			}
-		}
-
-		// Drop extra sessions.
-		for si := len(spec.Sessions) - 1; si >= 1; si-- {
-			cand := removeSession(spec, si)
-			if ev, ok := try(cand); ok {
-				spec, best, shrunk = cand, ev, true
-			}
-		}
-
-		if !shrunk || runs >= budget {
-			break
-		}
-	}
-	return spec, best
+	return shrinkWalk(spec, best, budget, shrinkRule[HuntEval]{
+		eval:       func(sp Spec) HuntEval { return EvaluateAdvantage(sp, nil) },
+		accept:     func(ev HuntEval) bool { return ev.Err == "" && ev.Fitness >= floor },
+		passes:     6,
+		needOracle: true,
+	})
 }

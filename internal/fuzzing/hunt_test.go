@@ -84,19 +84,25 @@ func TestHuntGenBestMonotone(t *testing.T) {
 	}
 }
 
+// bestHuntSpec returns the fittest of GenerateHunt(1..30) and its eval.
+func bestHuntSpec() (Spec, HuntEval) {
+	var spec Spec
+	var best HuntEval
+	for seed := uint64(1); seed <= 30; seed++ {
+		sp := GenerateHunt(seed)
+		if ev := EvaluateAdvantage(sp, nil); ev.Err == "" && ev.Fitness > best.Fitness {
+			spec, best = sp, ev
+		}
+	}
+	return spec, best
+}
+
 // TestShrinkHuntPreservesFitness pins the shrinker's hunt rule: the
 // minimized spec must retain at least HuntShrinkSlack of the original
 // advantage (where the invariant shrinker instead demands an identical
 // failure key), and must never grow.
 func TestShrinkHuntPreservesFitness(t *testing.T) {
-	var spec Spec
-	var orig HuntEval
-	for seed := uint64(1); seed <= 30; seed++ {
-		sp := GenerateHunt(seed)
-		if ev := EvaluateAdvantage(sp, nil); ev.Err == "" && ev.Fitness > orig.Fitness {
-			spec, orig = sp, ev
-		}
-	}
+	spec, orig := bestHuntSpec()
 	if orig.Fitness <= 0 {
 		t.Fatal("no seed in 1..30 produced positive advantage to shrink")
 	}

@@ -62,12 +62,6 @@ func Run(spec Spec, pool *deltasigma.PacketPool) (out Outcome) {
 		}
 	}()
 
-	opts, err := spec.Options()
-	if err != nil {
-		out.Err = err.Error()
-		out.Fingerprint = fingerprint(specJSON, []byte(out.Err))
-		return out
-	}
 	auditOpts := []deltasigma.AuditOption{deltasigma.AuditEvery(AuditInterval)}
 	if o := spec.Oracle; o != nil {
 		auditOpts = append(auditOpts, deltasigma.AuditSuppression(deltasigma.SuppressionOracle{
@@ -77,17 +71,8 @@ func Run(spec Spec, pool *deltasigma.PacketPool) (out Outcome) {
 			FloorKbps: o.FloorKbps,
 		}))
 	}
-	opts = append(opts, deltasigma.WithAudit(auditOpts...))
-	if pool != nil {
-		opts = append(opts, deltasigma.WithPacketPool(pool))
-	}
-	exp, err := deltasigma.New(opts...)
+	exp, err := spec.build(pool, deltasigma.WithAudit(auditOpts...))
 	if err != nil {
-		out.Err = err.Error()
-		out.Fingerprint = fingerprint(specJSON, []byte(out.Err))
-		return out
-	}
-	if err := spec.Wire(exp); err != nil {
 		out.Err = err.Error()
 		out.Fingerprint = fingerprint(specJSON, []byte(out.Err))
 		return out
@@ -106,6 +91,24 @@ func Run(spec Spec, pool *deltasigma.PacketPool) (out Outcome) {
 	return out
 }
 
+// build turns a spec into a wired experiment: its options, then extra,
+// then pool when it is non-nil.
+func (sp Spec) build(pool *deltasigma.PacketPool, extra ...deltasigma.Option) (*deltasigma.Experiment, error) {
+	opts, err := sp.Options()
+	if err != nil {
+		return nil, err
+	}
+	opts = append(opts, extra...)
+	if pool != nil {
+		opts = append(opts, deltasigma.WithPacketPool(pool))
+	}
+	exp, err := deltasigma.New(opts...)
+	if err != nil {
+		return nil, err
+	}
+	return exp, sp.Wire(exp)
+}
+
 // fingerprint digests the spec and the run's typed result into 16 hex
 // characters (FNV-1a 64).
 func fingerprint(specJSON, resultJSON []byte) string {
@@ -121,27 +124,34 @@ func fingerprint(specJSON, resultJSON []byte) string {
 // are indexed by seed offset, and each worker reuses one packet pool across
 // its runs, so the returned slice is byte-identical for any worker count.
 func Campaign(start uint64, n, workers int) []Outcome {
-	outs := make([]Outcome, n)
+	return fanOut(n, workers,
+		func(i int, pool *deltasigma.PacketPool) Outcome { return Run(Generate(start+uint64(i)), pool) },
+		func(i int, err error) Outcome { return Outcome{Seed: start + uint64(i), Err: err.Error()} })
+}
+
+// fanOut runs job(i, pool) for i in 0..n-1 on the campaign worker pool,
+// each worker reusing one packet pool, and stores results by index. A
+// panic the job does not recover itself (generation, slice bookkeeping)
+// becomes failed(i, err), never a zero value misattributed to index 0.
+func fanOut[T any](n, workers int, job func(i int, pool *deltasigma.PacketPool) T, failed func(i int, err error) T) []T {
+	out := make([]T, n)
 	if n <= 0 {
-		return outs
+		return out
 	}
 	pools := make([]*deltasigma.PacketPool, campaign.EffectiveWorkers(n, workers))
 	for i := range pools {
 		pools[i] = &deltasigma.PacketPool{}
 	}
 	errs := campaign.Run(n, workers, func(w, i int) error {
-		outs[i] = Run(Generate(start+uint64(i)), pools[w])
+		out[i] = job(i, pools[w])
 		return nil
 	})
-	// Run recovers panics itself, but the pool also contains panics raised
-	// outside it (Generate, slice bookkeeping); without this backfill such
-	// a job would leave a zero Outcome misattributed to seed 0.
 	for i, err := range errs {
 		if err != nil {
-			outs[i] = Outcome{Seed: start + uint64(i), Err: err.Error()}
+			out[i] = failed(i, err)
 		}
 	}
-	return outs
+	return out
 }
 
 // Summary is one line of the fuzz corpus digest — what the golden file
@@ -181,7 +191,8 @@ func WriteRepro(path string, r Repro) error {
 }
 
 // ReadRepro loads a repro file. A bare Spec (hand-written reproducer) is
-// accepted alongside the full Repro shape the fuzzer writes.
+// accepted alongside the full Repro shape the fuzzer writes; a file in
+// which neither shape has a session is an error.
 func ReadRepro(path string) (Repro, error) {
 	js, err := os.ReadFile(path)
 	if err != nil {
@@ -192,9 +203,9 @@ func ReadRepro(path string) (Repro, error) {
 		return Repro{}, fmt.Errorf("%s: %w", path, err)
 	}
 	if len(r.Spec.Sessions) == 0 {
-		var sp Spec
-		if err := json.Unmarshal(js, &sp); err == nil && len(sp.Sessions) > 0 {
-			r = Repro{Spec: sp}
+		r = Repro{}
+		if err := json.Unmarshal(js, &r.Spec); err != nil || len(r.Spec.Sessions) == 0 {
+			return Repro{}, fmt.Errorf("%s: neither a repro nor a spec: no sessions", path)
 		}
 	}
 	return r, nil

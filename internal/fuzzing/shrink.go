@@ -45,17 +45,11 @@ var shrinkProtocols = []string{
 	"flid-ds", "flid-ds-threshold", "flid-ds-replicated",
 }
 
-// Shrink greedily minimizes a failing spec: it tries dropping timeline
-// events, receivers, cross traffic and whole sessions one element at a
-// time — plus swapping the protocol toward the plainest variant and
-// halving the duration — re-running each candidate and keeping any that
-// still fails. The result is the smallest spec the greedy walk
-// reaches within budget (0 = DefaultShrinkBudget), together with its
-// outcome; if the input spec does not actually fail it is returned as-is.
-//
-// Shrinking preserves validity: removing a receiver drops the events that
-// referenced it and renumbers the rest, and removing a session does the
-// same for session indices and the oracle.
+// Shrink greedily minimizes a failing spec with shrinkWalk, keeping a
+// candidate only when it fails with the original failure key. It returns
+// the smallest spec the walk reaches within budget (0 =
+// DefaultShrinkBudget) and its outcome; a spec that does not fail is
+// returned as-is.
 func Shrink(spec Spec, budget int) (Spec, Outcome) {
 	if budget <= 0 {
 		budget = DefaultShrinkBudget
@@ -65,38 +59,81 @@ func Shrink(spec Spec, budget int) (Spec, Outcome) {
 		return spec, out
 	}
 	key := failureKey(out)
-	runs := 1
-	try := func(cand Spec) (Outcome, bool) {
-		if runs >= budget {
-			return Outcome{}, false
+	return shrinkWalk(spec, out, budget, shrinkRule[Outcome]{
+		eval:    func(sp Spec) Outcome { return Run(sp, nil) },
+		accept:  func(o Outcome) bool { return o.Failed() && failureKey(o) == key },
+		passes:  8,
+		reshape: true,
+	})
+}
+
+// shrinkRule sets one shrinker apart from the other: eval measures a
+// candidate and accept decides whether it replaces the spec; passes caps
+// the walk; reshape allows the protocol-swap and duration-halving moves;
+// needOracle rejects a candidate that lost its oracle before it spends
+// budget.
+type shrinkRule[R any] struct {
+	eval                func(Spec) R
+	accept              func(R) bool
+	passes              int
+	reshape, needOracle bool
+}
+
+// shrinkWalk is the greedy walk both shrinkers share. Each pass tries, in
+// order: dropping events (last first), receivers (attackers last),
+// cohorts (halving one it cannot drop), TCP competitors and CBR traffic;
+// swapping to a plainer protocol; dropping sessions; halving the duration.
+// An accepted candidate replaces spec at once. The walk stops after a pass
+// that accepted nothing or once budget candidate runs, counting the
+// original, are spent. Candidates are memoised by spec fingerprint, since
+// a pass often re-proposes one an earlier pass rejected; a repeat still
+// spends budget, so memoising never changes where the walk ends.
+//
+// Every move keeps the spec valid: removing a receiver drops the events
+// that referenced it and renumbers the rest, and removing a session does
+// the same for session indices and the oracle.
+func shrinkWalk[R any](spec Spec, out R, budget int, rule shrinkRule[R]) (Spec, R) {
+	runs, shrunk := 1, false
+	memo := map[string]R{specFingerprint(spec): out}
+	try := func(cand Spec) bool {
+		if runs >= budget || (rule.needOracle && cand.Oracle == nil) {
+			return false
 		}
 		runs++
-		o := Run(cand, nil)
-		return o, o.Failed() && failureKey(o) == key
+		fp := specFingerprint(cand)
+		r, ok := memo[fp]
+		if !ok {
+			r = rule.eval(cand)
+			memo[fp] = r
+		}
+		if !rule.accept(r) {
+			return false
+		}
+		spec, out, shrunk = cand, r, true
+		return true
+	}
+	// edit tries a copy of spec changed by f.
+	edit := func(f func(*Spec)) bool {
+		cand := clone(spec)
+		f(&cand)
+		return try(cand)
 	}
 
-	for pass := 0; pass < 8; pass++ {
-		shrunk := false
+	for pass := 0; pass < rule.passes; pass++ {
+		shrunk = false
 
 		// Drop events, last to first (later events depend on earlier ones
 		// more often than the reverse — an up after a down, a stop after an
 		// onset).
 		for i := len(spec.Events) - 1; i >= 0; i-- {
-			cand := clone(spec)
-			cand.Events = append(cand.Events[:i], cand.Events[i+1:]...)
-			if o, failed := try(cand); failed {
-				spec, out, shrunk = cand, o, true
-			}
+			edit(func(c *Spec) { c.Events = append(c.Events[:i], c.Events[i+1:]...) })
 		}
 
 		// Drop receivers (attackers last, so the scenario keeps its shape
 		// for as long as possible).
 		for si := range spec.Sessions {
 			for ri := len(spec.Sessions[si].Receivers) - 1; ri >= 0; ri-- {
-				cand := removeReceiver(spec, si, ri)
-				if o, failed := try(cand); failed {
-					spec, out, shrunk = cand, o, true
-				}
+				try(removeReceiver(spec, si, ri))
 			}
 		}
 
@@ -106,39 +143,19 @@ func Shrink(spec Spec, budget int) (Spec, Outcome) {
 		// that survives at one member is reported at one member.
 		for si := range spec.Sessions {
 			for ci := len(spec.Sessions[si].Cohorts) - 1; ci >= 0; ci-- {
-				cand := removeCohort(spec, si, ci)
-				if o, failed := try(cand); failed {
-					spec, out, shrunk = cand, o, true
+				if try(removeCohort(spec, si, ci)) {
 					continue
 				}
-				for spec.Sessions[si].Cohorts[ci] > 1 {
-					cand := clone(spec)
-					cand.Sessions[si].Cohorts[ci] /= 2
-					o, failed := try(cand)
-					if !failed {
-						break
-					}
-					spec, out, shrunk = cand, o, true
+				for spec.Sessions[si].Cohorts[ci] > 1 && edit(func(c *Spec) { c.Sessions[si].Cohorts[ci] /= 2 }) {
 				}
 			}
 		}
 
 		// Drop cross traffic.
-		for spec.TCP > 0 {
-			cand := clone(spec)
-			cand.TCP--
-			o, failed := try(cand)
-			if !failed {
-				break
-			}
-			spec, out, shrunk = cand, o, true
+		for spec.TCP > 0 && edit(func(c *Spec) { c.TCP-- }) {
 		}
 		if spec.CBRFraction > 0 {
-			cand := clone(spec)
-			cand.CBRFraction = 0
-			if o, failed := try(cand); failed {
-				spec, out, shrunk = cand, o, true
-			}
+			edit(func(c *Spec) { c.CBRFraction = 0 })
 		}
 
 		// Swap toward a plainer protocol that still reproduces. Candidates
@@ -146,32 +163,22 @@ func Shrink(spec Spec, budget int) (Spec, Outcome) {
 		// cohorts on a protocol with no layered aggregate — fail with a
 		// different key and are rejected, so validity needs no special care.
 		for _, name := range shrinkProtocols {
-			if name == spec.Protocol {
-				break // already at an equally plain or plainer variant
+			if !rule.reshape || name == spec.Protocol {
+				break // no swaps, or already at an equally plain or plainer variant
 			}
-			cand := clone(spec)
-			cand.Protocol = name
-			if o, failed := try(cand); failed {
-				spec, out, shrunk = cand, o, true
+			if edit(func(c *Spec) { c.Protocol = name }) {
 				break
 			}
 		}
 
 		// Drop whole sessions.
 		for si := len(spec.Sessions) - 1; si >= 0 && len(spec.Sessions) > 1; si-- {
-			cand := removeSession(spec, si)
-			if o, failed := try(cand); failed {
-				spec, out, shrunk = cand, o, true
-			}
+			try(removeSession(spec, si))
 		}
 
 		// Halve the duration (down to 2 s).
-		if spec.DurationSec > 4 {
-			cand := clone(spec)
-			cand.DurationSec = round3(cand.DurationSec / 2)
-			if o, failed := try(cand); failed {
-				spec, out, shrunk = cand, o, true
-			}
+		if rule.reshape && spec.DurationSec > 4 {
+			edit(func(c *Spec) { c.DurationSec = round3(c.DurationSec / 2) })
 		}
 
 		if !shrunk || runs >= budget {
