@@ -20,10 +20,10 @@
 // and -flap.
 //
 // The `sweep` subcommand runs a whole campaign — the cartesian product of
-// protocol/topology/receiver/attacker/capacity/slot/delay-spread/churn/
-// attack-onset/flap/seed axes — across all cores, with deterministic
-// merged output (JSON, CSV or a table) that is byte-identical for any
-// -workers value:
+// protocol/topology/receiver/attacker/strategy/cohort/capacity/slot/
+// delay-spread/churn/attack-onset/flap/seed axes — across all cores, with
+// deterministic merged output (JSON, CSV or a table) that is byte-identical
+// for any -workers value:
 //
 //	go run ./cmd/dsim sweep -protocols flid-dl,flid-ds -receivers 1,4,16,64 -attackers 0,1,2 -dur 30
 //	go run ./cmd/dsim sweep -protocols flid-ds -churns 0,0.5,2 -flaps 0,10 -dur 60
@@ -66,7 +66,6 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"strings"
 
 	"deltasigma"
 )
@@ -290,17 +289,18 @@ func run(args []string, out io.Writer) (err error) {
 // parseCaps parses the comma-separated -capacity list, defaulting to one
 // bottleneck of fallback bits/s.
 func parseCaps(s string, fallback int64) ([]int64, error) {
-	if s == "" {
-		return []int64{fallback}, nil
+	caps, err := parseList(s, parseCap)
+	if err == nil && len(caps) == 0 {
+		caps = []int64{fallback}
 	}
-	parts := strings.Split(s, ",")
-	out := make([]int64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad capacity %q", p)
-		}
-		out = append(out, v)
+	return caps, err
+}
+
+// parseCap parses one positive bottleneck capacity in bits/s.
+func parseCap(s string) (int64, error) {
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err != nil || v <= 0 {
+		return 0, fmt.Errorf("bad capacity %q", s)
 	}
-	return out, nil
+	return v, nil
 }

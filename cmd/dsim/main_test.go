@@ -170,18 +170,24 @@ func TestSweepFlagValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"bad topology token", []string{"-topologies", "ring"}, "unknown topology"},
+		{"bad topology token", []string{"-topologies", "ring"}, "-topologies: unknown topology"},
 		{"bad chain count", []string{"-topologies", "chainx"}, "bad topology"},
 		{"bad receivers", []string{"-receivers", "two"}, "-receivers"},
 		{"bad cohorts", []string{"-cohorts", "many"}, "-cohorts"},
 		{"negative cohorts", []string{"-cohorts", "-5", "-dur", "1"}, "negative"},
-		{"bad seeds", []string{"-seeds", "x"}, "-seeds"},
+		{"bad seeds", []string{"-seeds", "x"}, `-seeds: bad seed "x"`},
 		{"unknown protocol axis", []string{"-protocols", "bogus"}, "registered:"},
 		{"unknown strategy axis", []string{"-strategies", "bogus", "-dur", "1"}, "strategy"},
 		{"unknown campaign", []string{"-campaign", "nope"}, "unknown campaign"},
 		{"campaign axis conflict", []string{"-campaign", "churn", "-receivers", "4"}, "no effect with -campaign"},
 		{"campaign cohorts conflict", []string{"-campaign", "million", "-cohorts", "10"}, "no effect with -campaign"},
 		{"campaign strategies conflict", []string{"-campaign", "shootout", "-strategies", "classic"}, "no effect with -campaign"},
+		{"campaign dur conflict", []string{"-campaign", "churn", "-dur", "4"}, "-dur has no effect with -campaign"},
+		{"bad campaign seeds", []string{"-campaign", "churn", "-seeds", "x"}, `-seeds: bad seed "x"`},
+		{"zero capacity", []string{"-capacity", "0", "-dur", "1"}, `-capacity: bad capacity "0"`},
+		{"scale without campaign", []string{"-scale", "0.01", "-protocols", "flid-dl", "-dur", "1", "-csv"}, "-scale has no effect without -campaign"},
+		{"zero scale", []string{"-campaign", "population", "-scale", "0", "-json"}, "-scale must be positive"},
+		{"negative scale", []string{"-campaign", "churn", "-scale", "-0.5"}, "-scale must be positive"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -19,19 +19,10 @@ func runSweep(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("dsim sweep", flag.ContinueOnError)
 	camp := fs.String("campaign", "", "run a canned campaign (see -list) instead of an ad-hoc grid")
 	scale := fs.Float64("scale", 1, "duration scale for canned campaigns (1 = full length)")
-	protocols := fs.String("protocols", "flid-ds", "comma-separated protocol axis")
-	topologies := fs.String("topologies", "dumbbell", "comma-separated topology axis: dumbbell, chain<N> or star<N>")
-	receivers := fs.String("receivers", "1", "comma-separated well-behaved receiver counts")
-	attackers := fs.String("attackers", "0", "comma-separated attacker counts")
-	strategies := fs.String("strategies", "", "comma-separated attacker strategy axis: classic, colluding, adaptive, forging (empty = classic)")
-	cohorts := fs.String("cohorts", "", "comma-separated aggregated cohort member counts (0 = exact receivers only)")
-	capacity := fs.String("capacity", "1000000", "comma-separated bottleneck bits/s axis")
-	slots := fs.String("slots", "", "comma-separated slot durations in ms (empty = protocol default)")
-	spreads := fs.String("spreads", "", "comma-separated access-delay spreads in ms")
-	churns := fs.String("churns", "", "comma-separated Poisson churn rates in toggles/s (empty = static membership)")
-	attackAts := fs.String("attackats", "", "comma-separated attacker onset times in seconds (empty = -attack)")
-	flaps := fs.String("flaps", "", "comma-separated bottleneck flap periods in seconds (empty = stable links)")
-	seeds := fs.String("seeds", "1", "comma-separated seed replicas")
+	axes := make([]*string, len(sweepAxisFlags))
+	for i, f := range sweepAxisFlags {
+		axes[i] = fs.String(f.name, f.def, f.usage)
+	}
 	dur := fs.Float64("dur", 30, "simulated seconds per grid point")
 	warmup := fs.Float64("warmup", 0, "seconds excluded from statistics (0 = dur/10)")
 	attackAt := fs.Float64("attack", 0, "seconds until attackers inflate (0 = dur/4)")
@@ -51,6 +42,12 @@ func runSweep(args []string, out io.Writer) (err error) {
 	if *dur <= 0 {
 		return fmt.Errorf("-dur must be positive, got %g", *dur)
 	}
+	// Durations read a scale at or below 0 as full length, but every
+	// canned campaign reads anything below 1 as its reduced grid, so a
+	// non-positive scale would run a mix of both.
+	if *scale <= 0 {
+		return fmt.Errorf("-scale must be positive, got %g", *scale)
+	}
 	if err := nonNegative(fs, "workers", "warmup", "attack"); err != nil {
 		return err
 	}
@@ -62,38 +59,37 @@ func runSweep(args []string, out io.Writer) (err error) {
 		return nil
 	}
 
-	var sw deltasigma.Sweep
+	secs := func(s float64) deltasigma.Time { return deltasigma.Time(s * float64(deltasigma.Second)) }
+	sw := deltasigma.Sweep{Name: "adhoc", Duration: secs(*dur), Warmup: secs(*warmup), AttackAt: secs(*attackAt)}
 	if *camp != "" {
 		c, ok := scenario.LookupCampaign(*camp)
 		if !ok {
 			return fmt.Errorf("unknown campaign %q (have %v)", *camp, scenario.CampaignNames())
 		}
 		// A canned campaign fixes its own grid; only -scale and -seeds
-		// adjust it. Reject axis flags that would be silently ignored.
-		for _, name := range []string{"protocols", "topologies", "receivers", "attackers", "strategies", "cohorts", "capacity", "slots", "spreads", "churns", "attackats", "flaps", "dur", "warmup", "attack"} {
+		// adjust it. Reject flags that would be silently ignored.
+		for _, name := range []string{"dur", "warmup", "attack"} {
 			if flagWasSet(fs, name) {
-				return fmt.Errorf("-%s has no effect with -campaign (canned campaigns fix their grid; use -scale and -seeds, or drop -campaign for an ad-hoc grid)", name)
+				return errNoCampaignEffect(name)
 			}
 		}
 		opt := scenario.DefaultOptions()
 		opt.Scale = *scale
 		sw = c.Build(opt)
-		if flagWasSet(fs, "seeds") {
-			seedAxis, err := parseUints(*seeds)
-			if err != nil {
-				return err
+	} else if flagWasSet(fs, "scale") {
+		return fmt.Errorf("-scale has no effect without -campaign (it shortens canned campaigns; set -dur for an ad-hoc grid)")
+	}
+	for i, f := range sweepAxisFlags {
+		if *camp != "" {
+			if !flagWasSet(fs, f.name) {
+				continue
 			}
-			sw.Seeds = seedAxis // replicate the canned grid across seeds
+			if f.name != "seeds" {
+				return errNoCampaignEffect(f.name)
+			}
+			// -seeds replicates the canned grid across seeds.
 		}
-	} else {
-		var err error
-		if sw, err = buildSweep(sweepAxes{
-			protocols: *protocols, topologies: *topologies,
-			receivers: *receivers, attackers: *attackers, strategies: *strategies,
-			cohorts: *cohorts, capacity: *capacity, slots: *slots, spreads: *spreads,
-			churns: *churns, attackAts: *attackAts, flaps: *flaps,
-			seeds: *seeds, dur: *dur, warmup: *warmup, attackAt: *attackAt,
-		}); err != nil {
+		if err := f.set(&sw, *axes[i]); err != nil {
 			return err
 		}
 	}
@@ -118,97 +114,77 @@ func runSweep(args []string, out io.Writer) (err error) {
 	}
 }
 
-// sweepAxes bundles the ad-hoc grid flags.
-type sweepAxes struct {
-	protocols, topologies, receivers, attackers string
-	strategies, cohorts, capacity, slots        string
-	spreads, churns, attackAts, flaps           string
-	seeds                                       string
-	dur, warmup, attackAt                       float64
+// errNoCampaignEffect rejects a flag that a canned campaign would ignore.
+func errNoCampaignEffect(name string) error {
+	return fmt.Errorf("-%s has no effect with -campaign (canned campaigns fix their grid; use -scale and -seeds, or drop -campaign for an ad-hoc grid)", name)
 }
 
-// buildSweep assembles an ad-hoc sweep from the axis flags.
-func buildSweep(ax sweepAxes) (deltasigma.Sweep, error) {
-	var sw deltasigma.Sweep
-	sw.Name = "adhoc"
-	sw.Protocols = splitList(ax.protocols)
-	// Validate the protocol axis up front: a typo would otherwise surface
-	// as one opaque failure per grid point instead of a usable message.
-	for _, name := range sw.Protocols {
-		if _, ok := deltasigma.LookupProtocol(name); !ok {
-			return sw, fmt.Errorf("-protocols: unknown protocol %q (registered: %v)", name, deltasigma.Protocols())
-		}
-	}
-	sw.Strategies = splitList(ax.strategies)
-	for _, tok := range splitList(ax.topologies) {
-		spec, err := parseTopologySpec(tok)
+// sweepAxisFlag is the `dsim sweep` flag for one Sweep axis: a
+// comma-separated list that set parses into the axis.
+type sweepAxisFlag struct {
+	name, def, usage string
+	set              func(sw *deltasigma.Sweep, list string) error
+}
+
+// axisFlag makes the flag for the Sweep axis that field picks, parsing
+// each list item with parse and naming the flag in any error.
+func axisFlag[T any](name, def, usage string, parse func(string) (T, error), field func(*deltasigma.Sweep) *[]T) sweepAxisFlag {
+	return sweepAxisFlag{name, def, usage, func(sw *deltasigma.Sweep, list string) error {
+		xs, err := parseList(list, parse)
 		if err != nil {
-			return sw, err
+			return fmt.Errorf("-%s: %w", name, err)
 		}
-		sw.Topologies = append(sw.Topologies, spec)
-	}
-	var err error
-	if sw.Receivers, err = parseInts(ax.receivers); err != nil {
-		return sw, fmt.Errorf("-receivers: %w", err)
-	}
-	if sw.Attackers, err = parseInts(ax.attackers); err != nil {
-		return sw, fmt.Errorf("-attackers: %w", err)
-	}
-	if sw.Cohorts, err = parseInts(ax.cohorts); err != nil {
-		return sw, fmt.Errorf("-cohorts: %w", err)
-	}
-	caps, err := parseCaps(ax.capacity, 1_000_000)
-	if err != nil {
-		return sw, err
-	}
-	sw.Bottlenecks = caps
-	if sw.Slots, err = parseMillis(ax.slots); err != nil {
-		return sw, fmt.Errorf("-slots: %w", err)
-	}
-	if sw.DelaySpreads, err = parseMillis(ax.spreads); err != nil {
-		return sw, fmt.Errorf("-spreads: %w", err)
-	}
-	if sw.ChurnRates, err = parseFloats(ax.churns); err != nil {
-		return sw, fmt.Errorf("-churns: %w", err)
-	}
-	if sw.AttackAts, err = parseSeconds(ax.attackAts); err != nil {
-		return sw, fmt.Errorf("-attackats: %w", err)
-	}
-	if sw.FlapPeriods, err = parseSeconds(ax.flaps); err != nil {
-		return sw, fmt.Errorf("-flaps: %w", err)
-	}
-	seedAxis, err := parseUints(ax.seeds)
-	if err != nil {
-		return sw, fmt.Errorf("-seeds: %w", err)
-	}
-	sw.Seeds = seedAxis
-	sw.Duration = deltasigma.Time(ax.dur * float64(deltasigma.Second))
-	sw.Warmup = deltasigma.Time(ax.warmup * float64(deltasigma.Second))
-	sw.AttackAt = deltasigma.Time(ax.attackAt * float64(deltasigma.Second))
-	return sw, nil
+		*field(sw) = xs
+		return nil
+	}}
+}
+
+// sweepAxisFlags holds one flag per Sweep axis, in the Sweep's axis order.
+var sweepAxisFlags = []sweepAxisFlag{
+	axisFlag("protocols", "flid-ds", "comma-separated protocol axis",
+		parseProtocol, func(sw *deltasigma.Sweep) *[]string { return &sw.Protocols }),
+	axisFlag("topologies", "dumbbell", "comma-separated topology axis: dumbbell, chain<N> or star<N>",
+		parseTopologySpec, func(sw *deltasigma.Sweep) *[]deltasigma.TopologySpec { return &sw.Topologies }),
+	axisFlag("receivers", "1", "comma-separated well-behaved receiver counts",
+		parseInt, func(sw *deltasigma.Sweep) *[]int { return &sw.Receivers }),
+	axisFlag("attackers", "0", "comma-separated attacker counts",
+		parseInt, func(sw *deltasigma.Sweep) *[]int { return &sw.Attackers }),
+	axisFlag("strategies", "", "comma-separated attacker strategy axis: classic, colluding, adaptive, forging (empty = classic)",
+		parseString, func(sw *deltasigma.Sweep) *[]string { return &sw.Strategies }),
+	axisFlag("cohorts", "", "comma-separated aggregated cohort member counts (0 = exact receivers only)",
+		parseInt, func(sw *deltasigma.Sweep) *[]int { return &sw.Cohorts }),
+	axisFlag("capacity", "1000000", "comma-separated bottleneck bits/s axis",
+		parseCap, func(sw *deltasigma.Sweep) *[]int64 { return &sw.Bottlenecks }),
+	axisFlag("slots", "", "comma-separated slot durations in ms (empty = protocol default)",
+		durationIn(deltasigma.Millisecond, "milliseconds"), func(sw *deltasigma.Sweep) *[]deltasigma.Time { return &sw.Slots }),
+	axisFlag("spreads", "", "comma-separated access-delay spreads in ms",
+		durationIn(deltasigma.Millisecond, "milliseconds"), func(sw *deltasigma.Sweep) *[]deltasigma.Time { return &sw.DelaySpreads }),
+	axisFlag("churns", "", "comma-separated Poisson churn rates in toggles/s (empty = static membership)",
+		parseRate, func(sw *deltasigma.Sweep) *[]float64 { return &sw.ChurnRates }),
+	axisFlag("attackats", "", "comma-separated attacker onset times in seconds (empty = -attack)",
+		durationIn(deltasigma.Second, "seconds"), func(sw *deltasigma.Sweep) *[]deltasigma.Time { return &sw.AttackAts }),
+	axisFlag("flaps", "", "comma-separated bottleneck flap periods in seconds (empty = stable links)",
+		durationIn(deltasigma.Second, "seconds"), func(sw *deltasigma.Sweep) *[]deltasigma.Time { return &sw.FlapPeriods }),
+	axisFlag("seeds", "1", "comma-separated seed replicas",
+		parseSeed, func(sw *deltasigma.Sweep) *[]uint64 { return &sw.Seeds }),
 }
 
 // parseTopologySpec maps a CLI token to a TopologySpec: "dumbbell",
 // "chain<N>" or "star<N>".
 func parseTopologySpec(tok string) (deltasigma.TopologySpec, error) {
-	switch {
-	case tok == "dumbbell":
+	if tok == "dumbbell" {
 		return deltasigma.DumbbellSpec(), nil
-	case strings.HasPrefix(tok, "chain"):
-		n, err := strconv.Atoi(tok[len("chain"):])
-		if err != nil || n < 1 {
-			return deltasigma.TopologySpec{}, fmt.Errorf("bad topology %q (want chain<N>)", tok)
-		}
-		return deltasigma.ChainSpec(n), nil
-	case strings.HasPrefix(tok, "star"):
-		n, err := strconv.Atoi(tok[len("star"):])
-		if err != nil || n < 1 {
-			return deltasigma.TopologySpec{}, fmt.Errorf("bad topology %q (want star<N>)", tok)
-		}
-		return deltasigma.StarSpec(n), nil
-	default:
-		return deltasigma.TopologySpec{}, fmt.Errorf("unknown topology %q (dumbbell, chain<N> or star<N>)", tok)
 	}
+	for prefix, spec := range map[string]func(int) deltasigma.TopologySpec{"chain": deltasigma.ChainSpec, "star": deltasigma.StarSpec} {
+		if rest, ok := strings.CutPrefix(tok, prefix); ok {
+			n, err := strconv.Atoi(rest)
+			if err != nil || n < 1 {
+				return deltasigma.TopologySpec{}, fmt.Errorf("bad topology %q (want %s<N>)", tok, prefix)
+			}
+			return spec(n), nil
+		}
+	}
+	return deltasigma.TopologySpec{}, fmt.Errorf("unknown topology %q (dumbbell, chain<N> or star<N>)", tok)
 }
 
 func printSweepTable(res *deltasigma.CampaignResult, workers int, out io.Writer) {
@@ -256,74 +232,67 @@ func flagWasSet(fs *flag.FlagSet, name string) bool {
 	return set
 }
 
-// splitList splits a comma-separated flag, trimming blanks.
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
+// parseList parses every item of a comma-separated flag value, skipping
+// blank items.
+func parseList[T any](list string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, item := range strings.Split(list, ",") {
+		if item = strings.TrimSpace(item); item == "" {
+			continue
 		}
-	}
-	return out
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, p := range splitList(s) {
-		v, err := strconv.Atoi(p)
+		v, err := parse(item)
 		if err != nil {
-			return nil, fmt.Errorf("bad integer %q", p)
+			return nil, err
 		}
 		out = append(out, v)
 	}
 	return out, nil
 }
 
-func parseUints(s string) ([]uint64, error) {
-	var out []uint64
-	for _, p := range splitList(s) {
-		v, err := strconv.ParseUint(p, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad seed %q", p)
-		}
-		out = append(out, v)
+// parseProtocol accepts a registered protocol name: a typo would otherwise
+// surface as one opaque failure per grid point instead of a usable message.
+func parseProtocol(s string) (string, error) {
+	if _, ok := deltasigma.LookupProtocol(s); !ok {
+		return "", fmt.Errorf("unknown protocol %q (registered: %v)", s, deltasigma.Protocols())
 	}
-	return out, nil
+	return s, nil
 }
 
-// parseFloats parses a comma-separated list of non-negative floats.
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, p := range splitList(s) {
-		v, err := strconv.ParseFloat(p, 64)
+// parseString takes the item as it is; the Sweep validates it.
+func parseString(s string) (string, error) { return s, nil }
+
+func parseInt(s string) (int, error) {
+	v, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, fmt.Errorf("bad integer %q", s)
+	}
+	return v, nil
+}
+
+func parseSeed(s string) (uint64, error) {
+	v, err := strconv.ParseUint(s, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad seed %q", s)
+	}
+	return v, nil
+}
+
+func parseRate(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil || v < 0 {
+		return 0, fmt.Errorf("bad rate %q", s)
+	}
+	return v, nil
+}
+
+// durationIn makes the parser of a non-negative duration counted in unit,
+// which what names in errors.
+func durationIn(unit deltasigma.Time, what string) func(string) (deltasigma.Time, error) {
+	return func(s string) (deltasigma.Time, error) {
+		v, err := strconv.ParseFloat(s, 64)
 		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad rate %q", p)
+			return 0, fmt.Errorf("bad duration %q (%s)", s, what)
 		}
-		out = append(out, v)
+		return deltasigma.Time(v * float64(unit)), nil
 	}
-	return out, nil
-}
-
-// parseDurations parses a comma-separated list of durations expressed in
-// the given unit ("seconds"/"milliseconds" names the unit in errors).
-func parseDurations(s, what string, unit deltasigma.Time) ([]deltasigma.Time, error) {
-	var out []deltasigma.Time
-	for _, p := range splitList(s) {
-		v, err := strconv.ParseFloat(p, 64)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad duration %q (%s)", p, what)
-		}
-		out = append(out, deltasigma.Time(v*float64(unit)))
-	}
-	return out, nil
-}
-
-// parseSeconds parses a comma-separated list of second durations.
-func parseSeconds(s string) ([]deltasigma.Time, error) {
-	return parseDurations(s, "seconds", deltasigma.Second)
-}
-
-// parseMillis parses a comma-separated list of millisecond durations.
-func parseMillis(s string) ([]deltasigma.Time, error) {
-	return parseDurations(s, "milliseconds", deltasigma.Millisecond)
 }

@@ -24,6 +24,13 @@ func main() {
 	out := flag.String("out", "results", "output directory for .dat files")
 	only := flag.String("only", "", "comma-separated figure names (e.g. fig1,fig9a)")
 	flag.Parse()
+	// Durations read a scale at or below 0 as full length, but the
+	// Figure 9 axes read anything below 1 as the reduced grid, so a
+	// non-positive scale would run a mix of both.
+	if *scale <= 0 {
+		fmt.Fprintf(os.Stderr, "figures: -scale must be positive, got %g\n", *scale)
+		os.Exit(2)
+	}
 
 	opt := scenario.Options{Scale: *scale, Seed: *seed}
 	if err := os.MkdirAll(*out, 0o755); err != nil {

@@ -8,18 +8,14 @@ package deltasigma
 // runPoint in turn, on one goroutine and without a packet pool. Its JSON is
 // what Run's must equal.
 func (sw Sweep) RunEachPoint() (*CampaignResult, error) {
-	a, err := sw.normalize()
+	g, err := sw.grid()
 	if err != nil {
 		return nil, err
 	}
-	g, err := a.grid()
-	if err != nil {
-		return nil, err
-	}
-	res := &CampaignResult{Name: sw.Name, DurationNs: a.duration}
-	for i := 0; i < g.Size(); i++ {
-		p, spec := a.point(g.Coords(i))
-		r, err := sw.runPoint(a, p, spec, nil)
+	res := &CampaignResult{Name: sw.Name, DurationNs: g.sw.Duration}
+	points, topos := g.points()
+	for i, p := range points {
+		r, err := g.runPoint(p, topos[i], nil)
 		r.Point = p
 		if err != nil {
 			r.Error = err.Error()
@@ -32,16 +28,12 @@ func (sw Sweep) RunEachPoint() (*CampaignResult, error) {
 
 // DistinctRuns counts the experiments Run simulates for sw.
 func (sw Sweep) DistinctRuns() (int, error) {
-	a, err := sw.normalize()
-	if err != nil {
-		return 0, err
-	}
-	g, err := a.grid()
+	g, err := sw.grid()
 	if err != nil {
 		return 0, err
 	}
 	n := 0
-	for i, o := range sw.owners(a, g) {
+	for i, o := range g.owners(g.points()) {
 		if o == i {
 			n++
 		}

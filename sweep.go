@@ -1,10 +1,12 @@
 package deltasigma
 
 import (
+	"cmp"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -218,39 +220,18 @@ func (c *CampaignResult) JSON() ([]byte, error) {
 // WriteCSV renders the campaign as one CSV row per grid point.
 func (c *CampaignResult) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"protocol", "topology", "receivers", "attackers", "strategy", "cohort", "bottleneck_bps",
-		"slot_ms", "delay_spread_ms", "churn_rate", "attack_at_ms", "flap_period_ms", "seed",
-		"good_mean_kbps", "good_p10_kbps", "good_p50_kbps", "good_p90_kbps",
-		"attacker_mean_kbps", "suppression", "utilization", "lost_packets", "error",
-	}); err != nil {
+	row := make([]string, len(csvColumns))
+	for i, col := range csvColumns {
+		row[i] = col.name
+	}
+	if err := cw.Write(row); err != nil {
 		return err
 	}
-	for _, pt := range c.Points {
-		p := pt.Point
-		err := cw.Write([]string{
-			p.Protocol, p.Topology,
-			strconv.Itoa(p.Receivers), strconv.Itoa(p.Attackers),
-			p.Strategy,
-			strconv.Itoa(p.Cohort),
-			strconv.FormatInt(p.BottleneckBps, 10),
-			strconv.FormatFloat(float64(p.SlotNs)/float64(Millisecond), 'g', -1, 64),
-			strconv.FormatFloat(float64(p.DelaySpreadNs)/float64(Millisecond), 'g', -1, 64),
-			strconv.FormatFloat(p.ChurnRate, 'g', -1, 64),
-			strconv.FormatFloat(float64(p.AttackAtNs)/float64(Millisecond), 'g', -1, 64),
-			strconv.FormatFloat(float64(p.FlapPeriodNs)/float64(Millisecond), 'g', -1, 64),
-			strconv.FormatUint(p.Seed, 10),
-			fmt.Sprintf("%.3f", pt.GoodMeanKbps),
-			fmt.Sprintf("%.3f", pt.GoodP10Kbps),
-			fmt.Sprintf("%.3f", pt.GoodP50Kbps),
-			fmt.Sprintf("%.3f", pt.GoodP90Kbps),
-			fmt.Sprintf("%.3f", pt.AttackerMeanKbps),
-			fmt.Sprintf("%.4f", pt.Suppression),
-			fmt.Sprintf("%.4f", pt.Utilization),
-			strconv.FormatUint(pt.LostPackets, 10),
-			pt.Error,
-		})
-		if err != nil {
+	for i := range c.Points {
+		for j, col := range csvColumns {
+			row[j] = col.cell(&c.Points[i])
+		}
+		if err := cw.Write(row); err != nil {
 			return err
 		}
 	}
@@ -258,213 +239,198 @@ func (c *CampaignResult) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// axes is a Sweep with every default applied.
-type axes struct {
-	protocols    []string
-	topologies   []TopologySpec
-	receivers    []int
-	attackers    []int
-	strategies   []string
-	cohorts      []int
-	bottlenecks  []int64
-	slots        []Time
-	delaySpreads []Time
-	churnRates   []float64
-	attackAts    []Time
-	flapPeriods  []Time
-	seeds        []uint64
+// csvColumns is WriteCSV's column table: each column's header and how one
+// point's result renders in it.
+var csvColumns = []struct {
+	name string
+	cell func(r *PointResult) string
+}{
+	{"protocol", func(r *PointResult) string { return r.Point.Protocol }},
+	{"topology", func(r *PointResult) string { return r.Point.Topology }},
+	{"receivers", func(r *PointResult) string { return strconv.Itoa(r.Point.Receivers) }},
+	{"attackers", func(r *PointResult) string { return strconv.Itoa(r.Point.Attackers) }},
+	{"strategy", func(r *PointResult) string { return r.Point.Strategy }},
+	{"cohort", func(r *PointResult) string { return strconv.Itoa(r.Point.Cohort) }},
+	{"bottleneck_bps", func(r *PointResult) string { return strconv.FormatInt(r.Point.BottleneckBps, 10) }},
+	{"slot_ms", func(r *PointResult) string { return csvMillis(r.Point.SlotNs) }},
+	{"delay_spread_ms", func(r *PointResult) string { return csvMillis(r.Point.DelaySpreadNs) }},
+	{"churn_rate", func(r *PointResult) string { return strconv.FormatFloat(r.Point.ChurnRate, 'g', -1, 64) }},
+	{"attack_at_ms", func(r *PointResult) string { return csvMillis(r.Point.AttackAtNs) }},
+	{"flap_period_ms", func(r *PointResult) string { return csvMillis(r.Point.FlapPeriodNs) }},
+	{"seed", func(r *PointResult) string { return strconv.FormatUint(r.Point.Seed, 10) }},
+	{"good_mean_kbps", func(r *PointResult) string { return fmt.Sprintf("%.3f", r.GoodMeanKbps) }},
+	{"good_p10_kbps", func(r *PointResult) string { return fmt.Sprintf("%.3f", r.GoodP10Kbps) }},
+	{"good_p50_kbps", func(r *PointResult) string { return fmt.Sprintf("%.3f", r.GoodP50Kbps) }},
+	{"good_p90_kbps", func(r *PointResult) string { return fmt.Sprintf("%.3f", r.GoodP90Kbps) }},
+	{"attacker_mean_kbps", func(r *PointResult) string { return fmt.Sprintf("%.3f", r.AttackerMeanKbps) }},
+	{"suppression", func(r *PointResult) string { return fmt.Sprintf("%.4f", r.Suppression) }},
+	{"utilization", func(r *PointResult) string { return fmt.Sprintf("%.4f", r.Utilization) }},
+	{"lost_packets", func(r *PointResult) string { return strconv.FormatUint(r.LostPackets, 10) }},
+	{"error", func(r *PointResult) string { return r.Error }},
+}
 
-	duration, warmup, attackAt Time
+// csvMillis renders a duration as fractional milliseconds.
+func csvMillis(t Time) string {
+	return strconv.FormatFloat(float64(t)/float64(Millisecond), 'g', -1, 64)
 }
 
 // defaultSweepDuration is the per-point simulated length when Duration is
 // unset: long enough past the slow-start transient for stable averages.
 const defaultSweepDuration = 30 * Second
 
-func orInts(xs []int, def int) []int {
+// orDefault is xs, or the one-value axis {def} when xs is empty.
+func orDefault[T any](xs []T, def T) []T {
 	if len(xs) == 0 {
-		return []int{def}
+		return []T{def}
 	}
 	return xs
 }
 
-// normalize applies axis defaults and validates the declared values.
-func (sw Sweep) normalize() (axes, error) {
-	a := axes{
-		protocols:    sw.Protocols,
-		topologies:   sw.Topologies,
-		receivers:    orInts(sw.Receivers, 1),
-		attackers:    orInts(sw.Attackers, 0),
-		strategies:   sw.Strategies,
-		cohorts:      orInts(sw.Cohorts, 0),
-		bottlenecks:  sw.Bottlenecks,
-		slots:        sw.Slots,
-		delaySpreads: sw.DelaySpreads,
-		churnRates:   sw.ChurnRates,
-		attackAts:    sw.AttackAts,
-		flapPeriods:  sw.FlapPeriods,
-		seeds:        sw.Seeds,
-		duration:     sw.Duration,
-		warmup:       sw.Warmup,
-		attackAt:     sw.AttackAt,
+// negative reports whether an axis value is below zero.
+func negative[T ~int | ~int64 | ~float64](x T) bool { return x < 0 }
+
+// reject reports the first value of xs that bad flags, as "deltasigma:
+// sweep " + format with the value as its first argument.
+func reject[T any](xs []T, bad func(T) bool, format string, args ...any) error {
+	for _, x := range xs {
+		if bad(x) {
+			return fmt.Errorf("deltasigma: sweep "+format, append([]any{x}, args...)...)
+		}
 	}
-	if len(a.protocols) == 0 {
-		a.protocols = []string{"flid-ds"}
-	}
-	if len(a.topologies) == 0 {
-		a.topologies = []TopologySpec{DumbbellSpec()}
-	}
-	if len(a.bottlenecks) == 0 {
-		a.bottlenecks = []int64{1_000_000}
-	}
-	if len(a.slots) == 0 {
-		a.slots = []Time{0}
-	}
-	if len(a.delaySpreads) == 0 {
-		a.delaySpreads = []Time{0}
-	}
-	if len(a.churnRates) == 0 {
-		a.churnRates = []float64{0}
-	}
-	if len(a.attackAts) == 0 {
-		a.attackAts = []Time{0}
-	}
-	if len(a.flapPeriods) == 0 {
-		a.flapPeriods = []Time{0}
-	}
-	if len(a.strategies) == 0 {
-		a.strategies = []string{""}
-	}
-	if len(a.seeds) == 0 {
-		a.seeds = []uint64{1}
-	}
+	return nil
+}
+
+// normalize returns sw with every default applied, or an error naming the
+// first declared value it cannot run.
+func (sw Sweep) normalize() (Sweep, error) {
 	// Zero means "default"; a negative value is a mistake, not a request
 	// for the default.
-	if a.duration < 0 || a.warmup < 0 || a.attackAt < 0 {
-		return axes{}, fmt.Errorf("deltasigma: sweep duration %v, warmup %v and attack time %v must not be negative", a.duration, a.warmup, a.attackAt)
+	if sw.Duration < 0 || sw.Warmup < 0 || sw.AttackAt < 0 {
+		return sw, fmt.Errorf("deltasigma: sweep duration %v, warmup %v and attack time %v must not be negative", sw.Duration, sw.Warmup, sw.AttackAt)
 	}
-	if a.duration == 0 {
-		a.duration = defaultSweepDuration
+	sw.Protocols = orDefault(sw.Protocols, "flid-ds")
+	sw.Topologies = orDefault(sw.Topologies, DumbbellSpec())
+	sw.Receivers = orDefault(sw.Receivers, 1)
+	sw.Attackers = orDefault(sw.Attackers, 0)
+	sw.Strategies = orDefault(sw.Strategies, "")
+	sw.Cohorts = orDefault(sw.Cohorts, 0)
+	sw.Bottlenecks = orDefault(sw.Bottlenecks, 1_000_000)
+	sw.Slots = orDefault(sw.Slots, 0)
+	sw.DelaySpreads = orDefault(sw.DelaySpreads, 0)
+	sw.ChurnRates = orDefault(sw.ChurnRates, 0)
+	sw.AttackAts = orDefault(sw.AttackAts, 0)
+	sw.FlapPeriods = orDefault(sw.FlapPeriods, 0)
+	sw.Seeds = orDefault(sw.Seeds, 1)
+	sw.Duration = cmp.Or(sw.Duration, defaultSweepDuration)
+	sw.Warmup = cmp.Or(sw.Warmup, sw.Duration/10)
+	if sw.Warmup >= sw.Duration {
+		return sw, fmt.Errorf("deltasigma: sweep warmup %v must be shorter than duration %v", sw.Warmup, sw.Duration)
 	}
-	if a.warmup == 0 {
-		a.warmup = a.duration / 10
-	}
-	if a.warmup >= a.duration {
-		return axes{}, fmt.Errorf("deltasigma: sweep warmup %v must be shorter than duration %v", a.warmup, a.duration)
-	}
-	if a.attackAt == 0 {
-		a.attackAt = a.duration / 4
-	}
-	for _, n := range a.attackers {
+	sw.AttackAt = cmp.Or(sw.AttackAt, sw.Duration/4)
+	pastEnd := func(t Time) bool { return t >= sw.Duration }
+	if slices.ContainsFunc(sw.Attackers, func(n int) bool { return n > 0 }) {
 		// An attack scheduled past the end would silently never happen and
 		// the point would report a "defeated" attack that never ran.
-		if n > 0 && a.attackAt >= a.duration {
-			return axes{}, fmt.Errorf("deltasigma: sweep attack time %v must be inside duration %v", a.attackAt, a.duration)
+		if pastEnd(sw.AttackAt) {
+			return sw, fmt.Errorf("deltasigma: sweep attack time %v must be inside duration %v", sw.AttackAt, sw.Duration)
 		}
-		for _, at := range a.attackAts {
-			if n > 0 && at >= a.duration {
-				return axes{}, fmt.Errorf("deltasigma: sweep attack onset %v must be inside duration %v", at, a.duration)
-			}
+		if err := reject(sw.AttackAts, pastEnd, "attack onset %v must be inside duration %v", sw.Duration); err != nil {
+			return sw, err
 		}
 	}
-	for _, r := range a.churnRates {
-		if r < 0 {
-			return axes{}, fmt.Errorf("deltasigma: sweep churn rate %g is negative", r)
-		}
-	}
-	for _, at := range a.attackAts {
-		if at < 0 {
-			return axes{}, fmt.Errorf("deltasigma: sweep attack onset %v is negative", at)
-		}
-	}
-	for _, p := range a.flapPeriods {
-		if p < 0 {
-			return axes{}, fmt.Errorf("deltasigma: sweep flap period %v is negative", p)
-		}
-		if p > 0 && p >= a.duration {
-			return axes{}, fmt.Errorf("deltasigma: sweep flap period %v must be inside duration %v", p, a.duration)
-		}
-	}
-	for _, t := range a.topologies {
+	for _, t := range sw.Topologies {
 		if t.Build == nil {
-			return axes{}, fmt.Errorf("deltasigma: topology spec %q has no Build", t.Name)
+			return sw, fmt.Errorf("deltasigma: topology spec %q has no Build", t.Name)
 		}
 	}
-	for _, r := range a.receivers {
-		if r < 0 {
-			return axes{}, fmt.Errorf("deltasigma: sweep receiver count %d is negative", r)
-		}
-	}
-	for _, n := range a.attackers {
-		if n < 0 {
-			return axes{}, fmt.Errorf("deltasigma: sweep attacker count %d is negative", n)
-		}
-	}
-	for _, n := range a.cohorts {
-		if n < 0 {
-			return axes{}, fmt.Errorf("deltasigma: sweep cohort population %d is negative", n)
-		}
-	}
-	for _, st := range a.strategies {
-		if st != "" && !AttackerStrategy(st).valid() {
-			return axes{}, fmt.Errorf("deltasigma: sweep attacker strategy %q is not one of %v", st, attackerStrategies())
-		}
-	}
-	for _, c := range a.bottlenecks {
-		if c <= 0 {
-			return axes{}, fmt.Errorf("deltasigma: sweep bottleneck %d must be positive", c)
-		}
-	}
-	for _, s := range a.slots {
-		if s < 0 {
-			return axes{}, fmt.Errorf("deltasigma: sweep slot %v is negative", s)
-		}
-	}
-	for _, d := range a.delaySpreads {
-		if d < 0 {
-			return axes{}, fmt.Errorf("deltasigma: sweep delay spread %v is negative", d)
-		}
-	}
-	return a, nil
+	return sw, cmp.Or(
+		reject(sw.ChurnRates, negative[float64], "churn rate %g is negative"),
+		reject(sw.AttackAts, negative[Time], "attack onset %v is negative"),
+		reject(sw.FlapPeriods, negative[Time], "flap period %v is negative"),
+		reject(sw.FlapPeriods, pastEnd, "flap period %v must be inside duration %v", sw.Duration),
+		reject(sw.Receivers, negative[int], "receiver count %d is negative"),
+		reject(sw.Attackers, negative[int], "attacker count %d is negative"),
+		reject(sw.Cohorts, negative[int], "cohort population %d is negative"),
+		reject(sw.Strategies, func(st string) bool { return st != "" && !AttackerStrategy(st).valid() },
+			"attacker strategy %q is not one of %v", attackerStrategies()),
+		reject(sw.Bottlenecks, func(c int64) bool { return c <= 0 }, "bottleneck %d must be positive"),
+		reject(sw.Slots, negative[Time], "slot %v is negative"),
+		reject(sw.DelaySpreads, negative[Time], "delay spread %v is negative"),
+	)
 }
 
-func (a axes) grid() (campaign.Grid, error) {
-	return campaign.NewGrid(
-		len(a.protocols), len(a.topologies), len(a.receivers), len(a.attackers),
-		len(a.strategies), len(a.cohorts), len(a.bottlenecks), len(a.slots),
-		len(a.delaySpreads), len(a.churnRates), len(a.attackAts), len(a.flapPeriods),
-		len(a.seeds))
+// sweepAxis is one axis of a normalized Sweep: how many values it holds and
+// how the value at a coordinate lands in a SweepPoint.
+type sweepAxis struct {
+	len int
+	set func(p *SweepPoint, i int)
 }
 
-// point materializes grid coordinates into a SweepPoint and its topology
-// spec.
-func (a axes) point(coords []int) (SweepPoint, TopologySpec) {
-	spec := a.topologies[coords[1]]
-	return SweepPoint{
-		Protocol:      a.protocols[coords[0]],
-		Topology:      spec.Name,
-		Receivers:     a.receivers[coords[2]],
-		Attackers:     a.attackers[coords[3]],
-		Strategy:      a.strategies[coords[4]],
-		Cohort:        a.cohorts[coords[5]],
-		BottleneckBps: a.bottlenecks[coords[6]],
-		SlotNs:        a.slots[coords[7]],
-		DelaySpreadNs: a.delaySpreads[coords[8]],
-		ChurnRate:     a.churnRates[coords[9]],
-		AttackAtNs:    a.attackAts[coords[10]],
-		FlapPeriodNs:  a.flapPeriods[coords[11]],
-		Seed:          a.seeds[coords[12]],
-	}, spec
+// topologyAxis is the topology's place in axes. A point keeps only the
+// spec's name, and two specs may share one, so runKey and runPoint take
+// the spec's coordinate.
+const topologyAxis = 1
+
+// axes lists a normalized sweep's axes in grid order, first slowest.
+func (sw Sweep) axes() []sweepAxis {
+	return []sweepAxis{
+		{len(sw.Protocols), func(p *SweepPoint, i int) { p.Protocol = sw.Protocols[i] }},
+		{len(sw.Topologies), func(p *SweepPoint, i int) { p.Topology = sw.Topologies[i].Name }},
+		{len(sw.Receivers), func(p *SweepPoint, i int) { p.Receivers = sw.Receivers[i] }},
+		{len(sw.Attackers), func(p *SweepPoint, i int) { p.Attackers = sw.Attackers[i] }},
+		{len(sw.Strategies), func(p *SweepPoint, i int) { p.Strategy = sw.Strategies[i] }},
+		{len(sw.Cohorts), func(p *SweepPoint, i int) { p.Cohort = sw.Cohorts[i] }},
+		{len(sw.Bottlenecks), func(p *SweepPoint, i int) { p.BottleneckBps = sw.Bottlenecks[i] }},
+		{len(sw.Slots), func(p *SweepPoint, i int) { p.SlotNs = sw.Slots[i] }},
+		{len(sw.DelaySpreads), func(p *SweepPoint, i int) { p.DelaySpreadNs = sw.DelaySpreads[i] }},
+		{len(sw.ChurnRates), func(p *SweepPoint, i int) { p.ChurnRate = sw.ChurnRates[i] }},
+		{len(sw.AttackAts), func(p *SweepPoint, i int) { p.AttackAtNs = sw.AttackAts[i] }},
+		{len(sw.FlapPeriods), func(p *SweepPoint, i int) { p.FlapPeriodNs = sw.FlapPeriods[i] }},
+		{len(sw.Seeds), func(p *SweepPoint, i int) { p.Seed = sw.Seeds[i] }},
+	}
+}
+
+// sweepGrid is a normalized Sweep and the campaign grid its axes span.
+type sweepGrid struct {
+	campaign.Grid
+	sw   Sweep
+	axes []sweepAxis
+}
+
+// grid normalizes sw and lays its axes out as a campaign grid.
+func (sw Sweep) grid() (sweepGrid, error) {
+	sw, err := sw.normalize()
+	if err != nil {
+		return sweepGrid{}, err
+	}
+	axes := sw.axes()
+	dims := make([]int, len(axes))
+	for i, a := range axes {
+		dims[i] = a.len
+	}
+	g, err := campaign.NewGrid(dims...)
+	return sweepGrid{Grid: g, sw: sw, axes: axes}, err
+}
+
+// points decodes every grid point in grid order, with each point's
+// coordinate on the topology axis.
+func (g sweepGrid) points() ([]SweepPoint, []int) {
+	points := make([]SweepPoint, g.Size())
+	topos := make([]int, g.Size())
+	for i := range points {
+		coords := g.Coords(i)
+		for a, c := range coords {
+			g.axes[a].set(&points[i], c)
+		}
+		topos[i] = coords[topologyAxis]
+	}
+	return points, topos
 }
 
 // Size returns the number of grid points the sweep declares (0 if the
 // sweep is invalid).
 func (sw Sweep) Size() int {
-	a, err := sw.normalize()
-	if err != nil {
-		return 0
-	}
-	g, err := a.grid()
+	g, err := sw.grid()
 	if err != nil {
 		return 0
 	}
@@ -473,19 +439,12 @@ func (sw Sweep) Size() int {
 
 // Points enumerates every grid point in grid order.
 func (sw Sweep) Points() ([]SweepPoint, error) {
-	a, err := sw.normalize()
+	g, err := sw.grid()
 	if err != nil {
 		return nil, err
 	}
-	g, err := a.grid()
-	if err != nil {
-		return nil, err
-	}
-	pts := make([]SweepPoint, g.Size())
-	for i := range pts {
-		pts[i], _ = a.point(g.Coords(i))
-	}
-	return pts, nil
+	points, _ := g.points()
+	return points, nil
 }
 
 // Run executes every distinct grid point on a pool of `workers` goroutines
@@ -501,46 +460,42 @@ func (sw Sweep) Points() ([]SweepPoint, error) {
 // error under its own Point. A sweep with a Configure hook runs every point,
 // since the hook sees the raw point.
 func (sw Sweep) Run(workers int) (*CampaignResult, error) {
-	a, err := sw.normalize()
-	if err != nil {
-		return nil, err
-	}
-	g, err := a.grid()
+	g, err := sw.grid()
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	owner := sw.owners(a, g)
-	results := make([]PointResult, g.Size())
+	points, topos := g.points()
+	owner := g.owners(points, topos)
+	results := make([]PointResult, len(points))
 	// One packet pool per worker: a worker runs its grid points
 	// sequentially, so consecutive experiments recycle the same warm
 	// freelist instead of re-allocating every envelope. Results stay
 	// byte-identical for any worker count because pooling only changes
 	// where envelopes come from, never what the simulation computes.
-	pools := make([]*packet.Pool, campaign.EffectiveWorkers(g.Size(), workers))
+	pools := make([]*packet.Pool, campaign.EffectiveWorkers(len(points), workers))
 	for i := range pools {
 		pools[i] = &packet.Pool{}
 	}
 	// Jobs stay indexed by grid point, so a panic names the point that ran.
-	errs := campaign.Run(g.Size(), workers, func(w, i int) error {
+	errs := campaign.Run(len(points), workers, func(w, i int) error {
 		if owner[i] != i {
 			return nil // copied below from the point it shares a run with
 		}
-		p, spec := a.point(g.Coords(i))
 		var err error
-		results[i], err = sw.runPoint(a, p, spec, pools[w])
+		results[i], err = g.runPoint(points[i], topos[i], pools[w])
 		return err
 	})
 	res := &CampaignResult{
 		Name:       sw.Name,
-		DurationNs: a.duration,
+		DurationNs: g.sw.Duration,
 		Points:     results,
 		Elapsed:    time.Since(start),
 	}
 	for i := range results {
 		o := owner[i] // o <= i, so results[o] is already final
 		results[i] = results[o]
-		results[i].Point, _ = a.point(g.Coords(i))
+		results[i].Point = points[i]
 		if err := errs[o]; err != nil {
 			results[i].Error = err.Error()
 			res.Failures++
@@ -555,17 +510,16 @@ func (sw Sweep) Run(workers int) (*CampaignResult, error) {
 // run, never a wrong result.
 type runKey struct {
 	point    SweepPoint // canonical: no topology name, ignored axes zeroed
-	topology int        // the topology's axis index: two specs may share a name
+	topology int        // the topology's axis coordinate: two specs may share a name
 }
 
-// runKey canonicalizes the point at coords:
+// runKey canonicalizes p, whose topology coordinate is topo:
 //   - without attackers, strategy and onset build nothing;
 //   - an attacker's strategy is the one it runs (effectiveStrategy), so on
 //     an unprotected protocol forging and colluding are classic;
 //   - an adaptive attacker compiles its own onset, so the onset axis is
 //     dropped.
-func (a axes) runKey(coords []int) runKey {
-	p, _ := a.point(coords)
+func (p SweepPoint) runKey(topo int) runKey {
 	p.Topology = ""
 	if p.Attackers == 0 {
 		p.Strategy, p.AttackAtNs = "", 0
@@ -575,21 +529,21 @@ func (a axes) runKey(coords []int) runKey {
 	if AttackerStrategy(p.Strategy) == StrategyAdaptive {
 		p.AttackAtNs = 0
 	}
-	return runKey{point: p, topology: coords[1]}
+	return runKey{point: p, topology: topo}
 }
 
 // owners maps every grid point to the first point whose experiment it
 // builds: itself when its key is new. With a Configure hook every point
 // owns itself, because the hook may read any axis of the raw point.
-func (sw Sweep) owners(a axes, g campaign.Grid) []int {
-	owner := make([]int, g.Size())
-	first := make(map[runKey]int, g.Size())
-	for i := range owner {
+func (g sweepGrid) owners(points []SweepPoint, topos []int) []int {
+	owner := make([]int, len(points))
+	first := make(map[runKey]int, len(points))
+	for i, p := range points {
 		owner[i] = i
-		if sw.Configure != nil {
+		if g.sw.Configure != nil {
 			continue
 		}
-		k := a.runKey(g.Coords(i))
+		k := p.runKey(topos[i])
 		if o, ok := first[k]; ok {
 			owner[i] = o
 		} else {
@@ -599,10 +553,11 @@ func (sw Sweep) owners(a axes, g campaign.Grid) []int {
 	return owner
 }
 
-// runPoint builds and runs one grid point's experiment and aggregates its
-// statistics. pool, when non-nil, is the running worker's reusable packet
-// pool.
-func (sw Sweep) runPoint(a axes, p SweepPoint, spec TopologySpec, pool *packet.Pool) (PointResult, error) {
+// runPoint builds and runs grid point p, whose topology coordinate is topo,
+// and aggregates its statistics. pool, when non-nil, is the running
+// worker's reusable packet pool.
+func (g sweepGrid) runPoint(p SweepPoint, topo int, pool *packet.Pool) (PointResult, error) {
+	sw, spec := g.sw, g.sw.Topologies[topo]
 	var pr PointResult
 	opts := []Option{
 		WithProtocol(p.Protocol),
@@ -652,17 +607,17 @@ func (sw Sweep) runPoint(a axes, p SweepPoint, spec TopologySpec, pool *packet.P
 		// Adaptive attackers compile their own onset from the declared
 		// disturbances (churn/flap events below); a scripted AttackerOnset
 		// on top would fight their inflation windows.
-		onset := a.attackAt
+		onset := sw.AttackAt
 		if p.AttackAtNs > 0 {
 			onset = p.AttackAtNs
 		}
 		e.AddEvents(AttackerOnset{At: onset, Session: 1})
 	}
 	if p.ChurnRate > 0 {
-		e.AddEvents(PoissonChurn{Session: 1, Rate: p.ChurnRate, To: a.duration})
+		e.AddEvents(PoissonChurn{Session: 1, Rate: p.ChurnRate, To: sw.Duration})
 	}
 	if p.FlapPeriodNs > 0 {
-		e.AddEvents(LinkFlap{Link: 0, Period: p.FlapPeriodNs, To: a.duration})
+		e.AddEvents(LinkFlap{Link: 0, Period: p.FlapPeriodNs, To: sw.Duration})
 	}
 	if sw.Configure != nil {
 		if err := sw.Configure(p, e); err != nil {
@@ -670,12 +625,12 @@ func (sw Sweep) runPoint(a axes, p SweepPoint, spec TopologySpec, pool *packet.P
 		}
 	}
 
-	e.Advance(a.duration)
+	e.Advance(sw.Duration)
 
 	var good, atk []float64
 	var goodSum, goodWeight float64
 	for _, r := range s.Receivers {
-		avg := r.Meter().AvgKbps(a.warmup, a.duration)
+		avg := r.Meter().AvgKbps(sw.Warmup, sw.Duration)
 		if r.Attacker() {
 			atk = append(atk, avg)
 		} else {
@@ -689,7 +644,7 @@ func (sw Sweep) runPoint(a axes, p SweepPoint, spec TopologySpec, pool *packet.P
 		// statistics as one per-member sample carrying its member count as
 		// weight: the mean is the true per-member mean across everyone,
 		// and the percentile list gets one entry per population.
-		per := c.Meter().AvgKbps(a.warmup, a.duration) / float64(c.Members())
+		per := c.Meter().AvgKbps(sw.Warmup, sw.Duration) / float64(c.Members())
 		good = append(good, per)
 		goodSum += per * float64(c.Members())
 		goodWeight += float64(c.Members())

@@ -2,9 +2,12 @@ package deltasigma_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"deltasigma"
@@ -92,5 +95,79 @@ func TestSweepGolden(t *testing.T) {
 	checkGolden(t, "sweep_golden.json", campaignGolden(goldenSweep(), &res))
 	if res.Failures != 0 {
 		t.Fatalf("golden sweep had %d failures", res.Failures)
+	}
+}
+
+// pinnedAxesSweep puts a non-default value on every axis of a Sweep, so
+// TestSweepAxesPinned covers each axis's default, point decoding, String
+// fragment and CSV column.
+func pinnedAxesSweep() deltasigma.Sweep {
+	return deltasigma.Sweep{
+		Name:         "axes",
+		Protocols:    []string{"flid-dl", "flid-ds"},
+		Topologies:   []deltasigma.TopologySpec{deltasigma.ChainSpec(2), deltasigma.StarSpec(2)},
+		Receivers:    []int{2},
+		Attackers:    []int{1},
+		Strategies:   []string{"forging", "adaptive"},
+		Cohorts:      []int{50},
+		Bottlenecks:  []int64{500_000},
+		Slots:        []deltasigma.Time{250 * deltasigma.Millisecond},
+		DelaySpreads: []deltasigma.Time{100 * deltasigma.Millisecond},
+		ChurnRates:   []float64{0.5},
+		AttackAts:    []deltasigma.Time{deltasigma.Second},
+		FlapPeriods:  []deltasigma.Time{2 * deltasigma.Second},
+		Seeds:        []uint64{3, 4},
+		Duration:     3 * deltasigma.Second,
+	}
+}
+
+// TestSweepAxesPinned byte-pins what a sweep emits on every axis: the
+// sha256 of its JSON, of its CSV and of its points' String forms, at one
+// worker and at -sweep-workers. The values were recorded before the sweep
+// axes were read from one ordered list.
+func TestSweepAxesPinned(t *testing.T) {
+	const (
+		wantJSON   = "dab13ec948852213a31d6fce9ab41a97048c3a3731158897b5394d265ac83c0b"
+		wantCSV    = "42248d66f8f84b0db668e5146ac948fe8c427837983d48991924ced212f05346"
+		wantPoints = "3b6538928f894dd889963603f8266bb2c7efa9f3b219817357991480f52d1cbb"
+	)
+	digest := func(b []byte) string {
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])
+	}
+	sw := pinnedAxesSweep()
+	pts, err := sw.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := make([]string, len(pts))
+	for i, p := range pts {
+		lines[i] = p.String()
+	}
+	if got := digest([]byte(strings.Join(lines, "\n"))); got != wantPoints {
+		t.Errorf("points digest = %s, want %s", got, wantPoints)
+	}
+	for _, workers := range []int{1, *sweepWorkers} {
+		res, err := sw.Run(workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failures != 0 {
+			t.Fatalf("workers=%d: %d failures", workers, res.Failures)
+		}
+		js, err := res.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var csv bytes.Buffer
+		if err := res.WriteCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		if got := digest(js); got != wantJSON {
+			t.Errorf("workers=%d: JSON digest = %s, want %s", workers, got, wantJSON)
+		}
+		if got := digest(csv.Bytes()); got != wantCSV {
+			t.Errorf("workers=%d: CSV digest = %s, want %s", workers, got, wantCSV)
+		}
 	}
 }

@@ -238,29 +238,41 @@ func TestSweepCustomAxes(t *testing.T) {
 	}
 }
 
-// Invalid sweep declarations fail Run upfront rather than per point.
+// Invalid sweep declarations fail Run upfront rather than per point, one
+// row per check in Sweep's validation, each naming what it rejected.
 func TestSweepValidation(t *testing.T) {
-	bad := []deltasigma.Sweep{
-		{Receivers: []int{-1}},
-		{Attackers: []int{-2}},
-		{Bottlenecks: []int64{0}},
-		{Slots: []deltasigma.Time{-deltasigma.Second}},
-		{DelaySpreads: []deltasigma.Time{-1}},
-		{Duration: 10 * deltasigma.Second, Warmup: 10 * deltasigma.Second},
-		{Attackers: []int{1}, Duration: 10 * deltasigma.Second, AttackAt: 10 * deltasigma.Second},
-		{Topologies: []deltasigma.TopologySpec{{Name: "hollow"}}},
-		{Duration: -5 * deltasigma.Second},
-		{Duration: 10 * deltasigma.Second, Warmup: -deltasigma.Second},
-		{Duration: 10 * deltasigma.Second, AttackAt: -deltasigma.Second},
+	const dur = 10 * deltasigma.Second
+	bad := []struct {
+		sw   deltasigma.Sweep
+		want string
+	}{
+		{deltasigma.Sweep{Receivers: []int{-1}}, "receiver count -1 is negative"},
+		{deltasigma.Sweep{Attackers: []int{-2}}, "attacker count -2 is negative"},
+		{deltasigma.Sweep{Cohorts: []int{-3}}, "cohort population -3 is negative"},
+		{deltasigma.Sweep{Bottlenecks: []int64{0}}, "bottleneck 0 must be positive"},
+		{deltasigma.Sweep{Slots: []deltasigma.Time{-deltasigma.Second}}, "slot -1.000s is negative"},
+		{deltasigma.Sweep{DelaySpreads: []deltasigma.Time{-1}}, "delay spread"},
+		{deltasigma.Sweep{ChurnRates: []float64{-0.5}}, "churn rate -0.5 is negative"},
+		{deltasigma.Sweep{AttackAts: []deltasigma.Time{-deltasigma.Second}}, "attack onset -1.000s is negative"},
+		{deltasigma.Sweep{FlapPeriods: []deltasigma.Time{-deltasigma.Second}}, "flap period -1.000s is negative"},
+		{deltasigma.Sweep{FlapPeriods: []deltasigma.Time{dur}, Duration: dur}, "flap period 10.000s must be inside duration"},
+		{deltasigma.Sweep{Attackers: []int{1}, AttackAts: []deltasigma.Time{dur}, Duration: dur}, "attack onset 10.000s must be inside duration"},
+		{deltasigma.Sweep{Strategies: []string{"bogus"}}, `attacker strategy "bogus" is not one of`},
+		{deltasigma.Sweep{Duration: dur, Warmup: dur}, "warmup 10.000s must be shorter than duration"},
+		{deltasigma.Sweep{Attackers: []int{1}, Duration: dur, AttackAt: dur}, "attack time 10.000s must be inside duration"},
+		{deltasigma.Sweep{Topologies: []deltasigma.TopologySpec{{Name: "hollow"}}}, `topology spec "hollow" has no Build`},
+		{deltasigma.Sweep{Duration: -5 * deltasigma.Second}, "must not be negative"},
+		{deltasigma.Sweep{Duration: dur, Warmup: -deltasigma.Second}, "must not be negative"},
+		{deltasigma.Sweep{Duration: dur, AttackAt: -deltasigma.Second}, "must not be negative"},
 	}
 	// An out-of-range attack time is fine when no point has attackers.
 	ok := deltasigma.Sweep{Duration: 2 * deltasigma.Second, AttackAt: 5 * deltasigma.Second}
 	if _, err := ok.Run(1); err != nil {
 		t.Fatalf("attacker-free sweep rejected: %v", err)
 	}
-	for i, sw := range bad {
-		if _, err := sw.Run(1); err == nil {
-			t.Fatalf("sweep %d should have failed validation", i)
+	for i, tc := range bad {
+		if _, err := tc.sw.Run(1); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("sweep %d: error = %v, want substring %q", i, err, tc.want)
 		}
 	}
 }
