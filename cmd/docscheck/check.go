@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -15,19 +16,30 @@ import (
 // Check runs every docs check against the repo rooted at root and returns
 // one human-readable line per problem, sorted for deterministic output.
 func Check(root string) ([]string, error) {
-	var problems []string
-	links, err := checkLinks(root)
+	pkgs, err := parsePackages(root)
 	if err != nil {
 		return nil, err
 	}
-	problems = append(problems, links...)
-	docs, err := checkPackageDocs(root)
-	if err != nil {
-		return nil, err
-	}
-	problems = append(problems, docs...)
+	problems := checkPackageDocs(root, pkgs)
+	members := declarations(pkgs)
+	err = eachLine(root, func(file, rel string, n int, line string) {
+		for _, m := range linkRE.FindAllStringSubmatch(line, -1) {
+			target, _, _ := strings.Cut(m[1], "#")
+			if !relativeLink(m[1]) || target == "" {
+				continue // external, or a same-file anchor
+			}
+			if _, err := os.Stat(filepath.Join(filepath.Dir(file), filepath.FromSlash(target))); err != nil {
+				problems = append(problems, fmt.Sprintf("%s:%d: dead link %q", rel, n, m[1]))
+			}
+		}
+		for _, m := range identRE.FindAllStringSubmatch(line, -1) {
+			if known, ok := members[m[1]]; ok && !known[m[2]] {
+				problems = append(problems, fmt.Sprintf("%s:%d: stale identifier %s: %s has no %s", rel, n, m[0], m[1], m[2]))
+			}
+		}
+	})
 	sort.Strings(problems)
-	return problems, nil
+	return problems, err
 }
 
 // linkRE matches inline markdown links and images: [text](target). It
@@ -35,75 +47,34 @@ func Check(root string) ([]string, error) {
 // docs do not use.
 var linkRE = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
-// mdFiles lists the markdown files under the link check: README.md and
-// DESIGN.md at the root, plus everything in docs/.
-func mdFiles(root string) ([]string, error) {
-	var files []string
-	for _, name := range []string{"README.md", "DESIGN.md"} {
-		p := filepath.Join(root, name)
-		if _, err := os.Stat(p); err == nil {
-			files = append(files, p)
-		}
-	}
-	entries, err := os.ReadDir(filepath.Join(root, "docs"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return files, nil
-		}
-		return nil, err
-	}
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".md") {
-			files = append(files, filepath.Join(root, "docs", e.Name()))
-		}
-	}
-	return files, nil
-}
+// identRE matches a whole backticked `X.Y` or `X.Y()` with Y exported.
+var identRE = regexp.MustCompile("`([A-Za-z_][A-Za-z0-9_]*)\\.([A-Z][A-Za-z0-9_]*)(?:\\(\\))?`")
 
-// checkLinks verifies every relative link target in the checked markdown
-// files resolves to an existing file or directory.
-func checkLinks(root string) ([]string, error) {
-	files, err := mdFiles(root)
-	if err != nil {
-		return nil, err
-	}
-	var problems []string
+// eachLine calls fn on every line outside fenced code blocks (which hold
+// shell examples, not prose) of README.md and DESIGN.md at the root and
+// every markdown file in docs/, with the file relative to root and the
+// line number.
+func eachLine(root string, fn func(file, rel string, n int, line string)) error {
+	files, _ := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	files = append([]string{filepath.Join(root, "README.md"), filepath.Join(root, "DESIGN.md")}, files...)
 	for _, file := range files {
 		data, err := os.ReadFile(file)
-		if err != nil {
-			return nil, err
+		if os.IsNotExist(err) {
+			continue
+		} else if err != nil {
+			return err
 		}
+		rel, _ := filepath.Rel(root, file)
 		inFence := false
 		for i, line := range strings.Split(string(data), "\n") {
-			// Fenced code blocks hold shell examples, not links.
 			if strings.HasPrefix(strings.TrimSpace(line), "```") {
 				inFence = !inFence
-				continue
-			}
-			if inFence {
-				continue
-			}
-			for _, m := range linkRE.FindAllStringSubmatch(line, -1) {
-				target := m[1]
-				if !relativeLink(target) {
-					continue
-				}
-				if frag := strings.IndexByte(target, '#'); frag >= 0 {
-					target = target[:frag]
-				}
-				if target == "" {
-					continue // pure fragment: same-file anchor
-				}
-				resolved := filepath.Join(filepath.Dir(file), filepath.FromSlash(target))
-				if _, err := os.Stat(resolved); err != nil {
-					rel, _ := filepath.Rel(root, file)
-					problems = append(problems,
-						fmt.Sprintf("%s:%d: dead link %q", filepath.ToSlash(rel), i+1, m[1]))
-				}
+			} else if !inFence {
+				fn(file, filepath.ToSlash(rel), i+1, line)
 			}
 		}
 	}
-	return problems, nil
+	return nil
 }
 
 // relativeLink reports whether a markdown link target should resolve on
@@ -117,52 +88,132 @@ func relativeLink(target string) bool {
 	return !strings.HasPrefix(target, "#")
 }
 
-// checkPackageDocs parses every Go package under root and reports those
-// without a package doc comment. Test files never carry the package doc.
-func checkPackageDocs(root string) ([]string, error) {
-	pkgDirs := map[string]bool{}
+// parsePackages parses every non-test Go file under root, keyed by
+// directory. Test files never carry the package doc.
+func parsePackages(root string) (map[string][]*ast.File, error) {
+	pkgs := map[string][]*ast.File{}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() {
-			switch d.Name() {
-			case ".git", "testdata", "docs":
-				return filepath.SkipDir
-			}
+		switch {
+		case d.IsDir() && (d.Name() == ".git" || d.Name() == "testdata" || d.Name() == "docs"):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
 			return nil
 		}
-		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-			pkgDirs[filepath.Dir(path)] = true
-		}
-		return nil
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments)
+		pkgs[filepath.Dir(path)] = append(pkgs[filepath.Dir(path)], f)
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
+	return pkgs, err
+}
+
+// checkPackageDocs reports every package without a package doc comment.
+func checkPackageDocs(root string, pkgs map[string][]*ast.File) []string {
 	var problems []string
-	for dir := range pkgDirs {
-		fset := token.NewFileSet()
-		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
-		}, parser.ParseComments|parser.PackageClauseOnly)
-		if err != nil {
-			return nil, err
+	for dir, files := range pkgs {
+		documented := false
+		for _, f := range files {
+			documented = documented || f.Doc != nil && strings.TrimSpace(f.Doc.Text()) != ""
 		}
-		for name, pkg := range pkgs {
-			documented := false
-			for _, f := range pkg.Files {
-				if f.Doc != nil && strings.TrimSpace(f.Doc.Text()) != "" {
-					documented = true
-					break
+		if !documented {
+			rel, _ := filepath.Rel(root, dir)
+			problems = append(problems,
+				fmt.Sprintf("%s: package %s has no package doc comment", filepath.ToSlash(rel), files[0].Name.Name))
+		}
+	}
+	return problems
+}
+
+// declarations maps every package and type name declared in the module to
+// the names reachable through it: a package's declarations (its methods
+// included), a type's fields and methods, and those of every type it
+// aliases, is defined from or embeds. Types are keyed by bare name, so
+// same-named types in different packages share one set.
+func declarations(pkgs map[string][]*ast.File) map[string]map[string]bool {
+	members := map[string]map[string]bool{}
+	includes := map[string][]string{}
+	add := func(x, y string) {
+		if members[x] == nil {
+			members[x] = map[string]bool{}
+		}
+		members[x][y] = true
+	}
+	for _, files := range pkgs {
+		for _, f := range files {
+			pkg := f.Name.Name
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					add(pkg, n.Name.Name)
+					if n.Recv != nil {
+						add(typeName(n.Recv.List[0].Type), n.Name.Name)
+					}
+					return false
+				case *ast.ValueSpec:
+					for _, id := range n.Names {
+						add(pkg, id.Name)
+					}
+					return false
+				case *ast.TypeSpec:
+					add(pkg, n.Name.Name)
+					add(n.Name.Name, "")
+					var fields []*ast.Field
+					switch t := n.Type.(type) {
+					case *ast.StructType:
+						fields = t.Fields.List
+					case *ast.InterfaceType:
+						fields = t.Methods.List
+					default:
+						includes[n.Name.Name] = append(includes[n.Name.Name], typeName(t))
+					}
+					for _, field := range fields {
+						if len(field.Names) == 0 {
+							includes[n.Name.Name] = append(includes[n.Name.Name], typeName(field.Type))
+						}
+						for _, id := range field.Names {
+							add(n.Name.Name, id.Name)
+						}
+					}
+					return false
+				}
+				return true
+			})
+		}
+	}
+	var merge func(x string, seen map[string]bool)
+	merge = func(x string, seen map[string]bool) {
+		for _, y := range includes[x] {
+			if !seen[y] {
+				seen[y] = true
+				merge(y, seen)
+				for m := range members[y] {
+					add(x, m)
 				}
 			}
-			if !documented {
-				rel, _ := filepath.Rel(root, dir)
-				problems = append(problems,
-					fmt.Sprintf("%s: package %s has no package doc comment", filepath.ToSlash(rel), name))
-			}
 		}
 	}
-	return problems, nil
+	for x := range includes {
+		merge(x, map[string]bool{x: true})
+	}
+	return members
+}
+
+// typeName returns the bare name of a (possibly pointer, qualified or
+// instantiated) type expression, or "" for a type literal.
+func typeName(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.StarExpr:
+		return typeName(e.X)
+	case *ast.IndexExpr:
+		return typeName(e.X)
+	case *ast.IndexListExpr:
+		return typeName(e.X)
+	case *ast.SelectorExpr:
+		return e.Sel.Name
+	case *ast.Ident:
+		return e.Name
+	}
+	return ""
 }

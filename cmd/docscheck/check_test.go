@@ -67,3 +67,58 @@ func writeFile(t *testing.T, root, rel, content string) {
 		t.Fatal(err)
 	}
 }
+
+// TestCheckCatchesStaleIdentifiers runs the identifier check over a tiny
+// module: one row per backticked reference, and whether it is stale.
+func TestCheckCatchesStaleIdentifiers(t *testing.T) {
+	root := t.TempDir()
+	writeFile(t, root, "sim/sim.go", `// Package sim is a scheduler.
+package sim
+
+// Scheduler orders events.
+type Scheduler struct{ Now int }
+
+// Reserve hands out a sequence number.
+func (s *Scheduler) Reserve() int { return 0 }
+
+// Clock embeds a Scheduler.
+type Clock struct{ *Scheduler }
+
+// Alias is another name for Scheduler.
+type Alias = Scheduler
+
+// Runner runs.
+type Runner interface{ Run() }
+
+// New builds a Scheduler.
+func New() *Scheduler { return nil }
+`)
+	for _, tc := range []struct {
+		ref   string
+		stale bool
+	}{
+		{"`Scheduler.Reserve`", false},
+		{"`Scheduler.Reserve()`", false},
+		{"`Scheduler.Now`", false},
+		{"`Clock.Reserve`", false},
+		{"`Alias.Now`", false},
+		{"`Runner.Run`", false},
+		{"`sim.New()`", false},
+		{"`sim.Reserve`", false},
+		{"`Scheduler.ReserveSeq`", true},
+		{"`Clock.Gone()`", true},
+		{"`sim.Old`", true},
+		{"`Scheduler.reserve`", false}, // unexported: not checked
+		{"`sync.Pool`", false},         // not declared in the module
+		{"`Scheduler.Reserve(7)`", false},
+	} {
+		writeFile(t, root, "README.md", "see "+tc.ref+"\n```\n`Scheduler.Fenced`\n```\n")
+		problems, err := Check(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(problems) == 1 && strings.Contains(problems[0], "README.md:1: stale identifier "+tc.ref); got != tc.stale || len(problems) > 1 {
+			t.Errorf("%s: problems %v, want stale=%v", tc.ref, problems, tc.stale)
+		}
+	}
+}

@@ -4,7 +4,10 @@
 //   - a relative markdown link in README.md, DESIGN.md or docs/*.md points
 //     at a file that does not exist, or
 //   - a Go package under the repo (root facade, internal/..., cmd/...)
-//     lacks a package doc comment.
+//     lacks a package doc comment, or
+//   - a backticked `X.Y` or `X.Y()` in those markdown files names a package
+//     or type X declared in the module that has no declaration, field or
+//     method Y.
 //
 // External links (http/https/mailto) are deliberately not fetched — the
 // check must be hermetic and deterministic for CI. Run it from the repo

@@ -19,14 +19,15 @@
 //	exp.AddTCP(0)               // a TCP Reno competitor
 //	res := exp.Run(60 * deltasigma.Second)
 //
-// Three topologies ship with the package — the paper's dumbbell
+// Three topology shapes ship with the package — the paper's dumbbell
 // (WithDumbbell), a multi-bottleneck chain (WithChain) and a star with one
-// SIGMA gatekeeper per edge (WithStar) — and any Topology implementation
-// plugs in through WithTopology. Protocol variants are looked up by name in
-// a registry (WithProtocol): "flid-dl", "flid-ds", "flid-ds-replicated"
-// and "flid-ds-threshold" are built in alongside the competitor suite
-// "mfcc", "dsc" and "abr-cf" (see docs/PROTOCOLS.md), and RegisterProtocol
-// adds more.
+// SIGMA gatekeeper per edge (WithStar). All three are one Tree type: a
+// dumbbell is a one-hop chain, and a star places the same hops in
+// parallel. Any Topology implementation plugs in through WithTopology.
+// Protocol variants are looked up by name in a registry (WithProtocol):
+// "flid-dl", "flid-ds", "flid-ds-replicated" and "flid-ds-threshold" are
+// built in alongside the competitor suite "mfcc", "dsc" and "abr-cf" (see
+// docs/PROTOCOLS.md), and RegisterProtocol adds more.
 // Run returns a typed Result carrying per-receiver throughput series,
 // bottleneck utilization and loss counts. The examples/ directory shows
 // the API in use.
@@ -74,10 +75,11 @@ type (
 	Topology = topo.Topology
 	// Port couples a receiver host with its gatekeeping edge router.
 	Port = topo.Port
-	// Chain is a multi-bottleneck parking-lot topology (WithChain).
-	Chain = topo.Chain
-	// Star is a hub-and-spoke topology with per-edge gatekeepers (WithStar).
-	Star = topo.Star
+	// Tree is the built-in topology every shape option builds: an ingress
+	// router and one bottleneck hop per capacity, the hops in series
+	// (WithDumbbell, WithChain) or in parallel (WithStar). Its
+	// AttachReceiverAt places a receiver behind a chosen router.
+	Tree = topo.Tree
 )
 
 // Virtual time units.

@@ -157,7 +157,7 @@ func TestBaselineAttackSucceeds(t *testing.T) {
 // climbs higher.
 func TestChainTopology(t *testing.T) {
 	exp := deltasigma.MustNew(deltasigma.WithChain(1_000_000, 250_000), deltasigma.WithProtocol("flid-ds"), deltasigma.WithSeed(9))
-	chain := exp.Topo.(*deltasigma.Chain)
+	chain := exp.Topo.(*deltasigma.Tree)
 	sess := exp.AddSession(1) // default egress: far end, behind both hops
 	far := sess.Receivers[0]
 	near := sess.AddReceiverAt(chain.AttachReceiverAt(1, "near", 0))

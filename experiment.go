@@ -331,8 +331,8 @@ func (s *ExperimentSession) AddReceiverDelay(delay Time) *Receiver {
 }
 
 // AddReceiverAt attaches a well-behaved receiver at an explicit port —
-// obtained from a topology's placement methods (e.g. Chain.AttachReceiverAt,
-// Star.AttachReceiverAt) for non-default placement.
+// obtained from a topology's placement methods (e.g. Tree.AttachReceiverAt,
+// which takes a router index) for non-default placement.
 func (s *ExperimentSession) AddReceiverAt(port Port) *Receiver {
 	s.exp.mustNotHaveStarted("AddReceiver")
 	// Migration must precede agent construction: agents capture the host's

@@ -16,16 +16,16 @@ import (
 // plain-IGMP edge. Tests call the rule and the controller directly.
 func rig(t *testing.T) (src, rcv *netsim.Host, sess *core.Session, edge packet.Addr) {
 	t.Helper()
-	d := topo.New(topo.PaperConfig(250_000, 1))
-	src = d.AddSource("src")
-	rcv = d.AddReceiver("rcv")
-	d.Done()
-	mcast.NewIGMP(d.Right)
+	d := topo.Dumbbell(topo.PaperConfig(250_000, 1))
+	src = d.AttachSource("src")
+	rcv = d.AttachReceiver("rcv", topo.DefaultDelay).Host
+	d.Finish()
+	mcast.NewIGMP(d.Routers[1])
 	sess = &core.Session{
 		ID: 1, BaseAddr: packet.MulticastBase, Src: src.Addr(),
 		Rates: core.PaperSchedule(), SlotDur: 500 * sim.Millisecond, PacketSize: 576,
 	}
-	return src, rcv, sess, d.Right.Addr()
+	return src, rcv, sess, d.Routers[1].Addr()
 }
 
 // The abr-cf rule never moves — one group, whatever the signal — and

@@ -12,12 +12,12 @@ import (
 // testAgent assembles a minimal dumbbell with one cohort of n members hanging
 // off the right edge, without running the scheduler: the white-box tests
 // below drive the aggregate's slot machinery directly.
-func testAgent(t *testing.T, n uint64) (*topo.Dumbbell, *core.Session, *Agent) {
+func testAgent(t *testing.T, n uint64) (*topo.Tree, *core.Session, *Agent) {
 	t.Helper()
-	d := topo.New(topo.PaperConfig(250_000, 1))
-	src := d.AddSource("src")
+	d := topo.Dumbbell(topo.PaperConfig(250_000, 1))
+	src := d.AttachSource("src")
 	p := d.AttachCohort("cohort", -1)
-	d.Done()
+	d.Finish()
 	sess := &core.Session{
 		ID:         1,
 		BaseAddr:   packet.MulticastBase,
@@ -26,7 +26,7 @@ func testAgent(t *testing.T, n uint64) (*topo.Dumbbell, *core.Session, *Agent) {
 		PacketSize: 576,
 	}
 	for _, addr := range sess.Addrs() {
-		d.Fabric.SetSource(addr, src.ID())
+		d.Multicast().SetSource(addr, src.ID())
 	}
 	return d, sess, New(p.Host, p.Edge, sess, n)
 }
@@ -254,8 +254,8 @@ func TestEvaluateGarbageCollectsStrayTallies(t *testing.T) {
 // graft, Stop leaves every group and parks the members offline.
 func TestStartStopLifecycle(t *testing.T) {
 	d, _, a := testAgent(t, 500)
-	d.Sched.At(0, a.Start)
-	d.Sched.RunUntil(100 * sim.Millisecond)
+	d.Scheduler().At(0, a.Start)
+	d.Scheduler().RunUntil(100 * sim.Millisecond)
 	if a.Online() != 500 || a.Level() != 1 || a.subTop != 1 {
 		t.Fatalf("after Start: online %d level %d subTop %d", a.Online(), a.Level(), a.subTop)
 	}

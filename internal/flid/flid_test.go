@@ -23,22 +23,22 @@ func session(id uint16, slot sim.Time) *core.Session {
 }
 
 func TestSingleDLReceiverConvergesToFairLevel(t *testing.T) {
-	d := topo.New(topo.PaperConfig(250_000, 1))
-	srcHost := d.AddSource("src")
-	rcv := d.AddReceiver("rcv")
-	d.Done()
-	mcast.NewIGMP(d.Right)
+	d := topo.Dumbbell(topo.PaperConfig(250_000, 1))
+	srcHost := d.AttachSource("src")
+	rcv := d.AttachReceiver("rcv", topo.DefaultDelay).Host
+	d.Finish()
+	mcast.NewIGMP(d.Routers[1])
 
 	sess := session(1, 500*sim.Millisecond)
 	for _, a := range sess.Addrs() {
-		d.Fabric.SetSource(a, srcHost.ID())
+		d.Multicast().SetSource(a, srcHost.ID())
 	}
 	policy := core.PeriodicUpgrades{Factor: 2, N: sess.Rates.N}
-	snd := NewSender(srcHost, sess, DL, policy, d.RNG.Fork(), nil, 0)
-	r := NewReceiver(rcv, sess, d.Right.Addr(), FLIDRule)
+	snd := NewSender(srcHost, sess, DL, policy, d.Rand().Fork(), nil, 0)
+	r := NewReceiver(rcv, sess, d.Routers[1].Addr(), FLIDRule)
 
-	d.Sched.At(0, func() { snd.Start(); r.Start() })
-	d.Sched.RunUntil(60 * sim.Second)
+	d.Scheduler().At(0, func() { snd.Start(); r.Start() })
+	d.Scheduler().RunUntil(60 * sim.Second)
 
 	// Fair level for 250 Kbps is 3 (C_3 = 225 Kbps).
 	if r.Level() < 2 || r.Level() > 4 {
@@ -54,23 +54,23 @@ func TestSingleDLReceiverConvergesToFairLevel(t *testing.T) {
 }
 
 func TestSingleDSReceiverConvergesToFairLevel(t *testing.T) {
-	d := topo.New(topo.PaperConfig(250_000, 2))
-	srcHost := d.AddSource("src")
-	rcv := d.AddReceiver("rcv")
-	d.Done()
+	d := topo.Dumbbell(topo.PaperConfig(250_000, 2))
+	srcHost := d.AttachSource("src")
+	rcv := d.AttachReceiver("rcv", topo.DefaultDelay).Host
+	d.Finish()
 	slot := 250 * sim.Millisecond
-	sigma.NewController(d.Right, sigma.DefaultConfig(slot))
+	sigma.NewController(d.Routers[1], sigma.DefaultConfig(slot))
 
 	sess := session(1, slot)
 	for _, a := range sess.Addrs() {
-		d.Fabric.SetSource(a, srcHost.ID())
+		d.Multicast().SetSource(a, srcHost.ID())
 	}
 	policy := core.PeriodicUpgrades{Factor: 2, N: sess.Rates.N}
-	snd := NewSender(srcHost, sess, DS, policy, d.RNG.Fork(), nil, 2)
-	r := NewDSReceiver(rcv, sess, d.Right.Addr(), Layered)
+	snd := NewSender(srcHost, sess, DS, policy, d.Rand().Fork(), nil, 2)
+	r := NewDSReceiver(rcv, sess, d.Routers[1].Addr(), Layered)
 
-	d.Sched.At(0, func() { snd.Start(); r.Start() })
-	d.Sched.RunUntil(60 * sim.Second)
+	d.Scheduler().At(0, func() { snd.Start(); r.Start() })
+	d.Scheduler().RunUntil(60 * sim.Second)
 
 	if r.Level() < 2 || r.Level() > 4 {
 		t.Fatalf("level = %d, want near fair level 3", r.Level())
@@ -83,37 +83,37 @@ func TestSingleDSReceiverConvergesToFairLevel(t *testing.T) {
 
 func TestDLAndDSComparableThroughput(t *testing.T) {
 	run := func(mode Mode, seed uint64) float64 {
-		d := topo.New(topo.PaperConfig(250_000, seed))
-		srcHost := d.AddSource("src")
-		rcv := d.AddReceiver("rcv")
-		d.Done()
+		d := topo.Dumbbell(topo.PaperConfig(250_000, seed))
+		srcHost := d.AttachSource("src")
+		rcv := d.AttachReceiver("rcv", topo.DefaultDelay).Host
+		d.Finish()
 		var slot sim.Time
 		if mode == DL {
 			slot = 500 * sim.Millisecond
-			mcast.NewIGMP(d.Right)
+			mcast.NewIGMP(d.Routers[1])
 		} else {
 			slot = 250 * sim.Millisecond
-			sigma.NewController(d.Right, sigma.DefaultConfig(slot))
+			sigma.NewController(d.Routers[1], sigma.DefaultConfig(slot))
 		}
 		sess := session(1, slot)
 		for _, a := range sess.Addrs() {
-			d.Fabric.SetSource(a, srcHost.ID())
+			d.Multicast().SetSource(a, srcHost.ID())
 		}
 		policy := core.PeriodicUpgrades{Factor: 2, N: sess.Rates.N}
-		snd := NewSender(srcHost, sess, mode, policy, d.RNG.Fork(), nil, 2)
+		snd := NewSender(srcHost, sess, mode, policy, d.Rand().Fork(), nil, 2)
 		var meter interface {
 			AvgKbps(from, to sim.Time) float64
 		}
 		if mode == DL {
-			r := NewReceiver(rcv, sess, d.Right.Addr(), FLIDRule)
-			d.Sched.At(0, func() { snd.Start(); r.Start() })
+			r := NewReceiver(rcv, sess, d.Routers[1].Addr(), FLIDRule)
+			d.Scheduler().At(0, func() { snd.Start(); r.Start() })
 			meter = r.Meter()
 		} else {
-			r := NewDSReceiver(rcv, sess, d.Right.Addr(), Layered)
-			d.Sched.At(0, func() { snd.Start(); r.Start() })
+			r := NewDSReceiver(rcv, sess, d.Routers[1].Addr(), Layered)
+			d.Scheduler().At(0, func() { snd.Start(); r.Start() })
 			meter = r.Meter()
 		}
-		d.Sched.RunUntil(60 * sim.Second)
+		d.Scheduler().RunUntil(60 * sim.Second)
 		return meter.AvgKbps(30*sim.Second, 60*sim.Second)
 	}
 	dl := run(DL, 11)
@@ -130,31 +130,31 @@ func TestDLAndDSComparableThroughput(t *testing.T) {
 func TestInflatedSubscriptionBoostsDLAttacker(t *testing.T) {
 	// Two FLID-DL sessions on a 500 Kbps bottleneck; receiver 1 inflates
 	// at t=30 s and must grab most of the link.
-	d := topo.New(topo.PaperConfig(500_000, 3))
-	src1 := d.AddSource("src1")
-	src2 := d.AddSource("src2")
-	r1h := d.AddReceiver("r1")
-	r2h := d.AddReceiver("r2")
-	d.Done()
-	mcast.NewIGMP(d.Right)
+	d := topo.Dumbbell(topo.PaperConfig(500_000, 3))
+	src1 := d.AttachSource("src1")
+	src2 := d.AttachSource("src2")
+	r1h := d.AttachReceiver("r1", topo.DefaultDelay).Host
+	r2h := d.AttachReceiver("r2", topo.DefaultDelay).Host
+	d.Finish()
+	mcast.NewIGMP(d.Routers[1])
 
 	s1 := session(1, 500*sim.Millisecond)
 	s2 := session(2, 500*sim.Millisecond)
 	for _, a := range s1.Addrs() {
-		d.Fabric.SetSource(a, src1.ID())
+		d.Multicast().SetSource(a, src1.ID())
 	}
 	for _, a := range s2.Addrs() {
-		d.Fabric.SetSource(a, src2.ID())
+		d.Multicast().SetSource(a, src2.ID())
 	}
 	policy1 := core.PeriodicUpgrades{Factor: 2, N: s1.Rates.N}
-	snd1 := NewSender(src1, s1, DL, policy1, d.RNG.Fork(), nil, 0)
-	snd2 := NewSender(src2, s2, DL, policy1, d.RNG.Fork(), nil, 0)
-	atk := NewInflator(NewReceiver(r1h, s1, d.Right.Addr(), FLIDRule))
-	good := NewReceiver(r2h, s2, d.Right.Addr(), FLIDRule)
+	snd1 := NewSender(src1, s1, DL, policy1, d.Rand().Fork(), nil, 0)
+	snd2 := NewSender(src2, s2, DL, policy1, d.Rand().Fork(), nil, 0)
+	atk := NewInflator(NewReceiver(r1h, s1, d.Routers[1].Addr(), FLIDRule))
+	good := NewReceiver(r2h, s2, d.Routers[1].Addr(), FLIDRule)
 
-	d.Sched.At(0, func() { snd1.Start(); snd2.Start(); atk.Start(); good.Start() })
-	d.Sched.At(30*sim.Second, func() { atk.Inflate() })
-	d.Sched.RunUntil(90 * sim.Second)
+	d.Scheduler().At(0, func() { snd1.Start(); snd2.Start(); atk.Start(); good.Start() })
+	d.Scheduler().At(30*sim.Second, func() { atk.Inflate() })
+	d.Scheduler().RunUntil(90 * sim.Second)
 
 	atkBefore := atk.Meter().AvgKbps(15*sim.Second, 30*sim.Second)
 	atkAfter := atk.Meter().AvgKbps(60*sim.Second, 90*sim.Second)
@@ -171,32 +171,32 @@ func TestInflatedSubscriptionBoostsDLAttacker(t *testing.T) {
 func TestDSPreventsInflatedSubscription(t *testing.T) {
 	// Same scenario, FLID-DS: the attacker's inflation attempts must not
 	// raise its throughput above its fair share.
-	d := topo.New(topo.PaperConfig(500_000, 4))
-	src1 := d.AddSource("src1")
-	src2 := d.AddSource("src2")
-	r1h := d.AddReceiver("r1")
-	r2h := d.AddReceiver("r2")
-	d.Done()
+	d := topo.Dumbbell(topo.PaperConfig(500_000, 4))
+	src1 := d.AttachSource("src1")
+	src2 := d.AttachSource("src2")
+	r1h := d.AttachReceiver("r1", topo.DefaultDelay).Host
+	r2h := d.AttachReceiver("r2", topo.DefaultDelay).Host
+	d.Finish()
 	slot := 250 * sim.Millisecond
-	ctl := sigma.NewController(d.Right, sigma.DefaultConfig(slot))
+	ctl := sigma.NewController(d.Routers[1], sigma.DefaultConfig(slot))
 
 	s1 := session(1, slot)
 	s2 := session(2, slot)
 	for _, a := range s1.Addrs() {
-		d.Fabric.SetSource(a, src1.ID())
+		d.Multicast().SetSource(a, src1.ID())
 	}
 	for _, a := range s2.Addrs() {
-		d.Fabric.SetSource(a, src2.ID())
+		d.Multicast().SetSource(a, src2.ID())
 	}
 	policy := core.PeriodicUpgrades{Factor: 2, N: s1.Rates.N}
-	snd1 := NewSender(src1, s1, DS, policy, d.RNG.Fork(), nil, 2)
-	snd2 := NewSender(src2, s2, DS, policy, d.RNG.Fork(), nil, 2)
-	atk := NewDSAttacker(NewDSReceiver(r1h, s1, d.Right.Addr(), Layered), d.RNG.Fork())
-	good := NewDSReceiver(r2h, s2, d.Right.Addr(), Layered)
+	snd1 := NewSender(src1, s1, DS, policy, d.Rand().Fork(), nil, 2)
+	snd2 := NewSender(src2, s2, DS, policy, d.Rand().Fork(), nil, 2)
+	atk := NewDSAttacker(NewDSReceiver(r1h, s1, d.Routers[1].Addr(), Layered), d.Rand().Fork())
+	good := NewDSReceiver(r2h, s2, d.Routers[1].Addr(), Layered)
 
-	d.Sched.At(0, func() { snd1.Start(); snd2.Start(); atk.Start(); good.Start() })
-	d.Sched.At(30*sim.Second, func() { atk.Inflate() })
-	d.Sched.RunUntil(90 * sim.Second)
+	d.Scheduler().At(0, func() { snd1.Start(); snd2.Start(); atk.Start(); good.Start() })
+	d.Scheduler().At(30*sim.Second, func() { atk.Inflate() })
+	d.Scheduler().RunUntil(90 * sim.Second)
 
 	atkAfter := atk.Meter().AvgKbps(60*sim.Second, 90*sim.Second)
 	goodAfter := good.Meter().AvgKbps(60*sim.Second, 90*sim.Second)
@@ -222,26 +222,26 @@ func TestDSPreventsInflatedSubscription(t *testing.T) {
 }
 
 func TestTwoDSReceiversConvergeTogether(t *testing.T) {
-	d := topo.New(topo.PaperConfig(250_000, 5))
-	srcHost := d.AddSource("src")
-	r1h := d.AddReceiver("r1")
-	r2h := d.AddReceiver("r2")
-	d.Done()
+	d := topo.Dumbbell(topo.PaperConfig(250_000, 5))
+	srcHost := d.AttachSource("src")
+	r1h := d.AttachReceiver("r1", topo.DefaultDelay).Host
+	r2h := d.AttachReceiver("r2", topo.DefaultDelay).Host
+	d.Finish()
 	slot := 250 * sim.Millisecond
-	sigma.NewController(d.Right, sigma.DefaultConfig(slot))
+	sigma.NewController(d.Routers[1], sigma.DefaultConfig(slot))
 
 	sess := session(1, slot)
 	for _, a := range sess.Addrs() {
-		d.Fabric.SetSource(a, srcHost.ID())
+		d.Multicast().SetSource(a, srcHost.ID())
 	}
 	policy := core.PeriodicUpgrades{Factor: 2, N: sess.Rates.N}
-	snd := NewSender(srcHost, sess, DS, policy, d.RNG.Fork(), nil, 2)
-	r1 := NewDSReceiver(r1h, sess, d.Right.Addr(), Layered)
-	r2 := NewDSReceiver(r2h, sess, d.Right.Addr(), Layered)
+	snd := NewSender(srcHost, sess, DS, policy, d.Rand().Fork(), nil, 2)
+	r1 := NewDSReceiver(r1h, sess, d.Routers[1].Addr(), Layered)
+	r2 := NewDSReceiver(r2h, sess, d.Routers[1].Addr(), Layered)
 
-	d.Sched.At(0, func() { snd.Start(); r1.Start() })
-	d.Sched.At(10*sim.Second, func() { r2.Start() })
-	d.Sched.RunUntil(60 * sim.Second)
+	d.Scheduler().At(0, func() { snd.Start(); r1.Start() })
+	d.Scheduler().At(10*sim.Second, func() { r2.Start() })
+	d.Scheduler().RunUntil(60 * sim.Second)
 
 	if r1.Level() != r2.Level() {
 		t.Fatalf("receivers did not converge: %d vs %d", r1.Level(), r2.Level())

@@ -20,12 +20,12 @@ import (
 // host and evaluate slots directly.
 func rig(t *testing.T) (*netsim.Host, *core.Session, packet.Addr) {
 	t.Helper()
-	d := topo.New(topo.PaperConfig(250_000, 1))
-	d.AddSource("src")
-	rcv := d.AddReceiver("rcv")
-	d.Done()
-	mcast.NewIGMP(d.Right)
-	return rcv, session(1, 500*sim.Millisecond), d.Right.Addr()
+	d := topo.Dumbbell(topo.PaperConfig(250_000, 1))
+	d.AttachSource("src")
+	rcv := d.AttachReceiver("rcv", topo.DefaultDelay).Host
+	d.Finish()
+	mcast.NewIGMP(d.Routers[1])
+	return rcv, session(1, 500*sim.Millisecond), d.Routers[1].Addr()
 }
 
 // deliver hands the host got of count packets of group g in slot, the
@@ -172,12 +172,12 @@ func TestInflatorStopsTheRule(t *testing.T) {
 // instantiation and every kind of slot; each pair must also carry the key
 // that opens its own group.
 func TestSubscribePairsAscending(t *testing.T) {
-	d := topo.New(topo.PaperConfig(250_000, 1))
-	d.AddSource("src")
-	rcv := d.AddReceiver("rcv")
-	d.Done()
+	d := topo.Dumbbell(topo.PaperConfig(250_000, 1))
+	d.AttachSource("src")
+	rcv := d.AttachReceiver("rcv", topo.DefaultDelay).Host
+	d.Finish()
 	slot := 250 * sim.Millisecond
-	sigma.NewController(d.Right, sigma.DefaultConfig(slot))
+	sigma.NewController(d.Routers[1], sigma.DefaultConfig(slot))
 	n := core.PaperSchedule().N
 
 	// A receiver of 4 groups, 4 packets a group, an upgrade to 5 authorized.
@@ -239,7 +239,7 @@ func TestSubscribePairsAscending(t *testing.T) {
 		for try := uint64(0); try < 10; try++ {
 			stamp, slotKeys := tc.src.begin(try)
 			sess := tc.src.sess
-			r := NewDSReceiver(rcv, sess, d.Right.Addr(), tc.src.newAcc)
+			r := NewDSReceiver(rcv, sess, d.Routers[1].Addr(), tc.src.newAcc)
 			var pairs []packet.AddrKey
 			r.Client().Tap = func(_ uint32, p []packet.AddrKey) { pairs = append([]packet.AddrKey(nil), p...) }
 			r.Start()

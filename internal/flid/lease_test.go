@@ -40,27 +40,26 @@ func TestKeyReceiversLeaseAccumulators(t *testing.T) {
 		}, func(n int) flid.Accumulator { return delta.NewThresholdReceiver(n, thresh) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := topo.PaperConfig(250_000, 1)
-			cfg.QueueBytes = 4 * 576 // a shallow drop-tail queue: probes into loss drop at once
-			d := topo.New(cfg)
-			src := d.AddSource("src")
+			d := topo.Dumbbell(topo.PaperConfig(250_000, 1))
+			d.Forward[0].Queue.CapBytes = 4 * 576 // a shallow drop-tail queue: probes into loss drop at once
+			src := d.AttachSource("src")
 			hosts := make([]*netsim.Host, m)
 			for i := range hosts {
-				hosts[i] = d.AddReceiver(fmt.Sprintf("r%d", i))
+				hosts[i] = d.AttachReceiver(fmt.Sprintf("r%d", i), topo.DefaultDelay).Host
 			}
-			d.Done()
-			sigma.NewController(d.Right, sigma.DefaultConfig(slot))
+			d.Finish()
+			sigma.NewController(d.Routers[1], sigma.DefaultConfig(slot))
 			sess := &core.Session{ID: 1, BaseAddr: packet.MulticastBase, Rates: core.PaperSchedule(), SlotDur: slot, PacketSize: 576}
 			for _, a := range sess.Addrs() {
-				d.Fabric.SetSource(a, src.ID())
+				d.Multicast().SetSource(a, src.ID())
 			}
-			snd := tc.sender(src, sess, core.PeriodicUpgrades{Factor: 2, N: sess.Rates.N}, d.RNG.Fork())
+			snd := tc.sender(src, sess, core.PeriodicUpgrades{Factor: 2, N: sess.Rates.N}, d.Rand().Fork())
 
 			built := 0
 			counted := func(n int) flid.Accumulator { built++; return tc.newAcc(n) }
 			rs := make([]*flid.DSReceiver, m)
 			for i, h := range hosts {
-				rs[i] = flid.NewDSReceiver(h, sess, d.Right.Addr(), counted)
+				rs[i] = flid.NewDSReceiver(h, sess, d.Routers[1].Addr(), counted)
 			}
 			each := func(f func(r *flid.DSReceiver)) func() {
 				return func() {
@@ -72,17 +71,17 @@ func TestKeyReceiversLeaseAccumulators(t *testing.T) {
 
 			lossy, dropped := 0, uint64(0)
 			for k := sim.Time(1); k <= slots; k++ {
-				d.Sched.At(k*slot, func() {
-					if q := d.Forward.Queue.Dropped; q > dropped {
+				d.Scheduler().At(k*slot, func() {
+					if q := d.Forward[0].Queue.Dropped; q > dropped {
 						lossy++
 						dropped = q
 					}
 				})
 			}
-			d.Sched.At(0, func() { snd.Start(); each((*flid.DSReceiver).Start)() })
-			d.Sched.At(300*slot+slot/3, each((*flid.DSReceiver).Stop))
-			d.Sched.At(308*slot+slot/2, each((*flid.DSReceiver).Start))
-			d.Sched.RunUntil(slots * slot)
+			d.Scheduler().At(0, func() { snd.Start(); each((*flid.DSReceiver).Start)() })
+			d.Scheduler().At(300*slot+slot/3, each((*flid.DSReceiver).Stop))
+			d.Scheduler().At(308*slot+slot/2, each((*flid.DSReceiver).Start))
+			d.Scheduler().RunUntil(slots * slot)
 
 			if lossy < 40 {
 				t.Fatalf("only %d of %d slots saw the bottleneck drop: not a lossy run", lossy, slots)

@@ -14,19 +14,19 @@ import (
 
 // rig is a dumbbell with one receiver host behind a plain-IGMP edge; tests
 // call the rule directly and hand advertisements to the host.
-func rig(t *testing.T) (*topo.Dumbbell, *netsim.Host, *core.Session) {
+func rig(t *testing.T) (*topo.Tree, *netsim.Host, *core.Session) {
 	t.Helper()
-	d := topo.New(topo.PaperConfig(250_000, 1))
-	src := d.AddSource("src")
-	rcv := d.AddReceiver("rcv")
-	d.Done()
-	mcast.NewIGMP(d.Right)
+	d := topo.Dumbbell(topo.PaperConfig(250_000, 1))
+	src := d.AttachSource("src")
+	rcv := d.AttachReceiver("rcv", topo.DefaultDelay).Host
+	d.Finish()
+	mcast.NewIGMP(d.Routers[1])
 	sess := &core.Session{
 		ID: 1, BaseAddr: packet.MulticastBase,
 		Rates: core.PaperSchedule(), SlotDur: 500 * sim.Millisecond, PacketSize: 576,
 	}
 	for _, a := range sess.Addrs() {
-		d.Fabric.SetSource(a, src.ID())
+		d.Multicast().SetSource(a, src.ID())
 	}
 	return d, rcv, sess
 }
@@ -59,7 +59,7 @@ func TestSteerRule(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			d, host, sess := rig(t)
 			m := &steer{sess: sess, target: tt.target}
-			r := flid.NewReceiver(host, sess, d.Right.Addr(), m.rule)
+			r := flid.NewReceiver(host, sess, d.Routers[1].Addr(), m.rule)
 			r.Start()
 			for r.Level() < tt.level {
 				r.Add(0)
@@ -105,7 +105,7 @@ func TestOnShare(t *testing.T) {
 // kernel follows them.
 func TestReceiverFollowsAdvertisement(t *testing.T) {
 	d, host, sess := rig(t)
-	r := NewReceiver(host, sess, d.Right.Addr())
+	r := NewReceiver(host, sess, d.Routers[1].Addr())
 	r.Start()
 	host.Receive(packet.New(0, host.Addr(), 0, &packet.ShareHeader{Session: sess.ID, ShareBps: sess.Rates.Cumulative(2)}), nil)
 	deliver := func(slot uint32, g int) {

@@ -10,13 +10,13 @@ import (
 	"deltasigma/internal/topo"
 )
 
-func buildRig(capacity int64, seed uint64) (*topo.Dumbbell, *Sender, *Receiver) {
-	d := topo.New(topo.PaperConfig(capacity, seed))
-	src := d.AddSource("src")
-	rcv := d.AddReceiver("rcv")
-	d.Done()
+func buildRig(capacity int64, seed uint64) (*topo.Tree, *Sender, *Receiver) {
+	d := topo.Dumbbell(topo.PaperConfig(capacity, seed))
+	src := d.AttachSource("src")
+	rcv := d.AttachReceiver("rcv", topo.DefaultDelay).Host
+	d.Finish()
 	slot := 250 * sim.Millisecond
-	sigma.NewController(d.Right, sigma.DefaultConfig(slot))
+	sigma.NewController(d.Routers[1], sigma.DefaultConfig(slot))
 
 	sess := &core.Session{
 		ID:         1,
@@ -26,11 +26,11 @@ func buildRig(capacity int64, seed uint64) (*topo.Dumbbell, *Sender, *Receiver) 
 		PacketSize: 576,
 	}
 	for _, a := range sess.Addrs() {
-		d.Fabric.SetSource(a, src.ID())
+		d.Multicast().SetSource(a, src.ID())
 	}
 	policy := core.PeriodicUpgrades{Factor: 2, N: sess.Rates.N}
-	snd := NewSender(src, sess, policy, d.RNG.Fork(), 2)
-	r := NewReceiver(rcv, sess, d.Right.Addr())
+	snd := NewSender(src, sess, policy, d.Rand().Fork(), 2)
+	r := NewReceiver(rcv, sess, d.Routers[1].Addr())
 	return d, snd, r
 }
 
@@ -38,8 +38,8 @@ func TestReceiverClimbsToSustainableGroup(t *testing.T) {
 	// 300 Kbps bottleneck: group 3 streams at 225 Kbps (sustainable),
 	// group 4 at 337 Kbps (not).
 	d, snd, r := buildRig(300_000, 1)
-	d.Sched.At(0, func() { snd.Start(); r.Start() })
-	d.Sched.RunUntil(60 * sim.Second)
+	d.Scheduler().At(0, func() { snd.Start(); r.Start() })
+	d.Scheduler().RunUntil(60 * sim.Second)
 
 	if r.Level() < 2 || r.Level() > 4 {
 		t.Fatalf("group = %d, want near 3", r.Level())
@@ -56,8 +56,8 @@ func TestReceiverClimbsToSustainableGroup(t *testing.T) {
 func TestReceiverHoldsSlowestOnTinyLink(t *testing.T) {
 	// 120 Kbps bottleneck: only group 1 (100 Kbps) fits.
 	d, snd, r := buildRig(120_000, 2)
-	d.Sched.At(0, func() { snd.Start(); r.Start() })
-	d.Sched.RunUntil(45 * sim.Second)
+	d.Scheduler().At(0, func() { snd.Start(); r.Start() })
+	d.Scheduler().RunUntil(45 * sim.Second)
 
 	if r.Level() > 2 {
 		t.Fatalf("group = %d on a 120 Kbps link", r.Level())
@@ -72,8 +72,8 @@ func TestSingleGroupSubscription(t *testing.T) {
 	// A replicated receiver must never hold more than one group's stream:
 	// its delivered rate must track a single group's rate, not a sum.
 	d, snd, r := buildRig(2_000_000, 3) // uncongested: climbs to the top
-	d.Sched.At(0, func() { snd.Start(); r.Start() })
-	d.Sched.RunUntil(60 * sim.Second)
+	d.Scheduler().At(0, func() { snd.Start(); r.Start() })
+	d.Scheduler().RunUntil(60 * sim.Second)
 
 	if r.Level() != 6 {
 		t.Fatalf("group = %d, want top group 6 on an uncongested link", r.Level())

@@ -48,7 +48,7 @@ func rttRun(opt Options, mode flid.Mode) Curve {
 
 	const nRecv = 20
 	cfg := topo.PaperConfig(FairShare, opt.Seed)
-	cfg.BottleneckDelay = 5 * sim.Millisecond
+	cfg.HopDelay = 5 * sim.Millisecond
 	l := newLab(cfg, mode)
 
 	ms := l.addSession(0)

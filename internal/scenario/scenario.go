@@ -140,7 +140,7 @@ type lab struct {
 // and protocol mode.
 func newLab(cfg topo.Config, mode flid.Mode) *lab {
 	return adopt(deltasigma.MustNew(
-		deltasigma.WithTopology(func(uint64) deltasigma.Topology { return topo.New(cfg) }),
+		deltasigma.WithTopology(func(uint64) deltasigma.Topology { return topo.Dumbbell(cfg) }),
 		deltasigma.WithProtocol(protoName(mode)),
 		deltasigma.WithSeed(cfg.Seed),
 	))

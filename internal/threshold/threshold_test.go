@@ -11,13 +11,13 @@ import (
 	"deltasigma/internal/topo"
 )
 
-func buildRig(capacity int64, thresh []float64, seed uint64) (*topo.Dumbbell, *Sender, *flid.DSReceiver) {
-	d := topo.New(topo.PaperConfig(capacity, seed))
-	src := d.AddSource("src")
-	rcv := d.AddReceiver("rcv")
-	d.Done()
+func buildRig(capacity int64, thresh []float64, seed uint64) (*topo.Tree, *Sender, *flid.DSReceiver) {
+	d := topo.Dumbbell(topo.PaperConfig(capacity, seed))
+	src := d.AttachSource("src")
+	rcv := d.AttachReceiver("rcv", topo.DefaultDelay).Host
+	d.Finish()
 	slot := 250 * sim.Millisecond
-	sigma.NewController(d.Right, sigma.DefaultConfig(slot))
+	sigma.NewController(d.Routers[1], sigma.DefaultConfig(slot))
 
 	sess := &core.Session{
 		ID:         1,
@@ -27,11 +27,11 @@ func buildRig(capacity int64, thresh []float64, seed uint64) (*topo.Dumbbell, *S
 		PacketSize: 576,
 	}
 	for _, a := range sess.Addrs() {
-		d.Fabric.SetSource(a, src.ID())
+		d.Multicast().SetSource(a, src.ID())
 	}
 	policy := core.PeriodicUpgrades{Factor: 2, N: sess.Rates.N}
-	snd := NewSender(src, sess, thresh, policy, d.RNG.Fork(), 2)
-	r := NewReceiver(rcv, sess, thresh, d.Right.Addr())
+	snd := NewSender(src, sess, thresh, policy, d.Rand().Fork(), 2)
+	r := NewReceiver(rcv, sess, thresh, d.Routers[1].Addr())
 	return d, snd, r
 }
 
@@ -42,8 +42,8 @@ func TestThresholdReceiverFindsFairLevel(t *testing.T) {
 	// a fair level for the loss rate (§3.1.2) — unlike flat-threshold RLM,
 	// which oscillates (see TestFlatThresholdOscillates).
 	d, snd, r := buildRig(300_000, GradedThresholds(6), 1)
-	d.Sched.At(0, func() { snd.Start(); r.Start() })
-	d.Sched.RunUntil(60 * sim.Second)
+	d.Scheduler().At(0, func() { snd.Start(); r.Start() })
+	d.Scheduler().RunUntil(60 * sim.Second)
 
 	if r.Level() < 2 || r.Level() > 5 {
 		t.Fatalf("level = %d, want near the fair level 4", r.Level())
@@ -60,10 +60,10 @@ func TestFlatThresholdOscillates(t *testing.T) {
 	// classic RLM instability that motivated graded thresholds. The
 	// receiver must keep cycling — never settle above the link, never die.
 	d, snd, r := buildRig(300_000, RLMThresholds(6), 4)
-	d.Sched.At(0, func() { snd.Start(); r.Start() })
+	d.Scheduler().At(0, func() { snd.Start(); r.Start() })
 	levels := map[int]bool{}
 	for i := 1; i <= 60; i++ {
-		d.Sched.RunUntil(sim.Time(i) * sim.Second)
+		d.Scheduler().RunUntil(sim.Time(i) * sim.Second)
 		levels[r.Level()] = true
 	}
 	if len(levels) < 3 {
@@ -80,8 +80,8 @@ func TestThresholdToleratesMildLoss(t *testing.T) {
 	// a small percentage — under the 25% tolerance the receiver should
 	// hold level 3 rather than yo-yo like a single-loss protocol would.
 	d, snd, r := buildRig(240_000, RLMThresholds(6), 2)
-	d.Sched.At(0, func() { snd.Start(); r.Start() })
-	d.Sched.RunUntil(60 * sim.Second)
+	d.Scheduler().At(0, func() { snd.Start(); r.Start() })
+	d.Scheduler().RunUntil(60 * sim.Second)
 
 	if r.Level() < 2 {
 		t.Fatalf("level = %d: threshold protocol collapsed under mild loss", r.Level())
@@ -109,8 +109,8 @@ func TestGradedThresholdsAreTighterAtTop(t *testing.T) {
 
 func TestThresholdUncongestedClimbs(t *testing.T) {
 	d, snd, r := buildRig(2_000_000, RLMThresholds(6), 3)
-	d.Sched.At(0, func() { snd.Start(); r.Start() })
-	d.Sched.RunUntil(60 * sim.Second)
+	d.Scheduler().At(0, func() { snd.Start(); r.Start() })
+	d.Scheduler().RunUntil(60 * sim.Second)
 	if r.Level() != 6 {
 		t.Fatalf("level = %d, want 6 on an uncongested link", r.Level())
 	}

@@ -9,7 +9,7 @@ import (
 
 func TestPaperConfigDefaults(t *testing.T) {
 	cfg := PaperConfig(1_000_000, 1)
-	if cfg.BottleneckDelay != 20*sim.Millisecond || cfg.SideDelay != 10*sim.Millisecond {
+	if cfg.HopDelay != 20*sim.Millisecond || cfg.SideDelay != 10*sim.Millisecond {
 		t.Fatalf("delays wrong: %+v", cfg)
 	}
 	if cfg.SideRate != 10_000_000 || cfg.BDPFactor != 2 {
@@ -18,9 +18,9 @@ func TestPaperConfigDefaults(t *testing.T) {
 }
 
 func TestDumbbellQueueSizing(t *testing.T) {
-	d := New(PaperConfig(1_000_000, 1))
+	d := Dumbbell(PaperConfig(1_000_000, 1))
 	// 2 × 1 Mbps × 80 ms RTT / 8 = 20000 bytes.
-	if got := d.Forward.Queue.CapBytes; got != 20000 {
+	if got := d.Forward[0].Queue.CapBytes; got != 20000 {
 		t.Fatalf("bottleneck queue = %d bytes, want 20000", got)
 	}
 	if d.RTT() != 80*sim.Millisecond {
@@ -29,33 +29,33 @@ func TestDumbbellQueueSizing(t *testing.T) {
 }
 
 func TestDumbbellPathCrossesBottleneck(t *testing.T) {
-	d := New(PaperConfig(1_000_000, 1))
-	src := d.AddSource("s")
-	dst := d.AddReceiver("r")
-	d.Done()
+	d := Dumbbell(PaperConfig(1_000_000, 1))
+	src := d.AttachSource("s")
+	dst := d.AttachReceiver("r", DefaultDelay).Host
+	d.Finish()
 
-	path := d.Net.Path(src.ID(), dst.ID())
+	path := d.Network().Path(src.ID(), dst.ID())
 	if len(path) != 4 {
 		t.Fatalf("path length %d, want src-left-right-dst", len(path))
 	}
-	if path[1] != d.Left.ID() || path[2] != d.Right.ID() {
+	if path[1] != d.Routers[0].ID() || path[2] != d.Routers[1].ID() {
 		t.Fatalf("path %v does not cross the bottleneck", path)
 	}
-	delay, ok := d.Net.PathDelay(src.ID(), dst.ID())
+	delay, ok := d.Network().PathDelay(src.ID(), dst.ID())
 	if !ok || delay != 40*sim.Millisecond {
 		t.Fatalf("one-way delay %v, want 40ms", delay)
 	}
 }
 
 func TestReceiverDelayVariants(t *testing.T) {
-	d := New(PaperConfig(1_000_000, 1))
-	src := d.AddSource("s")
-	fast := d.AddReceiverDelay("fast", 1*sim.Millisecond)
-	slow := d.AddReceiverDelay("slow", 80*sim.Millisecond)
-	d.Done()
+	d := Dumbbell(PaperConfig(1_000_000, 1))
+	src := d.AttachSource("s")
+	fast := d.AttachReceiver("fast", 1*sim.Millisecond).Host
+	slow := d.AttachReceiver("slow", 80*sim.Millisecond).Host
+	d.Finish()
 
-	fd, _ := d.Net.PathDelay(src.ID(), fast.ID())
-	sd, _ := d.Net.PathDelay(src.ID(), slow.ID())
+	fd, _ := d.Network().PathDelay(src.ID(), fast.ID())
+	sd, _ := d.Network().PathDelay(src.ID(), slow.ID())
 	if fd != 31*sim.Millisecond {
 		t.Fatalf("fast path delay %v, want 31ms", fd)
 	}
@@ -65,29 +65,20 @@ func TestReceiverDelayVariants(t *testing.T) {
 }
 
 func TestReceiversAreLocalInterfaces(t *testing.T) {
-	d := New(PaperConfig(1_000_000, 1))
-	r := d.AddReceiver("r")
-	d.Done()
-	if _, ok := d.Right.Locals()[r.Addr()]; !ok {
+	d := Dumbbell(PaperConfig(1_000_000, 1))
+	r := d.AttachReceiver("r", DefaultDelay).Host
+	d.Finish()
+	if _, ok := d.Routers[1].Locals()[r.Addr()]; !ok {
 		t.Fatal("receiver not attached as a local interface of the edge")
 	}
 }
 
 func TestSourceNotLocalToEdge(t *testing.T) {
-	d := New(PaperConfig(1_000_000, 1))
-	s := d.AddSource("s")
-	d.Done()
-	if _, ok := d.Right.Locals()[s.Addr()]; ok {
+	d := Dumbbell(PaperConfig(1_000_000, 1))
+	s := d.AttachSource("s")
+	d.Finish()
+	if _, ok := d.Routers[1].Locals()[s.Addr()]; ok {
 		t.Fatal("source must not be a local interface of the right edge")
-	}
-}
-
-func TestExplicitQueueOverride(t *testing.T) {
-	cfg := PaperConfig(1_000_000, 1)
-	cfg.QueueBytes = 12345
-	d := New(cfg)
-	if d.Forward.Queue.CapBytes != 12345 {
-		t.Fatalf("queue = %d, want override 12345", d.Forward.Queue.CapBytes)
 	}
 }
 
@@ -97,13 +88,13 @@ func TestBadConfigPanics(t *testing.T) {
 			t.Fatal("zero bottleneck should panic")
 		}
 	}()
-	New(Config{})
+	Dumbbell(Config{Capacities: []int64{0}})
 }
 
 func TestHostNaming(t *testing.T) {
-	d := New(PaperConfig(1_000_000, 1))
-	a := d.AddSource("")
-	b := d.AddReceiver("")
+	d := Dumbbell(PaperConfig(1_000_000, 1))
+	a := d.AttachSource("")
+	b := d.AttachReceiver("", DefaultDelay).Host
 	if a.Name() == "" || b.Name() == "" || a.Name() == b.Name() {
 		t.Fatalf("auto names wrong: %q %q", a.Name(), b.Name())
 	}

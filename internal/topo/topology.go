@@ -63,69 +63,10 @@ type Topology interface {
 // bdpQueue sizes a queue as factor × rate × rtt (the §5.1 two-BDP rule),
 // with a floor so access links never bottleneck on buffer space.
 func bdpQueue(factor float64, rate int64, rtt sim.Time, floor int) int {
-	q := int(factor * float64(rate) * rtt.Sec() / 8)
-	if q < floor {
-		q = floor
-	}
-	return q
-}
-
-// sideDefaults fills the §5.1 access-link and queue defaults shared by the
-// multi-router topology configs; hopDelay is the inter-router link delay.
-func sideDefaults(hopDelay *sim.Time, sideRate *int64, sideDelay *sim.Time, factor *float64) {
-	if *hopDelay <= 0 {
-		*hopDelay = 20 * sim.Millisecond
-	}
-	if *sideRate <= 0 {
-		*sideRate = 10_000_000
-	}
-	if *sideDelay <= 0 {
-		*sideDelay = 10 * sim.Millisecond
-	}
-	if *factor <= 0 {
-		*factor = 2
-	}
-}
-
-// edgeSet tracks the routers that gatekeep attached receivers, in
-// attachment order.
-type edgeSet struct {
-	list []*mcast.Router
-	seen map[*mcast.Router]bool
-}
-
-func (e *edgeSet) add(r *mcast.Router) {
-	if e.seen == nil {
-		e.seen = make(map[*mcast.Router]bool)
-	}
-	if !e.seen[r] {
-		e.seen[r] = true
-		e.list = append(e.list, r)
-	}
-}
-
-// attachHost creates a host and connects it to router over an access link
-// with a BDP-sized queue.
-func attachHost(net *netsim.Network, name string, router *mcast.Router, rate int64, delay, rtt sim.Time, factor float64) *netsim.Host {
-	h := net.AddHost(name)
-	net.Connect(h, router, rate, delay, bdpQueue(factor, rate, rtt, 1<<16))
-	return h
+	return max(int(factor*float64(rate)*rtt.Sec()/8), floor)
 }
 
 // cohortStubRate is the private-edge→cohort-host stub link rate: fast
 // enough that the extra hop adds negligible serialization skew relative to
 // a host attached directly to the shared edge.
 const cohortStubRate int64 = 100_000_000_000
-
-// attachCohortEdge builds a cohort attachment point behind parent: a
-// private edge router reached over a dedicated access link carrying the
-// cohort's delay, with the cohort's single host on a zero-delay stub
-// behind it.
-func attachCohortEdge(net *netsim.Network, fabric *mcast.Fabric, name string, parent *mcast.Router, rate int64, delay, rtt sim.Time, factor float64) Port {
-	edge := mcast.NewRouter(net, fabric, name+"-edge")
-	net.Connect(parent, edge, rate, delay, bdpQueue(factor, rate, rtt, 1<<16))
-	h := net.AddHost(name)
-	net.Connect(h, edge, cohortStubRate, 0, 1<<20)
-	edge.AttachLocal(h)
-	return Port{Host: h, Edge: edge}
-}

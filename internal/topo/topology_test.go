@@ -7,7 +7,7 @@ import (
 )
 
 func TestDumbbellImplementsTopology(t *testing.T) {
-	var topo Topology = New(PaperConfig(1_000_000, 1))
+	var topo Topology = Dumbbell(PaperConfig(1_000_000, 1))
 	src := topo.AttachSource("s")
 	port := topo.AttachReceiver("r", 0)
 	topo.Finish()
@@ -28,9 +28,9 @@ func TestDumbbellImplementsTopology(t *testing.T) {
 }
 
 func TestChainShape(t *testing.T) {
-	c := NewChain(ChainConfig{Bottlenecks: []int64{1_000_000, 500_000, 250_000}, Seed: 1})
-	if c.Hops() != 3 || len(c.Routers) != 4 {
-		t.Fatalf("hops=%d routers=%d", c.Hops(), len(c.Routers))
+	c := Chain(Config{Capacities: []int64{1_000_000, 500_000, 250_000}, Seed: 1})
+	if len(c.Forward) != 3 || len(c.Routers) != 4 {
+		t.Fatalf("hops=%d routers=%d", len(c.Forward), len(c.Routers))
 	}
 	src := c.AttachSource("s")
 	far := c.AttachReceiver("far", 0) // default egress: behind all hops
@@ -38,10 +38,10 @@ func TestChainShape(t *testing.T) {
 	c.Finish()
 
 	// Far path crosses every router: src, R0..R3, dst = 6 nodes.
-	if path := c.Net.Path(src.ID(), far.Host.ID()); len(path) != 6 {
+	if path := c.Network().Path(src.ID(), far.Host.ID()); len(path) != 6 {
 		t.Fatalf("far path length %d, want 6", len(path))
 	}
-	if path := c.Net.Path(src.ID(), near.Host.ID()); len(path) != 4 {
+	if path := c.Network().Path(src.ID(), near.Host.ID()); len(path) != 4 {
 		t.Fatalf("near path length %d, want 4", len(path))
 	}
 	if far.Edge != c.Routers[3] || near.Edge != c.Routers[1] {
@@ -65,7 +65,7 @@ func TestChainShape(t *testing.T) {
 }
 
 func TestChainReceiverLocalToItsEdge(t *testing.T) {
-	c := NewChain(ChainConfig{Bottlenecks: []int64{1_000_000, 500_000}, Seed: 1})
+	c := Chain(Config{Capacities: []int64{1_000_000, 500_000}, Seed: 1})
 	p := c.AttachReceiverAt(1, "r", 0)
 	c.Finish()
 	if _, ok := c.Routers[1].Locals()[p.Host.Addr()]; !ok {
@@ -82,13 +82,13 @@ func TestChainBadConfigPanics(t *testing.T) {
 			t.Fatal("empty chain should panic")
 		}
 	}()
-	NewChain(ChainConfig{})
+	Chain(Config{})
 }
 
 func TestStarShape(t *testing.T) {
-	s := NewStar(StarConfig{Spokes: []int64{600_000, 150_000}, Seed: 1})
-	if s.Spokes() != 2 || len(s.EdgeRouters) != 2 {
-		t.Fatalf("spokes=%d edges=%d", s.Spokes(), len(s.EdgeRouters))
+	s := Star(Config{Capacities: []int64{600_000, 150_000}, Seed: 1})
+	if len(s.Forward) != 2 || len(s.Routers) != 3 {
+		t.Fatalf("spokes=%d routers=%d", len(s.Forward), len(s.Routers))
 	}
 	src := s.AttachSource("s")
 	// Round-robin placement alternates spokes.
@@ -97,11 +97,11 @@ func TestStarShape(t *testing.T) {
 	r2 := s.AttachReceiver("c", 0)
 	s.Finish()
 
-	if r0.Edge != s.EdgeRouters[0] || r1.Edge != s.EdgeRouters[1] || r2.Edge != s.EdgeRouters[0] {
+	if r0.Edge != s.Routers[1] || r1.Edge != s.Routers[2] || r2.Edge != s.Routers[1] {
 		t.Fatal("round-robin placement wrong")
 	}
 	// src → hub → edge → dst.
-	if path := s.Net.Path(src.ID(), r1.Host.ID()); len(path) != 4 {
+	if path := s.Network().Path(src.ID(), r1.Host.ID()); len(path) != 4 {
 		t.Fatalf("path length %d, want 4", len(path))
 	}
 	if edges := s.Edges(); len(edges) != 2 {
@@ -116,11 +116,11 @@ func TestStarShape(t *testing.T) {
 }
 
 func TestStarExplicitPlacementPanicsOutOfRange(t *testing.T) {
-	s := NewStar(StarConfig{Spokes: []int64{100_000}, Seed: 1})
+	s := Star(Config{Capacities: []int64{100_000}, Seed: 1})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range spoke should panic")
 		}
 	}()
-	s.AttachReceiverAt(1, "r", 0)
+	s.AttachReceiverAt(2, "r", 0)
 }

@@ -71,15 +71,15 @@ func checkCaps(opt string, caps []int64) error {
 // specs.
 
 func dumbbell(bottleneck int64, seed uint64) Topology {
-	return topo.New(topo.PaperConfig(bottleneck, seed))
+	return topo.Dumbbell(topo.PaperConfig(bottleneck, seed))
 }
 
 func chain(caps []int64, seed uint64) Topology {
-	return topo.NewChain(topo.ChainConfig{Bottlenecks: caps, Seed: seed})
+	return topo.Chain(topo.Config{Capacities: caps, Seed: seed})
 }
 
 func star(caps []int64, seed uint64) Topology {
-	return topo.NewStar(topo.StarConfig{Spokes: caps, Seed: seed})
+	return topo.Star(topo.Config{Capacities: caps, Seed: seed})
 }
 
 // WithDumbbell runs the experiment on the §5.1 dumbbell with the given

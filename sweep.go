@@ -23,6 +23,8 @@ type TopologySpec struct {
 	Name string
 	// Build constructs the topology for one grid point.
 	Build func(bottleneck int64, seed uint64) Topology
+
+	empty bool // a ChainSpec or StarSpec of no hops, which Sweep.Run refuses
 }
 
 // DumbbellSpec is the paper's single-bottleneck dumbbell sized to the grid
@@ -39,12 +41,12 @@ func ChainSpec(hops int) TopologySpec { return uniformSpec("chain", hops, chain)
 // the grid point's capacity; receivers round-robin across the spokes.
 func StarSpec(spokes int) TopologySpec { return uniformSpec("star", spokes, star) }
 
-// uniformSpec sizes all n (at least one) hops or spokes of shape to the
-// grid point's capacity.
+// uniformSpec sizes all n hops or spokes of shape to the grid point's
+// capacity.
 func uniformSpec(name string, n int, shape func(caps []int64, seed uint64) Topology) TopologySpec {
-	n = max(n, 1)
 	return TopologySpec{
-		Name: fmt.Sprintf("%s%d", name, n),
+		Name:  fmt.Sprintf("%s%d", name, n),
+		empty: n < 1,
 		Build: func(bottleneck int64, seed uint64) Topology {
 			caps := make([]int64, n)
 			for i := range caps {
@@ -341,6 +343,9 @@ func (sw Sweep) normalize() (Sweep, error) {
 	for _, t := range sw.Topologies {
 		if t.Build == nil {
 			return sw, fmt.Errorf("deltasigma: topology spec %q has no Build", t.Name)
+		}
+		if t.empty {
+			return sw, fmt.Errorf("deltasigma: topology spec %q needs at least one hop", t.Name)
 		}
 	}
 	return sw, cmp.Or(

@@ -261,6 +261,8 @@ func TestSweepValidation(t *testing.T) {
 		{deltasigma.Sweep{Duration: dur, Warmup: dur}, "warmup 10.000s must be shorter than duration"},
 		{deltasigma.Sweep{Attackers: []int{1}, Duration: dur, AttackAt: dur}, "attack time 10.000s must be inside duration"},
 		{deltasigma.Sweep{Topologies: []deltasigma.TopologySpec{{Name: "hollow"}}}, `topology spec "hollow" has no Build`},
+		{deltasigma.Sweep{Topologies: []deltasigma.TopologySpec{deltasigma.ChainSpec(0)}}, `topology spec "chain0" needs at least one hop`},
+		{deltasigma.Sweep{Topologies: []deltasigma.TopologySpec{deltasigma.StarSpec(-3)}}, `topology spec "star-3" needs at least one hop`},
 		{deltasigma.Sweep{Duration: -5 * deltasigma.Second}, "must not be negative"},
 		{deltasigma.Sweep{Duration: dur, Warmup: -deltasigma.Second}, "must not be negative"},
 		{deltasigma.Sweep{Duration: dur, AttackAt: -deltasigma.Second}, "must not be negative"},
