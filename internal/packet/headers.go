@@ -209,16 +209,20 @@ type KeyTuple struct {
 	HasInc bool
 }
 
+// KeyTupleWireLen is one KeyTuple's length on the wire: the address, three
+// 64-bit keys and a flags byte for HasDec/HasInc.
+const KeyTupleWireLen = 4 + 8 + 8 + 8 + 1
+
 // KeyAnnounce is the SIGMA special packet carrying address-key tuples from
 // the sender to edge routers. Its Alert bit instructs edge routers to
-// intercept it; FECIndex/FECTotal implement the forward-error-corrected
-// delivery (§3.2.1, "to ensure reliable delivery ... SIGMA uses forward
-// error correction").
+// intercept it; FECIndex/FECTotal number the copies of the repetition code
+// that delivers it (§3.2.1, "to ensure reliable delivery ... SIGMA uses
+// forward error correction").
 type KeyAnnounce struct {
 	Session  uint16
 	Slot     uint32
-	FECIndex uint8 // which repetition/parity block this copy is
-	FECTotal uint8 // total blocks emitted for the slot
+	FECIndex uint8 // which repetition copy this is
+	FECTotal uint8 // total copies emitted for the slot
 	Tuples   []KeyTuple
 }
 
@@ -226,4 +230,4 @@ type KeyAnnounce struct {
 func (*KeyAnnounce) HeaderProto() Proto { return ProtoKeyAnnounce }
 
 // WireLen implements Header.
-func (h *KeyAnnounce) WireLen() int { return 2 + 4 + 1 + 1 + 2 + len(h.Tuples)*29 }
+func (h *KeyAnnounce) WireLen() int { return 2 + 4 + 1 + 1 + 2 + len(h.Tuples)*KeyTupleWireLen }

@@ -1,12 +1,11 @@
 // Package packet defines the packet model shared by every protocol in the
 // simulator, in the spirit of gopacket's layer architecture: a fixed common
-// header plus one typed protocol header, each with a binary wire encoding
-// that round-trips through Encode/Decode.
+// header plus one typed protocol header.
 //
-// Inside the simulator packets travel as *Packet values for speed; the wire
-// codec exists so that header formats are concrete (the paper's Figure 6
-// message formats and the DELTA component/decrease fields are real bytes
-// with real sizes, which the §5.4 overhead accounting measures).
+// Packets travel as *Packet values and are never serialized. Each header
+// states its on-the-wire size through WireLen, so the paper's Figure 6
+// message formats and the DELTA component/decrease fields occupy real bytes
+// on links and queues, which the §5.4 overhead accounting measures.
 package packet
 
 import (
@@ -60,13 +59,12 @@ func (p Proto) String() string {
 	return fmt.Sprintf("proto(%d)", uint8(p))
 }
 
-// Header is a typed protocol header. Implementations live in headers.go and
-// marshal to/from the wire format in codec.go.
+// Header is a typed protocol header. Implementations live in headers.go.
 type Header interface {
 	// HeaderProto identifies the concrete header type.
 	HeaderProto() Proto
-	// WireLen is the encoded length of the header in bytes; it is part of
-	// the packet's on-the-wire size accounting.
+	// WireLen is the header's length on the wire in bytes; it is part of
+	// the packet's size accounting.
 	WireLen() int
 }
 
@@ -91,11 +89,11 @@ type Packet struct {
 	pool *Pool
 }
 
-// CommonWireLen is the encoded length of the common header.
+// CommonWireLen is the wire length of the common header.
 const CommonWireLen = 24
 
 // init fills a zeroed envelope: one reference, proto derived from the
-// header, and Size floored at the encoded header bytes. Shared by New and
+// header, and Size floored at the header bytes. Shared by New and
 // Pool.Get so pooled and un-pooled packets can never disagree on sizing.
 func (p *Packet) init(src, dst Addr, size int, hdr Header) {
 	p.refs = 1

@@ -46,21 +46,45 @@ func TestProtoString(t *testing.T) {
 	}
 }
 
+// TestNewSizesUpToHeaders pins every header's WireLen, the one statement
+// of its size on the wire, and checks that New floors a small packet at the
+// common header plus that length.
 func TestNewSizesUpToHeaders(t *testing.T) {
-	h := &FLIDHeader{Session: 1}
-	p := New(1, 2, 10, h) // 10 bytes is smaller than headers
-	if p.Size != CommonWireLen+h.WireLen() {
-		t.Fatalf("Size = %d, want %d", p.Size, CommonWireLen+h.WireLen())
+	cases := []struct {
+		name string
+		hdr  Header
+		want int
+	}{
+		{"flid", &FLIDHeader{Session: 1}, 45},
+		{"repl", &ReplHeader{}, 29},
+		{"tcp", &TCPHeader{}, 17},
+		{"cbr", &CBRHeader{}, 8},
+		{"igmp", &IGMPHeader{}, 5},
+		{"feedback", &FeedbackHeader{}, 20},
+		{"share", &ShareHeader{}, 14},
+		{"sigma", &SigmaHeader{}, 17},
+		{"sigma-3pairs-2addrs", &SigmaHeader{Pairs: make([]AddrKey, 3), Addrs: make([]Addr, 2)}, 17 + 12*3 + 4*2},
+		{"keyann", &KeyAnnounce{}, 10},
+		{"keyann-4tuples", &KeyAnnounce{Tuples: make([]KeyTuple, 4)}, 10 + 29*4},
 	}
-	p2 := New(1, 2, 576, h)
-	if p2.Size != 576 {
-		t.Fatalf("Size = %d, want 576", p2.Size)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := c.hdr.WireLen(); got != c.want {
+				t.Fatalf("WireLen = %d, want %d", got, c.want)
+			}
+			p := New(1, 2, 4, c.hdr) // 4 bytes is smaller than any header
+			if p.Size != CommonWireLen+c.want {
+				t.Fatalf("Size = %d, want %d", p.Size, CommonWireLen+c.want)
+			}
+			if p.Proto != c.hdr.HeaderProto() {
+				t.Fatalf("Proto = %v, want %v", p.Proto, c.hdr.HeaderProto())
+			}
+		})
 	}
-	if p2.Proto != ProtoFLID {
-		t.Fatalf("Proto = %v", p2.Proto)
+	if p := New(1, 2, 576, &FLIDHeader{}); p.Size != 576 {
+		t.Fatalf("Size = %d, want 576", p.Size)
 	}
-	bare := New(1, 2, 4, nil)
-	if bare.Size != CommonWireLen {
+	if bare := New(1, 2, 4, nil); bare.Size != CommonWireLen {
 		t.Fatalf("bare Size = %d", bare.Size)
 	}
 }

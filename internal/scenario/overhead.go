@@ -15,7 +15,6 @@ const (
 	overheadBase     = 100_000   // r: minimal group rate
 	keyBits          = 16        // b
 	slotNumberBits   = 8         // l
-	fecExpansion     = 2         // z: repetition overcoming 50% loss
 )
 
 // overheadPoint runs a FLID-DS sender with N groups and slot duration t and
@@ -69,7 +68,7 @@ func runOverheadPoint(opt Options, n int, slotDur sim.Time) overheadPoint {
 		pt.DeltaMeas = (2*totalPkts - g1Pkts) * keyBits / dataBits * 100
 	}
 
-	// O_Σ with the observed f_g, z and h (§5.4):
+	// O_Σ with the observed f_g, z (the announcer's repetition) and h (§5.4):
 	//   [ (l + 32N + b(2N−1+Σf_g))·z + h ] / (R·t)
 	var sumFg float64
 	for g := 2; g <= n; g++ {
@@ -84,10 +83,10 @@ func runOverheadPoint(opt Options, n int, slotDur sim.Time) overheadPoint {
 	pt.HeaderBits = h
 	tupleBits := slotNumberBits + 32*float64(n) + keyBits*(2*float64(n)-1+sumFg)
 	rt := float64(overheadTotal) * slotDur.Sec()
-	pt.SigmaPct = (tupleBits*float64(fecExpansion) + h) / rt * 100
+	pt.SigmaPct = (tupleBits*float64(ann.Repeat) + h) / rt * 100
 
-	// Actual wire bytes (our codec uses 64-bit key fields for generality;
-	// the paper's model assumes exactly b-bit fields).
+	// Actual wire bytes (KeyTuple's WireLen counts 64-bit key fields; the
+	// paper's model assumes exactly b-bit fields).
 	if snd.BytesSent > 0 {
 		pt.WirePct = float64(ann.BytesSent) / float64(snd.BytesSent) * 100
 	}

@@ -94,8 +94,9 @@ func (a *Announcer) announceOn(group packet.Addr, slot uint32, tuples []packet.K
 		pkt.Alert = true
 		a.PacketsSent++
 		a.BytesSent += uint64(pkt.Size)
-		a.HeaderBytes += uint64(packet.CommonWireLen + hdr.WireLen() - len(tuples)*29)
-		a.TupleBytes += uint64(len(tuples) * 29)
+		tupleBytes := len(tuples) * packet.KeyTupleWireLen
+		a.HeaderBytes += uint64(packet.CommonWireLen + hdr.WireLen() - tupleBytes)
+		a.TupleBytes += uint64(tupleBytes)
 		if a.Spacing > 0 && i > 0 {
 			a.sendAfter(sim.Time(i)*a.Spacing, pkt)
 		} else {

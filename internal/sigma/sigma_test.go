@@ -131,24 +131,44 @@ func TestAnnounceInterceptedAndStored(t *testing.T) {
 	}
 }
 
+// TestAnnounceSurvivesLossOfOneCopy loses copies of the announcer's z = 2
+// repetition code on the source's uplink: either copy alone delivers the
+// slot's keys, and losing both leaves the edge without them.
 func TestAnnounceSurvivesLossOfOneCopy(t *testing.T) {
-	r := newRig(t)
-	cl := NewClient(r.h1, r.edge.Addr())
-	r.sched.At(0, func() { cl.SessionJoin(grp) })
-	// Drop the first copy by sending it before the edge joins the tree;
-	// the second copy goes once joined.
-	r.sched.At(10*sim.Millisecond, func() {
-		ls := r.beginSlot(3, make([]bool, nGroups), []int{2, 2, 2, 2})
-		tuples := ls.Keys.Tuples(grp)
-		// Simulate FEC: only one of the two copies arrives (send just one).
-		hdr := &packet.KeyAnnounce{Session: 1, Slot: 3, FECIndex: 1, FECTotal: 2, Tuples: tuples}
-		pkt := packet.New(r.src.Addr(), grp, 0, hdr)
-		pkt.Alert = true
-		r.src.Send(pkt)
-	})
-	r.sched.RunUntil(50 * sim.Millisecond)
-	if !r.ctl.HasKeysFor(grp, 3) {
-		t.Fatal("a single surviving FEC copy should suffice")
+	// Copy i leaves at 10 ms + i·spacing; the uplink is down over
+	// [down, up), which discards every copy sent inside it.
+	const spacing = 5 * sim.Millisecond
+	cases := []struct {
+		name     string
+		down, up sim.Time
+		lost     uint64
+		want     bool
+	}{
+		{"only-copy-0-arrives", 14 * sim.Millisecond, 16 * sim.Millisecond, 1, true},
+		{"only-copy-1-arrives", 9 * sim.Millisecond, 11 * sim.Millisecond, 1, true},
+		{"no-copy-arrives", 9 * sim.Millisecond, 16 * sim.Millisecond, 2, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRig(t)
+			r.ann.Spacing = spacing
+			uplink := r.net.LinkBetween(r.src.ID(), r.edge.ID())
+			cl := NewClient(r.h1, r.edge.Addr())
+			r.sched.At(0, func() { cl.SessionJoin(grp) })
+			r.sched.At(c.down, uplink.Down)
+			r.sched.At(c.up, uplink.Up)
+			r.sched.At(10*sim.Millisecond, func() { r.makeSlot(3, 0) })
+			r.sched.RunUntil(50 * sim.Millisecond)
+			if r.ann.PacketsSent != 2 {
+				t.Fatalf("announcer sent %d copies, want z=2", r.ann.PacketsSent)
+			}
+			if uplink.DroppedDown != c.lost {
+				t.Fatalf("uplink dropped %d copies, want %d", uplink.DroppedDown, c.lost)
+			}
+			if got := r.ctl.HasKeysFor(grp, 3); got != c.want {
+				t.Fatalf("HasKeysFor = %v, want %v", got, c.want)
+			}
+		})
 	}
 }
 
