@@ -95,10 +95,9 @@ func (s *ExperimentSession) AddAttacker(opts ...AttackerOption) *Receiver {
 }
 
 // TryAddAttacker is AddAttacker returning a typed error instead of
-// panicking: the protocol's attacker-availability error — *NoAttackerError
-// for variants whose design leaves nothing to inflate; check
-// ProtocolHasAttacker first to avoid attaching a receiver host the error
-// then leaves unused — or *UnknownStrategyError.
+// panicking: *NoAttackerError for protocols without an Attacker
+// constructor, refused before any receiver host is attached, or
+// *UnknownStrategyError.
 //
 // On unprotected variants (no SIGMA control plane to collude against or
 // forge into) colluding and forging degrade to the classic inflator —
@@ -122,16 +121,17 @@ func (s *ExperimentSession) TryAddAttacker(opts ...AttackerOption) (*Receiver, e
 		call := fmt.Sprintf("TryAddAttacker(WithStrategy(%q))", st)
 		return nil, s.exp.shardRefusal(call, "the strategy mutates cross-shard state")
 	}
+	if s.exp.Protocol.Attacker == nil {
+		return nil, s.exp.Protocol.noAttackerError()
+	}
 	if port.Host == nil {
 		port = s.exp.Topo.AttachReceiver("", DefaultDelay)
 	}
 	// Migration must precede agent construction, as for AddReceiverAt.
 	s.exp.maybeMigrate(port.Host)
-	agent, err := s.exp.Protocol.NewAttacker(port.Host, s.Sess, port.Edge.Addr(), s.exp.Topo.Rand().Fork())
-	if err != nil {
-		return nil, err
-	}
-	r := s.wrap(agent, port.Host, port.Edge.Addr())
+	atk := s.exp.Protocol.Attacker(port.Host, s.Sess, port.Edge.Addr(), s.exp.Topo.Rand().Fork())
+	r := s.wrap(atk, port.Host, port.Edge.Addr())
+	r.atk = atk
 	r.strategy = effectiveStrategy(s.exp.Protocol, st) // empty for plain attackers
 	switch r.strategy {
 	case StrategyColluding:
@@ -156,7 +156,7 @@ func (s *ExperimentSession) TryAddAttacker(opts ...AttackerOption) (*Receiver, e
 // keys its grid points with it, so merged points stay the ones
 // TryAddAttacker builds identically.
 func effectiveStrategy(p Protocol, st AttackerStrategy) AttackerStrategy {
-	if !p.Protected() && (st == StrategyColluding || st == StrategyForging) {
+	if !p.Protected && (st == StrategyColluding || st == StrategyForging) {
 		return StrategyClassic
 	}
 	return st
@@ -170,12 +170,7 @@ func (r *Receiver) Strategy() AttackerStrategy { return r.strategy }
 // Inflated reports whether this receiver's inflation attack is currently
 // active (always false for well-behaved receivers). Adaptive attackers
 // toggle this as their compiled disturbance windows open and close.
-func (r *Receiver) Inflated() bool {
-	if i, ok := r.agent.(interface{ Inflated() bool }); ok {
-		return i.Inflated()
-	}
-	return false
-}
+func (r *Receiver) Inflated() bool { return r.atk != nil && r.atk.Inflated() }
 
 // Forge exposes the forging engine of a StrategyForging attacker (nil
 // otherwise) for its spoofed-message counters.

@@ -178,7 +178,7 @@ func run(args []string, out io.Writer) (err error) {
 		return err
 	}
 	if *cohort > 0 {
-		if !exp.Protocol.Capabilities().Cohorts {
+		if !exp.Protocol.Cohorts {
 			return fmt.Errorf("-cohort is not supported by protocol %q (no layered fluid aggregate for the cohort model to ride)", *protocol)
 		}
 	}

@@ -48,11 +48,11 @@ func (s *ExperimentSession) AddCohortDelay(n int, delay Time) *Cohort {
 	if n <= 0 {
 		panic(fmt.Sprintf("deltasigma: AddCohort(%d) needs a positive population", n))
 	}
-	if !s.exp.Protocol.Capabilities().Cohorts {
+	if !s.exp.Protocol.Cohorts {
 		// E.g. replicated sessions carry ProtoRepl data the layered fluid
 		// model never observes; an aggregated population would sit at
 		// level 1 forever and report pure loss.
-		panic(fmt.Sprintf("deltasigma: AddCohort is not supported on protocol %q", s.exp.Protocol.Name()))
+		panic(fmt.Sprintf("deltasigma: AddCohort is not supported on protocol %q", s.exp.Protocol.Name))
 	}
 	port := s.exp.Topo.AttachCohort("", delay)
 	agent := cohort.New(port.Host, port.Edge, s.Sess, uint64(n))

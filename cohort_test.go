@@ -134,7 +134,7 @@ func TestCohortConsistencyAttackerOnset(t *testing.T) {
 func TestCohortMatchesExactPerProtocol(t *testing.T) {
 	for _, proto := range deltasigma.Protocols() {
 		p, _ := deltasigma.LookupProtocol(proto)
-		if !p.Capabilities().Cohorts {
+		if !p.Cohorts {
 			continue
 		}
 		t.Run(proto, func(t *testing.T) {
@@ -144,7 +144,7 @@ func TestCohortMatchesExactPerProtocol(t *testing.T) {
 					cTop, cMean, cAgg := cohortRun(t, proto, seed, n, true, 0, false)
 					t.Logf("seed %d n=%d: top %d/%d, mean %.3f/%.3f, aggregate %.0f/%.0f Kbps (exact/cohort)",
 						seed, n, iTop, cTop, iMean, cMean, iAgg, cAgg)
-					if p.Protected() {
+					if p.Protected {
 						if cAgg < iAgg {
 							t.Errorf("seed %d n=%d: cohort aggregate %.0f Kbps under exact %.0f", seed, n, cAgg, iAgg)
 						}

@@ -24,10 +24,11 @@
 // SIGMA gatekeeper per edge (WithStar). All three are one Tree type: a
 // dumbbell is a one-hop chain, and a star places the same hops in
 // parallel. Any Topology implementation plugs in through WithTopology.
-// Protocol variants are looked up by name in a registry (WithProtocol):
-// "flid-dl", "flid-ds", "flid-ds-replicated" and "flid-ds-threshold" are
-// built in alongside the competitor suite "mfcc", "dsc" and "abr-cf" (see
-// docs/PROTOCOLS.md), and RegisterProtocol adds more.
+// Protocol variants are rows of one Protocol table, looked up by name
+// (WithProtocol): "flid-dl", "flid-ds", "flid-ds-replicated" and
+// "flid-ds-threshold" are built in alongside the competitor suite "mfcc",
+// "dsc" and "abr-cf" (see docs/PROTOCOLS.md), and WithProtocolImpl runs
+// any other row.
 // Run returns a typed Result carrying per-receiver throughput series,
 // bottleneck utilization and loss counts. The examples/ directory shows
 // the API in use.
@@ -65,7 +66,7 @@ type (
 	// Addr is a network (host or group) address.
 	Addr = packet.Addr
 	// EdgeRouter is a gatekept multicast edge router — what a protocol's
-	// Capabilities.EdgeAgent hangs its router-resident agent on.
+	// Protocol.EdgeAgent hangs its router-resident agent on.
 	EdgeRouter = mcast.Router
 	// PacketPool recycles packet envelopes across experiments; see
 	// WithPacketPool. One pool must never serve concurrent experiments.

@@ -1,6 +1,7 @@
 package deltasigma_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,30 +12,49 @@ func TestProtocolRegistryNames(t *testing.T) {
 	type caps [4]bool // attacker, cohorts, feedback, edge agent
 	want := map[string]struct {
 		protected bool
+		slot      deltasigma.Time
 		caps      caps
 	}{
-		"flid-dl":            {false, caps{true, true, false, false}},
-		"flid-ds":            {true, caps{true, true, false, false}},
-		"flid-ds-replicated": {true, caps{true, false, false, false}},
-		"flid-ds-threshold":  {true, caps{true, true, false, false}},
-		"mfcc":               {false, caps{true, false, false, true}},
-		"dsc":                {false, caps{true, true, true, false}},
-		"abr-cf":             {false, caps{false, false, true, false}},
+		"flid-dl":            {false, 500 * deltasigma.Millisecond, caps{true, true, false, false}},
+		"flid-ds":            {true, 250 * deltasigma.Millisecond, caps{true, true, false, false}},
+		"flid-ds-replicated": {true, 250 * deltasigma.Millisecond, caps{true, false, false, false}},
+		"flid-ds-threshold":  {true, 250 * deltasigma.Millisecond, caps{true, true, false, false}},
+		"mfcc":               {false, 500 * deltasigma.Millisecond, caps{true, false, false, true}},
+		"dsc":                {false, 500 * deltasigma.Millisecond, caps{true, true, true, false}},
+		"abr-cf":             {false, 500 * deltasigma.Millisecond, caps{false, false, true, false}},
 	}
+	// The registry order is the shoot-out's protocol axis order, which its
+	// golden pins; no two rows may share a name.
 	got := deltasigma.Protocols()
+	order := []string{"abr-cf", "dsc", "flid-dl", "flid-ds", "flid-ds-replicated", "flid-ds-threshold", "mfcc"}
+	if !slices.Equal(got, order) {
+		t.Fatalf("deltasigma.Protocols() = %v, want %v", got, order)
+	}
+	seen := map[string]bool{}
+	for _, name := range got {
+		if seen[name] {
+			t.Fatalf("protocol %q registered twice", name)
+		}
+		seen[name] = true
+	}
 	for name, w := range want {
 		p, ok := deltasigma.LookupProtocol(name)
 		if !ok {
 			t.Fatalf("protocol %q not registered (have %v)", name, got)
 		}
-		if p.Name() != name {
-			t.Fatalf("protocol %q reports name %q", name, p.Name())
+		if p.Name != name {
+			t.Fatalf("protocol %q reports name %q", name, p.Name)
 		}
-		if prot := p.Protected(); prot != w.protected {
-			t.Fatalf("protocol %q: Protected() = %v, want %v", name, prot, w.protected)
+		if p.Protected != w.protected {
+			t.Fatalf("protocol %q: Protected = %v, want %v", name, p.Protected, w.protected)
 		}
-		c := p.Capabilities()
-		if got := (caps{c.Attacker, c.Cohorts, c.Feedback, c.EdgeAgent != nil}); got != w.caps {
+		if p.Slot != w.slot {
+			t.Errorf("protocol %q: default slot = %v, want %v", name, p.Slot, w.slot)
+		}
+		if slot := deltasigma.MustNew(deltasigma.WithProtocol(name)).Slot(); slot != w.slot {
+			t.Errorf("protocol %q: experiment slot = %v, want %v", name, slot, w.slot)
+		}
+		if got := (caps{p.Attacker != nil, p.Cohorts, p.Feedback, p.EdgeAgent != nil}); got != w.caps {
 			t.Errorf("protocol %q: capabilities (attacker, cohorts, feedback, edge agent) = %v, want %v", name, got, w.caps)
 		}
 		// AddCohort honours the declaration.
@@ -44,12 +64,9 @@ func TestProtocolRegistryNames(t *testing.T) {
 			s.AddCohort(10)
 			return false
 		}()
-		if panicked == c.Cohorts {
-			t.Errorf("protocol %q: AddCohort panicked=%v with Cohorts=%v", name, panicked, c.Cohorts)
+		if panicked == p.Cohorts {
+			t.Errorf("protocol %q: AddCohort panicked=%v with Cohorts=%v", name, panicked, p.Cohorts)
 		}
-	}
-	if len(got) < len(want) {
-		t.Fatalf("deltasigma.Protocols() = %v, want at least %d entries", got, len(want))
 	}
 }
 
@@ -86,6 +103,30 @@ func TestNewRejectsBadOptions(t *testing.T) {
 	if _, err := deltasigma.New(deltasigma.WithAudit(deltasigma.AuditEvery(0))); err == nil {
 		t.Fatal("zero audit interval accepted (must error, not panic)")
 	}
+	// A protocol row missing a field New needs is refused by name, not
+	// left to panic once the run starts (a zero slot divides by zero).
+	valid, _ := deltasigma.LookupProtocol("flid-ds")
+	for _, c := range []struct {
+		field string
+		edit  func(p *deltasigma.Protocol)
+	}{
+		{"Name", func(p *deltasigma.Protocol) { p.Name = "" }},
+		{"Sender", func(p *deltasigma.Protocol) { p.Sender = nil }},
+		{"Receiver", func(p *deltasigma.Protocol) { p.Receiver = nil }},
+		{"Slot", func(p *deltasigma.Protocol) { p.Slot = 0 }},
+		{"Slot", func(p *deltasigma.Protocol) { p.Slot = -deltasigma.Second }},
+	} {
+		p := valid
+		c.edit(&p)
+		if _, err := deltasigma.New(deltasigma.WithProtocolImpl(p)); err == nil {
+			t.Errorf("protocol with bad %s accepted", c.field)
+		} else if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("bad %s: error does not name the field: %v", c.field, err)
+		}
+	}
+	if _, err := deltasigma.New(deltasigma.WithProtocolImpl(valid)); err != nil {
+		t.Fatalf("registered protocol rejected through WithProtocolImpl: %v", err)
+	}
 }
 
 // protocolOptions returns per-variant extra options for the cross-protocol
@@ -111,7 +152,7 @@ func protocolOptions(name string) []deltasigma.Option {
 func TestAttackSuppressedUnderEveryProtectedVariant(t *testing.T) {
 	for _, name := range deltasigma.Protocols() {
 		p, _ := deltasigma.LookupProtocol(name)
-		if !p.Protected() {
+		if !p.Protected {
 			continue
 		}
 		name := name

@@ -2,8 +2,8 @@
 // An RLM/WEBRC-style receiver is congested only when its loss rate exceeds
 // the per-level tolerance; its level key reconstructs exactly when it
 // caught enough Shamir shares. The registered "flid-ds-threshold" protocol
-// uses graded tolerances; WithProtocolImpl parameterizes the same variant
-// with custom ones.
+// is ThresholdProtocol(nil), graded tolerances; WithProtocolImpl runs the
+// same row built with custom ones.
 package main
 
 import (
@@ -44,7 +44,7 @@ func main() {
 	fmt.Println("(a receiver reconstructs a level key iff its loss stayed in tolerance)")
 	fmt.Println()
 	run("Flat 25% tolerances (RLM): overshoots and oscillates",
-		deltasigma.WithProtocolImpl(deltasigma.ThresholdProtocol{Thresholds: flat(6, 0.25)}), 5)
+		deltasigma.WithProtocolImpl(deltasigma.ThresholdProtocol(flat(6, 0.25))), 5)
 	run("Graded tolerances (WEBRC): settles at the fair level",
 		deltasigma.WithProtocol("flid-ds-threshold"), 5)
 }

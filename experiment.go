@@ -81,6 +81,7 @@ func New(opts ...Option) (*Experiment, error) {
 		schedule: core.PaperSchedule(),
 		pktSize:  defaultPacketSize,
 	}
+	s.protocol, _ = LookupProtocol("flid-ds")
 	for _, opt := range opts {
 		opt(&s)
 	}
@@ -90,11 +91,11 @@ func New(opts ...Option) (*Experiment, error) {
 	if err := s.shardConflict(); err != nil {
 		return nil, err
 	}
-	if s.protocol == nil {
-		s.protocol, _ = LookupProtocol("flid-ds")
+	if err := s.protocol.check(); err != nil {
+		return nil, err
 	}
 	if s.slot == 0 {
-		s.slot = s.protocol.DefaultSlot()
+		s.slot = s.protocol.Slot
 	}
 	t := s.topology(s.seed)
 	if s.pool != nil {
@@ -150,7 +151,7 @@ type ExperimentSession struct {
 	Sess *Session
 	// Sender is the protocol source (type-assert for protocol-specific
 	// statistics, e.g. *flid.Sender).
-	Sender SenderAgent
+	Sender Agent
 	// Receivers holds every receiver in attachment order, attackers
 	// included.
 	Receivers []*Receiver
@@ -171,7 +172,7 @@ type ExperimentSession struct {
 // interface.
 type Receiver struct {
 	agent ReceiverAgent
-	atk   Inflater // nil for well-behaved receivers
+	atk   Attacker // nil for well-behaved receivers
 
 	exp     *Experiment
 	host    *Host
@@ -243,11 +244,10 @@ func (r *Receiver) Inflate() {
 
 // Deflate calls the attack off mid-run (AttackerStop events resolve to
 // this call): inflation joins are withdrawn and the attacker reverts to
-// well-behaved congestion control. A no-op for receivers whose protocol
-// attacker cannot stand down.
+// well-behaved congestion control. A no-op for well-behaved receivers.
 func (r *Receiver) Deflate() {
-	if d, ok := r.agent.(Deflater); ok {
-		d.Deflate()
+	if r.atk != nil {
+		r.atk.Deflate()
 	}
 	if r.forge != nil {
 		r.forge.Deflate()
@@ -297,7 +297,7 @@ func (e *Experiment) AddSession(receivers int) *ExperimentSession {
 	}
 	s := &ExperimentSession{
 		Sess:   sess,
-		Sender: e.Protocol.NewSender(src, sess, e.Topo.Rand().Fork()),
+		Sender: e.Protocol.Sender(src, sess, e.Topo.Rand().Fork()),
 		exp:    e,
 		index:  int(e.nextID),
 		src:    src,
@@ -338,7 +338,7 @@ func (s *ExperimentSession) AddReceiverAt(port Port) *Receiver {
 	// Migration must precede agent construction: agents capture the host's
 	// scheduler, so the host has to be on its final shard first.
 	s.exp.maybeMigrate(port.Host)
-	agent := s.exp.Protocol.NewReceiver(port.Host, s.Sess, port.Edge.Addr())
+	agent := s.exp.Protocol.Receiver(port.Host, s.Sess, port.Edge.Addr())
 	return s.wrap(agent, port.Host, port.Edge.Addr())
 }
 
@@ -350,9 +350,6 @@ func (s *ExperimentSession) wrap(agent ReceiverAgent, host *Host, edge Addr) *Re
 		edge:    edge,
 		session: s.index,
 		index:   len(s.Receivers) + 1,
-	}
-	if atk, ok := agent.(Inflater); ok {
-		r.atk = atk
 	}
 	s.Receivers = append(s.Receivers, r)
 	return r
@@ -378,7 +375,7 @@ func (e *Experiment) Start() {
 	}
 
 	for _, edge := range e.Topo.Edges() {
-		if e.Protocol.Protected() {
+		if e.Protocol.Protected {
 			ctl := sigma.NewController(edge, sigma.DefaultConfig(e.slot))
 			if e.ecnFrac > 0 {
 				ctl.EnableECNScrub(keys.NewSource(keys.DefaultBits, e.Topo.Rand().Fork().Uint64))
@@ -393,8 +390,7 @@ func (e *Experiment) Start() {
 	// session source; with consolidation on (the default), every router
 	// merges the child reports of a slot into one before forwarding, so the
 	// source-side control volume scales with tree fan-out, not population.
-	caps := e.Protocol.Capabilities()
-	if (len(e.Cohorts()) > 0 || caps.Feedback) && !e.noConsol {
+	if (len(e.Cohorts()) > 0 || e.Protocol.Feedback) && !e.noConsol {
 		e.enableConsolidation()
 	}
 
@@ -403,13 +399,13 @@ func (e *Experiment) Start() {
 	// Network-assisted protocols hang an agent on every gatekept edge
 	// (mfcc's fair-share advertiser), created after the gatekeepers above
 	// so the agents can interrogate the installed membership policy.
-	if caps.EdgeAgent != nil {
+	if e.Protocol.EdgeAgent != nil {
 		sessList := make([]*Session, len(e.sessions))
 		for i, s := range e.sessions {
 			sessList[i] = s.Sess
 		}
 		for _, edge := range e.Topo.Edges() {
-			sched.At(0, caps.EdgeAgent(edge, sessList).Start)
+			sched.At(0, e.Protocol.EdgeAgent(edge, sessList).Start)
 		}
 	}
 	for _, s := range e.sessions {

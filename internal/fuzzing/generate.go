@@ -105,7 +105,7 @@ func Generate(seed uint64) Spec {
 	// protocol exposes a layered fluid aggregate for the cohort model to
 	// observe — AddCohort rejects the replicated sender and the competitor
 	// schemes alike, so the registry capability is the gate.
-	if p, ok := deltasigma.LookupProtocol(sp.Protocol); ok && p.Capabilities().Cohorts {
+	if p, ok := deltasigma.LookupProtocol(sp.Protocol); ok && p.Cohorts {
 		for si := range sp.Sessions {
 			if rng.Float64() < 0.3 {
 				n := 1 + rng.IntN(2)
@@ -312,7 +312,7 @@ func populations(ss SessionSpec) (honest, attackers int) {
 // behind SIGMA gatekeepers.
 func protocolProtected(name string) bool {
 	p, ok := deltasigma.LookupProtocol(name)
-	return ok && p.Protected()
+	return ok && p.Protected
 }
 
 // round3 keeps generated times human-readable in repro files (and exactly

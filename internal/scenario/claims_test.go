@@ -78,14 +78,14 @@ func shootoutClaim(seed uint64) error {
 		switch {
 		case !ok:
 			return fmt.Errorf("%s: protocol not registered", p)
-		case !proto.Capabilities().Attacker:
+		case proto.Attacker == nil:
 			if !strings.Contains(pt.Error, "no inflated-subscription attacker") {
 				return fmt.Errorf("%s: error %q is not the no-attacker refusal", p, pt.Error)
 			}
 			refused++
 		case pt.Error != "":
 			return fmt.Errorf("%s failed: %s", p, pt.Error)
-		case !proto.Protected():
+		case !proto.Protected:
 			if pt.Suppression > 0.25 {
 				return fmt.Errorf("%s: unprotected protocol suppressed the attacker to %.3f", p, pt.Suppression)
 			}

@@ -37,8 +37,8 @@ func TestInflateDeflateRoundTrip(t *testing.T) {
 				}
 				// An unprotected attacker abandons congestion control; a
 				// protected one keeps its entitled subscription alive.
-				if joined := atk.Level() > 0; joined != p.Protected() {
-					t.Fatalf("round %d: inflated attacker at level %d on a protected=%v protocol", round, atk.Level(), p.Protected())
+				if joined := atk.Level() > 0; joined != p.Protected {
+					t.Fatalf("round %d: inflated attacker at level %d on a protected=%v protocol", round, atk.Level(), p.Protected)
 				}
 				if round == 1 {
 					atk.Deflate()

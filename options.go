@@ -127,17 +127,12 @@ func WithProtocol(name string) Option {
 	}
 }
 
-// WithProtocolImpl runs the experiment on a Protocol instance directly,
-// registered or not — custom implementations and parameterized variants
-// (e.g. ThresholdProtocol with explicit tolerances) enter here.
+// WithProtocolImpl runs the experiment on a Protocol value directly,
+// registered or not — custom rows and parameterized variants (e.g.
+// ThresholdProtocol with explicit tolerances) enter here. New rejects a
+// value with an empty Name, a nil Sender or Receiver, or a Slot ≤ 0.
 func WithProtocolImpl(p Protocol) Option {
-	return func(s *settings) {
-		if p == nil {
-			s.fail(fmt.Errorf("deltasigma: WithProtocolImpl(nil)"))
-			return
-		}
-		s.protocol = p
-	}
+	return func(s *settings) { s.protocol = p }
 }
 
 // WithSchedule overrides the rate schedule of every session the
@@ -153,7 +148,7 @@ func WithSchedule(rs RateSchedule) Option {
 }
 
 // WithSlot overrides the slot duration of every session the experiment
-// creates. The default is the protocol's DefaultSlot.
+// creates. The default is the protocol's Slot.
 func WithSlot(d Time) Option {
 	return func(s *settings) {
 		if d <= 0 {

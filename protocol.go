@@ -1,17 +1,21 @@
 package deltasigma
 
 import (
-	"sort"
+	"fmt"
 
+	"deltasigma/internal/abrcf"
 	"deltasigma/internal/core"
+	"deltasigma/internal/dsc"
 	"deltasigma/internal/flid"
+	"deltasigma/internal/mfcc"
 	"deltasigma/internal/replicated"
 	"deltasigma/internal/threshold"
 )
 
-// SenderAgent is a running protocol source: Start begins its slot loop at
+// Agent is a running protocol participant that is not a receiver — a
+// session source or a router-resident agent: Start begins its slot loop at
 // the session epoch, Stop halts it after the current slot.
-type SenderAgent interface {
+type Agent interface {
 	Start()
 	Stop()
 }
@@ -28,33 +32,29 @@ type ReceiverAgent interface {
 	Meter() *Meter
 }
 
-// Inflater is implemented by attacker agents: Inflate launches the
-// inflated-subscription attack.
-type Inflater interface {
+// Attacker is a receiver that can inflate its subscription: Inflate
+// launches the attack, Deflate withdraws it (the AttackerStop timeline
+// event) and reverts to well-behaved congestion control, and Inflated
+// reports whether the attack is active.
+type Attacker interface {
+	ReceiverAgent
 	Inflate()
-}
-
-// Deflater is implemented by attacker agents that can call the attack off
-// mid-run (the AttackerStop timeline event): Deflate withdraws the
-// inflation and reverts to well-behaved congestion control. All built-in
-// attackers implement it.
-type Deflater interface {
 	Deflate()
+	Inflated() bool
 }
 
-// EdgeAgent is a protocol's router-resident participant (see
-// Capabilities.EdgeAgent).
-type EdgeAgent interface {
-	Start()
-	Stop()
-}
-
-// Capabilities declares what a protocol brings beyond its sender and
-// receivers. Every field is read once, at construction time.
-type Capabilities struct {
-	// Attacker reports whether NewAttacker can succeed, so sweeps and
-	// fuzzers can skip attacker wiring without attaching throwaway hosts.
-	Attacker bool
+// Protocol is one congestion control variant: a row of decision rules
+// over the shared kit (see docs/PROTOCOLS.md). The seven built-in rows are
+// looked up by name (LookupProtocol); WithProtocolImpl runs any other value.
+// Every field is read at construction time.
+type Protocol struct {
+	// Name is the registry key.
+	Name string
+	// Protected selects SIGMA gatekeepers at the edges (false selects
+	// plain IGMP, the vulnerable baseline).
+	Protected bool
+	// Slot is the variant's default slot duration.
+	Slot Time
 	// Cohorts reports whether AddCohort can aggregate receivers. The fluid
 	// aggregate models FLID slot rules over layered data; variants whose
 	// receivers follow other rules — replicated group switching, share
@@ -69,33 +69,60 @@ type Capabilities struct {
 	// gatekept edge router (mfcc's fair-share advertiser). Experiment.Start
 	// calls it once per edge, after the gatekeeper is installed, and starts
 	// every agent at time zero.
-	EdgeAgent func(router *EdgeRouter, sessions []*Session) EdgeAgent
+	EdgeAgent func(router *EdgeRouter, sessions []*Session) Agent
+	// Sender builds the session source on host.
+	Sender func(host *Host, sess *Session, rng *RNG) Agent
+	// Receiver builds a well-behaved receiver on host against the
+	// gatekeeper at edge.
+	Receiver func(host *Host, sess *Session, edge Addr) ReceiverAgent
+	// Attacker builds an inflated-subscription attacker; nil when the
+	// variant has none, and TryAddAttacker then returns *NoAttackerError.
+	Attacker func(host *Host, sess *Session, edge Addr, rng *RNG) Attacker
+
+	// noAttacker says why Attacker is nil.
+	noAttacker string
 }
 
-// Protocol builds the agents of one congestion control variant. The four
-// paper variants — "flid-dl", "flid-ds", "flid-ds-replicated",
-// "flid-ds-threshold" — and the competitor suite — "mfcc", "dsc",
-// "abr-cf" (see rivals.go) — are registered at init; RegisterProtocol adds
-// custom ones.
-type Protocol interface {
-	// Name is the registry key.
-	Name() string
-	// Protected reports whether the variant needs SIGMA gatekeepers at
-	// the edges (false selects plain IGMP, the vulnerable baseline).
-	Protected() bool
-	// DefaultSlot is the paper's slot duration for the variant.
-	DefaultSlot() Time
-	// NewSender builds the session source on host.
-	NewSender(host *Host, sess *Session, rng *RNG) SenderAgent
-	// NewReceiver builds a well-behaved receiver on host against the
-	// gatekeeper at edge.
-	NewReceiver(host *Host, sess *Session, edge Addr) ReceiverAgent
-	// NewAttacker builds an inflated-subscription attacker, or errors if
-	// the variant has none. The returned agent implements Inflater.
-	NewAttacker(host *Host, sess *Session, edge Addr, rng *RNG) (ReceiverAgent, error)
-	// Capabilities declares attacker availability, cohort support,
-	// feedback consumption and router participation.
-	Capabilities() Capabilities
+// check reports the first field that leaves p unable to run a session.
+func (p *Protocol) check() error {
+	var field string
+	switch {
+	case p.Name == "":
+		field = "Name is empty"
+	case p.Sender == nil:
+		field = "Sender is nil"
+	case p.Receiver == nil:
+		field = "Receiver is nil"
+	case p.Slot <= 0:
+		field = fmt.Sprintf("Slot %v is not positive", p.Slot)
+	default:
+		return nil
+	}
+	return fmt.Errorf("deltasigma: protocol %q: %s", p.Name, field)
+}
+
+// NoAttackerError is the typed "not applicable" TryAddAttacker returns when
+// the protocol has no inflated-subscription attack surface — e.g. abr-cf,
+// whose single dynamic channel leaves nothing to inflate into. Sweeps
+// record it per point.
+type NoAttackerError struct {
+	// Protocol is the registry name of the variant.
+	Protocol string
+	// Reason says why inflation is structurally impossible.
+	Reason string
+}
+
+// Error implements error.
+func (e *NoAttackerError) Error() string {
+	return fmt.Sprintf("deltasigma: protocol %q has no inflated-subscription attacker: %s", e.Protocol, e.Reason)
+}
+
+// noAttackerError is TryAddAttacker's refusal when p.Attacker is nil.
+func (p *Protocol) noAttackerError() error {
+	if p.noAttacker == "" {
+		return &NoAttackerError{p.Name, "its row has no Attacker constructor"}
+	}
+	return &NoAttackerError{p.Name, p.noAttacker}
 }
 
 // announceRepeat is z, SIGMA's announcement FEC expansion factor (§5.4).
@@ -107,192 +134,151 @@ func upgradePolicy(sess *Session) core.UpgradePolicy {
 	return core.PeriodicUpgrades{Factor: 2, N: sess.Rates.N}
 }
 
-// ---------------------------------------------------------------------------
-// Registry.
+// flidSender is the FLID layered source in mode: FLID-DL for the
+// unprotected rows, FLID-DS with DELTA layered keying for flid-ds.
+func flidSender(mode flid.Mode) func(*Host, *Session, *RNG) Agent {
+	return func(host *Host, sess *Session, rng *RNG) Agent {
+		return flid.NewSender(host, sess, mode, upgradePolicy(sess), rng, nil, announceRepeat)
+	}
+}
 
-var registry = map[string]Protocol{}
+// ThresholdProtocol is the RLM/WEBRC-family layered protocol whose
+// receivers are congested only when per-level loss exceeds a tolerance,
+// protected by the Shamir-sharing DELTA instantiation. thresholds holds
+// the per-level loss tolerances; nil derives WEBRC-style graded tolerances
+// from the session's group count — the registered "flid-ds-threshold".
+func ThresholdProtocol(thresholds []float64) Protocol {
+	tolerances := func(sess *Session) []float64 {
+		if thresholds != nil {
+			return thresholds
+		}
+		return threshold.GradedThresholds(sess.Rates.N)
+	}
+	return Protocol{
+		Name: "flid-ds-threshold", Protected: true, Slot: 250 * Millisecond, Cohorts: true,
+		Sender: func(host *Host, sess *Session, rng *RNG) Agent {
+			return threshold.NewSender(host, sess, tolerances(sess), upgradePolicy(sess), rng, announceRepeat)
+		},
+		Receiver: func(host *Host, sess *Session, edge Addr) ReceiverAgent {
+			return threshold.NewReceiver(host, sess, tolerances(sess), edge)
+		},
+		Attacker: func(host *Host, sess *Session, edge Addr, rng *RNG) Attacker {
+			return flid.NewDSAttacker(threshold.NewReceiver(host, sess, tolerances(sess), edge), rng)
+		},
+	}
+}
 
-// RegisterProtocol adds p under p.Name(), replacing any previous entry.
-func RegisterProtocol(p Protocol) { registry[p.Name()] = p }
+// protocols is the registry, in name order: Protocols lists it as is, and
+// the shoot-out's protocol axis follows it. docs/PROTOCOLS.md states each
+// row's rules and attack surface.
+var protocols = []Protocol{
+	// abr-cf: one AIMD channel steered by consolidated reports (Fahmy et
+	// al.). No attacker, the shoot-out's structural negative result, and
+	// no cohorts: a single channel has no layered moves to aggregate.
+	{
+		Name: "abr-cf", Slot: 500 * Millisecond, Feedback: true,
+		Sender: func(host *Host, sess *Session, rng *RNG) Agent {
+			return abrcf.NewSender(host, sess, rng)
+		},
+		Receiver: func(host *Host, sess *Session, edge Addr) ReceiverAgent {
+			return abrcf.NewReceiver(host, sess, edge)
+		},
+		noAttacker: "every receiver already subscribes to the session's single dynamic channel; there is no higher layer to inflate into",
+	},
+	// dsc: FLID receivers reporting each slot, a source scaling its
+	// layers to the consolidated reports (Lucas et al.).
+	{
+		Name: "dsc", Slot: 500 * Millisecond, Cohorts: true, Feedback: true,
+		Sender: func(host *Host, sess *Session, rng *RNG) Agent {
+			return dsc.NewSender(host, sess, upgradePolicy(sess), rng)
+		},
+		Receiver: func(host *Host, sess *Session, edge Addr) ReceiverAgent {
+			return dsc.NewReceiver(host, sess, edge)
+		},
+		Attacker: func(host *Host, sess *Session, edge Addr, rng *RNG) Attacker {
+			return flid.NewInflator(dsc.NewReceiver(host, sess, edge))
+		},
+	},
+	// flid-dl: FLID-DL over plain IGMP, the vulnerable baseline (§5.1).
+	{
+		Name: "flid-dl", Slot: 500 * Millisecond, Cohorts: true,
+		Sender: flidSender(flid.DL),
+		Receiver: func(host *Host, sess *Session, edge Addr) ReceiverAgent {
+			return flid.NewReceiver(host, sess, edge, flid.FLIDRule)
+		},
+		Attacker: func(host *Host, sess *Session, edge Addr, rng *RNG) Attacker {
+			return flid.NewInflator(flid.NewReceiver(host, sess, edge, flid.FLIDRule))
+		},
+	},
+	// flid-ds: FLID-DL behind DELTA layered keys and SIGMA; its 250 ms
+	// slots keep a 500 ms control granularity under two-slot enforcement.
+	{
+		Name: "flid-ds", Protected: true, Slot: 250 * Millisecond, Cohorts: true,
+		Sender: flidSender(flid.DS),
+		Receiver: func(host *Host, sess *Session, edge Addr) ReceiverAgent {
+			return flid.NewDSReceiver(host, sess, edge, flid.Layered)
+		},
+		Attacker: func(host *Host, sess *Session, edge Addr, rng *RNG) Attacker {
+			return flid.NewDSAttacker(flid.NewDSReceiver(host, sess, edge, flid.Layered), rng)
+		},
+	},
+	// flid-ds-replicated: one group per receiver, switched with Figure 5
+	// keys; Level() reports the group. Every group is sent at its
+	// cumulative rate, so the paper's 10-group schedule (≈11.3 Mbps)
+	// overflows 10 Mbps access links: pair it with a ~6-group schedule.
+	{
+		Name: "flid-ds-replicated", Protected: true, Slot: 250 * Millisecond,
+		Sender: func(host *Host, sess *Session, rng *RNG) Agent {
+			return replicated.NewSender(host, sess, upgradePolicy(sess), rng, announceRepeat)
+		},
+		Receiver: func(host *Host, sess *Session, edge Addr) ReceiverAgent {
+			return replicated.NewReceiver(host, sess, edge)
+		},
+		Attacker: func(host *Host, sess *Session, edge Addr, rng *RNG) Attacker {
+			return replicated.NewAttacker(replicated.NewReceiver(host, sess, edge), rng)
+		},
+	},
+	ThresholdProtocol(nil),
+	// mfcc: edge routers advertise fair shares that receivers steer by
+	// (Thomas et al.), over the FLID-DL source and plain IGMP. Share
+	// steering is outside the fluid aggregate, so no cohorts.
+	{
+		Name: "mfcc", Slot: 500 * Millisecond,
+		EdgeAgent: func(router *EdgeRouter, sessions []*Session) Agent {
+			return mfcc.NewEdgeAgent(router, sessions)
+		},
+		Sender: flidSender(flid.DL),
+		Receiver: func(host *Host, sess *Session, edge Addr) ReceiverAgent {
+			return mfcc.NewReceiver(host, sess, edge)
+		},
+		Attacker: func(host *Host, sess *Session, edge Addr, rng *RNG) Attacker {
+			return flid.NewInflator(mfcc.NewReceiver(host, sess, edge))
+		},
+	},
+}
 
 // LookupProtocol resolves a registered protocol by name.
 func LookupProtocol(name string) (Protocol, bool) {
-	p, ok := registry[name]
-	return p, ok
+	for _, p := range protocols {
+		if p.Name == name {
+			return p, true
+		}
+	}
+	return Protocol{}, false
 }
 
 // Protocols lists the registered protocol names, sorted.
 func Protocols() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
+	out := make([]string, len(protocols))
+	for i, p := range protocols {
+		out[i] = p.Name
 	}
-	sort.Strings(out)
 	return out
 }
 
-func init() {
-	RegisterProtocol(FLIDProtocol{})
-	RegisterProtocol(FLIDProtocol{DS: true})
-	RegisterProtocol(ReplicatedProtocol{})
-	RegisterProtocol(ThresholdProtocol{})
-}
-
-// ---------------------------------------------------------------------------
-// FLID-DL / FLID-DS.
-
-// FLIDProtocol is FLID-DL (DS false: plain IGMP, the vulnerable baseline)
-// or FLID-DS (DS true: FLID-DL hardened with DELTA layered keying and
-// SIGMA edge enforcement).
-type FLIDProtocol struct {
-	// DS selects the protected variant.
-	DS bool
-}
-
-func (p FLIDProtocol) mode() flid.Mode {
-	if p.DS {
-		return flid.DS
-	}
-	return flid.DL
-}
-
-// Name implements Protocol.
-func (p FLIDProtocol) Name() string {
-	if p.DS {
-		return "flid-ds"
-	}
-	return "flid-dl"
-}
-
-// Protected implements Protocol.
-func (p FLIDProtocol) Protected() bool { return p.DS }
-
-// DefaultSlot implements Protocol: 500 ms FLID-DL slots, 250 ms FLID-DS
-// slots (§5.1; SIGMA's two-slot enforcement keeps the 500 ms control
-// granularity).
-func (p FLIDProtocol) DefaultSlot() Time {
-	if p.DS {
-		return 250 * Millisecond
-	}
-	return 500 * Millisecond
-}
-
-// NewSender implements Protocol.
-func (p FLIDProtocol) NewSender(host *Host, sess *Session, rng *RNG) SenderAgent {
-	return flid.NewSender(host, sess, p.mode(), upgradePolicy(sess), rng, nil, announceRepeat)
-}
-
-// NewReceiver implements Protocol.
-func (p FLIDProtocol) NewReceiver(host *Host, sess *Session, edge Addr) ReceiverAgent {
-	if p.DS {
-		return flid.NewDSReceiver(host, sess, edge, flid.Layered)
-	}
-	return flid.NewReceiver(host, sess, edge, flid.FLIDRule)
-}
-
-// NewAttacker implements Protocol.
-func (p FLIDProtocol) NewAttacker(host *Host, sess *Session, edge Addr, rng *RNG) (ReceiverAgent, error) {
-	if p.DS {
-		return flid.NewDSAttacker(flid.NewDSReceiver(host, sess, edge, flid.Layered), rng), nil
-	}
-	return flid.NewInflator(flid.NewReceiver(host, sess, edge, flid.FLIDRule)), nil
-}
-
-// Capabilities implements Protocol.
-func (FLIDProtocol) Capabilities() Capabilities {
-	return Capabilities{Attacker: true, Cohorts: true, Feedback: false, EdgeAgent: nil}
-}
-
-// ---------------------------------------------------------------------------
-// Replicated multicast (Figure 5 instantiation).
-
-// ReplicatedProtocol is destination-set-grouping multicast protected by
-// the Figure 5 DELTA instantiation: every group carries the same content
-// at a different rate and a receiver subscribes to exactly one group,
-// switching with keys. Level() reports the current group.
-//
-// A replicated sender transmits every group at its cumulative rate, so the
-// summed stream rates must fit the source's access link; the paper's
-// 10-group schedule sums to ≈11.3 Mbps and overflows the default 10 Mbps
-// access links — pair this variant with a smaller schedule (e.g.
-// WithSchedule(RateSchedule{Base: 100_000, Mult: 1.5, N: 6})).
-type ReplicatedProtocol struct{}
-
-// Name implements Protocol.
-func (ReplicatedProtocol) Name() string { return "flid-ds-replicated" }
-
-// Protected implements Protocol.
-func (ReplicatedProtocol) Protected() bool { return true }
-
-// DefaultSlot implements Protocol.
-func (ReplicatedProtocol) DefaultSlot() Time { return 250 * Millisecond }
-
-// NewSender implements Protocol.
-func (ReplicatedProtocol) NewSender(host *Host, sess *Session, rng *RNG) SenderAgent {
-	return replicated.NewSender(host, sess, upgradePolicy(sess), rng, announceRepeat)
-}
-
-// NewReceiver implements Protocol.
-func (ReplicatedProtocol) NewReceiver(host *Host, sess *Session, edge Addr) ReceiverAgent {
-	return replicated.NewReceiver(host, sess, edge)
-}
-
-// NewAttacker implements Protocol.
-func (ReplicatedProtocol) NewAttacker(host *Host, sess *Session, edge Addr, rng *RNG) (ReceiverAgent, error) {
-	return replicated.NewAttacker(replicated.NewReceiver(host, sess, edge), rng), nil
-}
-
-// Capabilities implements Protocol: replicated sessions carry ProtoRepl
-// data the layered fluid aggregate never observes, so no cohorts.
-func (ReplicatedProtocol) Capabilities() Capabilities {
-	return Capabilities{Attacker: true, Cohorts: false, Feedback: false, EdgeAgent: nil}
-}
-
-// ---------------------------------------------------------------------------
-// Loss-rate-threshold protocol (Shamir instantiation).
-
-// ThresholdProtocol is the RLM/WEBRC-family layered protocol whose
-// receivers are congested only when per-level loss exceeds a tolerance,
-// protected by the Shamir-sharing DELTA instantiation. A nil Thresholds
-// uses WEBRC-style graded tolerances sized to the session's group count.
-type ThresholdProtocol struct {
-	// Thresholds holds the per-level loss tolerances; nil derives graded
-	// defaults from the rate schedule.
-	Thresholds []float64
-}
-
-func (p ThresholdProtocol) thresholds(sess *Session) []float64 {
-	if p.Thresholds != nil {
-		return p.Thresholds
-	}
-	return threshold.GradedThresholds(sess.Rates.N)
-}
-
-// Name implements Protocol.
-func (ThresholdProtocol) Name() string { return "flid-ds-threshold" }
-
-// Protected implements Protocol.
-func (ThresholdProtocol) Protected() bool { return true }
-
-// DefaultSlot implements Protocol.
-func (ThresholdProtocol) DefaultSlot() Time { return 250 * Millisecond }
-
-// NewSender implements Protocol.
-func (p ThresholdProtocol) NewSender(host *Host, sess *Session, rng *RNG) SenderAgent {
-	return threshold.NewSender(host, sess, p.thresholds(sess), upgradePolicy(sess), rng, announceRepeat)
-}
-
-// NewReceiver implements Protocol.
-func (p ThresholdProtocol) NewReceiver(host *Host, sess *Session, edge Addr) ReceiverAgent {
-	return threshold.NewReceiver(host, sess, p.thresholds(sess), edge)
-}
-
-// NewAttacker implements Protocol.
-func (p ThresholdProtocol) NewAttacker(host *Host, sess *Session, edge Addr, rng *RNG) (ReceiverAgent, error) {
-	return flid.NewDSAttacker(threshold.NewReceiver(host, sess, p.thresholds(sess), edge), rng), nil
-}
-
-// Capabilities implements Protocol.
-func (ThresholdProtocol) Capabilities() Capabilities {
-	return Capabilities{Attacker: true, Cohorts: true, Feedback: false, EdgeAgent: nil}
+// ProtocolHasAttacker reports whether the named registered protocol has an
+// inflated-subscription attacker (false for unknown names).
+func ProtocolHasAttacker(name string) bool {
+	p, ok := LookupProtocol(name)
+	return ok && p.Attacker != nil
 }

@@ -146,7 +146,7 @@ func (r *Result) Utilization() float64 {
 // result snapshots the experiment state into a Result.
 func (e *Experiment) result(until Time) *Result {
 	res := &Result{
-		Protocol: e.Protocol.Name(),
+		Protocol: e.Protocol.Name,
 		Until:    until,
 		Seconds:  until.Sec(),
 	}
