@@ -25,7 +25,10 @@ import (
 // is leased from the batch when the slot's first packet arrives and given
 // back when the slot is evaluated, so a member holds one accumulator per
 // slot in flight — two in steady state — not one per ring entry. Its
-// level-by-slot history is a core.LevelRing per member.
+// level-by-slot history is the two decisions in flight, indexed by slot
+// parity: evaluating slot s decides the level for slot s+2, so the entry
+// for slot s holds the level in force during s until that evaluation
+// overwrites it.
 //
 // Ring correctness: an entry is claimed by writing the full 32-bit slot
 // number into its tag, so a stale entry can never be mistaken for another
@@ -198,8 +201,8 @@ type dsBatch struct {
 	// Per member:
 	level     []int32
 	evalFloor []uint32
-	joined    []uint32         // stride n+1, as dlBatch's
-	inForce   []core.LevelRing // the level in force during each recent slot
+	joined    []uint32   // stride n+1, as dlBatch's
+	inForce   [][2]int32 // the level in force during slot s is inForce[mi][s&1]
 
 	// DELTA receiver ring, stride tallyW; dtag is slot+1, 0 when empty.
 	dtag  []uint32

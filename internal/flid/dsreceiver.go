@@ -75,7 +75,7 @@ func (r *DSReceiver) Start() {
 	cur := r.Sess.SlotAt(sched.Now())
 	r.b.releaseBefore(r.mi, cur)
 	r.b.level[r.mi] = 1
-	r.b.inForce[r.mi].Set(cur, 1)
+	r.b.inForce[r.mi] = [2]int32{1, 1}
 	r.b.joined[r.mi*(r.b.n+1)+1] = cur + 1
 	r.client.SessionJoin(r.Sess.BaseAddr)
 	r.loop.Schedule(cur)
@@ -120,13 +120,8 @@ func (r *DSReceiver) evaluate(slot uint32) {
 	b, mi := r.b, r.mi
 	dr := b.take(mi, slot)
 	b.evalFloor[mi] = slot + 1
-	ring := &b.inForce[mi]
-	ring.Forget(slot)
-
-	lvl := ring.At(slot, int(b.level[mi]))
-	if lvl == 0 {
-		lvl = 1
-	}
+	inForce := &b.inForce[mi]
+	lvl := int(inForce[slot&1])
 	// Only groups fully observed for the whole slot count toward the
 	// evaluation; newer grants are still covered by SIGMA's grace window.
 	joined := b.joined[mi*(b.n+1):]
@@ -149,7 +144,7 @@ func (r *DSReceiver) evaluate(slot uint32) {
 		}
 		// Carry the latest decision, not the level active during the
 		// evaluated slot — mid-upgrade they differ.
-		ring.Set(core.AccessSlot(slot), int(b.level[mi]))
+		inForce[core.AccessSlot(slot)&1] = b.level[mi]
 		return
 	}
 
@@ -189,7 +184,7 @@ func (r *DSReceiver) evaluate(slot uint32) {
 		}
 	}
 	b.level[mi] = int32(next)
-	ring.Set(core.AccessSlot(slot), next)
+	inForce[core.AccessSlot(slot)&1] = int32(next)
 }
 
 // rejoin re-enters the session keylessly from the minimal group. The
@@ -201,7 +196,7 @@ func (r *DSReceiver) evaluate(slot uint32) {
 func (r *DSReceiver) rejoin(slot uint32) {
 	r.Rejoins++
 	r.b.level[r.mi] = 1
-	r.b.inForce[r.mi].Set(core.AccessSlot(slot), 1)
+	r.b.inForce[r.mi][core.AccessSlot(slot)&1] = 1
 	r.client.SessionJoin(r.Sess.BaseAddr)
 }
 

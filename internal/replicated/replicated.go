@@ -68,17 +68,17 @@ type Receiver struct {
 	client *sigma.Client
 
 	group int // current group; 0 = none
-	// Per-slot state lives in two tag-indexed rings, as in the kernel
-	// receivers (flid/batch.go has the correctness argument): an entry is
-	// claimed by writing slot+1 into its tag, 0 when empty, and lookups
-	// compare the exact slot. accs holds the DELTA accumulators of the few
-	// slots received but not yet evaluated; groups, the level ring every
-	// key receiver keeps, holds the group in force from each recent data
-	// slot on.
+	// accs holds the DELTA accumulators of the few slots received but not
+	// yet evaluated, in a tag-indexed ring as in the kernel receivers
+	// (flid/batch.go has the correctness argument): an entry is claimed by
+	// writing slot+1 into its tag, 0 when empty, and lookups compare the
+	// exact slot. groups holds the two decisions in flight by slot parity,
+	// as every key receiver does: the group in force during slot s is
+	// groups[s&1] until evaluating s decides slot s+2's.
 	accTag     [accW]uint32
 	accs       [accW]delta.ReplicatedReceiver
 	evalFloor  uint32 // first slot not yet evaluated; older data is stray
-	groups     core.LevelRing
+	groups     [2]int32
 	joinedSlot uint32
 	running    bool
 	loop       *core.SlotLoop
@@ -129,7 +129,7 @@ func (r *Receiver) Start() {
 	r.running = true
 	cur := r.Sess.SlotAt(r.host.Scheduler().Now())
 	r.group = 1
-	r.groups.Set(cur, 1)
+	r.groups = [2]int32{1, 1}
 	r.joinedSlot = cur + 1
 	r.client.SessionJoin(r.Sess.BaseAddr)
 	r.loop.Schedule(cur)
@@ -169,7 +169,7 @@ func (r *Receiver) onData(pkt *packet.Packet) {
 		r.accTag[i] = h.Slot + 1
 		dr.Begin(h.Slot)
 	}
-	dr.Observe(h, r.groups.At(h.Slot, r.group), pkt.ECN)
+	dr.Observe(h, int(r.groups[h.Slot&1]), pkt.ECN)
 }
 
 func (r *Receiver) evaluate(slot uint32) {
@@ -178,11 +178,7 @@ func (r *Receiver) evaluate(slot uint32) {
 		dr = &r.accs[i]
 	}
 	r.evalFloor = slot + 1
-	r.groups.Forget(slot)
-	g := r.groups.At(slot, r.group)
-	if g == 0 {
-		g = 1
-	}
+	g := int(r.groups[slot&1])
 	if r.joinedSlot > slot || dr == nil {
 		if dr == nil && r.joinedSlot <= slot {
 			r.rejoin(slot)
@@ -190,7 +186,7 @@ func (r *Receiver) evaluate(slot uint32) {
 		}
 		// Carry the latest decision, not the group active during the
 		// evaluated slot — mid-switch they differ.
-		r.groups.Set(core.AccessSlot(slot), r.group)
+		r.groups[core.AccessSlot(slot)&1] = int32(r.group)
 		return
 	}
 
@@ -210,12 +206,12 @@ func (r *Receiver) evaluate(slot uint32) {
 		r.joinedSlot = slot + 2
 	}
 	r.group = out.Next
-	r.groups.Set(core.AccessSlot(slot), out.Next)
+	r.groups[core.AccessSlot(slot)&1] = int32(out.Next)
 }
 
 func (r *Receiver) rejoin(slot uint32) {
 	r.Rejoins++
 	r.group = 1
-	r.groups.Set(core.AccessSlot(slot), 1)
+	r.groups[core.AccessSlot(slot)&1] = 1
 	r.client.SessionJoin(r.Sess.BaseAddr)
 }

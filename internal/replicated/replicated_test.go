@@ -88,53 +88,12 @@ func TestSingleGroupSubscription(t *testing.T) {
 	}
 }
 
-// The receiver's per-slot state is two tag-indexed rings. Table rows for
-// the group-in-force ring, core.LevelRing: a record answers for its own
-// slot and the slots after it, records more than eight slots behind an
-// evaluation are forgotten, and with nothing recent on record — slot 0
-// included, the walk's one other stop — the answer is the current group.
-func TestGroupDuringWalksBackToLatestRecord(t *testing.T) {
-	_, _, r := buildRig(300_000, 3)
-	r.group = 5
-	r.groups.Set(10, 2)
-	r.groups.Set(13, 3)
-	for _, tc := range []struct {
-		slot uint32
-		want int
-		why  string
-	}{
-		{0, 5, "slot 0 with no record: the current group"},
-		{9, 5, "before any record: the current group"},
-		{10, 2, "the slot a record was made for"},
-		{12, 2, "between records: the earlier one still in force"},
-		{13, 3, "the later record's own slot"},
-		{29, 3, "sixteen slots on: still within the walk"},
-		{31, 5, "past the walk: the current group"},
-	} {
-		if got := r.groups.At(tc.slot, r.group); got != tc.want {
-			t.Errorf("At(%d) = %d, want %d (%s)", tc.slot, got, tc.want, tc.why)
-		}
-	}
-
-	r.joinedSlot = 100 // evaluations below only carry the decision forward
-	r.evaluate(20)     // forgets records older than slot 12, records slot 22
-	if got := r.groups.At(12, r.group); got != 5 {
-		t.Errorf("At(12) = %d after evaluating slot 20, want the forgotten record to yield the current group 5", got)
-	}
-	if got := r.groups.At(14, r.group); got != 3 {
-		t.Errorf("At(14) = %d after evaluating slot 20, want the surviving record's 3", got)
-	}
-	if got := r.groups.At(22, r.group); got != 5 {
-		t.Errorf("At(22) = %d, want the decision carried to the access slot", got)
-	}
-}
-
 // Data of an already evaluated slot is stray: metered, never accumulated.
 // Data of a live slot claims its ring entry exactly once, whatever entry
 // an older slot left there.
 func TestAccumulatorRingClaimsBySlot(t *testing.T) {
 	_, _, r := buildRig(300_000, 3)
-	r.group = 1
+	r.group, r.groups = 1, [2]int32{1, 1} // as Start leaves them
 	deliver := func(slot uint32) {
 		r.onData(packet.New(0, r.Sess.GroupAddr(1), 576, &packet.ReplHeader{
 			Session: r.Sess.ID, Group: 1, Slot: slot, Seq: 1, Count: 2, HasDelta: true,
