@@ -226,6 +226,12 @@ type Pacer struct {
 	credit float64
 }
 
+// MaxPackets bounds what Packets returns for rate: the credit a slot
+// starts with is under one packet, so it sends at most its budget plus one.
+func MaxPackets(rate int64, slotDur sim.Time, pktBytes int) int {
+	return int(float64(rate)*slotDur.Sec()/8/float64(pktBytes)) + 1
+}
+
 // Packets returns how many packets of size pktBytes fit the slot budget of
 // rate·slotDur, accumulating the remainder.
 func (p *Pacer) Packets(rate int64, slotDur sim.Time, pktBytes int) int {

@@ -62,6 +62,16 @@ func NewThresholdSender(n int, thresh []float64, src *keys.Source, splitter *sha
 	return s
 }
 
+// Reserve sizes the slot's polynomials for at most perSlot[g-1] packets of
+// level g per slot, so no slot allocates when it first shares a level or
+// an upgrade key at that size.
+func (s *ThresholdSender) Reserve(perSlot []int) {
+	for i, c := range perSlot {
+		s.slot.polys[i].Reserve(c)
+		s.slot.ups[i].Reserve(c)
+	}
+}
+
 // ShareThreshold returns k_g for a level transmitting count packets:
 // the number of packets a receiver must catch to reconstruct the key.
 func (s *ThresholdSender) ShareThreshold(g, count int) int {
@@ -174,6 +184,16 @@ func NewThresholdReceiver(n int, thresh []float64) *ThresholdReceiver {
 	}
 }
 
+// Reserve sizes the share lists for at most perSlot[g-1] packets of level
+// g per slot, so no slot allocates when the receiver first reaches a
+// level.
+func (r *ThresholdReceiver) Reserve(perSlot []int) {
+	for i, c := range perSlot {
+		r.shares[i] = make([]shamir.Share, 0, c)
+		r.upShares[i] = make([]shamir.Share, 0, c)
+	}
+}
+
 // Begin resets the receiver for a new slot. The share lists are truncated,
 // not dropped: Observe appends into the capacity earlier slots grew.
 func (r *ThresholdReceiver) Begin(slot uint32) {
@@ -203,23 +223,14 @@ func (r *ThresholdReceiver) Observe(h *packet.FLIDHeader, _ bool) {
 	r.got[idx]++
 	r.expect[idx] = int(h.Count)
 	if h.ShareX != 0 {
-		r.shares[idx] = appendShare(r.shares[idx], h.ShareX, h.ShareY, h.Count)
+		r.shares[idx] = append(r.shares[idx], shamir.Share{X: h.ShareX, Y: h.ShareY})
 	}
 	if h.UpShareX != 0 {
-		r.upShares[idx] = appendShare(r.upShares[idx], h.UpShareX, h.UpShareY, h.Count)
+		r.upShares[idx] = append(r.upShares[idx], shamir.Share{X: h.UpShareX, Y: h.UpShareY})
 	}
 	if int(h.IncreaseTo) > r.increase {
 		r.increase = int(h.IncreaseTo)
 	}
-}
-
-// appendShare appends one share to a level's list, sizing a list's first
-// allocation for the count packets the level sends in a slot.
-func appendShare(list []shamir.Share, x, y uint32, count uint16) []shamir.Share {
-	if list == nil {
-		list = make([]shamir.Share, 0, count)
-	}
-	return append(list, shamir.Share{X: x, Y: y})
 }
 
 // need returns k_g given the expected count for the level.

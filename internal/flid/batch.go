@@ -199,7 +199,6 @@ type dsBatch struct {
 	idle   []Accumulator // given back by evaluated slots, ready to lease
 
 	// Per member:
-	level     []int32
 	evalFloor []uint32
 	joined    []uint32   // stride n+1, as dlBatch's
 	inForce   [][2]int32 // the level in force during slot s is inForce[mi][s&1]
@@ -218,8 +217,7 @@ func dsBatchFor(sched *sim.Scheduler, sess *core.Session, newAcc func(n int) Acc
 }
 
 func (b *dsBatch) join() int {
-	mi := len(b.level)
-	b.level = extend(b.level, 1)
+	mi := len(b.evalFloor)
 	b.evalFloor = extend(b.evalFloor, 1)
 	b.joined = extend(b.joined, b.n+1)
 	b.inForce = extend(b.inForce, 1)

@@ -139,7 +139,7 @@ func TestBatchJoinCopiesLinearBytes(t *testing.T) {
 				colBytes(dl.tag) + colBytes(dl.inc) + colBytes(dl.got) + colBytes(dl.expect)
 		}},
 		{"dsBatch", ds.join, func() uint64 {
-			return colBytes(ds.level) + colBytes(ds.evalFloor) + colBytes(ds.joined) +
+			return colBytes(ds.evalFloor) + colBytes(ds.joined) +
 				colBytes(ds.inForce) + colBytes(ds.dtag) + colBytes(ds.drecv)
 		}},
 	} {

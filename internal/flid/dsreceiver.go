@@ -13,13 +13,15 @@ import (
 // layered protocol runs: it feeds each data slot to a DELTA Accumulator,
 // derives the keys its congestion state entitles it to, and subscribes
 // through SIGMA for the corresponding access slot (data slot + 2, Figure
-// 2). With the Layered accumulator it is the well-behaved FLID-DS
-// receiver — congestion control decisions exactly FLID-DL's, decrease on
-// loss, increase on signal, but enacted through keys instead of trust;
-// with a Shamir accumulator it is the loss-threshold receiver. Like the
-// tally kernel, its per-slot state lives in the session's
-// struct-of-arrays batch; the accumulators themselves are leased from the
-// batch for the slots in flight and given back as each slot is evaluated.
+// 2). Its decisions form one chain: each starts from the latest decision,
+// so only the two for the slots in flight are kept. With the Layered
+// accumulator it is the well-behaved FLID-DS receiver — congestion
+// control decisions exactly FLID-DL's, decrease on loss, increase on
+// signal, but enacted through keys instead of trust; with a Shamir
+// accumulator it is the loss-threshold receiver. Like the tally kernel,
+// its per-slot state lives in the session's struct-of-arrays batch; the
+// accumulators themselves are leased from the batch for the slots in
+// flight and given back as each slot is evaluated.
 type DSReceiver struct {
 	Sess   *core.Session
 	host   *netsim.Host
@@ -49,6 +51,8 @@ func NewDSReceiver(host *netsim.Host, sess *core.Session, routerAddr packet.Addr
 		client: sigma.NewClient(host, routerAddr),
 		b:      dsBatchFor(host.Scheduler(), sess, newAcc),
 		meter:  stats.NewMeter(sim.Second),
+		pairs:  make([]packet.AddrKey, 0, sess.Rates.N),
+		addrs:  make([]packet.Addr, 0, sess.Rates.N),
 	}
 	r.mi = r.b.join()
 	r.loop = core.NewSlotLoop(host.Scheduler(), sess, r.onEval)
@@ -56,8 +60,11 @@ func NewDSReceiver(host *netsim.Host, sess *core.Session, routerAddr packet.Addr
 	return r
 }
 
-// Level reports the latest decided subscription level.
-func (r *DSReceiver) Level() int { return int(r.b.level[r.mi]) }
+// Level reports the latest decided subscription level, the head of the
+// decision chain: the decision for the slot after the last one evaluated.
+func (r *DSReceiver) Level() int {
+	return int(r.b.inForce[r.mi][(r.b.evalFloor[r.mi]+1)&1])
+}
 
 // Meter returns the meter of delivered session bytes.
 func (r *DSReceiver) Meter() *stats.Meter { return r.meter }
@@ -74,7 +81,6 @@ func (r *DSReceiver) Start() {
 	sched := r.host.Scheduler()
 	cur := r.Sess.SlotAt(sched.Now())
 	r.b.releaseBefore(r.mi, cur)
-	r.b.level[r.mi] = 1
 	r.b.inForce[r.mi] = [2]int32{1, 1}
 	r.b.joined[r.mi*(r.b.n+1)+1] = cur + 1
 	r.client.SessionJoin(r.Sess.BaseAddr)
@@ -88,7 +94,7 @@ func (r *DSReceiver) Stop() {
 	}
 	r.running = false
 	r.client.Unsubscribe(r.Sess.Addrs())
-	r.b.level[r.mi] = 0
+	r.b.inForce[r.mi] = [2]int32{}
 	r.b.releaseBefore(r.mi, r.Sess.SlotAt(r.host.Scheduler().Now()))
 }
 
@@ -114,14 +120,28 @@ func (r *DSReceiver) onData(pkt *packet.Packet) {
 }
 
 // evaluate runs the DELTA receiver conclusion for the finished data slot
-// and subscribes for the access slot it guards. The slot's accumulator goes
-// back to the batch on every path.
+// and decides the level for the access slot it guards, s+2. Decisions form
+// one chain: the decision for s+2 starts from the head, the decision
+// already made for s+1, and moves only on what slot s showed — up on an
+// increase signal, down on congestion. The level in force during slot s
+// is read only to count that slot's packets. An upgrade decided at s−1 is
+// held although slot s carried no packets of the new group, so no key for
+// it: SIGMA's two-slot grace forwards that one access slot, and evaluating
+// s+1 yields the key. The slot's accumulator goes back to the batch on
+// every path.
 func (r *DSReceiver) evaluate(slot uint32) {
+	inForce := &r.b.inForce[r.mi]
+	next := r.decide(slot, int(inForce[slot&1]), int(inForce[(slot+1)&1]))
+	inForce[core.AccessSlot(slot)&1] = int32(next)
+}
+
+// decide returns the level for slot+2, given lvl, the level in force
+// during slot, and head, the decision for slot+1.
+func (r *DSReceiver) decide(slot uint32, lvl, head int) int {
 	b, mi := r.b, r.mi
 	dr := b.take(mi, slot)
 	b.evalFloor[mi] = slot + 1
-	inForce := &b.inForce[mi]
-	lvl := int(inForce[slot&1])
+
 	// Only groups fully observed for the whole slot count toward the
 	// evaluation; newer grants are still covered by SIGMA's grace window.
 	joined := b.joined[mi*(b.n+1):]
@@ -135,69 +155,55 @@ func (r *DSReceiver) evaluate(slot uint32) {
 	}
 	if effTop == 0 || dr == nil {
 		b.giveBack(dr)
-		// Nothing fully observed yet (just joined): wait for a full slot.
 		if dr == nil && effTop > 0 {
 			// A full slot passed with zero packets: the session may be
 			// idle or access lost entirely — rejoin from the floor.
-			r.rejoin(slot)
-			return
+			return r.rejoin()
 		}
-		// Carry the latest decision, not the level active during the
-		// evaluated slot — mid-upgrade they differ.
-		inForce[core.AccessSlot(slot)&1] = b.level[mi]
-		return
+		return head // nothing fully observed yet (just joined): wait for a full slot
 	}
 
 	out := dr.Finish(effTop, false)
 	if out.Next == 0 {
 		b.giveBack(dr)
-		r.rejoin(slot)
-		return
+		return r.rejoin()
 	}
 
 	r.pairs = r.Sess.KeyPairs(r.pairs[:0], out.First, out.Keys)
 	b.giveBack(dr) // after the copy: out.Keys aliases dr's scratch
 	r.client.Subscribe(core.AccessSlot(slot), r.pairs)
 
-	next := out.Next
-	if out.Congested {
-		// Abandon anything above the entitled level, including pending
-		// upgrades, and tell the router immediately.
-		if next < lvl {
-			r.addrs = r.addrs[:0]
-			for g := next + 1; g <= lvl; g++ {
-				r.addrs = append(r.addrs, r.Sess.GroupAddr(g))
-			}
-			r.client.Unsubscribe(r.addrs)
-			r.Decreases++
+	switch {
+	case out.Congested && out.Next < head:
+		// Abandon everything above the entitled level, a held upgrade
+		// included, and tell the router immediately.
+		r.addrs = r.addrs[:0]
+		for g := out.Next + 1; g <= head; g++ {
+			r.addrs = append(r.addrs, r.Sess.GroupAddr(g))
 		}
-	} else {
-		if next > effTop {
-			// Upgrade: packets will start flowing in the next slot; count
-			// the group fully from the slot after that.
-			joined[next] = slot + 2
-			r.Increases++
-		}
-		// A pending (granted but not yet fully observed) group stays.
-		if lvl > next {
-			next = lvl
-		}
+		r.client.Unsubscribe(r.addrs)
+		r.Decreases++
+		return out.Next
+	case !out.Congested && out.Next > head:
+		// Upgrade: packets will start flowing in the next slot; count the
+		// group fully from the slot after that.
+		joined[out.Next] = slot + 2
+		r.Increases++
+		return out.Next
 	}
-	b.level[mi] = int32(next)
-	inForce[core.AccessSlot(slot)&1] = int32(next)
+	return head
 }
 
-// rejoin re-enters the session keylessly from the minimal group. The
-// receiver may still be receiving group 1 under the session-join grace
-// window, so joined is left alone: the very next clean slot yields a
-// fresh key and clears probation before the grace expires — an isolated
-// loss at the minimal level costs nothing, while sustained congestion still
-// runs into the §3.2.2 penalty.
-func (r *DSReceiver) rejoin(slot uint32) {
+// rejoin re-enters the session keylessly from the minimal group and
+// returns that level. The receiver may still be receiving group 1 under
+// the session-join grace window, so joined is left alone: the very next
+// clean slot yields a fresh key and clears probation before the grace
+// expires — an isolated loss at the minimal level costs nothing, while
+// sustained congestion still runs into the §3.2.2 penalty.
+func (r *DSReceiver) rejoin() int {
 	r.Rejoins++
-	r.b.level[r.mi] = 1
-	r.b.inForce[r.mi][core.AccessSlot(slot)&1] = 1
 	r.client.SessionJoin(r.Sess.BaseAddr)
+	return 1
 }
 
 // DSAttacker attacks a DELTA+SIGMA-protected layered session: it keeps a

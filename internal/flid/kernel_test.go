@@ -243,7 +243,6 @@ func TestSubscribePairsAscending(t *testing.T) {
 			var pairs []packet.AddrKey
 			r.Client().Tap = func(_ uint32, p []packet.AddrKey) { pairs = append([]packet.AddrKey(nil), p...) }
 			r.Start()
-			r.b.level[r.mi] = top
 			r.b.inForce[r.mi] = [2]int32{top, top}
 			for g := 1; g <= top; g++ {
 				for j := 1; j <= pkts; j++ {

@@ -18,18 +18,20 @@ func TestFiguresWidthIndependent(t *testing.T) {
 		t.Skip("scenario runs are moderate-length simulations")
 	}
 	figs := []struct {
-		name   string
-		run    func(Options) *Result
-		sha256 string // Scale 0.05, seed 2003, recorded from the serial figures
+		name string
+		run  func(Options) *Result
+		// Scale 0.05, seed 2003, recorded from the serial figures; fig8b–9b
+		// re-recorded when key receivers became one decision chain.
+		sha256 string
 	}{
 		{"fig8a", Fig8a, "03529763368805715650d32bf868ffcae38dddce0a67e8b34706b0c54e2ca273"},
-		{"fig8b", Fig8b, "7fa6fd21ac406c24302b090d2e8088d506b465fdb5c1f887ef8a6a11054168fe"},
-		{"fig8c", Fig8c, "35844635db933c90fec5e1e294766a3a054162b30a88f68fb3582850424bb08c"},
-		{"fig8d", Fig8d, "e35b24a43200534e6d77dfeda24b2c743ed5f339b9f825df2aec399faad50efe"},
-		{"fig8e", Fig8e, "1c41d075edce5f1a79661782caff5be54d21b241bed99ba7a49253df08964581"},
-		{"fig8f", Fig8f, "209daf5f1a13f2bc8c5bc147f0425246fdb62203fcc112972bb0e46fa50d87e0"},
-		{"fig9a", Fig9a, "97400eac770525018565b149285833456aa32c6c4433509aaa6971e7b1874f72"},
-		{"fig9b", Fig9b, "dd15175449d34f5f8d9fd972e9f9f7ccfb707c41d5ebddf50ea2a88493f638ab"},
+		{"fig8b", Fig8b, "080a5e6ec94470414e90c40b5bc3c4eca8cf53b9ab085ea38a228bd6bc9f40b6"},
+		{"fig8c", Fig8c, "ae9a423ea59bc7370345a296471e42c7e769a4262e68551fd21d88022b769487"},
+		{"fig8d", Fig8d, "b1f2390fde778b45eeecfafba9e13e14d3de5d5d5e37e4cefa17fad6a0d2140e"},
+		{"fig8e", Fig8e, "aa080148b2f17c3bd7bb72f0c010592f923c97c6ae107b60361d049617521599"},
+		{"fig8f", Fig8f, "54954c6bdab11dcde8be6769f888660151a22a6604cbd103074085c6024590f2"},
+		{"fig9a", Fig9a, "94075cfd243f170b3480c370c5a596e5c00cf20821642b51cec437361bac8e09"},
+		{"fig9b", Fig9b, "34368eebaaa1ebe950e75d46e01f33aacdac7233ce51d2b8678e1f9725e0cbec"},
 	}
 	at := func(procs int, run func(Options) *Result) []byte {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))

@@ -67,15 +67,21 @@ func (s *Splitter) Resample(p *Polynomial, secret uint64, k int) error {
 	if k < 1 {
 		return fmt.Errorf("shamir: threshold k=%d must be >= 1", k)
 	}
-	if cap(p.coeff) < k {
-		p.coeff = make([]uint64, k)
-	}
+	p.Reserve(k)
 	p.coeff = p.coeff[:k]
 	p.coeff[0] = secret % Prime
 	for i := 1; i < k; i++ {
 		p.coeff[i] = s.next() % Prime
 	}
 	return nil
+}
+
+// Reserve sizes the coefficient buffer for thresholds up to k, so a
+// Resample at any such threshold allocates nothing.
+func (p *Polynomial) Reserve(k int) {
+	if cap(p.coeff) < k {
+		p.coeff = make([]uint64, 0, k)
+	}
 }
 
 // Threshold reports k, the number of shares needed for reconstruction.

@@ -66,6 +66,7 @@ func NewSender(host *netsim.Host, sess *core.Session, thresh []float64, policy c
 	src := keys.NewSource(keys.DefaultBits, rng.Fork().Uint64)
 	sp := shamir.NewSplitter(rng.Fork().Uint64)
 	s.tsend = delta.NewThresholdSender(sess.Rates.N, thresh, src, sp)
+	s.tsend.Reserve(perSlot(sess))
 	s.ann = sigma.NewAnnouncer(host, sess.ID, sess.BaseAddr, sess.Rates.N, repeat)
 	s.ann.Spacing = sess.SlotDur / 4
 	return s
@@ -94,7 +95,20 @@ func (s *Sender) header(st core.Stamp) packet.Header {
 // NewReceiver builds a well-behaved threshold receiver: the key-receiver
 // kernel accumulating Shamir shares. thresh must match the sender's.
 func NewReceiver(host *netsim.Host, sess *core.Session, thresh []float64, routerAddr packet.Addr) *flid.DSReceiver {
+	most := perSlot(sess)
 	return flid.NewDSReceiver(host, sess, routerAddr, func(n int) flid.Accumulator {
-		return delta.NewThresholdReceiver(n, thresh)
+		acc := delta.NewThresholdReceiver(n, thresh)
+		acc.Reserve(most)
+		return acc
 	})
+}
+
+// perSlot bounds each level's packets per slot from the session's
+// schedule, sizing the key buffers of sender and receivers up front.
+func perSlot(sess *core.Session) []int {
+	out := make([]int, sess.Rates.N)
+	for g := range out {
+		out[g] = core.MaxPackets(sess.Rates.GroupRate(g+1), sess.SlotDur, sess.PacketSize)
+	}
+	return out
 }

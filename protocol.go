@@ -129,9 +129,12 @@ func (p *Protocol) noAttackerError() error {
 const announceRepeat = 2
 
 // upgradePolicy is the standard increase-signal policy every built-in
-// sender runs: periods stretching with the level, factor 2.
+// sender runs: periods stretching with the level, g−1 seconds for group g
+// whatever the row's slot. FLID-DL's factor 2 at 500 ms sets that pace; a
+// row with shorter slots stretches its factor to match (4 at 250 ms), so
+// every row authorizes each group equally often per virtual second.
 func upgradePolicy(sess *Session) core.UpgradePolicy {
-	return core.PeriodicUpgrades{Factor: 2, N: sess.Rates.N}
+	return core.PeriodicUpgrades{Factor: 2 * float64(500*Millisecond) / float64(sess.SlotDur), N: sess.Rates.N}
 }
 
 // flidSender is the FLID layered source in mode: FLID-DL for the
@@ -211,7 +214,8 @@ var protocols = []Protocol{
 		},
 	},
 	// flid-ds: FLID-DL behind DELTA layered keys and SIGMA; its 250 ms
-	// slots keep a 500 ms control granularity under two-slot enforcement.
+	// slots keep a 500 ms control granularity under two-slot enforcement,
+	// and upgradePolicy keeps flid-dl's increase signals per second.
 	{
 		Name: "flid-ds", Protected: true, Slot: 250 * Millisecond, Cohorts: true,
 		Sender: flidSender(flid.DS),

@@ -123,12 +123,14 @@ func pinnedAxesSweep() deltasigma.Sweep {
 
 // TestSweepAxesPinned byte-pins what a sweep emits on every axis: the
 // sha256 of its JSON, of its CSV and of its points' String forms, at one
-// worker and at -sweep-workers. The values were recorded before the sweep
-// axes were read from one ordered list.
+// worker and at -sweep-workers. The points digest was recorded before the
+// sweep axes were read from one ordered list; the JSON and CSV digests
+// were re-recorded when key receivers became one decision chain and the
+// increase-signal period a function of the slot.
 func TestSweepAxesPinned(t *testing.T) {
 	const (
-		wantJSON   = "dab13ec948852213a31d6fce9ab41a97048c3a3731158897b5394d265ac83c0b"
-		wantCSV    = "42248d66f8f84b0db668e5146ac948fe8c427837983d48991924ced212f05346"
+		wantJSON   = "3ab73ab7e021b114980d99e0537f372b2e23c4c4c8b8cd531f7f6d42c8f3810e"
+		wantCSV    = "087eedccf81902b3b08c73ce380ccf4b671739c0a4ef05edb0f2a681c2a9ec16"
 		wantPoints = "3b6538928f894dd889963603f8266bb2c7efa9f3b219817357991480f52d1cbb"
 	)
 	digest := func(b []byte) string {
