@@ -186,11 +186,16 @@ func NewThresholdReceiver(n int, thresh []float64) *ThresholdReceiver {
 
 // Reserve sizes the share lists for at most perSlot[g-1] packets of level
 // g per slot, so no slot allocates when the receiver first reaches a
-// level.
+// level. The lists share one backing array, each capped at its own size.
 func (r *ThresholdReceiver) Reserve(perSlot []int) {
+	total := 0
+	for _, c := range perSlot {
+		total += c
+	}
+	buf := make([]shamir.Share, 2*total)
 	for i, c := range perSlot {
-		r.shares[i] = make([]shamir.Share, 0, c)
-		r.upShares[i] = make([]shamir.Share, 0, c)
+		r.shares[i], buf = buf[:0:c], buf[c:]
+		r.upShares[i], buf = buf[:0:c], buf[c:]
 	}
 }
 
