@@ -38,8 +38,91 @@ func Check(root string) ([]string, error) {
 			}
 		}
 	})
+	if err != nil {
+		return nil, err
+	}
+	stale, err := checkRunNames(root)
+	problems = append(problems, stale...)
 	sort.Strings(problems)
 	return problems, err
+}
+
+// runRE matches a go test -run argument, quoted or bare.
+var runRE = regexp.MustCompile(`-run[= ]+(?:'([^']*)'|"([^"]*)"|(\S+))`)
+
+// checkRunNames reports every Test name a -run argument in a CI workflow
+// names that matches no test function in the module: a stale name selects
+// nothing and fails nothing. Alternatives split on |, ^ and $ anchors and a
+// /subtest suffix are dropped, and a trailing .* reads as a prefix;
+// alternatives not starting with Test (-run=NoTests) are left alone.
+func checkRunNames(root string) ([]string, error) {
+	workflows, _ := filepath.Glob(filepath.Join(root, ".github", "workflows", "*.yml"))
+	tests, err := testFuncs(root)
+	if err != nil {
+		return nil, err
+	}
+	var problems []string
+	for _, file := range workflows {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			return nil, err
+		}
+		rel, _ := filepath.Rel(root, file)
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, m := range runRE.FindAllStringSubmatch(line, -1) {
+				for _, name := range strings.Split(m[1]+m[2]+m[3], "|") {
+					name, _, _ = strings.Cut(strings.Trim(name, "^$"), "/")
+					if strings.HasPrefix(name, "Test") && !matchesTest(name, tests) {
+						problems = append(problems, fmt.Sprintf("%s:%d: -run names %s, which matches no test function", filepath.ToSlash(rel), i+1, name))
+					}
+				}
+			}
+		}
+	}
+	return problems, nil
+}
+
+// matchesTest reports whether name is a test function's name, or with a
+// trailing .* a prefix of one.
+func matchesTest(name string, tests map[string]bool) bool {
+	prefix, ok := strings.CutSuffix(name, ".*")
+	if !ok {
+		return tests[name]
+	}
+	for t := range tests {
+		if strings.HasPrefix(t, prefix) {
+			return true
+		}
+	}
+	return false
+}
+
+// testFuncs returns the name of every top-level Test function in the
+// module's test files.
+func testFuncs(root string) (map[string]bool, error) {
+	tests := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		switch {
+		case d.IsDir() && (d.Name() == ".git" || d.Name() == "testdata"):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Test") {
+				tests[fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	return tests, err
 }
 
 // linkRE matches inline markdown links and images: [text](target). It

@@ -122,3 +122,49 @@ func New() *Scheduler { return nil }
 		}
 	}
 }
+
+// TestCheckCatchesStaleTestNames runs the -run check over a tiny module
+// with two test functions: one row per -run argument, and whether it names
+// a test that does not exist.
+func TestCheckCatchesStaleTestNames(t *testing.T) {
+	root := t.TempDir()
+	writeFile(t, root, "sim/sim.go", "// Package sim is a scheduler.\npackage sim\n")
+	writeFile(t, root, "sim/sim_test.go", `package sim
+
+import "testing"
+
+func TestEvaluateRuleDecrease(t *testing.T) {}
+
+func TestReserve(t *testing.T) {}
+
+func helperTest(t *testing.T) {}
+`)
+	for _, tc := range []struct {
+		run   string
+		stale string
+	}{
+		{`-run 'TestReserve'`, ""},
+		{`-run "TestReserve|TestEvaluateRule.*"`, ""},
+		{`-run=^TestReserve$`, ""},
+		{`-run 'TestReserve/subtest'`, ""},
+		{`-run=NoTests`, ""},
+		{`-run 'TestGone'`, "TestGone"},
+		{`-run 'TestReserve|TestReserveSeq'`, "TestReserveSeq"},
+		{`-run 'TestEvaluateRule'`, "TestEvaluateRule"}, // a prefix needs its .*
+		{`-run 'TestMissing.*'`, "TestMissing.*"},
+		{`-run helperTest`, ""}, // not a Test name
+	} {
+		writeFile(t, root, ".github/workflows/ci.yml", "steps:\n  - run: go test "+tc.run+" ./...\n")
+		problems, err := Check(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if tc.stale != "" {
+			want = 1
+		}
+		if len(problems) != want || want == 1 && !strings.Contains(problems[0], ".github/workflows/ci.yml:2: -run names "+tc.stale+",") {
+			t.Errorf("%s: problems %v, want stale %q", tc.run, problems, tc.stale)
+		}
+	}
+}

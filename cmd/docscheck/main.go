@@ -7,7 +7,9 @@
 //     lacks a package doc comment, or
 //   - a backticked `X.Y` or `X.Y()` in those markdown files names a package
 //     or type X declared in the module that has no declaration, field or
-//     method Y.
+//     method Y, or
+//   - a go test -run argument in .github/workflows/*.yml names a Test that
+//     matches no test function in the module (a trailing .* is a prefix).
 //
 // External links (http/https/mailto) are deliberately not fetched — the
 // check must be hermetic and deterministic for CI. Run it from the repo

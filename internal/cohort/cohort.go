@@ -18,7 +18,6 @@ package cohort
 
 import (
 	"fmt"
-	"slices"
 
 	"deltasigma/internal/core"
 	"deltasigma/internal/flid"
@@ -75,7 +74,10 @@ type Agent struct {
 	offline uint64 // members currently left
 	buckets []*bucket
 	probe   bucket // admit's candidate: a fresh level-1 joiner
-	subTop  int    // highest group subscribed at the edge
+	// spare parks buckets that emptied, merged or went offline, so a
+	// splitting admit reuses one and its joinedSlot array.
+	spare   sim.Freelist[bucket]
+	subTop  int // highest group subscribed at the edge
 	running bool
 	loop    *core.SlotLoop
 	tally   flid.Tally
@@ -210,6 +212,9 @@ func (a *Agent) Stop() {
 	}
 	a.running = false
 	a.offline = a.members
+	for _, b := range a.buckets {
+		a.spare.Put(b)
+	}
 	a.buckets = a.buckets[:0]
 	for g := 1; g <= a.subTop; g++ {
 		a.igmp.Leave(a.Sess.GroupAddr(g))
@@ -243,6 +248,7 @@ func (a *Agent) Toggle(idx uint64) {
 			b.count--
 			if b.count == 0 {
 				a.buckets = append(a.buckets[:i], a.buckets[i+1:]...)
+				a.spare.Put(b)
 			}
 			a.offline++
 			a.resubscribe(cur)
@@ -255,7 +261,8 @@ func (a *Agent) Toggle(idx uint64) {
 // admit adds n members at the minimal level with fresh join probation,
 // merging into an equivalent bucket when one exists. The comparison runs
 // against the agent's kept probe, so a merging admission — most churn
-// rejoins — allocates nothing.
+// rejoins — allocates nothing, and a splitting one reuses a spare bucket
+// once any bucket has been given back.
 func (a *Agent) admit(n uint64, cur uint32) {
 	if a.probe.joinedSlot == nil {
 		a.probe = bucket{level: 1, joinedSlot: make([]uint32, a.Sess.Rates.N+1)}
@@ -267,7 +274,10 @@ func (a *Agent) admit(n uint64, cur uint32) {
 			return
 		}
 	}
-	a.buckets = append(a.buckets, &bucket{count: n, level: 1, joinedSlot: slices.Clone(a.probe.joinedSlot)})
+	b := a.spare.Get()
+	b.count, b.level = n, 1
+	b.joinedSlot = append(b.joinedSlot[:0], a.probe.joinedSlot...)
+	a.buckets = append(a.buckets, b)
 }
 
 // resubscribe diffs the edge subscription against the distribution's top
@@ -374,6 +384,7 @@ func (a *Agent) mergeBuckets(slot uint32) {
 		for _, o := range out {
 			if o.pendingEqual(b, slot) {
 				o.count += b.count
+				a.spare.Put(b)
 				merged = true
 				break
 			}

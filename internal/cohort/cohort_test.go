@@ -119,6 +119,28 @@ func TestMergingAdmitAllocatesNothing(t *testing.T) {
 	}
 }
 
+// A splitting admission — a rejoin with no level-1 bucket to land in —
+// reuses a bucket given back by an earlier merge, joinedSlot array and all,
+// so churn that splits and re-merges allocates nothing once warm.
+func TestSplittingAdmitReusesBuckets(t *testing.T) {
+	_, sess, a := testAgent(t, 100)
+	a.buckets = []*bucket{{count: 60, level: 2, joinedSlot: make([]uint32, sess.Rates.N+1)}}
+	slot := uint32(5)
+	cycle := func() {
+		a.admit(1, slot)                 // no level-1 bucket: splits
+		mover{a, a.buckets[1]}.Add(slot) // the joiner climbs to level 2 ...
+		a.mergeBuckets(slot + 2)         // ... and merges once its probation has passed
+		slot += 4
+	}
+	cycle() // the first split allocates the bucket every later one reuses
+	if got := testing.AllocsPerRun(20, cycle); got != 0 {
+		t.Fatalf("a splitting admit allocated %.0f times", got)
+	}
+	if len(a.buckets) != 1 || a.buckets[0].count != 82 {
+		t.Fatalf("after 22 split-and-merge cycles: %d buckets, first count %d; want 1 and 82", len(a.buckets), a.buckets[0].count)
+	}
+}
+
 func TestLevelsMeanLevelSubscribers(t *testing.T) {
 	_, sess, a := testAgent(t, 100)
 	a.offline = 40

@@ -108,6 +108,8 @@ type Session struct {
 	SlotDur    sim.Time
 	Epoch      sim.Time // when slot 0 begins
 	PacketSize int      // wire bytes per data packet (576 in §5.1)
+
+	addrs []packet.Addr // Addrs' slice, built on first use
 }
 
 // GroupAddr returns the address of group g (1-based).
@@ -136,13 +138,18 @@ func (s *Session) SlotStart(slot uint32) sim.Time {
 	return s.Epoch + sim.Time(slot)*s.SlotDur
 }
 
-// Addrs returns every group address of the session, minimal first.
+// Addrs returns every group address of the session, minimal first. The
+// slice is built on the first call and shared by every later one, so it is
+// read-only: a caller that keeps or edits the addresses copies them. A
+// session's address block and schedule are fixed before it first runs.
 func (s *Session) Addrs() []packet.Addr {
-	out := make([]packet.Addr, s.Rates.N)
-	for g := 1; g <= s.Rates.N; g++ {
-		out[g-1] = s.GroupAddr(g)
+	if s.addrs == nil {
+		s.addrs = make([]packet.Addr, s.Rates.N)
+		for g := 1; g <= s.Rates.N; g++ {
+			s.addrs[g-1] = s.GroupAddr(g)
+		}
 	}
-	return out
+	return s.addrs
 }
 
 // KeyPairs appends to buf the SIGMA subscription pairs of a DELTA outcome

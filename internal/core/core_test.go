@@ -95,6 +95,19 @@ func TestSessionAddressing(t *testing.T) {
 	}
 }
 
+// Key receivers leave the session through Addrs on every churn toggle, so
+// it hands out one slice per session instead of building one per call.
+func TestAddrsBuiltOncePerSession(t *testing.T) {
+	s := &Session{ID: 1, BaseAddr: packet.MulticastBase, Rates: PaperSchedule()}
+	first := s.Addrs()
+	if got := testing.AllocsPerRun(100, func() { s.Addrs() }); got != 0 {
+		t.Fatalf("Addrs allocated %.0f times per call once built", got)
+	}
+	if got := s.Addrs(); &got[0] != &first[0] {
+		t.Fatal("Addrs built a second slice for the same session")
+	}
+}
+
 // KeyPairs binds a run of keys to the run of group addresses starting at
 // first — a layered prefix, or a replicated group and its neighbour — and
 // appends into the caller's buffer without allocating once it has grown.
@@ -276,10 +289,11 @@ func TestValidatePanics(t *testing.T) {
 }
 
 // A sender's rings hold a whole slot of emissions and campaign workers pay
-// for every experiment's rings, so an entry stays as small as the
-// (packet, time, reservation) triple it replaced.
-func TestEmissionFitsThirtyTwoBytes(t *testing.T) {
-	if size := unsafe.Sizeof(emission{}); size > 32 {
-		t.Fatalf("emission is %d bytes, want <= 32", size)
+// for every experiment's rings, so a queued emission costs one send time:
+// the stamp and reservation are stored once per group's slot.
+func TestEmissionIsOneSendTime(t *testing.T) {
+	var e groupEmitter
+	if size, want := unsafe.Sizeof(e.ring[0]), unsafe.Sizeof(sim.Time(0)); size != want {
+		t.Fatalf("a queued emission is %d bytes, want one sim.Time (%d)", size, want)
 	}
 }

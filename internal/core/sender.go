@@ -131,7 +131,7 @@ func (s *SlotSender) Start() {
 }
 
 // Stop halts the sender after the current slot. The slot's emission
-// rings hold stamps, not packets, so a stopped source holds no pool
+// rings hold send times, not packets, so a stopped source holds no pool
 // references.
 func (s *SlotSender) Stop() { s.running = false }
 
@@ -194,26 +194,26 @@ func (s *SlotSender) runSlot(slot uint32) {
 		s.hooks.Begin(slot, auth, counts)
 	}
 
-	// Emissions ride each group's ring as stamps; fire mints each packet
-	// at its send time, so after the first few slots the loop allocates
-	// nothing and the pool holds only packets in flight. Jitter and the
-	// tie-break reservations are drawn here, in (group, seq) order.
+	// Each group's slot is one stamp plus a ring of send times; fire mints
+	// each packet at its send time, so after the first few slots the loop
+	// allocates nothing and the pool holds only packets in flight. Jitter
+	// and the tie-break reservations are drawn here, in (group, seq) order.
 	slotStart := s.Sess.SlotStart(slot)
 	akey := sched.Now()
 	for g := 1; g <= n; g++ {
 		cnt := counts[g-1]
 		spacing := s.Sess.SlotDur / sim.Time(cnt)
 		e := &s.emitters[g-1]
-		e.reserve(cnt, akey)
+		e.reserve(Stamp{
+			Session: s.Sess.ID, Group: uint8(g), Slot: slot,
+			Count: uint16(cnt), IncreaseTo: uint8(inc),
+		}, cnt, akey)
 		for j := 1; j <= cnt; j++ {
 			at := slotStart + sim.Time(j-1)*spacing + s.rng.Jitter(spacing/2)
 			if at < akey {
 				at = akey
 			}
-			e.push(Stamp{
-				Session: s.Sess.ID, Group: uint8(g), Slot: slot,
-				Seq: uint16(j), Count: uint16(cnt), IncreaseTo: uint8(inc),
-			}, at, sched.Reserve())
+			e.push(at, sched.Reserve())
 		}
 	}
 
@@ -230,58 +230,63 @@ func (s *SlotSender) runSlot(slot uint32) {
 // at exactly the (time, key) an individually scheduled closure would have
 // used — without allocating a closure and an event per packet. The packet
 // itself is minted only when it fires.
+//
+// Only the send time varies within a group's slot, so the ring holds send
+// times alone: the stamp is stored once, and runSlot draws the group's
+// reservations back to back, so packet i (0-based) was reserved at
+// (akey, seq0+i) and carries Seq i+1. An entry stays a full sim.Time: a
+// 4-byte jitter offset would overflow on slots longer than 8.6 s, and a
+// slot has no upper bound.
 type groupEmitter struct {
 	s     *SlotSender
 	g     int
 	timer *sim.Timer
-	ring  []emission
+	st    Stamp      // the queued slot's stamp, Seq unset
+	ring  []sim.Time // send times in seq order
 	head  int
-	// akey is the instant the queued slot was set up: the Akey every
-	// entry's reservation shares.
+	// akey and seq0 are the queued slot's first reservation: the instant
+	// the slot was set up and its scheduler sequence.
 	akey sim.Time
+	seq0 uint64
 }
 
-// emission is one queued packet as values — its stamp, send time and
-// tie-break sequence — kept to 32 bytes: a ring holds a slot's worth.
-type emission struct {
-	st  Stamp
-	at  sim.Time
-	seq uint64
-}
-
-// reserve readies the ring for a slot of n emissions reserved at akey. The
-// previous slot has drained (its last emission precedes this slot's
-// start), so the ring rewinds and its backing array is reused instead of
-// creeping; one too small for the slot is replaced once, with headroom
-// for the pacer's slot-to-slot wobble, so the slot's pushes never double
-// it.
-func (e *groupEmitter) reserve(n int, akey sim.Time) {
+// reserve readies the ring for a slot of n emissions stamped st and
+// reserved at akey. The previous slot has drained (its last emission
+// precedes this slot's start), so the ring rewinds and its backing array is
+// reused instead of creeping; one too small for the slot is replaced once,
+// with headroom for the pacer's slot-to-slot wobble, so the slot's pushes
+// never double it.
+func (e *groupEmitter) reserve(st Stamp, n int, akey sim.Time) {
 	if e.head != len(e.ring) {
 		panic(fmt.Sprintf("core: group %d begins slot at %v with %d emissions of the last still queued", e.g, akey, len(e.ring)-e.head))
 	}
-	e.ring, e.head, e.akey = e.ring[:0], 0, akey
+	e.st, e.ring, e.head, e.akey = st, e.ring[:0], 0, akey
 	if cap(e.ring) < n {
-		e.ring = make([]emission, 0, n+n/8+1)
+		e.ring = make([]sim.Time, 0, n+n/8+1)
 	}
 }
 
-func (e *groupEmitter) push(st Stamp, at sim.Time, res sim.Reservation) {
-	e.ring = append(e.ring, emission{st: st, at: at, seq: res.Seq})
-	if len(e.ring)-e.head == 1 {
+// push queues the next emission of the slot, sent at at under res; the
+// first one arms the timer and fixes seq0.
+func (e *groupEmitter) push(at sim.Time, res sim.Reservation) {
+	e.ring = append(e.ring, at)
+	if len(e.ring) == 1 {
+		e.seq0 = res.Seq
 		e.timer.ResetReserved(at, res)
 	}
 }
 
 // fire mints and sends the head emission, then arms the next.
 func (e *groupEmitter) fire() {
-	em := &e.ring[e.head]
 	e.head++
+	st := e.st
+	st.Seq = uint16(e.head)
 	s := e.s
 	var hdr packet.Header
 	if s.hooks.Header != nil {
-		hdr = s.hooks.Header(em.st)
+		hdr = s.hooks.Header(st)
 	} else {
-		hdr = s.FLIDHeader(em.st)
+		hdr = s.FLIDHeader(st)
 	}
 	pkt := s.host.Network().NewPacket(s.host.Addr(), s.Sess.GroupAddr(e.g), s.Sess.PacketSize, hdr)
 	s.PacketsSent++
@@ -289,8 +294,7 @@ func (e *groupEmitter) fire() {
 	s.BytesSent += uint64(pkt.Size)
 	s.host.Send(pkt)
 	if e.head < len(e.ring) {
-		next := &e.ring[e.head]
-		e.timer.ResetReserved(next.at, sim.Reservation{Akey: e.akey, Seq: next.seq})
+		e.timer.ResetReserved(e.ring[e.head], sim.Reservation{Akey: e.akey, Seq: e.seq0 + uint64(e.head)})
 	}
 }
 

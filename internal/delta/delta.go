@@ -149,10 +149,12 @@ func newComponentSlot(n int, src *keys.Source) componentSlot {
 
 // schedule arms group g for count packets and draws its secret X_g: the
 // closing component cancels every later nonce, so the group's components
-// XOR to this first one.
+// XOR to this first one. A buffer too small for the slot is replaced with
+// the sender rings' headroom, so the pacer's slot-to-slot wobble does not
+// replace it again.
 func (cs *componentSlot) schedule(g, count int) {
 	if cap(cs.comps[g-1]) < count {
-		cs.comps[g-1] = make([]keys.Key, count)
+		cs.comps[g-1] = make([]keys.Key, 0, count+count/8+1)
 	}
 	cs.comps[g-1], cs.next[g-1] = cs.comps[g-1][:count], 0
 	cs.secret[g-1] = cs.src.Nonce()

@@ -191,7 +191,9 @@ func (r *Router) fwdOf(group packet.Addr) *fwdEntry {
 		}
 		if e == nil {
 			if off >= len(r.fwdDense) {
-				grown := make([]*fwdEntry, off+1)
+				// Sessions add groups one offset at a time, so grow
+				// geometrically: N contiguous groups cost O(log N) copies.
+				grown := make([]*fwdEntry, max(off+1, min(2*len(r.fwdDense), fwdDenseMax)))
 				copy(grown, r.fwdDense)
 				r.fwdDense = grown
 			}

@@ -18,6 +18,16 @@ func labelAvg(res *Result, label string, from, to float64) float64 {
 	return 0
 }
 
+// curvePoints returns the points of the curve labelled label, or nil.
+func curvePoints(res *Result, label string) []XY {
+	for _, c := range res.Curves {
+		if c.Label == label {
+			return c.Points
+		}
+	}
+	return nil
+}
+
 // The paper's results, stated as inequalities on figure output: one row per
 // claim, each checked at every seed below. A new claim is a new row.
 func TestPaperClaims(t *testing.T) {
@@ -46,6 +56,21 @@ func TestPaperClaims(t *testing.T) {
 			pre, post := labelAvg(r, "F1", mid*0.4, mid*0.9), labelAvg(r, "F1", mid*1.2, dur)
 			if post > 1.5*pre+50 {
 				return fmt.Errorf("attacker F1 profited: %.0f -> %.0f Kbps", pre, post)
+			}
+			return nil
+		}},
+		{"fig8c/DS tracks DL", func(seed uint64) error {
+			// 0.9 is the transparency target DELTA+SIGMA is held to, not a
+			// fit to these runs.
+			r := Fig8c(Options{Scale: scale, Seed: seed})
+			dl, ds := curvePoints(r, "FLID-DL average rate"), curvePoints(r, "FLID-DS average rate")
+			if len(dl) == 0 || len(ds) != len(dl) {
+				return fmt.Errorf("fig8c has %d FLID-DL and %d FLID-DS points", len(dl), len(ds))
+			}
+			for i := range dl {
+				if ds[i].Y < 0.9*dl[i].Y {
+					return fmt.Errorf("at %g sessions FLID-DS averages %.0f Kbps, under 0.9 x FLID-DL's %.0f", dl[i].X, ds[i].Y, dl[i].Y)
+				}
 			}
 			return nil
 		}},
