@@ -281,6 +281,7 @@ func (e *Experiment) Pool() *PacketPool { return e.Topo.Network().Pool() }
 // drained network is the goal. Idempotent; the first call records the
 // stop time as the end of the measurement window for audit oracles.
 func (e *Experiment) StopTraffic() {
+	e.mustBeOpen("StopTraffic")
 	e.Start()
 	for _, c := range e.churns {
 		c.Stop()
@@ -336,6 +337,7 @@ func (e *Experiment) checkDrained() []Violation {
 // returns the structural post-drain violations (pool balance, link
 // conservation and emptiness).
 func (e *Experiment) DrainAndAudit(grace Time) []Violation {
+	e.mustBeOpen("DrainAndAudit")
 	e.StopTraffic()
 	e.Advance(e.Now() + grace)
 	if e.audit != nil {

@@ -68,8 +68,9 @@ type (
 	// EdgeRouter is a gatekept multicast edge router — what a protocol's
 	// Protocol.EdgeAgent hangs its router-resident agent on.
 	EdgeRouter = mcast.Router
-	// PacketPool recycles packet envelopes across experiments; see
-	// WithPacketPool. One pool must never serve concurrent experiments.
+	// PacketPool recycles packet envelopes across experiments, and the
+	// scheduler memory a closed experiment parks in it (Experiment.Close);
+	// see WithPacketPool. One pool must never serve concurrent experiments.
 	PacketPool = packet.Pool
 
 	// Topology is an assembled simulated network an experiment runs on.

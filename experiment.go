@@ -47,6 +47,8 @@ type Experiment struct {
 
 	nextID    uint16
 	started   bool
+	closed    bool // Close has run
+	pooled    bool // built WithPacketPool: Close parks the scheduler there
 	stoppedAt Time // when StopTraffic first ran; 0 while traffic flows
 	sessions  []*ExperimentSession
 	tcps      []*TCPFlow
@@ -112,6 +114,7 @@ func New(opts ...Option) (*Experiment, error) {
 		noConsol: s.noConsol,
 		events:   s.events,
 		poolBase: t.Network().Pool().Outstanding(),
+		pooled:   s.pool != nil,
 	}
 	if s.audit.enabled {
 		e.audit = newAudit(e, s.audit)
@@ -134,8 +137,17 @@ func MustNew(opts ...Option) *Experiment {
 // computed and agents are scheduled, so later additions would silently
 // never run — fail loudly instead.
 func (e *Experiment) mustNotHaveStarted(op string) {
+	e.mustBeOpen(op)
 	if e.started {
 		panic(fmt.Sprintf("deltasigma: %s after the experiment has started", op))
+	}
+}
+
+// mustBeOpen guards every call that wires or runs the experiment: after
+// Close its scheduler's memory may already serve another experiment.
+func (e *Experiment) mustBeOpen(op string) {
+	if e.closed {
+		panic(fmt.Sprintf("deltasigma: %s after Close ended the experiment", op))
 	}
 }
 
@@ -360,6 +372,7 @@ func (s *ExperimentSession) wrap(agent ReceiverAgent, host *Host, edge Addr) *Re
 // if enabled — and schedules every sender, receiver and cross-traffic
 // source. Idempotent; Run calls it automatically.
 func (e *Experiment) Start() {
+	e.mustBeOpen("Start")
 	if e.started {
 		return
 	}
@@ -493,7 +506,10 @@ func (e *Experiment) Start() {
 }
 
 // At schedules fn at virtual time t.
-func (e *Experiment) At(t Time, fn func()) { e.Topo.Scheduler().At(t, fn) }
+func (e *Experiment) At(t Time, fn func()) {
+	e.mustBeOpen("At")
+	e.Topo.Scheduler().At(t, fn)
+}
 
 // Now returns the current virtual time.
 func (e *Experiment) Now() Time { return e.Topo.Scheduler().Now() }
@@ -503,6 +519,7 @@ func (e *Experiment) Now() Time { return e.Topo.Scheduler().Now() }
 // primitive for loops that read meters directly. Times already in the
 // past are a no-op; virtual time never rewinds.
 func (e *Experiment) Advance(until Time) {
+	e.mustBeOpen("Advance")
 	e.Start()
 	if until < e.Now() {
 		return
@@ -523,6 +540,25 @@ func (e *Experiment) Advance(until Time) {
 // you would discard (the snapshot rebuilds every receiver's series). An
 // `until` already in the past snapshots at the current time instead.
 func (e *Experiment) Run(until Time) *Result {
+	e.mustBeOpen("Run")
 	e.Advance(until)
 	return e.result(e.Now())
+}
+
+// Close ends a finished experiment. Built WithPacketPool, it parks the
+// scheduler's memory — calendar and event freelist — in that pool, where
+// the next experiment built on the pool takes it over: a campaign worker
+// closes each experiment once its readings are taken. Every pending event
+// is dropped, and the parked memory holds no pointer into this experiment.
+// Meters, Result snapshots already taken and the read-only accessors stay
+// usable; Advance, Run, Start, At, the Add* verbs, StopTraffic and
+// DrainAndAudit panic. Idempotent. A sharded experiment parks nothing.
+func (e *Experiment) Close() {
+	if e.closed {
+		return
+	}
+	e.closed = true
+	if e.pooled && e.shardGroup == nil {
+		e.Topo.Scheduler().Park(e.Pool().Parked())
+	}
 }

@@ -7,7 +7,11 @@ package deltasigma
 // RunEachPoint is Run without merging: every raw grid point goes through
 // runPoint in turn, on one goroutine and without a packet pool. Its JSON is
 // what Run's must equal.
-func (sw Sweep) RunEachPoint() (*CampaignResult, error) {
+func (sw Sweep) RunEachPoint() (*CampaignResult, error) { return sw.RunEachPointOn(nil) }
+
+// RunEachPointOn is RunEachPoint with every point on pool, when it is not
+// nil: each point runs on the memory the points before it closed.
+func (sw Sweep) RunEachPointOn(pool *PacketPool) (*CampaignResult, error) {
 	g, err := sw.grid()
 	if err != nil {
 		return nil, err
@@ -15,7 +19,7 @@ func (sw Sweep) RunEachPoint() (*CampaignResult, error) {
 	res := &CampaignResult{Name: sw.Name, DurationNs: g.sw.Duration}
 	points, topos := g.points()
 	for i, p := range points {
-		r, err := g.runPoint(p, topos[i], nil)
+		r, err := g.runPoint(p, topos[i], pool)
 		r.Point = p
 		if err != nil {
 			r.Error = err.Error()

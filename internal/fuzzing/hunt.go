@@ -567,6 +567,7 @@ func EvaluateAdvantage(sp Spec, pool *deltasigma.PacketPool) (ev HuntEval) {
 	ev.Fitness = ev.Ratio
 	// Drain so a reused campaign pool gets its envelopes back.
 	exp.Advance(exp.Now() + DrainGrace)
+	exp.Close()
 	return ev
 }
 
@@ -945,13 +946,16 @@ func ShrinkHunt(spec Spec, budget int) (Spec, HuntEval) {
 	if budget <= 0 {
 		budget = DefaultHuntShrinkBudget
 	}
-	best := EvaluateAdvantage(spec, nil)
+	// The walk evaluates its candidates one after another, so one pool
+	// serves them all, as it serves a campaign worker.
+	pool := &deltasigma.PacketPool{}
+	best := EvaluateAdvantage(spec, pool)
 	if best.Err != "" || best.Fitness <= 0 {
 		return spec, best
 	}
 	floor := best.Fitness * HuntShrinkSlack
 	return shrinkWalk(spec, best, budget, shrinkRule[HuntEval]{
-		eval:       func(sp Spec) HuntEval { return EvaluateAdvantage(sp, nil) },
+		eval:       func(sp Spec) HuntEval { return EvaluateAdvantage(sp, pool) },
 		accept:     func(ev HuntEval) bool { return ev.Err == "" && ev.Fitness >= floor },
 		passes:     6,
 		needOracle: true,

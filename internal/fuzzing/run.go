@@ -81,6 +81,7 @@ func Run(spec Spec, pool *deltasigma.PacketPool) (out Outcome) {
 	res := exp.Run(spec.Duration())
 	out.Violations = exp.DrainAndAudit(DrainGrace)
 	out.Pass = len(out.Violations) == 0
+	exp.Close()
 
 	resJSON, err := json.Marshal(res)
 	if err != nil {

@@ -164,6 +164,19 @@ func (l *Link) Send(pkt *packet.Packet) {
 		pkt.Release()
 		return
 	}
+	if !l.busy && l.Queue.Len() == 0 {
+		// Idle: the packet passes through the empty queue at once, so it
+		// skips the ring. The drop and the high-water mark are push's at
+		// zero occupancy, where no ECN mark can fire.
+		if l.Queue.CapBytes > 0 && pkt.Size > l.Queue.CapBytes {
+			l.Queue.Dropped++
+			pkt.Release()
+			return
+		}
+		l.Queue.MaxFilled = max(l.Queue.MaxFilled, pkt.Size)
+		l.transmit(pkt)
+		return
+	}
 	if !l.Queue.push(pkt) {
 		return
 	}
@@ -178,6 +191,11 @@ func (l *Link) startTransmission() {
 		l.busy = false
 		return
 	}
+	l.transmit(pkt)
+}
+
+// transmit starts serializing pkt.
+func (l *Link) transmit(pkt *packet.Packet) {
 	l.busy = true
 	l.cur = pkt
 	if pkt.Size > l.MaxPacketBytes {

@@ -121,6 +121,33 @@ func TestQueueDropTail(t *testing.T) {
 	}
 }
 
+// A packet that finds its link idle goes straight to serialization: the
+// queue's ring is never allocated, yet the high-water mark and the drop of
+// a packet larger than the queue read as if it had passed through.
+func TestIdleLinkSkipsItsQueue(t *testing.T) {
+	sched, n := newNet()
+	a := n.AddHost("a")
+	b := n.AddHost("b")
+	ab, _ := n.Connect(a, b, 1_000_000, 0, 1500)
+	n.ComputeRoutes()
+	delivered := 0
+	b.Handle(packet.ProtoNone, func(pkt *packet.Packet) { delivered++ })
+	for i := 0; i < 3; i++ {
+		sched.At(sim.Time(i)*sim.Second, func() { a.Send(packet.New(a.Addr(), b.Addr(), 1000, nil)) })
+	}
+	sched.At(4*sim.Second, func() { a.Send(packet.New(a.Addr(), b.Addr(), 2000, nil)) })
+	sched.Run()
+	if delivered != 3 || ab.Queue.Dropped != 1 {
+		t.Fatalf("delivered %d and dropped %d, want 3 and the oversized 1", delivered, ab.Queue.Dropped)
+	}
+	if ab.Queue.MaxFilled != 1000 {
+		t.Fatalf("MaxFilled = %d, want 1000: each packet occupies the empty queue as it passes", ab.Queue.MaxFilled)
+	}
+	if got := ab.Queue.ring.capacity(); got != 0 {
+		t.Fatalf("an idle link's queue allocated a ring of %d", got)
+	}
+}
+
 // Regression: a continuously busy queue (never fully drains) must cycle
 // packets through a fixed ring rather than creep down an ever-growing
 // backing array. The old q.pkts = q.pkts[1:] advance only released memory

@@ -64,10 +64,13 @@ func (n *Network) Pool() *packet.Pool { return n.pool }
 
 // SetPool replaces the network's packet pool — campaign workers inject a
 // worker-local pool here so consecutive grid points reuse one warm freelist.
-// Must be called before any traffic is generated.
+// The network's scheduler, while still empty, also adopts the scheduler
+// memory a closed experiment parked in the pool. Must be called before any
+// traffic is generated.
 func (n *Network) SetPool(p *packet.Pool) {
 	if p != nil {
 		n.pool = p
+		n.sched.Adopt(p.Parked())
 	}
 }
 

@@ -4,8 +4,10 @@ import "deltasigma/internal/sim"
 
 // Pool recycles Packet envelopes through a reference-counted lifecycle so
 // the simulation hot path allocates no packets in steady state. One Pool
-// belongs to one experiment (one scheduler); everything is single-threaded
-// within an experiment, so counts are plain ints.
+// serves one experiment at a time (one scheduler); everything is
+// single-threaded within an experiment, so counts are plain ints. A pool
+// handed from experiment to experiment also carries the scheduler memory
+// the last one parked (see Parked).
 //
 // Ownership rules (see DESIGN.md "Memory model"):
 //   - Get returns a packet holding one reference, owned by the caller.
@@ -38,6 +40,10 @@ type Pool struct {
 	igmp     freelist[IGMPHeader]
 	feedback freelist[FeedbackHeader]
 	share    freelist[ShareHeader]
+
+	// parked is the scheduler memory of the last experiment closed on this
+	// pool, waiting for the next experiment's scheduler (see Parked).
+	parked sim.Parked
 
 	// Issued counts packets handed out (fresh or recycled); Recycled counts
 	// envelopes returned to the freelist; Fresh counts heap allocations.
@@ -194,6 +200,13 @@ func (pl *Pool) AdoptCopy(p *Packet) *Packet {
 	q.Header = pl.cloneHeader(p.Header)
 	return q
 }
+
+// Parked returns the pool's slot for scheduler memory. A campaign worker's
+// experiments run one after another on one pool, so the pool carries more
+// than packets from one to the next: a closed experiment parks its
+// scheduler's calendar and event freelist here (sim.Scheduler.Park), and
+// the next experiment's scheduler adopts them (sim.Scheduler.Adopt).
+func (pl *Pool) Parked() *sim.Parked { return &pl.parked }
 
 // Outstanding reports how many issued packets have not been released back —
 // the leak gauge experiments assert on after draining their traffic.

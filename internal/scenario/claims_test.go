@@ -89,12 +89,23 @@ func TestPaperClaims(t *testing.T) {
 
 // shootoutClaim reads the shoot-out campaign at Scale 0.2. Every DELTA+SIGMA
 // variant holds classic and adaptive attackers to parity (suppression at
-// least 0.49); every unprotected protocol with an attacker loses to it, at
-// every strategy (at most 0.25); and abr-cf refuses an attacker outright.
+// least 0.49) while its honest receivers keep at least 0.9 × what flid-dl's
+// honest receivers get at the same coordinates — so parity cannot come from
+// crippling both sides; every unprotected protocol with an attacker loses
+// to it, at every strategy (at most 0.25); and abr-cf refuses an attacker
+// outright. Forging stays out of the protected rows (docs/ADVERSARIES.md).
 func shootoutClaim(seed uint64) error {
 	res, err := RunCampaign("shootout", Options{Scale: 0.2, Seed: seed}, 0)
 	if err != nil {
 		return err
+	}
+	// flid-dl's honest mean at each point's coordinates: the point with the
+	// protocol swapped.
+	dlGood := map[deltasigma.SweepPoint]float64{}
+	for _, pt := range res.Points {
+		if pt.Point.Protocol == "flid-dl" {
+			dlGood[pt.Point] = pt.GoodMeanKbps
+		}
 	}
 	var held, lost, refused int
 	for _, pt := range res.Points {
@@ -118,6 +129,17 @@ func shootoutClaim(seed uint64) error {
 		case p.Strategy == string(deltasigma.StrategyClassic) || p.Strategy == string(deltasigma.StrategyAdaptive):
 			if pt.Suppression < 0.49 {
 				return fmt.Errorf("%s: DELTA+SIGMA variant let the attacker reach %.3f", p, pt.Suppression)
+			}
+			// 0.9 is the transparency target DELTA+SIGMA is held to, not a
+			// fit to these runs.
+			at := p
+			at.Protocol = "flid-dl"
+			dl, ok := dlGood[at]
+			if !ok {
+				return fmt.Errorf("%s: no flid-dl point at the same coordinates", p)
+			}
+			if pt.GoodMeanKbps < 0.9*dl {
+				return fmt.Errorf("%s: honest receivers average %.0f Kbps, under 0.9 x flid-dl's %.0f", p, pt.GoodMeanKbps, dl)
 			}
 			held++
 		}

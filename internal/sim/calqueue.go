@@ -491,6 +491,32 @@ func (q *calQueue) endRun() {
 	q.run, q.runHead = nil, 0
 }
 
+// empty unfiles every pending event, handing each to drop, and keeps the
+// storage: the run's array and every borrowed one go idle into the
+// freelist, cleared, every bucket is back on its home chunk, and the width
+// feedback restarts. The geometry — bucket count and day width — stays.
+func (q *calQueue) empty(drop func(*event)) {
+	if q.buckets == nil {
+		return // never initialized: nothing filed, nothing to keep
+	}
+	if q.runDay != calNoRun {
+		for _, en := range q.run[q.runHead:] {
+			drop(en.e)
+		}
+		q.release(q.run)
+		q.run, q.runHead = nil, 0
+		q.runDay, q.runTop = calNoRun, 0
+	}
+	for b, arr := range q.buckets {
+		for _, en := range arr {
+			drop(en.e)
+		}
+		q.vacate(b)
+	}
+	q.count = 0
+	q.peeks, q.bucketSteps, q.dayAdvances = 0, 0, 0
+}
+
 // runInsert files e at its ordered position in the run: appended when it
 // sorts last, else found by binary search, with the entries after it moved
 // up one. The moves are charged to the width feedback — a narrower day

@@ -209,3 +209,82 @@ func TestFreelistRecycles(t *testing.T) {
 		t.Fatalf("a Get/Put round trip allocated %.0f times once the list held an item", allocs)
 	}
 }
+
+// TestAdoptedCalendarAllocatesNothing pins what a campaign worker gains
+// from parking: a burst — a crowd of ties on one boundary, then spaced
+// events — is cut off by Park halfway through the crowd, with the crowd's
+// day ordered and pending, and a new scheduler that adopts the parked
+// memory schedules and fires the same burst without allocating. The parked
+// storage is sound and pins no closure, and a handle into the parked run
+// stays inert after its event serves the next scheduler.
+func TestAdoptedCalendarAllocatesNothing(t *testing.T) {
+	const crowd, spaced = 1000, 200
+	f := func() {}
+	burst := func(s *Scheduler, stop func()) {
+		for i := 0; i < crowd; i++ {
+			if i == crowd/2 {
+				s.Schedule(Second, stop)
+			}
+			s.Schedule(Second, f)
+		}
+		for i := 1; i <= spaced; i++ {
+			s.Schedule(Second+Time(i)*Millisecond, f)
+		}
+		s.Run()
+	}
+	var p Parked
+	first := NewScheduler()
+	handle := first.At(2*Second, f)
+	burst(first, first.Stop)
+	if first.cal.runDay == calNoRun || first.Pending() < crowd/2 {
+		t.Fatalf("the burst was cut with %d events pending and no ordered day, want its crowd half drained", first.Pending())
+	}
+	first.Park(&p)
+	if handle.Active() || handle.Stop() || first.Pending() != 0 {
+		t.Fatal("Park left the closed run with a live event")
+	}
+	if err := storageSound(&p.cal); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range p.free {
+		if e.do != nil || e.idx >= 0 {
+			t.Fatal("a parked event keeps its function or reads as pending")
+		}
+	}
+
+	// One scheduler per run, made outside the measurement.
+	next := make([]*Scheduler, 12)
+	stops := make([]func(), len(next))
+	for i := range next {
+		next[i] = NewScheduler()
+		stops[i] = next[i].Stop
+	}
+	runs := 0
+	avg := testing.AllocsPerRun(len(next)-1, func() {
+		s := next[runs]
+		s.Adopt(&p)
+		if s.Pending() != 0 {
+			t.Fatalf("an adopting scheduler starts with %d events pending, want 0", s.Pending())
+		}
+		burst(s, stops[runs])
+		runs++
+		if s.Fired() != crowd/2+1 {
+			t.Fatalf("an adopting scheduler fired %d events, want %d", s.Fired(), crowd/2+1)
+		}
+		s.Park(&p)
+	})
+	if avg != 0 {
+		t.Errorf("a burst on an adopted calendar allocated %.1f times, want 0", avg)
+	}
+	if handle.Active() || handle.Stop() {
+		t.Error("a handle into the first run revived after its event served another scheduler")
+	}
+
+	// A scheduler with events of its own ignores parked memory.
+	busy := NewScheduler()
+	busy.Schedule(Second, f)
+	busy.Adopt(&p)
+	if p.cal.buckets == nil || busy.FreeEvents() != 0 {
+		t.Error("a scheduler holding an event adopted parked memory")
+	}
+}

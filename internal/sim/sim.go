@@ -128,6 +128,50 @@ func (s *Scheduler) Anchor(key any, mk func() any) any {
 // state keeps this roughly constant while alloc traffic drops to zero.
 func (s *Scheduler) FreeEvents() int { return len(s.free) }
 
+// Parked is a closed scheduler's memory kept for the next one: the
+// calendar's bucket array, slab, idle borrowed arrays and refile scratch,
+// and the event freelist. It holds no event's closure, so it pins nothing
+// of the run it came from. The zero value holds nothing.
+type Parked struct {
+	cal  calQueue
+	free []*event
+}
+
+// Events reports how many event objects are parked (test observability).
+func (p *Parked) Events() int { return len(p.free) }
+
+// Park ends the scheduler's run and moves its memory into p, replacing
+// whatever p held; a scheduler that never scheduled anything leaves p as it
+// is. Every pending event is dropped through recycle, which clears its
+// function and bumps its generation, so every Timer handle into the run
+// reads as inactive from then on. The clock, the sequence counter, the
+// fired count and the anchors stay here; the scheduler is left empty, and
+// anything scheduled on it later starts a fresh calendar.
+func (s *Scheduler) Park(p *Parked) {
+	if s.cal.buckets == nil {
+		return // nothing was ever scheduled: no memory to hand on
+	}
+	s.cal.empty(func(e *event) {
+		e.idx = -1
+		s.recycle(e)
+	})
+	p.cal, p.free = s.cal, s.free
+	s.cal, s.free = calQueue{}, nil
+}
+
+// Adopt takes over the memory parked in p, leaving p empty, so a
+// scheduler that replaces a closed one starts warm. A scheduler that holds
+// pending events ignores it. Ordering is strict (at, akey, seq) whatever
+// the calendar's geometry, so an inherited bucket count or day width
+// changes speed only, never what fires when.
+func (s *Scheduler) Adopt(p *Parked) {
+	if s.cal.count > 0 || p.cal.buckets == nil {
+		return
+	}
+	s.cal, s.free = p.cal, append(p.free, s.free...)
+	*p = Parked{}
+}
+
 // alloc produces a pending event at time t running f, reusing a recycled
 // event when one is available, and files it into the calendar.
 func (s *Scheduler) alloc(t Time, f func()) *event {

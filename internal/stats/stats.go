@@ -30,10 +30,22 @@ func (m *Meter) Add(t sim.Time, bytes int) {
 		return
 	}
 	idx := int(t / m.bin)
-	for len(m.bins) <= idx {
-		m.bins = append(m.bins, 0)
+	if idx >= len(m.bins) {
+		m.grow(idx)
 	}
 	m.bins[idx] += float64(bytes)
+}
+
+// grow extends bins through idx. Capacity doubles (to at least 16 bins, a
+// short run's whole series), so a run of n bins allocates O(log n) times;
+// the bins past len are zero, since the slice never shrinks.
+func (m *Meter) grow(idx int) {
+	if idx >= cap(m.bins) {
+		bins := make([]float64, len(m.bins), max(2*cap(m.bins), idx+1, 16))
+		copy(bins, m.bins)
+		m.bins = bins
+	}
+	m.bins = m.bins[:idx+1]
 }
 
 // Bins reports how many bins hold data.

@@ -28,6 +28,35 @@ func TestMeterBinning(t *testing.T) {
 	}
 }
 
+// A meter's bins grow geometrically: a 60 s series at 1 s bins costs three
+// allocations (16, 32, 64 bins), not one per power of two from 1, and every
+// bin between two readings reads zero.
+func TestMeterGrowsGeometrically(t *testing.T) {
+	var m *Meter
+	allocs := testing.AllocsPerRun(1, func() {
+		m = NewMeter(sim.Second)
+		for s := 0; s < 60; s += 7 {
+			m.Add(sim.Time(s)*sim.Second, 1000)
+		}
+		m.Add(59*sim.Second, 1000)
+	})
+	if allocs != 4 { // the meter and three bin arrays
+		t.Errorf("a 60-bin meter allocated %.0f times, want 4", allocs)
+	}
+	if m.Bins() != 60 {
+		t.Fatalf("bins = %d, want 60", m.Bins())
+	}
+	for i := 0; i < 60; i++ {
+		want := 0.0
+		if i%7 == 0 || i == 59 {
+			want = 8
+		}
+		if got := m.RateKbps(i); got != want {
+			t.Fatalf("bin %d reads %v Kbps, want %v", i, got, want)
+		}
+	}
+}
+
 func TestMeterIgnoresNegativeTime(t *testing.T) {
 	m := NewMeter(sim.Second)
 	m.Add(-sim.Second, 1000)

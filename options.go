@@ -175,8 +175,11 @@ func WithPacketSize(bytes int) Option {
 // network. The simulation recycles packet envelopes through the pool, so a
 // caller that runs many experiments sequentially — a campaign worker
 // stepping through grid points — hands each one the same warm pool and the
-// per-experiment allocation spike disappears. A pool must never be shared
-// by experiments running concurrently; each campaign worker owns its own.
+// per-experiment allocation spike disappears. The pool also carries
+// scheduler memory: Close parks a finished experiment's calendar and event
+// freelist in it, and the next experiment built on the pool takes them
+// over. A pool must never be shared by experiments running concurrently;
+// each campaign worker owns its own.
 func WithPacketPool(p *packet.Pool) Option {
 	return func(s *settings) {
 		if p == nil {

@@ -582,6 +582,8 @@ func (g sweepGrid) runPoint(p SweepPoint, topo int, pool *packet.Pool) (PointRes
 	if err != nil {
 		return pr, err
 	}
+	// The worker's next point adopts this one's scheduler memory from pool.
+	defer e.Close()
 
 	s := e.AddSession(0)
 	for i := 0; i < p.Receivers; i++ {
