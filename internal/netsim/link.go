@@ -87,6 +87,7 @@ type flight struct {
 // are strictly FIFO), and the in-flight ring recycles its backing array.
 type Link struct {
 	src, dst Node
+	rev      *Link    // the duplex partner, dst→src
 	Rate     int64    // bits per second; mutate via SetRate only
 	Delay    sim.Time // propagation delay; mutate via SetDelay only
 	Queue    Queue

@@ -568,3 +568,112 @@ func TestLinksCachedUntilConnect(t *testing.T) {
 		}
 	}
 }
+
+// graphShape builds one small topology and returns every address it
+// issued with the node that owns it.
+type graphShape struct {
+	name  string
+	build func(n *Network) map[packet.Addr]NodeID
+}
+
+// host adds a host and records its address.
+func host(n *Network, addrs map[packet.Addr]NodeID) *Host {
+	h := n.AddHost("h")
+	addrs[h.Addr()] = h.ID()
+	return h
+}
+
+// router adds a router with an address and records it.
+func router(n *Network, addrs map[packet.Addr]NodeID) *fwd {
+	r := addFwd(n, "r")
+	addrs[n.AssignAddr(r)] = r.ID()
+	return r
+}
+
+var graphShapes = []graphShape{
+	{"dumbbell", func(n *Network) map[packet.Addr]NodeID {
+		addrs := map[packet.Addr]NodeID{}
+		l, r := router(n, addrs), router(n, addrs)
+		n.Connect(l, r, 1_000_000, sim.Millisecond, 1<<16)
+		for i := 0; i < 3; i++ {
+			n.Connect(host(n, addrs), l, 10_000_000, sim.Millisecond, 1<<16)
+			n.Connect(r, host(n, addrs), 10_000_000, sim.Millisecond, 1<<16)
+		}
+		return addrs
+	}},
+	{"chain", func(n *Network) map[packet.Addr]NodeID {
+		addrs := map[packet.Addr]NodeID{}
+		var prev Node = host(n, addrs)
+		for i := 0; i < 4; i++ {
+			r := router(n, addrs)
+			n.Connect(prev, r, 1_000_000, sim.Millisecond, 1<<16)
+			n.Connect(r, host(n, addrs), 10_000_000, sim.Millisecond, 1<<16)
+			prev = r
+		}
+		return addrs
+	}},
+	{"star", func(n *Network) map[packet.Addr]NodeID {
+		addrs := map[packet.Addr]NodeID{}
+		hub := addFwd(n, "hub") // no address: addresses skip it
+		n.Connect(host(n, addrs), hub, 10_000_000, sim.Millisecond, 1<<16)
+		for i := 0; i < 5; i++ {
+			leaf := addFwd(n, "leaf")
+			n.Connect(hub, leaf, 1_000_000, sim.Millisecond, 1<<16)
+			for j := 0; j < 2; j++ {
+				n.Connect(leaf, host(n, addrs), 10_000_000, sim.Millisecond, 1<<16)
+			}
+		}
+		return addrs
+	}},
+}
+
+// LinkBetween answers from the out-link slices and each link's duplex
+// partner; on every shape and every ordered node pair it must agree with a
+// brute-force scan of Links(), nil for pairs with no link between them.
+// HostByAddr must resolve every issued address to its owner and nothing
+// either side of the issued range, and a pair may be connected only once.
+func TestLinkBetweenMatchesLinks(t *testing.T) {
+	for _, shape := range graphShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			_, n := newNet()
+			addrs := shape.build(n)
+			for a := 0; a < n.NodeCount(); a++ {
+				for b := 0; b < n.NodeCount(); b++ {
+					var want *Link
+					for _, l := range n.Links() {
+						if l.From().ID() == NodeID(a) && l.To().ID() == NodeID(b) {
+							want = l
+						}
+					}
+					if got := n.LinkBetween(NodeID(a), NodeID(b)); got != want {
+						t.Errorf("LinkBetween(%d, %d) = %v, want %v", a, b, got, want)
+					}
+				}
+			}
+			for a, want := range addrs {
+				if id, ok := n.HostByAddr(a); !ok || id != want {
+					t.Errorf("HostByAddr(%v) = %d, %v; want %d", a, id, ok, want)
+				}
+			}
+			for _, a := range []packet.Addr{hostAddrBase - 1, hostAddrBase + packet.Addr(len(addrs))} {
+				if id, ok := n.HostByAddr(a); ok {
+					t.Errorf("HostByAddr(%v) = %d, want not found", a, id)
+				}
+			}
+		})
+	}
+
+	_, n := newNet()
+	a, b := n.AddHost("a"), n.AddHost("b")
+	n.Connect(a, b, 1_000_000, 0, 1<<16)
+	for _, pair := range [][2]Node{{a, b}, {b, a}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a second Connect(%s, %s) did not panic", pair[0].Name(), pair[1].Name())
+				}
+			}()
+			n.Connect(pair[0], pair[1], 1_000_000, 0, 1<<16)
+		}()
+	}
+}

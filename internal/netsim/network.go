@@ -20,12 +20,13 @@ type Network struct {
 	rng   *sim.RNG
 	pool  *packet.Pool
 
+	// Node IDs and unicast addresses are issued densely, so both index
+	// slices: out[id] is a node's out-links in registration order, and
+	// addrOf[a−hostAddrBase] the node that owns address a.
 	nodes  []Node
-	out    map[NodeID][]*Link
-	linkTo map[[2]NodeID]*Link // directed link by (from, to)
-	addrOf map[packet.Addr]NodeID
+	out    [][]*Link
+	addrOf []NodeID
 
-	nextAddr packet.Addr
 	// nextHop[from][dstNode] is the first link toward dstNode, nil when
 	// unreachable. Only nodes with several out-links have a row; see
 	// NextHopTo for the rest.
@@ -43,13 +44,9 @@ type Network struct {
 // packet pool; SetPool swaps in a shared one before traffic starts.
 func New(sched *sim.Scheduler, rng *sim.RNG) *Network {
 	return &Network{
-		sched:    sched,
-		rng:      rng,
-		pool:     &packet.Pool{},
-		out:      make(map[NodeID][]*Link),
-		linkTo:   make(map[[2]NodeID]*Link),
-		addrOf:   make(map[packet.Addr]NodeID),
-		nextAddr: hostAddrBase,
+		sched: sched,
+		rng:   rng,
+		pool:  &packet.Pool{},
 	}
 }
 
@@ -95,24 +92,23 @@ func (n *Network) Add(make func(id NodeID) Node) Node {
 	id := NodeID(len(n.nodes))
 	node := make(id)
 	n.nodes = append(n.nodes, node)
+	n.out = append(n.out, nil)
 	return node
 }
 
 // AddHost creates a host with the given name and a fresh unicast address.
 func (n *Network) AddHost(name string) *Host {
-	h := &Host{name: name, net: n, addr: n.nextAddr}
-	n.nextAddr++
+	h := &Host{name: name, net: n}
 	n.Add(func(id NodeID) Node { h.id = id; return h })
-	n.addrOf[h.addr] = h.id
+	h.addr = n.AssignAddr(h)
 	return h
 }
 
 // AssignAddr allocates a unicast address for a non-host node (routers need
 // addresses so receivers can send them control messages).
 func (n *Network) AssignAddr(node Node) packet.Addr {
-	a := n.nextAddr
-	n.nextAddr++
-	n.addrOf[a] = node.ID()
+	a := hostAddrBase + packet.Addr(len(n.addrOf))
+	n.addrOf = append(n.addrOf, node.ID())
 	return a
 }
 
@@ -122,33 +118,38 @@ func (n *Network) Node(id NodeID) Node { return n.nodes[id] }
 // NodeCount reports how many nodes are registered.
 func (n *Network) NodeCount() int { return len(n.nodes) }
 
-// HostByAddr resolves a unicast address to its host node ID.
+// HostByAddr resolves a unicast address to its host node ID. An address
+// the network never issued — a group address among them — is not found.
 func (n *Network) HostByAddr(a packet.Addr) (NodeID, bool) {
-	id, ok := n.addrOf[a]
-	return id, ok
+	i := a - hostAddrBase // wraps past the slice below the base
+	if uint64(i) >= uint64(len(n.addrOf)) {
+		return 0, false
+	}
+	return n.addrOf[i], true
 }
 
 // Connect joins a and b with a duplex pair of links, each with the given
 // rate (bits/s), propagation delay, and queue capacity in bytes. It returns
-// the a→b and b→a links.
+// the a→b and b→a links. A pair is connected at most once.
 func (n *Network) Connect(a, b Node, rate int64, delay sim.Time, qcap int) (*Link, *Link) {
 	if rate <= 0 {
 		panic(fmt.Sprintf("netsim: non-positive rate %d on %s-%s", rate, a.Name(), b.Name()))
 	}
-	ab := &Link{src: a, dst: b, Rate: rate, Delay: delay, sched: n.sched, Queue: Queue{CapBytes: qcap}}
-	ba := &Link{src: b, dst: a, Rate: rate, Delay: delay, sched: n.sched, Queue: Queue{CapBytes: qcap}}
+	if n.LinkBetween(a.ID(), b.ID()) != nil {
+		panic(fmt.Sprintf("netsim: %s and %s are already connected", a.Name(), b.Name()))
+	}
+	pair := &[2]Link{
+		{src: a, dst: b, Rate: rate, Delay: delay, sched: n.sched, Queue: Queue{CapBytes: qcap}},
+		{src: b, dst: a, Rate: rate, Delay: delay, sched: n.sched, Queue: Queue{CapBytes: qcap}},
+	}
+	ab, ba := &pair[0], &pair[1]
+	ab.rev, ba.rev = ba, ab
 	ab.init()
 	ba.init()
-	n.registerLink(ab)
-	n.registerLink(ba)
-	return ab, ba
-}
-
-func (n *Network) registerLink(l *Link) {
-	from, to := l.src.ID(), l.dst.ID()
-	n.out[from] = append(n.out[from], l)
-	n.linkTo[[2]NodeID{from, to}] = l
+	n.out[a.ID()] = append(n.out[a.ID()], ab)
+	n.out[b.ID()] = append(n.out[b.ID()], ba)
 	n.links = nil
+	return ab, ba
 }
 
 // OutLinks returns the outgoing links of a node.
@@ -167,9 +168,28 @@ func (n *Network) Links() []*Link {
 	return n.links
 }
 
-// LinkBetween returns the directed link from a to b, or nil.
+// LinkBetween returns the directed link from a to b, or nil. It scans the
+// shorter of a's and b's out-links — b's for the link back to a, whose
+// duplex partner is the answer — so a router's lookup of one of its hosts
+// reads the host's single access link.
 func (n *Network) LinkBetween(a, b NodeID) *Link {
-	return n.linkTo[[2]NodeID{a, b}]
+	if uint(a) >= uint(len(n.out)) || uint(b) >= uint(len(n.out)) {
+		return nil
+	}
+	if from, to := n.out[a], n.out[b]; len(to) < len(from) {
+		for _, l := range to {
+			if l.dst.ID() == a {
+				return l.rev
+			}
+		}
+	} else {
+		for _, l := range from {
+			if l.dst.ID() == b {
+				return l
+			}
+		}
+	}
+	return nil
 }
 
 // accessLink returns a host's single outgoing link.
@@ -289,7 +309,7 @@ func (n *Network) dijkstra(src NodeID, hopEpsilon int64, dist []int64, q *distHe
 // NextHopLink returns the link a packet at node from should take toward the
 // node that owns dst, or nil when dst is unknown or unreachable.
 func (n *Network) NextHopLink(from NodeID, dst packet.Addr) *Link {
-	id, ok := n.addrOf[dst]
+	id, ok := n.HostByAddr(dst)
 	if !ok {
 		return nil
 	}

@@ -15,6 +15,7 @@ func attackExperiment(opt Options, mode flid.Mode) *Result {
 	inflateAt := dur / 2
 
 	l := newLab(topo.PaperConfig(1_000_000, opt.Seed), mode)
+	defer l.close()
 
 	// Session 1 carries the attacker F1, session 2 the victim F2.
 	atk := l.addSession(0).AddAttacker()

@@ -74,6 +74,22 @@ func TestPaperClaims(t *testing.T) {
 			}
 			return nil
 		}},
+		{"fig9a/overhead bounds, SIGMA rises with N", func(seed uint64) error {
+			return overheadClaim(Fig9a(Options{Scale: scale, Seed: seed}), "N", +1)
+		}},
+		{"fig9b/overhead bounds, SIGMA falls with t", func(seed uint64) error {
+			r := Fig9b(Options{Scale: scale, Seed: seed})
+			if err := overheadClaim(r, "t", -1); err != nil {
+				return err
+			}
+			delta := curvePoints(r, "DELTA")
+			for _, p := range delta {
+				if d := p.Y - delta[0].Y; d > 0.01 || d < -0.01 {
+					return fmt.Errorf("DELTA overhead moves with t: %.3f%% at t=%gs, %.3f%% at t=%gs", delta[0].Y, delta[0].X, p.Y, p.X)
+				}
+			}
+			return nil
+		}},
 		{"shootout/DELTA+SIGMA holds parity, unprotected rivals collapse", shootoutClaim},
 	}
 	for _, c := range claims {
@@ -85,6 +101,30 @@ func TestPaperClaims(t *testing.T) {
 			})
 		}
 	}
+}
+
+// overheadClaim checks a Figure 9 result against §5.4: DELTA's overhead is
+// "about 0.8%" (0.7–0.9 %) at every point, and SIGMA's stays "under 0.6%"
+// while moving strictly in direction dir (+1 rising, −1 falling) along the
+// x-axis named x.
+func overheadClaim(r *Result, x string, dir float64) error {
+	delta, sigma := curvePoints(r, "DELTA"), curvePoints(r, "SIGMA")
+	if len(delta) < 2 || len(sigma) != len(delta) {
+		return fmt.Errorf("%s has %d DELTA and %d SIGMA points", r.Name, len(delta), len(sigma))
+	}
+	for i, p := range delta {
+		if p.Y < 0.7 || p.Y > 0.9 {
+			return fmt.Errorf("DELTA overhead at %s=%g is %.3f%%, not about 0.8%%", x, p.X, p.Y)
+		}
+		q := sigma[i]
+		if q.Y <= 0 || q.Y > 0.6 {
+			return fmt.Errorf("SIGMA overhead at %s=%g is %.3f%%, not in (0, 0.6%%]", x, q.X, q.Y)
+		}
+		if i > 0 && (q.Y-sigma[i-1].Y)*dir <= 0 {
+			return fmt.Errorf("SIGMA overhead does not move strictly with %s: %.3f%% at %g, %.3f%% at %g", x, sigma[i-1].Y, sigma[i-1].X, q.Y, q.X)
+		}
+	}
+	return nil
 }
 
 // shootoutClaim reads the shoot-out campaign at Scale 0.2. Every DELTA+SIGMA

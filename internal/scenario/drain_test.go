@@ -7,11 +7,13 @@ import (
 	"deltasigma"
 )
 
-// Every experiment of every figure ends drained: once its traffic stops
-// and the network has had a grace period, each pooled packet reference is
-// back in the pool and every link's conservation laws hold. Each figure
-// must also build exactly its experiments, so a fan-out that drops a job
-// fails by name.
+// Every experiment of every figure ends drained: as each lab closes, its
+// traffic stops and the network gets a grace period, after which every
+// pooled packet reference the lab took is back in the pool and every
+// link's conservation laws hold. Labs share warm pools, so balance is
+// judged against the gauge each lab saw when it was built, not zero. Each
+// figure must also close exactly the experiments it builds, each once, so
+// a fan-out that drops a job or a site that forgets to close fails by name.
 func TestFiguresEndDrained(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario runs are moderate-length simulations")
@@ -26,29 +28,29 @@ func TestFiguresEndDrained(t *testing.T) {
 		{"fig8e", Fig8e, 2}, {"fig8f", Fig8f, 2}, {"fig8g", Fig8g, 1}, {"fig8h", Fig8h, 1},
 		{"fig9a", Fig9a, 4}, {"fig9b", Fig9b, 3},
 	}
-	var (
-		mu   sync.Mutex
-		labs []*lab
-	)
-	labHook = func(l *lab) {
-		mu.Lock()
-		labs = append(labs, l)
-		mu.Unlock()
-	}
 	defer func() { labHook = nil }()
 	for _, f := range figs {
 		t.Run(f.name, func(t *testing.T) {
-			labs = labs[:0]
-			f.run(Options{Scale: 0.1, Seed: 2003})
-			if len(labs) != f.labs {
-				t.Errorf("built %d labs, want %d", len(labs), f.labs)
-			}
-			for i, l := range labs {
-				for _, v := range l.e.DrainAndAudit(10 * deltasigma.Second) {
-					t.Errorf("lab %d: %v", i, v)
+			var (
+				mu     sync.Mutex
+				closes = map[*lab]int{}
+			)
+			labHook = func(l *lab) {
+				violations := l.e.DrainAndAudit(10 * deltasigma.Second)
+				mu.Lock()
+				defer mu.Unlock()
+				closes[l]++
+				for _, v := range violations {
+					t.Errorf("lab %d: %v", len(closes), v)
 				}
-				if out := l.e.Pool().Outstanding(); out != 0 {
-					t.Errorf("lab %d: %d pooled packet references outstanding after drain", i, out)
+			}
+			f.run(Options{Scale: 0.1, Seed: 2003})
+			if len(closes) != f.labs {
+				t.Errorf("closed %d labs, want %d", len(closes), f.labs)
+			}
+			for _, n := range closes {
+				if n != 1 {
+					t.Errorf("a lab closed %d times, want once", n)
 				}
 			}
 		})

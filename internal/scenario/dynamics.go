@@ -17,6 +17,7 @@ func responsivenessRun(opt Options, mode flid.Mode) Series {
 	off := opt.scale(75 * sim.Second)
 
 	l := newLab(topo.PaperConfig(1_000_000, opt.Seed), mode)
+	defer l.close()
 	ms := l.addSession(1)
 	l.e.AddCBR(800_000, 0, 0).Burst(on, off)
 	l.e.Run(dur)
@@ -50,6 +51,7 @@ func rttRun(opt Options, mode flid.Mode) Curve {
 	cfg := topo.PaperConfig(FairShare, opt.Seed)
 	cfg.HopDelay = 5 * sim.Millisecond
 	l := newLab(cfg, mode)
+	defer l.close()
 
 	ms := l.addSession(0)
 	rtts := make([]float64, nRecv)
@@ -90,6 +92,7 @@ func Fig8f(opt Options) *Result {
 func convergenceRun(opt Options, mode flid.Mode) *Result {
 	dur := opt.scale(40 * sim.Second)
 	l := newLab(topo.PaperConfig(FairShare, opt.Seed), mode)
+	defer l.close()
 	ms := l.addSession(4)
 	for i, r := range ms.Receivers {
 		r.StartAt(opt.scale(sim.Time(i) * 10 * sim.Second))

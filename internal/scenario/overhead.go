@@ -40,13 +40,14 @@ func runOverheadPoint(opt Options, n int, slotDur sim.Time) overheadPoint {
 	// emission, not of contention. One receiver keeps the edge on the
 	// tree so announces traverse it.
 	cfg := topo.PaperConfig(20_000_000, opt.Seed+uint64(n)+uint64(slotDur))
-	l := adopt(deltasigma.MustNew(
+	l := openLab(
 		deltasigma.WithTopology(func(uint64) deltasigma.Topology { return topo.Dumbbell(cfg) }),
 		deltasigma.WithProtocol("flid-ds"),
 		deltasigma.WithSchedule(core.ScheduleForTotal(overheadBase, overheadTotal, n)),
 		deltasigma.WithSlot(slotDur),
 		deltasigma.WithPacketSize(overheadPktBytes),
-	))
+	)
+	defer l.close()
 	sess := l.addSession(1)
 	l.e.Run(dur)
 	snd := sess.Sender.(*flid.Sender)

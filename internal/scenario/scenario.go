@@ -14,11 +14,16 @@
 // integration test of that surface.
 //
 // A figure's independent experiments run side by side on the campaign
-// pool, and its output does not depend on how many run at once.
+// pool, and its output does not depend on how many run at once. Each
+// experiment runs on a packet pool borrowed for its lifetime and closes
+// once its readings are taken, so the next experiment, of any figure,
+// reuses its packets and scheduler memory; pooling never changes what a
+// figure computes.
 package scenario
 
 import (
 	"fmt"
+	"sync"
 
 	"deltasigma"
 	"deltasigma/internal/campaign"
@@ -131,33 +136,51 @@ func protoName(mode flid.Mode) string {
 // lab is the figures' shared wiring helper. Since the facade redesign it
 // is a thin veneer over the public experiment builder: every figure
 // constructs its setup exclusively through deltasigma.New and the
-// Add{Session,Receiver,Attacker,TCP,CBR} surface.
+// Add{Session,Receiver,Attacker,TCP,CBR} surface. A lab runs on a packet
+// pool borrowed from labPools, and whoever builds it defers close, which
+// hands the pool — packet freelists and the parked scheduler memory — to
+// the next lab.
 type lab struct {
 	e *deltasigma.Experiment
 }
 
+// labPools holds the packet pools of closed labs. Get hands a pool to one
+// lab at a time, so a pool never serves concurrent experiments however many
+// goroutines run figures, and labs reuse the engine of earlier figures as
+// well as earlier jobs of their own. The runtime may drop idle pools, so
+// nothing is pinned between runs.
+var labPools = sync.Pool{New: func() any { return new(deltasigma.PacketPool) }}
+
 // newLab builds an experiment on a dumbbell with the given configuration
 // and protocol mode.
 func newLab(cfg topo.Config, mode flid.Mode) *lab {
-	return adopt(deltasigma.MustNew(
+	return openLab(
 		deltasigma.WithTopology(func(uint64) deltasigma.Topology { return topo.Dumbbell(cfg) }),
 		deltasigma.WithProtocol(protoName(mode)),
 		deltasigma.WithSeed(cfg.Seed),
-	))
+	)
 }
 
-// labHook, when set, sees every lab a figure builds before it runs; tests
-// use it to audit the experiments once the figure has returned. Labs are
-// built on pool workers, so the hook must be safe for concurrent use.
+// openLab builds one of a figure's experiments on a borrowed pool.
+func openLab(opts ...deltasigma.Option) *lab {
+	pool := labPools.Get().(*deltasigma.PacketPool)
+	return &lab{e: deltasigma.MustNew(append(opts, deltasigma.WithPacketPool(pool))...)}
+}
+
+// labHook, when set, sees every lab as it closes, before the experiment
+// ends; tests use it to drain and audit each experiment. Labs close on
+// pool workers, so the hook must be safe for concurrent use.
 var labHook func(*lab)
 
-// adopt wraps one of a figure's experiments as a lab.
-func adopt(e *deltasigma.Experiment) *lab {
-	l := &lab{e: e}
+// close ends the lab once its readings are taken: the hook sees it, the
+// experiment parks its scheduler memory in the pool, and the pool goes
+// back to labPools for the next lab.
+func (l *lab) close() {
 	if labHook != nil {
 		labHook(l)
 	}
-	return l
+	l.e.Close()
+	labPools.Put(l.e.Pool())
 }
 
 // addSession creates a session with nRecv receivers at the default egress.

@@ -170,48 +170,3 @@ func TestFig8ghConvergence(t *testing.T) {
 		}
 	}
 }
-
-func TestFig9aOverheadBounds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scenario runs are moderate-length simulations")
-	}
-	res := Fig9a(testOptions())
-	deltaC, sigmaC := res.Curves[0], res.Curves[1]
-	for _, p := range deltaC.Points {
-		// Paper: "remains about 0.8%".
-		if p.Y < 0.7 || p.Y > 0.9 {
-			t.Fatalf("DELTA overhead at N=%.0f is %.3f%%, want ~0.8%%", p.X, p.Y)
-		}
-	}
-	for _, p := range sigmaC.Points {
-		// Paper: "stays under 0.6%".
-		if p.Y <= 0 || p.Y > 0.6 {
-			t.Fatalf("SIGMA overhead at N=%.0f is %.3f%%, want under 0.6%%", p.X, p.Y)
-		}
-	}
-}
-
-func TestFig9bOverheadShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scenario runs are moderate-length simulations")
-	}
-	res := Fig9b(testOptions())
-	deltaC, sigmaC := res.Curves[0], res.Curves[1]
-	// DELTA overhead is independent of slot duration.
-	for i := 1; i < len(deltaC.Points); i++ {
-		if d := deltaC.Points[i].Y - deltaC.Points[0].Y; d > 0.01 || d < -0.01 {
-			t.Fatalf("DELTA overhead should be flat in t: %v", deltaC.Points)
-		}
-	}
-	// SIGMA overhead decreases with slot duration (amortized per slot).
-	first := sigmaC.Points[0].Y
-	last := sigmaC.Points[len(sigmaC.Points)-1].Y
-	if last >= first {
-		t.Fatalf("SIGMA overhead should fall with t: %.3f%% -> %.3f%%", first, last)
-	}
-	for _, p := range sigmaC.Points {
-		if p.Y > 0.6 {
-			t.Fatalf("SIGMA overhead %.3f%% at t=%.1fs exceeds 0.6%%", p.Y, p.X)
-		}
-	}
-}

@@ -33,6 +33,7 @@ func throughputRun(opt Options, mode flid.Mode, m int, cross bool) (indiv []floa
 	}
 	capacity := FairShare * nSessions
 	l := newLab(topo.PaperConfig(capacity, opt.Seed+uint64(m)*17), mode)
+	defer l.close()
 
 	sessions := make([]*deltasigma.ExperimentSession, 0, m)
 	for i := 0; i < m; i++ {
