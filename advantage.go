@@ -37,10 +37,7 @@ const advantageFloorKbps = 1.0
 // first attacker winning ties. A zero Advantage (empty Attacker) means no
 // session had both populations or the window was empty.
 func (e *Experiment) AttackerAdvantage(session int, from Time) Advantage {
-	until := e.stoppedAt
-	if until == 0 {
-		until = e.Now()
-	}
+	until := e.trafficEnd()
 	var best Advantage
 	if from >= until {
 		return best

@@ -200,10 +200,7 @@ func (a *Audit) Finish() []Violation {
 	for _, l := range e.Topo.Network().Links() {
 		a.aud.CheckLinkDrained(now, l)
 	}
-	until := e.stoppedAt
-	if until == 0 {
-		until = now
-	}
+	until := e.trafficEnd()
 	for _, o := range a.cfg.oracles {
 		a.checkOracle(o, until)
 	}
@@ -278,11 +275,13 @@ func (e *Experiment) Pool() *PacketPool { return e.Topo.Network().Pool() }
 // pinning the distribution tree), and TCP/CBR cross traffic halts. Packets
 // already queued or in flight terminate normally. Timeline events scripted
 // past the stop point still fire — stop after the scripted window when a
-// drained network is the goal. Idempotent; the first call records the
-// stop time as the end of the measurement window for audit oracles.
+// drained network is the goal. Events already due at the stop instant fire
+// first, so on a fresh experiment the t=0 starts that Start schedules
+// cannot undo the stop. Idempotent; the first call records the stop time
+// as the end of the measurement window for audit oracles.
 func (e *Experiment) StopTraffic() {
 	e.mustBeOpen("StopTraffic")
-	e.Start()
+	e.Advance(e.Now())
 	for _, c := range e.churns {
 		c.Stop()
 	}
@@ -304,9 +303,18 @@ func (e *Experiment) StopTraffic() {
 	for _, c := range e.cbrs {
 		c.Stop()
 	}
-	if e.stoppedAt == 0 {
-		e.stoppedAt = e.Now()
+	if !e.stopped {
+		e.stopped, e.stoppedAt = true, e.Now()
 	}
+}
+
+// trafficEnd is the end of the measurement window: the stop time once
+// StopTraffic has run, otherwise now.
+func (e *Experiment) trafficEnd() Time {
+	if e.stopped {
+		return e.stoppedAt
+	}
+	return e.Now()
 }
 
 // checkDrained runs the post-drain structural invariants without requiring

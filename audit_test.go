@@ -95,6 +95,21 @@ func TestOracleFlagsUnprotectedAttack(t *testing.T) {
 	}
 }
 
+// A stop at t=0 ends the oracle window at zero, like a stop at any other
+// time: an oracle from t=0 then has an empty window, and the audit says so
+// instead of measuring up to the end of the drain.
+func TestStopAtZeroEndsOracleWindow(t *testing.T) {
+	exp := deltasigma.MustNew(
+		deltasigma.WithProtocol("flid-ds"),
+		deltasigma.WithAudit(deltasigma.AuditSuppression(deltasigma.SuppressionOracle{})),
+	)
+	exp.AddSession(2)
+	vs := exp.DrainAndAudit(drainGrace)
+	if len(vs) != 1 || vs[0].Rule != "oracle-window" {
+		t.Fatalf("stop at t=0 with an oracle from t=0: violations %v, want one oracle-window", vs)
+	}
+}
+
 // Without WithAudit the audit handle is nil but the structural drain check
 // still works — the shared facade test helper relies on this.
 func TestCheckDrainedWithoutAudit(t *testing.T) {

@@ -68,6 +68,7 @@ import (
 	"strconv"
 
 	"deltasigma"
+	"deltasigma/internal/fuzzing"
 )
 
 func main() {
@@ -150,6 +151,10 @@ func run(args []string, out io.Writer) (err error) {
 		}
 	}
 
+	topo, err := fuzzing.TopoSpec{Kind: *topology, CapacitiesBps: caps}.Option()
+	if err != nil {
+		return err
+	}
 	opts := []deltasigma.Option{
 		deltasigma.WithProtocol(*protocol),
 		deltasigma.WithSeed(*seed),
@@ -159,19 +164,7 @@ func run(args []string, out io.Writer) (err error) {
 			Base: 100_000, Mult: 1.5, N: *groups,
 		}))
 	}
-	switch *topology {
-	case "dumbbell":
-		if len(caps) != 1 {
-			return fmt.Errorf("dumbbell takes exactly one -capacity, got %d", len(caps))
-		}
-		opts = append(opts, deltasigma.WithDumbbell(caps[0]))
-	case "chain":
-		opts = append(opts, deltasigma.WithChain(caps...))
-	case "star":
-		opts = append(opts, deltasigma.WithStar(caps...))
-	default:
-		return fmt.Errorf("unknown topology %q (dumbbell, chain or star)", *topology)
-	}
+	opts = append(opts, topo)
 
 	exp, err := deltasigma.New(opts...)
 	if err != nil {

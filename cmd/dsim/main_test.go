@@ -9,6 +9,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -349,17 +350,7 @@ func TestFuzzFlagValidation(t *testing.T) {
 // A repro file for a genuinely failing spec replays as a failure (nonzero
 // error) with its violations printed.
 func TestFuzzReproReplay(t *testing.T) {
-	spec := fuzzing.Spec{
-		Seed:        5,
-		Protocol:    "flid-dl",
-		Topology:    fuzzing.TopoSpec{Kind: "dumbbell", CapacitiesBps: []int64{600_000}},
-		DurationSec: 10,
-		Sessions: []fuzzing.SessionSpec{
-			{Receivers: []fuzzing.ReceiverSpec{{}, {Attacker: true}}},
-		},
-		Events: []fuzzing.EventSpec{{Kind: fuzzing.EvOnset, AtSec: 2, Session: 1, Receiver: 2}},
-		Oracle: &fuzzing.OracleSpec{Session: 1, FromSec: 6, Factor: 1.25, FloorKbps: 30},
-	}
+	spec := failingReproSpec()
 	path := filepath.Join(t.TempDir(), "repro.json")
 	js, _ := json.Marshal(spec)
 	if err := os.WriteFile(path, js, 0o644); err != nil {
@@ -373,6 +364,78 @@ func TestFuzzReproReplay(t *testing.T) {
 	if !strings.Contains(buf.String(), "suppression-oracle") {
 		t.Errorf("violations not printed:\n%s", buf.String())
 	}
+}
+
+// failingReproSpec is an attack on the unprotected baseline under the
+// suppression oracle: a repro that genuinely fails.
+func failingReproSpec() fuzzing.Spec {
+	return fuzzing.Spec{
+		Seed:        5,
+		Protocol:    "flid-dl",
+		Topology:    fuzzing.TopoSpec{Kind: "dumbbell", CapacitiesBps: []int64{600_000}},
+		DurationSec: 10,
+		Sessions: []fuzzing.SessionSpec{
+			{Receivers: []fuzzing.ReceiverSpec{{}, {Attacker: true}}},
+		},
+		Events: []fuzzing.EventSpec{{Kind: fuzzing.EvOnset, AtSec: 2, Session: 1, Receiver: 2}},
+		Oracle: &fuzzing.OracleSpec{Session: 1, FromSec: 6, Factor: 1.25, FloorKbps: 30},
+	}
+}
+
+// A malformed repro file is refused with the typed error before anything
+// runs, and dsim exits non-zero: not a panic replayed as "still fails",
+// not a silently ignored oracle replayed as "passes", not a negative
+// duration replayed as invariant violations.
+func TestFuzzMalformedRepro(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*fuzzing.Spec)
+	}{
+		{"onset on receiver 9 of 1", func(sp *fuzzing.Spec) {
+			sp.Sessions[0].Receivers = sp.Sessions[0].Receivers[1:]
+			sp.Events[0].Receiver = 9
+		}},
+		{"oracle on session 3 of 1", func(sp *fuzzing.Spec) { sp.Oracle.Session = 3 }},
+		{"negative duration", func(sp *fuzzing.Spec) { sp.DurationSec = -10 }},
+		{"empty cohort", func(sp *fuzzing.Spec) { sp.Sessions[0].Cohorts = []int{0} }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := failingReproSpec()
+			tc.edit(&spec)
+			path := filepath.Join(t.TempDir(), "repro.json")
+			js, _ := json.Marshal(spec)
+			if err := os.WriteFile(path, js, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			err := runFuzz([]string{"-repro", path}, &buf)
+			var mre *fuzzing.MalformedReproError
+			if !errors.As(err, &mre) {
+				t.Fatalf("runFuzz = %v, want *fuzzing.MalformedReproError\n%s", err, buf.String())
+			}
+			if buf.Len() > 0 {
+				t.Errorf("malformed repro produced replay output:\n%s", buf.String())
+			}
+			cmd := exec.Command(os.Args[0], "fuzz", "-repro", path)
+			cmd.Env = append(os.Environ(), "DSIM_RUN_MAIN=1")
+			out, err := cmd.CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() == 0 || !strings.Contains(string(out), "malformed repro") {
+				t.Fatalf("dsim fuzz -repro: %v, want a non-zero exit naming the malformed repro\n%s", err, out)
+			}
+		})
+	}
+}
+
+// TestMain runs the real dsim entry point when DSIM_RUN_MAIN is set, so a
+// test can check the exit status of a command in a child process.
+func TestMain(m *testing.M) {
+	if os.Getenv("DSIM_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
 }
 
 // -shrink-top 0 shrinks nothing; HuntConfig would read a literal 0 as its

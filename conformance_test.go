@@ -44,7 +44,8 @@ func conformanceTopologies() []struct {
 // TestProtocolConformance is the registry-driven conformance suite: every
 // registered protocol — paper variants and competitors alike — must run
 // each shipped topology to convergence, share the bottleneck with
-// cross-traffic, drain to a balanced packet pool under audit, stay
+// cross-traffic, drain to a balanced packet pool under audit (also when
+// stopped before any virtual time passes), stay
 // deterministic at two seeds, and either field an inflated-subscription
 // attacker or return the typed *NoAttackerError. Protocol-specific
 // behavior (suppression numbers, gatekeeper enforcement, level spreads)
@@ -94,6 +95,18 @@ func TestProtocolConformance(t *testing.T) {
 				if avg := tcpFlow.Meter().AvgKbps(20*deltasigma.Second, 40*deltasigma.Second); avg < 50 {
 					t.Fatalf("%s: TCP flow starved at %.0f Kbps", name, avg)
 				}
+				drainAndVerify(t, exp)
+			})
+
+			t.Run("stopped-at-zero", func(t *testing.T) {
+				// StopTraffic on a fresh experiment must outrank the t=0
+				// starts Start schedules: nothing transmits afterwards, and
+				// the network drains clean.
+				opts := append([]deltasigma.Option{deltasigma.WithDumbbell(250_000), deltasigma.WithProtocol(name), deltasigma.WithSeed(5)},
+					protocolOptions(name)...)
+				exp := deltasigma.MustNew(opts...)
+				exp.AddSession(2)
+				exp.AddTCP(0)
 				drainAndVerify(t, exp)
 			})
 

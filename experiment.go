@@ -49,7 +49,8 @@ type Experiment struct {
 	started   bool
 	closed    bool // Close has run
 	pooled    bool // built WithPacketPool: Close parks the scheduler there
-	stoppedAt Time // when StopTraffic first ran; 0 while traffic flows
+	stopped   bool // StopTraffic has run
+	stoppedAt Time // when StopTraffic first ran
 	sessions  []*ExperimentSession
 	tcps      []*TCPFlow
 	cbrs      []*CBR

@@ -148,15 +148,7 @@ func Generate(seed uint64) Spec {
 	}
 	churned := make([]bool, len(sp.Sessions))
 	for si, ss := range sp.Sessions {
-		honest := 0
-		for _, rs := range ss.Receivers {
-			if !rs.Attacker {
-				honest++
-			}
-		}
-		if honest == 0 && len(ss.Cohorts) == 0 {
-			continue
-		}
+		honest, _ := populations(ss) // at least one by construction
 		if rng.Float64() < 0.3 {
 			sp.Events = append(sp.Events, EventSpec{
 				Kind: EvChurn, Session: si + 1,
@@ -164,7 +156,7 @@ func Generate(seed uint64) Spec {
 				FromSec: 0.5, ToSec: round3(dur - 0.5),
 			})
 			churned[si] = true
-		} else if honest > 0 && rng.Float64() < 0.25 {
+		} else if rng.Float64() < 0.25 {
 			// A scripted leave, sometimes followed by a rejoin.
 			ri := 1 + rng.IntN(honest) // honest receivers precede attackers
 			leave := 1 + rng.Float64()*(dur-3)
@@ -183,10 +175,7 @@ func Generate(seed uint64) Spec {
 		switch rng.IntN(4) {
 		case 0:
 			factor := 0.5 + 1.5*rng.Float64()
-			bps := int64(factor * float64(sp.Topology.CapacitiesBps[link]))
-			if bps < 100_000 {
-				bps = 100_000
-			}
+			bps := max(int64(factor*float64(sp.Topology.CapacitiesBps[link])), huntMinCapBps)
 			sp.Events = append(sp.Events, EventSpec{Kind: EvCap, AtSec: round3(1 + rng.Float64()*(dur-2)), Link: link, Bps: bps})
 		case 1:
 			sp.Events = append(sp.Events, EventSpec{Kind: EvDelay, AtSec: round3(1 + rng.Float64()*(dur-2)), Link: link, DelayMs: round3(2 + 48*rng.Float64())})
@@ -230,7 +219,7 @@ func Generate(seed uint64) Spec {
 			// that; rather than discarding an otherwise eligible scenario,
 			// pull late onsets early enough to fit (the generator owns the
 			// scenario — an early attack is as valid as a late one).
-			bound := dur - oracleConverge - oracleMinWindow
+			bound := onsetBound(dur)
 			if bound < 1 {
 				continue // the run is too short for any measured attack
 			}
@@ -243,22 +232,33 @@ func Generate(seed uint64) Spec {
 				}
 				onsets[si] = bound
 			}
-			from := onsets[si] + oracleConverge
 			// The oracle compares equals: level the session's RTTs and joins.
 			for ri := range sp.Sessions[si].Receivers {
 				sp.Sessions[si].Receivers[ri].DelayMs = 0
 				sp.Sessions[si].Receivers[ri].StartSec = 0
 			}
-			sp.Oracle = &OracleSpec{
-				Session:   si + 1,
-				FromSec:   round3(from),
-				Factor:    oracleFactor,
-				FloorKbps: oracleFloorKbps,
-			}
+			sp.armOracle(si+1, onsets[si])
 			break
 		}
 	}
 	return sp
+}
+
+// onsetBound is the latest attack onset a measured run of dur seconds
+// allows: the oracle's convergence allowance and its minimum window must
+// both still fit.
+func onsetBound(dur float64) float64 { return dur - oracleConverge - oracleMinWindow }
+
+// armOracle arms the suppression oracle on session (1-based), opening its
+// window oracleConverge after the session's latest onset and no later
+// than oracleMinWindow before the end. Callers pass the onset unrounded:
+// FromSec is rounded once, here.
+func (sp *Spec) armOracle(session int, onset float64) {
+	from := onset + oracleConverge
+	if last := sp.DurationSec - oracleMinWindow; from > last {
+		from = last
+	}
+	sp.Oracle = &OracleSpec{Session: session, FromSec: round3(from), Factor: oracleFactor, FloorKbps: oracleFloorKbps}
 }
 
 // hasCohorts reports whether any session carries an aggregated population.

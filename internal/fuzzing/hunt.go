@@ -35,8 +35,9 @@ const (
 	// DefaultHuntShrinkBudget bounds evaluation runs per shrink.
 	DefaultHuntShrinkBudget = 60
 	// Capacity bounds for mutated bottlenecks: the floor keeps slot clocks
-	// and control exchanges viable, the cap bounds simulated work as the
-	// search inflates capacity chasing raw attacker throughput.
+	// and control exchanges viable (Generate's capacity events share it),
+	// the cap bounds simulated work as the search inflates capacity
+	// chasing raw attacker throughput.
 	huntMinCapBps = 100_000
 	huntMaxCapBps = 5_000_000
 	// Duration bounds: the floor guarantees room for the latest allowed
@@ -282,23 +283,13 @@ func huntAttackers(sp Spec) (idx []int, adaptive bool) {
 // measurable hunt scenario. It is deterministic (no randomness), so a
 // mutated spec repairs identically wherever it is evaluated. The repair
 // appends rather than inserts receivers, so surviving event references
-// stay valid; invalid events are dropped rather than patched.
+// stay valid; normalize drops the events that do not resolve, and the
+// hunt's own bounds clamp or drop the rest.
 func repairHunt(sp *Spec) {
 	// Bounds that everything later relies on.
-	if sp.DurationSec < huntMinDurSec {
-		sp.DurationSec = huntMinDurSec
-	}
-	if sp.DurationSec > huntMaxDurSec {
-		sp.DurationSec = huntMaxDurSec
-	}
-	sp.DurationSec = round3(sp.DurationSec)
+	sp.DurationSec = round3(min(max(sp.DurationSec, huntMinDurSec), huntMaxDurSec))
 	for i, c := range sp.Topology.CapacitiesBps {
-		if c < huntMinCapBps {
-			sp.Topology.CapacitiesBps[i] = huntMinCapBps
-		}
-		if c > huntMaxCapBps {
-			sp.Topology.CapacitiesBps[i] = huntMaxCapBps
-		}
+		sp.Topology.CapacitiesBps[i] = min(max(c, huntMinCapBps), huntMaxCapBps)
 	}
 	// The rate schedule is a search dimension (an attacker at the top of a
 	// taller schedule takes more), but bounded: the replicated sender
@@ -308,19 +299,9 @@ func repairHunt(sp *Spec) {
 		if sp.Groups == 0 {
 			sp.Groups = 6
 		}
-		if sp.Groups < 4 {
-			sp.Groups = 4
-		}
-		if sp.Groups > 8 {
-			sp.Groups = 8
-		}
+		sp.Groups = min(max(sp.Groups, 4), 8)
 	} else if sp.Groups != 0 {
-		if sp.Groups < 5 {
-			sp.Groups = 5
-		}
-		if sp.Groups > 12 {
-			sp.Groups = 12
-		}
+		sp.Groups = min(max(sp.Groups, 5), 12)
 	}
 
 	// Session 1 must exist and carry both populations.
@@ -364,27 +345,27 @@ func repairHunt(sp *Spec) {
 		}
 	}
 
+	sp.normalize()
 	dur := sp.DurationSec
-	onsetBound := dur - oracleConverge - oracleMinWindow // >= 2 by the duration floor
+	bound := onsetBound(dur) // >= 2 by the duration floor
 	attackers, hasAdaptive := huntAttackers(*sp)
 
-	// Event pass: drop anything invalid or out of scope, clamp the rest.
-	var events []EventSpec
+	// Event pass: the hunt's own scope and time bounds — normalize has
+	// already dropped every event that does not resolve.
+	events := sp.Events[:0]
 	onsetSeen := map[int]bool{} // session-1 receiver (1-based) -> has onset
 	latestOnset := 0.0
 	for _, ev := range sp.Events {
 		switch ev.Kind {
 		case EvOnset, EvStop:
 			rs, ok := receiverOf(*sp, ev.Session, ev.Receiver)
-			if !ok || !rs.Attacker || rs.Strategy == "adaptive" {
-				continue // adaptive schedules are compiled, not scripted
+			if !ok || rs.Strategy == "adaptive" {
+				continue // hunts script attackers by index; adaptive schedules are compiled
 			}
+			ev.AtSec = max(ev.AtSec, 1)
 			if ev.Kind == EvOnset {
-				if ev.AtSec < 1 {
-					ev.AtSec = 1
-				}
-				if ev.AtSec > onsetBound {
-					ev.AtSec = round3(onsetBound)
+				if ev.AtSec > bound {
+					ev.AtSec = round3(bound)
 				}
 				if ev.Session == 1 {
 					onsetSeen[ev.Receiver] = true
@@ -392,31 +373,18 @@ func repairHunt(sp *Spec) {
 						latestOnset = ev.AtSec
 					}
 				}
-			} else {
-				if ev.AtSec < 1 {
-					ev.AtSec = 1
-				}
-				if ev.AtSec > dur-0.5 {
-					ev.AtSec = round3(dur - 0.5)
-				}
+			} else if ev.AtSec > dur-0.5 {
+				ev.AtSec = round3(dur - 0.5)
 			}
 		case EvJoin, EvLeave:
-			if _, ok := receiverOf(*sp, ev.Session, ev.Receiver); !ok {
-				continue
-			}
 			if ev.AtSec < 0.5 || ev.AtSec > dur-0.5 {
 				continue
 			}
 		case EvChurn:
-			if ev.Session < 1 || ev.Session > len(sp.Sessions) || ev.Rate <= 0 {
+			if ev.Rate <= 0 {
 				continue
 			}
-			if h, _ := populations(sp.Sessions[ev.Session-1]); h == 0 {
-				continue
-			}
-			if ev.FromSec < 0.5 {
-				ev.FromSec = 0.5
-			}
+			ev.FromSec = max(ev.FromSec, 0.5)
 			if ev.ToSec > dur-0.5 {
 				ev.ToSec = round3(dur - 0.5)
 			}
@@ -424,41 +392,17 @@ func repairHunt(sp *Spec) {
 				continue
 			}
 		case EvCap:
-			if ev.Link < 0 || ev.Link >= len(sp.Topology.CapacitiesBps) {
-				continue
-			}
-			if ev.Bps < huntMinCapBps {
-				ev.Bps = huntMinCapBps
-			}
-			if ev.Bps > huntMaxCapBps {
-				ev.Bps = huntMaxCapBps
-			}
+			ev.Bps = min(max(ev.Bps, huntMinCapBps), huntMaxCapBps)
 			if ev.AtSec < 0.5 || ev.AtSec > dur-1 {
 				continue
 			}
 		case EvDelay:
-			if ev.Link < 0 || ev.Link >= len(sp.Topology.CapacitiesBps) {
-				continue
-			}
-			if ev.DelayMs < 1 || ev.DelayMs > 100 {
-				continue
-			}
-			if ev.AtSec < 0.5 || ev.AtSec > dur-1 {
+			if ev.DelayMs < 1 || ev.DelayMs > 100 || ev.AtSec < 0.5 || ev.AtSec > dur-1 {
 				continue
 			}
 		case EvFlap:
-			if ev.Link < 0 || ev.Link >= len(sp.Topology.CapacitiesBps) {
-				continue
-			}
-			if ev.PeriodSec < 1 {
-				ev.PeriodSec = 1
-			}
-			if ev.PeriodSec > 5 {
-				ev.PeriodSec = 5
-			}
-			if ev.FromSec < 0.5 {
-				ev.FromSec = 0.5
-			}
+			ev.PeriodSec = min(max(ev.PeriodSec, 1), 5)
+			ev.FromSec = max(ev.FromSec, 0.5)
 			if ev.ToSec > dur-0.5 {
 				ev.ToSec = round3(dur - 0.5)
 			}
@@ -466,7 +410,7 @@ func repairHunt(sp *Spec) {
 				continue // no cycle fits the window
 			}
 		default:
-			continue // hunt specs carry no down/up or unknown events
+			continue // hunt specs carry no down/up events
 		}
 		events = append(events, ev)
 	}
@@ -506,28 +450,7 @@ func repairHunt(sp *Spec) {
 	if from < 1 {
 		from = 1
 	}
-	from += oracleConverge
-	if max := dur - oracleMinWindow; from > max {
-		from = max
-	}
-	sp.Oracle = &OracleSpec{
-		Session:   1,
-		FromSec:   round3(from),
-		Factor:    oracleFactor,
-		FloorKbps: oracleFloorKbps,
-	}
-}
-
-// receiverOf resolves a 1-based (session, receiver) spec reference.
-func receiverOf(sp Spec, session, receiver int) (ReceiverSpec, bool) {
-	if session < 1 || session > len(sp.Sessions) {
-		return ReceiverSpec{}, false
-	}
-	rs := sp.Sessions[session-1].Receivers
-	if receiver < 1 || receiver > len(rs) {
-		return ReceiverSpec{}, false
-	}
-	return rs[receiver-1], true
+	sp.armOracle(1, from)
 }
 
 // hasDisturbance reports whether any event gives an adaptive attacker a

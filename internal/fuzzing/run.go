@@ -191,9 +191,19 @@ func WriteRepro(path string, r Repro) error {
 	return os.WriteFile(path, append(js, '\n'), 0o644)
 }
 
+// MalformedReproError is ReadRepro's refusal of a file that does not
+// describe a runnable scenario: unreadable JSON, no session, a scalar out
+// of range, or a reference the spec rules would drop.
+type MalformedReproError struct {
+	Path   string
+	Reason string
+}
+
+func (e *MalformedReproError) Error() string { return e.Path + ": malformed repro: " + e.Reason }
+
 // ReadRepro loads a repro file. A bare Spec (hand-written reproducer) is
-// accepted alongside the full Repro shape the fuzzer writes; a file in
-// which neither shape has a session is an error.
+// accepted alongside the full Repro shape the fuzzer writes. A file that
+// is neither, or whose spec is malformed, is a *MalformedReproError.
 func ReadRepro(path string) (Repro, error) {
 	js, err := os.ReadFile(path)
 	if err != nil {
@@ -201,13 +211,47 @@ func ReadRepro(path string) (Repro, error) {
 	}
 	var r Repro
 	if err := json.Unmarshal(js, &r); err != nil {
-		return Repro{}, fmt.Errorf("%s: %w", path, err)
+		return Repro{}, &MalformedReproError{path, err.Error()}
 	}
 	if len(r.Spec.Sessions) == 0 {
 		r = Repro{}
 		if err := json.Unmarshal(js, &r.Spec); err != nil || len(r.Spec.Sessions) == 0 {
-			return Repro{}, fmt.Errorf("%s: neither a repro nor a spec: no sessions", path)
+			return Repro{}, &MalformedReproError{path, "neither a repro nor a spec: no sessions"}
 		}
 	}
+	if reason := r.Spec.malformed(); reason != "" {
+		return Repro{}, &MalformedReproError{path, reason}
+	}
 	return r, nil
+}
+
+// malformed names the first way sp is out of range or would change under
+// normalize, or returns "" for a well-formed spec.
+func (sp Spec) malformed() string {
+	if !(sp.DurationSec > 0) || sp.TCP < 0 || sp.Groups < 0 {
+		return fmt.Sprintf("duration_sec %g must be positive, tcp %d and groups %d non-negative", sp.DurationSec, sp.TCP, sp.Groups)
+	}
+	for si, ss := range sp.Sessions {
+		for ri, rs := range ss.Receivers {
+			if rs.DelayMs < 0 || rs.StartSec < 0 {
+				return fmt.Sprintf("receiver S%dR%d has a negative delay_ms or start_sec", si+1, ri+1)
+			}
+		}
+		for _, n := range ss.Cohorts {
+			if n <= 0 {
+				return fmt.Sprintf("session %d has a cohort of %d members", si+1, n)
+			}
+		}
+	}
+	for i, ev := range sp.Events {
+		window := secs(ev.ToSec) > secs(ev.FromSec)
+		if ev.Kind == EvChurn && !(ev.Rate > 0 && window) || ev.Kind == EvCap && ev.Bps <= 0 ||
+			ev.Kind == EvDelay && ev.DelayMs < 0 || ev.Kind == EvFlap && !(secs(ev.PeriodSec)/10 > 0 && window) {
+			return fmt.Sprintf("event %d (%s) has a rate, window, capacity, delay or period out of range", i+1, ev.Kind)
+		}
+	}
+	if norm := clone(sp); norm.normalize() {
+		return "an event, the oracle or no_consolidation names a session, receiver, attacker, link, population or cohort the spec lacks"
+	}
+	return ""
 }

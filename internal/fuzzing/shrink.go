@@ -89,9 +89,8 @@ type shrinkRule[R any] struct {
 // a pass often re-proposes one an earlier pass rejected; a repeat still
 // spends budget, so memoising never changes where the walk ends.
 //
-// Every move keeps the spec valid: removing a receiver drops the events
-// that referenced it and renumbers the rest, and removing a session does
-// the same for session indices and the oracle.
+// Every move keeps the spec valid: the removals renumber what referenced
+// later receivers or sessions and then normalize the spec.
 func shrinkWalk[R any](spec Spec, out R, budget int, rule shrinkRule[R]) (Spec, R) {
 	runs, shrunk := 1, false
 	memo := map[string]R{specFingerprint(spec): out}
@@ -205,106 +204,57 @@ func clone(sp Spec) Spec {
 	return out
 }
 
-// eventReferencesReceiver reports whether ev names the given 1-based
-// session/receiver pair explicitly.
-func eventReferencesReceiver(ev EventSpec, session, receiver int) bool {
-	switch ev.Kind {
-	case EvJoin, EvLeave, EvOnset, EvStop:
-		return ev.Session == session && ev.Receiver == receiver
-	}
-	return false
-}
-
-// removeReceiver deletes receiver ri (0-based) from session si (0-based),
-// dropping events that referenced it and renumbering references to later
-// receivers of the same session. Broadcast events (Receiver 0) survive
-// unless the session loses its last matching population — onset/stop with
-// no attackers left, churn with no honest receivers left — in which case
-// they are dropped to keep the spec valid.
+// removeReceiver deletes receiver ri (0-based) from session si (0-based):
+// events naming it stop resolving, references to later receivers of the
+// session shift down, and normalize drops what the deletion invalidated.
 func removeReceiver(sp Spec, si, ri int) Spec {
 	cand := clone(sp)
 	ss := &cand.Sessions[si]
 	ss.Receivers = append(ss.Receivers[:ri], ss.Receivers[ri+1:]...)
-	honest, attackers := populations(*ss)
-
-	var events []EventSpec
-	for _, ev := range cand.Events {
-		if eventReferencesReceiver(ev, si+1, ri+1) {
-			continue
+	for i := range cand.Events {
+		if ev := &cand.Events[i]; ev.Session == si+1 {
+			ev.Receiver = renumber(ev.Receiver, ri+1)
 		}
-		if ev.Session == si+1 {
-			switch ev.Kind {
-			case EvJoin, EvLeave, EvOnset, EvStop:
-				if ev.Receiver > ri+1 {
-					ev.Receiver--
-				}
-				if ev.Receiver == 0 && (ev.Kind == EvOnset || ev.Kind == EvStop) && attackers == 0 {
-					continue // broadcast onset with nobody to inflate
-				}
-			case EvChurn:
-				if honest == 0 && len(ss.Cohorts) == 0 {
-					continue // churn needs well-behaved members
-				}
-			}
-		}
-		events = append(events, ev)
 	}
-	cand.Events = events
-	if cand.Oracle != nil && cand.Oracle.Session == si+1 && (honest == 0 || attackers == 0) {
-		cand.Oracle = nil
-	}
+	cand.normalize()
 	return cand
 }
 
-// removeCohort deletes cohort ci (0-based) from session si (0-based),
-// dropping churn events that lose their last well-behaved members and the
-// consolidation toggle when no cohort remains to consolidate.
+// removeCohort deletes cohort ci (0-based) from session si (0-based), and
+// normalize drops what lost its last well-behaved members or cohort.
 func removeCohort(sp Spec, si, ci int) Spec {
 	cand := clone(sp)
 	ss := &cand.Sessions[si]
 	ss.Cohorts = append(ss.Cohorts[:ci], ss.Cohorts[ci+1:]...)
-	if honest, _ := populations(*ss); honest == 0 && len(ss.Cohorts) == 0 {
-		var events []EventSpec
-		for _, ev := range cand.Events {
-			if ev.Kind == EvChurn && ev.Session == si+1 {
-				continue
-			}
-			events = append(events, ev)
-		}
-		cand.Events = events
-		if cand.Oracle != nil && cand.Oracle.Session == si+1 {
-			cand.Oracle = nil // nobody honest left to measure
-		}
-	}
-	if !cand.hasCohorts() {
-		cand.NoConsolidation = false
-	}
+	cand.normalize()
 	return cand
 }
 
-// removeSession deletes session si (0-based), dropping its events and the
-// oracle if it pointed there, and renumbering references to later sessions.
+// removeSession deletes session si (0-based): references to it stop
+// resolving, references to later sessions shift down, and normalize drops
+// what the deletion invalidated.
 func removeSession(sp Spec, si int) Spec {
 	cand := clone(sp)
 	cand.Sessions = append(cand.Sessions[:si], cand.Sessions[si+1:]...)
-	var events []EventSpec
-	for _, ev := range cand.Events {
-		if ev.Session == si+1 {
-			continue
-		}
-		if ev.Session > si+1 {
-			ev.Session--
-		}
-		events = append(events, ev)
+	for i := range cand.Events {
+		cand.Events[i].Session = renumber(cand.Events[i].Session, si+1)
 	}
-	cand.Events = events
 	if cand.Oracle != nil {
-		switch {
-		case cand.Oracle.Session == si+1:
-			cand.Oracle = nil
-		case cand.Oracle.Session > si+1:
-			cand.Oracle.Session--
-		}
+		cand.Oracle.Session = renumber(cand.Oracle.Session, si+1)
 	}
+	cand.normalize()
 	return cand
+}
+
+// renumber maps a 1-based index past the deletion of index gone: later
+// indices shift down, gone itself becomes -1, which resolves to nothing,
+// and 0 (an event's "every" or "none") stays.
+func renumber(idx, gone int) int {
+	switch {
+	case idx == gone:
+		return -1
+	case idx > gone:
+		return idx - 1
+	}
+	return idx
 }

@@ -133,6 +133,24 @@ type OracleSpec struct {
 	FloorKbps float64 `json:"floor_kbps"`
 }
 
+// Option renders the topology as its facade option. A dumbbell takes
+// exactly one capacity; a chain or star takes one per bottleneck.
+func (t TopoSpec) Option() (deltasigma.Option, error) {
+	caps := t.CapacitiesBps
+	switch t.Kind {
+	case "dumbbell":
+		if len(caps) != 1 {
+			return nil, fmt.Errorf("dumbbell takes exactly one capacity, got %d", len(caps))
+		}
+		return deltasigma.WithDumbbell(caps[0]), nil
+	case "chain":
+		return deltasigma.WithChain(caps...), nil
+	case "star":
+		return deltasigma.WithStar(caps...), nil
+	}
+	return nil, fmt.Errorf("unknown topology %q (dumbbell, chain or star)", t.Kind)
+}
+
 // Duration returns the scenario length in virtual time.
 func (sp Spec) Duration() deltasigma.Time { return sim.Seconds(sp.DurationSec) }
 
@@ -143,24 +161,11 @@ func secs(s float64) deltasigma.Time { return sim.Seconds(s) }
 // topology, schedule and timeline. Sessions and cross traffic are wired by
 // Wire after New.
 func (sp Spec) Options() ([]deltasigma.Option, error) {
-	opts := []deltasigma.Option{
-		deltasigma.WithProtocol(sp.Protocol),
-		deltasigma.WithSeed(sp.Seed),
+	topo, err := sp.Topology.Option()
+	if err != nil {
+		return nil, err
 	}
-	caps := sp.Topology.CapacitiesBps
-	switch sp.Topology.Kind {
-	case "dumbbell":
-		if len(caps) != 1 {
-			return nil, fmt.Errorf("fuzzing: dumbbell wants exactly one capacity, spec has %d", len(caps))
-		}
-		opts = append(opts, deltasigma.WithDumbbell(caps[0]))
-	case "chain":
-		opts = append(opts, deltasigma.WithChain(caps...))
-	case "star":
-		opts = append(opts, deltasigma.WithStar(caps...))
-	default:
-		return nil, fmt.Errorf("fuzzing: unknown topology kind %q", sp.Topology.Kind)
-	}
+	opts := []deltasigma.Option{deltasigma.WithProtocol(sp.Protocol), deltasigma.WithSeed(sp.Seed), topo}
 	if sp.Groups > 0 {
 		opts = append(opts, deltasigma.WithSchedule(deltasigma.RateSchedule{
 			Base: 100_000, Mult: 1.5, N: sp.Groups,
@@ -255,4 +260,79 @@ func (sp Spec) Wire(e *deltasigma.Experiment) error {
 		e.AddCBR(int64(sp.CBRFraction*float64(narrowest)), 2*deltasigma.Second, 2*deltasigma.Second)
 	}
 	return nil
+}
+
+// normalize applies the validity rules every spec producer shares — the
+// generators, the hunt's repair, the shrinker's removals — and ReadRepro
+// checks a hand-edited file against. It drops events whose session,
+// receiver or link does not resolve, onset and stop events that name no
+// attacker, and churn on a session with no well-behaved members; the
+// oracle when its session lacks either population; and NoConsolidation
+// when nothing consolidates: no cohorts, and a protocol whose sender reads
+// no receiver feedback. Events are filtered in place. It reports whether
+// anything changed.
+func (sp *Spec) normalize() (changed bool) {
+	events := sp.Events[:0]
+	for _, ev := range sp.Events {
+		if sp.resolves(ev) {
+			events = append(events, ev)
+		}
+	}
+	changed = len(events) != len(sp.Events)
+	sp.Events = events
+	if sp.Oracle != nil {
+		if honest, attackers := sp.members(sp.Oracle.Session); honest == 0 || attackers == 0 {
+			sp.Oracle, changed = nil, true
+		}
+	}
+	if p, _ := deltasigma.LookupProtocol(sp.Protocol); sp.NoConsolidation && !sp.hasCohorts() && !p.Feedback {
+		sp.NoConsolidation, changed = false, true
+	}
+	return changed
+}
+
+// resolves reports whether ev names things the spec has, by the rules the
+// facade's timeline events resolve with. Receiver 0 on an onset or stop
+// means every attacker of the session.
+func (sp *Spec) resolves(ev EventSpec) bool {
+	rs, ok := receiverOf(*sp, ev.Session, ev.Receiver)
+	honest, attackers := sp.members(ev.Session)
+	switch ev.Kind {
+	case EvJoin, EvLeave:
+		return ok
+	case EvOnset, EvStop:
+		return ok && rs.Attacker || ev.Receiver == 0 && attackers > 0
+	case EvChurn:
+		return honest > 0
+	case EvCap, EvDelay, EvDown, EvUp, EvFlap:
+		return ev.Link >= 0 && ev.Link < len(sp.Topology.CapacitiesBps)
+	}
+	return false
+}
+
+// members counts the well-behaved members of session s (1-based) — exact
+// honest receivers plus cohort members, as the facade's churn and oracle
+// count them — and its attackers. A session that does not resolve has
+// neither.
+func (sp *Spec) members(s int) (honest, attackers int) {
+	if s < 1 || s > len(sp.Sessions) {
+		return 0, 0
+	}
+	honest, attackers = populations(sp.Sessions[s-1])
+	for _, n := range sp.Sessions[s-1].Cohorts {
+		honest += n
+	}
+	return honest, attackers
+}
+
+// receiverOf resolves a 1-based (session, receiver) spec reference.
+func receiverOf(sp Spec, session, receiver int) (ReceiverSpec, bool) {
+	if session < 1 || session > len(sp.Sessions) {
+		return ReceiverSpec{}, false
+	}
+	rs := sp.Sessions[session-1].Receivers
+	if receiver < 1 || receiver > len(rs) {
+		return ReceiverSpec{}, false
+	}
+	return rs[receiver-1], true
 }
