@@ -75,7 +75,9 @@ func AuditSuppression(o SuppressionOracle) AuditOption {
 // the caller (the fuzzer's generator, a test) decides eligibility.
 type SuppressionOracle struct {
 	// Session selects one session (1-based); 0 means every session that
-	// contains at least one attacker and one honest receiver.
+	// contains at least one attacker and one honest receiver. A selected
+	// session that does not exist or lacks either population is an
+	// oracle-window violation.
 	Session int
 	// From is the start of the measurement window.
 	From Time
@@ -216,13 +218,21 @@ func (a *Audit) checkOracle(o SuppressionOracle, until Time) {
 			"oracle window [%v,%v) is empty — the run never reached the convergence point", o.From, until)
 		return
 	}
+	if o.Session < 0 || o.Session > len(e.sessions) {
+		a.aud.Reportf(invariant.RuleOracleWindow, fmt.Sprintf("S%d", o.Session), until, 0, 0,
+			"oracle names session %d of %d", o.Session, len(e.sessions))
+	}
 	for _, s := range e.sessions {
 		if o.Session != 0 && s.index != o.Session {
 			continue
 		}
 		honest, attackers := sessionRates(s, o.From, until)
 		if len(attackers) == 0 || len(honest) == 0 {
-			continue // the oracle needs both populations to compare
+			if o.Session != 0 { // only a session that holds both populations can be named
+				a.aud.Reportf(invariant.RuleOracleWindow, fmt.Sprintf("S%d", o.Session), until, float64(len(honest)), float64(len(attackers)),
+					"oracle names session %d, with %d honest samples and %d attackers", o.Session, len(honest), len(attackers))
+			}
+			continue
 		}
 		sort.Float64s(honest)
 		median := stats.PercentileSorted(honest, 0.5)

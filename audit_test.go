@@ -110,6 +110,50 @@ func TestStopAtZeroEndsOracleWindow(t *testing.T) {
 	}
 }
 
+// An oracle that names a session it cannot evaluate — one the experiment
+// lacks, or one without both honest receivers and attackers — is reported
+// as an oracle-window violation naming the session, never checked as
+// vacuously clean; Session 0 still skips every ineligible session.
+func TestOracleOnUnusableSessionIsReported(t *testing.T) {
+	for _, row := range []struct {
+		name      string
+		session   int
+		attackers bool
+		want      string // the reported subject, "" for a clean audit
+	}{
+		{"missing session", 3, true, "S3"},
+		{"negative session", -1, true, "S-1"},
+		{"session without attackers", 1, false, "S1"},
+		{"every eligible session, none eligible", 0, false, ""},
+		{"every eligible session", 0, true, ""},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			exp := deltasigma.MustNew(
+				deltasigma.WithProtocol("flid-ds"),
+				deltasigma.WithSeed(7),
+				deltasigma.WithAudit(deltasigma.AuditSuppression(deltasigma.SuppressionOracle{
+					Session: row.session, From: 2 * deltasigma.Second, FloorKbps: 1000,
+				})),
+			)
+			sess := exp.AddSession(2)
+			if row.attackers {
+				sess.AddAttacker()
+			}
+			exp.Advance(4 * deltasigma.Second)
+			vs := exp.DrainAndAudit(drainGrace)
+			if row.want == "" {
+				if len(vs) > 0 {
+					t.Fatalf("violations %v, want none", vs)
+				}
+				return
+			}
+			if len(vs) != 1 || vs[0].Rule != "oracle-window" || vs[0].Subject != row.want {
+				t.Fatalf("violations %v, want one oracle-window on %s", vs, row.want)
+			}
+		})
+	}
+}
+
 // Without WithAudit the audit handle is nil but the structural drain check
 // still works — the shared facade test helper relies on this.
 func TestCheckDrainedWithoutAudit(t *testing.T) {

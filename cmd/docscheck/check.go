@@ -3,8 +3,10 @@ package main
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -42,9 +44,148 @@ func Check(root string) ([]string, error) {
 		return nil, err
 	}
 	stale, err := checkRunNames(root)
+	if err != nil {
+		return nil, err
+	}
 	problems = append(problems, stale...)
+	unordered, err := checkMapRanges(root, pkgs)
+	problems = append(problems, unordered...)
 	sort.Strings(problems)
 	return problems, err
+}
+
+// orderInsensitive is the annotation that clears a range over a map.
+const orderInsensitive = "// order-insensitive:"
+
+// checkMapRanges reports every range over a map in the non-test Go of the
+// root package and internal/ that does not carry an orderInsensitive
+// comment with a reason, on its own line or the line above: Go randomizes
+// map iteration order, so a loop whose effect depends on it makes a seeded
+// run differ from run to run. Map types come from type-checking each
+// package, the standard library from source.
+func checkMapRanges(root string, pkgs map[string][]*ast.File) ([]string, error) {
+	var rels []string
+	for dir := range pkgs {
+		rel, _ := filepath.Rel(root, dir)
+		if rel = filepath.ToSlash(rel); rel == "." || rel == "internal" || strings.HasPrefix(rel, "internal/") {
+			rels = append(rels, rel)
+		}
+	}
+	if len(rels) == 0 {
+		return nil, nil
+	}
+	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	m := &moduleImporter{
+		fset: fset, root: root, module: modulePath(gomod),
+		std:   importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		info:  &types.Info{Types: map[ast.Expr]types.TypeAndValue{}},
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+	}
+	var problems []string
+	for _, rel := range rels {
+		path := m.module
+		if rel != "." {
+			path += "/" + rel
+		}
+		if _, err := m.Import(path); err != nil {
+			return nil, err
+		}
+		for _, f := range m.files[path] {
+			annotated := map[int]bool{}
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					if why, ok := strings.CutPrefix(c.Text, orderInsensitive); ok && strings.TrimSpace(why) != "" {
+						annotated[fset.Position(c.Pos()).Line] = true
+					}
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				rs, ok := n.(*ast.RangeStmt)
+				if !ok {
+					return true
+				}
+				if _, isMap := m.info.TypeOf(rs.X).Underlying().(*types.Map); !isMap {
+					return true
+				}
+				if pos := fset.Position(rs.Pos()); !annotated[pos.Line] && !annotated[pos.Line-1] {
+					file, _ := filepath.Rel(root, pos.Filename)
+					problems = append(problems, fmt.Sprintf("%s:%d: range over a map without %q and a reason", filepath.ToSlash(file), pos.Line, orderInsensitive))
+				}
+				return true
+			})
+		}
+	}
+	return problems, nil
+}
+
+// modulePath reads the module path off a go.mod file.
+func modulePath(gomod []byte) string {
+	for _, line := range strings.Split(string(gomod), "\n") {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			return strings.Trim(strings.TrimSpace(rest), `"`)
+		}
+	}
+	return ""
+}
+
+// moduleImporter type-checks each of the module's packages once, from its
+// non-test files, recording every expression's type in info, and hands
+// every other import to the standard library's source importer.
+type moduleImporter struct {
+	fset         *token.FileSet
+	root, module string
+	std          types.ImporterFrom
+	info         *types.Info
+	files        map[string][]*ast.File // by import path, once checked
+	pkgs         map[string]*types.Package
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	return m.ImportFrom(path, m.root, 0)
+}
+
+func (m *moduleImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	rel, ok := strings.CutPrefix(path, m.module)
+	if !ok || rel != "" && rel[0] != '/' {
+		return m.std.ImportFrom(path, dir, mode)
+	}
+	if p, ok := m.pkgs[path]; ok {
+		return p, nil
+	}
+	files, err := parseDir(m.fset, filepath.Join(m.root, filepath.FromSlash(rel)))
+	if err != nil {
+		return nil, err
+	}
+	conf := types.Config{Importer: m}
+	p, err := conf.Check(path, m.fset, files, m.info)
+	m.pkgs[path], m.files[path] = p, files
+	return p, err
+}
+
+// parseDir parses the non-test Go files of one directory with comments,
+// for type-checking.
+func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
 }
 
 // runRE matches a go test -run argument, quoted or bare.

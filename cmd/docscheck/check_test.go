@@ -168,3 +168,54 @@ func helperTest(t *testing.T) {}
 		}
 	}
 }
+
+// TestCheckCatchesUnorderedMapRanges runs the map-range lint over a tiny
+// module: of the loops in an internal package's non-test code, only the
+// bare range over a map is reported — not the annotated one, not the one
+// over a slice — and neither the test file's nor the command's loop is
+// linted at all.
+func TestCheckCatchesUnorderedMapRanges(t *testing.T) {
+	root := t.TempDir()
+	writeFile(t, root, "go.mod", "module fixture\n\ngo 1.22\n")
+	writeFile(t, root, "internal/tally/tally.go", `// Package tally adds things up.
+package tally
+
+// Counts maps names to counts.
+type Counts map[string]int
+
+// Sum adds the counts.
+func Sum(c Counts) (n int) {
+	// order-insensitive: addition commutes
+	for _, v := range c {
+		n += v
+	}
+	return n
+}
+
+// Any returns some name.
+func Any(c Counts) string {
+	for k := range c {
+		return k
+	}
+	return ""
+}
+
+// Len counts a slice.
+func Len(s []int) (n int) {
+	for range s {
+		n++
+	}
+	return n
+}
+`)
+	writeFile(t, root, "internal/tally/tally_test.go", "package tally\n\nfunc drain(m map[int]int) {\n\tfor range m {\n\t}\n}\n")
+	writeFile(t, root, "cmd/tool/main.go", "// Command tool ranges.\npackage main\n\nfunc main() {\n\tfor range map[int]int{} {\n\t}\n}\n")
+
+	problems, err := Check(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(problems) != 1 || !strings.HasPrefix(problems[0], "internal/tally/tally.go:18: range over a map") {
+		t.Fatalf("problems %v, want only the bare range at internal/tally/tally.go:18", problems)
+	}
+}

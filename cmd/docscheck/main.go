@@ -9,7 +9,12 @@
 //     or type X declared in the module that has no declaration, field or
 //     method Y, or
 //   - a go test -run argument in .github/workflows/*.yml names a Test that
-//     matches no test function in the module (a trailing .* is a prefix).
+//     matches no test function in the module (a trailing .* is a prefix), or
+//   - non-test Go in the root package or under internal/ ranges over a map
+//     without a "// order-insensitive: <why>" comment on the loop's line or
+//     the line above: map iteration order is random, so such a loop can make
+//     a seeded run differ from run to run. Map types come from go/types,
+//     with imports type-checked from source.
 //
 // External links (http/https/mailto) are deliberately not fetched — the
 // check must be hermetic and deterministic for CI. Run it from the repo

@@ -383,9 +383,9 @@ func failingReproSpec() fuzzing.Spec {
 }
 
 // A malformed repro file is refused with the typed error before anything
-// runs, and dsim exits non-zero: not a panic replayed as "still fails",
-// not a silently ignored oracle replayed as "passes", not a negative
-// duration replayed as invariant violations.
+// runs, and dsim exits non-zero: not a panic or a build error replayed as
+// "still fails", not a silently ignored oracle replayed as "passes", not a
+// negative duration replayed as invariant violations.
 func TestFuzzMalformedRepro(t *testing.T) {
 	cases := []struct {
 		name string
@@ -398,6 +398,8 @@ func TestFuzzMalformedRepro(t *testing.T) {
 		{"oracle on session 3 of 1", func(sp *fuzzing.Spec) { sp.Oracle.Session = 3 }},
 		{"negative duration", func(sp *fuzzing.Spec) { sp.DurationSec = -10 }},
 		{"empty cohort", func(sp *fuzzing.Spec) { sp.Sessions[0].Cohorts = []int{0} }},
+		{"unknown protocol", func(sp *fuzzing.Spec) { sp.Protocol = "flid-xx" }},
+		{"unknown strategy", func(sp *fuzzing.Spec) { sp.Sessions[0].Receivers[1].Strategy = "bribery" }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

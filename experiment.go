@@ -267,7 +267,7 @@ func (r *Receiver) Deflate() {
 	}
 }
 
-// Unwrap returns the concrete protocol agent (e.g. *flid.DSAttacker) for
+// Unwrap returns the concrete protocol agent (e.g. *flid.KeyAttacker) for
 // callers that need protocol-specific statistics.
 func (r *Receiver) Unwrap() any { return r.agent }
 

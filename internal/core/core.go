@@ -233,10 +233,16 @@ type Pacer struct {
 	credit float64
 }
 
-// MaxPackets bounds what Packets returns for rate: the credit a slot
-// starts with is under one packet, so it sends at most its budget plus one.
-func MaxPackets(rate int64, slotDur sim.Time, pktBytes int) int {
-	return int(float64(rate)*slotDur.Sec()/8/float64(pktBytes)) + 1
+// MaxPackets bounds, per layer, what a Pacer at the layer's GroupRate sends
+// in one slot of sess: the credit a slot starts with is under one packet,
+// so it sends at most its budget plus one. Shamir senders and receivers
+// size their key buffers with it up front.
+func (s *Session) MaxPackets() []int {
+	out := make([]int, s.Rates.N)
+	for g := range out {
+		out[g] = int(float64(s.Rates.GroupRate(g+1))*s.SlotDur.Sec()/8/float64(s.PacketSize)) + 1
+	}
+	return out
 }
 
 // Packets returns how many packets of size pktBytes fit the slot budget of

@@ -10,14 +10,18 @@
 //  3. when authorized, an uncongested receiver obtains an updated key for
 //     a higher level.
 //
-// Three instantiations are provided, mirroring §3.1.1–3.1.2:
+// Three instantiations are provided, mirroring §3.1.1–3.1.2, on two
+// senders — one spreading XOR components, one Shamir shares — and a
+// receiver each:
 //
-//   - LayeredSender/LayeredReceiver — cumulative layered multicast where a
-//     single packet loss means congestion (FLID-DL, RLC); Figure 4.
-//   - ReplicatedSender/ReplicatedReceiver — replicated multicast where each
-//     level is a single group (destination-set grouping); Figure 5.
-//   - ThresholdSender/ThresholdReceiver — loss-rate-threshold protocols
-//     (RLM, MLDA, WEBRC) using Shamir (k,n) sharing; equations 7–9.
+//   - cumulative layered multicast where a single packet loss means
+//     congestion (FLID-DL, RLC), Figure 4: LayeredSender and
+//     LayeredReceiver;
+//   - replicated multicast where each level is a single group
+//     (destination-set grouping), Figure 5: LayeredSender with Replicated
+//     set, whose top keys differ in one line, and ReplicatedReceiver;
+//   - loss-rate-threshold protocols (RLM, MLDA, WEBRC) using Shamir (k,n)
+//     sharing, equations 7–9: ThresholdSender and ThresholdReceiver.
 //
 // The ECN adaptation (edge routers scrub the component field of marked
 // packets) lives in ScrubComponent.
@@ -116,92 +120,6 @@ func (k *SlotKeys) reset(slot uint32) {
 	clear(k.Dec)
 	clear(k.Inc)
 	clear(k.Auth)
-}
-
-// componentSlot is the per-slot sender state the two XOR instantiations
-// (Figures 4 and 5) share: the precomputed keys plus, per group, the slot's
-// component fields — every non-final packet carries a fresh nonce, the
-// final one the closing value that makes the group's components XOR to its
-// secret.
-//
-// The components are drawn at slot start, in (group, seq) order, and
-// Fields hands them out in seq order per group. The nonce stream is the
-// sender's one keys.Source, so drawing up front keeps every key the same
-// however a sender interleaves its groups' packets at send time.
-type componentSlot struct {
-	Keys SlotKeys
-
-	src    *keys.Source
-	secret []keys.Key   // X_g: the first nonce of group g, which its components XOR to
-	comps  [][]keys.Key // comps[g-1]: group g's component fields in seq order, reused every slot
-	next   []int        // next component to hand out per group
-}
-
-func newComponentSlot(n int, src *keys.Source) componentSlot {
-	return componentSlot{
-		Keys:   newSlotKeys(n),
-		src:    src,
-		secret: make([]keys.Key, n),
-		comps:  make([][]keys.Key, n),
-		next:   make([]int, n),
-	}
-}
-
-// schedule arms group g for count packets and draws its secret X_g: the
-// closing component cancels every later nonce, so the group's components
-// XOR to this first one. A buffer too small for the slot is replaced with
-// the sender rings' headroom, so the pacer's slot-to-slot wobble does not
-// replace it again.
-func (cs *componentSlot) schedule(g, count int) {
-	if cap(cs.comps[g-1]) < count {
-		cs.comps[g-1] = make([]keys.Key, 0, count+count/8+1)
-	}
-	cs.comps[g-1], cs.next[g-1] = cs.comps[g-1][:count], 0
-	cs.secret[g-1] = cs.src.Nonce()
-}
-
-// draw fills every group's components once the slot's keys are set, in
-// (group, seq) order: each non-final packet a fresh nonce folded into the
-// running closing value C_g of Figure 4, the final one C_g itself.
-func (cs *componentSlot) draw() {
-	for g, comps := range cs.comps {
-		accum := cs.secret[g]
-		last := len(comps) - 1
-		for p := range last {
-			c := cs.src.Nonce()
-			accum = keys.XOR(accum, c)
-			comps[p] = c
-		}
-		comps[last] = accum
-	}
-}
-
-// Fields returns the component and decrease fields for the next packet of
-// group g (1-based). It must be called exactly counts[g-1] times per slot
-// per group; the final call returns the closing component. The decrease
-// field d_g is δ_{g-1} for g ≥ 2 and zero for the minimal group.
-func (cs *componentSlot) Fields(g int) (component, decrease keys.Key) {
-	idx := g - 1
-	if cs.next[idx] >= len(cs.comps[idx]) {
-		panic(fmt.Sprintf("delta: group %d exceeded its %d scheduled packets", g, len(cs.comps[idx])))
-	}
-	component = cs.comps[idx][cs.next[idx]]
-	cs.next[idx]++
-	if g >= 2 {
-		decrease = cs.Keys.Dec[g-2]
-	}
-	return component, decrease
-}
-
-// Done reports whether every scheduled packet of every group has had its
-// fields handed out.
-func (cs *componentSlot) Done() bool {
-	for g, comps := range cs.comps {
-		if cs.next[g] != len(comps) {
-			return false
-		}
-	}
-	return true
 }
 
 // Outcome is what a receiver-side DELTA instantiation concludes at the end

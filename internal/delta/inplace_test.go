@@ -16,7 +16,7 @@ func TestWarmSlotAllocatesNothing(t *testing.T) {
 
 	layered := NewLayeredSender(n, newSource(1))
 	_, flidHeaders := emitSlot(t, layered, 1, auth, counts)
-	replicated := NewReplicatedSender(n, newSource(2))
+	replicated := newFigure5Sender(n, newSource(2))
 	_, replHeaders := emitReplSlot(t, replicated, 1, auth, counts)
 	threshold, thresholdRecv := newThresholdPair(n, rlmThresholds(n), 3)
 	_, shareHeaders := emitThresholdSlot(t, threshold, 1, auth, counts)

@@ -9,7 +9,10 @@ import (
 
 // LayeredSender implements the sender half of the Figure 4 DELTA
 // instantiation for cumulative layered multicast protocols that define
-// congestion as a single packet loss (FLID-DL, RLC).
+// congestion as a single packet loss (FLID-DL, RLC), and — Replicated set —
+// of the Figure 5 instantiation for replicated ones, where each
+// subscription level is a single group carrying the full content at its
+// own rate (destination-set grouping).
 //
 // Per time slot the sender precomputes every key before transmitting a
 // single packet (the property that lets SIGMA announce keys to edge routers
@@ -17,27 +20,48 @@ import (
 // each non-final packet of group g carries a fresh nonce, and the final
 // packet carries the closing value that makes the XOR of all of group g's
 // components equal the group's secret X_g. Top keys are prefix XORs of the
-// X_g, increase keys are the next-lower top key, and decrease keys are
-// dedicated nonces carried in the decrease field one group up.
+// X_g (Eq. 3) — or, replicated, each group's own X_g (Eq. 6) — increase
+// keys are the next-lower top key, and decrease keys are dedicated nonces
+// carried in the decrease field one group up.
 type LayeredSender struct {
-	n    int
-	src  *keys.Source
-	slot LayeredSlot // the one slot in progress, reset by BeginSlot
+	n   int
+	src *keys.Source
+	// Replicated selects Figure 5's key structure: every group is a
+	// complete stream, so its top key is its own secret.
+	Replicated bool
+	slot       LayeredSlot // the one slot in progress, reset by BeginSlot
 }
 
 // NewLayeredSender builds a sender-side instantiation for a session with n
 // groups, minting nonces from src.
 func NewLayeredSender(n int, src *keys.Source) *LayeredSender {
 	checkGroupCount(n)
-	return &LayeredSender{n: n, src: src, slot: LayeredSlot{newComponentSlot(n, src)}}
+	return &LayeredSender{n: n, src: src, slot: LayeredSlot{
+		Keys:   newSlotKeys(n),
+		src:    src,
+		secret: make([]keys.Key, n),
+		comps:  make([][]keys.Key, n),
+		next:   make([]int, n),
+	}}
 }
 
-// Groups reports the session's group count.
-func (s *LayeredSender) Groups() int { return s.n }
-
 // LayeredSlot is the per-slot state of a LayeredSender: the precomputed
-// keys plus the slot's component fields.
-type LayeredSlot struct{ componentSlot }
+// keys plus, per group, the slot's component fields — every non-final
+// packet carries a fresh nonce, the final one the closing value that makes
+// the group's components XOR to its secret.
+//
+// The components are drawn at slot start, in (group, seq) order, and
+// Fields hands them out in seq order per group. The nonce stream is the
+// sender's one keys.Source, so drawing up front keeps every key the same
+// however a sender interleaves its groups' packets at send time.
+type LayeredSlot struct {
+	Keys SlotKeys
+
+	src    *keys.Source
+	secret []keys.Key   // X_g: the first nonce of group g, which its components XOR to
+	comps  [][]keys.Key // comps[g-1]: group g's component fields in seq order, reused every slot
+	next   []int        // next component to hand out per group
+}
 
 // BeginSlot precomputes the keys for one slot. auth[g-1] declares whether
 // the protocol authorizes an upgrade to group g this slot (auth[0] is
@@ -61,19 +85,78 @@ func (s *LayeredSender) BeginSlot(slot uint32, auth []bool, counts []int) *Layer
 			panic(fmt.Sprintf("delta: group %d scheduled %d packets; need >= 1", g, counts[g-1]))
 		}
 		ls.schedule(g, counts[g-1])
+		ls.Keys.Top[g-1] = ls.secret[g-1] // α_g of a replicated group: its own secret (Eq. 6)
 		if g == 1 {
-			ls.Keys.Top[0] = ls.secret[0]
-		} else {
-			ls.Keys.Top[g-1] = keys.XOR(ls.Keys.Top[g-2], ls.secret[g-1])
-			ls.Keys.Dec[g-2] = s.src.Nonce() // δ_{g-1}, carried as d_g
-			if auth[g-1] {
-				ls.Keys.Auth[g-1] = true
-				ls.Keys.Inc[g-1] = ls.Keys.Top[g-2] // ε_g = α_{g-1}
-			}
+			continue
+		}
+		if !s.Replicated {
+			ls.Keys.Top[g-1] = keys.XOR(ls.Keys.Top[g-2], ls.secret[g-1]) // α_g of a layer: the XOR up the layers (Eq. 3)
+		}
+		ls.Keys.Dec[g-2] = s.src.Nonce() // δ_{g-1}, carried as d_g
+		if auth[g-1] {
+			ls.Keys.Auth[g-1] = true
+			ls.Keys.Inc[g-1] = ls.Keys.Top[g-2] // ε_g = α_{g-1}
 		}
 	}
 	ls.draw()
 	return ls
+}
+
+// schedule arms group g for count packets and draws its secret X_g: the
+// closing component cancels every later nonce, so the group's components
+// XOR to this first one. A buffer too small for the slot is replaced with
+// the sender rings' headroom, so the pacer's slot-to-slot wobble does not
+// replace it again.
+func (ls *LayeredSlot) schedule(g, count int) {
+	if cap(ls.comps[g-1]) < count {
+		ls.comps[g-1] = make([]keys.Key, 0, count+count/8+1)
+	}
+	ls.comps[g-1], ls.next[g-1] = ls.comps[g-1][:count], 0
+	ls.secret[g-1] = ls.src.Nonce()
+}
+
+// draw fills every group's components once the slot's keys are set, in
+// (group, seq) order: each non-final packet a fresh nonce folded into the
+// running closing value C_g of Figure 4, the final one C_g itself.
+func (ls *LayeredSlot) draw() {
+	for g, comps := range ls.comps {
+		accum := ls.secret[g]
+		last := len(comps) - 1
+		for p := range last {
+			c := ls.src.Nonce()
+			accum = keys.XOR(accum, c)
+			comps[p] = c
+		}
+		comps[last] = accum
+	}
+}
+
+// Fields returns the component and decrease fields for the next packet of
+// group g (1-based). It must be called exactly counts[g-1] times per slot
+// per group; the final call returns the closing component. The decrease
+// field d_g is δ_{g-1} for g ≥ 2 and zero for the minimal group.
+func (ls *LayeredSlot) Fields(g int) (component, decrease keys.Key) {
+	idx := g - 1
+	if ls.next[idx] >= len(ls.comps[idx]) {
+		panic(fmt.Sprintf("delta: group %d exceeded its %d scheduled packets", g, len(ls.comps[idx])))
+	}
+	component = ls.comps[idx][ls.next[idx]]
+	ls.next[idx]++
+	if g >= 2 {
+		decrease = ls.Keys.Dec[g-2]
+	}
+	return component, decrease
+}
+
+// Done reports whether every scheduled packet of every group has had its
+// fields handed out.
+func (ls *LayeredSlot) Done() bool {
+	for g, comps := range ls.comps {
+		if ls.next[g] != len(comps) {
+			return false
+		}
+	}
+	return true
 }
 
 // LayeredReceiver implements the receiver half of Figure 4: it accumulates

@@ -18,8 +18,8 @@ func newSource(seed uint64) *keys.Source {
 func emitSlot(t *testing.T, s *LayeredSender, slot uint32, auth []bool, counts []int) (*LayeredSlot, [][]*packet.FLIDHeader) {
 	t.Helper()
 	ls := s.BeginSlot(slot, auth, counts)
-	headers := make([][]*packet.FLIDHeader, s.Groups())
-	for g := 1; g <= s.Groups(); g++ {
+	headers := make([][]*packet.FLIDHeader, len(counts))
+	for g := 1; g <= len(counts); g++ {
 		inc := uint8(0)
 		for a := len(auth); a >= 2; a-- {
 			if auth[a-1] {

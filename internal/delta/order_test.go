@@ -63,13 +63,13 @@ func TestComponentStreamPinned(t *testing.T) {
 			return gs
 		},
 	}
-	type slotFn func(slot uint32) (*componentSlot, func(g int) keys.Key)
+	type slotFn func(slot uint32) (*LayeredSlot, func(g int) keys.Key)
 	senders := map[string]func() slotFn{
 		"layered": func() slotFn {
 			s := NewLayeredSender(len(counts), newSource(27))
-			return func(slot uint32) (*componentSlot, func(int) keys.Key) {
+			return func(slot uint32) (*LayeredSlot, func(int) keys.Key) {
 				ls := s.BeginSlot(slot, auth, counts)
-				return &ls.componentSlot, func(g int) keys.Key {
+				return ls, func(g int) keys.Key {
 					if g == 1 {
 						return ls.Keys.Top[0]
 					}
@@ -78,10 +78,10 @@ func TestComponentStreamPinned(t *testing.T) {
 			}
 		},
 		"replicated": func() slotFn {
-			s := NewReplicatedSender(len(counts), newSource(27))
-			return func(slot uint32) (*componentSlot, func(int) keys.Key) {
+			s := newFigure5Sender(len(counts), newSource(27))
+			return func(slot uint32) (*LayeredSlot, func(int) keys.Key) {
 				rs := s.BeginSlot(slot, auth, counts)
-				return &rs.componentSlot, func(g int) keys.Key { return rs.Keys.Top[g-1] }
+				return rs, func(g int) keys.Key { return rs.Keys.Top[g-1] }
 			}
 		},
 	}

@@ -7,59 +7,12 @@ import (
 	"deltasigma/internal/packet"
 )
 
-// ReplicatedSender implements the Figure 5 DELTA instantiation for
-// replicated multicast protocols, where each subscription level is a single
-// group carrying the full content at its own rate (destination-set
-// grouping). The key structure collapses relative to the layered case:
-// the top key of group g is the XOR of group g's own components only, and
-// the increase key for group g is group g−1's top key (Eq. 6).
-type ReplicatedSender struct {
-	n    int
-	src  *keys.Source
-	slot ReplicatedSlot // the one slot in progress, reset by BeginSlot
-}
-
-// NewReplicatedSender builds the sender-side instantiation for a session
-// with n rate groups.
-func NewReplicatedSender(n int, src *keys.Source) *ReplicatedSender {
-	checkGroupCount(n)
-	return &ReplicatedSender{n: n, src: src, slot: ReplicatedSlot{newComponentSlot(n, src)}}
-}
-
-// Groups reports the session's group count.
-func (s *ReplicatedSender) Groups() int { return s.n }
-
-// ReplicatedSlot is the per-slot state of a ReplicatedSender.
-type ReplicatedSlot struct{ componentSlot }
-
-// BeginSlot precomputes the slot's keys; see LayeredSender.BeginSlot for
-// the argument contract and the lifetime of the returned slot.
-func (s *ReplicatedSender) BeginSlot(slot uint32, auth []bool, counts []int) *ReplicatedSlot {
-	if len(auth) != s.n || len(counts) != s.n {
-		panic(fmt.Sprintf("delta: BeginSlot with %d auth / %d counts for %d groups", len(auth), len(counts), s.n))
-	}
-	rs := &s.slot
-	rs.Keys.reset(slot)
-	for g := 1; g <= s.n; g++ {
-		if counts[g-1] < 1 {
-			panic(fmt.Sprintf("delta: group %d scheduled %d packets; need >= 1", g, counts[g-1]))
-		}
-		rs.schedule(g, counts[g-1])
-		rs.Keys.Top[g-1] = rs.secret[g-1] // α_g = XOR of group g components only
-		if g >= 2 {
-			rs.Keys.Dec[g-2] = s.src.Nonce()
-			if auth[g-1] {
-				rs.Keys.Auth[g-1] = true
-				rs.Keys.Inc[g-1] = rs.Keys.Top[g-2] // ε_g = α_{g-1}
-			}
-		}
-	}
-	rs.draw()
-	return rs
-}
-
-// ReplicatedReceiver implements the receiver half of Figure 5 for a
-// receiver subscribed to a single rate group.
+// ReplicatedReceiver implements the receiver half of the Figure 5 DELTA
+// instantiation (a LayeredSender with Replicated set is the sender half)
+// for a receiver subscribed to a single rate group. Its key structure
+// collapses relative to the layered case: the top key of group g is the XOR
+// of group g's own components only, and the increase key for group g is
+// group g−1's top key (Eq. 6).
 type ReplicatedReceiver struct {
 	n    int
 	slot uint32

@@ -7,7 +7,15 @@ import (
 	"deltasigma/internal/packet"
 )
 
-func emitReplSlot(t *testing.T, s *ReplicatedSender, slot uint32, auth []bool, counts []int) (*ReplicatedSlot, [][]*packet.ReplHeader) {
+// newFigure5Sender builds the Figure 5 sender: a LayeredSender keying
+// each group with its own secret.
+func newFigure5Sender(n int, src *keys.Source) *LayeredSender {
+	s := NewLayeredSender(n, src)
+	s.Replicated = true
+	return s
+}
+
+func emitReplSlot(t *testing.T, s *LayeredSender, slot uint32, auth []bool, counts []int) (*LayeredSlot, [][]*packet.ReplHeader) {
 	t.Helper()
 	rs := s.BeginSlot(slot, auth, counts)
 	inc := uint8(0)
@@ -17,8 +25,8 @@ func emitReplSlot(t *testing.T, s *ReplicatedSender, slot uint32, auth []bool, c
 			break
 		}
 	}
-	headers := make([][]*packet.ReplHeader, s.Groups())
-	for g := 1; g <= s.Groups(); g++ {
+	headers := make([][]*packet.ReplHeader, len(counts))
+	for g := 1; g <= len(counts); g++ {
 		for p := 1; p <= counts[g-1]; p++ {
 			comp, dec := rs.Fields(g)
 			headers[g-1] = append(headers[g-1], &packet.ReplHeader{
@@ -35,7 +43,7 @@ func emitReplSlot(t *testing.T, s *ReplicatedSender, slot uint32, auth []bool, c
 }
 
 func TestReplicatedTopKeyIsPerGroup(t *testing.T) {
-	s := NewReplicatedSender(4, newSource(30))
+	s := newFigure5Sender(4, newSource(30))
 	rs, headers := emitReplSlot(t, s, 1, auths(4, 0), countsOf(4, 3))
 	for g := 1; g <= 4; g++ {
 		var acc keys.Key
@@ -60,7 +68,7 @@ func TestReplicatedTopKeyIsPerGroup(t *testing.T) {
 }
 
 func TestReplicatedUncongestedStays(t *testing.T) {
-	s := NewReplicatedSender(3, newSource(31))
+	s := newFigure5Sender(3, newSource(31))
 	rs, headers := emitReplSlot(t, s, 1, auths(3, 0), countsOf(3, 4))
 	r := NewReplicatedReceiver(3)
 	r.Begin(1)
@@ -77,7 +85,7 @@ func TestReplicatedUncongestedStays(t *testing.T) {
 }
 
 func TestReplicatedUpgradeSwitchesUp(t *testing.T) {
-	s := NewReplicatedSender(3, newSource(32))
+	s := newFigure5Sender(3, newSource(32))
 	rs, headers := emitReplSlot(t, s, 1, auths(3, 3), countsOf(3, 4))
 	r := NewReplicatedReceiver(3)
 	r.Begin(1)
@@ -99,7 +107,7 @@ func TestReplicatedUpgradeSwitchesUp(t *testing.T) {
 }
 
 func TestReplicatedCongestedStepsDown(t *testing.T) {
-	s := NewReplicatedSender(3, newSource(33))
+	s := newFigure5Sender(3, newSource(33))
 	rs, headers := emitReplSlot(t, s, 1, auths(3, 0), countsOf(3, 4))
 	r := NewReplicatedReceiver(3)
 	r.Begin(1)
@@ -122,7 +130,7 @@ func TestReplicatedCongestedStepsDown(t *testing.T) {
 }
 
 func TestReplicatedCongestedAtMinimalLeaves(t *testing.T) {
-	s := NewReplicatedSender(3, newSource(34))
+	s := newFigure5Sender(3, newSource(34))
 	_, headers := emitReplSlot(t, s, 1, auths(3, 0), countsOf(3, 4))
 	r := NewReplicatedReceiver(3)
 	r.Begin(1)
@@ -139,7 +147,7 @@ func TestReplicatedCongestedAtMinimalLeaves(t *testing.T) {
 }
 
 func TestReplicatedTotalLossLeavesSession(t *testing.T) {
-	s := NewReplicatedSender(3, newSource(35))
+	s := newFigure5Sender(3, newSource(35))
 	_, _ = emitReplSlot(t, s, 1, auths(3, 0), countsOf(3, 4))
 	r := NewReplicatedReceiver(3)
 	r.Begin(1)
@@ -150,7 +158,7 @@ func TestReplicatedTotalLossLeavesSession(t *testing.T) {
 }
 
 func TestReplicatedECNMode(t *testing.T) {
-	s := NewReplicatedSender(3, newSource(36))
+	s := newFigure5Sender(3, newSource(36))
 	rs, headers := emitReplSlot(t, s, 1, auths(3, 0), countsOf(3, 4))
 	r := NewReplicatedReceiver(3)
 	r.Begin(1)
@@ -172,7 +180,7 @@ func TestReplicatedECNMode(t *testing.T) {
 }
 
 func TestReplicatedObserveFiltersGroupAndSlot(t *testing.T) {
-	s := NewReplicatedSender(3, newSource(37))
+	s := newFigure5Sender(3, newSource(37))
 	_, headers := emitReplSlot(t, s, 1, auths(3, 0), countsOf(3, 4))
 	r := NewReplicatedReceiver(3)
 	r.Begin(1)

@@ -206,22 +206,32 @@ func (r *DSReceiver) rejoin() int {
 	return 1
 }
 
-// DSAttacker attacks a DELTA+SIGMA-protected layered session: it keeps a
-// legitimate key receiver running (its fair share — the attacker still
-// wants the data) while running the shared sigma.GuessAttack engine —
-// guessed keys for every higher group each slot plus plain IGMP joins the
-// SIGMA router ignores (§4.2, protection against attacks on SIGMA).
-// Against the Shamir instantiation a guess must hit the reconstructed level
-// key exactly, so the success probability per guess is 2^−b either way.
-type DSAttacker struct {
-	*DSReceiver
+// KeyReceiver is the well-behaved receiver a key attacker keeps running:
+// a DSReceiver, or a replicated receiver.
+type KeyReceiver interface {
+	Start()
+	Stop()
+	Level() int
+	Meter() *stats.Meter
+	Client() *sigma.Client
+}
+
+// KeyAttacker attacks a DELTA+SIGMA-protected session under any keying: it
+// keeps a key receiver on its fair share (the attacker still wants the
+// data) beside the shared sigma.GuessAttack engine — guessed keys for every
+// group above that share each slot plus plain IGMP joins the SIGMA router
+// ignores (§4.2). A guess must hit a key exactly, so it succeeds with
+// probability 2^−b under every keying.
+type KeyAttacker struct {
+	KeyReceiver
 	*sigma.GuessAttack
 }
 
-// NewDSAttacker turns r into an attacker guessing with rng.
-func NewDSAttacker(r *DSReceiver, rng *sim.RNG) *DSAttacker {
-	return &DSAttacker{
-		DSReceiver:  r,
-		GuessAttack: sigma.NewGuessAttack(r.Sess, r.client, r.Level, rng),
+// NewKeyAttacker turns r, a receiver of sess, into an attacker guessing
+// with rng.
+func NewKeyAttacker(sess *core.Session, r KeyReceiver, rng *sim.RNG) *KeyAttacker {
+	return &KeyAttacker{
+		KeyReceiver: r,
+		GuessAttack: sigma.NewGuessAttack(sess, r.Client(), r.Level, rng),
 	}
 }

@@ -5,11 +5,18 @@ import (
 
 	"deltasigma/internal/core"
 	"deltasigma/internal/mcast"
+	"deltasigma/internal/netsim"
 	"deltasigma/internal/packet"
 	"deltasigma/internal/sigma"
 	"deltasigma/internal/sim"
 	"deltasigma/internal/topo"
 )
+
+// dlSender builds the FLID-DL source: the bare slot loop, each group paced
+// at its own rate.
+func dlSender(host *netsim.Host, sess *core.Session, policy core.UpgradePolicy, rng *sim.RNG) *core.SlotSender {
+	return core.NewSlotSender(host, sess, sess.Rates.N, policy, rng, core.SenderHooks{Rate: sess.Rates.GroupRate})
+}
 
 // session builds the §5.1 paper session descriptor.
 func session(id uint16, slot sim.Time) *core.Session {
@@ -34,7 +41,7 @@ func TestSingleDLReceiverConvergesToFairLevel(t *testing.T) {
 		d.Multicast().SetSource(a, srcHost.ID())
 	}
 	policy := core.PeriodicUpgrades{Factor: 2, N: sess.Rates.N}
-	snd := NewSender(srcHost, sess, DL, policy, d.Rand().Fork(), nil, 0)
+	snd := dlSender(srcHost, sess, policy, d.Rand().Fork())
 	r := NewReceiver(rcv, sess, d.Routers[1].Addr(), FLIDRule)
 
 	d.Scheduler().At(0, func() { snd.Start(); r.Start() })
@@ -66,7 +73,7 @@ func TestSingleDSReceiverConvergesToFairLevel(t *testing.T) {
 		d.Multicast().SetSource(a, srcHost.ID())
 	}
 	policy := core.PeriodicUpgrades{Factor: 2, N: sess.Rates.N}
-	snd := NewSender(srcHost, sess, DS, policy, d.Rand().Fork(), nil, 2)
+	snd := NewSender(srcHost, sess, LayeredKeying, policy, d.Rand().Fork(), 2)
 	r := NewDSReceiver(rcv, sess, d.Routers[1].Addr(), Layered)
 
 	d.Scheduler().At(0, func() { snd.Start(); r.Start() })
@@ -82,13 +89,13 @@ func TestSingleDSReceiverConvergesToFairLevel(t *testing.T) {
 }
 
 func TestDLAndDSComparableThroughput(t *testing.T) {
-	run := func(mode Mode, seed uint64) float64 {
+	run := func(protected bool, seed uint64) float64 {
 		d := topo.Dumbbell(topo.PaperConfig(250_000, seed))
 		srcHost := d.AttachSource("src")
 		rcv := d.AttachReceiver("rcv", topo.DefaultDelay).Host
 		d.Finish()
 		var slot sim.Time
-		if mode == DL {
+		if !protected {
 			slot = 500 * sim.Millisecond
 			mcast.NewIGMP(d.Routers[1])
 		} else {
@@ -100,15 +107,16 @@ func TestDLAndDSComparableThroughput(t *testing.T) {
 			d.Multicast().SetSource(a, srcHost.ID())
 		}
 		policy := core.PeriodicUpgrades{Factor: 2, N: sess.Rates.N}
-		snd := NewSender(srcHost, sess, mode, policy, d.Rand().Fork(), nil, 2)
 		var meter interface {
 			AvgKbps(from, to sim.Time) float64
 		}
-		if mode == DL {
+		if !protected {
+			snd := dlSender(srcHost, sess, policy, d.Rand().Fork())
 			r := NewReceiver(rcv, sess, d.Routers[1].Addr(), FLIDRule)
 			d.Scheduler().At(0, func() { snd.Start(); r.Start() })
 			meter = r.Meter()
 		} else {
+			snd := NewSender(srcHost, sess, LayeredKeying, policy, d.Rand().Fork(), 2)
 			r := NewDSReceiver(rcv, sess, d.Routers[1].Addr(), Layered)
 			d.Scheduler().At(0, func() { snd.Start(); r.Start() })
 			meter = r.Meter()
@@ -116,8 +124,8 @@ func TestDLAndDSComparableThroughput(t *testing.T) {
 		d.Scheduler().RunUntil(60 * sim.Second)
 		return meter.AvgKbps(30*sim.Second, 60*sim.Second)
 	}
-	dl := run(DL, 11)
-	ds := run(DS, 11)
+	dl := run(false, 11)
+	ds := run(true, 11)
 	if dl == 0 || ds == 0 {
 		t.Fatalf("dead session: dl=%.0f ds=%.0f", dl, ds)
 	}
@@ -147,8 +155,8 @@ func TestInflatedSubscriptionBoostsDLAttacker(t *testing.T) {
 		d.Multicast().SetSource(a, src2.ID())
 	}
 	policy1 := core.PeriodicUpgrades{Factor: 2, N: s1.Rates.N}
-	snd1 := NewSender(src1, s1, DL, policy1, d.Rand().Fork(), nil, 0)
-	snd2 := NewSender(src2, s2, DL, policy1, d.Rand().Fork(), nil, 0)
+	snd1 := dlSender(src1, s1, policy1, d.Rand().Fork())
+	snd2 := dlSender(src2, s2, policy1, d.Rand().Fork())
 	atk := NewInflator(NewReceiver(r1h, s1, d.Routers[1].Addr(), FLIDRule))
 	good := NewReceiver(r2h, s2, d.Routers[1].Addr(), FLIDRule)
 
@@ -189,9 +197,9 @@ func TestDSPreventsInflatedSubscription(t *testing.T) {
 		d.Multicast().SetSource(a, src2.ID())
 	}
 	policy := core.PeriodicUpgrades{Factor: 2, N: s1.Rates.N}
-	snd1 := NewSender(src1, s1, DS, policy, d.Rand().Fork(), nil, 2)
-	snd2 := NewSender(src2, s2, DS, policy, d.Rand().Fork(), nil, 2)
-	atk := NewDSAttacker(NewDSReceiver(r1h, s1, d.Routers[1].Addr(), Layered), d.Rand().Fork())
+	snd1 := NewSender(src1, s1, LayeredKeying, policy, d.Rand().Fork(), 2)
+	snd2 := NewSender(src2, s2, LayeredKeying, policy, d.Rand().Fork(), 2)
+	atk := NewKeyAttacker(s1, NewDSReceiver(r1h, s1, d.Routers[1].Addr(), Layered), d.Rand().Fork())
 	good := NewDSReceiver(r2h, s2, d.Routers[1].Addr(), Layered)
 
 	d.Scheduler().At(0, func() { snd1.Start(); snd2.Start(); atk.Start(); good.Start() })
@@ -235,7 +243,7 @@ func TestTwoDSReceiversConvergeTogether(t *testing.T) {
 		d.Multicast().SetSource(a, srcHost.ID())
 	}
 	policy := core.PeriodicUpgrades{Factor: 2, N: sess.Rates.N}
-	snd := NewSender(srcHost, sess, DS, policy, d.Rand().Fork(), nil, 2)
+	snd := NewSender(srcHost, sess, LayeredKeying, policy, d.Rand().Fork(), 2)
 	r1 := NewDSReceiver(r1h, sess, d.Routers[1].Addr(), Layered)
 	r2 := NewDSReceiver(r2h, sess, d.Routers[1].Addr(), Layered)
 

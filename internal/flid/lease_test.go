@@ -33,10 +33,10 @@ func TestKeyReceiversLeaseAccumulators(t *testing.T) {
 		newAcc func(n int) flid.Accumulator
 	}{
 		{"layered", func(h *netsim.Host, s *core.Session, p core.UpgradePolicy, rng *sim.RNG) *core.SlotSender {
-			return flid.NewSender(h, s, flid.DS, p, rng, nil, 2).SlotSender
+			return flid.NewSender(h, s, flid.LayeredKeying, p, rng, 2).SlotSender
 		}, flid.Layered},
 		{"threshold", func(h *netsim.Host, s *core.Session, p core.UpgradePolicy, rng *sim.RNG) *core.SlotSender {
-			return threshold.NewSender(h, s, thresh, p, rng, 2).SlotSender
+			return flid.NewSender(h, s, flid.ShamirKeying(thresh), p, rng, 2).SlotSender
 		}, func(n int) flid.Accumulator { return delta.NewThresholdReceiver(n, thresh) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"deltasigma/internal/keys"
 	"deltasigma/internal/netsim"
 	"deltasigma/internal/packet"
-	"deltasigma/internal/replicated"
 	"deltasigma/internal/shamir"
 	"deltasigma/internal/sim"
 	"deltasigma/internal/threshold"
@@ -72,11 +71,11 @@ func TestRestartWithinSlotKeepsEachSlotWhole(t *testing.T) {
 			var snd *core.SlotSender
 			switch proto {
 			case "flid-ds":
-				snd = flid.NewSender(src, sess, flid.DS, policy, rng, nil, 1).SlotSender
+				snd = flid.NewSender(src, sess, flid.LayeredKeying, policy, rng, 1).SlotSender
 			case "threshold":
-				snd = threshold.NewSender(src, sess, threshold.GradedThresholds(sess.Rates.N), policy, rng, 1).SlotSender
+				snd = flid.NewSender(src, sess, flid.ShamirKeying(threshold.GradedThresholds(sess.Rates.N)), policy, rng, 1).SlotSender
 			case "replicated":
-				snd = replicated.NewSender(src, sess, policy, rng, 1).SlotSender
+				snd = flid.NewSender(src, sess, flid.ReplicatedKeying, policy, rng, 1).SlotSender
 			}
 
 			sched.At(0, snd.Start)

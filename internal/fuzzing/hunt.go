@@ -814,6 +814,7 @@ func Hunt(cfg HuntConfig) HuntReport {
 
 	// Rank everything ever seen and keep the report's corpus.
 	all := make([]scored, 0, len(seen))
+	// order-insensitive: rankScored sorts by fitness, then by the fingerprint the map is keyed by
 	for _, s := range seen {
 		all = append(all, s)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"slices"
 
 	"deltasigma"
 	"deltasigma/internal/campaign"
@@ -225,29 +226,24 @@ func ReadRepro(path string) (Repro, error) {
 	return r, nil
 }
 
-// malformed names the first way sp is out of range or would change under
-// normalize, or returns "" for a well-formed spec.
+// malformed names the first way sp is out of range, names a protocol or
+// attacker strategy that does not exist, or would change under normalize;
+// it returns "" for a well-formed spec.
 func (sp Spec) malformed() string {
-	if !(sp.DurationSec > 0) || sp.TCP < 0 || sp.Groups < 0 {
-		return fmt.Sprintf("duration_sec %g must be positive, tcp %d and groups %d non-negative", sp.DurationSec, sp.TCP, sp.Groups)
+	if !(sp.DurationSec > 0) {
+		return fmt.Sprintf("duration_sec %g must be positive", sp.DurationSec)
+	}
+	if err := sp.checkScalars(); err != nil {
+		return err.Error()
+	}
+	if _, ok := deltasigma.LookupProtocol(sp.Protocol); !ok {
+		return fmt.Sprintf("unknown protocol %q", sp.Protocol)
 	}
 	for si, ss := range sp.Sessions {
 		for ri, rs := range ss.Receivers {
-			if rs.DelayMs < 0 || rs.StartSec < 0 {
-				return fmt.Sprintf("receiver S%dR%d has a negative delay_ms or start_sec", si+1, ri+1)
+			if rs.Strategy != "" && !slices.Contains(huntStrategies, rs.Strategy) {
+				return fmt.Sprintf("receiver S%dR%d has unknown attacker strategy %q (want one of %v)", si+1, ri+1, rs.Strategy, huntStrategies)
 			}
-		}
-		for _, n := range ss.Cohorts {
-			if n <= 0 {
-				return fmt.Sprintf("session %d has a cohort of %d members", si+1, n)
-			}
-		}
-	}
-	for i, ev := range sp.Events {
-		window := secs(ev.ToSec) > secs(ev.FromSec)
-		if ev.Kind == EvChurn && !(ev.Rate > 0 && window) || ev.Kind == EvCap && ev.Bps <= 0 ||
-			ev.Kind == EvDelay && ev.DelayMs < 0 || ev.Kind == EvFlap && !(secs(ev.PeriodSec)/10 > 0 && window) {
-			return fmt.Sprintf("event %d (%s) has a rate, window, capacity, delay or period out of range", i+1, ev.Kind)
 		}
 	}
 	if norm := clone(sp); norm.normalize() {

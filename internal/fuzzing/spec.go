@@ -161,6 +161,9 @@ func secs(s float64) deltasigma.Time { return sim.Seconds(s) }
 // topology, schedule and timeline. Sessions and cross traffic are wired by
 // Wire after New.
 func (sp Spec) Options() ([]deltasigma.Option, error) {
+	if err := sp.checkScalars(); err != nil {
+		return nil, err
+	}
 	topo, err := sp.Topology.Option()
 	if err != nil {
 		return nil, err
@@ -182,6 +185,35 @@ func (sp Spec) Options() ([]deltasigma.Option, error) {
 		opts = append(opts, deltasigma.WithTimeline(events...))
 	}
 	return opts, nil
+}
+
+// checkScalars states the range of every count, delay, time, rate and
+// capacity a spec carries: Options refuses a spec that breaks one, so no
+// negative value is read as "unset", and ReadRepro refuses a repro file.
+func (sp Spec) checkScalars() error {
+	if sp.TCP < 0 || sp.Groups < 0 {
+		return fmt.Errorf("fuzzing: tcp %d and groups %d must be non-negative", sp.TCP, sp.Groups)
+	}
+	for si, ss := range sp.Sessions {
+		for ri, rs := range ss.Receivers {
+			if rs.DelayMs < 0 || rs.StartSec < 0 {
+				return fmt.Errorf("fuzzing: receiver S%dR%d has a negative delay_ms or start_sec", si+1, ri+1)
+			}
+		}
+		for _, n := range ss.Cohorts {
+			if n <= 0 {
+				return fmt.Errorf("fuzzing: session %d has a cohort of %d members", si+1, n)
+			}
+		}
+	}
+	for i, ev := range sp.Events {
+		window := secs(ev.ToSec) > secs(ev.FromSec)
+		if ev.Kind == EvChurn && !(ev.Rate > 0 && window) || ev.Kind == EvCap && ev.Bps <= 0 ||
+			ev.Kind == EvDelay && ev.DelayMs < 0 || ev.Kind == EvFlap && !(secs(ev.PeriodSec)/10 > 0 && window) {
+			return fmt.Errorf("fuzzing: event %d (%s) has a rate, window, capacity, delay or period out of range", i+1, ev.Kind)
+		}
+	}
+	return nil
 }
 
 // timeline converts the serialized events into typed facade events.
@@ -216,10 +248,11 @@ func (sp Spec) timeline() ([]deltasigma.TimelineEvent, error) {
 	return out, nil
 }
 
-// Wire attaches the spec's sessions, receivers and cross traffic to a
-// freshly built experiment. A spec asking for an attacker the facade
-// refuses — an unknown strategy name, a protocol with nothing to inflate;
-// only a hand-edited repro file does — gets the facade's typed error back.
+// Wire attaches the spec's sessions, receivers and cross traffic to an
+// experiment freshly built from Options. A spec asking for an attacker the
+// facade refuses — an unknown strategy name, a protocol with nothing to
+// inflate; only a hand-edited repro file does — gets the facade's typed
+// error back.
 func (sp Spec) Wire(e *deltasigma.Experiment) error {
 	for si, ss := range sp.Sessions {
 		s := e.AddSession(0)

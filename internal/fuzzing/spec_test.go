@@ -138,6 +138,12 @@ func TestReadReproRejectsWhatBuildRejects(t *testing.T) {
 		{"no_consolidation on a feedback protocol", func(sp *Spec) { sp.Protocol, sp.NoConsolidation = "dsc", true }},
 		{"empty cohort", func(sp *Spec) { sp.Sessions[1].Cohorts = []int{0} }},
 		{"negative cohort", func(sp *Spec) { sp.Sessions[0].Cohorts = []int{-4} }},
+		{"negative delay", func(sp *Spec) { sp.Sessions[0].Receivers[0].DelayMs = -5 }},
+		{"negative start", func(sp *Spec) { sp.Sessions[1].Receivers[0].StartSec = -1 }},
+		{"negative tcp", func(sp *Spec) { sp.TCP = -2 }},
+		{"negative groups", func(sp *Spec) { sp.Groups = -6 }},
+		{"unknown protocol", func(sp *Spec) { sp.Protocol = "flid-xx" }},
+		{"unknown strategy", func(sp *Spec) { sp.Sessions[0].Receivers[2].Strategy = "bribery" }},
 	}
 	for _, row := range rows {
 		rejected := readEdited(t, row)
@@ -148,11 +154,12 @@ func TestReadReproRejectsWhatBuildRejects(t *testing.T) {
 	}
 }
 
-// Some rules are the spec's alone: the facade silently ignores an oracle
-// it cannot evaluate, a consolidation switch with nothing to consolidate,
-// and negative scalars it reads as "unset" — so a repro carrying them
-// would replay as something else. ReadRepro refuses them, though the
-// spec builds and starts.
+// Some rules are the spec's alone: the facade builds and starts a spec
+// whose oracle it cannot evaluate (its audit reports the oracle when it
+// finishes), a consolidation switch with nothing to consolidate, and a
+// duration that runs nothing — so a repro carrying them would replay as
+// something else. ReadRepro refuses them, though the spec builds and
+// starts.
 func TestReadReproRejectsWhatFacadeIgnores(t *testing.T) {
 	rows := []specRow{
 		{"oracle on a missing session", func(sp *Spec) { sp.Oracle.Session = 3 }},
@@ -160,10 +167,6 @@ func TestReadReproRejectsWhatFacadeIgnores(t *testing.T) {
 		{"no_consolidation without cohorts", func(sp *Spec) { sp.NoConsolidation = true }},
 		{"negative duration", func(sp *Spec) { sp.DurationSec = -1 }},
 		{"zero duration", func(sp *Spec) { sp.DurationSec = 0 }},
-		{"negative delay", func(sp *Spec) { sp.Sessions[0].Receivers[0].DelayMs = -5 }},
-		{"negative start", func(sp *Spec) { sp.Sessions[1].Receivers[0].StartSec = -1 }},
-		{"negative tcp", func(sp *Spec) { sp.TCP = -2 }},
-		{"negative groups", func(sp *Spec) { sp.Groups = -6 }},
 	}
 	for _, row := range rows {
 		if err := readEdited(t, row); err == nil {

@@ -265,6 +265,7 @@ func (a *Auditor) CheckGraftConsistency(at sim.Time, fabric *mcast.Fabric, edges
 		// Locals is a map; sort the addresses so violation order (and with
 		// it any fingerprint of the audit) is deterministic.
 		a.hosts = a.hosts[:0]
+		// order-insensitive: the hosts are sorted below
 		for host := range edge.Locals() {
 			a.hosts = append(a.hosts, host)
 		}

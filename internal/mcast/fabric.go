@@ -203,6 +203,7 @@ func (f *Fabric) Version() uint64 { return f.version }
 // observability hook for tests.
 func (f *Fabric) ActiveLinks(group packet.Addr) int {
 	n := 0
+	// order-insensitive: a count
 	for _, c := range f.refs[group] {
 		if c > 0 {
 			n++

@@ -120,6 +120,7 @@ func (a *EdgeAgent) subscribers(sess *core.Session) []packet.Addr {
 	}
 	g1 := sess.GroupAddr(1)
 	a.subs = a.subs[:0]
+	// order-insensitive: the subscribers are sorted below
 	for addr := range a.router.Locals() {
 		if gate.Deliver(g1, addr) {
 			a.subs = append(a.subs, addr)

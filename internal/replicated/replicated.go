@@ -1,64 +1,22 @@
-// Package replicated implements a replicated multicast congestion control
-// protocol (destination-set grouping in the style of Cheung & Ammar, the
-// paper's §3.1.2 "Session structure" case) protected by the Figure 5 DELTA
-// instantiation and SIGMA: each group of the session carries the *same*
-// content at a different rate, and a receiver subscribes to exactly one
-// group, switching down on loss and up on authorization.
+// Package replicated implements the receiver of a replicated multicast
+// congestion control protocol (destination-set grouping in the style of
+// Cheung & Ammar, the paper's §3.1.2 "Session structure" case) protected by
+// the Figure 5 DELTA instantiation and SIGMA: each group of the session
+// carries the *same* content at a different rate, and a receiver subscribes
+// to exactly one group, switching down on loss and up on authorization.
+// The source is the kit's keyed source with flid.ReplicatedKeying, and an
+// attacker is flid.NewKeyAttacker over the receiver.
 package replicated
 
 import (
 	"deltasigma/internal/core"
 	"deltasigma/internal/delta"
-	"deltasigma/internal/keys"
 	"deltasigma/internal/netsim"
 	"deltasigma/internal/packet"
 	"deltasigma/internal/sigma"
 	"deltasigma/internal/sim"
 	"deltasigma/internal/stats"
 )
-
-// Sender transmits every rate group each slot and runs the Figure 5 key
-// generation: the shared sender loop pacing group g at the schedule's
-// cumulative rate of level g (each group is a complete stream).
-type Sender struct {
-	*core.SlotSender
-	dsend *delta.ReplicatedSender
-	rs    *delta.ReplicatedSlot // keys of the slot being emitted
-	ann   *sigma.Announcer
-	// tuples is the slot's announcement, refilled every slot; the
-	// announcer copies it into each announcement's header.
-	tuples []packet.KeyTuple
-}
-
-// NewSender builds a protected replicated sender.
-func NewSender(host *netsim.Host, sess *core.Session, policy core.UpgradePolicy, rng *sim.RNG, repeat int) *Sender {
-	s := &Sender{}
-	s.SlotSender = core.NewSlotSender(host, sess, sess.Rates.N, policy, rng, core.SenderHooks{
-		Rate: sess.Rates.Cumulative, Begin: s.beginSlot, Header: s.header,
-	})
-	src := keys.NewSource(keys.DefaultBits, rng.Fork().Uint64)
-	s.dsend = delta.NewReplicatedSender(sess.Rates.N, src)
-	s.ann = sigma.NewAnnouncer(host, sess.ID, sess.BaseAddr, sess.Rates.N, repeat)
-	s.ann.Spacing = sess.SlotDur / 4
-	return s
-}
-
-// beginSlot generates the slot's keys and announces them to every group: a
-// replicated receiver sits on only one tree.
-func (s *Sender) beginSlot(slot uint32, auth []bool, counts []int) {
-	s.rs = s.dsend.BeginSlot(slot, auth, counts)
-	s.tuples = s.rs.Keys.AppendTuples(s.tuples[:0], s.Sess.BaseAddr)
-	s.ann.AnnounceAll(core.AccessSlot(slot), s.tuples)
-}
-
-func (s *Sender) header(st core.Stamp) packet.Header {
-	h := s.Pool().ReplHeader()
-	h.Session, h.Group, h.Slot = st.Session, st.Group, st.Slot
-	h.Seq, h.Count, h.IncreaseTo = st.Seq, st.Count, st.IncreaseTo
-	h.HasDelta = true
-	h.Component, h.Decrease = s.rs.Fields(int(st.Group))
-	return h
-}
 
 // Receiver subscribes to a single rate group and moves between groups per
 // the Figure 5 subscription rules, through SIGMA keys.
@@ -120,6 +78,9 @@ func (r *Receiver) Level() int { return r.group }
 
 // Meter returns the meter of delivered session bytes.
 func (r *Receiver) Meter() *stats.Meter { return r.meter }
+
+// Client exposes the SIGMA client (the key attacker and tests).
+func (r *Receiver) Client() *sigma.Client { return r.client }
 
 // Start joins the session at the slowest group.
 func (r *Receiver) Start() {

@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"deltasigma/internal/core"
+	"deltasigma/internal/flid"
 	"deltasigma/internal/packet"
 	"deltasigma/internal/sigma"
 	"deltasigma/internal/sim"
 	"deltasigma/internal/topo"
 )
 
-func buildRig(capacity int64, seed uint64) (*topo.Tree, *Sender, *Receiver) {
+func buildRig(capacity int64, seed uint64) (*topo.Tree, *flid.Sender, *Receiver) {
 	d := topo.Dumbbell(topo.PaperConfig(capacity, seed))
 	src := d.AttachSource("src")
 	rcv := d.AttachReceiver("rcv", topo.DefaultDelay).Host
@@ -29,7 +30,7 @@ func buildRig(capacity int64, seed uint64) (*topo.Tree, *Sender, *Receiver) {
 		d.Multicast().SetSource(a, src.ID())
 	}
 	policy := core.PeriodicUpgrades{Factor: 2, N: sess.Rates.N}
-	snd := NewSender(src, sess, policy, d.Rand().Fork(), 2)
+	snd := flid.NewSender(src, sess, flid.ReplicatedKeying, policy, d.Rand().Fork(), 2)
 	r := NewReceiver(rcv, sess, d.Routers[1].Addr())
 	return d, snd, r
 }

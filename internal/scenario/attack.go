@@ -10,11 +10,11 @@ import (
 // F2 from different multicast sessions share a 1 Mbps bottleneck with two
 // TCP Reno receivers T1 and T2; after 100 s (scaled), F1 inflates its
 // subscription.
-func attackExperiment(opt Options, mode flid.Mode) *Result {
+func attackExperiment(opt Options, proto string) *Result {
 	dur := opt.scale(200 * sim.Second)
 	inflateAt := dur / 2
 
-	l := newLab(topo.PaperConfig(1_000_000, opt.Seed), mode)
+	l := newLab(topo.PaperConfig(1_000_000, opt.Seed), proto)
 	defer l.close()
 
 	// Session 1 carries the attacker F1, session 2 the victim F2.
@@ -27,9 +27,9 @@ func attackExperiment(opt Options, mode flid.Mode) *Result {
 	l.e.Run(dur)
 
 	res := &Result{}
-	if mode == flid.DS {
+	if proto == "flid-ds" {
 		res.Name, res.Title = "fig7", "Protection with DELTA and SIGMA (FLID-DS)"
-		res.Notef("attacker submitted %d guessed keys", atk.Unwrap().(*flid.DSAttacker).GuessesSent)
+		res.Notef("attacker submitted %d guessed keys", atk.Unwrap().(*flid.KeyAttacker).GuessesSent)
 	} else {
 		res.Name, res.Title = "fig1", "Impact of inflated subscription (FLID-DL)"
 	}
@@ -45,8 +45,8 @@ func attackExperiment(opt Options, mode flid.Mode) *Result {
 
 // Fig1 reproduces Figure 1: inflated subscription under plain FLID-DL
 // boosts the attacker's throughput at the expense of F2, T1 and T2.
-func Fig1(opt Options) *Result { return attackExperiment(opt, flid.DL) }
+func Fig1(opt Options) *Result { return attackExperiment(opt, "flid-dl") }
 
 // Fig7 reproduces Figure 7: under FLID-DS the same attack changes nothing —
 // DELTA and SIGMA preserve the fair allocation.
-func Fig7(opt Options) *Result { return attackExperiment(opt, flid.DS) }
+func Fig7(opt Options) *Result { return attackExperiment(opt, "flid-ds") }

@@ -2,8 +2,8 @@ package scenario
 
 import (
 	"fmt"
+	"strings"
 
-	"deltasigma/internal/flid"
 	"deltasigma/internal/sim"
 	"deltasigma/internal/topo"
 )
@@ -11,18 +11,18 @@ import (
 // responsivenessRun is one curve of Figure 8(e): a single multicast session
 // shares the 1 Mbps bottleneck with an 800 Kbps CBR burst between 45 s and
 // 75 s (scaled).
-func responsivenessRun(opt Options, mode flid.Mode) Series {
+func responsivenessRun(opt Options, proto string) Series {
 	dur := opt.scale(100 * sim.Second)
 	on := opt.scale(45 * sim.Second)
 	off := opt.scale(75 * sim.Second)
 
-	l := newLab(topo.PaperConfig(1_000_000, opt.Seed), mode)
+	l := newLab(topo.PaperConfig(1_000_000, opt.Seed), proto)
 	defer l.close()
 	ms := l.addSession(1)
 	l.e.AddCBR(800_000, 0, 0).Burst(on, off)
 	l.e.Run(dur)
 
-	return series(protoName(mode), ms.Receivers[0], SmoothenWin)
+	return series(proto, ms.Receivers[0], SmoothenWin)
 }
 
 // Fig8e reproduces Figure 8(e): FLID-DS backs off and recovers around the
@@ -43,14 +43,14 @@ func Fig8e(opt Options) *Result {
 // rttRun is one curve of Figure 8(f): one session, 20 receivers whose
 // round-trip times spread uniformly over 30..220 ms (bottleneck delay 5 ms),
 // average throughput per receiver.
-func rttRun(opt Options, mode flid.Mode) Curve {
+func rttRun(opt Options, proto string) Curve {
 	dur := opt.scale(200 * sim.Second)
 	warmup := dur / 4
 
 	const nRecv = 20
 	cfg := topo.PaperConfig(FairShare, opt.Seed)
 	cfg.HopDelay = 5 * sim.Millisecond
-	l := newLab(cfg, mode)
+	l := newLab(cfg, proto)
 	defer l.close()
 
 	ms := l.addSession(0)
@@ -68,7 +68,7 @@ func rttRun(opt Options, mode flid.Mode) Curve {
 	l.e.Run(dur)
 
 	var c Curve
-	c.Label = fmt.Sprintf("Average %s rates", mode)
+	c.Label = fmt.Sprintf("Average %s rates", strings.ToUpper(proto))
 	for i := 0; i < nRecv; i++ {
 		c.Points = append(c.Points, XY{X: rtts[i], Y: ms.Receivers[i].Meter().AvgKbps(warmup, dur)})
 	}
@@ -89,9 +89,9 @@ func Fig8f(opt Options) *Result {
 
 // convergenceRun is Figure 8(g)/(h): four receivers of one session join at
 // 0, 10, 20 and 30 s (scaled) and converge to the same subscription.
-func convergenceRun(opt Options, mode flid.Mode) *Result {
+func convergenceRun(opt Options, proto string) *Result {
 	dur := opt.scale(40 * sim.Second)
-	l := newLab(topo.PaperConfig(FairShare, opt.Seed), mode)
+	l := newLab(topo.PaperConfig(FairShare, opt.Seed), proto)
 	defer l.close()
 	ms := l.addSession(4)
 	for i, r := range ms.Receivers {
@@ -100,7 +100,7 @@ func convergenceRun(opt Options, mode flid.Mode) *Result {
 	l.e.Run(dur)
 
 	name, title := "fig8g", "Subscription convergence in FLID-DL"
-	if mode == flid.DS {
+	if proto == "flid-ds" {
 		name, title = "fig8h", "Subscription convergence in FLID-DS"
 	}
 	res := &Result{Name: name, Title: title}
@@ -114,7 +114,7 @@ func convergenceRun(opt Options, mode flid.Mode) *Result {
 }
 
 // Fig8g reproduces Figure 8(g): convergence under FLID-DL.
-func Fig8g(opt Options) *Result { return convergenceRun(opt, flid.DL) }
+func Fig8g(opt Options) *Result { return convergenceRun(opt, "flid-dl") }
 
 // Fig8h reproduces Figure 8(h): convergence under FLID-DS.
-func Fig8h(opt Options) *Result { return convergenceRun(opt, flid.DS) }
+func Fig8h(opt Options) *Result { return convergenceRun(opt, "flid-ds") }

@@ -27,7 +27,6 @@ import (
 
 	"deltasigma"
 	"deltasigma/internal/campaign"
-	"deltasigma/internal/flid"
 	"deltasigma/internal/sim"
 	"deltasigma/internal/stats"
 	"deltasigma/internal/topo"
@@ -122,16 +121,9 @@ func fanOut(n int, job func(i int)) {
 	}
 }
 
-// bothModes is the job list of a figure that runs FLID-DL beside FLID-DS.
-var bothModes = []flid.Mode{flid.DL, flid.DS}
-
-// protoName maps a flid mode to its facade registry name.
-func protoName(mode flid.Mode) string {
-	if mode == flid.DS {
-		return "flid-ds"
-	}
-	return "flid-dl"
-}
+// bothModes is the job list of a figure that runs FLID-DL beside FLID-DS,
+// by registry name.
+var bothModes = []string{"flid-dl", "flid-ds"}
 
 // lab is the figures' shared wiring helper. Since the facade redesign it
 // is a thin veneer over the public experiment builder: every figure
@@ -152,11 +144,11 @@ type lab struct {
 var labPools = sync.Pool{New: func() any { return new(deltasigma.PacketPool) }}
 
 // newLab builds an experiment on a dumbbell with the given configuration
-// and protocol mode.
-func newLab(cfg topo.Config, mode flid.Mode) *lab {
+// and registered protocol.
+func newLab(cfg topo.Config, proto string) *lab {
 	return openLab(
 		deltasigma.WithTopology(func(uint64) deltasigma.Topology { return topo.Dumbbell(cfg) }),
-		deltasigma.WithProtocol(protoName(mode)),
+		deltasigma.WithProtocol(proto),
 		deltasigma.WithSeed(cfg.Seed),
 	)
 }

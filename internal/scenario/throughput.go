@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"deltasigma"
-	"deltasigma/internal/flid"
 	"deltasigma/internal/sim"
 	"deltasigma/internal/stats"
 	"deltasigma/internal/topo"
@@ -20,9 +19,9 @@ func sweepCounts(opt Options) []int {
 }
 
 // throughputRun measures every multicast receiver's average throughput with
-// M sessions of the given mode, optionally with M TCP sessions and an
+// M sessions of the given protocol, optionally with M TCP sessions and an
 // on-off CBR session as cross traffic (Figure 8a/b/d body).
-func throughputRun(opt Options, mode flid.Mode, m int, cross bool) (indiv []float64) {
+func throughputRun(opt Options, proto string, m int, cross bool) (indiv []float64) {
 	dur := opt.scale(200 * sim.Second)
 	warmup := dur / 10
 
@@ -32,7 +31,7 @@ func throughputRun(opt Options, mode flid.Mode, m int, cross bool) (indiv []floa
 		nSessions = int64(2 * m)
 	}
 	capacity := FairShare * nSessions
-	l := newLab(topo.PaperConfig(capacity, opt.Seed+uint64(m)*17), mode)
+	l := newLab(topo.PaperConfig(capacity, opt.Seed+uint64(m)*17), proto)
 	defer l.close()
 
 	sessions := make([]*deltasigma.ExperimentSession, 0, m)
@@ -56,19 +55,19 @@ func throughputRun(opt Options, mode flid.Mode, m int, cross bool) (indiv []floa
 }
 
 // throughputSweeps runs throughputRun across the session counts for every
-// mode as one job list, so no worker idles between two modes' sweeps, and
-// returns one individual-rates and one average-rate curve per mode.
-func throughputSweeps(opt Options, cross bool, modes ...flid.Mode) (indiv, avg []Curve) {
+// protocol as one job list, so no worker idles between two protocols' sweeps, and
+// returns one individual-rates and one average-rate curve per protocol.
+func throughputSweeps(opt Options, cross bool, protos ...string) (indiv, avg []Curve) {
 	counts := sweepCounts(opt)
-	rates := make([][]float64, len(modes)*len(counts)) // mode-major
+	rates := make([][]float64, len(protos)*len(counts)) // protocol-major
 	// The pool hands out indices in order, so the list runs the largest m
 	// first: the longest runs start first and a short one finishes last.
 	fanOut(len(rates), func(j int) {
-		k, c := j%len(modes), len(counts)-1-j/len(modes)
-		rates[k*len(counts)+c] = throughputRun(opt, modes[k], counts[c], cross)
+		k, c := j%len(protos), len(counts)-1-j/len(protos)
+		rates[k*len(counts)+c] = throughputRun(opt, protos[k], counts[c], cross)
 	})
-	indiv, avg = make([]Curve, len(modes)), make([]Curve, len(modes))
-	for k := range modes {
+	indiv, avg = make([]Curve, len(protos)), make([]Curve, len(protos))
+	for k := range protos {
 		for c, m := range counts {
 			r := rates[k*len(counts)+c]
 			for _, y := range r {
@@ -83,7 +82,7 @@ func throughputSweeps(opt Options, cross bool, modes ...flid.Mode) (indiv, avg [
 // Fig8a reproduces Figure 8(a): FLID-DL individual and average receiver
 // throughput versus the number of multicast sessions, no cross traffic.
 func Fig8a(opt Options) *Result {
-	indiv, avg := throughputSweeps(opt, false, flid.DL)
+	indiv, avg := throughputSweeps(opt, false, "flid-dl")
 	indiv[0].Label, avg[0].Label = "Individual rates", "Average rate"
 	return &Result{
 		Name:   "fig8a",
@@ -94,7 +93,7 @@ func Fig8a(opt Options) *Result {
 
 // Fig8b reproduces Figure 8(b): the same for FLID-DS.
 func Fig8b(opt Options) *Result {
-	indiv, avg := throughputSweeps(opt, false, flid.DS)
+	indiv, avg := throughputSweeps(opt, false, "flid-ds")
 	indiv[0].Label, avg[0].Label = "Individual rates", "Average rate"
 	return &Result{
 		Name:   "fig8b",

@@ -18,12 +18,13 @@ import (
 // Tuples travel on the session's minimal group: every legitimate
 // subscription level of a cumulative layered session contains it, so every
 // edge router with subscribers sits on its tree. Replicated sessions
-// announce on every group instead (AnnounceAll).
+// announce on every group instead, since a receiver sits on one arbitrary
+// group's tree.
 type Announcer struct {
 	host    *netsim.Host
 	session uint16
 	base    packet.Addr
-	groups  int
+	groups  int // groups from base each announcement goes on
 	// Repeat is the FEC expansion factor z.
 	Repeat int
 	// Spacing staggers the coded copies in time so a full bottleneck queue
@@ -48,8 +49,9 @@ type Announcer struct {
 	SlotsDone   uint64
 }
 
-// NewAnnouncer builds an announcer for a session of n groups based at base,
-// originating from host.
+// NewAnnouncer builds an announcer originating from host that announces on
+// the n groups from base: 1 for a cumulative layered session, every group
+// for a replicated one.
 func NewAnnouncer(host *netsim.Host, session uint16, base packet.Addr, n, repeat int) *Announcer {
 	if repeat < 1 {
 		repeat = 1
@@ -65,18 +67,10 @@ type spacedCopy struct {
 	res sim.Reservation
 }
 
-// Announce multicasts the slot's tuples on the minimal group. Every copy
-// carries the tuples in its header's own array, so the caller may refill
-// tuples as soon as Announce returns.
+// Announce multicasts the slot's tuples on the announcer's groups. Every
+// copy carries the tuples in its header's own array, so the caller may
+// refill tuples as soon as Announce returns.
 func (a *Announcer) Announce(slot uint32, tuples []packet.KeyTuple) {
-	a.announceOn(a.base, slot, tuples)
-	a.SlotsDone++
-}
-
-// AnnounceAll multicasts the slot's tuples on every group of the session,
-// reaching edge routers of replicated sessions whose receivers subscribe to
-// a single arbitrary group.
-func (a *Announcer) AnnounceAll(slot uint32, tuples []packet.KeyTuple) {
 	for g := 0; g < a.groups; g++ {
 		a.announceOn(packet.Group(a.base, g), slot, tuples)
 	}

@@ -99,6 +99,7 @@ func (c *Collusion) learn(slot uint32, pairs []packet.AddrKey) {
 // the pool's scratch, valid until the next call.
 func (c *Collusion) slots() []uint32 {
 	c.order = c.order[:0]
+	// order-insensitive: the slots are sorted below
 	for slot := range c.shared {
 		c.order = append(c.order, slot)
 	}
@@ -118,6 +119,7 @@ func (c *Collusion) sharedKey(slot uint32, addr packet.Addr) (keys.Key, bool) {
 // work stays O(GuessesPerSlot) even when the unseen space thins out.
 func (c *Collusion) freshGuess(rng *sim.RNG, slot uint32, addr packet.Addr) keys.Key {
 	if slot != c.guessSlot {
+		// order-insensitive: clears every set
 		for _, seen := range c.guessed {
 			clear(seen)
 		}
@@ -141,6 +143,7 @@ func (c *Collusion) freshGuess(rng *sim.RNG, slot uint32, addr packet.Addr) keys
 // irrelevant here: only entries strictly below cur are deleted, so the
 // surviving state is order-independent.
 func (c *Collusion) gc(cur uint32) {
+	// order-insensitive: deletes every slot below cur; the idle maps it keeps are all empty
 	for slot, bySlot := range c.shared {
 		if slot < cur {
 			delete(c.shared, slot)

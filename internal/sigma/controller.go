@@ -229,7 +229,9 @@ func (c *Controller) tick() {
 	// Drop stored keys older than the previous slot, and with them the
 	// dedup entries of their announcements: Intercept turns a copy that
 	// late away before it consults the dedup set.
+	// order-insensitive: deletes every stale key and empty group
 	for group, slots := range c.store {
+		// order-insensitive: deletes every stale key
 		for s := range slots {
 			if s+1 < cur {
 				delete(slots, s)
@@ -239,6 +241,7 @@ func (c *Controller) tick() {
 			delete(c.store, group)
 		}
 	}
+	// order-insensitive: deletes every stale dedup entry
 	for id := range c.seen {
 		if id.slot+1 < cur {
 			delete(c.seen, id)
@@ -251,7 +254,9 @@ func (c *Controller) tick() {
 	}
 	clear(c.inUse)
 	inUse := c.inUse
+	// order-insensitive: each grant expires, counts as in use or is revoked on its own; revoked grants are reset when reused
 	for _, ifc := range c.ifaces {
+		// order-insensitive: each grant expires, counts as in use or is revoked on its own; revoked grants are reset when reused
 		for group, g := range ifc.grants {
 			g.expireBefore(cur)
 			if g.probation && g.graceUntil <= now && g.graceUntil != 0 {
@@ -268,6 +273,7 @@ func (c *Controller) tick() {
 			}
 		}
 	}
+	// order-insensitive: prunes of distinct groups commute, even when deferred to the same instant
 	for group := range c.grafted {
 		if !inUse[group] {
 			c.router.Prune(group)

@@ -108,7 +108,9 @@ func (ik *InterfaceKeying) Validate(host, group packet.Addr, slot uint32, submit
 
 // gc drops alteration state older than slot.
 func (ik *InterfaceKeying) gc(olderThan uint32) {
+	// order-insensitive: deletes every stale slot
 	for _, slots := range ik.alt {
+		// order-insensitive: deletes every stale slot
 		for s := range slots {
 			if s+1 < olderThan {
 				delete(slots, s)

@@ -57,7 +57,7 @@ func newRig(t *testing.T) *rig {
 		fabric.SetSource(packet.Group(grp, g), r.src.ID())
 	}
 	r.keySrc = keys.NewSource(keys.DefaultBits, rng.Fork().Uint64)
-	r.ann = NewAnnouncer(r.src, 1, grp, nGroups, 2)
+	r.ann = NewAnnouncer(r.src, 1, grp, 1, 2)
 	return r
 }
 

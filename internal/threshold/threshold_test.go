@@ -11,7 +11,7 @@ import (
 	"deltasigma/internal/topo"
 )
 
-func buildRig(capacity int64, thresh []float64, seed uint64) (*topo.Tree, *Sender, *flid.DSReceiver) {
+func buildRig(capacity int64, thresh []float64, seed uint64) (*topo.Tree, *flid.Sender, *flid.DSReceiver) {
 	d := topo.Dumbbell(topo.PaperConfig(capacity, seed))
 	src := d.AttachSource("src")
 	rcv := d.AttachReceiver("rcv", topo.DefaultDelay).Host
@@ -30,7 +30,7 @@ func buildRig(capacity int64, thresh []float64, seed uint64) (*topo.Tree, *Sende
 		d.Multicast().SetSource(a, src.ID())
 	}
 	policy := core.PeriodicUpgrades{Factor: 2, N: sess.Rates.N}
-	snd := NewSender(src, sess, thresh, policy, d.Rand().Fork(), 2)
+	snd := flid.NewSender(src, sess, flid.ShamirKeying(thresh), policy, d.Rand().Fork(), 2)
 	r := NewReceiver(rcv, sess, thresh, d.Routers[1].Addr())
 	return d, snd, r
 }

@@ -137,12 +137,10 @@ func upgradePolicy(sess *Session) core.UpgradePolicy {
 	return core.PeriodicUpgrades{Factor: 2 * float64(500*Millisecond) / float64(sess.SlotDur), N: sess.Rates.N}
 }
 
-// flidSender is the FLID layered source in mode: FLID-DL for the
-// unprotected rows, FLID-DS with DELTA layered keying for flid-ds.
-func flidSender(mode flid.Mode) func(*Host, *Session, *RNG) Agent {
-	return func(host *Host, sess *Session, rng *RNG) Agent {
-		return flid.NewSender(host, sess, mode, upgradePolicy(sess), rng, nil, announceRepeat)
-	}
+// plainSender is the FLID-DL source the unprotected layered rows run: the
+// bare slot loop, each group paced at its own rate.
+func plainSender(host *Host, sess *Session, rng *RNG) Agent {
+	return core.NewSlotSender(host, sess, sess.Rates.N, upgradePolicy(sess), rng, core.SenderHooks{Rate: sess.Rates.GroupRate})
 }
 
 // ThresholdProtocol is the RLM/WEBRC-family layered protocol whose
@@ -160,13 +158,13 @@ func ThresholdProtocol(thresholds []float64) Protocol {
 	return Protocol{
 		Name: "flid-ds-threshold", Protected: true, Slot: 250 * Millisecond, Cohorts: true,
 		Sender: func(host *Host, sess *Session, rng *RNG) Agent {
-			return threshold.NewSender(host, sess, tolerances(sess), upgradePolicy(sess), rng, announceRepeat)
+			return flid.NewSender(host, sess, flid.ShamirKeying(tolerances(sess)), upgradePolicy(sess), rng, announceRepeat)
 		},
 		Receiver: func(host *Host, sess *Session, edge Addr) ReceiverAgent {
 			return threshold.NewReceiver(host, sess, tolerances(sess), edge)
 		},
 		Attacker: func(host *Host, sess *Session, edge Addr, rng *RNG) Attacker {
-			return flid.NewDSAttacker(threshold.NewReceiver(host, sess, tolerances(sess), edge), rng)
+			return flid.NewKeyAttacker(sess, threshold.NewReceiver(host, sess, tolerances(sess), edge), rng)
 		},
 	}
 }
@@ -205,7 +203,7 @@ var protocols = []Protocol{
 	// flid-dl: FLID-DL over plain IGMP, the vulnerable baseline (§5.1).
 	{
 		Name: "flid-dl", Slot: 500 * Millisecond, Cohorts: true,
-		Sender: flidSender(flid.DL),
+		Sender: plainSender,
 		Receiver: func(host *Host, sess *Session, edge Addr) ReceiverAgent {
 			return flid.NewReceiver(host, sess, edge, flid.FLIDRule)
 		},
@@ -218,12 +216,14 @@ var protocols = []Protocol{
 	// and upgradePolicy keeps flid-dl's increase signals per second.
 	{
 		Name: "flid-ds", Protected: true, Slot: 250 * Millisecond, Cohorts: true,
-		Sender: flidSender(flid.DS),
+		Sender: func(host *Host, sess *Session, rng *RNG) Agent {
+			return flid.NewSender(host, sess, flid.LayeredKeying, upgradePolicy(sess), rng, announceRepeat)
+		},
 		Receiver: func(host *Host, sess *Session, edge Addr) ReceiverAgent {
 			return flid.NewDSReceiver(host, sess, edge, flid.Layered)
 		},
 		Attacker: func(host *Host, sess *Session, edge Addr, rng *RNG) Attacker {
-			return flid.NewDSAttacker(flid.NewDSReceiver(host, sess, edge, flid.Layered), rng)
+			return flid.NewKeyAttacker(sess, flid.NewDSReceiver(host, sess, edge, flid.Layered), rng)
 		},
 	},
 	// flid-ds-replicated: one group per receiver, switched with Figure 5
@@ -233,13 +233,13 @@ var protocols = []Protocol{
 	{
 		Name: "flid-ds-replicated", Protected: true, Slot: 250 * Millisecond,
 		Sender: func(host *Host, sess *Session, rng *RNG) Agent {
-			return replicated.NewSender(host, sess, upgradePolicy(sess), rng, announceRepeat)
+			return flid.NewSender(host, sess, flid.ReplicatedKeying, upgradePolicy(sess), rng, announceRepeat)
 		},
 		Receiver: func(host *Host, sess *Session, edge Addr) ReceiverAgent {
 			return replicated.NewReceiver(host, sess, edge)
 		},
 		Attacker: func(host *Host, sess *Session, edge Addr, rng *RNG) Attacker {
-			return replicated.NewAttacker(replicated.NewReceiver(host, sess, edge), rng)
+			return flid.NewKeyAttacker(sess, replicated.NewReceiver(host, sess, edge), rng)
 		},
 	},
 	ThresholdProtocol(nil),
@@ -251,7 +251,7 @@ var protocols = []Protocol{
 		EdgeAgent: func(router *EdgeRouter, sessions []*Session) Agent {
 			return mfcc.NewEdgeAgent(router, sessions)
 		},
-		Sender: flidSender(flid.DL),
+		Sender: plainSender,
 		Receiver: func(host *Host, sess *Session, edge Addr) ReceiverAgent {
 			return mfcc.NewReceiver(host, sess, edge)
 		},

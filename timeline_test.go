@@ -118,7 +118,7 @@ func TestAttackerRestartSingleGuessLoop(t *testing.T) {
 			deltasigma.WithTimeline(events...),
 		)
 		atk := exp.AddSession(1).AddAttacker()
-		a := atk.Unwrap().(*flid.DSAttacker)
+		a := atk.Unwrap().(*flid.KeyAttacker)
 		exp.Advance(6 * deltasigma.Second)
 		before := a.GuessesSent
 		exp.Advance(12 * deltasigma.Second)
