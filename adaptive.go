@@ -49,11 +49,7 @@ func adaptiveActions(events []TimelineEvent) []adaptiveAction {
 		case PoissonChurn:
 			window(ev.From, ev.To)
 		case LinkFlap:
-			downFor := ev.DownFor
-			if downFor == 0 {
-				downFor = ev.Period / 10
-			}
-			_, ups := dynamics.FlapInstants(ev.Period, downFor, ev.From, ev.To)
+			_, ups := dynamics.FlapInstants(ev.Period, ev.From, ev.To)
 			for _, up := range ups {
 				trigger(up)
 			}

@@ -6,75 +6,121 @@
 //	go run ./cmd/figures            # full paper-length runs
 //	go run ./cmd/figures -scale 0.3 # quicker, shortened runs
 //	go run ./cmd/figures -only fig7
+//
+// A bad flag, a non-positive -scale or an unknown -only name exits 2.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"deltasigma/internal/scenario"
 )
 
+// figs is every figure the command can regenerate, in run order.
+var figs = []struct {
+	name string
+	run  func(scenario.Options) *scenario.Result
+}{
+	{"fig1", scenario.Fig1},
+	{"fig7", scenario.Fig7},
+	{"fig8a", scenario.Fig8a},
+	{"fig8b", scenario.Fig8b},
+	{"fig8c", scenario.Fig8c},
+	{"fig8d", scenario.Fig8d},
+	{"fig8e", scenario.Fig8e},
+	{"fig8f", scenario.Fig8f},
+	{"fig8g", scenario.Fig8g},
+	{"fig8h", scenario.Fig8h},
+	{"fig9a", scenario.Fig9a},
+	{"fig9b", scenario.Fig9b},
+}
+
+// usageError is a command line the command refuses before running
+// anything; it exits 2, as the flag package does.
+type usageError struct{ msg string }
+
+func (e usageError) Error() string { return e.msg }
+
 func main() {
-	scale := flag.Float64("scale", 1.0, "duration scale factor (1 = paper length)")
-	seed := flag.Uint64("seed", 2003, "experiment seed")
-	out := flag.String("out", "results", "output directory for .dat files")
-	only := flag.String("only", "", "comma-separated figure names (e.g. fig1,fig9a)")
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout)
+	// -h/-help reaches here as flag.ErrHelp; the usage text has already
+	// been printed, and help is not a failure.
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	fmt.Fprintln(os.Stderr, "figures:", err)
+	if errors.As(err, new(usageError)) {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	scale := fs.Float64("scale", 1.0, "duration scale factor (1 = paper length)")
+	seed := fs.Uint64("seed", 2003, "experiment seed")
+	dir := fs.String("out", "results", "output directory for .dat files")
+	only := fs.String("only", "", "comma-separated figure names (e.g. fig1,fig9a)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{err.Error()}
+	}
 	// Durations read a scale at or below 0 as full length, but the
 	// Figure 9 axes read anything below 1 as the reduced grid, so a
 	// non-positive scale would run a mix of both.
 	if *scale <= 0 {
-		fmt.Fprintf(os.Stderr, "figures: -scale must be positive, got %g\n", *scale)
-		os.Exit(2)
+		return usageError{fmt.Sprintf("-scale must be positive, got %g", *scale)}
+	}
+	want, err := selected(*only)
+	if err != nil {
+		return err
 	}
 
 	opt := scenario.Options{Scale: *scale, Seed: *seed}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if err := os.MkdirAll(*dir, 0o755); err != nil {
+		return err
 	}
-
-	figs := []struct {
-		name string
-		run  func(scenario.Options) *scenario.Result
-	}{
-		{"fig1", scenario.Fig1},
-		{"fig7", scenario.Fig7},
-		{"fig8a", scenario.Fig8a},
-		{"fig8b", scenario.Fig8b},
-		{"fig8c", scenario.Fig8c},
-		{"fig8d", scenario.Fig8d},
-		{"fig8e", scenario.Fig8e},
-		{"fig8f", scenario.Fig8f},
-		{"fig8g", scenario.Fig8g},
-		{"fig8h", scenario.Fig8h},
-		{"fig9a", scenario.Fig9a},
-		{"fig9b", scenario.Fig9b},
-	}
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, n := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(n)] = true
-		}
-	}
-
 	for _, f := range figs {
 		if len(want) > 0 && !want[f.name] {
 			continue
 		}
 		res := f.run(opt)
-		path := filepath.Join(*out, res.Name+".dat")
-		if err := writeDat(path, res); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := writeDat(filepath.Join(*dir, res.Name+".dat"), res); err != nil {
+			return err
 		}
-		summarize(res)
+		summarize(out, res)
 	}
+	return nil
+}
+
+// selected parses -only into the set of figures to run (empty: all of
+// them), refusing a name no figure has.
+func selected(only string) (map[string]bool, error) {
+	want := map[string]bool{}
+	if only == "" {
+		return want, nil
+	}
+	names := make([]string, len(figs))
+	for i, f := range figs {
+		names[i] = f.name
+	}
+	for _, n := range strings.Split(only, ",") {
+		n = strings.TrimSpace(n)
+		if !slices.Contains(names, n) {
+			return nil, usageError{fmt.Sprintf("-only: unknown figure %q; valid names: %s", n, strings.Join(names, ", "))}
+		}
+		want[n] = true
+	}
+	return want, nil
 }
 
 func writeDat(path string, res *scenario.Result) error {
@@ -98,17 +144,17 @@ func writeDat(path string, res *scenario.Result) error {
 	return os.WriteFile(path, []byte(b.String()), 0o644)
 }
 
-func summarize(res *scenario.Result) {
-	fmt.Printf("== %s: %s\n", res.Name, res.Title)
+func summarize(out io.Writer, res *scenario.Result) {
+	fmt.Fprintf(out, "== %s: %s\n", res.Name, res.Title)
 	for _, n := range res.Notes {
-		fmt.Printf("   note: %s\n", n)
+		fmt.Fprintf(out, "   note: %s\n", n)
 	}
 	for _, s := range res.Series {
 		if len(s.Points) == 0 {
 			continue
 		}
 		span := s.Points[len(s.Points)-1].T
-		fmt.Printf("   %-12s first-half avg %7.1f Kbps, second-half avg %7.1f Kbps\n",
+		fmt.Fprintf(out, "   %-12s first-half avg %7.1f Kbps, second-half avg %7.1f Kbps\n",
 			s.Label,
 			scenario.SeriesAvg(s, span*0.1, span*0.5),
 			scenario.SeriesAvg(s, span*0.55, span))
@@ -117,11 +163,11 @@ func summarize(res *scenario.Result) {
 		if len(c.Points) == 0 {
 			continue
 		}
-		fmt.Printf("   %-24s", c.Label)
+		fmt.Fprintf(out, "   %-24s", c.Label)
 		for _, p := range c.Points {
-			fmt.Printf(" (%g, %.2f)", p.X, p.Y)
+			fmt.Fprintf(out, " (%g, %.2f)", p.X, p.Y)
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 }

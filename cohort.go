@@ -17,17 +17,14 @@ const feedbackHold = 5 * Millisecond
 
 // Cohort wraps an aggregated population of well-behaved receivers: one
 // fluid model of n members behind a private edge (see internal/cohort)
-// instead of n per-packet receiver objects. It exposes the same lifecycle
-// surface as Receiver — StartAt/Manual wiring, Start/Stop at runtime — plus
-// the aggregate views (Online, Levels, MeanLevel) individuals do not have.
+// instead of n per-packet receiver objects. It exposes Receiver's runtime
+// lifecycle — Start/Stop — plus the aggregate views (Online, Levels,
+// MeanLevel) individuals do not have. Every cohort starts at time zero.
 type Cohort struct {
 	agent *cohort.Agent
 
-	exp     *Experiment
 	session int
 	index   int
-	startAt Time
-	manual  bool
 }
 
 // AddCohort attaches an aggregated population of n well-behaved receivers
@@ -59,28 +56,10 @@ func (s *ExperimentSession) AddCohortDelay(n int, delay Time) *Cohort {
 	agent.SetFeedbackDst(s.src.Addr())
 	c := &Cohort{
 		agent:   agent,
-		exp:     s.exp,
 		session: s.index,
 		index:   len(s.Cohorts) + 1,
 	}
 	s.Cohorts = append(s.Cohorts, c)
-	return c
-}
-
-// StartAt defers the cohort's automatic start to virtual time t, like
-// Receiver.StartAt. Call before the experiment starts; returns the cohort
-// for chaining.
-func (c *Cohort) StartAt(t Time) *Cohort {
-	c.exp.mustNotHaveStarted("StartAt")
-	c.startAt = t
-	return c
-}
-
-// Manual suppresses the cohort's automatic start; it joins only on an
-// explicit Start call. Call before the experiment starts.
-func (c *Cohort) Manual() *Cohort {
-	c.exp.mustNotHaveStarted("Manual")
-	c.manual = true
 	return c
 }
 

@@ -193,7 +193,6 @@ type Receiver struct {
 	session int
 	index   int
 	startAt Time
-	manual  bool
 
 	// strategy is the attacker behavior selected by WithStrategy (empty
 	// for well-behaved receivers and attackers added without it);
@@ -208,15 +207,6 @@ type Receiver struct {
 func (r *Receiver) StartAt(t Time) *Receiver {
 	r.exp.mustNotHaveStarted("StartAt")
 	r.startAt = t
-	return r
-}
-
-// Manual suppresses the receiver's automatic start: it joins only when a
-// ReceiverJoin event (or an explicit Start call) says so. Call before the
-// experiment starts; returns the receiver for chaining.
-func (r *Receiver) Manual() *Receiver {
-	r.exp.mustNotHaveStarted("Manual")
-	r.manual = true
 	return r
 }
 
@@ -450,9 +440,6 @@ func (e *Experiment) Start() {
 			})
 		}
 		for _, r := range s.Receivers {
-			if r.manual {
-				continue // joins only by timeline event or explicit Start
-			}
 			rs := r.sched(sched)
 			if len(batch) > 0 && (r.startAt != batchAt || rs != batchSched) {
 				flush()
@@ -462,11 +449,7 @@ func (e *Experiment) Start() {
 		}
 		flush()
 		for _, c := range s.Cohorts {
-			if c.manual {
-				continue
-			}
-			c := c
-			sched.At(c.startAt, c.Start)
+			sched.At(0, c.Start)
 		}
 	}
 	for _, f := range e.tcps {

@@ -115,7 +115,7 @@ func New(host *netsim.Host, edge *mcast.Router, sess *core.Session, n uint64) *A
 		members: n,
 		offline: n,
 		tally:   flid.NewTally(host.Scheduler(), sess),
-		Meter:   stats.NewMeter(sim.Second),
+		Meter:   new(stats.Meter),
 	}
 	a.loop = core.NewSlotLoop(host.Scheduler(), sess, a.onEval)
 	host.Handle(packet.ProtoFLID, a.onData)

@@ -105,8 +105,7 @@ type Session struct {
 	BaseAddr   packet.Addr
 	Src        packet.Addr // unicast address of the session source (0 until wired)
 	Rates      RateSchedule
-	SlotDur    sim.Time
-	Epoch      sim.Time // when slot 0 begins
+	SlotDur    sim.Time // slot s spans [s·SlotDur, (s+1)·SlotDur)
 	PacketSize int      // wire bytes per data packet (576 in §5.1)
 
 	addrs []packet.Addr // Addrs' slice, built on first use
@@ -127,15 +126,12 @@ func (s *Session) GroupIndex(a packet.Addr) int {
 
 // SlotAt returns the slot number active at virtual time t.
 func (s *Session) SlotAt(t sim.Time) uint32 {
-	if t < s.Epoch {
-		return 0
-	}
-	return uint32((t - s.Epoch) / s.SlotDur)
+	return uint32(t / s.SlotDur)
 }
 
 // SlotStart returns when a slot begins.
 func (s *Session) SlotStart(slot uint32) sim.Time {
-	return s.Epoch + sim.Time(slot)*s.SlotDur
+	return sim.Time(slot) * s.SlotDur
 }
 
 // Addrs returns every group address of the session, minimal first. The

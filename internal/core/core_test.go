@@ -138,17 +138,17 @@ func TestKeyPairsAppendsRunInGroupOrder(t *testing.T) {
 }
 
 func TestSessionSlotClock(t *testing.T) {
-	s := &Session{SlotDur: 250 * sim.Millisecond, Epoch: sim.Second}
-	if s.SlotAt(0) != 0 {
-		t.Fatal("pre-epoch time must be slot 0")
-	}
-	if s.SlotAt(sim.Second) != 0 || s.SlotAt(1240*sim.Millisecond) != 0 {
+	s := &Session{SlotDur: 250 * sim.Millisecond}
+	if s.SlotAt(0) != 0 || s.SlotAt(240*sim.Millisecond) != 0 {
 		t.Fatal("first slot misnumbered")
 	}
-	if s.SlotAt(1250*sim.Millisecond) != 1 {
+	if s.SlotAt(250*sim.Millisecond) != 1 {
 		t.Fatal("slot boundary misnumbered")
 	}
-	if s.SlotStart(4) != 2*sim.Second {
+	if s.SlotAt(sim.Second) != 4 || s.SlotAt(1240*sim.Millisecond) != 4 {
+		t.Fatal("later slot misnumbered")
+	}
+	if s.SlotStart(4) != sim.Second {
 		t.Fatalf("SlotStart(4) = %v", s.SlotStart(4))
 	}
 }

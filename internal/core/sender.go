@@ -109,10 +109,10 @@ func NewSlotSender(host *netsim.Host, sess *Session, groups int, policy UpgradeP
 	return s
 }
 
-// Start begins the slot loop at the session epoch (or immediately if the
-// epoch has passed). A Start before a Stop has taken effect — the slot the
-// source was stopped in is still sending — resumes the loop at the next
-// slot instead of running the current one a second time.
+// Start begins the slot loop now, in the slot the clock is in. A Start
+// before a Stop has taken effect — the slot the source was stopped in is
+// still sending — resumes the loop at the next slot instead of running the
+// current one a second time.
 func (s *SlotSender) Start() {
 	if s.running {
 		return
@@ -121,13 +121,9 @@ func (s *SlotSender) Start() {
 	if s.slotTimer.Active() {
 		return
 	}
-	sched := s.host.Scheduler()
-	start := s.Sess.Epoch
-	if start < sched.Now() {
-		start = sched.Now()
-	}
-	s.nextSlot = s.Sess.SlotAt(start)
-	s.slotTimer.ResetAt(start)
+	now := s.host.Scheduler().Now()
+	s.nextSlot = s.Sess.SlotAt(now)
+	s.slotTimer.ResetAt(now)
 }
 
 // Stop halts the sender after the current slot. The slot's emission

@@ -15,7 +15,7 @@ import "deltasigma/internal/sim"
 const guardFraction = 0.8
 
 // SlotDriver batches every slotted receiver that shares a slot clock —
-// same epoch and slot duration, hence the same guard point — behind one
+// same slot duration, hence the same guard point — behind one
 // scheduler event per slot. Before it existed each receiver armed its own
 // timer at the common guard point, so a slot boundary cost one event pop per
 // receiver; now the driver pops once and walks its member list, which is
@@ -32,7 +32,6 @@ const guardFraction = 0.8
 // evaluation sequence the timer-per-receiver design produced.
 type SlotDriver struct {
 	sched   *sim.Scheduler
-	epoch   sim.Time
 	slotDur sim.Time
 	guard   sim.Time
 
@@ -43,16 +42,13 @@ type SlotDriver struct {
 	firing    bool
 }
 
-// slotClockKey anchors one driver per distinct slot clock on a scheduler.
-type slotClockKey struct {
-	epoch   sim.Time
-	slotDur sim.Time
-}
+// slotClockKey anchors one driver per distinct slot duration on a
+// scheduler: every slot clock starts at time zero.
+type slotClockKey sim.Time
 
 func driverFor(sched *sim.Scheduler, sess *Session) *SlotDriver {
-	key := slotClockKey{epoch: sess.Epoch, slotDur: sess.SlotDur}
-	return sched.Anchor(key, func() any {
-		d := &SlotDriver{sched: sched, epoch: sess.Epoch, slotDur: sess.SlotDur,
+	return sched.Anchor(slotClockKey(sess.SlotDur), func() any {
+		d := &SlotDriver{sched: sched, slotDur: sess.SlotDur,
 			guard: sim.Time(guardFraction * float64(sess.SlotDur))}
 		d.timer = sched.NewTimer(d.fire)
 		return d
@@ -61,7 +57,7 @@ func driverFor(sched *sim.Scheduler, sess *Session) *SlotDriver {
 
 // evalAt is the guard point of slot: a guard interval into the next slot.
 func (d *SlotDriver) evalAt(slot uint32) sim.Time {
-	return d.epoch + sim.Time(slot+1)*d.slotDur + d.guard
+	return sim.Time(slot+1)*d.slotDur + d.guard
 }
 
 // join makes l an active member waiting on l.nextSlot. An already-active

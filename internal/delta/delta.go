@@ -60,7 +60,10 @@ func (k *SlotKeys) Groups() int { return len(k.Top) }
 
 // Opens reports whether key opens group g (1-based) in this slot: it must
 // match the top key, the decrease key, or — when an upgrade to g was
-// authorized — the increase key. This is the validation edge routers run.
+// authorized — the increase key. That is the rule edge routers validate
+// by, but the SIGMA controller applies it to the announced tuples, not to a
+// SlotKeys, so Opens is the key oracle of tests: this package's, and
+// internal/flid's kernel test across packages.
 func (k *SlotKeys) Opens(g int, key keys.Key) bool {
 	if g < 1 || g > len(k.Top) {
 		return false

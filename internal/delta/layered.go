@@ -148,17 +148,6 @@ func (ls *LayeredSlot) Fields(g int) (component, decrease keys.Key) {
 	return component, decrease
 }
 
-// Done reports whether every scheduled packet of every group has had its
-// fields handed out.
-func (ls *LayeredSlot) Done() bool {
-	for g, comps := range ls.comps {
-		if ls.next[g] != len(comps) {
-			return false
-		}
-	}
-	return true
-}
-
 // LayeredReceiver implements the receiver half of Figure 4: it accumulates
 // the component and decrease fields observed during a slot and, at slot
 // end, derives the receiver's entitled next level and the keys for it.
@@ -227,9 +216,6 @@ func (r *LayeredReceiver) Observe(h *packet.FLIDHeader, marked bool) {
 		r.sawMarked = true
 	}
 }
-
-// Received reports how many packets arrived for group g this slot.
-func (r *LayeredReceiver) Received(g int) int { return r.groups[g-1].got }
 
 // lost reports whether group g (1-based) lost at least one packet this
 // slot. A group from which nothing arrived counts as lossy: the sender

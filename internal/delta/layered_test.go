@@ -54,6 +54,20 @@ func deliver(r *LayeredReceiver, headers [][]*packet.FLIDHeader, drop map[[2]int
 	}
 }
 
+// Done reports whether every scheduled packet of every group has had its
+// fields handed out.
+func (ls *LayeredSlot) Done() bool {
+	for g, comps := range ls.comps {
+		if ls.next[g] != len(comps) {
+			return false
+		}
+	}
+	return true
+}
+
+// Received reports how many packets arrived for group g this slot.
+func (r *LayeredReceiver) Received(g int) int { return r.groups[g-1].got }
+
 func auths(n int, upTo int) []bool {
 	a := make([]bool, n)
 	for g := 2; g <= upTo && g <= n; g++ {

@@ -142,9 +142,9 @@ func (c *Churn) fire() {
 
 // Flapper drives periodic down/up cycles on anything with a two-state
 // lifecycle — the facade points it at a link's Down/Up pair. Each period
-// the target goes down at the period boundary and comes back up DownFor
-// later. The up transition always fires, even past the horizon, so a
-// flapped link is never left dangling down at the end of a run.
+// the target goes down at the period boundary and comes back up a tenth of
+// the period later. The up transition always fires, even past the horizon,
+// so a flapped link is never left dangling down at the end of a run.
 type Flapper struct {
 	sched   *sim.Scheduler
 	period  sim.Time
@@ -159,16 +159,20 @@ type Flapper struct {
 	Flaps uint64
 }
 
-// NewFlapper builds a flapper cycling with the given period, staying down
-// for downFor each cycle, until the until horizon. It panics unless
-// 0 < downFor < period.
-func NewFlapper(sched *sim.Scheduler, period, downFor, until sim.Time, down, up func()) *Flapper {
-	if period <= 0 || downFor <= 0 || downFor >= period {
-		panic(fmt.Sprintf("dynamics: flap downFor %v must be inside period %v", downFor, period))
+// flapDown is how long a flapped target stays down in each period: a tenth
+// of it. A period too short to give a positive down time cannot flap.
+func flapDown(period sim.Time) sim.Time { return period / 10 }
+
+// NewFlapper builds a flapper cycling with the given period until the until
+// horizon. It refuses a period too short to give a positive down time.
+func NewFlapper(sched *sim.Scheduler, period, until sim.Time, down, up func()) (*Flapper, error) {
+	downFor := flapDown(period)
+	if downFor <= 0 {
+		return nil, fmt.Errorf("flap period %v leaves no down time", period)
 	}
 	f := &Flapper{sched: sched, period: period, downFor: downFor, until: until, down: down, up: up}
 	f.timer = sched.NewTimer(f.fire)
-	return f
+	return f, nil
 }
 
 // Start arms the first down transition one period after from.
@@ -191,8 +195,9 @@ func (f *Flapper) Start(from sim.Time) {
 // agree. Mirrors Flapper semantics exactly: the first down lands one full
 // period after from, downs past the until horizon are dropped, and every
 // fired down's matching up is included even when it falls past until.
-func FlapInstants(period, downFor, from, until sim.Time) (downs, ups []sim.Time) {
-	if downFor <= 0 || period <= 0 || downFor >= period {
+func FlapInstants(period, from, until sim.Time) (downs, ups []sim.Time) {
+	downFor := flapDown(period)
+	if downFor <= 0 {
 		return nil, nil
 	}
 	for t := from + period; t <= until; t += period {

@@ -95,8 +95,11 @@ func TestChurnIsSeededDeterministic(t *testing.T) {
 func TestFlapperAlwaysComesBackUp(t *testing.T) {
 	sched := sim.NewScheduler()
 	downs, ups := 0, 0
-	f := NewFlapper(sched, 2*sim.Second, 500*sim.Millisecond, 7*sim.Second,
+	f, err := NewFlapper(sched, 2*sim.Second, 7*sim.Second,
 		func() { downs++ }, func() { ups++ })
+	if err != nil {
+		t.Fatal(err)
+	}
 	f.Start(0)
 	sched.Run()
 	if downs == 0 {
@@ -108,26 +111,23 @@ func TestFlapperAlwaysComesBackUp(t *testing.T) {
 	if f.Flaps != uint64(downs) {
 		t.Fatalf("Flaps = %d, want %d", f.Flaps, downs)
 	}
-	// Down at 2s, up at 2.5s, down at 4s, up at 4.5s, down at 6s, up at
-	// 6.5s; the 8s down is past the horizon.
+	// Down at 2s, up at 2.2s, down at 4s, up at 4.2s, down at 6s, up at
+	// 6.2s; the 8s down is past the horizon.
 	if downs != 3 {
 		t.Fatalf("downs = %d, want 3", downs)
 	}
 }
 
+// A flap period must leave a positive down time, a tenth of the period.
 func TestFlapperValidation(t *testing.T) {
 	sched := sim.NewScheduler()
-	for _, bad := range []struct{ period, downFor sim.Time }{
-		{0, 1}, {2, 0}, {2, 2}, {2, 3},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewFlapper(period=%v, downFor=%v) did not panic", bad.period, bad.downFor)
-				}
-			}()
-			NewFlapper(sched, bad.period, bad.downFor, 10, func() {}, func() {})
-		}()
+	for _, period := range []sim.Time{-1, 0, 9} {
+		if f, err := NewFlapper(sched, period, 10, func() {}, func() {}); err == nil || f != nil {
+			t.Errorf("NewFlapper(period=%v) = %v, %v; want an error", period, f, err)
+		}
+	}
+	if _, err := NewFlapper(sched, 10, 10, func() {}, func() {}); err != nil {
+		t.Errorf("NewFlapper(period=10) = %v; a 1-tick down time is valid", err)
 	}
 }
 
@@ -137,20 +137,22 @@ func TestFlapperValidation(t *testing.T) {
 // its bursts off the prediction while the links obey the generator.
 func TestFlapInstantsMatchFlapper(t *testing.T) {
 	const (
-		period  = 3 * sim.Second
-		downFor = sim.Second / 2
-		from    = 2 * sim.Second
-		until   = 20 * sim.Second
+		period = 3 * sim.Second
+		from   = 2 * sim.Second
+		until  = 20 * sim.Second
 	)
 	sched := sim.NewScheduler()
 	var downs, ups []sim.Time
-	f := NewFlapper(sched, period, downFor, until,
+	f, err := NewFlapper(sched, period, until,
 		func() { downs = append(downs, sched.Now()) },
 		func() { ups = append(ups, sched.Now()) })
+	if err != nil {
+		t.Fatal(err)
+	}
 	f.Start(from)
 	sched.Run()
 
-	wantDowns, wantUps := FlapInstants(period, downFor, from, until)
+	wantDowns, wantUps := FlapInstants(period, from, until)
 	if len(wantDowns) == 0 {
 		t.Fatal("test window produced no flaps")
 	}
@@ -167,10 +169,10 @@ func TestFlapInstantsMatchFlapper(t *testing.T) {
 	}
 
 	// Degenerate parameters predict nothing rather than panicking.
-	if d, u := FlapInstants(0, downFor, from, until); d != nil || u != nil {
+	if d, u := FlapInstants(0, from, until); d != nil || u != nil {
 		t.Fatal("zero period should predict no transitions")
 	}
-	if d, u := FlapInstants(period, period, from, until); d != nil || u != nil {
-		t.Fatal("downFor >= period should predict no transitions")
+	if d, u := FlapInstants(9, from, until); d != nil || u != nil {
+		t.Fatal("a period with no down time should predict no transitions")
 	}
 }

@@ -50,7 +50,7 @@ func NewDSReceiver(host *netsim.Host, sess *core.Session, routerAddr packet.Addr
 		host:   host,
 		client: sigma.NewClient(host, routerAddr),
 		b:      dsBatchFor(host.Scheduler(), sess, newAcc),
-		meter:  stats.NewMeter(sim.Second),
+		meter:  new(stats.Meter),
 		pairs:  make([]packet.AddrKey, 0, sess.Rates.N),
 		addrs:  make([]packet.Addr, 0, sess.Rates.N),
 	}

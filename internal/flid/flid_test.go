@@ -73,7 +73,7 @@ func TestSingleDSReceiverConvergesToFairLevel(t *testing.T) {
 		d.Multicast().SetSource(a, srcHost.ID())
 	}
 	policy := core.PeriodicUpgrades{Factor: 2, N: sess.Rates.N}
-	snd := NewSender(srcHost, sess, LayeredKeying, policy, d.Rand().Fork(), 2)
+	snd := NewSender(srcHost, sess, LayeredKeying, policy, d.Rand().Fork())
 	r := NewDSReceiver(rcv, sess, d.Routers[1].Addr(), Layered)
 
 	d.Scheduler().At(0, func() { snd.Start(); r.Start() })
@@ -116,7 +116,7 @@ func TestDLAndDSComparableThroughput(t *testing.T) {
 			d.Scheduler().At(0, func() { snd.Start(); r.Start() })
 			meter = r.Meter()
 		} else {
-			snd := NewSender(srcHost, sess, LayeredKeying, policy, d.Rand().Fork(), 2)
+			snd := NewSender(srcHost, sess, LayeredKeying, policy, d.Rand().Fork())
 			r := NewDSReceiver(rcv, sess, d.Routers[1].Addr(), Layered)
 			d.Scheduler().At(0, func() { snd.Start(); r.Start() })
 			meter = r.Meter()
@@ -197,8 +197,8 @@ func TestDSPreventsInflatedSubscription(t *testing.T) {
 		d.Multicast().SetSource(a, src2.ID())
 	}
 	policy := core.PeriodicUpgrades{Factor: 2, N: s1.Rates.N}
-	snd1 := NewSender(src1, s1, LayeredKeying, policy, d.Rand().Fork(), 2)
-	snd2 := NewSender(src2, s2, LayeredKeying, policy, d.Rand().Fork(), 2)
+	snd1 := NewSender(src1, s1, LayeredKeying, policy, d.Rand().Fork())
+	snd2 := NewSender(src2, s2, LayeredKeying, policy, d.Rand().Fork())
 	atk := NewKeyAttacker(s1, NewDSReceiver(r1h, s1, d.Routers[1].Addr(), Layered), d.Rand().Fork())
 	good := NewDSReceiver(r2h, s2, d.Routers[1].Addr(), Layered)
 
@@ -243,7 +243,7 @@ func TestTwoDSReceiversConvergeTogether(t *testing.T) {
 		d.Multicast().SetSource(a, srcHost.ID())
 	}
 	policy := core.PeriodicUpgrades{Factor: 2, N: sess.Rates.N}
-	snd := NewSender(srcHost, sess, LayeredKeying, policy, d.Rand().Fork(), 2)
+	snd := NewSender(srcHost, sess, LayeredKeying, policy, d.Rand().Fork())
 	r1 := NewDSReceiver(r1h, sess, d.Routers[1].Addr(), Layered)
 	r2 := NewDSReceiver(r2h, sess, d.Routers[1].Addr(), Layered)
 

@@ -5,7 +5,6 @@ import (
 	"deltasigma/internal/mcast"
 	"deltasigma/internal/netsim"
 	"deltasigma/internal/packet"
-	"deltasigma/internal/sim"
 	"deltasigma/internal/stats"
 )
 
@@ -85,7 +84,7 @@ func NewReceiver(host *netsim.Host, sess *core.Session, routerAddr packet.Addr, 
 		igmp:  mcast.NewClient(host, routerAddr),
 		rule:  rule,
 		b:     dlBatchFor(host.Scheduler(), sess),
-		meter: stats.NewMeter(sim.Second),
+		meter: new(stats.Meter),
 	}
 	r.mi = r.b.join()
 	r.loop = core.NewSlotLoop(host.Scheduler(), sess, r.onEval)

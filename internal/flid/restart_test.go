@@ -71,11 +71,11 @@ func TestRestartWithinSlotKeepsEachSlotWhole(t *testing.T) {
 			var snd *core.SlotSender
 			switch proto {
 			case "flid-ds":
-				snd = flid.NewSender(src, sess, flid.LayeredKeying, policy, rng, 1).SlotSender
+				snd = flid.NewSender(src, sess, flid.LayeredKeying, policy, rng).SlotSender
 			case "threshold":
-				snd = flid.NewSender(src, sess, flid.ShamirKeying(threshold.GradedThresholds(sess.Rates.N)), policy, rng, 1).SlotSender
+				snd = flid.NewSender(src, sess, flid.ShamirKeying(threshold.GradedThresholds(sess.Rates.N)), policy, rng).SlotSender
 			case "replicated":
-				snd = flid.NewSender(src, sess, flid.ReplicatedKeying, policy, rng, 1).SlotSender
+				snd = flid.NewSender(src, sess, flid.ReplicatedKeying, policy, rng).SlotSender
 			}
 
 			sched.At(0, snd.Start)

@@ -55,9 +55,8 @@ type keyer interface {
 	replicated() bool
 }
 
-// NewSender builds a keyed source on host; announceRepeat is SIGMA's FEC
-// expansion factor z.
-func NewSender(host *netsim.Host, sess *core.Session, keying Keying, policy core.UpgradePolicy, rng *sim.RNG, announceRepeat int) *Sender {
+// NewSender builds a keyed source on host.
+func NewSender(host *netsim.Host, sess *core.Session, keying Keying, policy core.UpgradePolicy, rng *sim.RNG) *Sender {
 	s := &Sender{keys: keying(sess, rng)}
 	rate, announced := sess.Rates.GroupRate, 1
 	if s.keys.replicated() {
@@ -66,8 +65,7 @@ func NewSender(host *netsim.Host, sess *core.Session, keying Keying, policy core
 	s.SlotSender = core.NewSlotSender(host, sess, sess.Rates.N, policy, rng, core.SenderHooks{
 		Rate: rate, Begin: s.beginSlot, Header: s.header,
 	})
-	s.ann = sigma.NewAnnouncer(host, sess.ID, sess.BaseAddr, announced, announceRepeat)
-	s.ann.Spacing = sess.SlotDur / 4
+	s.ann = sigma.NewAnnouncer(host, sess, announced)
 	return s
 }
 

@@ -95,16 +95,14 @@ const (
 	RuleOracleWindow = "oracle-window"
 )
 
-// DefaultLimit caps how many violations an Auditor records; a systematically
+// recordLimit caps how many violations an Auditor records; a systematically
 // broken invariant would otherwise flood a periodic audit with thousands of
-// identical reports.
-const DefaultLimit = 64
+// identical reports. Detection keeps counting past the cap — only storage
+// stops.
+const recordLimit = 64
 
 // Auditor accumulates violations. The zero value is ready to use.
 type Auditor struct {
-	// Limit caps recorded violations (0 = DefaultLimit). Detection keeps
-	// counting past the cap — only storage stops.
-	Limit int
 	// Total counts every violation observed, recorded or not.
 	Total int
 
@@ -112,14 +110,10 @@ type Auditor struct {
 	hosts []packet.Addr // CheckGraftConsistency's scratch, reused per sample
 }
 
-// Report records a violation (subject to Limit).
+// Report records a violation (subject to recordLimit).
 func (a *Auditor) Report(v Violation) {
 	a.Total++
-	limit := a.Limit
-	if limit <= 0 {
-		limit = DefaultLimit
-	}
-	if len(a.vs) < limit {
+	if len(a.vs) < recordLimit {
 		a.vs = append(a.vs, v)
 	}
 }

@@ -249,11 +249,11 @@ func TestGraftConsistency(t *testing.T) {
 // Violations serialize to JSON (the fuzz repro files embed them) and the
 // auditor caps storage while still counting.
 func TestViolationSerializationAndLimit(t *testing.T) {
-	aud := Auditor{Limit: 2}
-	for i := 0; i < 5; i++ {
+	var aud Auditor
+	for i := 0; i < recordLimit+3; i++ {
 		aud.Reportf(RulePoolBalance, "s", sim.Second, 1, 0, "leak %d", i)
 	}
-	if len(aud.Violations()) != 2 || aud.Total != 5 {
+	if len(aud.Violations()) != recordLimit || aud.Total != recordLimit+3 {
 		t.Fatalf("limit broken: recorded %d, total %d", len(aud.Violations()), aud.Total)
 	}
 	if err := aud.Err(); err == nil || !strings.Contains(err.Error(), "3 more not recorded") {

@@ -24,15 +24,15 @@ type Gatekeeper interface {
 }
 
 // LocalTransformer is an optional Gatekeeper extension: rewrite a packet
-// just before delivery onto a specific local interface. SIGMA uses it for
-// ECN component scrubbing and §4.2 interface keying.
+// just before delivery onto a local interface, once per interface. SIGMA
+// uses it for ECN component scrubbing.
 //
 // The packet arrives with one caller-owned reference. Implementations that
 // need to alter it must go through Packet.Writable (copy-on-write) and
 // return the resulting packet; the caller continues with — and owns — the
 // returned reference.
 type LocalTransformer interface {
-	TransformLocal(pkt *packet.Packet, host packet.Addr) *packet.Packet
+	TransformLocal(pkt *packet.Packet) *packet.Packet
 }
 
 // Router is a multicast-capable router node. Core and edge routers run the
@@ -424,7 +424,7 @@ func (r *Router) deliverLocal(pkt *packet.Packet, li *localIf, transformer Local
 	}
 	out := pkt.Retain()
 	if transformer != nil {
-		out = transformer.TransformLocal(out, li.addr)
+		out = transformer.TransformLocal(out)
 	}
 	li.link.Send(out)
 	r.DeliveredLocal++

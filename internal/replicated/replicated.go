@@ -14,7 +14,6 @@ import (
 	"deltasigma/internal/netsim"
 	"deltasigma/internal/packet"
 	"deltasigma/internal/sigma"
-	"deltasigma/internal/sim"
 	"deltasigma/internal/stats"
 )
 
@@ -62,7 +61,7 @@ func NewReceiver(host *netsim.Host, sess *core.Session, routerAddr packet.Addr) 
 		Sess:   sess,
 		host:   host,
 		client: sigma.NewClient(host, routerAddr),
-		meter:  stats.NewMeter(sim.Second),
+		meter:  new(stats.Meter),
 	}
 	for i := range r.accs {
 		r.accs[i] = *delta.NewReplicatedReceiver(sess.Rates.N)

@@ -30,7 +30,7 @@ func buildRig(capacity int64, seed uint64) (*topo.Tree, *flid.Sender, *Receiver)
 		d.Multicast().SetSource(a, src.ID())
 	}
 	policy := core.PeriodicUpgrades{Factor: 2, N: sess.Rates.N}
-	snd := flid.NewSender(src, sess, flid.ReplicatedKeying, policy, d.Rand().Fork(), 2)
+	snd := flid.NewSender(src, sess, flid.ReplicatedKeying, policy, d.Rand().Fork())
 	r := NewReceiver(rcv, sess, d.Routers[1].Addr())
 	return d, snd, r
 }

@@ -4,6 +4,7 @@ import (
 	"deltasigma"
 	"deltasigma/internal/core"
 	"deltasigma/internal/flid"
+	"deltasigma/internal/sigma"
 	"deltasigma/internal/sim"
 	"deltasigma/internal/topo"
 )
@@ -69,7 +70,7 @@ func runOverheadPoint(opt Options, n int, slotDur sim.Time) overheadPoint {
 		pt.DeltaMeas = (2*totalPkts - g1Pkts) * keyBits / dataBits * 100
 	}
 
-	// O_Σ with the observed f_g, z (the announcer's repetition) and h (§5.4):
+	// O_Σ with the observed f_g, z (sigma.Repeat) and h (§5.4):
 	//   [ (l + 32N + b(2N−1+Σf_g))·z + h ] / (R·t)
 	var sumFg float64
 	for g := 2; g <= n; g++ {
@@ -84,7 +85,7 @@ func runOverheadPoint(opt Options, n int, slotDur sim.Time) overheadPoint {
 	pt.HeaderBits = h
 	tupleBits := slotNumberBits + 32*float64(n) + keyBits*(2*float64(n)-1+sumFg)
 	rt := float64(overheadTotal) * slotDur.Sec()
-	pt.SigmaPct = (tupleBits*float64(ann.Repeat) + h) / rt * 100
+	pt.SigmaPct = (tupleBits*sigma.Repeat + h) / rt * 100
 
 	// Actual wire bytes (KeyTuple's WireLen counts 64-bit key fields; the
 	// paper's model assumes exactly b-bit fields).

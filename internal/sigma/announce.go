@@ -1,6 +1,7 @@
 package sigma
 
 import (
+	"deltasigma/internal/core"
 	"deltasigma/internal/netsim"
 	"deltasigma/internal/packet"
 	"deltasigma/internal/sim"
@@ -10,10 +11,12 @@ import (
 // routers (§3.2.1): once per time slot it multicasts the address-key tuples
 // for a future slot inside router-alert ("special") packets that edge
 // routers intercept and never deliver to hosts. Reliability comes from
-// forward error correction; the default is a repetition code with expansion
-// factor z = Repeat, which overcomes the paper's 50% loss target in
-// expectation with z = 2 (duplicates are deduplicated at the edge by
-// (session, slot, block) identity).
+// forward error correction: a repetition code with expansion factor
+// z = Repeat, which overcomes the paper's 50% loss target in expectation
+// (duplicates are deduplicated at the edge by (session, slot) identity).
+// The second copy leaves a quarter slot after the first, so a full
+// bottleneck queue cannot drop the whole slot's key material in one burst
+// (interleaving, the standard companion of FEC).
 //
 // Tuples travel on the session's minimal group: every legitimate
 // subscription level of a cumulative layered session contains it, so every
@@ -24,19 +27,16 @@ type Announcer struct {
 	host    *netsim.Host
 	session uint16
 	base    packet.Addr
-	groups  int // groups from base each announcement goes on
-	// Repeat is the FEC expansion factor z.
-	Repeat int
-	// Spacing staggers the coded copies in time so a full bottleneck queue
-	// cannot drop the whole slot's key material in one burst (interleaving,
-	// the standard companion of FEC). Zero sends copies back-to-back.
-	Spacing sim.Time
+	groups  int      // groups from base each announcement goes on
+	spacing sim.Time // a quarter slot: how long each repeat copy waits
 
-	// spaced holds the copies waiting out their Spacing, ordered by send
-	// time; one timer drains it. Each copy's tie-break reservation is made
+	// spaced holds the copies waiting out their spacing. Every copy waits
+	// the same spacing from the Announce that queued it, and Announce runs
+	// at nondecreasing times, so appending keeps the queue in send-time
+	// order; one timer drains it. Each copy's tie-break reservation is made
 	// when it is queued, so it leaves at exactly the (time, key) an event
 	// scheduled on the spot would have had (the core.SlotSender emission
-	// ring, with an ordered insert because Repeat > 2 interleaves groups).
+	// ring).
 	spaced []spacedCopy
 	head   int
 	timer  *sim.Timer
@@ -49,14 +49,15 @@ type Announcer struct {
 	SlotsDone   uint64
 }
 
-// NewAnnouncer builds an announcer originating from host that announces on
-// the n groups from base: 1 for a cumulative layered session, every group
-// for a replicated one.
-func NewAnnouncer(host *netsim.Host, session uint16, base packet.Addr, n, repeat int) *Announcer {
-	if repeat < 1 {
-		repeat = 1
-	}
-	a := &Announcer{host: host, session: session, base: base, groups: n, Repeat: repeat}
+// Repeat is the FEC expansion factor z: copies per announcement and group
+// (§5.4 fixes z = 2).
+const Repeat = 2
+
+// NewAnnouncer builds an announcer for sess originating from host that
+// announces on the n groups from the session's base: 1 for a cumulative
+// layered session, every group for a replicated one.
+func NewAnnouncer(host *netsim.Host, sess *core.Session, n int) *Announcer {
+	a := &Announcer{host: host, session: sess.ID, base: sess.BaseAddr, groups: n, spacing: sess.SlotDur / 4}
 	a.timer = host.Scheduler().NewTimer(a.sendSpaced)
 	return a
 }
@@ -79,10 +80,10 @@ func (a *Announcer) Announce(slot uint32, tuples []packet.KeyTuple) {
 
 func (a *Announcer) announceOn(group packet.Addr, slot uint32, tuples []packet.KeyTuple) {
 	net := a.host.Network()
-	for i := 0; i < a.Repeat; i++ {
+	for i := 0; i < Repeat; i++ {
 		hdr := net.Pool().KeyAnnounce()
 		hdr.Session, hdr.Slot = a.session, slot
-		hdr.FECIndex, hdr.FECTotal = uint8(i), uint8(a.Repeat)
+		hdr.FECIndex, hdr.FECTotal = uint8(i), Repeat
 		hdr.Tuples = append(hdr.Tuples, tuples...) // each copy owns its array
 		pkt := net.NewPacket(a.host.Addr(), group, 0, hdr)
 		pkt.Alert = true
@@ -91,30 +92,23 @@ func (a *Announcer) announceOn(group packet.Addr, slot uint32, tuples []packet.K
 		tupleBytes := len(tuples) * packet.KeyTupleWireLen
 		a.HeaderBytes += uint64(packet.CommonWireLen + hdr.WireLen() - tupleBytes)
 		a.TupleBytes += uint64(tupleBytes)
-		if a.Spacing > 0 && i > 0 {
-			a.sendAfter(sim.Time(i)*a.Spacing, pkt)
+		if i > 0 {
+			a.sendLater(pkt)
 		} else {
 			a.host.Send(pkt)
 		}
 	}
 }
 
-// sendAfter queues pkt to leave d from now.
-func (a *Announcer) sendAfter(d sim.Time, pkt *packet.Packet) {
+// sendLater queues pkt to leave one spacing from now.
+func (a *Announcer) sendLater(pkt *packet.Packet) {
 	sched := a.host.Scheduler()
-	c := spacedCopy{pkt: pkt, at: sched.Now() + d, res: sched.Reserve()}
+	c := spacedCopy{pkt: pkt, at: sched.Now() + a.spacing, res: sched.Reserve()}
 	if a.head == len(a.spaced) {
 		a.spaced, a.head = a.spaced[:0], 0 // drained: rewind, reuse the array
-	}
-	i := len(a.spaced)
-	a.spaced = append(a.spaced, c)
-	for ; i > a.head && a.spaced[i-1].at > c.at; i-- {
-		a.spaced[i] = a.spaced[i-1]
-	}
-	a.spaced[i] = c
-	if i == a.head {
 		a.timer.ResetReserved(c.at, c.res)
 	}
+	a.spaced = append(a.spaced, c)
 }
 
 // sendSpaced sends the copy that has come due and re-arms for the next.

@@ -13,7 +13,7 @@ import (
 // against a SIGMA-protected session (§4.2): once inflated, it sends plain
 // IGMP joins for every group (which a SIGMA edge ignores) and, late in
 // each slot — after the edge holds the slot's announced keys, since
-// guesses against an empty key store are wasted — submits GuessesPerSlot
+// guesses against an empty key store are wasted — submits guessesPerSlot
 // random key guesses per group above the attacker's entitled level.
 // Protocol attackers embed a GuessAttack beside their legitimate receiver;
 // entitled reports that receiver's current level (or group).
@@ -27,10 +27,6 @@ type GuessAttack struct {
 	timer    *sim.Timer       // reusable per-slot guessing timer
 	pairs    []packet.AddrKey // per-message scratch; Subscribe copies it
 
-	// GuessesPerSlot is y: how many random keys per group per slot the
-	// attacker can afford to submit.
-	GuessesPerSlot int
-
 	inflated bool
 	// GuessesSent counts submitted key guesses.
 	GuessesSent uint64
@@ -42,6 +38,10 @@ type GuessAttack struct {
 	pool *Collusion
 	mute bool
 }
+
+// guessesPerSlot is y: how many random keys per group per slot an
+// attacker can afford to submit.
+const guessesPerSlot = 16
 
 // Engine exposes the attack engine itself. Protocol attackers embed a
 // GuessAttack, and facade wrappers embed those attackers, so the method
@@ -55,13 +55,12 @@ func (a *GuessAttack) Engine() *GuessAttack { return a }
 func NewGuessAttack(sess *core.Session, client *Client, entitled func() int, rng *sim.RNG) *GuessAttack {
 	host := client.host
 	a := &GuessAttack{
-		sess:           sess,
-		host:           host,
-		client:         client,
-		igmp:           mcast.NewClient(host, client.router),
-		entitled:       entitled,
-		rng:            rng,
-		GuessesPerSlot: 16,
+		sess:     sess,
+		host:     host,
+		client:   client,
+		igmp:     mcast.NewClient(host, client.router),
+		entitled: entitled,
+		rng:      rng,
 	}
 	a.timer = host.Scheduler().NewTimer(a.attackSlot)
 	return a
@@ -117,7 +116,7 @@ func (a *GuessAttack) attackSlot() {
 	} else {
 		pairs := a.pairs[:0]
 		for g := a.entitled() + 1; g <= a.sess.Rates.N; g++ {
-			for i := 0; i < a.GuessesPerSlot; i++ {
+			for i := 0; i < guessesPerSlot; i++ {
 				pairs = append(pairs, packet.AddrKey{
 					Addr: a.sess.GroupAddr(g),
 					Key:  keys.Key(a.rng.Uint64()) & keyMask,
@@ -165,7 +164,7 @@ func (a *GuessAttack) pooledSlot(cur, target uint32) {
 		if _, ok := a.pool.sharedKey(target, addr); ok {
 			continue
 		}
-		for i := 0; i < a.GuessesPerSlot; i++ {
+		for i := 0; i < guessesPerSlot; i++ {
 			pairs = append(pairs, packet.AddrKey{Addr: addr, Key: a.pool.freshGuess(a.rng, target, addr)})
 			a.GuessesSent++
 		}

@@ -14,15 +14,9 @@ type Client struct {
 	router packet.Addr
 	sched  *sim.Scheduler
 
-	// RTO is the acknowledgment timeout before a subscription message is
-	// retransmitted.
-	RTO sim.Time
-	// MaxTries bounds transmissions per subscription message.
-	MaxTries int
-
 	nextID uint32
 	// pending holds the unacknowledged subscriptions, a handful at most
-	// (one per slot, each gone within MaxTries·RTO); idle holds the entries
+	// (one per slot, each gone within maxTries·rto); idle holds the entries
 	// they came from and return to, timers bound.
 	pending []*pendingSub
 	idle    sim.Freelist[pendingSub]
@@ -41,6 +35,14 @@ type Client struct {
 	Tap func(slot uint32, pairs []packet.AddrKey)
 }
 
+const (
+	// rto is the acknowledgment timeout before a subscription message is
+	// retransmitted.
+	rto = 60 * sim.Millisecond
+	// maxTries bounds transmissions per subscription message.
+	maxTries = 5
+)
+
 // pendingSub is one subscription awaiting its ack: the retransmission
 // buffer's reference on the message and the timer that re-sends it.
 type pendingSub struct {
@@ -55,11 +57,9 @@ type pendingSub struct {
 // routerAddr, and registers itself for SIGMA acknowledgments.
 func NewClient(host *netsim.Host, routerAddr packet.Addr) *Client {
 	c := &Client{
-		host:     host,
-		router:   routerAddr,
-		sched:    host.Scheduler(),
-		RTO:      60 * sim.Millisecond,
-		MaxTries: 5,
+		host:   host,
+		router: routerAddr,
+		sched:  host.Scheduler(),
 	}
 	host.Handle(packet.ProtoSigma, c.onSigma)
 	return c
@@ -141,7 +141,7 @@ func (c *Client) Subscribe(slot uint32, pairs []packet.AddrKey) uint32 {
 	p.id, p.pkt, p.tries = c.nextID, pkt.Retain(), 1
 	c.host.Send(pkt)
 	c.pending = append(c.pending, p)
-	p.timer.Reset(c.RTO)
+	p.timer.Reset(rto)
 	return p.id
 }
 
@@ -149,14 +149,14 @@ func (c *Client) Subscribe(slot uint32, pairs []packet.AddrKey) uint32 {
 // pending entry's timer and packet for the whole retry ladder.
 func (p *pendingSub) retransmit() {
 	c := p.c
-	if p.tries >= c.MaxTries {
+	if p.tries >= maxTries {
 		c.retire(p)
 		return
 	}
 	p.tries++
 	c.Retransmits++
 	c.host.Send(p.pkt.Retain())
-	p.timer.Reset(c.RTO)
+	p.timer.Reset(rto)
 }
 
 // Unsubscribe abandons groups immediately (Figure 6c); it is fire-and-

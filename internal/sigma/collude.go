@@ -16,7 +16,7 @@ import (
 // it is entitled to becomes available to the whole cohort — a member
 // entitled to level k arms every other member with the real keys for
 // groups 1..k. Second, random guesses are deduplicated across the cohort,
-// so y colluders sample y·GuessesPerSlot distinct keys per group instead
+// so m colluders sample m·guessesPerSlot distinct keys per group instead
 // of overlapping draws.
 //
 // The pool keeps its maps between slots: a warm cohort allocates nothing.
@@ -116,7 +116,7 @@ func (c *Collusion) sharedKey(slot uint32, addr packet.Addr) (keys.Key, bool) {
 
 // freshGuess draws a random key the cohort has not guessed for this
 // (slot, group) yet, with a bounded number of redraws so the per-slot
-// work stays O(GuessesPerSlot) even when the unseen space thins out.
+// work stays O(guessesPerSlot) even when the unseen space thins out.
 func (c *Collusion) freshGuess(rng *sim.RNG, slot uint32, addr packet.Addr) keys.Key {
 	if slot != c.guessSlot {
 		// order-insensitive: clears every set

@@ -7,6 +7,13 @@
 // keys it checks (Requirement 3). The Announcer is the sender side that
 // distributes address-key tuples to edge routers, and the Client is the
 // receiver-side stub speaking the Figure 6 messages.
+//
+// The values the paper fixes are constants, not settings: two grace slots
+// and one penalty slot (§3.2.2), z = 2 announcement copies a quarter slot
+// apart (§5.4), and a client that retransmits every 60 ms up to five
+// times. Slot s spans [s·T, (s+1)·T) at the sender and at every edge. The
+// §4.2 interface-keying extension is not reproduced (DESIGN.md, "Modeling
+// substitutions").
 package sigma
 
 import (
@@ -19,24 +26,26 @@ import (
 // Config carries SIGMA's deployment parameters. Slot timing is part of
 // SIGMA itself — the time slot is the atomic unit of access control
 // (Figure 2) — and is assumed synchronized between sender and edge routers,
-// the same assumption slotted protocols like FLID-DL already make.
+// the same assumption slotted protocols like FLID-DL already make: slot s
+// spans [s·SlotDuration, (s+1)·SlotDuration) on both.
 type Config struct {
 	// SlotDuration is the access-control time slot length.
 	SlotDuration sim.Time
-	// Epoch is the virtual time slot 0 begins.
-	Epoch sim.Time
-	// GraceSlots is how many complete slots of unconditional forwarding a
-	// newly granted or newly joined group gets (the paper fixes 2).
-	GraceSlots int
-	// PenaltySlots is the minimum forwarding stop after a keyless
-	// session-join grace expires (the paper fixes "at least one").
-	PenaltySlots int
 }
 
 // DefaultConfig returns the paper's parameters for a given slot duration.
 func DefaultConfig(slot sim.Time) Config {
-	return Config{SlotDuration: slot, GraceSlots: 2, PenaltySlots: 1}
+	return Config{SlotDuration: slot}
 }
+
+const (
+	// graceSlots is how many complete slots of unconditional forwarding a
+	// newly granted or newly joined group gets (§3.2.2 fixes 2).
+	graceSlots = 2
+	// penaltySlots is the minimum forwarding stop after a keyless
+	// session-join grace expires (§3.2.2 fixes "at least one").
+	penaltySlots = 1
+)
 
 // storedKeys is one group's key tuple for one slot, as learned from a
 // KeyAnnounce.
@@ -146,8 +155,6 @@ type Controller struct {
 	inUse      map[packet.Addr]bool // tick scratch, cleared and reused each slot
 	freeGrants sim.Freelist[grant]  // revoked grants awaiting reuse
 
-	// alter, when non-nil, applies §4.2 interface keying; see keying.go.
-	alter *InterfaceKeying
 	// scrubSrc, when non-nil, scrubs components of CE-marked packets on
 	// local delivery (ECN-driven protocols); see transform.go.
 	scrubSrc *keys.Source
@@ -171,12 +178,6 @@ func NewController(router *mcast.Router, cfg Config) *Controller {
 	if cfg.SlotDuration <= 0 {
 		panic("sigma: non-positive slot duration")
 	}
-	if cfg.GraceSlots <= 0 {
-		cfg.GraceSlots = 2
-	}
-	if cfg.PenaltySlots <= 0 {
-		cfg.PenaltySlots = 1
-	}
 	c := &Controller{
 		router:  router,
 		sched:   router.Network().Scheduler(),
@@ -198,20 +199,15 @@ func (c *Controller) Router() *mcast.Router { return c.router }
 
 // CurrentSlot returns the slot number at the controller's clock.
 func (c *Controller) CurrentSlot() uint32 {
-	now := c.sched.Now()
-	if now < c.cfg.Epoch {
-		return 0
-	}
-	return uint32((now - c.cfg.Epoch) / c.cfg.SlotDuration)
+	return uint32(c.sched.Now() / c.cfg.SlotDuration)
 }
 
 // graceDeadline returns the end of the grace window opening now: the
-// remainder of the current slot plus GraceSlots *complete* time slots
+// remainder of the current slot plus graceSlots *complete* time slots
 // (§3.2.2: "forwards them to the interface unconditionally for two complete
 // time slots").
 func (c *Controller) graceDeadline() sim.Time {
-	nextBoundary := c.cfg.Epoch + sim.Time(c.CurrentSlot()+1)*c.cfg.SlotDuration
-	return nextBoundary + sim.Time(c.cfg.GraceSlots)*c.cfg.SlotDuration
+	return sim.Time(c.CurrentSlot()+1+graceSlots) * c.cfg.SlotDuration
 }
 
 // onTick fires once per slot on the reusable housekeeping timer.
@@ -261,10 +257,10 @@ func (c *Controller) tick() {
 			g.expireBefore(cur)
 			if g.probation && g.graceUntil <= now && g.graceUntil != 0 {
 				// Keyless session-join grace expired: stop forwarding for
-				// at least PenaltySlots (§3.2.2).
+				// at least penaltySlots (§3.2.2).
 				g.probation = false
 				g.graceUntil = 0
-				g.penaltyUntil = now + sim.Time(c.cfg.PenaltySlots)*c.cfg.SlotDuration
+				g.penaltyUntil = now + penaltySlots*c.cfg.SlotDuration
 			}
 			if g.active(now) {
 				inUse[group] = true
@@ -279,9 +275,6 @@ func (c *Controller) tick() {
 			c.router.Prune(group)
 			delete(c.grafted, group)
 		}
-	}
-	if c.alter != nil {
-		c.alter.gc(cur)
 	}
 }
 
@@ -391,7 +384,7 @@ func (c *Controller) Control(pkt *packet.Packet, from packet.Addr) {
 }
 
 // sessionJoin admits a new receiver keylessly into the minimal group for
-// GraceSlots complete slots (§3.2.2).
+// graceSlots complete slots (§3.2.2).
 func (c *Controller) sessionJoin(from packet.Addr, hdr *packet.SigmaHeader) {
 	if !hdr.Minimal.IsMulticast() {
 		return
@@ -423,12 +416,7 @@ func (c *Controller) subscribe(from packet.Addr, hdr *packet.SigmaHeader) {
 			if !ok {
 				continue // keys not announced (yet); receiver retries
 			}
-			key := pair.Key
-			valid := stored.matches(key)
-			if c.alter != nil {
-				valid = c.alter.Validate(from, pair.Addr, hdr.Slot, key, stored)
-			}
-			if !valid {
+			if !stored.matches(pair.Key) {
 				c.InvalidKeys++
 				continue
 			}
@@ -441,7 +429,7 @@ func (c *Controller) subscribe(from packet.Addr, hdr *packet.SigmaHeader) {
 			g.probation = false
 			if !hadAccess {
 				// Newly granted group: once its packets start arriving,
-				// forward unconditionally for GraceSlots complete slots —
+				// forward unconditionally for graceSlots complete slots —
 				// the receiver cannot yet hold keys for the first slots it
 				// never observed (§3.2.2 "expecting the group").
 				g.pendingGrace = true

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"deltasigma/internal/core"
 	"deltasigma/internal/delta"
 	"deltasigma/internal/keys"
 	"deltasigma/internal/packet"
@@ -81,7 +82,7 @@ func TestECNScrubReplacesPooledHeader(t *testing.T) {
 	pkt.ECN = true
 	pkt.Retain() // the branch toward the other interface
 
-	out := r.ctl.TransformLocal(pkt, r.h1.Addr())
+	out := r.ctl.TransformLocal(pkt)
 	if out == pkt {
 		t.Fatal("a shared envelope was scrubbed in place")
 	}
@@ -110,10 +111,12 @@ func TestECNScrubReplacesPooledHeader(t *testing.T) {
 // Every copy of a slot's announcement carries the tuples in an array of its
 // own. The sender refills its scratch for the next slot while copies still
 // wait out their spacing, and overwriting one copy — a sibling, a Clone or
-// an AdoptCopy — must leave every other copy as it was announced.
+// an AdoptCopy — must leave every other copy as it was announced. The
+// announcer here announces on two groups, as a replicated session's does,
+// so two repeat copies wait side by side.
 func TestAnnouncementCopiesOwnTheirTuples(t *testing.T) {
 	r := newRig(t)
-	r.ann.Repeat, r.ann.Spacing = 3, slotDur/4
+	r.ann = NewAnnouncer(r.src, &core.Session{ID: 1, BaseAddr: grp, SlotDur: slotDur}, 2)
 	cl := NewClient(r.h1, r.edge.Addr())
 	r.sched.At(0, func() { cl.SessionJoin(grp) })
 	tuplesOf := func(p *packet.Packet) []packet.KeyTuple { return p.Header.(*packet.KeyAnnounce).Tuples }

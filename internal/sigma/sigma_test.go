@@ -3,6 +3,7 @@ package sigma
 import (
 	"testing"
 
+	"deltasigma/internal/core"
 	"deltasigma/internal/delta"
 	"deltasigma/internal/keys"
 	"deltasigma/internal/mcast"
@@ -57,7 +58,7 @@ func newRig(t *testing.T) *rig {
 		fabric.SetSource(packet.Group(grp, g), r.src.ID())
 	}
 	r.keySrc = keys.NewSource(keys.DefaultBits, rng.Fork().Uint64)
-	r.ann = NewAnnouncer(r.src, 1, grp, 1, 2)
+	r.ann = NewAnnouncer(r.src, &core.Session{ID: 1, BaseAddr: grp, SlotDur: slotDur}, 1)
 	return r
 }
 
@@ -135,23 +136,21 @@ func TestAnnounceInterceptedAndStored(t *testing.T) {
 // repetition code on the source's uplink: either copy alone delivers the
 // slot's keys, and losing both leaves the edge without them.
 func TestAnnounceSurvivesLossOfOneCopy(t *testing.T) {
-	// Copy i leaves at 10 ms + i·spacing; the uplink is down over
+	// Copy i leaves at 10 ms + i·slotDur/4 (35 ms); the uplink is down over
 	// [down, up), which discards every copy sent inside it.
-	const spacing = 5 * sim.Millisecond
 	cases := []struct {
 		name     string
 		down, up sim.Time
 		lost     uint64
 		want     bool
 	}{
-		{"only-copy-0-arrives", 14 * sim.Millisecond, 16 * sim.Millisecond, 1, true},
+		{"only-copy-0-arrives", 34 * sim.Millisecond, 36 * sim.Millisecond, 1, true},
 		{"only-copy-1-arrives", 9 * sim.Millisecond, 11 * sim.Millisecond, 1, true},
-		{"no-copy-arrives", 9 * sim.Millisecond, 16 * sim.Millisecond, 2, false},
+		{"no-copy-arrives", 9 * sim.Millisecond, 36 * sim.Millisecond, 2, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			r := newRig(t)
-			r.ann.Spacing = spacing
 			uplink := r.net.LinkBetween(r.src.ID(), r.edge.ID())
 			cl := NewClient(r.h1, r.edge.Addr())
 			r.sched.At(0, func() { cl.SessionJoin(grp) })
@@ -296,14 +295,18 @@ func TestRetransmitWithoutAckGivesUp(t *testing.T) {
 	r := newRig(t)
 	// Client pointed at a black-hole address: no acks ever come.
 	cl := NewClient(r.h2, r.h1.Addr())
-	cl.MaxTries = 3
-	cl.RTO = 20 * sim.Millisecond
 	r.sched.At(0, func() {
 		cl.Subscribe(1, []packet.AddrKey{{Addr: grp, Key: 1}})
 	})
+	// One try every rto: the last is sent at (maxTries−1)·rto and given up
+	// on at maxTries·rto.
+	r.sched.RunUntil(maxTries*rto - sim.Millisecond)
+	if cl.Retransmits != maxTries-1 || cl.Pending() != 1 {
+		t.Fatalf("before the last timeout: retransmits = %d, pending = %d; want %d, 1", cl.Retransmits, cl.Pending(), maxTries-1)
+	}
 	r.sched.RunUntil(sim.Second)
-	if cl.Retransmits != 2 {
-		t.Fatalf("retransmits = %d, want MaxTries-1 = 2", cl.Retransmits)
+	if cl.Retransmits != maxTries-1 {
+		t.Fatalf("retransmits = %d, want maxTries-1 = %d", cl.Retransmits, maxTries-1)
 	}
 	if cl.Pending() != 0 {
 		t.Fatal("gave-up subscription should be dropped")
@@ -471,47 +474,6 @@ func TestECNScrubOnLocalDelivery(t *testing.T) {
 	// because the marked packet's component was scrubbed.
 	if keys.XOR(comps...) == r.slots[0].Keys.Top[0] {
 		t.Fatal("scrub failed: receiver can still reconstruct the key")
-	}
-}
-
-func TestInterfaceKeyingBlocksCollusion(t *testing.T) {
-	r := newRig(t)
-	ik := r.ctl.EnableInterfaceKeying(grp, nGroups, keys.NewSource(keys.DefaultBits, sim.NewRNG(88).Uint64))
-
-	// Both hosts receive the minimal group during grace.
-	var comps1, comps2 []keys.Key
-	r.h1.Handle(packet.ProtoFLID, func(pkt *packet.Packet) {
-		comps1 = append(comps1, pkt.Header.(*packet.FLIDHeader).Component)
-	})
-	r.h2.Handle(packet.ProtoFLID, func(pkt *packet.Packet) {
-		comps2 = append(comps2, pkt.Header.(*packet.FLIDHeader).Component)
-	})
-	cl1 := NewClient(r.h1, r.edge.Addr())
-	cl2 := NewClient(r.h2, r.edge.Addr())
-	r.sched.At(0, func() { cl1.SessionJoin(grp); cl2.SessionJoin(grp) })
-	r.sched.At(230*sim.Millisecond, func() {
-		r.makeSlot(2, 0)
-		r.sendData(2, 1)
-	})
-	r.sched.RunUntil(290 * sim.Millisecond)
-	if len(comps1) != 2 || len(comps2) != 2 {
-		t.Fatalf("deliveries: h1=%d h2=%d, want 2 each", len(comps1), len(comps2))
-	}
-
-	lower1 := keys.XOR(comps1...)
-	lower2 := keys.XOR(comps2...)
-	if lower1 == lower2 {
-		t.Fatal("interfaces reconstructed identical lower keys; alteration inactive")
-	}
-	stored := storedKeys{top: r.slots[2].Keys.Top[0]}
-	if !ik.Validate(r.h1.Addr(), grp, 2, lower1, stored) {
-		t.Fatal("h1's own lower key rejected")
-	}
-	if ik.Validate(r.h2.Addr(), grp, 2, lower1, stored) {
-		t.Fatal("collusion: h1's key accepted for h2")
-	}
-	if !ik.Validate(r.h2.Addr(), grp, 2, lower2, stored) {
-		t.Fatal("h2's own lower key rejected")
 	}
 }
 

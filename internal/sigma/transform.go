@@ -15,31 +15,14 @@ func (c *Controller) EnableECNScrub(src *keys.Source) {
 	c.scrubSrc = src
 }
 
-// EnableInterfaceKeying activates the §4.2 collusion hardening for a
-// layered session with n groups based at base. See InterfaceKeying.
-func (c *Controller) EnableInterfaceKeying(base packet.Addr, n int, src *keys.Source) *InterfaceKeying {
-	c.alter = NewInterfaceKeying(base, n, src)
-	return c.alter
-}
-
-// TransformLocal implements mcast.LocalTransformer: apply ECN scrubbing and
-// interface keying to data packets bound for one local interface. Altering
-// goes through Writable, so the shared multicast envelope is copied-on-write
-// only on the rare mutating delivery.
-func (c *Controller) TransformLocal(pkt *packet.Packet, host packet.Addr) *packet.Packet {
-	out := pkt
+// TransformLocal implements mcast.LocalTransformer: apply ECN scrubbing to
+// data packets bound for one local interface. Altering goes through
+// Writable, so the shared multicast envelope is copied-on-write only on the
+// rare mutating delivery.
+func (c *Controller) TransformLocal(pkt *packet.Packet) *packet.Packet {
 	if c.scrubSrc != nil && pkt.ECN {
-		out = out.Writable()
-		out.Header = delta.ScrubComponent(out.Header, c.scrubSrc.Nonce())
+		pkt = pkt.Writable()
+		pkt.Header = delta.ScrubComponent(pkt.Header, c.scrubSrc.Nonce())
 	}
-	if c.alter != nil {
-		if h, ok := out.Header.(*packet.FLIDHeader); ok {
-			altered := c.alter.Alter(host, h)
-			if altered != h {
-				out = out.Writable()
-				out.Header = altered
-			}
-		}
-	}
-	return out
+	return pkt
 }

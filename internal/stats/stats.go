@@ -1,6 +1,7 @@
 // Package stats provides the measurement machinery behind every figure:
-// time-binned throughput meters, smoothed rate series, interval averages,
-// and the Jain fairness index used to assert fair allocations in tests.
+// throughput meters binned by the second, smoothed rate series, interval
+// averages, and the Jain fairness index used to assert fair allocations in
+// tests.
 package stats
 
 import (
@@ -10,18 +11,13 @@ import (
 	"deltasigma/internal/sim"
 )
 
-// Meter accumulates delivered bytes into fixed-width time bins.
-type Meter struct {
-	bin  sim.Time
-	bins []float64 // bytes per bin
-}
+// bin is a Meter's bin width, the figures' one-second resolution.
+const bin = sim.Second
 
-// NewMeter creates a meter with the given bin width (1 s in the figures).
-func NewMeter(bin sim.Time) *Meter {
-	if bin <= 0 {
-		panic("stats: non-positive bin width")
-	}
-	return &Meter{bin: bin}
+// Meter accumulates delivered bytes into one-second time bins: bin i holds
+// the bytes delivered in [i s, (i+1) s). The zero value is ready to use.
+type Meter struct {
+	bins []float64 // bytes per bin
 }
 
 // Add records bytes delivered at virtual time t.
@@ -29,7 +25,7 @@ func (m *Meter) Add(t sim.Time, bytes int) {
 	if t < 0 {
 		return
 	}
-	idx := int(t / m.bin)
+	idx := int(t / bin)
 	if idx >= len(m.bins) {
 		m.grow(idx)
 	}
@@ -56,7 +52,7 @@ func (m *Meter) RateKbps(idx int) float64 {
 	if idx < 0 || idx >= len(m.bins) {
 		return 0
 	}
-	return m.bins[idx] * 8 / m.bin.Sec() / 1000
+	return m.bins[idx] * 8 / bin.Sec() / 1000
 }
 
 // Point is one sample of a rate series.
@@ -86,20 +82,25 @@ func (m *Meter) Series(window int) []Point {
 		for j := lo; j <= hi; j++ {
 			sum += m.bins[j]
 		}
-		rate := sum / float64(hi-lo+1) * 8 / m.bin.Sec() / 1000
-		out[i] = Point{T: float64(i) * m.bin.Sec(), Kbps: rate}
+		rate := sum / float64(hi-lo+1) * 8 / bin.Sec() / 1000
+		out[i] = Point{T: float64(i) * bin.Sec(), Kbps: rate}
 	}
 	return out
 }
 
-// AvgKbps averages throughput over [from, to).
+// AvgKbps averages throughput over [from, to) at bin resolution: it sums
+// the bins whose start lies in [from, to) and divides by to − from. A
+// window that does not start and end on whole seconds therefore counts
+// whole bins against a fractional span — [5.5 s, 6 s) reads zero, and
+// [5 s, 5.5 s) reads the 5 s bin over half a second, about twice the rate.
+// Only whole-second windows read the delivered rate.
 func (m *Meter) AvgKbps(from, to sim.Time) float64 {
 	if to <= from {
 		return 0
 	}
 	var bytes float64
 	for i := range m.bins {
-		binStart := sim.Time(i) * m.bin
+		binStart := sim.Time(i) * bin
 		if binStart >= from && binStart < to {
 			bytes += m.bins[i]
 		}

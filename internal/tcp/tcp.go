@@ -7,6 +7,10 @@
 // Sequence and acknowledgment numbers are segment-granular (as in NS-2's
 // packet-based TCP): Seq is the segment index, Ack the next expected
 // segment. The sender is a greedy (FTP-like) source with unbounded data.
+//
+// Every connection runs the same fixed parameters: 576-byte segments
+// (§5.1), 40-byte acks, a 128-segment receiver window, and a
+// retransmission timeout that starts at 1 s and never drops below 200 ms.
 package tcp
 
 import (
@@ -15,38 +19,26 @@ import (
 	"deltasigma/internal/sim"
 )
 
-// Config tunes a Reno sender.
-type Config struct {
-	// SegmentSize is the wire size of a data segment in bytes (the paper
-	// uses 576-byte packets for all data traffic).
-	SegmentSize int
-	// AckSize is the wire size of a pure acknowledgment.
-	AckSize int
-	// MaxWindow caps the congestion window in segments (receiver window).
-	MaxWindow float64
-	// InitialRTO is the retransmission timeout before any RTT sample.
-	InitialRTO sim.Time
-	// MinRTO floors the retransmission timeout.
-	MinRTO sim.Time
-}
-
-// DefaultConfig matches the paper's data-packet size.
-func DefaultConfig() Config {
-	return Config{
-		SegmentSize: 576,
-		AckSize:     40,
-		MaxWindow:   128,
-		InitialRTO:  1 * sim.Second,
-		MinRTO:      200 * sim.Millisecond,
-	}
-}
+// The connection's fixed parameters.
+const (
+	// segmentSize is the wire size of a data segment in bytes (§5.1 uses
+	// 576-byte packets for all data traffic).
+	segmentSize = 576
+	// ackSize is the wire size of a pure acknowledgment.
+	ackSize = 40
+	// maxWindow caps the congestion window in segments (receiver window).
+	maxWindow = 128
+	// initialRTO is the retransmission timeout before any RTT sample.
+	initialRTO = sim.Second
+	// minRTO floors the retransmission timeout.
+	minRTO = 200 * sim.Millisecond
+)
 
 // Sender is one Reno connection endpoint.
 type Sender struct {
 	host *netsim.Host
 	dst  packet.Addr
 	flow uint32
-	cfg  Config
 
 	sndNxt         uint32 // next segment to (re)transmit; rewound to sndUna on RTO
 	sndUna         uint32 // oldest unacknowledged segment
@@ -77,10 +69,10 @@ type Sender struct {
 
 // NewSender creates a Reno sender on host targeting the receiver at dst.
 // Each (flow, host-pair) is an independent connection.
-func NewSender(host *netsim.Host, dst packet.Addr, flow uint32, cfg Config) *Sender {
+func NewSender(host *netsim.Host, dst packet.Addr, flow uint32) *Sender {
 	s := &Sender{
-		host: host, dst: dst, flow: flow, cfg: cfg,
-		cwnd: 1, ssthresh: cfg.MaxWindow / 2, rto: cfg.InitialRTO,
+		host: host, dst: dst, flow: flow,
+		cwnd: 1, ssthresh: maxWindow / 2, rto: initialRTO,
 	}
 	s.rtoTimer = host.Scheduler().NewTimer(s.onTimeout)
 	host.Handle(packet.ProtoTCP, s.onAck)
@@ -114,8 +106,8 @@ func (s *Sender) Cwnd() float64 { return s.cwnd }
 func (s *Sender) flight() uint32 { return s.sndNxt - s.sndUna }
 
 func (s *Sender) window() float64 {
-	if s.cwnd > s.cfg.MaxWindow {
-		return s.cfg.MaxWindow
+	if s.cwnd > maxWindow {
+		return maxWindow
 	}
 	return s.cwnd
 }
@@ -139,8 +131,8 @@ func (s *Sender) transmit(seq uint32) {
 		return
 	}
 	hdr := s.host.Network().Pool().TCPHeader()
-	hdr.Flow, hdr.Seq, hdr.Len = s.flow, seq, uint32(s.cfg.SegmentSize)
-	pkt := s.host.Network().NewPacket(s.host.Addr(), s.dst, s.cfg.SegmentSize, hdr)
+	hdr.Flow, hdr.Seq, hdr.Len = s.flow, seq, segmentSize
+	pkt := s.host.Network().NewPacket(s.host.Addr(), s.dst, segmentSize, hdr)
 	s.host.Send(pkt)
 	s.SegmentsSent++
 	if seq < s.maxSent {
@@ -236,8 +228,8 @@ func (s *Sender) newAck(ack uint32) {
 		} else {
 			s.cwnd += acked / s.cwnd // congestion avoidance
 		}
-		if s.cwnd > s.cfg.MaxWindow {
-			s.cwnd = s.cfg.MaxWindow
+		if s.cwnd > maxWindow {
+			s.cwnd = maxWindow
 		}
 	}
 
@@ -277,8 +269,8 @@ func (s *Sender) sample(rtt sim.Time) {
 		s.srtt = (7*s.srtt + rtt) / 8
 	}
 	s.rto = s.srtt + 4*s.rttvar
-	if s.rto < s.cfg.MinRTO {
-		s.rto = s.cfg.MinRTO
+	if s.rto < minRTO {
+		s.rto = minRTO
 	}
 }
 
@@ -294,7 +286,6 @@ func maxf(a, b float64) float64 {
 type Receiver struct {
 	host *netsim.Host
 	flow uint32
-	cfg  Config
 
 	nextExpected uint32
 	outOfOrder   map[uint32]bool
@@ -306,8 +297,8 @@ type Receiver struct {
 }
 
 // NewReceiver creates a sink on host for the given flow.
-func NewReceiver(host *netsim.Host, flow uint32, cfg Config) *Receiver {
-	r := &Receiver{host: host, flow: flow, cfg: cfg, outOfOrder: make(map[uint32]bool)}
+func NewReceiver(host *netsim.Host, flow uint32) *Receiver {
+	r := &Receiver{host: host, flow: flow, outOfOrder: make(map[uint32]bool)}
 	host.Handle(packet.ProtoTCP, r.onData)
 	return r
 }
@@ -321,14 +312,14 @@ func (r *Receiver) onData(pkt *packet.Packet) {
 		r.advance(int(hdr.Len))
 		for r.outOfOrder[r.nextExpected] {
 			delete(r.outOfOrder, r.nextExpected)
-			r.advance(r.cfg.SegmentSize)
+			r.advance(segmentSize)
 		}
 	} else if hdr.Seq > r.nextExpected {
 		r.outOfOrder[hdr.Seq] = true
 	}
 	ack := r.host.Network().Pool().TCPHeader()
 	ack.Flow, ack.Ack, ack.IsAck = r.flow, r.nextExpected, true
-	r.host.Send(r.host.Network().NewPacket(r.host.Addr(), pkt.Src, r.cfg.AckSize, ack))
+	r.host.Send(r.host.Network().NewPacket(r.host.Addr(), pkt.Src, ackSize, ack))
 }
 
 func (r *Receiver) advance(bytes int) {

@@ -49,9 +49,8 @@ func dumbbell(n int, bottleneckBps int64, qBytes int) (*sim.Scheduler, []*netsim
 
 func TestSingleFlowFillsBottleneck(t *testing.T) {
 	sched, srcs, dsts := dumbbell(1, 1_000_000, 20_000)
-	cfg := DefaultConfig()
-	recv := NewReceiver(dsts[0], 1, cfg)
-	send := NewSender(srcs[0], dsts[0].Addr(), 1, cfg)
+	recv := NewReceiver(dsts[0], 1)
+	send := NewSender(srcs[0], dsts[0].Addr(), 1)
 	sched.At(0, func() { send.Start() })
 	sched.RunUntil(30 * sim.Second)
 
@@ -66,9 +65,8 @@ func TestSingleFlowFillsBottleneck(t *testing.T) {
 
 func TestSlowStartDoublesWindow(t *testing.T) {
 	sched, srcs, dsts := dumbbell(1, 10_000_000, 1<<20)
-	cfg := DefaultConfig()
-	NewReceiver(dsts[0], 1, cfg)
-	send := NewSender(srcs[0], dsts[0].Addr(), 1, cfg)
+	NewReceiver(dsts[0], 1)
+	send := NewSender(srcs[0], dsts[0].Addr(), 1)
 	sched.At(0, func() { send.Start() })
 	// RTT is 80 ms; after the first ack (~80 ms) cwnd=2, then 4, 8...
 	sched.RunUntil(90 * sim.Millisecond)
@@ -85,9 +83,8 @@ func TestLossTriggersFastRecovery(t *testing.T) {
 	// Small bottleneck queue forces drops once the window outgrows the
 	// pipe; Reno must recover via fast retransmit, not stall.
 	sched, srcs, dsts := dumbbell(1, 500_000, 5_000)
-	cfg := DefaultConfig()
-	recv := NewReceiver(dsts[0], 1, cfg)
-	send := NewSender(srcs[0], dsts[0].Addr(), 1, cfg)
+	recv := NewReceiver(dsts[0], 1)
+	send := NewSender(srcs[0], dsts[0].Addr(), 1)
 	sched.At(0, func() { send.Start() })
 	sched.RunUntil(30 * sim.Second)
 
@@ -102,11 +99,10 @@ func TestLossTriggersFastRecovery(t *testing.T) {
 
 func TestTwoFlowsShareFairly(t *testing.T) {
 	sched, srcs, dsts := dumbbell(2, 1_000_000, 20_000)
-	cfg := DefaultConfig()
-	r1 := NewReceiver(dsts[0], 1, cfg)
-	r2 := NewReceiver(dsts[1], 2, cfg)
-	s1 := NewSender(srcs[0], dsts[0].Addr(), 1, cfg)
-	s2 := NewSender(srcs[1], dsts[1].Addr(), 2, cfg)
+	r1 := NewReceiver(dsts[0], 1)
+	r2 := NewReceiver(dsts[1], 2)
+	s1 := NewSender(srcs[0], dsts[0].Addr(), 1)
+	s2 := NewSender(srcs[1], dsts[1].Addr(), 2)
 	sched.At(0, func() { s1.Start() })
 	sched.At(100*sim.Millisecond, func() { s2.Start() })
 	sched.RunUntil(60 * sim.Second)
@@ -127,9 +123,8 @@ func TestRetransmissionTimeoutRecovers(t *testing.T) {
 	// A queue so small that bursts lose several segments including
 	// retransmissions → RTO path must eventually fire and recover.
 	sched, srcs, dsts := dumbbell(1, 200_000, 1_200)
-	cfg := DefaultConfig()
-	recv := NewReceiver(dsts[0], 1, cfg)
-	send := NewSender(srcs[0], dsts[0].Addr(), 1, cfg)
+	recv := NewReceiver(dsts[0], 1)
+	send := NewSender(srcs[0], dsts[0].Addr(), 1)
 	sched.At(0, func() { send.Start() })
 	sched.RunUntil(60 * sim.Second)
 
@@ -150,13 +145,12 @@ func TestReceiverReordersOutOfOrderSegments(t *testing.T) {
 	net.Connect(a, b, 10_000_000, sim.Millisecond, 1<<20)
 	net.ComputeRoutes()
 
-	cfg := DefaultConfig()
-	recv := NewReceiver(b, 9, cfg)
+	recv := NewReceiver(b, 9)
 	// Hand-deliver segments 1,2,0: goodput must only advance at 0 and then
 	// absorb the buffered ones.
 	mk := func(seq uint32) *packet.Packet {
-		return packet.New(a.Addr(), b.Addr(), cfg.SegmentSize,
-			&packet.TCPHeader{Flow: 9, Seq: seq, Len: uint32(cfg.SegmentSize)})
+		return packet.New(a.Addr(), b.Addr(), segmentSize,
+			&packet.TCPHeader{Flow: 9, Seq: seq, Len: segmentSize})
 	}
 	sched.At(0, func() { a.Send(mk(1)); a.Send(mk(2)) })
 	sched.At(10*sim.Millisecond, func() {
@@ -166,7 +160,7 @@ func TestReceiverReordersOutOfOrderSegments(t *testing.T) {
 		a.Send(mk(0))
 	})
 	sched.Run()
-	want := uint64(3 * cfg.SegmentSize)
+	want := uint64(3 * segmentSize)
 	if recv.GoodputBytes != want {
 		t.Fatalf("goodput %d, want %d", recv.GoodputBytes, want)
 	}
@@ -174,16 +168,15 @@ func TestReceiverReordersOutOfOrderSegments(t *testing.T) {
 
 func TestRTTEstimatorConverges(t *testing.T) {
 	sched, srcs, dsts := dumbbell(1, 10_000_000, 1<<20)
-	cfg := DefaultConfig()
-	NewReceiver(dsts[0], 1, cfg)
-	send := NewSender(srcs[0], dsts[0].Addr(), 1, cfg)
+	NewReceiver(dsts[0], 1)
+	send := NewSender(srcs[0], dsts[0].Addr(), 1)
 	sched.At(0, func() { send.Start() })
 	sched.RunUntil(5 * sim.Second)
 	// Path RTT is 80 ms plus small serialization; SRTT must be close.
 	if send.srtt < 75*sim.Millisecond || send.srtt > 120*sim.Millisecond {
 		t.Fatalf("srtt = %v, want ~80ms", send.srtt)
 	}
-	if send.rto < cfg.MinRTO {
+	if send.rto < minRTO {
 		t.Fatalf("rto %v below floor", send.rto)
 	}
 }
@@ -195,12 +188,11 @@ func TestSenderIgnoresForeignFlows(t *testing.T) {
 	b := net.AddHost("b")
 	net.Connect(a, b, 10_000_000, sim.Millisecond, 1<<20)
 	net.ComputeRoutes()
-	cfg := DefaultConfig()
-	send := NewSender(a, b.Addr(), 1, cfg)
+	send := NewSender(a, b.Addr(), 1)
 	sched.At(0, func() { send.Start() })
 	// Inject a bogus ACK for another flow; it must not advance the window.
 	sched.At(5*sim.Millisecond, func() {
-		b.Send(packet.New(b.Addr(), a.Addr(), cfg.AckSize,
+		b.Send(packet.New(b.Addr(), a.Addr(), ackSize,
 			&packet.TCPHeader{Flow: 99, Ack: 1000, IsAck: true}))
 	})
 	sched.RunUntil(20 * sim.Millisecond)

@@ -18,15 +18,6 @@ import (
 	"deltasigma/internal/packet"
 )
 
-// RLMThresholds returns the flat 25% per-level tolerance RLM defaults to.
-func RLMThresholds(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = 0.25
-	}
-	return out
-}
-
 // GradedThresholds returns WEBRC-style tolerances that tighten with the
 // level: from 25% at level 1 down to 5% at level n.
 func GradedThresholds(n int) []float64 {

@@ -11,6 +11,15 @@ import (
 	"deltasigma/internal/topo"
 )
 
+// RLMThresholds returns the flat 25% per-level tolerance RLM defaults to.
+func RLMThresholds(n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = 0.25
+	}
+	return out
+}
+
 func buildRig(capacity int64, thresh []float64, seed uint64) (*topo.Tree, *flid.Sender, *flid.DSReceiver) {
 	d := topo.Dumbbell(topo.PaperConfig(capacity, seed))
 	src := d.AttachSource("src")
@@ -30,7 +39,7 @@ func buildRig(capacity int64, thresh []float64, seed uint64) (*topo.Tree, *flid.
 		d.Multicast().SetSource(a, src.ID())
 	}
 	policy := core.PeriodicUpgrades{Factor: 2, N: sess.Rates.N}
-	snd := flid.NewSender(src, sess, flid.ShamirKeying(thresh), policy, d.Rand().Fork(), 2)
+	snd := flid.NewSender(src, sess, flid.ShamirKeying(thresh), policy, d.Rand().Fork())
 	r := NewReceiver(rcv, sess, thresh, d.Routers[1].Addr())
 	return d, snd, r
 }

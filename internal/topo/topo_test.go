@@ -9,11 +9,11 @@ import (
 
 func TestPaperConfigDefaults(t *testing.T) {
 	cfg := PaperConfig(1_000_000, 1)
-	if cfg.HopDelay != 20*sim.Millisecond || cfg.SideDelay != 10*sim.Millisecond {
-		t.Fatalf("delays wrong: %+v", cfg)
+	if cfg.HopDelay != 20*sim.Millisecond || sideDelay != 10*sim.Millisecond {
+		t.Fatalf("delays wrong: hop %v, side %v", cfg.HopDelay, sideDelay)
 	}
-	if cfg.SideRate != 10_000_000 || cfg.BDPFactor != 2 {
-		t.Fatalf("rates wrong: %+v", cfg)
+	if sideRate != 10_000_000 || bdpFactor != 2 {
+		t.Fatalf("rates wrong: side %d, %d BDPs", sideRate, bdpFactor)
 	}
 }
 

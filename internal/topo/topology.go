@@ -60,10 +60,17 @@ type Topology interface {
 	Finish()
 }
 
-// bdpQueue sizes a queue as factor × rate × rtt (the §5.1 two-BDP rule),
+// The §5.1 access links and buffers, the same on every shape.
+const (
+	sideRate  int64 = 10_000_000           // each access link's capacity
+	sideDelay       = 10 * sim.Millisecond // each access link's default delay
+	bdpFactor       = 2                    // queues hold two bandwidth-delay products
+)
+
+// bdpQueue sizes a queue as bdpFactor × rate × rtt (the §5.1 two-BDP rule),
 // with a floor so access links never bottleneck on buffer space.
-func bdpQueue(factor float64, rate int64, rtt sim.Time, floor int) int {
-	return max(int(factor*float64(rate)*rtt.Sec()/8), floor)
+func bdpQueue(rate int64, rtt sim.Time, floor int) int {
+	return max(int(bdpFactor*float64(rate)*rtt.Sec()/8), floor)
 }
 
 // cohortStubRate is the private-edge→cohort-host stub link rate: fast

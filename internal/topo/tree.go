@@ -4,7 +4,8 @@
 // drop-tail queue. The paper's §5.1 dumbbell is one hop; a parking-lot
 // chain places hops in series; a star places them in parallel, one SIGMA
 // gatekeeper per edge (the incremental-deployment picture of §3.2.3). Side
-// links carry 10 ms and 10 Mbps each and every hop 20 ms by default.
+// links carry 10 Mbps and 10 ms by default on every shape (§5.1); each hop
+// carries 20 ms unless its Config says otherwise.
 //
 // The paper sets "buffer space for each link equal to two bandwidth-delay
 // products" without fixing which delay; this builder uses the round trip to
@@ -23,7 +24,7 @@ import (
 	"deltasigma/internal/sim"
 )
 
-// Config parameterizes every shape; a zero or negative value takes the
+// Config parameterizes every shape; a zero or negative HopDelay takes the
 // §5.1 default.
 type Config struct {
 	// Capacities holds each hop's rate in bits/s: the dumbbell's one
@@ -31,12 +32,6 @@ type Config struct {
 	Capacities []int64
 	// HopDelay is each hop's propagation delay (default 20 ms).
 	HopDelay sim.Time
-	// SideRate is each access link's capacity (default 10 Mbps).
-	SideRate int64
-	// SideDelay is each access link's propagation delay (default 10 ms).
-	SideDelay sim.Time
-	// BDPFactor scales the derived queues (default 2 per §5.1).
-	BDPFactor float64
 	// Seed drives all experiment randomness.
 	Seed uint64
 }
@@ -46,9 +41,6 @@ func PaperConfig(bottleneck int64, seed uint64) Config {
 	return Config{
 		Capacities: []int64{bottleneck},
 		HopDelay:   20 * sim.Millisecond,
-		SideRate:   10_000_000,
-		SideDelay:  10 * sim.Millisecond,
-		BDPFactor:  2,
 		Seed:       seed,
 	}
 }
@@ -115,10 +107,9 @@ func build(cfg Config, series bool, name func(i int) string) *Tree {
 			panic("topo: hop rates must be positive")
 		}
 	}
-	cfg.HopDelay = orDefault(cfg.HopDelay, 20*sim.Millisecond)
-	cfg.SideRate = orDefault(cfg.SideRate, 10_000_000)
-	cfg.SideDelay = orDefault(cfg.SideDelay, 10*sim.Millisecond)
-	cfg.BDPFactor = orDefault(cfg.BDPFactor, 2)
+	if cfg.HopDelay <= 0 {
+		cfg.HopDelay = 20 * sim.Millisecond
+	}
 	net := netsim.New(sim.NewScheduler(), sim.NewRNG(cfg.Seed))
 	t := &Tree{net: net, fabric: mcast.NewFabric(net), cfg: cfg, depth: 1}
 	if series {
@@ -135,23 +126,15 @@ func build(cfg Config, series bool, name func(i int) string) *Tree {
 		}
 		r := mcast.NewRouter(net, t.fabric, name(i+1))
 		t.Routers = append(t.Routers, r)
-		t.Forward[i], _ = net.Connect(parent, r, rate, cfg.HopDelay, bdpQueue(cfg.BDPFactor, rate, rtt, 0))
+		t.Forward[i], _ = net.Connect(parent, r, rate, cfg.HopDelay, bdpQueue(rate, rtt, 0))
 	}
 	return t
-}
-
-// orDefault returns def for a zero or negative v.
-func orDefault[T int64 | sim.Time | float64](v, def T) T {
-	if v <= 0 {
-		return def
-	}
-	return v
 }
 
 // RTT returns the round-trip propagation time between a default-delay
 // source and a default-delay receiver at the deepest leaf.
 func (t *Tree) RTT() sim.Time {
-	return 2 * (t.cfg.SideDelay + sim.Time(t.depth)*t.cfg.HopDelay + t.cfg.SideDelay)
+	return 2 * (sideDelay + sim.Time(t.depth)*t.cfg.HopDelay + sideDelay)
 }
 
 // Scheduler implements Topology.
@@ -168,7 +151,7 @@ func (t *Tree) Multicast() *mcast.Fabric { return t.fabric }
 
 // AttachSource implements Topology: sources feed the ingress router.
 func (t *Tree) AttachSource(name string) *netsim.Host {
-	return t.attachHost(t.hostName(name, "src"), t.Routers[0], t.cfg.SideDelay)
+	return t.attachHost(t.hostName(name, "src"), t.Routers[0], sideDelay)
 }
 
 // AttachReceiver implements Topology: the default egress is the far end of
@@ -246,9 +229,9 @@ func (t *Tree) hostName(name, kind string) string {
 // buffer space.
 func (t *Tree) connectAccess(a, b netsim.Node, delay sim.Time) {
 	if delay < 0 {
-		delay = t.cfg.SideDelay
+		delay = sideDelay
 	}
-	t.net.Connect(a, b, t.cfg.SideRate, delay, bdpQueue(t.cfg.BDPFactor, t.cfg.SideRate, t.RTT(), 1<<16))
+	t.net.Connect(a, b, sideRate, delay, bdpQueue(sideRate, t.RTT(), 1<<16))
 }
 
 // attachHost creates a host and connects it to router over an access link.

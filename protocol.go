@@ -13,8 +13,8 @@ import (
 )
 
 // Agent is a running protocol participant that is not a receiver — a
-// session source or a router-resident agent: Start begins its slot loop at
-// the session epoch, Stop halts it after the current slot.
+// session source or a router-resident agent: Start begins its slot loop in
+// the current slot, Stop halts it after the current slot.
 type Agent interface {
 	Start()
 	Stop()
@@ -125,9 +125,6 @@ func (p *Protocol) noAttackerError() error {
 	return &NoAttackerError{p.Name, p.noAttacker}
 }
 
-// announceRepeat is z, SIGMA's announcement FEC expansion factor (§5.4).
-const announceRepeat = 2
-
 // upgradePolicy is the standard increase-signal policy every built-in
 // sender runs: periods stretching with the level, g−1 seconds for group g
 // whatever the row's slot. FLID-DL's factor 2 at 500 ms sets that pace; a
@@ -158,7 +155,7 @@ func ThresholdProtocol(thresholds []float64) Protocol {
 	return Protocol{
 		Name: "flid-ds-threshold", Protected: true, Slot: 250 * Millisecond, Cohorts: true,
 		Sender: func(host *Host, sess *Session, rng *RNG) Agent {
-			return flid.NewSender(host, sess, flid.ShamirKeying(tolerances(sess)), upgradePolicy(sess), rng, announceRepeat)
+			return flid.NewSender(host, sess, flid.ShamirKeying(tolerances(sess)), upgradePolicy(sess), rng)
 		},
 		Receiver: func(host *Host, sess *Session, edge Addr) ReceiverAgent {
 			return threshold.NewReceiver(host, sess, tolerances(sess), edge)
@@ -217,7 +214,7 @@ var protocols = []Protocol{
 	{
 		Name: "flid-ds", Protected: true, Slot: 250 * Millisecond, Cohorts: true,
 		Sender: func(host *Host, sess *Session, rng *RNG) Agent {
-			return flid.NewSender(host, sess, flid.LayeredKeying, upgradePolicy(sess), rng, announceRepeat)
+			return flid.NewSender(host, sess, flid.LayeredKeying, upgradePolicy(sess), rng)
 		},
 		Receiver: func(host *Host, sess *Session, edge Addr) ReceiverAgent {
 			return flid.NewDSReceiver(host, sess, edge, flid.Layered)
@@ -233,7 +230,7 @@ var protocols = []Protocol{
 	{
 		Name: "flid-ds-replicated", Protected: true, Slot: 250 * Millisecond,
 		Sender: func(host *Host, sess *Session, rng *RNG) Agent {
-			return flid.NewSender(host, sess, flid.ReplicatedKeying, upgradePolicy(sess), rng, announceRepeat)
+			return flid.NewSender(host, sess, flid.ReplicatedKeying, upgradePolicy(sess), rng)
 		},
 		Receiver: func(host *Host, sess *Session, edge Addr) ReceiverAgent {
 			return replicated.NewReceiver(host, sess, edge)

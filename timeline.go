@@ -255,12 +255,11 @@ func (ev LinkUp) resolve(e *Experiment) error {
 }
 
 // LinkFlap cycles a bottleneck down and up: every Period the link goes
-// down and comes back DownFor later (default Period/10). The up transition
+// down and comes back a tenth of the Period later. The up transition
 // always fires, even past To, so a flapped link is never stranded down.
 type LinkFlap struct {
 	Link     int
 	Period   Time
-	DownFor  Time // 0 = Period/10
 	From, To Time
 }
 
@@ -269,17 +268,13 @@ func (ev LinkFlap) resolve(e *Experiment) error {
 	if err != nil {
 		return err
 	}
-	downFor := ev.DownFor
-	if downFor == 0 {
-		downFor = ev.Period / 10
-	}
-	if ev.Period <= 0 || downFor <= 0 || downFor >= ev.Period {
-		return fmt.Errorf("LinkFlap: down time %v must be inside period %v", downFor, ev.Period)
+	f, err := dynamics.NewFlapper(e.Topo.Scheduler(), ev.Period, ev.To, l.Down, l.Up)
+	if err != nil {
+		return fmt.Errorf("LinkFlap: %w", err)
 	}
 	if ev.To <= ev.From {
 		return fmt.Errorf("LinkFlap: window [%v,%v) is empty", ev.From, ev.To)
 	}
-	f := dynamics.NewFlapper(e.Topo.Scheduler(), ev.Period, downFor, ev.To, l.Down, l.Up)
 	f.Start(ev.From)
 	return nil
 }

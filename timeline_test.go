@@ -206,25 +206,6 @@ func TestPoissonChurnDeterministic(t *testing.T) {
 	}
 }
 
-// A Manual receiver joins only when its ReceiverJoin event fires.
-func TestManualReceiverJoinsByEvent(t *testing.T) {
-	exp := deltasigma.MustNew(
-		deltasigma.WithProtocol("flid-dl"),
-		deltasigma.WithSeed(2),
-		deltasigma.WithTimeline(deltasigma.ReceiverJoin{At: 4 * deltasigma.Second, Session: 1, Receiver: 2}),
-	)
-	sess := exp.AddSession(1)
-	late := sess.AddReceiver().Manual()
-	exp.Advance(8 * deltasigma.Second)
-
-	if got := late.Meter().AvgKbps(0, 4*deltasigma.Second); got != 0 {
-		t.Fatalf("manual receiver got %.1f Kbps before its join event", got)
-	}
-	if got := late.Meter().AvgKbps(4*deltasigma.Second, 8*deltasigma.Second); got == 0 {
-		t.Fatal("manual receiver got nothing after its join event")
-	}
-}
-
 // A timeline referencing a session, receiver or link that does not exist
 // is a wiring bug and panics at Start.
 func TestTimelineBadReferencePanics(t *testing.T) {

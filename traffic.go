@@ -46,14 +46,13 @@ func (e *Experiment) AddTCP(startAt Time) *TCPFlow {
 	flow := uint32(len(e.tcps) + 1)
 	src := e.Topo.AttachSource(fmt.Sprintf("tsrc%d", flow))
 	port := e.Topo.AttachReceiver(fmt.Sprintf("tdst%d", flow), DefaultDelay)
-	cfg := tcp.DefaultConfig()
-	recv := tcp.NewReceiver(port.Host, flow, cfg)
-	meter := stats.NewMeter(sim.Second)
+	recv := tcp.NewReceiver(port.Host, flow)
+	meter := new(stats.Meter)
 	sched := e.Topo.Scheduler()
 	recv.OnDeliver = func(bytes int) { meter.Add(sched.Now(), bytes) }
 	f := &TCPFlow{
 		label:   fmt.Sprintf("tcp%d", flow),
-		snd:     tcp.NewSender(src, port.Host.Addr(), flow, cfg),
+		snd:     tcp.NewSender(src, port.Host.Addr(), flow),
 		recv:    recv,
 		meter:   meter,
 		startAt: startAt,
@@ -120,7 +119,7 @@ func (e *Experiment) AddCBR(rate int64, on, off Time) *CBR {
 	port := e.Topo.AttachReceiver(fmt.Sprintf("cdst%d", idx), DefaultDelay)
 	s := cbr.New(src, port.Host.Addr(), uint32(900+idx), rate, e.pktSize)
 	s.OnPeriod, s.OffPeriod = on, off
-	meter := stats.NewMeter(sim.Second)
+	meter := new(stats.Meter)
 	sched := e.Topo.Scheduler()
 	port.Host.HandleAll(func(pkt *packet.Packet) { meter.Add(sched.Now(), pkt.Size) })
 	c := &CBR{label: fmt.Sprintf("cbr%d", idx), src: s, meter: meter}
