@@ -42,6 +42,10 @@ func TestSteadyStateAllocationBudget(t *testing.T) {
 		s.AddAttacker(deltasigma.WithStrategy(deltasigma.StrategyAdaptive))
 	}
 	million := func(s *deltasigma.ExperimentSession) { s.AddCohort(1_000_000) }
+	// A lone receiver leaves the upper groups without a branch, so the
+	// source sends them as doomed stand-ins; the row must measure some.
+	const doomedUpper = "doomed-upper"
+	lone := func(s *deltasigma.ExperimentSession) { s.AddReceiver() }
 
 	rows := []struct {
 		protocol, members string
@@ -77,6 +81,7 @@ func TestSteadyStateAllocationBudget(t *testing.T) {
 		// consolidation buckets recycle.
 		{"flid-dl", "cohort-1M", million},
 		{"flid-ds", "cohort-1M", million},
+		{"flid-ds", doomedUpper, lone},
 	}
 	for _, row := range rows {
 		t.Run(row.protocol+"/"+row.members, func(t *testing.T) {
@@ -88,9 +93,14 @@ func TestSteadyStateAllocationBudget(t *testing.T) {
 			slot := exp.Slot()
 			exp.Advance(warmSlots * slot)
 
+			access := exp.Topo.Network().OutLinks(exp.Sessions()[0].Source().ID())[0]
+			doomed := access.Doomed
 			got := testing.AllocsPerRun(runSlots, func() { exp.Advance(exp.Now() + slot) })
 			if got != 0 {
 				t.Fatalf("one warm slot of %s with %s members allocated %.1f times, want 0", row.protocol, row.members, got)
+			}
+			if row.members == doomedUpper && access.Doomed == doomed {
+				t.Fatalf("%s sent no doomed packet in the measured slots", row.protocol)
 			}
 			drainAndVerify(t, exp)
 		})

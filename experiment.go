@@ -2,6 +2,7 @@ package deltasigma
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"deltasigma/internal/core"
 	"deltasigma/internal/dynamics"
@@ -24,6 +25,11 @@ func (e *Experiment) blockSize() int {
 	}
 	return sessionSpacing
 }
+
+// simulateDoomed, set only by tests, turns every new experiment's
+// doomed-packet fast path off (netsim.Network.SimulateDoomed), so a test
+// can require the two to agree.
+var simulateDoomed atomic.Bool
 
 // defaultPacketSize is the §5.1 wire size of data packets.
 const defaultPacketSize = 576
@@ -103,6 +109,9 @@ func New(opts ...Option) (*Experiment, error) {
 	t := s.topology(s.seed)
 	if s.pool != nil {
 		t.Network().SetPool(s.pool)
+	}
+	if simulateDoomed.Load() {
+		t.Network().SimulateDoomed()
 	}
 	e := &Experiment{
 		Topo:     t,
@@ -370,11 +379,12 @@ func (e *Experiment) Start() {
 	e.started = true
 	e.Topo.Finish()
 
-	if e.ecnFrac > 0 {
-		for _, l := range e.Topo.Bottlenecks() {
-			if l.Queue.CapBytes > 0 {
-				l.Queue.MarkAt = int(e.ecnFrac * float64(l.Queue.CapBytes))
-			}
+	for _, l := range e.Topo.Bottlenecks() {
+		// The timeline may re-rate, re-delay or flap any bottleneck, so no
+		// arrival over one is predicted (netsim.Host.SendIfDoomed).
+		l.MarkBottleneck()
+		if e.ecnFrac > 0 && l.Queue.CapBytes > 0 {
+			l.Queue.MarkAt = int(e.ecnFrac * float64(l.Queue.CapBytes))
 		}
 	}
 

@@ -44,3 +44,8 @@ func (sw Sweep) DistinctRuns() (int, error) {
 	}
 	return n, nil
 }
+
+// SimulateDoomedPackets turns the doomed-packet fast path off (on = true)
+// or back on for every experiment built after it, and returns what was
+// set before.
+func SimulateDoomedPackets(on bool) (was bool) { return simulateDoomed.Swap(on) }

@@ -36,9 +36,12 @@ type SenderHooks struct {
 	// slot — copy what you keep.
 	Begin func(slot uint32, auth []bool, counts []int)
 	// Header builds one packet's header from its stamp; nil sends the plain
-	// pooled FLID header. It is called at send time, once per packet: in seq
-	// order within a group, with the groups' packets interleaved by send
-	// time. Anything it draws from a shared stream must be drawn in Begin.
+	// pooled FLID header. It is called at send time, at most once per
+	// packet: a packet its first hop would drop unseen goes out without a
+	// header (see groupEmitter.fire), so it reads the stamp's Seq rather
+	// than counting calls. Anything it draws from a shared stream must be
+	// drawn in Begin, and every header of one source must have one wire
+	// length.
 	Header func(st Stamp) packet.Header
 }
 
@@ -66,6 +69,10 @@ type SlotSender struct {
 	scratch SlotScratch
 	running bool
 	congest bool // any congested report since the last slot began
+	// wireSize is the Size of the source's data packets (the session's
+	// packet size, floored at the header's bytes), learnt from the first
+	// one sent; until then no packet is sent as doomed.
+	wireSize int
 
 	// Stats.
 	PacketsSent uint64
@@ -272,23 +279,33 @@ func (e *groupEmitter) push(at sim.Time, res sim.Reservation) {
 	}
 }
 
-// fire mints and sends the head emission, then arms the next.
+// fire mints and sends the head emission, then arms the next. When the
+// first hop would drop the packet unseen (netsim.Host.SendIfDoomed), a
+// headerless stand-in of the same size goes in its place and no header is
+// built: headers are random-access by Seq, so every other packet's header
+// is unchanged.
 func (e *groupEmitter) fire() {
 	e.head++
-	st := e.st
-	st.Seq = uint16(e.head)
 	s := e.s
-	var hdr packet.Header
-	if s.hooks.Header != nil {
-		hdr = s.hooks.Header(st)
-	} else {
-		hdr = s.FLIDHeader(st)
+	dst := s.Sess.GroupAddr(e.g)
+	size := s.wireSize
+	if size == 0 || !s.host.SendIfDoomed(dst, size) {
+		st := e.st
+		st.Seq = uint16(e.head)
+		var hdr packet.Header
+		if s.hooks.Header != nil {
+			hdr = s.hooks.Header(st)
+		} else {
+			hdr = s.FLIDHeader(st)
+		}
+		pkt := s.host.Network().NewPacket(s.host.Addr(), dst, s.Sess.PacketSize, hdr)
+		size = pkt.Size
+		s.wireSize = size
+		s.host.Send(pkt)
 	}
-	pkt := s.host.Network().NewPacket(s.host.Addr(), s.Sess.GroupAddr(e.g), s.Sess.PacketSize, hdr)
 	s.PacketsSent++
 	s.PacketsPerGroup[e.g-1]++
-	s.BytesSent += uint64(pkt.Size)
-	s.host.Send(pkt)
+	s.BytesSent += uint64(size)
 	if e.head < len(e.ring) {
 		e.timer.ResetReserved(e.ring[e.head], sim.Reservation{Akey: e.akey, Seq: e.seq0 + uint64(e.head)})
 	}

@@ -51,16 +51,17 @@ func NewLayeredSender(n int, src *keys.Source) *LayeredSender {
 // the group's components XOR to its secret.
 //
 // The components are drawn at slot start, in (group, seq) order, and
-// Fields hands them out in seq order per group. The nonce stream is the
-// sender's one keys.Source, so drawing up front keeps every key the same
-// however a sender interleaves its groups' packets at send time.
+// FieldsAt reads them by seq. The nonce stream is the sender's one
+// keys.Source, so drawing up front keeps every key the same however a
+// sender interleaves its groups' packets at send time, and whichever
+// packets it never stamps.
 type LayeredSlot struct {
 	Keys SlotKeys
 
 	src    *keys.Source
 	secret []keys.Key   // X_g: the first nonce of group g, which its components XOR to
 	comps  [][]keys.Key // comps[g-1]: group g's component fields in seq order, reused every slot
-	next   []int        // next component to hand out per group
+	next   []int        // Fields' calls per group this slot
 }
 
 // BeginSlot precomputes the keys for one slot. auth[g-1] declares whether
@@ -73,7 +74,7 @@ type LayeredSlot struct {
 // its Keys are valid until the next BeginSlot. A slotted sender sends
 // every packet of a slot before it begins the next, so nothing outlives it.
 // Every nonce of the slot is drawn here, the component fields last, so
-// Fields draws nothing and its callers may interleave groups freely.
+// FieldsAt draws nothing and its callers may interleave groups freely.
 func (s *LayeredSender) BeginSlot(slot uint32, auth []bool, counts []int) *LayeredSlot {
 	if len(auth) != s.n || len(counts) != s.n {
 		panic(fmt.Sprintf("delta: BeginSlot with %d auth / %d counts for %d groups", len(auth), len(counts), s.n))
@@ -131,21 +132,28 @@ func (ls *LayeredSlot) draw() {
 	}
 }
 
-// Fields returns the component and decrease fields for the next packet of
-// group g (1-based). It must be called exactly counts[g-1] times per slot
-// per group; the final call returns the closing component. The decrease
-// field d_g is δ_{g-1} for g ≥ 2 and zero for the minimal group.
-func (ls *LayeredSlot) Fields(g int) (component, decrease keys.Key) {
-	idx := g - 1
-	if ls.next[idx] >= len(ls.comps[idx]) {
-		panic(fmt.Sprintf("delta: group %d exceeded its %d scheduled packets", g, len(ls.comps[idx])))
+// FieldsAt returns the component and decrease fields of packet seq
+// (1-based, up to counts[g-1]) of group g (1-based); packet counts[g-1]
+// carries the closing component. The fields are fixed at BeginSlot, so
+// packets may be stamped in any order, or not at all. The decrease field
+// d_g is δ_{g-1} for g ≥ 2 and zero for the minimal group.
+func (ls *LayeredSlot) FieldsAt(g, seq int) (component, decrease keys.Key) {
+	comps := ls.comps[g-1]
+	if seq < 1 || seq > len(comps) {
+		panic(fmt.Sprintf("delta: group %d packet %d outside its %d scheduled packets", g, seq, len(comps)))
 	}
-	component = ls.comps[idx][ls.next[idx]]
-	ls.next[idx]++
+	component = comps[seq-1]
 	if g >= 2 {
 		decrease = ls.Keys.Dec[g-2]
 	}
 	return component, decrease
+}
+
+// Fields returns FieldsAt for the next packet of group g, counting the
+// calls per group: it must be called exactly counts[g-1] times per slot.
+func (ls *LayeredSlot) Fields(g int) (component, decrease keys.Key) {
+	ls.next[g-1]++
+	return ls.FieldsAt(g, ls.next[g-1])
 }
 
 // LayeredReceiver implements the receiver half of Figure 4: it accumulates

@@ -94,7 +94,7 @@ type ThresholdSlot struct {
 	polys  []shamir.Polynomial // level key polynomials, coefficient buffers kept across slots
 	ups    []shamir.Polynomial // ups[g-1]: ε_{g+1} shared over level g packets
 	hasUp  []bool              // ups[g-1] was sampled this slot (the upgrade is authorized)
-	seq    []uint32            // next share index per level
+	seq    []uint32            // Shares' calls per level this slot
 	counts []int
 }
 
@@ -136,20 +136,28 @@ func (s *ThresholdSender) BeginSlot(slot uint32, auth []bool, counts []int) (*Th
 	return ts, nil
 }
 
-// Shares returns the level-key share and (possibly zero) upgrade-key share
-// for the next packet of level g. Must be called once per scheduled packet.
-func (ts *ThresholdSlot) Shares(g int) (share, upShare shamir.Share) {
+// SharesAt returns the level-key share and (possibly zero) upgrade-key
+// share of packet seq (1-based, up to counts[g-1]) of level g: the
+// polynomials evaluated at x = seq. They are fixed at BeginSlot, so
+// packets may be stamped in any order, or not at all.
+func (ts *ThresholdSlot) SharesAt(g, seq int) (share, upShare shamir.Share) {
 	idx := g - 1
-	if int(ts.seq[idx]) >= ts.counts[idx] {
-		panic(fmt.Sprintf("delta: level %d exceeded its %d scheduled packets", g, ts.counts[idx]))
+	if seq < 1 || seq > ts.counts[idx] {
+		panic(fmt.Sprintf("delta: level %d packet %d outside its %d scheduled packets", g, seq, ts.counts[idx]))
 	}
-	ts.seq[idx]++
-	x := ts.seq[idx] // 1-based share coordinate
+	x := uint32(seq)
 	share = ts.polys[idx].ShareAt(x)
 	if ts.hasUp[idx] {
 		upShare = ts.ups[idx].ShareAt(x)
 	}
 	return share, upShare
+}
+
+// Shares returns SharesAt for the next packet of level g, counting the
+// calls per level: it must be called once per scheduled packet.
+func (ts *ThresholdSlot) Shares(g int) (share, upShare shamir.Share) {
+	ts.seq[g-1]++
+	return ts.SharesAt(g, int(ts.seq[g-1]))
 }
 
 // ThresholdReceiver accumulates shares per level and reconstructs the keys

@@ -105,7 +105,7 @@ func (k *xorKeying) begin(slot uint32, auth []bool, counts []int) *delta.SlotKey
 }
 
 func (k *xorKeying) header(s *core.SlotSender, st core.Stamp) packet.Header {
-	component, decrease := k.slot.Fields(int(st.Group))
+	component, decrease := k.slot.FieldsAt(int(st.Group), int(st.Seq))
 	if !k.send.Replicated {
 		h := s.FLIDHeader(st)
 		h.HasDelta, h.Component, h.Decrease = true, component, decrease
@@ -148,7 +148,7 @@ func (k *shamirKeying) begin(slot uint32, auth []bool, counts []int) *delta.Slot
 }
 
 func (k *shamirKeying) header(s *core.SlotSender, st core.Stamp) packet.Header {
-	share, up := k.slot.Shares(int(st.Group))
+	share, up := k.slot.SharesAt(int(st.Group), int(st.Seq))
 	h := s.FLIDHeader(st)
 	h.ShareX, h.ShareY = share.X, share.Y
 	h.UpShareX, h.UpShareY = up.X, up.Y

@@ -19,7 +19,11 @@
 //     panics earlier).
 //   - Link conservation: every packet handed to Link.Send is in exactly one
 //     place — delivered, drop-tail dropped, outage-discarded, queued, in
-//     propagation, or serializing. The counters on both sides are updated
+//     propagation, or serializing: Arrived == Delivered + Dropped +
+//     DroppedDown + Len + InFlight + Serializing. A doomed stand-in (a
+//     packet its first hop would drop unseen, netsim.Host.SendIfDoomed)
+//     counts as Delivered at tx-done and never enters propagation, so the
+//     equation holds for it too. The counters on both sides are updated
 //     by disjoint code paths, so the equation catches a lost or
 //     double-counted packet whichever path miscounts.
 //   - Utilization bound: a link cannot deliver more bits than its capacity

@@ -15,6 +15,7 @@ package mcast
 
 import (
 	"fmt"
+	"slices"
 
 	"deltasigma/internal/netsim"
 	"deltasigma/internal/packet"
@@ -31,9 +32,16 @@ type Fabric struct {
 	// prune (models IGMP leave latency; zero models dynamic layering).
 	PruneDelayPerPath sim.Time
 
-	sources map[packet.Addr]netsim.NodeID        // group → source node
-	refs    map[packet.Addr]map[*netsim.Link]int // group → link → edge count
-	grafts  map[graftKey]*graftState
+	refs   map[packet.Addr]map[*netsim.Link]int // group → link → edge count
+	grafts map[graftKey]*graftState
+	// trees holds each group's source and tree summary densely: trees[i]
+	// is group treeBase+i. Sessions allocate contiguous group blocks, so
+	// the slice spans them with small gaps. wideSources holds the sources
+	// of groups outside it (never produced by the session allocator),
+	// whose trees are never Dormant.
+	trees       []treeState
+	treeBase    packet.Addr
+	wideSources map[packet.Addr]netsim.NodeID
 
 	// version counts tree mutations (graft applications and prune
 	// deactivations). Routers stamp their per-group forward caches with it
@@ -45,6 +53,31 @@ type Fabric struct {
 	Grafts uint64
 	// Prunes counts prune operations.
 	Prunes uint64
+}
+
+// treeState is what the doomed-packet check needs of one group's tree,
+// kept in step with graft and prune so it is read in O(1).
+type treeState struct {
+	srcPlus1 int32 // the source's NodeID plus one; zero when none is set
+	grafting int32 // grafts whose timer is armed
+	carried  int32 // branches whose route's links count the group
+}
+
+// tree returns the group's summary, or nil for a group outside the dense
+// range, which is never dormant.
+func (f *Fabric) tree(group packet.Addr) *treeState {
+	if i := uint64(uint32(group - f.treeBase)); i < uint64(len(f.trees)) {
+		return &f.trees[i]
+	}
+	return nil
+}
+
+// Dormant reports whether src is group's registered source and no branch
+// of its tree is carried or being grafted: then no link carries the group
+// and none will before a graft requested from now on reaches the tree.
+func (f *Fabric) Dormant(group packet.Addr, src netsim.NodeID) bool {
+	t := f.tree(group)
+	return t != nil && t.srcPlus1 == int32(src)+1 && t.grafting == 0 && t.carried == 0
 }
 
 type graftKey struct {
@@ -69,10 +102,9 @@ type graftState struct {
 // NewFabric creates a fabric over net.
 func NewFabric(net *netsim.Network) *Fabric {
 	return &Fabric{
-		net:     net,
-		sources: make(map[packet.Addr]netsim.NodeID),
-		refs:    make(map[packet.Addr]map[*netsim.Link]int),
-		grafts:  make(map[graftKey]*graftState),
+		net:    net,
+		refs:   make(map[packet.Addr]map[*netsim.Link]int),
+		grafts: make(map[graftKey]*graftState),
 	}
 }
 
@@ -82,12 +114,34 @@ func (f *Fabric) SetSource(group packet.Addr, src netsim.NodeID) {
 	if !group.IsMulticast() {
 		panic(fmt.Sprintf("mcast: %v is not a multicast group", group))
 	}
-	f.sources[group] = src
+	if len(f.trees) == 0 {
+		f.treeBase = group
+	}
+	if group < f.treeBase || group-f.treeBase >= fwdDenseMax {
+		if f.wideSources == nil {
+			f.wideSources = make(map[packet.Addr]netsim.NodeID)
+		}
+		f.wideSources[group] = src
+		return
+	}
+	i := int(group - f.treeBase)
+	if i >= cap(f.trees) {
+		// One allocation covers a session's block; a later block along
+		// at least doubles the slice.
+		f.trees = slices.Grow(f.trees, max(i+16, 2*cap(f.trees))-len(f.trees))
+	}
+	if i >= len(f.trees) {
+		f.trees = f.trees[:i+1]
+	}
+	f.trees[i].srcPlus1 = int32(src) + 1
 }
 
 // Source returns the registered source of a group.
 func (f *Fabric) Source(group packet.Addr) (netsim.NodeID, bool) {
-	id, ok := f.sources[group]
+	if t := f.tree(group); t != nil && t.srcPlus1 != 0 {
+		return netsim.NodeID(t.srcPlus1 - 1), true
+	}
+	id, ok := f.wideSources[group]
 	return id, ok
 }
 
@@ -106,7 +160,7 @@ func (f *Fabric) Graft(group packet.Addr, edge netsim.NodeID) {
 	if st.joined {
 		return
 	}
-	src, ok := f.sources[group]
+	src, ok := f.Source(group)
 	if !ok {
 		panic(fmt.Sprintf("mcast: graft for group %v with no source", group))
 	}
@@ -121,14 +175,24 @@ func (f *Fabric) Graft(group packet.Addr, edge netsim.NodeID) {
 		return
 	}
 	st.timer.Reset(f.graftDelay(group, st.route))
+	if t := f.tree(group); t != nil {
+		t.grafting++
+	}
 }
 
 // apply activates the branch once the graft has reached the tree.
 func (st *graftState) apply() {
+	t := st.f.tree(st.group)
+	if t != nil {
+		t.grafting--
+	}
 	if !st.joined {
 		return // pruned while the graft was in flight
 	}
 	st.applied = true
+	if t != nil {
+		t.carried++
+	}
 	r := st.f.groupRefs(st.group)
 	for _, l := range st.route {
 		r[l]++
@@ -146,6 +210,9 @@ func (f *Fabric) Prune(group packet.Addr, edge netsim.NodeID) {
 	st.joined = false
 	f.Prunes++
 	if !st.applied {
+		if t := f.tree(group); t != nil && st.timer.Active() {
+			t.grafting--
+		}
 		st.timer.Stop()
 		return
 	}
@@ -166,6 +233,9 @@ func (st *graftState) deactivate() {
 		}
 	}
 	st.f.version++
+	if t := st.f.tree(st.group); t != nil {
+		t.carried--
+	}
 }
 
 // EntitlementReader is the side-effect-free twin of Gatekeeper.Deliver,

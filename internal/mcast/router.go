@@ -1,6 +1,8 @@
 package mcast
 
 import (
+	"math"
+
 	"deltasigma/internal/netsim"
 	"deltasigma/internal/packet"
 	"deltasigma/internal/sim"
@@ -71,6 +73,10 @@ type Router struct {
 	fwdDense []*fwdEntry
 	fwdWide  map[packet.Addr]*fwdEntry
 
+	// inward caches graftBound's two least delays into the router; nil
+	// until a source behind the router first asks.
+	inward *inwardDelays
+
 	// ForwardedMcast counts multicast packets replicated downstream.
 	ForwardedMcast uint64
 	// DeliveredLocal counts multicast packets delivered onto local interfaces.
@@ -89,6 +95,15 @@ type Router struct {
 	FeedbackAbsorbed uint64
 	// FeedbackForwarded counts consolidated reports sent upstream.
 	FeedbackForwarded uint64
+}
+
+// inwardDelays are the two least delays of the links into a router from
+// its neighbours, and the out-link whose reverse has the least, as of the
+// network's delay version.
+type inwardDelays struct {
+	version      uint64
+	best, second sim.Time
+	bestOut      *netsim.Link
 }
 
 // localIf is one sorted-order local interface with its delivery link,
@@ -308,6 +323,49 @@ func (r *Router) flushFeedback(e *fbEntry) {
 	} else {
 		out.Release()
 	}
+}
+
+// Doomed implements netsim.Doomer for a source host attached to this
+// router: a packet of group arriving over in at arrive would be replicated
+// nowhere and delivered to no one. That holds when the router has no local
+// interface, the group's tree, rooted at in's source, carries no branch
+// and grows none, and the packet lands strictly before a graft requested
+// now could activate a branch here (graftBound).
+func (r *Router) Doomed(group packet.Addr, in *netsim.Link, arrive sim.Time) bool {
+	return len(r.locals) == 0 && r.fabric.Dormant(group, in.From().ID()) &&
+		arrive-r.net.Scheduler().Now() < r.graftBound(in)
+}
+
+// graftBound is the least time a graft requested now takes to activate a
+// branch at this router for a group with no branch, sourced behind in:
+// the graft climbs to the source (Fabric.graftDelay), so it crosses one of
+// the router's other links inward and then in's reverse. The two least
+// inward delays are cached until a delay changes, so each call is O(1).
+func (r *Router) graftBound(in *netsim.Link) sim.Time {
+	if r.inward == nil {
+		r.inward = &inwardDelays{version: ^uint64(0)}
+	}
+	c := r.inward
+	if v := r.net.DelayVersion(); c.version != v {
+		*c = inwardDelays{version: v, best: math.MaxInt64, second: math.MaxInt64}
+		for _, out := range r.net.OutLinks(r.id) {
+			switch d := out.Reverse().Delay; {
+			case d < c.best:
+				c.second, c.best, c.bestOut = c.best, d, out
+			case d < c.second:
+				c.second = d
+			}
+		}
+	}
+	back := in.Reverse()
+	other := c.best
+	if back == c.bestOut {
+		other = c.second
+	}
+	if other == math.MaxInt64 {
+		return other // no other neighbour: no graft can come
+	}
+	return back.Delay + other
 }
 
 // Graft asks the fabric to extend the group's tree to this router. The

@@ -92,8 +92,12 @@ type Link struct {
 	Delay    sim.Time // propagation delay; mutate via SetDelay only
 	Queue    Queue
 	sched    *sim.Scheduler
+	net      *Network
 	busy     bool
 	down     bool
+	// bottleneck marks a link whose rate, delay or state may change
+	// mid-run (MarkBottleneck): no arrival over it is predicted.
+	bottleneck bool
 
 	cur          *packet.Packet // packet currently serializing
 	txTimer      sim.Timer      // fires when cur finishes serializing
@@ -112,7 +116,8 @@ type Link struct {
 	// audits: Arrived == Delivered + Queue.Dropped + DroppedDown +
 	// Queue.Len() + InFlight() + Serializing().
 	Arrived uint64
-	// Delivered counts packets handed to dst.
+	// Delivered counts packets handed to dst, and doomed stand-ins at
+	// tx-done, where they end.
 	Delivered uint64
 	// SentBytes counts bytes that completed serialization.
 	SentBytes uint64
@@ -128,6 +133,10 @@ type Link struct {
 	// arrivals while down plus queued and in-flight packets flushed by the
 	// Down transition itself.
 	DroppedDown uint64
+	// Doomed counts the stand-ins for doomed packets (Host.SendIfDoomed)
+	// that finished serializing. Each is counted in Delivered as well, at
+	// tx-done, since nothing downstream would have seen it.
+	Doomed uint64
 	// OnDeliver, when set, observes every delivery (tracing hook). The
 	// packet is released after delivery; observers must not retain it
 	// without Retain.
@@ -186,6 +195,28 @@ func (l *Link) Send(pkt *packet.Packet) {
 	}
 }
 
+// departure is when a size-byte packet accepted now would finish
+// serializing, behind the packet serializing and the queue in FIFO order.
+// The queue and the packet are timed as one block of bytes. Each packet's
+// serialization time rounds down to the nanosecond, so that is exact when
+// a byte takes a whole number of nanoseconds (800 on the 10 Mbps side
+// links) and never earlier than the real departure otherwise.
+func (l *Link) departure(size int) sim.Time {
+	if !l.busy {
+		return l.sched.Now() + l.txTime(size)
+	}
+	return l.txTimer.When() + l.txTime(l.Queue.Bytes()+size)
+}
+
+// MarkBottleneck declares that the link's rate, delay or up state may
+// change mid-run. The doomed-packet check predicts no arrival over such a
+// link, so every link a run re-parameterizes must be marked before its
+// traffic starts.
+func (l *Link) MarkBottleneck() { l.bottleneck = true }
+
+// Reverse returns the duplex partner: the link from To back to From.
+func (l *Link) Reverse() *Link { return l.rev }
+
 func (l *Link) startTransmission() {
 	pkt := l.Queue.pop()
 	if pkt == nil {
@@ -212,6 +243,15 @@ func (l *Link) onTxDone() {
 	pkt := l.cur
 	l.cur = nil
 	l.SentBytes += uint64(pkt.Size)
+	if pkt.Doomed {
+		// The first hop would have dropped it unseen: it ends here, with
+		// no flight, no reservation and no delivery event.
+		l.Delivered++
+		l.Doomed++
+		pkt.Release()
+		l.startTransmission()
+		return
+	}
 	if l.cut != nil {
 		// Cross-shard propagation: the packet leaves this shard. Park the
 		// original for the barrier hand-off and post the delivery into the
@@ -307,6 +347,7 @@ func (l *Link) SetDelay(d sim.Time) {
 	}
 	l.guardCut("SetDelay")
 	l.Delay = d
+	l.net.delayGen++
 }
 
 // InFlight reports how many packets are in propagation (serialization

@@ -37,6 +37,12 @@ type Network struct {
 	// shard is non-nil when the network executes across a ShardGroup; see
 	// shard.go.
 	shard *shardState
+
+	// delayGen counts delay changes and connections (DelayVersion).
+	delayGen uint64
+	// simulateDoomed turns the doomed-packet fast path off (see
+	// SimulateDoomed).
+	simulateDoomed bool
 }
 
 // New creates an empty network driven by sched, drawing any randomness from
@@ -70,6 +76,15 @@ func (n *Network) SetPool(p *packet.Pool) {
 		n.sched.Adopt(p.Parked())
 	}
 }
+
+// DelayVersion counts link delay changes and connections: anything cached
+// from the delays around a node stays valid while it does not move.
+func (n *Network) DelayVersion() uint64 { return n.delayGen }
+
+// SimulateDoomed turns the doomed-packet fast path off: every packet a
+// Doomer would declare dead is built, carried and delivered like any
+// other. Results are the same either way; tests compare the two.
+func (n *Network) SimulateDoomed() { n.simulateDoomed = true }
 
 // NewUID issues a unique packet identifier for tracing.
 func (n *Network) NewUID() uint64 {
@@ -139,8 +154,8 @@ func (n *Network) Connect(a, b Node, rate int64, delay sim.Time, qcap int) (*Lin
 		panic(fmt.Sprintf("netsim: %s and %s are already connected", a.Name(), b.Name()))
 	}
 	pair := &[2]Link{
-		{src: a, dst: b, Rate: rate, Delay: delay, sched: n.sched, Queue: Queue{CapBytes: qcap}},
-		{src: b, dst: a, Rate: rate, Delay: delay, sched: n.sched, Queue: Queue{CapBytes: qcap}},
+		{src: a, dst: b, Rate: rate, Delay: delay, sched: n.sched, net: n, Queue: Queue{CapBytes: qcap}},
+		{src: b, dst: a, Rate: rate, Delay: delay, sched: n.sched, net: n, Queue: Queue{CapBytes: qcap}},
 	}
 	ab, ba := &pair[0], &pair[1]
 	ab.rev, ba.rev = ba, ab
@@ -149,6 +164,7 @@ func (n *Network) Connect(a, b Node, rate int64, delay sim.Time, qcap int) (*Lin
 	n.out[a.ID()] = append(n.out[a.ID()], ab)
 	n.out[b.ID()] = append(n.out[b.ID()], ba)
 	n.links = nil
+	n.delayGen++
 	return ab, ba
 }
 

@@ -25,6 +25,16 @@ type Node interface {
 	Receive(pkt *packet.Packet, from *Link)
 }
 
+// Doomer is a first-hop node that can tell a source, before the source
+// builds a packet, that the packet would end on arrival with no effect:
+// the node would forward it nowhere and deliver it to no one, and nothing
+// can change that before it lands. mcast.Router implements it.
+type Doomer interface {
+	// Doomed reports whether a packet to dst that reaches the node over in
+	// at arrive would die there unseen.
+	Doomed(dst packet.Addr, in *Link, arrive sim.Time) bool
+}
+
 // Handler consumes packets delivered to a host.
 type Handler func(pkt *packet.Packet)
 
@@ -35,21 +45,28 @@ type Host struct {
 	name     string
 	addr     packet.Addr
 	net      *Network
-	access   *Link // cached single outgoing link (hosts are single-homed)
+	access   *Link  // cached single outgoing link (hosts are single-homed)
+	doomer   Doomer // the access link's far end, when it is one
 	handlers [16]Handler
 	anyProto Handler
 
-	// Sharded execution: a migrated host runs its agents on its shard's
-	// scheduler and mints from its shard's pool. Zero values mean the host
-	// lives on the network's main scheduler/pool (shard 0).
-	sched *sim.Scheduler
-	pool  *packet.Pool
-	shard int
+	// shard is non-nil once the host migrated (sharded execution); a nil
+	// one means the host lives on the network's main scheduler and pool
+	// (shard 0).
+	shard *hostShard
 
 	// Received counts packets delivered to this host, by protocol.
 	Received [16]uint64
 	// RecvBytes counts bytes delivered to this host.
 	RecvBytes uint64
+}
+
+// hostShard is where a migrated host runs its agents: its shard's
+// scheduler and pool.
+type hostShard struct {
+	sched *sim.Scheduler
+	pool  *packet.Pool
+	index int
 }
 
 // ID implements Node.
@@ -90,16 +107,42 @@ func (h *Host) Receive(pkt *packet.Packet, from *Link) {
 // link (hosts are single-homed; multihomed hosts are not needed by any
 // experiment). Multicast destinations are handed to the access router too:
 // group delivery is the router's job.
-func (h *Host) Send(pkt *packet.Packet) {
-	link := h.access
-	if link == nil {
-		link = h.net.accessLink(h.id)
-		if link == nil {
+func (h *Host) Send(pkt *packet.Packet) { h.link().Send(pkt) }
+
+// link returns the host's access link, resolving it and its far end's
+// Doomer on first use: links are never removed, so the first out-link is
+// stable.
+func (h *Host) link() *Link {
+	if h.access == nil {
+		h.access = h.net.accessLink(h.id)
+		if h.access == nil {
 			panic(fmt.Sprintf("netsim: host %s has no access link", h.name))
 		}
-		h.access = link // links are never removed; the first out-link is stable
+		h.doomer, _ = h.access.dst.(Doomer)
 	}
-	link.Send(pkt)
+	return h.access
+}
+
+// SendIfDoomed sends, in place of a size-byte packet to dst, a headerless
+// stand-in of the same size and a fresh UID when the packet is doomed: the
+// first hop, a Doomer, would drop it unseen. It reports whether it did; if
+// not, the caller builds and sends the real packet. The stand-in is queued
+// and serialized exactly like the packet, so every other packet keeps its
+// timing, and it ends at tx-done. The packet counts as doomed only while
+// its arrival is exact: the access link is no bottleneck, has no delivery
+// hook and crosses no shard, and the run has not turned the check off.
+func (h *Host) SendIfDoomed(dst packet.Addr, size int) bool {
+	l := h.link()
+	if h.doomer == nil || l.bottleneck || l.OnDeliver != nil || h.net.shard != nil || h.net.simulateDoomed {
+		return false
+	}
+	if !h.doomer.Doomed(dst, l, l.departure(size)+l.Delay) {
+		return false
+	}
+	pkt := h.net.NewPacket(h.addr, dst, size, nil)
+	pkt.Doomed = true
+	l.Send(pkt)
+	return true
 }
 
 // Scheduler exposes the simulation clock to agents running on the host —
@@ -107,8 +150,8 @@ func (h *Host) Send(pkt *packet.Packet) {
 // main scheduler otherwise. Agents must capture it after any migration
 // (experiments migrate hosts before constructing agents).
 func (h *Host) Scheduler() *sim.Scheduler {
-	if h.sched != nil {
-		return h.sched
+	if h.shard != nil {
+		return h.shard.sched
 	}
 	return h.net.sched
 }
@@ -117,14 +160,19 @@ func (h *Host) Scheduler() *sim.Scheduler {
 // shard pool when migrated, the network's otherwise. Pooled headers must
 // come from the same pool as the packet that carries them.
 func (h *Host) Pool() *packet.Pool {
-	if h.pool != nil {
-		return h.pool
+	if h.shard != nil {
+		return h.shard.pool
 	}
 	return h.net.pool
 }
 
 // Shard reports which shard the host runs on (0 unless migrated).
-func (h *Host) Shard() int { return h.shard }
+func (h *Host) Shard() int {
+	if h.shard == nil {
+		return 0
+	}
+	return h.shard.index
+}
 
 // NewPacket mints a packet originated by this host, drawing from the
 // host's shard pool so agents on migrated hosts never touch the shared
@@ -140,10 +188,10 @@ func (h *Host) NewPacket(dst packet.Addr, size int, hdr packet.Header) *packet.P
 // feedback-forging adversary exploits; keeping the mint on the host keeps
 // shard pool accounting honest even for forged traffic.
 func (h *Host) NewPacketFrom(src, dst packet.Addr, size int, hdr packet.Header) *packet.Packet {
-	if h.pool == nil {
+	if h.shard == nil {
 		return h.net.NewPacket(src, dst, size, hdr)
 	}
-	p := h.pool.Get(src, dst, size, hdr)
-	p.UID = h.net.shardUID(h.shard)
+	p := h.shard.pool.Get(src, dst, size, hdr)
+	p.UID = h.net.shardUID(h.shard.index)
 	return p
 }

@@ -5,13 +5,15 @@ package netsim
 // instead of creeping down an ever-growing slice. Both the drop-tail Queue
 // and the Link's in-flight delivery pipeline build on it.
 type ring[T any] struct {
-	buf   []T // circular storage; len is the current capacity
-	head  int // index of the oldest element
-	count int
+	buf []T // circular storage; len is the current capacity
+	// head indexes the oldest element. Both are 32-bit so that a Link's
+	// two rings take a word less each.
+	head  int32
+	count int32
 }
 
 // len reports the number of queued elements.
-func (r *ring[T]) len() int { return r.count }
+func (r *ring[T]) len() int { return int(r.count) }
 
 // capacity reports the current backing-array size (test observability for
 // the no-growth-when-busy regression).
@@ -21,19 +23,19 @@ func (r *ring[T]) capacity() int { return len(r.buf) }
 // capacity is always a power of two (it starts at 8 and doubles), so index
 // wrapping is a mask, not a division — push/pop sit on the per-packet path.
 func (r *ring[T]) push(v T) {
-	if r.count == len(r.buf) {
+	if int(r.count) == len(r.buf) {
 		n := 2 * len(r.buf)
 		if n == 0 {
 			n = 8
 		}
 		next := make([]T, n)
-		for i := 0; i < r.count; i++ {
-			next[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		for i := 0; i < int(r.count); i++ {
+			next[i] = r.buf[(int(r.head)+i)&(len(r.buf)-1)]
 		}
 		r.buf = next
 		r.head = 0
 	}
-	r.buf[(r.head+r.count)&(len(r.buf)-1)] = v
+	r.buf[int(r.head+r.count)&(len(r.buf)-1)] = v
 	r.count++
 }
 
@@ -46,7 +48,7 @@ func (r *ring[T]) pop() T {
 	}
 	v := r.buf[r.head]
 	r.buf[r.head] = zero
-	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.head = (r.head + 1) & int32(len(r.buf)-1)
 	r.count--
 	return v
 }

@@ -95,7 +95,7 @@ func (n *Network) shardUID(s int) uint64 {
 // enabled, the host single-homed behind an access link pair with positive
 // delay in both directions.
 func (n *Network) CanMigrate(h *Host) bool {
-	if n.shard == nil || h.sched != nil {
+	if n.shard == nil || h.shard != nil {
 		return false
 	}
 	up := n.accessLink(h.id)
@@ -125,9 +125,7 @@ func (n *Network) MigrateHost(h *Host, s int) {
 	up := n.accessLink(h.id)
 	down := n.LinkBetween(up.dst.ID(), h.id)
 
-	h.sched = n.shard.group.Shard(s)
-	h.pool = n.shard.pools[s]
-	h.shard = s
+	h.shard = &hostShard{sched: n.shard.group.Shard(s), pool: n.shard.pools[s], index: s}
 
 	// The upstream link's queue and serialization belong to the host side:
 	// the whole link moves to shard s and re-arms its timers there. Its cut
@@ -135,7 +133,7 @@ func (n *Network) MigrateHost(h *Host, s int) {
 	// scheduler and posts deliveries to shard s. Edge order (up before down)
 	// is fixed; what matters for determinism is that successive migrations
 	// allocate monotonically increasing edge IDs.
-	up.sched = h.sched
+	up.sched = h.shard.sched
 	up.init()
 	attachCut(up, n.shard.group.AddEdge(s, 0, up.Delay), n.shard.pools[0], n.shard.group)
 	attachCut(down, n.shard.group.AddEdge(0, s, down.Delay), n.shard.pools[s], n.shard.group)

@@ -82,8 +82,12 @@ type Packet struct {
 	Size     int
 	ECN      bool // congestion-experienced mark (ECN-driven variant)
 	Alert    bool // router-alert: edge routers intercept, never forward to hosts
-	UID      uint64
-	Header   Header
+	// Doomed marks a headerless stand-in for a packet its first hop would
+	// drop unseen (netsim.Doomer): its link serializes it like the packet
+	// and retires it at tx-done.
+	Doomed bool
+	UID    uint64
+	Header Header
 
 	refs int32
 	pool *Pool
