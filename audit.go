@@ -192,13 +192,22 @@ func (a *Audit) Check() {
 // Call it after StopTraffic and a drain grace (see DrainAndAudit for the
 // packaged sequence): on top of a final Check it asserts pool balance —
 // every pooled packet reference issued since the experiment was built came
-// back — and that no link still holds packets, then evaluates any armed
-// suppression oracles over [oracle.From, stop-of-traffic).
+// back, to each shard's pool in a sharded run — and that no link still
+// holds packets, then evaluates any armed suppression oracles over
+// [oracle.From, stop-of-traffic).
 func (a *Audit) Finish() []Violation {
 	e := a.exp
 	now := e.Now()
 	a.Check()
-	a.aud.CheckPoolBalance(now, e.Topo.Network().Pool(), e.poolBase)
+	a.aud.CheckPoolBalance(now, e.Pool(), e.poolBase)
+	// Sharded runs mint from per-shard pools; each must close independently
+	// (the cut hand-off copies between pools, never moves ownership across).
+	// Shard 0's pool is the main pool, checked against poolBase above.
+	for i, p := range e.Topo.Network().ShardPools() {
+		if i > 0 {
+			a.aud.CheckPoolBalance(now, p, 0)
+		}
+	}
 	for _, l := range e.Topo.Network().Links() {
 		a.aud.CheckLinkDrained(now, l)
 	}
@@ -327,39 +336,17 @@ func (e *Experiment) trafficEnd() Time {
 	return e.Now()
 }
 
-// checkDrained runs the post-drain structural invariants without requiring
-// WithAudit: pool balance against the experiment's baseline, per-link
-// conservation, and link emptiness.
-func (e *Experiment) checkDrained() []Violation {
-	var aud invariant.Auditor
-	now := e.Now()
-	aud.CheckPoolBalance(now, e.Pool(), e.poolBase)
-	// Sharded runs mint from per-shard pools; each must close independently
-	// (the cut hand-off copies between pools, never moves ownership across).
-	// Shard 0's pool is the main pool, checked against poolBase above.
-	for i, p := range e.Topo.Network().ShardPools() {
-		if i > 0 {
-			aud.CheckPoolBalance(now, p, 0)
-		}
-	}
-	for _, l := range e.Topo.Network().Links() {
-		aud.CheckLink(now, l)
-		aud.CheckLinkDrained(now, l)
-	}
-	return aud.Violations()
-}
-
 // DrainAndAudit is the packaged end-of-run sequence: stop all traffic, let
-// the network drain for grace of virtual time, then run the full final
-// audit. With WithAudit enabled it returns Audit().Finish; otherwise it
-// returns the structural post-drain violations (pool balance, link
-// conservation and emptiness).
+// the network drain for grace of virtual time, then run Audit.Finish — the
+// experiment's audit under WithAudit, otherwise one with no sampler and
+// no oracle, so every run ends on the same rule set.
 func (e *Experiment) DrainAndAudit(grace Time) []Violation {
 	e.mustBeOpen("DrainAndAudit")
 	e.StopTraffic()
 	e.Advance(e.Now() + grace)
-	if e.audit != nil {
-		return e.audit.Finish()
+	a := e.audit
+	if a == nil {
+		a = newAudit(e, auditSettings{})
 	}
-	return e.checkDrained()
+	return a.Finish()
 }

@@ -23,25 +23,6 @@ import (
 	"deltasigma/internal/scenario"
 )
 
-// figs is every figure the command can regenerate, in run order.
-var figs = []struct {
-	name string
-	run  func(scenario.Options) *scenario.Result
-}{
-	{"fig1", scenario.Fig1},
-	{"fig7", scenario.Fig7},
-	{"fig8a", scenario.Fig8a},
-	{"fig8b", scenario.Fig8b},
-	{"fig8c", scenario.Fig8c},
-	{"fig8d", scenario.Fig8d},
-	{"fig8e", scenario.Fig8e},
-	{"fig8f", scenario.Fig8f},
-	{"fig8g", scenario.Fig8g},
-	{"fig8h", scenario.Fig8h},
-	{"fig9a", scenario.Fig9a},
-	{"fig9b", scenario.Fig9b},
-}
-
 // usageError is a command line the command refuses before running
 // anything; it exits 2, as the flag package does.
 type usageError struct{ msg string }
@@ -89,11 +70,11 @@ func run(args []string, out io.Writer) error {
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		return err
 	}
-	for _, f := range figs {
-		if len(want) > 0 && !want[f.name] {
+	for _, f := range scenario.Figures {
+		if len(want) > 0 && !want[f.Name] {
 			continue
 		}
-		res := f.run(opt)
+		res := f.Run(opt)
 		if err := writeDat(filepath.Join(*dir, res.Name+".dat"), res); err != nil {
 			return err
 		}
@@ -109,9 +90,9 @@ func selected(only string) (map[string]bool, error) {
 	if only == "" {
 		return want, nil
 	}
-	names := make([]string, len(figs))
-	for i, f := range figs {
-		names[i] = f.name
+	names := make([]string, len(scenario.Figures))
+	for i, f := range scenario.Figures {
+		names[i] = f.Name
 	}
 	for _, n := range strings.Split(only, ",") {
 		n = strings.TrimSpace(n)

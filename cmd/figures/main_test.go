@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"deltasigma/internal/scenario"
 )
 
 // Each row runs the command once into a fresh output directory. A refused
@@ -66,12 +68,12 @@ func TestUnknownNameListsEveryFigure(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown name accepted")
 	}
-	if len(figs) != 12 {
-		t.Fatalf("%d figures registered, want the paper's twelve", len(figs))
+	if len(scenario.Figures) != 12 {
+		t.Fatalf("%d figures registered, want the paper's twelve", len(scenario.Figures))
 	}
-	for _, f := range figs {
-		if !strings.Contains(err.Error(), f.name) {
-			t.Errorf("refusal %q does not list %s", err, f.name)
+	for _, f := range scenario.Figures {
+		if !strings.Contains(err.Error(), f.Name) {
+			t.Errorf("refusal %q does not list %s", err, f.Name)
 		}
 	}
 }

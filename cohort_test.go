@@ -155,6 +155,7 @@ func TestCohortMatchesExactPerProtocol(t *testing.T) {
 			continue
 		}
 		t.Run(proto, func(t *testing.T) {
+			t.Parallel() // each protocol's runs are independent experiments
 			for _, seed := range []uint64{7, 2003} {
 				for _, n := range []int{10, 100, 1000} {
 					iTop, iMean, iAgg, iPeak := cohortRun(t, proto, seed, n, false, 0, false)

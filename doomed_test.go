@@ -42,24 +42,13 @@ func mustJSON(t *testing.T, v any) []byte {
 // campaign at scale 0.2 and every spec of the pinned fuzz corpus produce
 // the same result JSON with the fast path on as with it off.
 func TestDoomedPacketsChangeNoResult(t *testing.T) {
-	figures := []struct {
-		name string
-		run  func(scenario.Options) *scenario.Result
-	}{
-		{"fig1", scenario.Fig1}, {"fig7", scenario.Fig7},
-		{"fig8a", scenario.Fig8a}, {"fig8b", scenario.Fig8b},
-		{"fig8c", scenario.Fig8c}, {"fig8d", scenario.Fig8d},
-		{"fig8e", scenario.Fig8e}, {"fig8f", scenario.Fig8f},
-		{"fig8g", scenario.Fig8g}, {"fig8h", scenario.Fig8h},
-		{"fig9a", scenario.Fig9a}, {"fig9b", scenario.Fig9b},
-	}
-	for _, fig := range figures {
-		t.Run(fig.name, func(t *testing.T) {
+	for _, fig := range scenario.Figures {
+		t.Run(fig.Name, func(t *testing.T) {
 			fast, simulated := bothWays(t, func() []byte {
-				return mustJSON(t, fig.run(scenario.Options{Scale: 0.03, Seed: 2003}))
+				return mustJSON(t, fig.Run(scenario.Options{Scale: 0.03, Seed: 2003}))
 			})
 			if !bytes.Equal(fast, simulated) {
-				t.Errorf("%s differs with doomed packets simulated:\nfast:      %.300s\nsimulated: %.300s", fig.name, fast, simulated)
+				t.Errorf("%s differs with doomed packets simulated:\nfast:      %.300s\nsimulated: %.300s", fig.Name, fast, simulated)
 			}
 		})
 	}

@@ -12,8 +12,9 @@ const drainGrace = 10 * deltasigma.Second
 
 // drainAndVerify is the facade test suite's shared leak check, built on the
 // invariant layer: stop every traffic source, let the network drain, then
-// assert the structural post-drain invariants — pool balance (every pooled
-// packet reference came back), per-link conservation, and empty links. Call
+// run the end-of-run audit — pool balance (every pooled packet reference
+// came back), per-link conservation, empty links, graft consistency and
+// level bounds. Call
 // it at the end of any facade-level test; it subsumes the hand-rolled
 // pool.Outstanding()==0 checks the tests used to duplicate.
 func drainAndVerify(t *testing.T, exp *deltasigma.Experiment) {

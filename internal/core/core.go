@@ -222,10 +222,9 @@ func (p PeriodicUpgrades) Frequency(g int) float64 {
 // Pacer converts a per-slot byte budget into integral packet counts,
 // carrying the fractional remainder across slots so the long-run rate is
 // exact. DELTA requires at least one packet per group per slot so key
-// components can travel; MinOne enforces that.
+// components can travel, so a slot whose budget is short of a packet
+// still sends one, borrowed against later slots.
 type Pacer struct {
-	// MinOne guarantees a packet even when the budget is short.
-	MinOne bool
 	credit float64
 }
 
@@ -242,17 +241,10 @@ func (s *Session) MaxPackets() []int {
 }
 
 // Packets returns how many packets of size pktBytes fit the slot budget of
-// rate·slotDur, accumulating the remainder.
+// rate·slotDur, at least one, accumulating the remainder.
 func (p *Pacer) Packets(rate int64, slotDur sim.Time, pktBytes int) int {
 	p.credit += float64(rate) * slotDur.Sec() / 8
-	n := int(p.credit / float64(pktBytes))
-	if n < 0 {
-		n = 0
-	}
+	n := max(int(p.credit/float64(pktBytes)), 1) // one is borrowed against future slots
 	p.credit -= float64(n * pktBytes)
-	if n == 0 && p.MinOne {
-		n = 1
-		p.credit -= float64(pktBytes) // borrow against future slots
-	}
 	return n
 }

@@ -230,9 +230,9 @@ func TestPacerLongRunRateExact(t *testing.T) {
 }
 
 func TestPacerMinOne(t *testing.T) {
-	p := Pacer{MinOne: true}
-	// 1 Kbps in 250 ms slots is far below one packet per slot, but MinOne
-	// still guarantees one; the borrowed credit keeps long-run rate sane.
+	var p Pacer
+	// 1 Kbps in 250 ms slots is far below one packet per slot, but the
+	// floor still sends one; the borrowed credit keeps long-run rate sane.
 	for i := 0; i < 10; i++ {
 		if got := p.Packets(1000, 250*sim.Millisecond, 576); got != 1 {
 			t.Fatalf("slot %d: %d packets, want 1", i, got)
@@ -240,32 +240,26 @@ func TestPacerMinOne(t *testing.T) {
 	}
 }
 
-func TestPacerZeroWithoutMinOne(t *testing.T) {
-	var p Pacer
-	if got := p.Packets(1000, 250*sim.Millisecond, 576); got != 0 {
-		t.Fatalf("got %d packets, want 0", got)
-	}
-}
-
-// Property: pacing never goes negative and credit stays bounded by one
-// packet when MinOne is off.
+// Property: every slot sends at least one packet, the credit never holds
+// a whole unsent packet, and the packets sent plus the credit account for
+// the whole budget.
 func TestPacerProperty(t *testing.T) {
 	f := func(rates []uint32) bool {
 		var p Pacer
+		sent, budget := 0, 0.0
 		for _, r := range rates {
 			rate := int64(r % 10_000_000)
 			if rate == 0 {
 				rate = 1
 			}
 			n := p.Packets(rate, 250*sim.Millisecond, 576)
-			if n < 0 {
+			if n < 1 || p.credit >= 576 {
 				return false
 			}
-			if p.credit >= 576 || p.credit < 0 {
-				return false
-			}
+			sent += n
+			budget += float64(rate) * (250 * sim.Millisecond).Sec() / 8
 		}
-		return true
+		return math.Abs(float64(sent*576)+p.credit-budget) <= 1e-6*max(budget, 1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

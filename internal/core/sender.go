@@ -102,9 +102,6 @@ func NewSlotSender(host *netsim.Host, sess *Session, groups int, policy UpgradeP
 		PacketsPerGroup: make([]uint64, groups),
 	}
 	for i := range s.emitters {
-		// DELTA needs at least one packet per group per slot so key
-		// components can travel; every source keeps that floor.
-		s.pacers[i].MinOne = true
 		e := &s.emitters[i]
 		e.s, e.g = s, i+1
 		e.timer = host.Scheduler().NewTimer(e.fire)

@@ -7,10 +7,10 @@
 // NS-2 in the paper): when an edge router acquires its first interested
 // local interface for a group, a graft propagates hop-by-hop toward the
 // session source and activates the branch; when the last interface goes
-// away the branch is pruned. Prune latency is configurable and defaults to
-// zero, which models FLID-DL's dynamic layering — the entire point of DL is
-// that receivers reduce their rate without waiting on IGMP leave latency
-// (see DESIGN.md, substitution table).
+// away the branch is pruned at once. The zero prune latency models FLID-DL's
+// dynamic layering — the entire point of DL is that receivers reduce their
+// rate without waiting on IGMP leave latency (see DESIGN.md, substitution
+// table).
 package mcast
 
 import (
@@ -28,25 +28,14 @@ import (
 type Fabric struct {
 	net *netsim.Network
 
-	// PruneDelayPerPath, when positive, delays branch deactivation after a
-	// prune (models IGMP leave latency; zero models dynamic layering).
-	PruneDelayPerPath sim.Time
-
-	refs   map[packet.Addr]map[*netsim.Link]int // group → link → edge count
 	grafts map[graftKey]*graftState
-	// trees holds each group's source and tree summary densely: trees[i]
-	// is group treeBase+i. Sessions allocate contiguous group blocks, so
-	// the slice spans them with small gaps. wideSources holds the sources
-	// of groups outside it (never produced by the session allocator),
-	// whose trees are never Dormant.
-	trees       []treeState
-	treeBase    packet.Addr
-	wideSources map[packet.Addr]netsim.NodeID
+	// trees holds each group's tree in the group's row (groupIndex).
+	trees []treeState
 
 	// version counts tree mutations (graft applications and prune
 	// deactivations). Routers stamp their per-group forward caches with it
 	// and rebuild on mismatch, so the per-packet replication path probes a
-	// cached slice instead of the refs maps.
+	// cached slice instead of the tree's link counts.
 	version uint64
 
 	// Grafts counts graft operations (test observability).
@@ -55,18 +44,36 @@ type Fabric struct {
 	Prunes uint64
 }
 
-// treeState is what the doomed-packet check needs of one group's tree,
-// kept in step with graft and prune so it is read in O(1).
+// treeState is one group's tree: its link counts, and what the
+// doomed-packet check needs of it, kept in step with graft and prune so it
+// is read in O(1).
 type treeState struct {
-	srcPlus1 int32 // the source's NodeID plus one; zero when none is set
-	grafting int32 // grafts whose timer is armed
-	carried  int32 // branches whose route's links count the group
+	refs     map[*netsim.Link]int // link → edges whose applied route uses it
+	srcPlus1 int32                // the source's NodeID plus one; zero when none is set
+	grafting int32                // grafts whose timer is armed
+	carried  int32                // branches whose route's links count the group
 }
 
-// tree returns the group's summary, or nil for a group outside the dense
-// range, which is never dormant.
+// groupIndex is a group's row in the per-group tables, the fabric's trees
+// and each router's forward cache: its offset above MulticastBase.
+// Sessions allocate contiguous group blocks just above MulticastBase, so
+// the tables are dense slices with small gaps.
+func groupIndex(group packet.Addr) int { return int(group - packet.MulticastBase) }
+
+// extend returns table lengthened to hold row i. A session adds its groups
+// one at a time, so a new allocation leaves room for the rest of the block
+// and at least doubles: N groups cost O(log N) copies.
+func extend[T any](table []T, i int) []T {
+	if i >= cap(table) {
+		table = slices.Grow(table, max(i+16, 2*cap(table))-len(table))
+	}
+	return table[:i+1]
+}
+
+// tree returns the group's row, or nil for a group whose row lies past
+// the table: no source was ever set for it, so it has no tree.
 func (f *Fabric) tree(group packet.Addr) *treeState {
-	if i := uint64(uint32(group - f.treeBase)); i < uint64(len(f.trees)) {
+	if i := groupIndex(group); i < len(f.trees) {
 		return &f.trees[i]
 	}
 	return nil
@@ -101,11 +108,7 @@ type graftState struct {
 
 // NewFabric creates a fabric over net.
 func NewFabric(net *netsim.Network) *Fabric {
-	return &Fabric{
-		net:    net,
-		refs:   make(map[packet.Addr]map[*netsim.Link]int),
-		grafts: make(map[graftKey]*graftState),
-	}
+	return &Fabric{net: net, grafts: make(map[graftKey]*graftState)}
 }
 
 // SetSource registers the node that originates traffic for group. Sessions
@@ -114,24 +117,9 @@ func (f *Fabric) SetSource(group packet.Addr, src netsim.NodeID) {
 	if !group.IsMulticast() {
 		panic(fmt.Sprintf("mcast: %v is not a multicast group", group))
 	}
-	if len(f.trees) == 0 {
-		f.treeBase = group
-	}
-	if group < f.treeBase || group-f.treeBase >= fwdDenseMax {
-		if f.wideSources == nil {
-			f.wideSources = make(map[packet.Addr]netsim.NodeID)
-		}
-		f.wideSources[group] = src
-		return
-	}
-	i := int(group - f.treeBase)
-	if i >= cap(f.trees) {
-		// One allocation covers a session's block; a later block along
-		// at least doubles the slice.
-		f.trees = slices.Grow(f.trees, max(i+16, 2*cap(f.trees))-len(f.trees))
-	}
+	i := groupIndex(group)
 	if i >= len(f.trees) {
-		f.trees = f.trees[:i+1]
+		f.trees = extend(f.trees, i)
 	}
 	f.trees[i].srcPlus1 = int32(src) + 1
 }
@@ -141,8 +129,7 @@ func (f *Fabric) Source(group packet.Addr) (netsim.NodeID, bool) {
 	if t := f.tree(group); t != nil && t.srcPlus1 != 0 {
 		return netsim.NodeID(t.srcPlus1 - 1), true
 	}
-	id, ok := f.wideSources[group]
-	return id, ok
+	return 0, false
 }
 
 // Graft requests that group traffic start flowing to edge router edge. The
@@ -160,48 +147,45 @@ func (f *Fabric) Graft(group packet.Addr, edge netsim.NodeID) {
 	if st.joined {
 		return
 	}
-	src, ok := f.Source(group)
-	if !ok {
+	t := f.tree(group)
+	if t == nil || t.srcPlus1 == 0 {
 		panic(fmt.Sprintf("mcast: graft for group %v with no source", group))
 	}
 	st.joined = true
 	f.Grafts++
 
 	if st.route == nil {
-		st.route = f.downstreamPath(src, edge)
+		st.route = f.downstreamPath(netsim.NodeID(t.srcPlus1-1), edge)
 	}
 	if st.route == nil {
 		// No route; stay joined so a later prune is a no-op, but never apply.
 		return
 	}
-	st.timer.Reset(f.graftDelay(group, st.route))
-	if t := f.tree(group); t != nil {
-		t.grafting++
-	}
+	st.timer.Reset(f.graftDelay(t.refs, st.route))
+	t.grafting++
 }
 
 // apply activates the branch once the graft has reached the tree.
 func (st *graftState) apply() {
 	t := st.f.tree(st.group)
-	if t != nil {
-		t.grafting--
-	}
+	t.grafting--
 	if !st.joined {
 		return // pruned while the graft was in flight
 	}
 	st.applied = true
-	if t != nil {
-		t.carried++
+	t.carried++
+	if t.refs == nil {
+		t.refs = make(map[*netsim.Link]int)
 	}
-	r := st.f.groupRefs(st.group)
 	for _, l := range st.route {
-		r[l]++
+		t.refs[l]++
 	}
 	st.f.version++
 }
 
-// Prune requests that group traffic stop flowing to edge. With
-// PruneDelayPerPath zero the branch deactivates immediately.
+// Prune stops group traffic flowing to edge: an applied branch withdraws
+// its count from its route's links at once, and a graft still in flight
+// is cancelled.
 func (f *Fabric) Prune(group packet.Addr, edge netsim.NodeID) {
 	st := f.grafts[graftKey{group, edge}]
 	if st == nil || !st.joined {
@@ -209,33 +193,22 @@ func (f *Fabric) Prune(group packet.Addr, edge netsim.NodeID) {
 	}
 	st.joined = false
 	f.Prunes++
+	t := f.tree(group)
 	if !st.applied {
-		if t := f.tree(group); t != nil && st.timer.Active() {
+		if st.timer.Active() {
 			t.grafting--
 		}
 		st.timer.Stop()
 		return
 	}
 	st.applied = false
-	if f.PruneDelayPerPath > 0 {
-		f.net.Scheduler().After(f.PruneDelayPerPath, st.deactivate)
-	} else {
-		st.deactivate()
-	}
-}
-
-// deactivate withdraws this edge's count from its route's links.
-func (st *graftState) deactivate() {
-	r := st.f.groupRefs(st.group)
 	for _, l := range st.route {
-		if r[l] > 0 {
-			r[l]--
+		if t.refs[l] > 0 {
+			t.refs[l]--
 		}
 	}
-	st.f.version++
-	if t := st.f.tree(st.group); t != nil {
-		t.carried--
-	}
+	t.carried--
+	f.version++
 }
 
 // EntitlementReader is the side-effect-free twin of Gatekeeper.Deliver,
@@ -262,7 +235,10 @@ func (f *Fabric) Joined(group packet.Addr, edge netsim.NodeID) bool {
 // probe their out-links against it, instead of re-hashing the group
 // address for every link.
 func (f *Fabric) ForwardSet(group packet.Addr) map[*netsim.Link]int {
-	return f.refs[group]
+	if t := f.tree(group); t != nil {
+		return t.refs
+	}
+	return nil
 }
 
 // Version reports the current tree-mutation counter; any change in any
@@ -274,21 +250,12 @@ func (f *Fabric) Version() uint64 { return f.version }
 func (f *Fabric) ActiveLinks(group packet.Addr) int {
 	n := 0
 	// order-insensitive: a count
-	for _, c := range f.refs[group] {
+	for _, c := range f.ForwardSet(group) {
 		if c > 0 {
 			n++
 		}
 	}
 	return n
-}
-
-func (f *Fabric) groupRefs(group packet.Addr) map[*netsim.Link]int {
-	r := f.refs[group]
-	if r == nil {
-		r = make(map[*netsim.Link]int)
-		f.refs[group] = r
-	}
-	return r
 }
 
 // downstreamPath lists the directed links from src to edge along the
@@ -310,10 +277,10 @@ func (f *Fabric) downstreamPath(src, edge netsim.NodeID) []*netsim.Link {
 }
 
 // graftDelay is the time for a graft originating at the edge to reach the
-// nearest router that is already on the group's tree, walking the
-// downstream path in reverse and summing the reverse-direction link delays.
-func (f *Fabric) graftDelay(group packet.Addr, downstream []*netsim.Link) sim.Time {
-	r := f.refs[group]
+// nearest router that is already on the group's tree, whose link counts
+// are r, walking the downstream path in reverse and summing the
+// reverse-direction link delays.
+func (f *Fabric) graftDelay(r map[*netsim.Link]int, downstream []*netsim.Link) sim.Time {
 	var delay sim.Time
 	// Walk from the edge end upward. Stop as soon as the node at the head
 	// of the remaining path is on-tree: a node is on-tree when some link

@@ -318,27 +318,58 @@ func TestLeaveWithoutJoinHarmless(t *testing.T) {
 	}
 }
 
-func TestPruneDelayModelsLeaveLatency(t *testing.T) {
-	tb := newTestbed(t)
-	tb.fabric.PruneDelayPerPath = 200 * sim.Millisecond
-	cl := NewClient(tb.h1, tb.e1.Addr())
-	cl.Join(grp)
-	tb.sched.RunUntil(sim.Second)
-	active := tb.fabric.ActiveLinks(grp)
-	if active == 0 {
-		t.Fatal("tree should be active before leave")
-	}
-	cl.Leave(grp)
-	// During the leave-latency window the branch still carries traffic
-	// toward the edge (the bandwidth cost dynamic layering was designed to
-	// avoid); after the window it is pruned.
-	tb.sched.RunUntil(1100 * sim.Millisecond)
-	if got := tb.fabric.ActiveLinks(grp); got != active {
-		t.Fatalf("tree pruned during the latency window: %d links, want %d", got, active)
-	}
-	tb.sched.RunUntil(5 * sim.Second)
-	if got := tb.fabric.ActiveLinks(grp); got != 0 {
-		t.Fatalf("tree not pruned after the latency window: %d links", got)
+// Every group has a row in the one dense per-group table, however far
+// above MulticastBase it lies: a group past 2^16 offsets (more than 2047
+// sessions' worth of blocks) registers its source, grafts, forwards,
+// prunes and turns dormant exactly as the first group does.
+func TestGroupTableRows(t *testing.T) {
+	for _, row := range []struct {
+		name  string
+		group packet.Addr
+	}{
+		{"first group", grp},
+		{"group past 2^16 offsets", packet.MulticastBase + 70_000},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			tb := newTestbed(t)
+			g := row.group
+			tb.fabric.SetSource(g, tb.src.ID())
+			if src, ok := tb.fabric.Source(g); !ok || src != tb.src.ID() {
+				t.Fatalf("Source = %v, %v; want the registered source", src, ok)
+			}
+			if !tb.fabric.Dormant(g, tb.src.ID()) {
+				t.Fatal("a fresh group is not dormant")
+			}
+			c1, c3 := counter(tb.h1), counter(tb.h3)
+			cl := NewClient(tb.h1, tb.e1.Addr())
+			cl.Join(g)
+			tb.sched.RunUntil(sim.Second)
+			if !tb.fabric.Joined(g, tb.e1.ID()) || tb.fabric.ActiveLinks(g) != 2 {
+				t.Fatalf("after a join: joined %v, %d links carry the group, want src->core->e1",
+					tb.fabric.Joined(g, tb.e1.ID()), tb.fabric.ActiveLinks(g))
+			}
+			if tb.fabric.Dormant(g, tb.src.ID()) {
+				t.Fatal("a carried group reads dormant")
+			}
+			tb.sendGroup(g, 4)
+			tb.sched.RunUntil(2 * sim.Second)
+			if *c1 != 4 || *c3 != 0 {
+				t.Fatalf("deliveries h1=%d h3=%d, want 4 and 0", *c1, *c3)
+			}
+			cl.Leave(g)
+			tb.sched.RunUntil(3 * sim.Second)
+			if tb.fabric.Prunes != 1 || tb.fabric.ActiveLinks(g) != 0 {
+				t.Fatalf("after a leave: %d prunes, %d links carry the group", tb.fabric.Prunes, tb.fabric.ActiveLinks(g))
+			}
+			if !tb.fabric.Dormant(g, tb.src.ID()) {
+				t.Fatal("a pruned group is not dormant")
+			}
+			tb.sendGroup(g, 4)
+			tb.sched.Run()
+			if *c1 != 4 {
+				t.Fatalf("h1 got %d packets, want only the 4 before the leave", *c1)
+			}
+		})
 	}
 }
 

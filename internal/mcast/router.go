@@ -61,17 +61,14 @@ type Router struct {
 	localGen   uint64 // bumped by AttachLocal; invalidates cached indices
 	gate       Gatekeeper
 
-	// fwdDense memoizes, per group, the out-links to replicate on (stamped
-	// by the fabric's tree version) and — when the gatekeeper declares its
+	// fwd memoizes, per group, the out-links to replicate on (stamped by
+	// the fabric's tree version) and — when the gatekeeper declares its
 	// Deliver side-effect free via DeliverVersion — the entitled local
 	// interfaces (stamped by the gatekeeper's membership version). The
 	// per-packet replication path then iterates two slices instead of
-	// probing the fabric's refs maps and re-asking the gatekeeper per
-	// interface. Sessions allocate contiguous group blocks just above
-	// MulticastBase, so the cache is a dense slice indexed by the group's
-	// offset; fwdWide catches any out-of-range stragglers.
-	fwdDense []*fwdEntry
-	fwdWide  map[packet.Addr]*fwdEntry
+	// probing the tree's link counts and re-asking the gatekeeper per
+	// interface. It is a per-group table indexed by groupIndex.
+	fwd []*fwdEntry
 
 	// inward caches graftBound's two least delays into the router; nil
 	// until a source behind the router first asks.
@@ -193,37 +190,16 @@ func (r *Router) AttachLocal(h *netsim.Host) {
 	r.localGen++
 }
 
-// fwdDenseMax bounds the dense forward-cache size; group offsets beyond it
-// (never produced by the session allocator) fall back to a map.
-const fwdDenseMax = 1 << 16
-
 // fwdOf returns the group's forward cache, rebuilding the stale halves.
 func (r *Router) fwdOf(group packet.Addr) *fwdEntry {
-	var e *fwdEntry
-	if off := int(group - packet.MulticastBase); off < fwdDenseMax {
-		if off < len(r.fwdDense) {
-			e = r.fwdDense[off]
-		}
-		if e == nil {
-			if off >= len(r.fwdDense) {
-				// Sessions add groups one offset at a time, so grow
-				// geometrically: N contiguous groups cost O(log N) copies.
-				grown := make([]*fwdEntry, max(off+1, min(2*len(r.fwdDense), fwdDenseMax)))
-				copy(grown, r.fwdDense)
-				r.fwdDense = grown
-			}
-			e = &fwdEntry{fabricVer: ^uint64(0), gateVer: ^uint64(0)}
-			r.fwdDense[off] = e
-		}
-	} else {
-		e = r.fwdWide[group]
-		if e == nil {
-			if r.fwdWide == nil {
-				r.fwdWide = make(map[packet.Addr]*fwdEntry)
-			}
-			e = &fwdEntry{fabricVer: ^uint64(0), gateVer: ^uint64(0)}
-			r.fwdWide[group] = e
-		}
+	i := groupIndex(group)
+	if i >= len(r.fwd) {
+		r.fwd = extend(r.fwd, i)
+	}
+	e := r.fwd[i]
+	if e == nil {
+		e = &fwdEntry{fabricVer: ^uint64(0), gateVer: ^uint64(0)}
+		r.fwd[i] = e
 	}
 	if fv := r.fabric.Version(); e.fabricVer != fv {
 		e.fabricVer = fv
@@ -295,7 +271,8 @@ func (r *Router) absorbFeedback(fb *packet.FeedbackHeader, dst packet.Addr) {
 		}
 		e.key = k
 		r.fbPending[k] = e
-		r.net.Scheduler().ScheduleAfter(r.fbHold, e.flush)
+		sched := r.net.Scheduler()
+		sched.Schedule(sched.Now()+r.fbHold, e.flush)
 	}
 	e.count += fb.Count
 	if fb.MaxLevel > e.maxLevel {

@@ -434,7 +434,7 @@ func TestThroughputMatchesLinkRate(t *testing.T) {
 	send = func() {
 		a.Send(packet.New(a.Addr(), b.Addr(), pktSize, nil))
 		// Offer 2 Mbps so the link stays saturated.
-		sched.After(4*sim.Millisecond, send)
+		sched.Schedule(sched.Now()+4*sim.Millisecond, send)
 	}
 	sched.At(0, send)
 	sched.RunUntil(10 * sim.Second)

@@ -18,19 +18,20 @@ func TestFiguresEndDrained(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario runs are moderate-length simulations")
 	}
-	figs := []struct {
-		name string
-		run  func(Options) *Result
-		labs int // experiments at Scale 0.1
-	}{
-		{"fig1", Fig1, 1}, {"fig7", Fig7, 1},
-		{"fig8a", Fig8a, 4}, {"fig8b", Fig8b, 4}, {"fig8c", Fig8c, 8}, {"fig8d", Fig8d, 8},
-		{"fig8e", Fig8e, 2}, {"fig8f", Fig8f, 2}, {"fig8g", Fig8g, 1}, {"fig8h", Fig8h, 1},
-		{"fig9a", Fig9a, 4}, {"fig9b", Fig9b, 3},
+	// Experiments each figure builds at Scale 0.1.
+	labs := map[string]int{
+		"fig1": 1, "fig7": 1,
+		"fig8a": 4, "fig8b": 4, "fig8c": 8, "fig8d": 8,
+		"fig8e": 2, "fig8f": 2, "fig8g": 1, "fig8h": 1,
+		"fig9a": 4, "fig9b": 3,
 	}
 	defer func() { labHook = nil }()
-	for _, f := range figs {
-		t.Run(f.name, func(t *testing.T) {
+	for _, f := range Figures {
+		t.Run(f.Name, func(t *testing.T) {
+			want, ok := labs[f.Name]
+			if !ok {
+				t.Fatalf("no lab count recorded for %s", f.Name)
+			}
 			var (
 				mu     sync.Mutex
 				closes = map[*lab]int{}
@@ -44,9 +45,9 @@ func TestFiguresEndDrained(t *testing.T) {
 					t.Errorf("lab %d: %v", len(closes), v)
 				}
 			}
-			f.run(Options{Scale: 0.1, Seed: 2003})
-			if len(closes) != f.labs {
-				t.Errorf("closed %d labs, want %d", len(closes), f.labs)
+			f.Run(Options{Scale: 0.1, Seed: 2003})
+			if len(closes) != want {
+				t.Errorf("closed %d labs, want %d", len(closes), want)
 			}
 			for _, n := range closes {
 				if n != 1 {

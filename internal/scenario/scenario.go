@@ -53,6 +53,20 @@ type Options struct {
 // DefaultOptions runs experiments at paper length.
 func DefaultOptions() Options { return Options{Scale: 1, Seed: 2003} }
 
+// Figure is one figure of §5 by name, with the function that runs it.
+type Figure struct {
+	Name string
+	Run  func(Options) *Result
+}
+
+// Figures is every figure of §5, in the order cmd/figures runs them.
+var Figures = []Figure{
+	{"fig1", Fig1}, {"fig7", Fig7},
+	{"fig8a", Fig8a}, {"fig8b", Fig8b}, {"fig8c", Fig8c}, {"fig8d", Fig8d},
+	{"fig8e", Fig8e}, {"fig8f", Fig8f}, {"fig8g", Fig8g}, {"fig8h", Fig8h},
+	{"fig9a", Fig9a}, {"fig9b", Fig9b},
+}
+
 func (o Options) scale(t sim.Time) sim.Time {
 	if o.Scale <= 0 || o.Scale == 1 {
 		return t

@@ -53,7 +53,7 @@ func TestEventFreelistRecyclesFiredAndStopped(t *testing.T) {
 	// A fresh burst must drain the freelist instead of allocating.
 	before := s.FreeEvents()
 	for i := 0; i < before; i++ {
-		s.ScheduleAfter(Millisecond, func() {})
+		s.Schedule(s.Now()+Millisecond, func() {})
 	}
 	if got := s.FreeEvents(); got != 0 {
 		t.Fatalf("FreeEvents = %d after reusing burst, want 0", got)
@@ -139,7 +139,7 @@ func TestRunMatchesRunUntil(t *testing.T) {
 			i := i
 			s.Schedule(Time(i)*Second, func() {
 				if i == 5 {
-					s.ScheduleAfter(500*Millisecond, func() {})
+					s.Schedule(s.Now()+500*Millisecond, func() {})
 				}
 			})
 		}

@@ -236,14 +236,6 @@ func (s *Scheduler) At(t Time, f func()) *Timer {
 	return &Timer{sched: s, do: f, ev: e, gen: e.gen}
 }
 
-// After schedules f to run d after the current virtual time.
-func (s *Scheduler) After(d Time, f func()) *Timer {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.now+d, f)
-}
-
 // Schedule runs f at absolute virtual time t, fire-and-forget: no Timer
 // handle is allocated, and the event comes from the freelist in steady
 // state, so a Schedule costs zero allocations beyond f's own closure.
@@ -269,18 +261,9 @@ func (s *Scheduler) ScheduleKeyed(t, akey Time, f func()) {
 // conservative window on.
 func (s *Scheduler) NextAt() (Time, bool) { return s.cal.nextAt() }
 
-// ScheduleAfter runs f a duration d after the current virtual time,
-// fire-and-forget.
-func (s *Scheduler) ScheduleAfter(d Time, f func()) {
-	if d < 0 {
-		d = 0
-	}
-	s.alloc(s.now+d, f)
-}
-
 // NewTimer returns an unarmed timer that runs f when armed with Reset. One
 // NewTimer at setup plus Reset per cycle is the allocation-free replacement
-// for repeated After calls.
+// for repeated At calls.
 func (s *Scheduler) NewTimer(f func()) *Timer {
 	return &Timer{sched: s, do: f}
 }
@@ -332,7 +315,7 @@ func (s *Scheduler) run(bounded bool, limit Time) {
 // Timer is a handle to a scheduled event, allowing cancellation and in-place
 // rescheduling — the shape TCP retransmission timers need. A timer created
 // by NewTimer or MakeTimer starts unarmed and is armed with Reset; a timer
-// returned by At or After is already armed with that call's function.
+// returned by At is already armed with that call's function.
 type Timer struct {
 	sched *Scheduler
 	do    func()
@@ -390,8 +373,8 @@ func (t *Timer) When() Time {
 // calendar bucket owning the new timestamp — no allocation, one removal and
 // one insert as Stop and At would do them; an inactive one is re-armed from
 // the freelist. Negative d
-// clamps to zero. The timer must have a function (from NewTimer, MakeTimer,
-// At or After).
+// clamps to zero. The timer must have a function (from NewTimer, MakeTimer
+// or At).
 func (t *Timer) Reset(d Time) {
 	if d < 0 {
 		d = 0

@@ -64,10 +64,10 @@ func TestSchedulerNestedScheduling(t *testing.T) {
 	tick = func() {
 		got = append(got, s.Now())
 		if len(got) < 5 {
-			s.After(Second, tick)
+			s.Schedule(s.Now()+Second, tick)
 		}
 	}
-	s.After(0, tick)
+	s.Schedule(s.Now(), tick)
 	s.Run()
 	if len(got) != 5 {
 		t.Fatalf("ticks = %d, want 5", len(got))
@@ -137,7 +137,7 @@ func TestTimerStopRemovesFromHeap(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		// Far-future timers: without heap removal these would sit in the
 		// heap until t=1000s even though every one is cancelled below.
-		timers = append(timers, s.After(1000*Second, func() {}))
+		timers = append(timers, s.At(s.Now()+1000*Second, func() {}))
 	}
 	if got := s.Pending(); got != 1000 {
 		t.Fatalf("Pending = %d before Stop, want 1000", got)
@@ -337,11 +337,11 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 	pump = func() {
 		n++
 		if n < b.N {
-			s.After(Microsecond, pump)
+			s.Schedule(s.Now()+Microsecond, pump)
 		}
 	}
 	b.ResetTimer()
-	s.After(0, pump)
+	s.Schedule(s.Now(), pump)
 	s.Run()
 }
 
@@ -358,16 +358,16 @@ func BenchmarkSchedulerCancelHeavy(b *testing.B) {
 	pump = func() {
 		n++
 		rto.Stop()
-		rto = s.After(60*Second, func() {}) // timeout that never fires
+		rto = s.At(s.Now()+60*Second, func() {}) // timeout that never fires
 		if p := s.Pending(); p > maxPending {
 			maxPending = p
 		}
 		if n < b.N {
-			s.After(Microsecond, pump)
+			s.Schedule(s.Now()+Microsecond, pump)
 		}
 	}
 	b.ResetTimer()
-	s.After(0, pump)
+	s.Schedule(s.Now(), pump)
 	s.Run()
 	if maxPending > 2 {
 		b.Fatalf("cancelled timers leaked: max Pending = %d", maxPending)

@@ -137,9 +137,6 @@ func TestProtectedSourceConformance(t *testing.T) {
 				rate = sess.Rates.Cumulative
 			}
 			pacers := make([]core.Pacer, n)
-			for g := range pacers {
-				pacers[g].MinOne = true
-			}
 			snd := p.Sender(src, sess, sim.NewRNG(7))
 			sched.At(0, snd.Start)
 			const slots = 24
