@@ -3,6 +3,7 @@ package deltasigma
 import (
 	"fmt"
 
+	"deltasigma/internal/flid"
 	"deltasigma/internal/sigma"
 )
 
@@ -44,13 +45,6 @@ func (st AttackerStrategy) valid() bool {
 // for validation messages.
 func attackerStrategies() []AttackerStrategy {
 	return []AttackerStrategy{StrategyClassic, StrategyColluding, StrategyAdaptive, StrategyForging}
-}
-
-// guessEngine is satisfied by every protected protocol's attacker: the
-// embedded sigma.GuessAttack promotes Engine through the protocol attacker
-// and its facade wrapper alike.
-type guessEngine interface {
-	Engine() *sigma.GuessAttack
 }
 
 // UnknownStrategyError is what TryAddAttacker returns for a strategy name
@@ -135,7 +129,9 @@ func (s *ExperimentSession) TryAddAttacker(opts ...AttackerOption) (*Receiver, e
 	r.strategy = effectiveStrategy(s.exp.Protocol, st) // empty for plain attackers
 	switch r.strategy {
 	case StrategyColluding:
-		eng, ok := r.agent.(guessEngine)
+		// Every built-in protected row's attacker is a KeyAttacker; a
+		// WithProtocolImpl row may bring its own, which attacks classically.
+		ka, ok := r.agent.(*flid.KeyAttacker)
 		if !ok {
 			r.strategy = StrategyClassic
 			return r, nil
@@ -143,7 +139,7 @@ func (s *ExperimentSession) TryAddAttacker(opts ...AttackerOption) (*Receiver, e
 		if s.collusion == nil {
 			s.collusion = sigma.NewCollusion()
 		}
-		s.collusion.Join(eng.Engine())
+		s.collusion.Join(ka.GuessAttack)
 	case StrategyForging:
 		r.forge = sigma.NewForgeAttack(r.host, s.Sess, r.edge, s.src.Addr())
 	}

@@ -192,7 +192,7 @@ func TestUnknownStrategyIsTypedError(t *testing.T) {
 	if len(s.Receivers) != 1 {
 		t.Fatalf("%d receivers after a refused attacker, want the 1 honest one", len(s.Receivers))
 	}
-	port := exp.Topo.(*deltasigma.Tree).AttachReceiverAt(2, "", deltasigma.DefaultDelay) // spoke 1
+	port := exp.Topo.AttachReceiverAt(2, "", deltasigma.DefaultDelay) // spoke 1
 	atk := s.AddAttacker(deltasigma.AtPort(port), deltasigma.WithStrategy(deltasigma.StrategyForging))
 	if !atk.Attacker() || atk.Strategy() != deltasigma.StrategyForging || atk.Forge() == nil {
 		t.Fatalf("attacker at an explicit port: attacker=%v strategy=%q", atk.Attacker(), atk.Strategy())

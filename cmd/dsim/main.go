@@ -64,6 +64,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 
@@ -131,6 +132,9 @@ func run(args []string, out io.Writer) (err error) {
 
 	if *sessions < 1 {
 		return fmt.Errorf("-sessions must be at least 1, got %d", *sessions)
+	}
+	if *sessions > math.MaxUint16 { // session IDs are 16-bit on the wire
+		return fmt.Errorf("-sessions must be at most %d, got %d", math.MaxUint16, *sessions)
 	}
 	if *dur <= 0 {
 		return fmt.Errorf("-dur must be positive, got %g", *dur)

@@ -28,6 +28,7 @@ func TestRunFlagValidation(t *testing.T) {
 		want string // substring of the error
 	}{
 		{"zero sessions", []string{"-sessions", "0"}, "-sessions"},
+		{"too many sessions", []string{"-sessions", "65536"}, "-sessions must be at most 65535"},
 		{"bad topology", []string{"-topology", "ring"}, "unknown topology"},
 		{"bad capacity", []string{"-capacity", "abc"}, "bad capacity"},
 		{"negative capacity", []string{"-capacity", "-5"}, "bad capacity"},

@@ -23,7 +23,7 @@
 // (WithDumbbell), a multi-bottleneck chain (WithChain) and a star with one
 // SIGMA gatekeeper per edge (WithStar). All three are one Tree type: a
 // dumbbell is a one-hop chain, and a star places the same hops in
-// parallel. Any Topology implementation plugs in through WithTopology.
+// parallel. WithTopology takes any other Tree a caller builds.
 // Protocol variants are rows of one Protocol table, looked up by name
 // (WithProtocol): "flid-dl", "flid-ds", "flid-ds-replicated" and
 // "flid-ds-threshold" are built in alongside the competitor suite "mfcc",
@@ -73,14 +73,12 @@ type (
 	// see WithPacketPool. One pool must never serve concurrent experiments.
 	PacketPool = packet.Pool
 
-	// Topology is an assembled simulated network an experiment runs on.
-	Topology = topo.Topology
 	// Port couples a receiver host with its gatekeeping edge router.
 	Port = topo.Port
-	// Tree is the built-in topology every shape option builds: an ingress
-	// router and one bottleneck hop per capacity, the hops in series
-	// (WithDumbbell, WithChain) or in parallel (WithStar). Its
-	// AttachReceiverAt places a receiver behind a chosen router.
+	// Tree is the network every experiment runs on: an ingress router and
+	// one bottleneck hop per capacity, the hops in series (WithDumbbell,
+	// WithChain) or in parallel (WithStar). Its AttachReceiverAt places a
+	// receiver behind a chosen router.
 	Tree = topo.Tree
 )
 

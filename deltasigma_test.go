@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"deltasigma"
+	"deltasigma/internal/packet"
 )
 
 func TestProtocolRegistryNames(t *testing.T) {
@@ -192,13 +193,12 @@ func TestBaselineAttackSucceeds(t *testing.T) {
 	drainAndVerify(t, exp)
 }
 
-// TestChainTopology proves the Topology abstraction on a two-bottleneck
-// chain: a receiver behind the 250 Kbps second hop is pinned near the fair
-// level for that link while a receiver behind only the 1 Mbps first hop
-// climbs higher.
+// TestChainTopology runs flid-ds on a two-bottleneck chain: a receiver
+// behind the 250 Kbps second hop is pinned near the fair level for that
+// link while a receiver behind only the 1 Mbps first hop climbs higher.
 func TestChainTopology(t *testing.T) {
 	exp := deltasigma.MustNew(deltasigma.WithChain(1_000_000, 250_000), deltasigma.WithProtocol("flid-ds"), deltasigma.WithSeed(9))
-	chain := exp.Topo.(*deltasigma.Tree)
+	chain := exp.Topo
 	sess := exp.AddSession(1) // default egress: far end, behind both hops
 	far := sess.Receivers[0]
 	near := sess.AddReceiverAt(chain.AttachReceiverAt(1, "near", 0))
@@ -337,6 +337,34 @@ func TestWideScheduleSessionsDontOverlap(t *testing.T) {
 	if top, next := s1.Sess.GroupAddr(40), s2.Sess.GroupAddr(1); top >= next {
 		t.Fatalf("session blocks overlap: S1 group 40 at %v, S2 group 1 at %v", top, next)
 	}
+}
+
+// TestSessionBlocksStartAtMulticastBase pins session numbering: IDs count
+// from 1, and session n's group block starts n−1 blocks above the first
+// multicast address, so no offset of the group tables goes unused.
+func TestSessionBlocksStartAtMulticastBase(t *testing.T) {
+	exp := deltasigma.MustNew(deltasigma.WithSeed(14))
+	s1, s2 := exp.AddSession(0), exp.AddSession(0)
+	if s1.Sess.ID != 1 || s1.Sess.BaseAddr != packet.MulticastBase {
+		t.Fatalf("first session: ID %d at %v, want 1 at %v", s1.Sess.ID, s1.Sess.BaseAddr, packet.MulticastBase)
+	}
+	if s2.Sess.ID != 2 || s2.Sess.BaseAddr != packet.MulticastBase+32 {
+		t.Fatalf("second session: ID %d at %v, want 2 at %v", s2.Sess.ID, s2.Sess.BaseAddr, packet.MulticastBase+32)
+	}
+}
+
+// TestAddSessionRefusesIDWrap pins the session cap: IDs are 16-bit, so
+// the session after ID 65535 panics instead of wrapping to ID 0.
+func TestAddSessionRefusesIDWrap(t *testing.T) {
+	exp := deltasigma.MustNew(deltasigma.WithSeed(14))
+	exp.SetNextSessionID(65535)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "at most 65535 sessions") {
+			t.Fatalf("AddSession past ID 65535: recovered %q, want a panic naming the limit", msg)
+		}
+	}()
+	exp.AddSession(0)
 }
 
 // TestAddAfterStartPanics pins the wiring guard: agents added after the

@@ -2,6 +2,7 @@ package deltasigma
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"deltasigma/internal/core"
@@ -16,6 +17,11 @@ import (
 // sessionSpacing is the minimum gap between session group address blocks;
 // schedules wider than this get a correspondingly wider block.
 const sessionSpacing = 32
+
+// maxSessions caps an experiment's sessions: Session.ID is a 16-bit wire
+// field numbered from 1, and session n's group block starts n−1 blocks
+// above packet.MulticastBase.
+const maxSessions = math.MaxUint16
 
 // blockSize returns the address-block stride for this experiment's
 // schedule, so sessions never overlap however many groups they carry.
@@ -40,7 +46,7 @@ const defaultPacketSize = 576
 // wire sessions and cross traffic, then Run.
 type Experiment struct {
 	// Topo is the network the experiment runs on.
-	Topo Topology
+	Topo *Tree
 	// Protocol is the congestion control variant sessions run.
 	Protocol Protocol
 
@@ -86,7 +92,7 @@ type Experiment struct {
 func New(opts ...Option) (*Experiment, error) {
 	s := settings{
 		seed:     1,
-		topology: func(seed uint64) Topology { return dumbbell(1_000_000, seed) },
+		topology: func(seed uint64) *Tree { return dumbbell(1_000_000, seed) },
 		schedule: core.PaperSchedule(),
 		pktSize:  defaultPacketSize,
 	}
@@ -294,10 +300,13 @@ func (r *Receiver) Label() string {
 // egress.
 func (e *Experiment) AddSession(receivers int) *ExperimentSession {
 	e.mustNotHaveStarted("AddSession")
+	if e.nextID == maxSessions {
+		panic(fmt.Sprintf("deltasigma: AddSession: an experiment holds at most %d sessions", maxSessions))
+	}
 	e.nextID++
 	sess := &core.Session{
 		ID:         e.nextID,
-		BaseAddr:   packet.MulticastBase + packet.Addr(int(e.nextID)*e.blockSize()),
+		BaseAddr:   packet.MulticastBase + packet.Addr(int(e.nextID-1)*e.blockSize()),
 		Rates:      e.schedule,
 		SlotDur:    e.slot,
 		PacketSize: e.pktSize,

@@ -49,3 +49,7 @@ func (sw Sweep) DistinctRuns() (int, error) {
 // or back on for every experiment built after it, and returns what was
 // set before.
 func SimulateDoomedPackets(on bool) (was bool) { return simulateDoomed.Swap(on) }
+
+// SetNextSessionID makes id the last session ID issued, so the next
+// AddSession issues id+1.
+func (e *Experiment) SetNextSessionID(id uint16) { e.nextID = id }

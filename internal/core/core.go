@@ -159,14 +159,6 @@ func (s *Session) KeyPairs(buf []packet.AddrKey, first int, ks []keys.Key) []pac
 	return buf
 }
 
-// UpgradePolicy decides, per slot, the highest group receivers are
-// authorized to upgrade to (the FLID increase signal). Zero means no
-// upgrade this slot. Implementations must be deterministic in the slot
-// number so sender and analysis agree.
-type UpgradePolicy interface {
-	IncreaseTo(slot uint32) int
-}
-
 // PeriodicUpgrades authorizes an upgrade to group g every period(g) =
 // max(1, ceil(Factor·(g−1))) slots: upgrade opportunities thin out at
 // higher levels, the same qualitative shape as FLID-DL's increase-signal
@@ -196,8 +188,10 @@ func (p PeriodicUpgrades) Period(g int) uint32 {
 	return per
 }
 
-// IncreaseTo implements UpgradePolicy: the highest group whose period
-// divides the slot number.
+// IncreaseTo returns the highest group receivers are authorized to upgrade
+// to in slot (the FLID increase signal): the highest group whose period
+// divides the slot number, or zero for no upgrade this slot. It depends on
+// the slot number alone, so sender and analysis agree.
 func (p PeriodicUpgrades) IncreaseTo(slot uint32) int {
 	best := 0
 	for g := 2; g <= p.N; g++ {

@@ -54,7 +54,7 @@ type SenderHooks struct {
 type SlotSender struct {
 	Sess   *Session
 	host   *netsim.Host
-	policy UpgradePolicy
+	policy PeriodicUpgrades
 	rng    *sim.RNG
 	hooks  SenderHooks
 
@@ -91,7 +91,7 @@ type SlotSender struct {
 // NewSlotSender builds a source on host transmitting groups 1..groups of
 // sess (every group but for single-channel schemes), with the increase
 // signal drawn from policy and emission jitter from rng.
-func NewSlotSender(host *netsim.Host, sess *Session, groups int, policy UpgradePolicy, rng *sim.RNG, hooks SenderHooks) *SlotSender {
+func NewSlotSender(host *netsim.Host, sess *Session, groups int, policy PeriodicUpgrades, rng *sim.RNG, hooks SenderHooks) *SlotSender {
 	sess.Rates.Validate()
 	s := &SlotSender{
 		Sess: sess, host: host, policy: policy, rng: rng, hooks: hooks,

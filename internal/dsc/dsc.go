@@ -55,7 +55,7 @@ type Sender struct {
 }
 
 // NewSender builds a dsc source on host.
-func NewSender(host *netsim.Host, sess *core.Session, policy core.UpgradePolicy, rng *sim.RNG) *Sender {
+func NewSender(host *netsim.Host, sess *core.Session, policy core.PeriodicUpgrades, rng *sim.RNG) *Sender {
 	s := &Sender{mult: 1}
 	s.SlotSender = core.NewSlotSender(host, sess, sess.Rates.N, policy, rng, core.SenderHooks{
 		Rate:  func(g int) int64 { return int64(s.mult * float64(sess.Rates.GroupRate(g))) },

@@ -14,7 +14,7 @@ import (
 
 // dlSender builds the FLID-DL source: the bare slot loop, each group paced
 // at its own rate.
-func dlSender(host *netsim.Host, sess *core.Session, policy core.UpgradePolicy, rng *sim.RNG) *core.SlotSender {
+func dlSender(host *netsim.Host, sess *core.Session, policy core.PeriodicUpgrades, rng *sim.RNG) *core.SlotSender {
 	return core.NewSlotSender(host, sess, sess.Rates.N, policy, rng, core.SenderHooks{Rate: sess.Rates.GroupRate})
 }
 

@@ -29,13 +29,13 @@ func TestKeyReceiversLeaseAccumulators(t *testing.T) {
 	thresh := threshold.GradedThresholds(core.PaperSchedule().N)
 	for _, tc := range []struct {
 		name   string
-		sender func(*netsim.Host, *core.Session, core.UpgradePolicy, *sim.RNG) *core.SlotSender
+		sender func(*netsim.Host, *core.Session, core.PeriodicUpgrades, *sim.RNG) *core.SlotSender
 		newAcc func(n int) flid.Accumulator
 	}{
-		{"layered", func(h *netsim.Host, s *core.Session, p core.UpgradePolicy, rng *sim.RNG) *core.SlotSender {
+		{"layered", func(h *netsim.Host, s *core.Session, p core.PeriodicUpgrades, rng *sim.RNG) *core.SlotSender {
 			return flid.NewSender(h, s, flid.LayeredKeying, p, rng).SlotSender
 		}, flid.Layered},
-		{"threshold", func(h *netsim.Host, s *core.Session, p core.UpgradePolicy, rng *sim.RNG) *core.SlotSender {
+		{"threshold", func(h *netsim.Host, s *core.Session, p core.PeriodicUpgrades, rng *sim.RNG) *core.SlotSender {
 			return flid.NewSender(h, s, flid.ShamirKeying(thresh), p, rng).SlotSender
 		}, func(n int) flid.Accumulator { return delta.NewThresholdReceiver(n, thresh) }},
 	} {

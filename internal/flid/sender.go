@@ -56,7 +56,7 @@ type keyer interface {
 }
 
 // NewSender builds a keyed source on host.
-func NewSender(host *netsim.Host, sess *core.Session, keying Keying, policy core.UpgradePolicy, rng *sim.RNG) *Sender {
+func NewSender(host *netsim.Host, sess *core.Session, keying Keying, policy core.PeriodicUpgrades, rng *sim.RNG) *Sender {
 	s := &Sender{keys: keying(sess, rng)}
 	rate, announced := sess.Rates.GroupRate, 1
 	if s.keys.replicated() {

@@ -248,16 +248,16 @@ func (a *Auditor) CheckMonotonicTime(last *sim.Time, now sim.Time) {
 	*last = now
 }
 
-// CheckGraftConsistency asserts, for every edge router whose gatekeeper
-// exposes the read-only entitlement view, that an entitled (group, local
-// interface) pair implies a live graft for that group at the router:
-// gatekeepers call Graft synchronously when the first interface becomes
-// entitled and Prune only after the last one stops being, so a forwarding
-// decision with no graft behind it means the two views have diverged.
+// CheckGraftConsistency asserts, for every edge router with a gatekeeper,
+// that an entitled (group, local interface) pair implies a live graft for
+// that group at the router: gatekeepers call Graft synchronously when the
+// first interface becomes entitled and Prune only after the last one stops
+// being, so a forwarding decision with no graft behind it means the two
+// views have diverged.
 func (a *Auditor) CheckGraftConsistency(at sim.Time, fabric *mcast.Fabric, edges []*mcast.Router, groups []packet.Addr) {
 	for _, edge := range edges {
-		reader, ok := edge.Gatekeeper().(mcast.EntitlementReader)
-		if !ok {
+		gate := edge.Gatekeeper()
+		if gate == nil { // an audit before Start: no gatekeeper installed yet
 			continue
 		}
 		// Locals is a map; sort the addresses so violation order (and with
@@ -270,7 +270,7 @@ func (a *Auditor) CheckGraftConsistency(at sim.Time, fabric *mcast.Fabric, edges
 		slices.Sort(a.hosts)
 		for _, host := range a.hosts {
 			for _, g := range groups {
-				if reader.Entitled(g, host) && !fabric.Joined(g, edge.ID()) {
+				if gate.Entitled(g, host) && !fabric.Joined(g, edge.ID()) {
 					a.Reportf(RuleGraftConsistency, edge.Name(), at, 1, 0,
 						"host %v entitled to group %v but the edge holds no graft", host, g)
 				}

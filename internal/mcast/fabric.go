@@ -211,18 +211,6 @@ func (f *Fabric) Prune(group packet.Addr, edge netsim.NodeID) {
 	f.version++
 }
 
-// EntitlementReader is the side-effect-free twin of Gatekeeper.Deliver,
-// implemented by gatekeepers whose forwarding decision can be read without
-// perturbing it (Deliver may arm grace windows and other per-delivery
-// state). The invariant-audit layer uses it to cross-check gatekeeper
-// entitlement against the fabric's graft state mid-run: an entitled local
-// interface implies a live graft at its edge router.
-type EntitlementReader interface {
-	// Entitled reports whether a packet of group would currently be
-	// forwarded onto the local interface of host, with no side effects.
-	Entitled(group, host packet.Addr) bool
-}
-
 // Joined reports whether edge currently has a (possibly still propagating)
 // graft for group.
 func (f *Fabric) Joined(group packet.Addr, edge netsim.NodeID) bool {

@@ -32,7 +32,7 @@ func (g *IGMP) Deliver(group, host packet.Addr) bool {
 	return g.members[group][host]
 }
 
-// Entitled implements EntitlementReader: for plain IGMP the read-only view
+// Entitled implements Gatekeeper: for plain IGMP the read-only view
 // coincides with Deliver.
 func (g *IGMP) Entitled(group, host packet.Addr) bool {
 	return g.members[group][host]

@@ -18,6 +18,12 @@ type Gatekeeper interface {
 	// Deliver reports whether a packet of group may be forwarded onto the
 	// local interface of host.
 	Deliver(group packet.Addr, host packet.Addr) bool
+	// Entitled is Deliver's side-effect-free twin: whether a packet of
+	// group would currently be forwarded onto the local interface of host,
+	// without arming the grace windows and other per-delivery state Deliver
+	// may touch. The invariant audit reads it mid-run to cross-check
+	// entitlement against the fabric's graft state.
+	Entitled(group, host packet.Addr) bool
 	// Control handles a group-management message (IGMP or SIGMA) sent by a
 	// local host to this router.
 	Control(pkt *packet.Packet, from packet.Addr)

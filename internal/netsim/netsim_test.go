@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"strings"
 	"testing"
 
 	"deltasigma/internal/packet"
@@ -279,37 +280,23 @@ func TestECNMarkDoesNotMutateSharedPacket(t *testing.T) {
 	}
 }
 
-func TestRoutingPrefersLowDelayPath(t *testing.T) {
-	sched, n := newNet()
-	a := n.AddHost("a")
-	b := n.AddHost("b")
-	r1 := addFwd(n, "r1")
-	r2 := addFwd(n, "r2")
-	// Two paths a->r1->b (fast) and a->r2->b (slow).
-	n.Connect(a, r1, 10_000_000, 1*sim.Millisecond, 1<<20)
-	n.Connect(r1, b, 10_000_000, 1*sim.Millisecond, 1<<20)
-	n.Connect(a, r2, 10_000_000, 50*sim.Millisecond, 1<<20)
-	n.Connect(r2, b, 10_000_000, 50*sim.Millisecond, 1<<20)
+// A triangle of routers has two paths between any two of them; routes are
+// computed on trees only, so ComputeRoutes refuses it and names a link of
+// the cycle.
+func TestComputeRoutesPanicsOnCycle(t *testing.T) {
+	_, n := newNet()
+	r1, r2, r3 := addFwd(n, "r1"), addFwd(n, "r2"), addFwd(n, "r3")
+	n.Connect(n.AddHost("a"), r1, 10_000_000, sim.Millisecond, 1<<20)
+	n.Connect(r1, r2, 10_000_000, sim.Millisecond, 1<<20)
+	n.Connect(r2, r3, 10_000_000, sim.Millisecond, 1<<20)
+	n.Connect(r3, r1, 10_000_000, 50*sim.Millisecond, 1<<20)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "cycle") || !strings.Contains(msg, "->") {
+			t.Fatalf("ComputeRoutes on a triangle: recovered %q, want a panic naming a link of the cycle", msg)
+		}
+	}()
 	n.ComputeRoutes()
-
-	// Host access link is its first link (to r1 here), but routing from r1
-	// onward must pick the direct r1->b link.
-	path := n.Path(a.ID(), b.ID())
-	if len(path) != 3 || path[1] != r1.ID() {
-		t.Fatalf("path = %v, want a->r1->b", path)
-	}
-	d, ok := n.PathDelay(a.ID(), b.ID())
-	if !ok || d != 2*sim.Millisecond {
-		t.Fatalf("PathDelay = %v ok=%v, want 2ms", d, ok)
-	}
-
-	got := 0
-	b.Handle(packet.ProtoNone, func(pkt *packet.Packet) { got++ })
-	sched.At(0, func() { a.Send(packet.New(a.Addr(), b.Addr(), 100, nil)) })
-	sched.Run()
-	if got != 1 {
-		t.Fatal("packet not delivered through router")
-	}
 }
 
 func TestRoutingMultiHopChain(t *testing.T) {
@@ -406,20 +393,6 @@ func TestConnectRejectsZeroRate(t *testing.T) {
 	n.Connect(a, b, 0, 0, 0)
 }
 
-func TestAccessRouter(t *testing.T) {
-	_, n := newNet()
-	a := n.AddHost("a")
-	r := addFwd(n, "r")
-	n.Connect(a, r, 1_000_000, 0, 1<<20)
-	if got := n.AccessRouter(a); got == nil || got.ID() != r.ID() {
-		t.Fatal("AccessRouter should return r")
-	}
-	orphan := n.AddHost("orphan")
-	if n.AccessRouter(orphan) != nil {
-		t.Fatal("orphan host should have no access router")
-	}
-}
-
 func TestThroughputMatchesLinkRate(t *testing.T) {
 	// Saturate a 1 Mbps link for 10 simulated seconds; delivered bytes must
 	// match the line rate within one packet.
@@ -464,8 +437,8 @@ func BenchmarkLinkSaturation(b *testing.B) {
 
 // Only nodes with a routing choice get a next-hop row; a host (or a stub
 // router) answers from its one link and its neighbour's row. The answers
-// must be the ones a row of its own would have held — checked against
-// Dijkstra run from every node — including "unreachable".
+// must be the ones a row of its own would have held — checked against the
+// walk run from every node — including "unreachable".
 func TestRoutesFromSingleLinkNodes(t *testing.T) {
 	_, n := newNet()
 	a, b := n.AddHost("a"), n.AddHost("b")
@@ -523,14 +496,12 @@ func TestRoutesFromSingleLinkNodes(t *testing.T) {
 		}
 	}
 
-	var q distHeap
-	dist := make([]int64, n.NodeCount())
 	for from := 0; from < n.NodeCount(); from++ {
 		hasRow := n.nextHop[from] != nil
 		if want := len(n.OutLinks(NodeID(from))) > 1; hasRow != want {
 			t.Errorf("%s: next-hop row present = %v, want %v", n.Node(NodeID(from)).Name(), hasRow, want)
 		}
-		row := n.dijkstra(NodeID(from), int64(sim.Microsecond), dist, &q)
+		row, _ := n.walk(NodeID(from), nil)
 		for to := 0; to < n.NodeCount(); to++ {
 			if got := n.NextHopTo(NodeID(from), NodeID(to)); got != row[to] {
 				t.Errorf("NextHopTo(%s, %s) = %v, a row of its own says %v",

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"math"
 
 	"deltasigma/internal/packet"
 	"deltasigma/internal/sim"
@@ -13,7 +12,7 @@ import (
 const hostAddrBase packet.Addr = 0x0A000001
 
 // Network assembles nodes and links, allocates addresses, and computes
-// unicast shortest-path routes. It is the substrate every scenario builds
+// unicast routes over its tree. It is the substrate every scenario builds
 // its topology on.
 type Network struct {
 	sched *sim.Scheduler
@@ -217,109 +216,47 @@ func (n *Network) accessLink(id NodeID) *Link {
 	return links[0]
 }
 
-// AccessRouter returns the node at the far end of a host's access link.
-func (n *Network) AccessRouter(h *Host) Node {
-	l := n.accessLink(h.id)
-	if l == nil {
-		return nil
-	}
-	return l.dst
-}
-
-// ComputeRoutes runs Dijkstra with link propagation delay as the cost
-// (plus a small per-hop term so equal-delay paths prefer fewer hops) from
-// every node that has a routing choice to make. Hosts and other nodes with
-// a single out-link get no row — NextHopTo answers for them — so the table
-// is O(routers·N), not O(N²). Must be called after topology construction
-// and before traffic.
+// ComputeRoutes fills the unicast next-hop table by a breadth-first walk
+// from every node that has a routing choice to make. Every network is a
+// tree, so each destination has exactly one path and the walk finds it;
+// a walk that reaches a node twice has found a cycle and panics. Hosts
+// and other nodes with a single out-link get no row — NextHopTo answers
+// for them — so the table is O(routers·N), not O(N²). Must be called after
+// topology construction and before traffic.
 func (n *Network) ComputeRoutes() {
-	const hopEpsilon = int64(sim.Microsecond)
-	count := len(n.nodes)
-	n.nextHop = make([][]*Link, count)
-	dist := make([]int64, count)
-	var q distHeap
-	for src := 0; src < count; src++ {
-		if len(n.out[NodeID(src)]) > 1 {
-			n.nextHop[src] = n.dijkstra(NodeID(src), hopEpsilon, dist, &q)
+	n.nextHop = make([][]*Link, len(n.nodes))
+	var queue []*Link
+	for src, out := range n.out {
+		if len(out) > 1 {
+			n.nextHop[src], queue = n.walk(NodeID(src), queue)
 		}
 	}
 }
 
-// distItem is one tentative distance in Dijkstra's frontier.
-type distItem struct {
-	node NodeID
-	dist int64
-}
-
-// distHeap is a binary min-heap of distItems by value — container/heap's
-// sift order exactly, so equal-distance ties pop as they always have,
-// without boxing an item per push.
-type distHeap []distItem
-
-func (h *distHeap) push(it distItem) {
-	*h = append(*h, it)
-	q := *h
-	for j := len(q) - 1; ; {
-		i := (j - 1) / 2 // parent
-		if i == j || q[j].dist >= q[i].dist {
-			break
+// walk returns, for every node reachable from src, the first link out of
+// src toward it. queue is scratch shared across sources, returned for
+// reuse: each entry is the link the walk arrived by, so the walk never
+// turns back along its duplex partner.
+func (n *Network) walk(src NodeID, queue []*Link) ([]*Link, []*Link) {
+	first := make([]*Link, len(n.nodes))
+	queue = append(queue[:0], n.out[src]...)
+	for i := 0; i < len(queue); i++ {
+		in := queue[i]
+		to := in.dst.ID()
+		if to == src || first[to] != nil {
+			panic(fmt.Sprintf("netsim: link %v closes a cycle; unicast routes need a tree", in))
 		}
-		q[i], q[j] = q[j], q[i]
-		j = i
-	}
-}
-
-func (h *distHeap) pop() distItem {
-	q := *h
-	n := len(q) - 1
-	q[0], q[n] = q[n], q[0]
-	for i := 0; ; {
-		j := 2*i + 1 // left child
-		if j >= n {
-			break
+		first[to] = in
+		if from := in.src.ID(); from != src {
+			first[to] = first[from]
 		}
-		if r := j + 1; r < n && q[r].dist < q[j].dist {
-			j = r
-		}
-		if q[j].dist >= q[i].dist {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		i = j
-	}
-	*h = q[:n]
-	return q[n]
-}
-
-// dijkstra returns, for every destination, the first link out of src on a
-// shortest path toward it. dist and q are scratch shared across sources.
-func (n *Network) dijkstra(src NodeID, hopEpsilon int64, dist []int64, q *distHeap) []*Link {
-	first := make([]*Link, len(n.nodes)) // first hop link from src toward node
-	for i := range dist {
-		dist[i] = math.MaxInt64
-	}
-	dist[src] = 0
-	q.push(distItem{node: src})
-	for len(*q) > 0 {
-		it := q.pop()
-		if it.dist > dist[it.node] {
-			continue
-		}
-		for _, l := range n.out[it.node] {
-			to := l.dst.ID()
-			d := it.dist + int64(l.Delay) + hopEpsilon
-			if d < dist[to] {
-				dist[to] = d
-				if it.node == src {
-					first[to] = l
-				} else {
-					first[to] = first[it.node]
-				}
-				q.push(distItem{node: to, dist: d})
+		for _, l := range n.out[to] {
+			if l != in.rev {
+				queue = append(queue, l)
 			}
 		}
 	}
-	return first
+	return first, queue
 }
 
 // NextHopLink returns the link a packet at node from should take toward the
@@ -332,8 +269,8 @@ func (n *Network) NextHopLink(from NodeID, dst packet.Addr) *Link {
 	return n.NextHopTo(from, id)
 }
 
-// NextHopTo returns the first link on the shortest path from one node to
-// another, or nil. A node with a single out-link has no row of its own:
+// NextHopTo returns the first link on the path from one node to another,
+// or nil. A node with a single out-link has no row of its own:
 // its link is the first hop to its neighbour and to whatever the
 // neighbour's row reaches. (A neighbour without a row has one link too,
 // and links come in duplex pairs, so that link leads straight back.)
@@ -359,7 +296,7 @@ func (n *Network) NextHopTo(from, to NodeID) *Link {
 	return l
 }
 
-// PathDelay sums propagation delays on the shortest path between two nodes.
+// PathDelay sums propagation delays on the path between two nodes.
 // It returns false when no path exists.
 func (n *Network) PathDelay(from, to NodeID) (sim.Time, bool) {
 	var total sim.Time
@@ -375,7 +312,7 @@ func (n *Network) PathDelay(from, to NodeID) (sim.Time, bool) {
 	return total, true
 }
 
-// Path returns the node sequence of the shortest path, inclusive of both
+// Path returns the node sequence of the path, inclusive of both
 // endpoints, or nil when unreachable.
 func (n *Network) Path(from, to NodeID) []NodeID {
 	path := []NodeID{from}

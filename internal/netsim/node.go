@@ -1,5 +1,5 @@
 // Package netsim models the network itself: nodes joined by unidirectional
-// rate/delay links with drop-tail queues, unicast shortest-path routing, and
+// rate/delay links with drop-tail queues, unicast routing over a tree, and
 // hosts that hand received packets to protocol agents. Together with
 // internal/sim it fills the role NS-2 plays in the paper.
 package netsim

@@ -42,7 +42,7 @@ func runOverheadPoint(opt Options, n int, slotDur sim.Time) overheadPoint {
 	// tree so announces traverse it.
 	cfg := topo.PaperConfig(20_000_000, opt.Seed+uint64(n)+uint64(slotDur))
 	l := openLab(
-		deltasigma.WithTopology(func(uint64) deltasigma.Topology { return topo.Dumbbell(cfg) }),
+		deltasigma.WithTopology(func(uint64) *deltasigma.Tree { return topo.Dumbbell(cfg) }),
 		deltasigma.WithProtocol("flid-ds"),
 		deltasigma.WithSchedule(core.ScheduleForTotal(overheadBase, overheadTotal, n)),
 		deltasigma.WithSlot(slotDur),

@@ -161,7 +161,7 @@ var labPools = sync.Pool{New: func() any { return new(deltasigma.PacketPool) }}
 // and registered protocol.
 func newLab(cfg topo.Config, proto string) *lab {
 	return openLab(
-		deltasigma.WithTopology(func(uint64) deltasigma.Topology { return topo.Dumbbell(cfg) }),
+		deltasigma.WithTopology(func(uint64) *deltasigma.Tree { return topo.Dumbbell(cfg) }),
 		deltasigma.WithProtocol(proto),
 		deltasigma.WithSeed(cfg.Seed),
 	)

@@ -84,9 +84,6 @@ func (p *Polynomial) Reserve(k int) {
 	}
 }
 
-// Threshold reports k, the number of shares needed for reconstruction.
-func (p *Polynomial) Threshold() int { return len(p.coeff) }
-
 // ShareAt evaluates the polynomial at x (x ≥ 1) and returns the share that
 // packet number x carries. x = 0 would disclose the secret and panics.
 func (p *Polynomial) ShareAt(x uint32) Share {
@@ -108,7 +105,7 @@ func (p *Polynomial) eval(x uint64) uint64 {
 
 // Reconstruct interpolates the unique degree ≤ len(shares)−1 polynomial
 // through the given shares and returns its value at zero. When called with
-// at least Threshold() genuine shares of one polynomial the result is the
+// at least k genuine shares of one degree-(k−1) polynomial the result is the
 // secret; with fewer, the result is an unrelated field element — exactly the
 // security property DELTA relies on. Duplicate X coordinates are rejected.
 func Reconstruct(shares []Share) (uint64, error) {

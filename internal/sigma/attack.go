@@ -43,12 +43,6 @@ type GuessAttack struct {
 // attacker can afford to submit.
 const guessesPerSlot = 16
 
-// Engine exposes the attack engine itself. Protocol attackers embed a
-// GuessAttack, and facade wrappers embed those attackers, so the method
-// promotes through the whole chain — a caller holding any wrapper can
-// reach the engine with a one-method interface assertion.
-func (a *GuessAttack) Engine() *GuessAttack { return a }
-
 // NewGuessAttack builds the engine beside a legitimate receiver: it runs on
 // client's host against client's edge, submitting guesses through client on
 // behalf of the receiver whose current entitlement entitled reports.

@@ -495,7 +495,7 @@ func (c *Controller) Deliver(group, host packet.Addr) bool {
 	return g.hasSlot(c.CurrentSlot())
 }
 
-// Entitled implements mcast.EntitlementReader: the same decision Deliver
+// Entitled implements mcast.Gatekeeper: the same decision Deliver
 // would make right now, but side-effect-free — a pending grace window is
 // reported as entitlement without being armed, so the audit layer can poll
 // mid-run without perturbing grace accounting.

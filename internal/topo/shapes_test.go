@@ -22,7 +22,7 @@ import (
 // dumbbell with no exact receivers (which once listed `right` anyway).
 // For a dumbbell, the queues of access links with a non-default delay are
 // therefore printed as "-".
-func describeShape(tp Topology, dumbbell bool) string {
+func describeShape(tp *Tree, dumbbell bool) string {
 	var b strings.Builder
 	tp.AttachSource("")
 	type placed struct {
@@ -53,7 +53,7 @@ func describeShape(tp Topology, dumbbell bool) string {
 	}
 	fmt.Fprintf(&b, "routers %s\n", strings.Join(routers, " "))
 	fmt.Fprintf(&b, "hosts %s\n", strings.Join(hosts, " "))
-	fmt.Fprintf(&b, "rtt %v\n", tp.(interface{ RTT() sim.Time }).RTT())
+	fmt.Fprintf(&b, "rtt %v\n", tp.RTT())
 	var bottlenecks []string
 	for _, l := range tp.Bottlenecks() {
 		bottlenecks = append(bottlenecks, l.String())
@@ -92,11 +92,11 @@ func describeShape(tp Topology, dumbbell bool) string {
 func TestTopologyShapesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
-		build    func() Topology
+		build    func() *Tree
 		dumbbell bool
 		want     string
 	}{
-		{"dumbbell", func() Topology { return Dumbbell(PaperConfig(1_000_000, 1)) }, true, `routers left right cohort4-edge cohort6-edge
+		{"dumbbell", func() *Tree { return Dumbbell(PaperConfig(1_000_000, 1)) }, true, `routers left right cohort4-edge cohort6-edge
 hosts src1 rcv2 rcv3 cohort4 rcv5 cohort6 rcv7 rcv8
 rtt 0.080s
 bottlenecks left->right
@@ -131,7 +131,7 @@ link cohort6->cohort6-edge rate=100000000000 delay=0.000s cap=1048576
 link rcv7->right rate=10000000 delay=0.000s cap=-
 link rcv8->right rate=10000000 delay=0.010s cap=200000
 `},
-		{"chain", func() Topology {
+		{"chain", func() *Tree {
 			return Chain(Config{Capacities: []int64{1_000_000, 500_000, 250_000}, Seed: 1})
 		}, false, `routers r0 r1 r2 r3 cohort4-edge cohort6-edge
 hosts src1 rcv2 rcv3 cohort4 rcv5 cohort6 rcv7 rcv8
@@ -172,7 +172,7 @@ link cohort6->cohort6-edge rate=100000000000 delay=0.000s cap=1048576
 link rcv7->r3 rate=10000000 delay=0.000s cap=400000
 link rcv8->r3 rate=10000000 delay=0.010s cap=400000
 `},
-		{"star", func() Topology {
+		{"star", func() *Tree {
 			return Star(Config{Capacities: []int64{600_000, 150_000, 150_000}, Seed: 1})
 		}, false, `routers hub edge0 edge1 edge2 cohort4-edge cohort6-edge
 hosts src1 rcv2 rcv3 cohort4 rcv5 cohort6 rcv7 rcv8

@@ -6,8 +6,11 @@ import (
 	"deltasigma/internal/sim"
 )
 
-func TestDumbbellImplementsTopology(t *testing.T) {
-	var topo Topology = Dumbbell(PaperConfig(1_000_000, 1))
+// TestDumbbellAttachesAndRoutes checks the dumbbell's attachment ports, an
+// idempotent Finish, its one edge and one bottleneck, and the four-node
+// path from source to receiver.
+func TestDumbbellAttachesAndRoutes(t *testing.T) {
+	topo := Dumbbell(PaperConfig(1_000_000, 1))
 	src := topo.AttachSource("s")
 	port := topo.AttachReceiver("r", 0)
 	topo.Finish()

@@ -65,8 +65,6 @@ type Tree struct {
 	finished bool
 }
 
-var _ Topology = (*Tree)(nil)
-
 // Dumbbell builds the paper's one-bottleneck topology, routers left and
 // right.
 func Dumbbell(cfg Config) *Tree {
@@ -137,25 +135,27 @@ func (t *Tree) RTT() sim.Time {
 	return 2 * (sideDelay + sim.Time(t.depth)*t.cfg.HopDelay + sideDelay)
 }
 
-// Scheduler implements Topology.
+// Scheduler returns the virtual clock everything runs on.
 func (t *Tree) Scheduler() *sim.Scheduler { return t.net.Scheduler() }
 
-// Rand implements Topology.
+// Rand returns the topology's root RNG (fork it per agent).
 func (t *Tree) Rand() *sim.RNG { return t.net.RNG() }
 
-// Network implements Topology.
+// Network returns the underlying link-level network.
 func (t *Tree) Network() *netsim.Network { return t.net }
 
-// Multicast implements Topology.
+// Multicast returns the group-distribution fabric.
 func (t *Tree) Multicast() *mcast.Fabric { return t.fabric }
 
-// AttachSource implements Topology: sources feed the ingress router.
+// AttachSource adds a sender host behind the ingress router.
 func (t *Tree) AttachSource(name string) *netsim.Host {
 	return t.attachHost(t.hostName(name, "src"), t.Routers[0], sideDelay)
 }
 
-// AttachReceiver implements Topology: the default egress is the far end of
-// a series, and cycles over the spokes of a star.
+// AttachReceiver adds a receiver host at the default egress with the given
+// access-link delay (negative — DefaultDelay — selects the side delay) and
+// returns it together with its gatekeeping edge router. The default egress
+// is the far end of a series, and cycles over the spokes of a star.
 func (t *Tree) AttachReceiver(name string, delay sim.Time) Port {
 	return t.AttachReceiverAt(t.leaf(), name, delay)
 }
@@ -176,8 +176,13 @@ func (t *Tree) AttachReceiverAt(router int, name string, delay sim.Time) Port {
 	return Port{Host: h, Edge: edge}
 }
 
-// AttachCohort implements Topology: the cohort's private edge hangs off the
-// default egress, in the same cycle as receivers.
+// AttachCohort adds an aggregated-receiver attachment point: a private
+// edge router hung off the default egress (in the same cycle as receivers)
+// over an access link with the given delay, plus the cohort's host behind
+// it. The private edge is deliberately absent from Edges() — the cohort
+// installs its own gatekeeper, so graft/prune state on that edge belongs
+// to the cohort alone and bulk join/leave never disturbs exact receivers
+// sharing the upstream router.
 func (t *Tree) AttachCohort(name string, delay sim.Time) Port {
 	parent := t.Routers[t.leaf()]
 	name = t.hostName(name, "cohort")
@@ -189,14 +194,16 @@ func (t *Tree) AttachCohort(name string, delay sim.Time) Port {
 	return Port{Host: h, Edge: edge}
 }
 
-// Edges implements Topology: every router with attached receivers, in
-// attachment order.
+// Edges lists every router that gatekeeps at least one attached receiver,
+// in attachment order; experiments install one gatekeeper (SIGMA
+// controller or IGMP) per edge.
 func (t *Tree) Edges() []*mcast.Router { return t.edges }
 
-// Bottlenecks implements Topology: the hop links.
+// Bottlenecks returns the hop links, the congested forward links.
 func (t *Tree) Bottlenecks() []*netsim.Link { return t.Forward }
 
-// Finish implements Topology.
+// Finish completes construction (routing tables) once all hosts are
+// attached; idempotent.
 func (t *Tree) Finish() {
 	if t.finished {
 		return

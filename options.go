@@ -10,7 +10,7 @@ import (
 // settings accumulates the functional options New applies.
 type settings struct {
 	seed     uint64
-	topology func(seed uint64) Topology // seeded by New
+	topology func(seed uint64) *Tree // seeded by New
 	protocol Protocol
 	schedule RateSchedule
 	slot     Time // 0 selects the protocol default
@@ -40,10 +40,10 @@ func WithSeed(seed uint64) Option {
 }
 
 // WithTopology builds the experiment's network once New has resolved the
-// experiment seed; build receives that seed. This is the generic hook custom
-// topologies plug in through; WithDumbbell, WithChain and WithStar are its
-// shorthands for the three built-in shapes.
-func WithTopology(build func(seed uint64) Topology) Option {
+// experiment seed; build receives that seed. This is the hook a tree built
+// from a custom topo.Config plugs in through; WithDumbbell, WithChain and
+// WithStar are its shorthands for the three built-in shapes.
+func WithTopology(build func(seed uint64) *Tree) Option {
 	return func(s *settings) {
 		if build == nil {
 			s.fail(fmt.Errorf("deltasigma: WithTopology(nil)"))
@@ -70,15 +70,15 @@ func checkCaps(opt string, caps []int64) error {
 // The three built-in shapes, shared by the topology options and the sweep
 // specs.
 
-func dumbbell(bottleneck int64, seed uint64) Topology {
+func dumbbell(bottleneck int64, seed uint64) *Tree {
 	return topo.Dumbbell(topo.PaperConfig(bottleneck, seed))
 }
 
-func chain(caps []int64, seed uint64) Topology {
+func chain(caps []int64, seed uint64) *Tree {
 	return topo.Chain(topo.Config{Capacities: caps, Seed: seed})
 }
 
-func star(caps []int64, seed uint64) Topology {
+func star(caps []int64, seed uint64) *Tree {
 	return topo.Star(topo.Config{Capacities: caps, Seed: seed})
 }
 
@@ -89,7 +89,7 @@ func WithDumbbell(bottleneck int64) Option {
 	if err := checkCaps("WithDumbbell", []int64{bottleneck}); err != nil {
 		return func(s *settings) { s.fail(err) }
 	}
-	return WithTopology(func(seed uint64) Topology { return dumbbell(bottleneck, seed) })
+	return WithTopology(func(seed uint64) *Tree { return dumbbell(bottleneck, seed) })
 }
 
 // WithChain runs the experiment on a multi-bottleneck chain with the given
@@ -100,7 +100,7 @@ func WithChain(capacities ...int64) Option {
 	if err := checkCaps("WithChain", caps); err != nil {
 		return func(s *settings) { s.fail(err) }
 	}
-	return WithTopology(func(seed uint64) Topology { return chain(caps, seed) })
+	return WithTopology(func(seed uint64) *Tree { return chain(caps, seed) })
 }
 
 // WithStar runs the experiment on a star with one bottleneck spoke (and
@@ -111,7 +111,7 @@ func WithStar(capacities ...int64) Option {
 	if err := checkCaps("WithStar", caps); err != nil {
 		return func(s *settings) { s.fail(err) }
 	}
-	return WithTopology(func(seed uint64) Topology { return star(caps, seed) })
+	return WithTopology(func(seed uint64) *Tree { return star(caps, seed) })
 }
 
 // WithProtocol selects a registered congestion control variant by name

@@ -130,7 +130,7 @@ func (p *Protocol) noAttackerError() error {
 // whatever the row's slot. FLID-DL's factor 2 at 500 ms sets that pace; a
 // row with shorter slots stretches its factor to match (4 at 250 ms), so
 // every row authorizes each group equally often per virtual second.
-func upgradePolicy(sess *Session) core.UpgradePolicy {
+func upgradePolicy(sess *Session) core.PeriodicUpgrades {
 	return core.PeriodicUpgrades{Factor: 2 * float64(500*Millisecond) / float64(sess.SlotDur), N: sess.Rates.N}
 }
 

@@ -22,7 +22,7 @@ type TopologySpec struct {
 	// Name labels the family in points and output ("dumbbell", "chain3"…).
 	Name string
 	// Build constructs the topology for one grid point.
-	Build func(bottleneck int64, seed uint64) Topology
+	Build func(bottleneck int64, seed uint64) *Tree
 
 	empty bool // a ChainSpec or StarSpec of no hops, which Sweep.Run refuses
 }
@@ -43,11 +43,11 @@ func StarSpec(spokes int) TopologySpec { return uniformSpec("star", spokes, star
 
 // uniformSpec sizes all n hops or spokes of shape to the grid point's
 // capacity.
-func uniformSpec(name string, n int, shape func(caps []int64, seed uint64) Topology) TopologySpec {
+func uniformSpec(name string, n int, shape func(caps []int64, seed uint64) *Tree) TopologySpec {
 	return TopologySpec{
 		Name:  fmt.Sprintf("%s%d", name, n),
 		empty: n < 1,
-		Build: func(bottleneck int64, seed uint64) Topology {
+		Build: func(bottleneck int64, seed uint64) *Tree {
 			caps := make([]int64, n)
 			for i := range caps {
 				caps[i] = bottleneck
@@ -567,7 +567,7 @@ func (g sweepGrid) runPoint(p SweepPoint, topo int, pool *packet.Pool) (PointRes
 	opts := []Option{
 		WithProtocol(p.Protocol),
 		WithSeed(p.Seed),
-		WithTopology(func(seed uint64) Topology { return spec.Build(p.BottleneckBps, seed) }),
+		WithTopology(func(seed uint64) *Tree { return spec.Build(p.BottleneckBps, seed) }),
 	}
 	if pool != nil {
 		opts = append(opts, WithPacketPool(pool))
