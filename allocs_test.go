@@ -113,8 +113,9 @@ func TestSteadyStateAllocationBudget(t *testing.T) {
 // (A fuzz campaign samples every experiment a few hundred times; labelling
 // every link on every sample used to be half of its allocations.)
 func TestCleanAuditSampleAllocatesNothing(t *testing.T) {
-	exp := deltasigma.MustNew(deltasigma.WithStar(500_000, 250_000), deltasigma.WithProtocol("flid-ds"),
-		deltasigma.WithSeed(16), deltasigma.WithAudit())
+	exp := deltasigma.MustNew(
+		deltasigma.WithTopology(deltasigma.TopologySpec{Kind: "star", CapacitiesBps: []int64{500_000, 250_000}}),
+		deltasigma.WithProtocol("flid-ds"), deltasigma.WithSeed(16), deltasigma.WithAudit())
 	s := exp.AddSession(3)
 	s.AddAttacker().Inflate()
 	exp.AddSession(1)

@@ -17,7 +17,7 @@ import (
 func TestColludingStrategy(t *testing.T) {
 	exp, err := deltasigma.New(
 		deltasigma.WithProtocol("flid-ds"),
-		deltasigma.WithStar(600_000, 150_000),
+		deltasigma.WithTopology(deltasigma.TopologySpec{Kind: "star", CapacitiesBps: []int64{600_000, 150_000}}),
 		deltasigma.WithSeed(3),
 	)
 	if err != nil {
@@ -182,7 +182,8 @@ func TestStrategyForcesSerialSharding(t *testing.T) {
 // *UnknownStrategyError before anything is attached, and an attacker at an
 // explicit port lands where it was put.
 func TestUnknownStrategyIsTypedError(t *testing.T) {
-	exp := deltasigma.MustNew(deltasigma.WithProtocol("flid-ds"), deltasigma.WithStar(500_000, 500_000), deltasigma.WithSeed(3))
+	exp := deltasigma.MustNew(deltasigma.WithProtocol("flid-ds"),
+		deltasigma.WithTopology(deltasigma.TopologySpec{Kind: "star", CapacitiesBps: []int64{500_000, 500_000}}), deltasigma.WithSeed(3))
 	s := exp.AddSession(1)
 	_, err := s.TryAddAttacker(deltasigma.WithStrategy("bribery"))
 	var use *deltasigma.UnknownStrategyError

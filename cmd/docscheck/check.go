@@ -48,10 +48,65 @@ func Check(root string) ([]string, error) {
 		return nil, err
 	}
 	problems = append(problems, stale...)
+	missing, err := checkOptionsTable(root)
+	if err != nil {
+		return nil, err
+	}
+	problems = append(problems, missing...)
 	unordered, err := checkMapRanges(root, pkgs)
 	problems = append(problems, unordered...)
 	sort.Strings(problems)
 	return problems, err
+}
+
+// optionsHeading opens README.md's table of facade options.
+const optionsHeading = "## The options API"
+
+// optionCellRE matches a table row whose first cell starts with a
+// backticked call, `Name(`; optionNameRE finds every such call in a cell.
+var (
+	optionCellRE = regexp.MustCompile("^\\|\\s*`[A-Z][A-Za-z0-9_]*\\(")
+	optionNameRE = regexp.MustCompile("`([A-Z][A-Za-z0-9_]*)\\(")
+)
+
+// checkOptionsTable reports every function named by a backticked `Name(`
+// in the first cell of a row of README.md's options table, in rows whose
+// first cell starts with one, that testdata/facade_api.txt does not list
+// as a func: a row for a deleted option would read as live API.
+func checkOptionsTable(root string) ([]string, error) {
+	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
+	if os.IsNotExist(err) {
+		return nil, nil
+	} else if err != nil {
+		return nil, err
+	}
+	api, err := os.ReadFile(filepath.Join(root, "testdata", "facade_api.txt"))
+	if err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
+	funcs := map[string]bool{}
+	for _, line := range strings.Split(string(api), "\n") {
+		if name, ok := strings.CutPrefix(line, "func "); ok {
+			funcs[strings.TrimSpace(name)] = true
+		}
+	}
+	var problems []string
+	inTable := false
+	for i, line := range strings.Split(string(readme), "\n") {
+		if strings.HasPrefix(line, "## ") {
+			inTable = strings.TrimSpace(line) == optionsHeading
+		}
+		if !inTable || !optionCellRE.MatchString(line) {
+			continue
+		}
+		cell, _, _ := strings.Cut(line[1:], "|")
+		for _, m := range optionNameRE.FindAllStringSubmatch(cell, -1) {
+			if !funcs[m[1]] {
+				problems = append(problems, fmt.Sprintf("README.md:%d: options table names %s, which testdata/facade_api.txt does not list as a func", i+1, m[1]))
+			}
+		}
+	}
+	return problems, nil
 }
 
 // orderInsensitive is the annotation that clears a range over a map.

@@ -123,6 +123,41 @@ func New() *Scheduler { return nil }
 	}
 }
 
+// TestCheckCatchesStaleOptions runs the options-table check over a tiny
+// repo whose facade lists WithDumbbell and WithSlot: only the row naming a
+// function the facade lacks is reported, not a row for a method call, a
+// header, or a table outside the options section.
+func TestCheckCatchesStaleOptions(t *testing.T) {
+	root := t.TempDir()
+	writeFile(t, root, "testdata/facade_api.txt", "func WithDumbbell\nfunc WithSlot\nmethod Experiment.Close\n")
+	writeFile(t, root, "README.md", `# demo
+
+## The options API
+
+| Option | Meaning |
+| --- | --- |
+| `+"`WithDumbbell(bps)`"+` | the paper's dumbbell |
+| `+"`WithSlot(d)` / `WithRing(bps...)`"+` | slot / a removed shape |
+| `+"`WithMesh(bps...)`"+` | a removed shape |
+| `+"`exp.Close()`"+` | ends the experiment |
+
+## Elsewhere
+
+| `+"`WithGone(x)`"+` | not the options table |
+`)
+	problems, err := Check(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"README.md:8: options table names WithRing, which testdata/facade_api.txt does not list as a func",
+		"README.md:9: options table names WithMesh, which testdata/facade_api.txt does not list as a func",
+	}
+	if strings.Join(problems, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("problems %q, want %q", problems, want)
+	}
+}
+
 // TestCheckCatchesStaleTestNames runs the -run check over a tiny module
 // with two test functions: one row per -run argument, and whether it names
 // a test that does not exist.

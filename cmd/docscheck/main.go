@@ -8,6 +8,9 @@
 //   - a backticked `X.Y` or `X.Y()` in those markdown files names a package
 //     or type X declared in the module that has no declaration, field or
 //     method Y, or
+//   - a row of README.md's options table whose first cell starts with a
+//     backticked `Name(` calls a function testdata/facade_api.txt does not
+//     list, or
 //   - a go test -run argument in .github/workflows/*.yml names a Test that
 //     matches no test function in the module (a trailing .* is a prefix), or
 //   - non-test Go in the root package or under internal/ ranges over a map

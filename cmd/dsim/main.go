@@ -69,7 +69,6 @@ import (
 	"strconv"
 
 	"deltasigma"
-	"deltasigma/internal/fuzzing"
 )
 
 func main() {
@@ -155,11 +154,8 @@ func run(args []string, out io.Writer) (err error) {
 		}
 	}
 
-	topo, err := fuzzing.TopoSpec{Kind: *topology, CapacitiesBps: caps}.Option()
-	if err != nil {
-		return err
-	}
 	opts := []deltasigma.Option{
+		deltasigma.WithTopology(deltasigma.TopologySpec{Kind: *topology, CapacitiesBps: caps}),
 		deltasigma.WithProtocol(*protocol),
 		deltasigma.WithSeed(*seed),
 	}
@@ -168,7 +164,6 @@ func run(args []string, out io.Writer) (err error) {
 			Base: 100_000, Mult: 1.5, N: *groups,
 		}))
 	}
-	opts = append(opts, topo)
 
 	exp, err := deltasigma.New(opts...)
 	if err != nil {

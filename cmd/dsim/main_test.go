@@ -33,6 +33,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"bad capacity", []string{"-capacity", "abc"}, "bad capacity"},
 		{"negative capacity", []string{"-capacity", "-5"}, "bad capacity"},
 		{"dumbbell capacity count", []string{"-capacity", "100000,200000"}, "exactly one"},
+		{"named dumbbell of two capacities", []string{"-topology", "dumbbell", "-capacity", "1,2"}, "a dumbbell takes exactly one capacity, got 2"},
 		{"bad protocol", []string{"-protocol", "nope"}, "unknown protocol"},
 		{"attack past end", []string{"-attack", "70", "-dur", "60"}, "inside -dur"},
 		{"attackstop without attack", []string{"-attackstop", "30"}, "needs -attack"},
@@ -172,8 +173,8 @@ func TestSweepFlagValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"bad topology token", []string{"-topologies", "ring"}, "-topologies: unknown topology"},
-		{"bad chain count", []string{"-topologies", "chainx"}, "bad topology"},
+		{"bad topology token", []string{"-topologies", "ring"}, `sweep topology "ring" is not dumbbell, chain<N> or star<N>`},
+		{"bad chain count", []string{"-topologies", "chainx"}, `sweep topology "chainx" is not`},
 		{"bad receivers", []string{"-receivers", "two"}, "-receivers"},
 		{"bad cohorts", []string{"-cohorts", "many"}, "-cohorts"},
 		{"negative cohorts", []string{"-cohorts", "-5", "-dur", "1"}, "negative"},
@@ -373,7 +374,7 @@ func failingReproSpec() fuzzing.Spec {
 	return fuzzing.Spec{
 		Seed:        5,
 		Protocol:    "flid-dl",
-		Topology:    fuzzing.TopoSpec{Kind: "dumbbell", CapacitiesBps: []int64{600_000}},
+		Topology:    deltasigma.TopologySpec{Kind: "dumbbell", CapacitiesBps: []int64{600_000}},
 		DurationSec: 10,
 		Sessions: []fuzzing.SessionSpec{
 			{Receivers: []fuzzing.ReceiverSpec{{}, {Attacker: true}}},
@@ -401,6 +402,7 @@ func TestFuzzMalformedRepro(t *testing.T) {
 		{"empty cohort", func(sp *fuzzing.Spec) { sp.Sessions[0].Cohorts = []int{0} }},
 		{"unknown protocol", func(sp *fuzzing.Spec) { sp.Protocol = "flid-xx" }},
 		{"unknown strategy", func(sp *fuzzing.Spec) { sp.Sessions[0].Receivers[1].Strategy = "bribery" }},
+		{"ring topology", func(sp *fuzzing.Spec) { sp.Topology.Kind = "ring" }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -143,8 +143,8 @@ func axisFlag[T any](name, def, usage string, parse func(string) (T, error), fie
 var sweepAxisFlags = []sweepAxisFlag{
 	axisFlag("protocols", "flid-ds", "comma-separated protocol axis",
 		parseProtocol, func(sw *deltasigma.Sweep) *[]string { return &sw.Protocols }),
-	axisFlag("topologies", "dumbbell", "comma-separated topology axis: dumbbell, chain<N> or star<N>",
-		parseTopologySpec, func(sw *deltasigma.Sweep) *[]deltasigma.TopologySpec { return &sw.Topologies }),
+	axisFlag("topologies", "dumbbell", "comma-separated topology axis: dumbbell, chain<N> or star<N> (N hops, each at the -capacity value)",
+		parseString, func(sw *deltasigma.Sweep) *[]string { return &sw.Topologies }),
 	axisFlag("receivers", "1", "comma-separated well-behaved receiver counts",
 		parseInt, func(sw *deltasigma.Sweep) *[]int { return &sw.Receivers }),
 	axisFlag("attackers", "0", "comma-separated attacker counts",
@@ -167,24 +167,6 @@ var sweepAxisFlags = []sweepAxisFlag{
 		durationIn(deltasigma.Second, "seconds"), func(sw *deltasigma.Sweep) *[]deltasigma.Time { return &sw.FlapPeriods }),
 	axisFlag("seeds", "1", "comma-separated seed replicas",
 		parseSeed, func(sw *deltasigma.Sweep) *[]uint64 { return &sw.Seeds }),
-}
-
-// parseTopologySpec maps a CLI token to a TopologySpec: "dumbbell",
-// "chain<N>" or "star<N>".
-func parseTopologySpec(tok string) (deltasigma.TopologySpec, error) {
-	if tok == "dumbbell" {
-		return deltasigma.DumbbellSpec(), nil
-	}
-	for prefix, spec := range map[string]func(int) deltasigma.TopologySpec{"chain": deltasigma.ChainSpec, "star": deltasigma.StarSpec} {
-		if rest, ok := strings.CutPrefix(tok, prefix); ok {
-			n, err := strconv.Atoi(rest)
-			if err != nil || n < 1 {
-				return deltasigma.TopologySpec{}, fmt.Errorf("bad topology %q (want %s<N>)", tok, prefix)
-			}
-			return spec(n), nil
-		}
-	}
-	return deltasigma.TopologySpec{}, fmt.Errorf("unknown topology %q (dumbbell, chain<N> or star<N>)", tok)
 }
 
 func printSweepTable(res *deltasigma.CampaignResult, workers int, out io.Writer) {

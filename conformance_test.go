@@ -36,8 +36,8 @@ func conformanceTopologies() []struct {
 		opt  deltasigma.Option
 	}{
 		{"dumbbell", deltasigma.WithDumbbell(250_000)},
-		{"chain", deltasigma.WithChain(1_000_000, 250_000)},
-		{"star", deltasigma.WithStar(600_000, 250_000)},
+		{"chain", deltasigma.WithTopology(deltasigma.TopologySpec{Kind: "chain", CapacitiesBps: []int64{1_000_000, 250_000}})},
+		{"star", deltasigma.WithTopology(deltasigma.TopologySpec{Kind: "star", CapacitiesBps: []int64{600_000, 250_000}})},
 	}
 }
 

@@ -19,11 +19,12 @@
 //	exp.AddTCP(0)               // a TCP Reno competitor
 //	res := exp.Run(60 * deltasigma.Second)
 //
-// Three topology shapes ship with the package — the paper's dumbbell
-// (WithDumbbell), a multi-bottleneck chain (WithChain) and a star with one
-// SIGMA gatekeeper per edge (WithStar). All three are one Tree type: a
-// dumbbell is a one-hop chain, and a star places the same hops in
-// parallel. WithTopology takes any other Tree a caller builds.
+// One value, TopologySpec, names the network: the paper's dumbbell, a
+// multi-bottleneck chain or a star with one SIGMA gatekeeper per edge,
+// with its hop capacities and hop delay. WithTopology takes it, and
+// WithDumbbell is its shorthand for the paper's shape. All three kinds are
+// one Tree type: a dumbbell is a one-hop chain, and a star places the same
+// hops in parallel.
 // Protocol variants are rows of one Protocol table, looked up by name
 // (WithProtocol): "flid-dl", "flid-ds", "flid-ds-replicated" and
 // "flid-ds-threshold" are built in alongside the competitor suite "mfcc",
@@ -76,8 +77,8 @@ type (
 	// Port couples a receiver host with its gatekeeping edge router.
 	Port = topo.Port
 	// Tree is the network every experiment runs on: an ingress router and
-	// one bottleneck hop per capacity, the hops in series (WithDumbbell,
-	// WithChain) or in parallel (WithStar). Its AttachReceiverAt places a
+	// one bottleneck hop per capacity, the hops in series (a dumbbell or a
+	// chain) or in parallel (a star). Its AttachReceiverAt places a
 	// receiver behind a chosen router.
 	Tree = topo.Tree
 )

@@ -89,14 +89,21 @@ func TestNewRejectsBadOptions(t *testing.T) {
 	if _, err := deltasigma.New(deltasigma.WithSchedule(deltasigma.RateSchedule{Base: 100_000, Mult: 1.5, N: 300})); err == nil {
 		t.Fatal("invalid schedule accepted (must error, not panic)")
 	}
-	if _, err := deltasigma.New(deltasigma.WithChain()); err == nil {
-		t.Fatal("empty chain accepted (must error, not panic)")
-	}
-	if _, err := deltasigma.New(deltasigma.WithStar(-1)); err == nil {
-		t.Fatal("negative star spoke accepted (must error, not panic)")
-	}
-	if _, err := deltasigma.New(deltasigma.WithTopology(nil)); err == nil {
-		t.Fatal("nil topology builder accepted (must error, not panic)")
+	// Every TopologySpec.Check rule refuses its spec through New, with an
+	// error naming the rule, instead of panicking in the tree builder.
+	for _, c := range []struct {
+		rule string
+		spec deltasigma.TopologySpec
+	}{
+		{"unknown topology kind", deltasigma.TopologySpec{Kind: "ring", CapacitiesBps: []int64{1_000_000}}},
+		{"exactly one capacity", deltasigma.TopologySpec{Kind: "dumbbell", CapacitiesBps: []int64{1_000_000, 500_000}}},
+		{"at least one capacity", deltasigma.TopologySpec{Kind: "chain"}},
+		{"must be positive", deltasigma.TopologySpec{Kind: "star", CapacitiesBps: []int64{600_000, -1}}},
+		{"hop delay", deltasigma.TopologySpec{Kind: "chain", CapacitiesBps: []int64{1_000_000}, HopDelay: -deltasigma.Millisecond}},
+	} {
+		if _, err := deltasigma.New(deltasigma.WithTopology(c.spec)); err == nil || !strings.Contains(err.Error(), c.rule) {
+			t.Errorf("WithTopology(%+v): error %v, want one naming %q", c.spec, err, c.rule)
+		}
 	}
 	if _, err := deltasigma.New(deltasigma.WithDumbbell(0)); err == nil {
 		t.Fatal("zero dumbbell capacity accepted (must error, not panic)")
@@ -197,7 +204,9 @@ func TestBaselineAttackSucceeds(t *testing.T) {
 // behind the 250 Kbps second hop is pinned near the fair level for that
 // link while a receiver behind only the 1 Mbps first hop climbs higher.
 func TestChainTopology(t *testing.T) {
-	exp := deltasigma.MustNew(deltasigma.WithChain(1_000_000, 250_000), deltasigma.WithProtocol("flid-ds"), deltasigma.WithSeed(9))
+	exp := deltasigma.MustNew(
+		deltasigma.WithTopology(deltasigma.TopologySpec{Kind: "chain", CapacitiesBps: []int64{1_000_000, 250_000}}),
+		deltasigma.WithProtocol("flid-ds"), deltasigma.WithSeed(9))
 	chain := exp.Topo
 	sess := exp.AddSession(1) // default egress: far end, behind both hops
 	far := sess.Receivers[0]
@@ -221,7 +230,9 @@ func TestChainTopology(t *testing.T) {
 // behind spokes of different capacity converge to different levels, each
 // enforced by its own SIGMA edge.
 func TestStarPerEdgeGatekeepers(t *testing.T) {
-	exp := deltasigma.MustNew(deltasigma.WithStar(600_000, 150_000), deltasigma.WithProtocol("flid-ds"), deltasigma.WithSeed(10))
+	exp := deltasigma.MustNew(
+		deltasigma.WithTopology(deltasigma.TopologySpec{Kind: "star", CapacitiesBps: []int64{600_000, 150_000}}),
+		deltasigma.WithProtocol("flid-ds"), deltasigma.WithSeed(10))
 	sess := exp.AddSession(2) // round-robin: R1 on the 600k spoke, R2 on the 150k spoke
 	fast, slow := sess.Receivers[0], sess.Receivers[1]
 	exp.Run(60 * deltasigma.Second)

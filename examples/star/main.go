@@ -14,7 +14,10 @@ import (
 
 func main() {
 	exp := deltasigma.MustNew(
-		deltasigma.WithStar(600_000, 250_000, 120_000),
+		deltasigma.WithTopology(deltasigma.TopologySpec{
+			Kind:          "star",
+			CapacitiesBps: []int64{600_000, 250_000, 120_000},
+		}),
 		deltasigma.WithProtocol("flid-ds"),
 		deltasigma.WithSeed(3),
 	)

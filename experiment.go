@@ -92,7 +92,7 @@ type Experiment struct {
 func New(opts ...Option) (*Experiment, error) {
 	s := settings{
 		seed:     1,
-		topology: func(seed uint64) *Tree { return dumbbell(1_000_000, seed) },
+		topology: TopologySpec{Kind: "dumbbell", CapacitiesBps: []int64{1_000_000}},
 		schedule: core.PaperSchedule(),
 		pktSize:  defaultPacketSize,
 	}
@@ -112,7 +112,7 @@ func New(opts ...Option) (*Experiment, error) {
 	if s.slot == 0 {
 		s.slot = s.protocol.Slot
 	}
-	t := s.topology(s.seed)
+	t := s.topology.build(s.seed)
 	if s.pool != nil {
 		t.Network().SetPool(s.pool)
 	}

@@ -17,9 +17,8 @@ func (sw Sweep) RunEachPointOn(pool *PacketPool) (*CampaignResult, error) {
 		return nil, err
 	}
 	res := &CampaignResult{Name: sw.Name, DurationNs: g.sw.Duration}
-	points, topos := g.points()
-	for i, p := range points {
-		r, err := g.runPoint(p, topos[i], pool)
+	for _, p := range g.points() {
+		r, err := g.runPoint(p, pool)
 		r.Point = p
 		if err != nil {
 			r.Error = err.Error()

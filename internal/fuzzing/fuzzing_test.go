@@ -23,7 +23,7 @@ func failingSpec() Spec {
 	return Spec{
 		Seed:        5,
 		Protocol:    "flid-dl",
-		Topology:    TopoSpec{Kind: "dumbbell", CapacitiesBps: []int64{600_000}},
+		Topology:    deltasigma.TopologySpec{Kind: "dumbbell", CapacitiesBps: []int64{600_000}},
 		DurationSec: 10,
 		Sessions: []SessionSpec{
 			{Receivers: []ReceiverSpec{{}, {}, {Attacker: true}}},
@@ -291,7 +291,7 @@ func cohortSpec() Spec {
 	return Spec{
 		Seed:        9,
 		Protocol:    "flid-dl",
-		Topology:    TopoSpec{Kind: "dumbbell", CapacitiesBps: []int64{600_000}},
+		Topology:    deltasigma.TopologySpec{Kind: "dumbbell", CapacitiesBps: []int64{600_000}},
 		DurationSec: 10,
 		Sessions: []SessionSpec{{
 			Receivers: []ReceiverSpec{{Attacker: true}},

@@ -46,13 +46,13 @@ func Generate(seed uint64) Spec {
 	// Topology: one of the three families, sized from the capacity menu.
 	switch rng.IntN(3) {
 	case 0:
-		sp.Topology = TopoSpec{Kind: "dumbbell", CapacitiesBps: []int64{genCaps[rng.IntN(len(genCaps))]}}
+		sp.Topology = deltasigma.TopologySpec{Kind: "dumbbell", CapacitiesBps: []int64{genCaps[rng.IntN(len(genCaps))]}}
 	case 1:
 		hops := 2 + rng.IntN(2)
-		sp.Topology = TopoSpec{Kind: "chain", CapacitiesBps: capList(rng, hops)}
+		sp.Topology = deltasigma.TopologySpec{Kind: "chain", CapacitiesBps: capList(rng, hops)}
 	default:
 		spokes := 2 + rng.IntN(2)
-		sp.Topology = TopoSpec{Kind: "star", CapacitiesBps: capList(rng, spokes)}
+		sp.Topology = deltasigma.TopologySpec{Kind: "star", CapacitiesBps: capList(rng, spokes)}
 	}
 
 	// Schedule: replicated senders transmit every group simultaneously, so

@@ -178,9 +178,9 @@ func GenerateHunt(seed uint64) Spec {
 	// Topology: dumbbell or chain — both give every receiver the same
 	// path, so the honest median is a meaningful yardstick.
 	if rng.IntN(2) == 0 {
-		sp.Topology = TopoSpec{Kind: "dumbbell", CapacitiesBps: []int64{genCaps[rng.IntN(len(genCaps))]}}
+		sp.Topology = deltasigma.TopologySpec{Kind: "dumbbell", CapacitiesBps: []int64{genCaps[rng.IntN(len(genCaps))]}}
 	} else {
-		sp.Topology = TopoSpec{Kind: "chain", CapacitiesBps: capList(rng, 2+rng.IntN(2))}
+		sp.Topology = deltasigma.TopologySpec{Kind: "chain", CapacitiesBps: capList(rng, 2+rng.IntN(2))}
 	}
 
 	if sp.Protocol == "flid-ds-replicated" {

@@ -1,6 +1,7 @@
 package fuzzing
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -194,7 +195,8 @@ func WriteRepro(path string, r Repro) error {
 
 // MalformedReproError is ReadRepro's refusal of a file that does not
 // describe a runnable scenario: unreadable JSON, no session, a scalar out
-// of range, or a reference the spec rules would drop.
+// of range, a topology that cannot be built, or a reference the spec rules
+// would drop.
 type MalformedReproError struct {
 	Path   string
 	Reason string
@@ -226,14 +228,14 @@ func ReadRepro(path string) (Repro, error) {
 	return r, nil
 }
 
-// malformed names the first way sp is out of range, names a protocol or
-// attacker strategy that does not exist, or would change under normalize;
-// it returns "" for a well-formed spec.
+// malformed names the first way sp is out of range, names a topology,
+// protocol or attacker strategy that does not exist or cannot be built, or
+// would change under normalize; it returns "" for a well-formed spec.
 func (sp Spec) malformed() string {
 	if !(sp.DurationSec > 0) {
 		return fmt.Sprintf("duration_sec %g must be positive", sp.DurationSec)
 	}
-	if err := sp.checkScalars(); err != nil {
+	if err := cmp.Or(sp.checkScalars(), sp.Topology.Check()); err != nil {
 		return err.Error()
 	}
 	if _, ok := deltasigma.LookupProtocol(sp.Protocol); !ok {

@@ -34,9 +34,9 @@ import (
 type Spec struct {
 	// Seed drives the experiment's own randomness (topology RNG, DELTA
 	// keys, churn draws) — for generated specs it equals the fuzz seed.
-	Seed     uint64   `json:"seed"`
-	Protocol string   `json:"protocol"`
-	Topology TopoSpec `json:"topology"`
+	Seed     uint64                  `json:"seed"`
+	Protocol string                  `json:"protocol"`
+	Topology deltasigma.TopologySpec `json:"topology"`
 	// Groups overrides the rate schedule's group count (0 = the protocol
 	// default schedule).
 	Groups      int           `json:"groups,omitempty"`
@@ -57,14 +57,6 @@ type Spec struct {
 	// expected to hold unconditionally (protected variant, attacked
 	// session undisturbed by churn, stable links).
 	Oracle *OracleSpec `json:"oracle,omitempty"`
-}
-
-// TopoSpec names a topology family and its per-bottleneck capacities.
-type TopoSpec struct {
-	// Kind is "dumbbell", "chain" or "star".
-	Kind string `json:"kind"`
-	// CapacitiesBps holds one capacity per bottleneck (dumbbell: one).
-	CapacitiesBps []int64 `json:"capacities_bps"`
 }
 
 // SessionSpec is one multicast session's receiver population.
@@ -133,24 +125,6 @@ type OracleSpec struct {
 	FloorKbps float64 `json:"floor_kbps"`
 }
 
-// Option renders the topology as its facade option. A dumbbell takes
-// exactly one capacity; a chain or star takes one per bottleneck.
-func (t TopoSpec) Option() (deltasigma.Option, error) {
-	caps := t.CapacitiesBps
-	switch t.Kind {
-	case "dumbbell":
-		if len(caps) != 1 {
-			return nil, fmt.Errorf("dumbbell takes exactly one capacity, got %d", len(caps))
-		}
-		return deltasigma.WithDumbbell(caps[0]), nil
-	case "chain":
-		return deltasigma.WithChain(caps...), nil
-	case "star":
-		return deltasigma.WithStar(caps...), nil
-	}
-	return nil, fmt.Errorf("unknown topology %q (dumbbell, chain or star)", t.Kind)
-}
-
 // Duration returns the scenario length in virtual time.
 func (sp Spec) Duration() deltasigma.Time { return sim.Seconds(sp.DurationSec) }
 
@@ -164,11 +138,7 @@ func (sp Spec) Options() ([]deltasigma.Option, error) {
 	if err := sp.checkScalars(); err != nil {
 		return nil, err
 	}
-	topo, err := sp.Topology.Option()
-	if err != nil {
-		return nil, err
-	}
-	opts := []deltasigma.Option{deltasigma.WithProtocol(sp.Protocol), deltasigma.WithSeed(sp.Seed), topo}
+	opts := []deltasigma.Option{deltasigma.WithProtocol(sp.Protocol), deltasigma.WithSeed(sp.Seed), deltasigma.WithTopology(sp.Topology)}
 	if sp.Groups > 0 {
 		opts = append(opts, deltasigma.WithSchedule(deltasigma.RateSchedule{
 			Base: 100_000, Mult: 1.5, N: sp.Groups,

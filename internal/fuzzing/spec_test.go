@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"deltasigma"
 	"deltasigma/internal/sim"
 )
 
@@ -144,6 +145,11 @@ func TestReadReproRejectsWhatBuildRejects(t *testing.T) {
 		{"negative groups", func(sp *Spec) { sp.Groups = -6 }},
 		{"unknown protocol", func(sp *Spec) { sp.Protocol = "flid-xx" }},
 		{"unknown strategy", func(sp *Spec) { sp.Sessions[0].Receivers[2].Strategy = "bribery" }},
+		{"ring topology", func(sp *Spec) { sp.Topology.Kind = "ring" }},
+		{"dumbbell of two capacities", func(sp *Spec) { sp.Topology.CapacitiesBps = []int64{600_000, 300_000} }},
+		{"zero capacity", func(sp *Spec) { sp.Topology.CapacitiesBps = []int64{0} }},
+		{"chain of no hops", func(sp *Spec) { sp.Topology = deltasigma.TopologySpec{Kind: "chain"} }},
+		{"negative hop delay", func(sp *Spec) { sp.Topology.HopDelay = -sim.Millisecond }},
 	}
 	for _, row := range rows {
 		rejected := readEdited(t, row)

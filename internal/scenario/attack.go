@@ -3,7 +3,6 @@ package scenario
 import (
 	"deltasigma/internal/flid"
 	"deltasigma/internal/sim"
-	"deltasigma/internal/topo"
 )
 
 // attackExperiment is the shared body of Figures 1 and 7: receivers F1 and
@@ -14,7 +13,7 @@ func attackExperiment(opt Options, proto string) *Result {
 	dur := opt.scale(200 * sim.Second)
 	inflateAt := dur / 2
 
-	l := newLab(topo.PaperConfig(1_000_000, opt.Seed), proto)
+	l := newLab(dumbbell(1_000_000), opt.Seed, proto)
 	defer l.close()
 
 	// Session 1 carries the attacker F1, session 2 the victim F2.

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"deltasigma/internal/sim"
-	"deltasigma/internal/topo"
 )
 
 // responsivenessRun is one curve of Figure 8(e): a single multicast session
@@ -16,7 +15,7 @@ func responsivenessRun(opt Options, proto string) Series {
 	on := opt.scale(45 * sim.Second)
 	off := opt.scale(75 * sim.Second)
 
-	l := newLab(topo.PaperConfig(1_000_000, opt.Seed), proto)
+	l := newLab(dumbbell(1_000_000), opt.Seed, proto)
 	defer l.close()
 	ms := l.addSession(1)
 	l.e.AddCBR(800_000, 0, 0).Burst(on, off)
@@ -48,9 +47,9 @@ func rttRun(opt Options, proto string) Curve {
 	warmup := dur / 4
 
 	const nRecv = 20
-	cfg := topo.PaperConfig(FairShare, opt.Seed)
-	cfg.HopDelay = 5 * sim.Millisecond
-	l := newLab(cfg, proto)
+	topology := dumbbell(FairShare)
+	topology.HopDelay = 5 * sim.Millisecond
+	l := newLab(topology, opt.Seed, proto)
 	defer l.close()
 
 	ms := l.addSession(0)
@@ -91,7 +90,7 @@ func Fig8f(opt Options) *Result {
 // 0, 10, 20 and 30 s (scaled) and converge to the same subscription.
 func convergenceRun(opt Options, proto string) *Result {
 	dur := opt.scale(40 * sim.Second)
-	l := newLab(topo.PaperConfig(FairShare, opt.Seed), proto)
+	l := newLab(dumbbell(FairShare), opt.Seed, proto)
 	defer l.close()
 	ms := l.addSession(4)
 	for i, r := range ms.Receivers {

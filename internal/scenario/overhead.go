@@ -6,7 +6,6 @@ import (
 	"deltasigma/internal/flid"
 	"deltasigma/internal/sigma"
 	"deltasigma/internal/sim"
-	"deltasigma/internal/topo"
 )
 
 // §5.4 overhead-experiment constants.
@@ -40,9 +39,9 @@ func runOverheadPoint(opt Options, n int, slotDur sim.Time) overheadPoint {
 	// Uncongested topology: overhead is a property of the sender's
 	// emission, not of contention. One receiver keeps the edge on the
 	// tree so announces traverse it.
-	cfg := topo.PaperConfig(20_000_000, opt.Seed+uint64(n)+uint64(slotDur))
 	l := openLab(
-		deltasigma.WithTopology(func(uint64) *deltasigma.Tree { return topo.Dumbbell(cfg) }),
+		deltasigma.WithDumbbell(20_000_000),
+		deltasigma.WithSeed(opt.Seed+uint64(n)+uint64(slotDur)),
 		deltasigma.WithProtocol("flid-ds"),
 		deltasigma.WithSchedule(core.ScheduleForTotal(overheadBase, overheadTotal, n)),
 		deltasigma.WithSlot(slotDur),

@@ -29,7 +29,6 @@ import (
 	"deltasigma/internal/campaign"
 	"deltasigma/internal/sim"
 	"deltasigma/internal/stats"
-	"deltasigma/internal/topo"
 )
 
 // Paper parameters (§5.1).
@@ -157,14 +156,19 @@ type lab struct {
 // nothing is pinned between runs.
 var labPools = sync.Pool{New: func() any { return new(deltasigma.PacketPool) }}
 
-// newLab builds an experiment on a dumbbell with the given configuration
-// and registered protocol.
-func newLab(cfg topo.Config, proto string) *lab {
+// newLab builds an experiment on the given network, seed and registered
+// protocol.
+func newLab(topology deltasigma.TopologySpec, seed uint64, proto string) *lab {
 	return openLab(
-		deltasigma.WithTopology(func(uint64) *deltasigma.Tree { return topo.Dumbbell(cfg) }),
+		deltasigma.WithTopology(topology),
 		deltasigma.WithProtocol(proto),
-		deltasigma.WithSeed(cfg.Seed),
+		deltasigma.WithSeed(seed),
 	)
+}
+
+// dumbbell is the §5.1 dumbbell with the given bottleneck in bits/s.
+func dumbbell(bottleneck int64) deltasigma.TopologySpec {
+	return deltasigma.TopologySpec{Kind: "dumbbell", CapacitiesBps: []int64{bottleneck}}
 }
 
 // openLab builds one of a figure's experiments on a borrowed pool.

@@ -4,7 +4,6 @@ import (
 	"deltasigma"
 	"deltasigma/internal/sim"
 	"deltasigma/internal/stats"
-	"deltasigma/internal/topo"
 )
 
 // sessionCounts is the paper's x-axis for Figure 8(a)-(d).
@@ -31,7 +30,7 @@ func throughputRun(opt Options, proto string, m int, cross bool) (indiv []float6
 		nSessions = int64(2 * m)
 	}
 	capacity := FairShare * nSessions
-	l := newLab(topo.PaperConfig(capacity, opt.Seed+uint64(m)*17), proto)
+	l := newLab(dumbbell(capacity), opt.Seed+uint64(m)*17, proto)
 	defer l.close()
 
 	sessions := make([]*deltasigma.ExperimentSession, 0, m)

@@ -10,7 +10,7 @@ import (
 // settings accumulates the functional options New applies.
 type settings struct {
 	seed     uint64
-	topology func(seed uint64) *Tree // seeded by New
+	topology TopologySpec // built by New on seed
 	protocol Protocol
 	schedule RateSchedule
 	slot     Time // 0 selects the protocol default
@@ -39,79 +39,75 @@ func WithSeed(seed uint64) Option {
 	return func(s *settings) { s.seed = seed }
 }
 
-// WithTopology builds the experiment's network once New has resolved the
-// experiment seed; build receives that seed. This is the hook a tree built
-// from a custom topo.Config plugs in through; WithDumbbell, WithChain and
-// WithStar are its shorthands for the three built-in shapes.
-func WithTopology(build func(seed uint64) *Tree) Option {
-	return func(s *settings) {
-		if build == nil {
-			s.fail(fmt.Errorf("deltasigma: WithTopology(nil)"))
-			return
-		}
-		s.topology = build
-	}
+// TopologySpec names a network by value: its shape, one capacity per hop
+// and the hops' propagation delay. Every shape is one Tree of branch
+// points: a dumbbell is one hop, a chain puts its hops in series and a
+// star puts them in parallel, one SIGMA gatekeeper per spoke. New builds
+// the tree on the experiment seed; the fuzzer writes the value into repro
+// files as it stands.
+type TopologySpec struct {
+	// Kind is "dumbbell", "chain" or "star".
+	Kind string `json:"kind"`
+	// CapacitiesBps holds each hop's rate in bits/s: the dumbbell's one
+	// bottleneck, a chain's hops ingress to egress, or a star's spokes.
+	CapacitiesBps []int64 `json:"capacities_bps"`
+	// HopDelay is each hop's propagation delay; 0 takes the §5.1 20 ms.
+	HopDelay Time `json:"hop_delay_ns,omitempty"`
 }
 
-// checkCaps validates a capacity list so topology options honor New's
-// error contract instead of panicking inside the deferred builder.
-func checkCaps(opt string, caps []int64) error {
-	if len(caps) == 0 {
-		return fmt.Errorf("deltasigma: %s needs at least one capacity", opt)
+// Check reports the first rule t breaks: an unknown kind, a dumbbell
+// without exactly one capacity, a chain or star without any, a capacity
+// that is not positive, or a negative hop delay.
+func (t TopologySpec) Check() error {
+	switch n := len(t.CapacitiesBps); {
+	case t.Kind != "dumbbell" && t.Kind != "chain" && t.Kind != "star":
+		return fmt.Errorf("deltasigma: unknown topology kind %q (dumbbell, chain or star)", t.Kind)
+	case t.Kind == "dumbbell" && n != 1:
+		return fmt.Errorf("deltasigma: a dumbbell takes exactly one capacity, got %d", n)
+	case n == 0:
+		return fmt.Errorf("deltasigma: a %s needs at least one capacity", t.Kind)
+	case t.HopDelay < 0:
+		return fmt.Errorf("deltasigma: topology hop delay %v is negative", t.HopDelay)
 	}
-	for _, c := range caps {
+	for _, c := range t.CapacitiesBps {
 		if c <= 0 {
-			return fmt.Errorf("deltasigma: %s capacity %d must be positive", opt, c)
+			return fmt.Errorf("deltasigma: %s capacity %d must be positive", t.Kind, c)
 		}
 	}
 	return nil
 }
 
-// The three built-in shapes, shared by the topology options and the sweep
-// specs.
-
-func dumbbell(bottleneck int64, seed uint64) *Tree {
-	return topo.Dumbbell(topo.PaperConfig(bottleneck, seed))
+// build assembles the tree t names on seed.
+func (t TopologySpec) build(seed uint64) *Tree {
+	cfg := topo.Config{Capacities: t.CapacitiesBps, HopDelay: t.HopDelay, Seed: seed}
+	switch t.Kind {
+	case "chain":
+		return topo.Chain(cfg)
+	case "star":
+		return topo.Star(cfg)
+	}
+	return topo.Dumbbell(cfg)
 }
 
-func chain(caps []int64, seed uint64) *Tree {
-	return topo.Chain(topo.Config{Capacities: caps, Seed: seed})
-}
-
-func star(caps []int64, seed uint64) *Tree {
-	return topo.Star(topo.Config{Capacities: caps, Seed: seed})
+// WithTopology runs the experiment on the network t names, built once New
+// has resolved the experiment seed. A chain's receivers attach at its far
+// end by default; a star's round-robin across its spokes.
+func WithTopology(t TopologySpec) Option {
+	t.CapacitiesBps = append([]int64(nil), t.CapacitiesBps...)
+	return func(s *settings) {
+		if err := t.Check(); err != nil {
+			s.fail(err)
+			return
+		}
+		s.topology = t
+	}
 }
 
 // WithDumbbell runs the experiment on the §5.1 dumbbell with the given
 // bottleneck capacity in bits/s. This is the default topology (at 1 Mbps)
 // when no topology option is given.
 func WithDumbbell(bottleneck int64) Option {
-	if err := checkCaps("WithDumbbell", []int64{bottleneck}); err != nil {
-		return func(s *settings) { s.fail(err) }
-	}
-	return WithTopology(func(seed uint64) *Tree { return dumbbell(bottleneck, seed) })
-}
-
-// WithChain runs the experiment on a multi-bottleneck chain with the given
-// per-hop capacities in bits/s, ingress to egress; receivers attach at the
-// far end by default.
-func WithChain(capacities ...int64) Option {
-	caps := append([]int64(nil), capacities...)
-	if err := checkCaps("WithChain", caps); err != nil {
-		return func(s *settings) { s.fail(err) }
-	}
-	return WithTopology(func(seed uint64) *Tree { return chain(caps, seed) })
-}
-
-// WithStar runs the experiment on a star with one bottleneck spoke (and
-// one gatekeeping edge router) per capacity; receivers round-robin across
-// the spokes.
-func WithStar(capacities ...int64) Option {
-	caps := append([]int64(nil), capacities...)
-	if err := checkCaps("WithStar", caps); err != nil {
-		return func(s *settings) { s.fail(err) }
-	}
-	return WithTopology(func(seed uint64) *Tree { return star(caps, seed) })
+	return WithTopology(TopologySpec{Kind: "dumbbell", CapacitiesBps: []int64{bottleneck}})
 }
 
 // WithProtocol selects a registered congestion control variant by name

@@ -9,53 +9,13 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"deltasigma/internal/campaign"
 	"deltasigma/internal/packet"
 	"deltasigma/internal/stats"
 )
-
-// TopologySpec names a topology family for sweep grids: Build constructs
-// one instance sized to a grid point's bottleneck capacity and seed.
-type TopologySpec struct {
-	// Name labels the family in points and output ("dumbbell", "chain3"…).
-	Name string
-	// Build constructs the topology for one grid point.
-	Build func(bottleneck int64, seed uint64) *Tree
-
-	empty bool // a ChainSpec or StarSpec of no hops, which Sweep.Run refuses
-}
-
-// DumbbellSpec is the paper's single-bottleneck dumbbell sized to the grid
-// point's capacity.
-func DumbbellSpec() TopologySpec {
-	return TopologySpec{Name: "dumbbell", Build: dumbbell}
-}
-
-// ChainSpec is a parking-lot chain of `hops` bottlenecks, each at the grid
-// point's capacity.
-func ChainSpec(hops int) TopologySpec { return uniformSpec("chain", hops, chain) }
-
-// StarSpec is a hub-and-spoke star with `spokes` gatekept spokes, each at
-// the grid point's capacity; receivers round-robin across the spokes.
-func StarSpec(spokes int) TopologySpec { return uniformSpec("star", spokes, star) }
-
-// uniformSpec sizes all n hops or spokes of shape to the grid point's
-// capacity.
-func uniformSpec(name string, n int, shape func(caps []int64, seed uint64) *Tree) TopologySpec {
-	return TopologySpec{
-		Name:  fmt.Sprintf("%s%d", name, n),
-		empty: n < 1,
-		Build: func(bottleneck int64, seed uint64) *Tree {
-			caps := make([]int64, n)
-			for i := range caps {
-				caps[i] = bottleneck
-			}
-			return shape(caps, seed)
-		},
-	}
-}
 
 // SweepPoint identifies one grid point of a Sweep: the value picked from
 // every axis.
@@ -141,19 +101,19 @@ type Sweep struct {
 	Name string
 
 	// Axes. The first axis varies slowest in grid order.
-	Protocols    []string       // default {"flid-ds"}
-	Topologies   []TopologySpec // default {DumbbellSpec()}
-	Receivers    []int          // well-behaved receivers per point; default {1}
-	Attackers    []int          // attackers per point; default {0}
-	Strategies   []string       // attacker strategies; "" = classic; default {""}
-	Cohorts      []int          // aggregated population per point; 0 = none; default {0}
-	Bottlenecks  []int64        // bottleneck bits/s; default {1_000_000}
-	Slots        []Time         // slot durations; 0 = protocol default; default {0}
-	DelaySpreads []Time         // max absolute access delay across receivers; default {0}
-	ChurnRates   []float64      // Poisson membership toggles/second; 0 = static membership; default {0}
-	AttackAts    []Time         // attacker onset times; 0 = the sweep-level AttackAt; default {0}
-	FlapPeriods  []Time         // bottleneck flap periods (down a tenth of each); 0 = stable link; default {0}
-	Seeds        []uint64       // seed replicas; default {1}
+	Protocols    []string  // default {"flid-ds"}
+	Topologies   []string  // "dumbbell", "chain<N>" or "star<N>", hops at the bottleneck; default {"dumbbell"}
+	Receivers    []int     // well-behaved receivers per point; default {1}
+	Attackers    []int     // attackers per point; default {0}
+	Strategies   []string  // attacker strategies; "" = classic; default {""}
+	Cohorts      []int     // aggregated population per point; 0 = none; default {0}
+	Bottlenecks  []int64   // bottleneck bits/s; default {1_000_000}
+	Slots        []Time    // slot durations; 0 = protocol default; default {0}
+	DelaySpreads []Time    // max absolute access delay across receivers; default {0}
+	ChurnRates   []float64 // Poisson membership toggles/second; 0 = static membership; default {0}
+	AttackAts    []Time    // attacker onset times; 0 = the sweep-level AttackAt; default {0}
+	FlapPeriods  []Time    // bottleneck flap periods (down a tenth of each); 0 = stable link; default {0}
+	Seeds        []uint64  // seed replicas; default {1}
 
 	// Duration is the simulated length of every point (default 30 s).
 	Duration Time
@@ -311,7 +271,7 @@ func (sw Sweep) normalize() (Sweep, error) {
 		return sw, fmt.Errorf("deltasigma: sweep duration %v, warmup %v and attack time %v must not be negative", sw.Duration, sw.Warmup, sw.AttackAt)
 	}
 	sw.Protocols = orDefault(sw.Protocols, "flid-ds")
-	sw.Topologies = orDefault(sw.Topologies, DumbbellSpec())
+	sw.Topologies = orDefault(sw.Topologies, "dumbbell")
 	sw.Receivers = orDefault(sw.Receivers, 1)
 	sw.Attackers = orDefault(sw.Attackers, 0)
 	sw.Strategies = orDefault(sw.Strategies, "")
@@ -340,15 +300,9 @@ func (sw Sweep) normalize() (Sweep, error) {
 			return sw, err
 		}
 	}
-	for _, t := range sw.Topologies {
-		if t.Build == nil {
-			return sw, fmt.Errorf("deltasigma: topology spec %q has no Build", t.Name)
-		}
-		if t.empty {
-			return sw, fmt.Errorf("deltasigma: topology spec %q needs at least one hop", t.Name)
-		}
-	}
 	return sw, cmp.Or(
+		reject(sw.Topologies, func(name string) bool { _, _, ok := parseTopology(name); return !ok },
+			"topology %q is not dumbbell, chain<N> or star<N> with N ≥ 1"),
 		reject(sw.ChurnRates, negative[float64], "churn rate %g is negative"),
 		reject(sw.AttackAts, negative[Time], "attack onset %v is negative"),
 		reject(sw.FlapPeriods, negative[Time], "flap period %v is negative"),
@@ -371,16 +325,11 @@ type sweepAxis struct {
 	set func(p *SweepPoint, i int)
 }
 
-// topologyAxis is the topology's place in axes. A point keeps only the
-// spec's name, and two specs may share one, so runKey and runPoint take
-// the spec's coordinate.
-const topologyAxis = 1
-
 // axes lists a normalized sweep's axes in grid order, first slowest.
 func (sw Sweep) axes() []sweepAxis {
 	return []sweepAxis{
 		{len(sw.Protocols), func(p *SweepPoint, i int) { p.Protocol = sw.Protocols[i] }},
-		{len(sw.Topologies), func(p *SweepPoint, i int) { p.Topology = sw.Topologies[i].Name }},
+		{len(sw.Topologies), func(p *SweepPoint, i int) { p.Topology = sw.Topologies[i] }},
 		{len(sw.Receivers), func(p *SweepPoint, i int) { p.Receivers = sw.Receivers[i] }},
 		{len(sw.Attackers), func(p *SweepPoint, i int) { p.Attackers = sw.Attackers[i] }},
 		{len(sw.Strategies), func(p *SweepPoint, i int) { p.Strategy = sw.Strategies[i] }},
@@ -417,19 +366,42 @@ func (sw Sweep) grid() (sweepGrid, error) {
 	return sweepGrid{Grid: g, sw: sw, axes: axes}, err
 }
 
-// points decodes every grid point in grid order, with each point's
-// coordinate on the topology axis.
-func (g sweepGrid) points() ([]SweepPoint, []int) {
+// points decodes every grid point in grid order.
+func (g sweepGrid) points() []SweepPoint {
 	points := make([]SweepPoint, g.Size())
-	topos := make([]int, g.Size())
 	for i := range points {
-		coords := g.Coords(i)
-		for a, c := range coords {
+		for a, c := range g.Coords(i) {
 			g.axes[a].set(&points[i], c)
 		}
-		topos[i] = coords[topologyAxis]
 	}
-	return points, topos
+	return points
+}
+
+// parseTopology splits a sweep topology name into its kind and hop count:
+// "dumbbell" is one hop, "chain<N>" and "star<N>" are N ≥ 1 hops, N
+// written without sign or leading zeros so that each network has one
+// name. ok is false for any other name.
+func parseTopology(name string) (kind string, hops int, ok bool) {
+	if name == "dumbbell" {
+		return name, 1, true
+	}
+	for _, kind := range []string{"chain", "star"} {
+		if rest, found := strings.CutPrefix(name, kind); found {
+			hops, err := strconv.Atoi(rest)
+			return kind, hops, err == nil && hops >= 1 && strconv.Itoa(hops) == rest
+		}
+	}
+	return "", 0, false
+}
+
+// topology is the network the point names, every hop at its bottleneck.
+func (p SweepPoint) topology() TopologySpec {
+	kind, hops, _ := parseTopology(p.Topology)
+	caps := make([]int64, hops)
+	for i := range caps {
+		caps[i] = p.BottleneckBps
+	}
+	return TopologySpec{Kind: kind, CapacitiesBps: caps}
 }
 
 // Size returns the number of grid points the sweep declares (0 if the
@@ -448,8 +420,7 @@ func (sw Sweep) Points() ([]SweepPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	points, _ := g.points()
-	return points, nil
+	return g.points(), nil
 }
 
 // Run executes every distinct grid point on a pool of `workers` goroutines
@@ -470,8 +441,8 @@ func (sw Sweep) Run(workers int) (*CampaignResult, error) {
 		return nil, err
 	}
 	start := time.Now()
-	points, topos := g.points()
-	owner := g.owners(points, topos)
+	points := g.points()
+	owner := g.owners(points)
 	results := make([]PointResult, len(points))
 	// One packet pool per worker: a worker runs its grid points
 	// sequentially, so consecutive experiments recycle the same warm
@@ -488,7 +459,7 @@ func (sw Sweep) Run(workers int) (*CampaignResult, error) {
 			return nil // copied below from the point it shares a run with
 		}
 		var err error
-		results[i], err = g.runPoint(points[i], topos[i], pools[w])
+		results[i], err = g.runPoint(points[i], pools[w])
 		return err
 	})
 	res := &CampaignResult{
@@ -509,23 +480,17 @@ func (sw Sweep) Run(workers int) (*CampaignResult, error) {
 	return res, nil
 }
 
-// runKey is a grid point as its experiment sees it: points with equal keys
-// build identical experiments. A key only merges points proven equal by
-// reading runPoint and TryAddAttacker; missing a merge costs a redundant
-// run, never a wrong result.
-type runKey struct {
-	point    SweepPoint // canonical: no topology name, ignored axes zeroed
-	topology int        // the topology's axis coordinate: two specs may share a name
-}
-
-// runKey canonicalizes p, whose topology coordinate is topo:
+// runKey is p as its experiment sees it: points with equal keys build
+// identical experiments. A key only merges points proven equal by reading
+// runPoint and TryAddAttacker; missing a merge costs a redundant run,
+// never a wrong result. The topology name is the network's identity, so
+// it stays; the axes a run ignores are canonicalized:
 //   - without attackers, strategy and onset build nothing;
 //   - an attacker's strategy is the one it runs (effectiveStrategy), so on
 //     an unprotected protocol forging and colluding are classic;
 //   - an adaptive attacker compiles its own onset, so the onset axis is
 //     dropped.
-func (p SweepPoint) runKey(topo int) runKey {
-	p.Topology = ""
+func (p SweepPoint) runKey() SweepPoint {
 	if p.Attackers == 0 {
 		p.Strategy, p.AttackAtNs = "", 0
 	} else if proto, ok := LookupProtocol(p.Protocol); ok {
@@ -534,21 +499,21 @@ func (p SweepPoint) runKey(topo int) runKey {
 	if AttackerStrategy(p.Strategy) == StrategyAdaptive {
 		p.AttackAtNs = 0
 	}
-	return runKey{point: p, topology: topo}
+	return p
 }
 
 // owners maps every grid point to the first point whose experiment it
 // builds: itself when its key is new. With a Configure hook every point
 // owns itself, because the hook may read any axis of the raw point.
-func (g sweepGrid) owners(points []SweepPoint, topos []int) []int {
+func (g sweepGrid) owners(points []SweepPoint) []int {
 	owner := make([]int, len(points))
-	first := make(map[runKey]int, len(points))
+	first := make(map[SweepPoint]int, len(points))
 	for i, p := range points {
 		owner[i] = i
 		if g.sw.Configure != nil {
 			continue
 		}
-		k := p.runKey(topos[i])
+		k := p.runKey()
 		if o, ok := first[k]; ok {
 			owner[i] = o
 		} else {
@@ -558,16 +523,15 @@ func (g sweepGrid) owners(points []SweepPoint, topos []int) []int {
 	return owner
 }
 
-// runPoint builds and runs grid point p, whose topology coordinate is topo,
-// and aggregates its statistics. pool, when non-nil, is the running
-// worker's reusable packet pool.
-func (g sweepGrid) runPoint(p SweepPoint, topo int, pool *packet.Pool) (PointResult, error) {
-	sw, spec := g.sw, g.sw.Topologies[topo]
+// runPoint builds and runs grid point p and aggregates its statistics.
+// pool, when non-nil, is the running worker's reusable packet pool.
+func (g sweepGrid) runPoint(p SweepPoint, pool *packet.Pool) (PointResult, error) {
+	sw := g.sw
 	var pr PointResult
 	opts := []Option{
 		WithProtocol(p.Protocol),
 		WithSeed(p.Seed),
-		WithTopology(func(seed uint64) *Tree { return spec.Build(p.BottleneckBps, seed) }),
+		WithTopology(p.topology()),
 	}
 	if pool != nil {
 		opts = append(opts, WithPacketPool(pool))

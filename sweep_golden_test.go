@@ -17,7 +17,7 @@ func pinnedAxesSweep() deltasigma.Sweep {
 	return deltasigma.Sweep{
 		Name:         "axes",
 		Protocols:    []string{"flid-dl", "flid-ds"},
-		Topologies:   []deltasigma.TopologySpec{deltasigma.ChainSpec(2), deltasigma.StarSpec(2)},
+		Topologies:   []string{"chain2", "star2"},
 		Receivers:    []int{2},
 		Attackers:    []int{1},
 		Strategies:   []string{"forging", "adaptive"},

@@ -51,6 +51,11 @@ func TestSweepMergeSound(t *testing.T) {
 			Attackers:  []int{0, 1},
 			Strategies: []string{"classic", "forging"},
 		}), 3},
+		// A topology name is the network it builds: the two chain2 entries
+		// share one run at different axis positions.
+		{"topology-names", short(deltasigma.Sweep{
+			Topologies: []string{"chain2", "chain2", "star2"},
+		}), 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -207,7 +207,7 @@ func TestSweepAttackerSuppressionMetric(t *testing.T) {
 // Custom topologies, slots and delay spreads flow through to the points.
 func TestSweepCustomAxes(t *testing.T) {
 	sw := deltasigma.Sweep{
-		Topologies:   []deltasigma.TopologySpec{deltasigma.ChainSpec(2), deltasigma.StarSpec(2)},
+		Topologies:   []string{"chain2", "star2"},
 		Receivers:    []int{2},
 		Slots:        []deltasigma.Time{250 * deltasigma.Millisecond},
 		DelaySpreads: []deltasigma.Time{0, 100 * deltasigma.Millisecond},
@@ -260,9 +260,10 @@ func TestSweepValidation(t *testing.T) {
 		{deltasigma.Sweep{Strategies: []string{"bogus"}}, `attacker strategy "bogus" is not one of`},
 		{deltasigma.Sweep{Duration: dur, Warmup: dur}, "warmup 10.000s must be shorter than duration"},
 		{deltasigma.Sweep{Attackers: []int{1}, Duration: dur, AttackAt: dur}, "attack time 10.000s must be inside duration"},
-		{deltasigma.Sweep{Topologies: []deltasigma.TopologySpec{{Name: "hollow"}}}, `topology spec "hollow" has no Build`},
-		{deltasigma.Sweep{Topologies: []deltasigma.TopologySpec{deltasigma.ChainSpec(0)}}, `topology spec "chain0" needs at least one hop`},
-		{deltasigma.Sweep{Topologies: []deltasigma.TopologySpec{deltasigma.StarSpec(-3)}}, `topology spec "star-3" needs at least one hop`},
+		{deltasigma.Sweep{Topologies: []string{"hollow"}}, `topology "hollow" is not dumbbell, chain<N> or star<N>`},
+		{deltasigma.Sweep{Topologies: []string{"chain0"}}, `topology "chain0" is not dumbbell, chain<N> or star<N> with N ≥ 1`},
+		{deltasigma.Sweep{Topologies: []string{"star-3"}}, `topology "star-3" is not dumbbell, chain<N> or star<N> with N ≥ 1`},
+		{deltasigma.Sweep{Topologies: []string{"dumbbell", "chain02"}}, `topology "chain02" is not`},
 		{deltasigma.Sweep{Duration: -5 * deltasigma.Second}, "must not be negative"},
 		{deltasigma.Sweep{Duration: dur, Warmup: -deltasigma.Second}, "must not be negative"},
 		{deltasigma.Sweep{Duration: dur, AttackAt: -deltasigma.Second}, "must not be negative"},

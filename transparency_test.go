@@ -23,7 +23,7 @@ var transparencySetups = []struct {
 	cross func(*deltasigma.Experiment)
 }{
 	{"dumbbell-4M", deltasigma.WithDumbbell(4_000_000), nil},
-	{"star-3x4M", deltasigma.WithStar(4_000_000, 4_000_000, 4_000_000), nil},
+	{"star-3x4M", deltasigma.WithTopology(deltasigma.TopologySpec{Kind: "star", CapacitiesBps: []int64{4_000_000, 4_000_000, 4_000_000}}), nil},
 	{"dumbbell-40M+cbr", deltasigma.WithDumbbell(40_000_000), func(e *deltasigma.Experiment) {
 		e.AddCBR(5_000_000, 5*deltasigma.Second, 5*deltasigma.Second)
 	}},
