@@ -101,7 +101,7 @@ func run(args []string, out io.Writer) (err error) {
 	capacity := fs.String("capacity", "", "comma-separated bottleneck bits/s, one per link (default 250k per session)")
 	sessions := fs.Int("sessions", 2, "number of multicast sessions (one receiver each)")
 	cohort := fs.Int("cohort", 0, "aggregated well-behaved members added to each session as one fluid cohort (0 = none)")
-	groups := fs.Int("groups", 0, "groups per session (0 = the paper's 10; flid-ds-replicated wants ~6)")
+	groups := fs.Int("groups", 0, "groups per session on the 100 Kbps ×1.5 schedule (0 = the paper's 10; flid-ds-replicated wants ~6); refused once a group would send over 65535 packets a slot, past 25 groups at a 500 ms slot")
 	attackAt := fs.Float64("attack", 0, "seconds until session 1's receiver inflates (0 = no attack)")
 	attackStop := fs.Float64("attackstop", 0, "seconds until the attacker deflates again (0 = attack runs to the end; needs -attack)")
 	churn := fs.Float64("churn", 0, "Poisson membership churn in toggles/s across each session's receivers (0 = static membership)")

@@ -35,6 +35,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"dumbbell capacity count", []string{"-capacity", "100000,200000"}, "exactly one"},
 		{"named dumbbell of two capacities", []string{"-topology", "dumbbell", "-capacity", "1,2"}, "a dumbbell takes exactly one capacity, got 2"},
 		{"bad protocol", []string{"-protocol", "nope"}, "unknown protocol"},
+		{"groups past 65535 packets a slot", []string{"-groups", "30"}, "65535"},
 		{"attack past end", []string{"-attack", "70", "-dur", "60"}, "inside -dur"},
 		{"attackstop without attack", []string{"-attackstop", "30"}, "needs -attack"},
 		{"attackstop before attack", []string{"-attack", "40", "-attackstop", "30", "-dur", "60"}, "must come after"},

@@ -89,6 +89,18 @@ func TestNewRejectsBadOptions(t *testing.T) {
 	if _, err := deltasigma.New(deltasigma.WithSchedule(deltasigma.RateSchedule{Base: 100_000, Mult: 1.5, N: 300})); err == nil {
 		t.Fatal("invalid schedule accepted (must error, not panic)")
 	}
+	// A group may send at most 65535 packets a slot, the most a FLID header
+	// counts: the bound depends on the slot, and a 200-group schedule is
+	// refused before any rate overflows.
+	for _, opts := range [][]deltasigma.Option{
+		{deltasigma.WithSchedule(deltasigma.RateSchedule{Base: 100_000, Mult: 1.5, N: 30})},
+		{deltasigma.WithSlot(1000 * deltasigma.Second)},
+		{deltasigma.WithSchedule(deltasigma.RateSchedule{Base: 100_000, Mult: 1.5, N: 200})},
+	} {
+		if _, err := deltasigma.New(opts...); err == nil || !strings.Contains(err.Error(), "65535") {
+			t.Errorf("schedule past 65535 packets a slot: error %v, want one naming the limit", err)
+		}
+	}
 	// Every TopologySpec.Check rule refuses its spec through New, with an
 	// error naming the rule, instead of panicking in the tree builder.
 	for _, c := range []struct {

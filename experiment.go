@@ -112,7 +112,10 @@ func New(opts ...Option) (*Experiment, error) {
 	if s.slot == 0 {
 		s.slot = s.protocol.Slot
 	}
-	t := s.topology.build(s.seed)
+	if err := checkSlotPackets(s.schedule, s.slot, s.pktSize); err != nil {
+		return nil, err
+	}
+	t := s.topology.Build(s.seed)
 	if s.pool != nil {
 		t.Network().SetPool(s.pool)
 	}
@@ -137,6 +140,27 @@ func New(opts ...Option) (*Experiment, error) {
 	}
 	e.setupShards(s.shards)
 	return e, nil
+}
+
+// maxSlotPackets is the most packets one group may send in a slot: a FLID
+// header numbers them with its 16-bit Seq and Count.
+const maxSlotPackets = math.MaxUint16
+
+// checkSlotPackets refuses a schedule one of whose groups would send more
+// than maxSlotPackets packets of pktSize bytes in one slot, the bound
+// Session.MaxPackets computes. It works in float64 from Base·Mult^(g−1), so
+// a wide schedule is refused before any group rate overflows int64.
+func checkSlotPackets(rs RateSchedule, slot Time, pktSize int) error {
+	prev := 0.0
+	for g := 1; g <= rs.N; g++ {
+		cum := float64(rs.Base) * math.Pow(rs.Mult, float64(g-1))
+		if n := math.Floor((cum-prev)*slot.Sec()/8/float64(pktSize)) + 1; n > maxSlotPackets {
+			return fmt.Errorf("deltasigma: group %d of schedule %+v would send %.0f packets of %d B in a %v slot; a FLID header counts at most %d",
+				g, rs, n, pktSize, slot, maxSlotPackets)
+		}
+		prev = cum
+	}
+	return nil
 }
 
 // MustNew is New, panicking on option errors — for examples, tests and

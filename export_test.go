@@ -12,13 +12,13 @@ func (sw Sweep) RunEachPoint() (*CampaignResult, error) { return sw.RunEachPoint
 // RunEachPointOn is RunEachPoint with every point on pool, when it is not
 // nil: each point runs on the memory the points before it closed.
 func (sw Sweep) RunEachPointOn(pool *PacketPool) (*CampaignResult, error) {
-	g, err := sw.grid()
+	sw, err := sw.normalize()
 	if err != nil {
 		return nil, err
 	}
-	res := &CampaignResult{Name: sw.Name, DurationNs: g.sw.Duration}
-	for _, p := range g.points() {
-		r, err := g.runPoint(p, pool)
+	res := &CampaignResult{Name: sw.Name, DurationNs: sw.Duration}
+	for _, p := range sw.points() {
+		r, err := sw.runPoint(p, pool)
 		r.Point = p
 		if err != nil {
 			r.Error = err.Error()
@@ -31,12 +31,12 @@ func (sw Sweep) RunEachPointOn(pool *PacketPool) (*CampaignResult, error) {
 
 // DistinctRuns counts the experiments Run simulates for sw.
 func (sw Sweep) DistinctRuns() (int, error) {
-	g, err := sw.grid()
+	sw, err := sw.normalize()
 	if err != nil {
 		return 0, err
 	}
 	n := 0
-	for i, o := range g.owners(g.points()) {
+	for i, o := range sw.owners(sw.points()) {
 		if o == i {
 			n++
 		}

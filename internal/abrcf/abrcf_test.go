@@ -16,7 +16,7 @@ import (
 // plain-IGMP edge. Tests call the rule and the controller directly.
 func rig(t *testing.T) (src, rcv *netsim.Host, sess *core.Session, edge packet.Addr) {
 	t.Helper()
-	d := topo.Dumbbell(topo.PaperConfig(250_000, 1))
+	d := topo.Spec{Kind: "dumbbell", CapacitiesBps: []int64{250_000}}.Build(1)
 	src = d.AttachSource("src")
 	rcv = d.AttachReceiver("rcv", topo.DefaultDelay).Host
 	d.Finish()

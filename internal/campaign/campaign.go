@@ -1,8 +1,8 @@
 // Package campaign is the deterministic parallel-execution layer under
-// deltasigma.Sweep: a mixed-radix Grid that enumerates the cartesian
-// product of sweep axes, and a bounded worker pool (Run) that fans
-// independent jobs across goroutines while results stay addressed by grid
-// index — so campaign output is byte-identical whatever the worker count.
+// deltasigma.Sweep, the figure scenarios, the fuzzer and the benchmark: a
+// bounded worker pool (Run) that fans independent jobs across goroutines
+// while results stay addressed by job index — so campaign output is
+// byte-identical whatever the worker count.
 //
 // Nothing here knows about experiments; the package is plain concurrency
 // machinery so it can be tested exhaustively without simulating a packet.
@@ -14,66 +14,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// Grid indexes the cartesian product of axes by length. Index 0 is all
-// first values; the first axis varies slowest (row-major), so enumeration
-// order matches nested for-loops over the axes in declaration order.
-type Grid struct {
-	dims []int
-	size int
-}
-
-// NewGrid builds a grid over axes of the given lengths. Axes of length
-// zero or less are rejected: a sweep normalizes empty axes to a single
-// default value before building its grid.
-func NewGrid(dims ...int) (Grid, error) {
-	size := 1
-	for i, d := range dims {
-		if d <= 0 {
-			return Grid{}, fmt.Errorf("campaign: axis %d has non-positive length %d", i, d)
-		}
-		if size > 1<<30/d {
-			return Grid{}, fmt.Errorf("campaign: grid larger than 2^30 points")
-		}
-		size *= d
-	}
-	return Grid{dims: append([]int(nil), dims...), size: size}, nil
-}
-
-// Size returns the number of grid points.
-func (g Grid) Size() int { return g.size }
-
-// Axes returns the number of axes.
-func (g Grid) Axes() int { return len(g.dims) }
-
-// Coords decodes a point index into one coordinate per axis.
-func (g Grid) Coords(index int) []int {
-	if index < 0 || index >= g.size {
-		panic(fmt.Sprintf("campaign: index %d outside grid of %d points", index, g.size))
-	}
-	coords := make([]int, len(g.dims))
-	for i := len(g.dims) - 1; i >= 0; i-- {
-		coords[i] = index % g.dims[i]
-		index /= g.dims[i]
-	}
-	return coords
-}
-
-// Index encodes coordinates back into a point index (the inverse of
-// Coords).
-func (g Grid) Index(coords []int) int {
-	if len(coords) != len(g.dims) {
-		panic(fmt.Sprintf("campaign: %d coordinates for %d axes", len(coords), len(g.dims)))
-	}
-	index := 0
-	for i, c := range coords {
-		if c < 0 || c >= g.dims[i] {
-			panic(fmt.Sprintf("campaign: coordinate %d out of range for axis %d (length %d)", c, i, g.dims[i]))
-		}
-		index = index*g.dims[i] + c
-	}
-	return index
-}
 
 // DefaultWorkers is the worker count used when a caller passes 0: one per
 // core the runtime may use (GOMAXPROCS), so a pinned process or a

@@ -8,70 +8,6 @@ import (
 	"testing"
 )
 
-func TestGridEnumeratesRowMajor(t *testing.T) {
-	g, err := NewGrid(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Size() != 6 || g.Axes() != 2 {
-		t.Fatalf("Size = %d, Axes = %d", g.Size(), g.Axes())
-	}
-	want := [][]int{{0, 0}, {0, 1}, {0, 2}, {1, 0}, {1, 1}, {1, 2}}
-	for i, w := range want {
-		got := g.Coords(i)
-		if len(got) != 2 || got[0] != w[0] || got[1] != w[1] {
-			t.Fatalf("Coords(%d) = %v, want %v", i, got, w)
-		}
-		if back := g.Index(got); back != i {
-			t.Fatalf("Index(Coords(%d)) = %d", i, back)
-		}
-	}
-}
-
-func TestGridRoundTripsManyAxes(t *testing.T) {
-	g, err := NewGrid(3, 1, 4, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Size() != 3*1*4*2*5 {
-		t.Fatalf("Size = %d", g.Size())
-	}
-	seen := make(map[string]bool)
-	for i := 0; i < g.Size(); i++ {
-		c := g.Coords(i)
-		key := fmt.Sprint(c)
-		if seen[key] {
-			t.Fatalf("duplicate coords %v", c)
-		}
-		seen[key] = true
-		if g.Index(c) != i {
-			t.Fatalf("round trip failed at %d: %v", i, c)
-		}
-	}
-}
-
-func TestGridRejectsEmptyAxis(t *testing.T) {
-	if _, err := NewGrid(2, 0, 3); err == nil {
-		t.Fatal("NewGrid accepted a zero-length axis")
-	}
-	if _, err := NewGrid(-1); err == nil {
-		t.Fatal("NewGrid accepted a negative axis")
-	}
-}
-
-func TestGridZeroAxesIsSinglePoint(t *testing.T) {
-	g, err := NewGrid()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Size() != 1 {
-		t.Fatalf("empty product should have one point, got %d", g.Size())
-	}
-	if len(g.Coords(0)) != 0 {
-		t.Fatalf("Coords(0) = %v, want empty", g.Coords(0))
-	}
-}
-
 func TestRunExecutesEveryJobOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		n := 100

@@ -14,7 +14,7 @@ import (
 // below drive the aggregate's slot machinery directly.
 func testAgent(t *testing.T, n uint64) (*topo.Tree, *core.Session, *Agent) {
 	t.Helper()
-	d := topo.Dumbbell(topo.PaperConfig(250_000, 1))
+	d := topo.Spec{Kind: "dumbbell", CapacitiesBps: []int64{250_000}}.Build(1)
 	src := d.AttachSource("src")
 	p := d.AttachCohort("cohort", -1)
 	d.Finish()

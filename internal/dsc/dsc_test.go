@@ -18,7 +18,7 @@ import (
 // never runs.
 func rig(t *testing.T) (src, rcv *netsim.Host, sess *core.Session, edge packet.Addr) {
 	t.Helper()
-	d := topo.Dumbbell(topo.PaperConfig(250_000, 1))
+	d := topo.Spec{Kind: "dumbbell", CapacitiesBps: []int64{250_000}}.Build(1)
 	src = d.AttachSource("src")
 	rcv = d.AttachReceiver("rcv", topo.DefaultDelay).Host
 	d.Finish()

@@ -30,7 +30,7 @@ func session(id uint16, slot sim.Time) *core.Session {
 }
 
 func TestSingleDLReceiverConvergesToFairLevel(t *testing.T) {
-	d := topo.Dumbbell(topo.PaperConfig(250_000, 1))
+	d := topo.Spec{Kind: "dumbbell", CapacitiesBps: []int64{250_000}}.Build(1)
 	srcHost := d.AttachSource("src")
 	rcv := d.AttachReceiver("rcv", topo.DefaultDelay).Host
 	d.Finish()
@@ -61,7 +61,7 @@ func TestSingleDLReceiverConvergesToFairLevel(t *testing.T) {
 }
 
 func TestSingleDSReceiverConvergesToFairLevel(t *testing.T) {
-	d := topo.Dumbbell(topo.PaperConfig(250_000, 2))
+	d := topo.Spec{Kind: "dumbbell", CapacitiesBps: []int64{250_000}}.Build(2)
 	srcHost := d.AttachSource("src")
 	rcv := d.AttachReceiver("rcv", topo.DefaultDelay).Host
 	d.Finish()
@@ -90,7 +90,7 @@ func TestSingleDSReceiverConvergesToFairLevel(t *testing.T) {
 
 func TestDLAndDSComparableThroughput(t *testing.T) {
 	run := func(protected bool, seed uint64) float64 {
-		d := topo.Dumbbell(topo.PaperConfig(250_000, seed))
+		d := topo.Spec{Kind: "dumbbell", CapacitiesBps: []int64{250_000}}.Build(seed)
 		srcHost := d.AttachSource("src")
 		rcv := d.AttachReceiver("rcv", topo.DefaultDelay).Host
 		d.Finish()
@@ -138,7 +138,7 @@ func TestDLAndDSComparableThroughput(t *testing.T) {
 func TestInflatedSubscriptionBoostsDLAttacker(t *testing.T) {
 	// Two FLID-DL sessions on a 500 Kbps bottleneck; receiver 1 inflates
 	// at t=30 s and must grab most of the link.
-	d := topo.Dumbbell(topo.PaperConfig(500_000, 3))
+	d := topo.Spec{Kind: "dumbbell", CapacitiesBps: []int64{500_000}}.Build(3)
 	src1 := d.AttachSource("src1")
 	src2 := d.AttachSource("src2")
 	r1h := d.AttachReceiver("r1", topo.DefaultDelay).Host
@@ -179,7 +179,7 @@ func TestInflatedSubscriptionBoostsDLAttacker(t *testing.T) {
 func TestDSPreventsInflatedSubscription(t *testing.T) {
 	// Same scenario, FLID-DS: the attacker's inflation attempts must not
 	// raise its throughput above its fair share.
-	d := topo.Dumbbell(topo.PaperConfig(500_000, 4))
+	d := topo.Spec{Kind: "dumbbell", CapacitiesBps: []int64{500_000}}.Build(4)
 	src1 := d.AttachSource("src1")
 	src2 := d.AttachSource("src2")
 	r1h := d.AttachReceiver("r1", topo.DefaultDelay).Host
@@ -230,7 +230,7 @@ func TestDSPreventsInflatedSubscription(t *testing.T) {
 }
 
 func TestTwoDSReceiversConvergeTogether(t *testing.T) {
-	d := topo.Dumbbell(topo.PaperConfig(250_000, 5))
+	d := topo.Spec{Kind: "dumbbell", CapacitiesBps: []int64{250_000}}.Build(5)
 	srcHost := d.AttachSource("src")
 	r1h := d.AttachReceiver("r1", topo.DefaultDelay).Host
 	r2h := d.AttachReceiver("r2", topo.DefaultDelay).Host

@@ -20,7 +20,7 @@ import (
 // host and evaluate slots directly.
 func rig(t *testing.T) (*netsim.Host, *core.Session, packet.Addr) {
 	t.Helper()
-	d := topo.Dumbbell(topo.PaperConfig(250_000, 1))
+	d := topo.Spec{Kind: "dumbbell", CapacitiesBps: []int64{250_000}}.Build(1)
 	d.AttachSource("src")
 	rcv := d.AttachReceiver("rcv", topo.DefaultDelay).Host
 	d.Finish()
@@ -172,7 +172,7 @@ func TestInflatorStopsTheRule(t *testing.T) {
 // instantiation and every kind of slot; each pair must also carry the key
 // that opens its own group.
 func TestSubscribePairsAscending(t *testing.T) {
-	d := topo.Dumbbell(topo.PaperConfig(250_000, 1))
+	d := topo.Spec{Kind: "dumbbell", CapacitiesBps: []int64{250_000}}.Build(1)
 	d.AttachSource("src")
 	rcv := d.AttachReceiver("rcv", topo.DefaultDelay).Host
 	d.Finish()

@@ -40,7 +40,7 @@ func TestKeyReceiversLeaseAccumulators(t *testing.T) {
 		}, func(n int) flid.Accumulator { return delta.NewThresholdReceiver(n, thresh) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d := topo.Dumbbell(topo.PaperConfig(250_000, 1))
+			d := topo.Spec{Kind: "dumbbell", CapacitiesBps: []int64{250_000}}.Build(1)
 			d.Forward[0].Queue.CapBytes = 4 * 576 // a shallow drop-tail queue: probes into loss drop at once
 			src := d.AttachSource("src")
 			hosts := make([]*netsim.Host, m)

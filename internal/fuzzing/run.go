@@ -1,7 +1,6 @@
 package fuzzing
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -235,12 +234,18 @@ func (sp Spec) malformed() string {
 	if !(sp.DurationSec > 0) {
 		return fmt.Sprintf("duration_sec %g must be positive", sp.DurationSec)
 	}
-	if err := cmp.Or(sp.checkScalars(), sp.Topology.Check()); err != nil {
+	// The file is refused for whatever Options or New refuse: a scalar out
+	// of range, a topology that cannot be built, an unknown protocol, or a
+	// schedule the protocol's slot cannot send.
+	opts, err := sp.Options()
+	var exp *deltasigma.Experiment
+	if err == nil {
+		exp, err = deltasigma.New(opts...)
+	}
+	if err != nil {
 		return err.Error()
 	}
-	if _, ok := deltasigma.LookupProtocol(sp.Protocol); !ok {
-		return fmt.Sprintf("unknown protocol %q", sp.Protocol)
-	}
+	exp.Close()
 	for si, ss := range sp.Sessions {
 		for ri, rs := range ss.Receivers {
 			if rs.Strategy != "" && !slices.Contains(huntStrategies, rs.Strategy) {

@@ -143,6 +143,8 @@ func TestReadReproRejectsWhatBuildRejects(t *testing.T) {
 		{"negative start", func(sp *Spec) { sp.Sessions[1].Receivers[0].StartSec = -1 }},
 		{"negative tcp", func(sp *Spec) { sp.TCP = -2 }},
 		{"negative groups", func(sp *Spec) { sp.Groups = -6 }},
+		{"300 groups", func(sp *Spec) { sp.Groups = 300 }},
+		{"30 groups, past 65535 packets a slot", func(sp *Spec) { sp.Groups = 30 }},
 		{"unknown protocol", func(sp *Spec) { sp.Protocol = "flid-xx" }},
 		{"unknown strategy", func(sp *Spec) { sp.Sessions[0].Receivers[2].Strategy = "bribery" }},
 		{"ring topology", func(sp *Spec) { sp.Topology.Kind = "ring" }},

@@ -16,7 +16,7 @@ import (
 // call the rule directly and hand advertisements to the host.
 func rig(t *testing.T) (*topo.Tree, *netsim.Host, *core.Session) {
 	t.Helper()
-	d := topo.Dumbbell(topo.PaperConfig(250_000, 1))
+	d := topo.Spec{Kind: "dumbbell", CapacitiesBps: []int64{250_000}}.Build(1)
 	src := d.AttachSource("src")
 	rcv := d.AttachReceiver("rcv", topo.DefaultDelay).Host
 	d.Finish()

@@ -12,7 +12,7 @@ import (
 )
 
 func buildRig(capacity int64, seed uint64) (*topo.Tree, *flid.Sender, *Receiver) {
-	d := topo.Dumbbell(topo.PaperConfig(capacity, seed))
+	d := topo.Spec{Kind: "dumbbell", CapacitiesBps: []int64{capacity}}.Build(seed)
 	src := d.AttachSource("src")
 	rcv := d.AttachReceiver("rcv", topo.DefaultDelay).Host
 	d.Finish()

@@ -21,7 +21,7 @@ func RLMThresholds(n int) []float64 {
 }
 
 func buildRig(capacity int64, thresh []float64, seed uint64) (*topo.Tree, *flid.Sender, *flid.DSReceiver) {
-	d := topo.Dumbbell(topo.PaperConfig(capacity, seed))
+	d := topo.Spec{Kind: "dumbbell", CapacitiesBps: []int64{capacity}}.Build(seed)
 	src := d.AttachSource("src")
 	rcv := d.AttachReceiver("rcv", topo.DefaultDelay).Host
 	d.Finish()

@@ -96,7 +96,7 @@ func TestTopologyShapesPinned(t *testing.T) {
 		dumbbell bool
 		want     string
 	}{
-		{"dumbbell", func() *Tree { return Dumbbell(PaperConfig(1_000_000, 1)) }, true, `routers left right cohort4-edge cohort6-edge
+		{"dumbbell", paperDumbbell, true, `routers left right cohort4-edge cohort6-edge
 hosts src1 rcv2 rcv3 cohort4 rcv5 cohort6 rcv7 rcv8
 rtt 0.080s
 bottlenecks left->right
@@ -132,7 +132,7 @@ link rcv7->right rate=10000000 delay=0.000s cap=-
 link rcv8->right rate=10000000 delay=0.010s cap=200000
 `},
 		{"chain", func() *Tree {
-			return Chain(Config{Capacities: []int64{1_000_000, 500_000, 250_000}, Seed: 1})
+			return Spec{Kind: "chain", CapacitiesBps: []int64{1_000_000, 500_000, 250_000}}.Build(1)
 		}, false, `routers r0 r1 r2 r3 cohort4-edge cohort6-edge
 hosts src1 rcv2 rcv3 cohort4 rcv5 cohort6 rcv7 rcv8
 rtt 0.160s
@@ -173,7 +173,7 @@ link rcv7->r3 rate=10000000 delay=0.000s cap=400000
 link rcv8->r3 rate=10000000 delay=0.010s cap=400000
 `},
 		{"star", func() *Tree {
-			return Star(Config{Capacities: []int64{600_000, 150_000, 150_000}, Seed: 1})
+			return Spec{Kind: "star", CapacitiesBps: []int64{600_000, 150_000, 150_000}}.Build(1)
 		}, false, `routers hub edge0 edge1 edge2 cohort4-edge cohort6-edge
 hosts src1 rcv2 rcv3 cohort4 rcv5 cohort6 rcv7 rcv8
 rtt 0.080s

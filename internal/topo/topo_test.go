@@ -7,10 +7,14 @@ import (
 	"deltasigma/internal/sim"
 )
 
+// paperDumbbell is the §5.1 dumbbell at 1 Mbps on seed 1.
+func paperDumbbell() *Tree {
+	return Spec{Kind: "dumbbell", CapacitiesBps: []int64{1_000_000}}.Build(1)
+}
+
 func TestPaperConfigDefaults(t *testing.T) {
-	cfg := PaperConfig(1_000_000, 1)
-	if cfg.HopDelay != 20*sim.Millisecond || sideDelay != 10*sim.Millisecond {
-		t.Fatalf("delays wrong: hop %v, side %v", cfg.HopDelay, sideDelay)
+	if hop := paperDumbbell().Forward[0].Delay; hop != 20*sim.Millisecond || sideDelay != 10*sim.Millisecond {
+		t.Fatalf("delays wrong: hop %v, side %v", hop, sideDelay)
 	}
 	if sideRate != 10_000_000 || bdpFactor != 2 {
 		t.Fatalf("rates wrong: side %d, %d BDPs", sideRate, bdpFactor)
@@ -18,7 +22,7 @@ func TestPaperConfigDefaults(t *testing.T) {
 }
 
 func TestDumbbellQueueSizing(t *testing.T) {
-	d := Dumbbell(PaperConfig(1_000_000, 1))
+	d := paperDumbbell()
 	// 2 × 1 Mbps × 80 ms RTT / 8 = 20000 bytes.
 	if got := d.Forward[0].Queue.CapBytes; got != 20000 {
 		t.Fatalf("bottleneck queue = %d bytes, want 20000", got)
@@ -29,7 +33,7 @@ func TestDumbbellQueueSizing(t *testing.T) {
 }
 
 func TestDumbbellPathCrossesBottleneck(t *testing.T) {
-	d := Dumbbell(PaperConfig(1_000_000, 1))
+	d := paperDumbbell()
 	src := d.AttachSource("s")
 	dst := d.AttachReceiver("r", DefaultDelay).Host
 	d.Finish()
@@ -48,7 +52,7 @@ func TestDumbbellPathCrossesBottleneck(t *testing.T) {
 }
 
 func TestReceiverDelayVariants(t *testing.T) {
-	d := Dumbbell(PaperConfig(1_000_000, 1))
+	d := paperDumbbell()
 	src := d.AttachSource("s")
 	fast := d.AttachReceiver("fast", 1*sim.Millisecond).Host
 	slow := d.AttachReceiver("slow", 80*sim.Millisecond).Host
@@ -65,7 +69,7 @@ func TestReceiverDelayVariants(t *testing.T) {
 }
 
 func TestReceiversAreLocalInterfaces(t *testing.T) {
-	d := Dumbbell(PaperConfig(1_000_000, 1))
+	d := paperDumbbell()
 	r := d.AttachReceiver("r", DefaultDelay).Host
 	d.Finish()
 	if _, ok := d.Routers[1].Locals()[r.Addr()]; !ok {
@@ -74,7 +78,7 @@ func TestReceiversAreLocalInterfaces(t *testing.T) {
 }
 
 func TestSourceNotLocalToEdge(t *testing.T) {
-	d := Dumbbell(PaperConfig(1_000_000, 1))
+	d := paperDumbbell()
 	s := d.AttachSource("s")
 	d.Finish()
 	if _, ok := d.Routers[1].Locals()[s.Addr()]; ok {
@@ -82,17 +86,32 @@ func TestSourceNotLocalToEdge(t *testing.T) {
 	}
 }
 
+// Build panics on every spec Check refuses, one row per rule.
 func TestBadConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero bottleneck should panic")
+	for _, s := range []Spec{
+		{Kind: "ring", CapacitiesBps: []int64{1_000_000}},
+		{Kind: "dumbbell", CapacitiesBps: []int64{1_000_000, 500_000}},
+		{Kind: "dumbbell", CapacitiesBps: []int64{0}},
+		{Kind: "chain"},
+		{Kind: "star", CapacitiesBps: []int64{600_000, -1}},
+		{Kind: "chain", CapacitiesBps: []int64{1_000_000}, HopDelay: -sim.Millisecond},
+	} {
+		if s.Check() == nil {
+			t.Fatalf("Check accepted %+v", s)
 		}
-	}()
-	Dumbbell(Config{Capacities: []int64{0}})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Build(%+v) did not panic", s)
+				}
+			}()
+			s.Build(1)
+		}()
+	}
 }
 
 func TestHostNaming(t *testing.T) {
-	d := Dumbbell(PaperConfig(1_000_000, 1))
+	d := paperDumbbell()
 	a := d.AttachSource("")
 	b := d.AttachReceiver("", DefaultDelay).Host
 	if a.Name() == "" || b.Name() == "" || a.Name() == b.Name() {

@@ -10,7 +10,7 @@ import (
 // idempotent Finish, its one edge and one bottleneck, and the four-node
 // path from source to receiver.
 func TestDumbbellAttachesAndRoutes(t *testing.T) {
-	topo := Dumbbell(PaperConfig(1_000_000, 1))
+	topo := paperDumbbell()
 	src := topo.AttachSource("s")
 	port := topo.AttachReceiver("r", 0)
 	topo.Finish()
@@ -31,7 +31,7 @@ func TestDumbbellAttachesAndRoutes(t *testing.T) {
 }
 
 func TestChainShape(t *testing.T) {
-	c := Chain(Config{Capacities: []int64{1_000_000, 500_000, 250_000}, Seed: 1})
+	c := Spec{Kind: "chain", CapacitiesBps: []int64{1_000_000, 500_000, 250_000}}.Build(1)
 	if len(c.Forward) != 3 || len(c.Routers) != 4 {
 		t.Fatalf("hops=%d routers=%d", len(c.Forward), len(c.Routers))
 	}
@@ -68,7 +68,7 @@ func TestChainShape(t *testing.T) {
 }
 
 func TestChainReceiverLocalToItsEdge(t *testing.T) {
-	c := Chain(Config{Capacities: []int64{1_000_000, 500_000}, Seed: 1})
+	c := Spec{Kind: "chain", CapacitiesBps: []int64{1_000_000, 500_000}}.Build(1)
 	p := c.AttachReceiverAt(1, "r", 0)
 	c.Finish()
 	if _, ok := c.Routers[1].Locals()[p.Host.Addr()]; !ok {
@@ -85,11 +85,11 @@ func TestChainBadConfigPanics(t *testing.T) {
 			t.Fatal("empty chain should panic")
 		}
 	}()
-	Chain(Config{})
+	Spec{Kind: "chain"}.Build(1)
 }
 
 func TestStarShape(t *testing.T) {
-	s := Star(Config{Capacities: []int64{600_000, 150_000}, Seed: 1})
+	s := Spec{Kind: "star", CapacitiesBps: []int64{600_000, 150_000}}.Build(1)
 	if len(s.Forward) != 2 || len(s.Routers) != 3 {
 		t.Fatalf("spokes=%d routers=%d", len(s.Forward), len(s.Routers))
 	}
@@ -119,7 +119,7 @@ func TestStarShape(t *testing.T) {
 }
 
 func TestStarExplicitPlacementPanicsOutOfRange(t *testing.T) {
-	s := Star(Config{Capacities: []int64{100_000}, Seed: 1})
+	s := Spec{Kind: "star", CapacitiesBps: []int64{100_000}}.Build(1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range spoke should panic")

@@ -5,7 +5,7 @@
 // chain places hops in series; a star places them in parallel, one SIGMA
 // gatekeeper per edge (the incremental-deployment picture of §3.2.3). Side
 // links carry 10 Mbps and 10 ms by default on every shape (§5.1); each hop
-// carries 20 ms unless its Config says otherwise.
+// carries 20 ms unless its Spec says otherwise.
 //
 // The paper sets "buffer space for each link equal to two bandwidth-delay
 // products" without fixing which delay; this builder uses the round trip to
@@ -15,6 +15,7 @@
 package topo
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strconv"
@@ -24,25 +25,40 @@ import (
 	"deltasigma/internal/sim"
 )
 
-// Config parameterizes every shape; a zero or negative HopDelay takes the
-// §5.1 default.
-type Config struct {
-	// Capacities holds each hop's rate in bits/s: the dumbbell's one
+// Spec names a network by value: its shape, one capacity per hop and the
+// hops' propagation delay. Every shape is one Tree of branch points: a
+// dumbbell is one hop, a chain puts its hops in series and a star puts them
+// in parallel, one SIGMA gatekeeper per spoke.
+type Spec struct {
+	// Kind is "dumbbell", "chain" or "star".
+	Kind string `json:"kind"`
+	// CapacitiesBps holds each hop's rate in bits/s: the dumbbell's one
 	// bottleneck, a chain's hops ingress to egress, or a star's spokes.
-	Capacities []int64
-	// HopDelay is each hop's propagation delay (default 20 ms).
-	HopDelay sim.Time
-	// Seed drives all experiment randomness.
-	Seed uint64
+	CapacitiesBps []int64 `json:"capacities_bps"`
+	// HopDelay is each hop's propagation delay; 0 takes the §5.1 20 ms.
+	HopDelay sim.Time `json:"hop_delay_ns,omitempty"`
 }
 
-// PaperConfig returns the §5.1 dumbbell for a given bottleneck capacity.
-func PaperConfig(bottleneck int64, seed uint64) Config {
-	return Config{
-		Capacities: []int64{bottleneck},
-		HopDelay:   20 * sim.Millisecond,
-		Seed:       seed,
+// Check reports the first rule s breaks: an unknown kind, a dumbbell
+// with other than one capacity, a chain or star without any, a capacity
+// that is not positive, or a negative hop delay.
+func (s Spec) Check() error {
+	switch n := len(s.CapacitiesBps); {
+	case s.Kind != "dumbbell" && s.Kind != "chain" && s.Kind != "star":
+		return fmt.Errorf("deltasigma: unknown topology kind %q (dumbbell, chain or star)", s.Kind)
+	case s.Kind == "dumbbell" && n != 1:
+		return fmt.Errorf("deltasigma: a dumbbell takes exactly one capacity, got %d", n)
+	case n == 0:
+		return fmt.Errorf("deltasigma: a %s needs at least one capacity", s.Kind)
+	case s.HopDelay < 0:
+		return fmt.Errorf("deltasigma: topology hop delay %v is negative", s.HopDelay)
 	}
+	for _, c := range s.CapacitiesBps {
+		if c <= 0 {
+			return fmt.Errorf("deltasigma: %s capacity %d must be positive", s.Kind, c)
+		}
+	}
+	return nil
 }
 
 // Tree is an assembled topology: an ingress router Routers[0] and one
@@ -50,12 +66,12 @@ func PaperConfig(bottleneck int64, seed uint64) Config {
 type Tree struct {
 	// Routers holds the ingress router, then one router per hop.
 	Routers []*mcast.Router
-	// Forward holds the hop links (the bottlenecks), in Capacities order.
+	// Forward holds the hop links (the bottlenecks), in capacity order.
 	Forward []*netsim.Link
 
-	net    *netsim.Network
-	fabric *mcast.Fabric
-	cfg    Config
+	net      *netsim.Network
+	fabric   *mcast.Fabric
+	hopDelay sim.Time
 	// depth counts the hops from the ingress to a leaf; the leaves are
 	// Routers[depth:] (a series' far end, or every spoke of a star).
 	depth    int
@@ -65,74 +81,55 @@ type Tree struct {
 	finished bool
 }
 
-// Dumbbell builds the paper's one-bottleneck topology, routers left and
-// right.
-func Dumbbell(cfg Config) *Tree {
-	if len(cfg.Capacities) != 1 {
-		panic("topo: a dumbbell has exactly one bottleneck")
+// Build assembles the tree s names on seed, and panics on a spec Check
+// refuses. A chain's far receivers cross every hop while a near one
+// (AttachReceiverAt) competes only on the first; a star fans one multicast
+// transmission out across spokes of different capacities, each edge
+// enforcing SIGMA on its own.
+func (s Spec) Build(seed uint64) *Tree {
+	if err := s.Check(); err != nil {
+		panic(err)
 	}
-	return build(cfg, true, func(i int) string { return [...]string{"left", "right"}[i] })
-}
-
-// Chain builds a multi-bottleneck parking lot, routers r0 … rk with the
-// hops in series: a far receiver's traffic crosses every bottleneck while
-// a near one (AttachReceiverAt) competes only on the first hops.
-func Chain(cfg Config) *Tree {
-	return build(cfg, true, func(i int) string { return fmt.Sprintf("r%d", i) })
-}
-
-// Star builds a hub with the hops in parallel, one spoke per capacity down
-// to its own edge router edge0 … edge(k−1); one multicast transmission
-// fans out across spokes of different capacities, and each edge enforces
-// SIGMA on its own.
-func Star(cfg Config) *Tree {
-	return build(cfg, false, func(i int) string {
-		if i == 0 {
-			return "hub"
-		}
-		return fmt.Sprintf("edge%d", i-1)
-	})
-}
-
-// build assembles a tree whose hops hang in series (each off the previous
-// hop's router) or in parallel (all off the ingress); name labels router i.
-func build(cfg Config, series bool, name func(i int) string) *Tree {
-	if len(cfg.Capacities) == 0 {
-		panic("topo: a topology needs at least one hop")
-	}
-	for _, r := range cfg.Capacities {
-		if r <= 0 {
-			panic("topo: hop rates must be positive")
-		}
-	}
-	if cfg.HopDelay <= 0 {
-		cfg.HopDelay = 20 * sim.Millisecond
-	}
-	net := netsim.New(sim.NewScheduler(), sim.NewRNG(cfg.Seed))
-	t := &Tree{net: net, fabric: mcast.NewFabric(net), cfg: cfg, depth: 1}
+	net := netsim.New(sim.NewScheduler(), sim.NewRNG(seed))
+	t := &Tree{net: net, fabric: mcast.NewFabric(net), hopDelay: cmp.Or(s.HopDelay, 20*sim.Millisecond), depth: 1}
+	series := s.Kind != "star"
 	if series {
-		t.depth = len(cfg.Capacities)
+		t.depth = len(s.CapacitiesBps)
 	}
 	rtt := t.RTT()
-	t.Routers = make([]*mcast.Router, 1, len(cfg.Capacities)+1)
-	t.Routers[0] = mcast.NewRouter(net, t.fabric, name(0))
-	t.Forward = make([]*netsim.Link, len(cfg.Capacities))
-	for i, rate := range cfg.Capacities {
+	t.Routers = make([]*mcast.Router, 1, len(s.CapacitiesBps)+1)
+	t.Routers[0] = mcast.NewRouter(net, t.fabric, s.routerName(0))
+	t.Forward = make([]*netsim.Link, len(s.CapacitiesBps))
+	for i, rate := range s.CapacitiesBps {
 		parent := t.Routers[0]
 		if series {
 			parent = t.Routers[i]
 		}
-		r := mcast.NewRouter(net, t.fabric, name(i+1))
+		r := mcast.NewRouter(net, t.fabric, s.routerName(i+1))
 		t.Routers = append(t.Routers, r)
-		t.Forward[i], _ = net.Connect(parent, r, rate, cfg.HopDelay, bdpQueue(rate, rtt, 0))
+		t.Forward[i], _ = net.Connect(parent, r, rate, t.hopDelay, bdpQueue(rate, rtt, 0))
 	}
 	return t
+}
+
+// routerName labels router i (0 is the ingress): left and right on a
+// dumbbell, r0 … rk on a chain, hub and edge0 … edge(k−1) on a star.
+func (s Spec) routerName(i int) string {
+	switch {
+	case s.Kind == "dumbbell":
+		return [...]string{"left", "right"}[i]
+	case s.Kind == "chain":
+		return fmt.Sprintf("r%d", i)
+	case i == 0:
+		return "hub"
+	}
+	return fmt.Sprintf("edge%d", i-1)
 }
 
 // RTT returns the round-trip propagation time between a default-delay
 // source and a default-delay receiver at the deepest leaf.
 func (t *Tree) RTT() sim.Time {
-	return 2 * (sideDelay + sim.Time(t.depth)*t.cfg.HopDelay + sideDelay)
+	return 2 * (sideDelay + sim.Time(t.depth)*t.hopDelay + sideDelay)
 }
 
 // Scheduler returns the virtual clock everything runs on.

@@ -39,55 +39,14 @@ func WithSeed(seed uint64) Option {
 	return func(s *settings) { s.seed = seed }
 }
 
-// TopologySpec names a network by value: its shape, one capacity per hop
-// and the hops' propagation delay. Every shape is one Tree of branch
-// points: a dumbbell is one hop, a chain puts its hops in series and a
-// star puts them in parallel, one SIGMA gatekeeper per spoke. New builds
-// the tree on the experiment seed; the fuzzer writes the value into repro
-// files as it stands.
-type TopologySpec struct {
-	// Kind is "dumbbell", "chain" or "star".
-	Kind string `json:"kind"`
-	// CapacitiesBps holds each hop's rate in bits/s: the dumbbell's one
-	// bottleneck, a chain's hops ingress to egress, or a star's spokes.
-	CapacitiesBps []int64 `json:"capacities_bps"`
-	// HopDelay is each hop's propagation delay; 0 takes the §5.1 20 ms.
-	HopDelay Time `json:"hop_delay_ns,omitempty"`
-}
-
-// Check reports the first rule t breaks: an unknown kind, a dumbbell
-// without exactly one capacity, a chain or star without any, a capacity
-// that is not positive, or a negative hop delay.
-func (t TopologySpec) Check() error {
-	switch n := len(t.CapacitiesBps); {
-	case t.Kind != "dumbbell" && t.Kind != "chain" && t.Kind != "star":
-		return fmt.Errorf("deltasigma: unknown topology kind %q (dumbbell, chain or star)", t.Kind)
-	case t.Kind == "dumbbell" && n != 1:
-		return fmt.Errorf("deltasigma: a dumbbell takes exactly one capacity, got %d", n)
-	case n == 0:
-		return fmt.Errorf("deltasigma: a %s needs at least one capacity", t.Kind)
-	case t.HopDelay < 0:
-		return fmt.Errorf("deltasigma: topology hop delay %v is negative", t.HopDelay)
-	}
-	for _, c := range t.CapacitiesBps {
-		if c <= 0 {
-			return fmt.Errorf("deltasigma: %s capacity %d must be positive", t.Kind, c)
-		}
-	}
-	return nil
-}
-
-// build assembles the tree t names on seed.
-func (t TopologySpec) build(seed uint64) *Tree {
-	cfg := topo.Config{Capacities: t.CapacitiesBps, HopDelay: t.HopDelay, Seed: seed}
-	switch t.Kind {
-	case "chain":
-		return topo.Chain(cfg)
-	case "star":
-		return topo.Star(cfg)
-	}
-	return topo.Dumbbell(cfg)
-}
+// TopologySpec names a network by value: its kind ("dumbbell", "chain" or
+// "star"), one capacity per hop and the hops' propagation delay (0 takes
+// the §5.1 20 ms). Every shape is one Tree of branch points: a dumbbell is
+// one hop, a chain puts its hops in series and a star puts them in
+// parallel, one SIGMA gatekeeper per spoke. Check names the first rule a
+// spec breaks; New builds the tree on the experiment seed; the fuzzer
+// writes the value into repro files as it stands.
+type TopologySpec = topo.Spec
 
 // WithTopology runs the experiment on the network t names, built once New
 // has resolved the experiment seed. A chain's receivers attach at its far

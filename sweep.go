@@ -300,6 +300,9 @@ func (sw Sweep) normalize() (Sweep, error) {
 			return sw, err
 		}
 	}
+	if sw.size() > maxSweepPoints {
+		return sw, fmt.Errorf("deltasigma: sweep grid larger than 2^30 points")
+	}
 	return sw, cmp.Or(
 		reject(sw.Topologies, func(name string) bool { _, _, ok := parseTopology(name); return !ok },
 			"topology %q is not dumbbell, chain<N> or star<N> with N ≥ 1"),
@@ -344,34 +347,33 @@ func (sw Sweep) axes() []sweepAxis {
 	}
 }
 
-// sweepGrid is a normalized Sweep and the campaign grid its axes span.
-type sweepGrid struct {
-	campaign.Grid
-	sw   Sweep
-	axes []sweepAxis
+// maxSweepPoints caps a sweep's grid, so that a mistyped axis fails
+// upfront instead of allocating its points.
+const maxSweepPoints = 1 << 30
+
+// size counts a normalized sweep's grid points, up to one past
+// maxSweepPoints.
+func (sw Sweep) size() int {
+	n := 1
+	for _, a := range sw.axes() {
+		if n > maxSweepPoints/a.len {
+			return maxSweepPoints + 1
+		}
+		n *= a.len
+	}
+	return n
 }
 
-// grid normalizes sw and lays its axes out as a campaign grid.
-func (sw Sweep) grid() (sweepGrid, error) {
-	sw, err := sw.normalize()
-	if err != nil {
-		return sweepGrid{}, err
-	}
+// points decodes every point of a normalized sweep in grid order: point i
+// reads i as a mixed-radix number over the axes, the last axis fastest.
+func (sw Sweep) points() []SweepPoint {
 	axes := sw.axes()
-	dims := make([]int, len(axes))
-	for i, a := range axes {
-		dims[i] = a.len
-	}
-	g, err := campaign.NewGrid(dims...)
-	return sweepGrid{Grid: g, sw: sw, axes: axes}, err
-}
-
-// points decodes every grid point in grid order.
-func (g sweepGrid) points() []SweepPoint {
-	points := make([]SweepPoint, g.Size())
+	points := make([]SweepPoint, sw.size())
 	for i := range points {
-		for a, c := range g.Coords(i) {
-			g.axes[a].set(&points[i], c)
+		rest := i
+		for a := len(axes) - 1; a >= 0; a-- {
+			axes[a].set(&points[i], rest%axes[a].len)
+			rest /= axes[a].len
 		}
 	}
 	return points
@@ -407,20 +409,20 @@ func (p SweepPoint) topology() TopologySpec {
 // Size returns the number of grid points the sweep declares (0 if the
 // sweep is invalid).
 func (sw Sweep) Size() int {
-	g, err := sw.grid()
+	sw, err := sw.normalize()
 	if err != nil {
 		return 0
 	}
-	return g.Size()
+	return sw.size()
 }
 
 // Points enumerates every grid point in grid order.
 func (sw Sweep) Points() ([]SweepPoint, error) {
-	g, err := sw.grid()
+	sw, err := sw.normalize()
 	if err != nil {
 		return nil, err
 	}
-	return g.points(), nil
+	return sw.points(), nil
 }
 
 // Run executes every distinct grid point on a pool of `workers` goroutines
@@ -436,13 +438,13 @@ func (sw Sweep) Points() ([]SweepPoint, error) {
 // error under its own Point. A sweep with a Configure hook runs every point,
 // since the hook sees the raw point.
 func (sw Sweep) Run(workers int) (*CampaignResult, error) {
-	g, err := sw.grid()
+	sw, err := sw.normalize()
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	points := g.points()
-	owner := g.owners(points)
+	points := sw.points()
+	owner := sw.owners(points)
 	results := make([]PointResult, len(points))
 	// One packet pool per worker: a worker runs its grid points
 	// sequentially, so consecutive experiments recycle the same warm
@@ -459,12 +461,12 @@ func (sw Sweep) Run(workers int) (*CampaignResult, error) {
 			return nil // copied below from the point it shares a run with
 		}
 		var err error
-		results[i], err = g.runPoint(points[i], pools[w])
+		results[i], err = sw.runPoint(points[i], pools[w])
 		return err
 	})
 	res := &CampaignResult{
 		Name:       sw.Name,
-		DurationNs: g.sw.Duration,
+		DurationNs: sw.Duration,
 		Points:     results,
 		Elapsed:    time.Since(start),
 	}
@@ -505,12 +507,12 @@ func (p SweepPoint) runKey() SweepPoint {
 // owners maps every grid point to the first point whose experiment it
 // builds: itself when its key is new. With a Configure hook every point
 // owns itself, because the hook may read any axis of the raw point.
-func (g sweepGrid) owners(points []SweepPoint) []int {
+func (sw Sweep) owners(points []SweepPoint) []int {
 	owner := make([]int, len(points))
 	first := make(map[SweepPoint]int, len(points))
 	for i, p := range points {
 		owner[i] = i
-		if g.sw.Configure != nil {
+		if sw.Configure != nil {
 			continue
 		}
 		k := p.runKey()
@@ -525,8 +527,7 @@ func (g sweepGrid) owners(points []SweepPoint) []int {
 
 // runPoint builds and runs grid point p and aggregates its statistics.
 // pool, when non-nil, is the running worker's reusable packet pool.
-func (g sweepGrid) runPoint(p SweepPoint, pool *packet.Pool) (PointResult, error) {
-	sw := g.sw
+func (sw Sweep) runPoint(p SweepPoint, pool *packet.Pool) (PointResult, error) {
 	var pr PointResult
 	opts := []Option{
 		WithProtocol(p.Protocol),

@@ -3,6 +3,7 @@ package deltasigma_test
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,6 +50,29 @@ func TestSweepGridOrderAndDefaults(t *testing.T) {
 		if p.Seed != 7 {
 			t.Fatalf("point %d seed = %d, want 7", i, p.Seed)
 		}
+	}
+	// Grid order is the nested loops over the axes in declaration order,
+	// the last axis innermost.
+	mixed := deltasigma.Sweep{
+		Protocols: []string{"flid-dl", "flid-ds"},
+		Receivers: []int{1, 2, 3},
+		Seeds:     []uint64{5, 6},
+	}
+	pts, err = mixed.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []deltasigma.SweepPoint
+	for _, proto := range mixed.Protocols {
+		for _, n := range mixed.Receivers {
+			for _, seed := range mixed.Seeds {
+				want = append(want, deltasigma.SweepPoint{Protocol: proto, Topology: "dumbbell",
+					Receivers: n, BottleneckBps: 1_000_000, Seed: seed})
+			}
+		}
+	}
+	if !slices.Equal(pts, want) || mixed.Size() != len(want) {
+		t.Fatalf("Size %d, Points %v; want the nested loops %v", mixed.Size(), pts, want)
 	}
 }
 
@@ -277,5 +301,13 @@ func TestSweepValidation(t *testing.T) {
 		if _, err := tc.sw.Run(1); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("sweep %d: error = %v, want substring %q", i, err, tc.want)
 		}
+	}
+	// A grid past 2^30 points is refused before any point is decoded.
+	huge := deltasigma.Sweep{Seeds: make([]uint64, 1<<16), Receivers: make([]int, 1<<15)}
+	if n := huge.Size(); n != 0 {
+		t.Fatalf("Size of a 2^31-point sweep = %d, want 0", n)
+	}
+	if _, err := huge.Points(); err == nil || !strings.Contains(err.Error(), "larger than 2^30 points") {
+		t.Fatalf("Points of a 2^31-point sweep: error = %v, want the 2^30 cap", err)
 	}
 }
