@@ -49,7 +49,8 @@ func adaptiveActions(events []TimelineEvent) []adaptiveAction {
 		case PoissonChurn:
 			window(ev.From, ev.To)
 		case LinkFlap:
-			_, ups := dynamics.FlapInstants(ev.Period, ev.From, ev.To)
+			// A period FlapInstants refuses fails the run at Start.
+			_, ups, _ := dynamics.FlapInstants(ev.Period, ev.From, ev.To)
 			for _, up := range ups {
 				trigger(up)
 			}
@@ -70,16 +71,18 @@ func adaptiveActions(events []TimelineEvent) []adaptiveAction {
 }
 
 // AdaptiveOnset reports when a StrategyAdaptive attacker first inflates
-// against the given timeline — the earliest disturbance-window opening,
-// or the idle fallback onset when nothing is scripted. The fuzzer uses it
-// to place measurement windows past every onset, adaptive ones included.
-func AdaptiveOnset(events []TimelineEvent) Time {
+// against the given timeline, and whether any event disturbs it: the
+// earliest disturbance-window opening, or the idle fallback onset and
+// false when nothing in the timeline is a disturbance. The fuzzer uses it
+// to place measurement windows past every onset, adaptive ones included,
+// and to give an undisturbed adaptive attacker something to react to.
+func AdaptiveOnset(events []TimelineEvent) (onset Time, disturbed bool) {
 	for _, a := range adaptiveActions(events) {
 		if a.On {
-			return a.At
+			return a.At, true
 		}
 	}
-	return adaptiveFallbackOnset
+	return adaptiveFallbackOnset, false
 }
 
 // scheduleAdaptive installs one adaptive attacker's compiled schedule on

@@ -19,6 +19,10 @@ func TestColludingStrategy(t *testing.T) {
 		deltasigma.WithProtocol("flid-ds"),
 		deltasigma.WithTopology(deltasigma.TopologySpec{Kind: "star", CapacitiesBps: []int64{600_000, 150_000}}),
 		deltasigma.WithSeed(3),
+		deltasigma.WithTimeline(
+			deltasigma.AttackerOnset{At: 2 * deltasigma.Second, Session: 1, Receiver: 3},
+			deltasigma.AttackerOnset{At: 2 * deltasigma.Second, Session: 1, Receiver: 4},
+		),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -35,8 +39,6 @@ func TestColludingStrategy(t *testing.T) {
 	if pool == nil || pool.Members() != 2 {
 		t.Fatalf("collusion pool = %v, want 2 members", pool)
 	}
-	exp.AddEvents(deltasigma.AttackerOnset{At: 2 * deltasigma.Second, Session: 1, Receiver: 3})
-	exp.AddEvents(deltasigma.AttackerOnset{At: 2 * deltasigma.Second, Session: 1, Receiver: 4})
 	exp.Run(12 * deltasigma.Second)
 
 	if pool.KeysLearned == 0 {
@@ -56,6 +58,7 @@ func TestForgingStrategy(t *testing.T) {
 		deltasigma.WithProtocol("flid-ds"),
 		deltasigma.WithDumbbell(500_000),
 		deltasigma.WithSeed(3),
+		deltasigma.WithTimeline(deltasigma.AttackerOnset{At: 2 * deltasigma.Second, Session: 1, Receiver: 2}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +69,6 @@ func TestForgingStrategy(t *testing.T) {
 	if atk.Strategy() != deltasigma.StrategyForging || atk.Forge() == nil {
 		t.Fatalf("forging attacker not wired: strategy %q, forge %v", atk.Strategy(), atk.Forge())
 	}
-	exp.AddEvents(deltasigma.AttackerOnset{At: 2 * deltasigma.Second, Session: 1, Receiver: 2})
 	exp.Run(12 * deltasigma.Second)
 
 	f := atk.Forge()
@@ -90,12 +92,29 @@ func TestAdaptiveStrategy(t *testing.T) {
 	events := []deltasigma.TimelineEvent{
 		deltasigma.PoissonChurn{Session: 1, Rate: 0.5, From: 3 * deltasigma.Second, To: 6 * deltasigma.Second},
 	}
-	if got := deltasigma.AdaptiveOnset(events); got != 3*deltasigma.Second {
-		t.Fatalf("AdaptiveOnset = %v, want 3s (the churn window opening)", got)
-	}
-	// With nothing to react to, the fallback onset is early and fixed.
-	if got := deltasigma.AdaptiveOnset(nil); got != deltasigma.Second {
-		t.Fatalf("AdaptiveOnset(nil) = %v, want the 1s fallback", got)
+	for _, c := range []struct {
+		name      string
+		events    []deltasigma.TimelineEvent
+		onset     deltasigma.Time
+		disturbed bool
+	}{
+		{"the churn window opening", events, 3 * deltasigma.Second, true},
+		// With nothing to react to, the fallback onset is early and fixed.
+		{"nothing scripted: the 1s fallback", nil, deltasigma.Second, false},
+		// An outage alone and the attack's own lifecycle are no trigger.
+		{"no disturbance: the 1s fallback", []deltasigma.TimelineEvent{
+			deltasigma.LinkDown{At: 2 * deltasigma.Second},
+			deltasigma.AttackerStop{At: 3 * deltasigma.Second, Session: 1},
+		}, deltasigma.Second, false},
+		// A flap window opening before zero counts from zero, as the link
+		// does: the first recovery is at 2.2 s, not at 0.
+		{"the first flap recovery", []deltasigma.TimelineEvent{
+			deltasigma.LinkFlap{Period: 2 * deltasigma.Second, From: -10 * deltasigma.Second, To: 9 * deltasigma.Second},
+		}, 2200 * deltasigma.Millisecond, true},
+	} {
+		if onset, disturbed := deltasigma.AdaptiveOnset(c.events); onset != c.onset || disturbed != c.disturbed {
+			t.Errorf("AdaptiveOnset = %v, %v; want %v, %v (%s)", onset, disturbed, c.onset, c.disturbed, c.name)
+		}
 	}
 
 	exp, err := deltasigma.New(

@@ -84,11 +84,9 @@ func TestClosedExperimentRefusesUse(t *testing.T) {
 		{"Advance", func() { exp.Advance(later) }},
 		{"Run", func() { exp.Run(later) }},
 		{"Start", exp.Start},
-		{"At", func() { exp.At(later, func() {}) }},
 		{"AddSession", func() { exp.AddSession(1) }},
 		{"AddTCP", func() { exp.AddTCP(later) }},
 		{"AddCBR", func() { exp.AddCBR(100_000, deltasigma.Second, deltasigma.Second) }},
-		{"AddEvents", func() { exp.AddEvents(deltasigma.LinkDown{At: later}) }},
 		{"AddReceiver", func() { s.AddReceiver() }},
 		{"AddReceiver", func() { s.AddReceiverDelay(deltasigma.DefaultDelay) }},
 		{"AddAttacker", func() { s.AddAttacker() }},
@@ -123,7 +121,7 @@ func TestClosedExperimentIsCollectable(t *testing.T) {
 		exp := deltasigma.MustNew(deltasigma.WithPacketPool(pool))
 		exp.AddSession(2)
 		exp.Advance(2 * deltasigma.Second)
-		exp.At(exp.Now()+3600*deltasigma.Second, func() { exp.Advance(0) })
+		exp.Topo.Scheduler().At(exp.Now()+3600*deltasigma.Second, func() { exp.Advance(0) })
 		probe := new([64]byte)
 		runtime.SetFinalizer(probe, func(*[64]byte) { close(collected) })
 		exp.Topo.Scheduler().Anchor(anchorKey{}, func() any { return probe })

@@ -165,6 +165,32 @@ func run(args []string, out io.Writer) (err error) {
 		}))
 	}
 
+	end := deltasigma.Time(*dur * float64(deltasigma.Second))
+	secs := func(s float64) deltasigma.Time { return deltasigma.Time(s * float64(deltasigma.Second)) }
+
+	// All mid-run dynamics ride the experiment timeline, declared at New.
+	var events []deltasigma.TimelineEvent
+	if *attackAt > 0 {
+		events = append(events, deltasigma.AttackerOnset{At: secs(*attackAt), Session: 1})
+		if *attackStop > 0 {
+			events = append(events, deltasigma.AttackerStop{At: secs(*attackStop), Session: 1})
+		}
+	}
+	if *churn > 0 {
+		for i := 1; i <= *sessions; i++ {
+			if i == 1 && *attackAt > 0 && *cohort == 0 {
+				continue // session 1's only well-behaved member is the attacker
+			}
+			events = append(events, deltasigma.PoissonChurn{Session: i, Rate: *churn, To: end})
+		}
+	}
+	if *flap > 0 {
+		for l := range caps { // one bottleneck per capacity
+			events = append(events, deltasigma.LinkFlap{Link: l, Period: secs(*flap), To: end})
+		}
+	}
+	opts = append(opts, deltasigma.WithTimeline(events...))
+
 	exp, err := deltasigma.New(opts...)
 	if err != nil {
 		return err
@@ -192,8 +218,6 @@ func run(args []string, out io.Writer) (err error) {
 			return fmt.Errorf("-attackstop %gs must be inside -dur %gs", *attackStop, *dur)
 		}
 	}
-	end := deltasigma.Time(*dur * float64(deltasigma.Second))
-	secs := func(s float64) deltasigma.Time { return deltasigma.Time(s * float64(deltasigma.Second)) }
 
 	var receivers []*deltasigma.Receiver
 	for i := 0; i < *sessions; i++ {
@@ -221,28 +245,6 @@ func run(args []string, out io.Writer) (err error) {
 		exp.AddCBR(int64(*cbrFrac*float64(narrowest)), 5*deltasigma.Second, 5*deltasigma.Second)
 	}
 
-	// All mid-run dynamics ride the experiment timeline.
-	var events []deltasigma.TimelineEvent
-	if *attackAt > 0 {
-		events = append(events, deltasigma.AttackerOnset{At: secs(*attackAt), Session: 1})
-		if *attackStop > 0 {
-			events = append(events, deltasigma.AttackerStop{At: secs(*attackStop), Session: 1})
-		}
-	}
-	if *churn > 0 {
-		for i := 1; i <= *sessions; i++ {
-			if i == 1 && *attackAt > 0 && *cohort == 0 {
-				continue // session 1's only well-behaved member is the attacker
-			}
-			events = append(events, deltasigma.PoissonChurn{Session: i, Rate: *churn, To: end})
-		}
-	}
-	if *flap > 0 {
-		for l := range exp.Topo.Bottlenecks() {
-			events = append(events, deltasigma.LinkFlap{Link: l, Period: secs(*flap), To: end})
-		}
-	}
-	exp.AddEvents(events...)
 	if *jsonOut {
 		res := exp.Run(end)
 		enc := json.NewEncoder(out)

@@ -17,7 +17,14 @@ import (
 func cohortRun(t *testing.T, proto string, seed uint64, n int, asCohort bool, churnRate float64, attacker bool) (top int, mean, aggKbps float64, peak int) {
 	t.Helper()
 	const dur = 30 * deltasigma.Second
-	e := deltasigma.MustNew(deltasigma.WithProtocol(proto), deltasigma.WithSeed(seed))
+	var events []deltasigma.TimelineEvent
+	if attacker {
+		events = append(events, deltasigma.AttackerOnset{At: 10 * deltasigma.Second, Session: 1})
+	}
+	if churnRate > 0 {
+		events = append(events, deltasigma.PoissonChurn{Session: 1, Rate: churnRate, To: dur})
+	}
+	e := deltasigma.MustNew(deltasigma.WithProtocol(proto), deltasigma.WithSeed(seed), deltasigma.WithTimeline(events...))
 	s := e.AddSession(0)
 	if asCohort {
 		s.AddCohort(n)
@@ -28,10 +35,6 @@ func cohortRun(t *testing.T, proto string, seed uint64, n int, asCohort bool, ch
 	}
 	if attacker {
 		s.AddAttacker()
-		e.AddEvents(deltasigma.AttackerOnset{At: 10 * deltasigma.Second, Session: 1})
-	}
-	if churnRate > 0 {
-		e.AddEvents(deltasigma.PoissonChurn{Session: 1, Rate: churnRate, To: dur})
 	}
 	var res *deltasigma.Result
 	for at := deltasigma.Second; at <= dur; at += deltasigma.Second {
@@ -230,10 +233,10 @@ func TestCohortAuditClean(t *testing.T) {
 		deltasigma.WithProtocol("flid-dl"),
 		deltasigma.WithSeed(5),
 		deltasigma.WithAudit(deltasigma.AuditEvery(deltasigma.Second)),
+		deltasigma.WithTimeline(deltasigma.PoissonChurn{Session: 1, Rate: 5, To: 10 * deltasigma.Second}),
 	)
 	s := e.AddSession(2)
 	c := s.AddCohort(10_000)
-	e.AddEvents(deltasigma.PoissonChurn{Session: 1, Rate: 5, To: 10 * deltasigma.Second})
 	e.Advance(10 * deltasigma.Second)
 	if got := c.Agent().Accounted(); got != c.Members() {
 		t.Fatalf("cohort members not conserved: %d accounted of %d", got, c.Members())

@@ -121,7 +121,8 @@ func TestProtocolConformance(t *testing.T) {
 			})
 
 			t.Run("attacker", func(t *testing.T) {
-				opts := append([]deltasigma.Option{deltasigma.WithDumbbell(500_000), deltasigma.WithProtocol(name), deltasigma.WithSeed(8)},
+				opts := append([]deltasigma.Option{deltasigma.WithDumbbell(500_000), deltasigma.WithProtocol(name), deltasigma.WithSeed(8),
+					deltasigma.WithTimeline(deltasigma.AttackerOnset{At: 10 * deltasigma.Second, Session: 1})},
 					protocolOptions(name)...)
 				exp := deltasigma.MustNew(opts...)
 				s := exp.AddSession(1)
@@ -140,7 +141,6 @@ func TestProtocolConformance(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: TryAddAttacker: %v", name, err)
 				}
-				exp.At(10*deltasigma.Second, atk.Inflate)
 				exp.Run(25 * deltasigma.Second)
 				if !atk.Attacker() {
 					t.Fatalf("%s: attacker not flagged", name)

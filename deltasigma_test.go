@@ -177,12 +177,12 @@ func TestAttackSuppressedUnderEveryProtectedVariant(t *testing.T) {
 		}
 		name := name
 		t.Run(name, func(t *testing.T) {
-			opts := append([]deltasigma.Option{deltasigma.WithDumbbell(500_000), deltasigma.WithProtocol(name), deltasigma.WithSeed(8)},
+			opts := append([]deltasigma.Option{deltasigma.WithDumbbell(500_000), deltasigma.WithProtocol(name), deltasigma.WithSeed(8),
+				deltasigma.WithTimeline(deltasigma.AttackerOnset{At: 20 * deltasigma.Second, Session: 1})},
 				protocolOptions(name)...)
 			exp := deltasigma.MustNew(opts...)
 			atk := exp.AddSession(0).AddAttacker()
 			victim := exp.AddSession(1).Receivers[0]
-			exp.At(20*deltasigma.Second, atk.Inflate)
 			exp.Run(50 * deltasigma.Second)
 
 			if rate := atk.Meter().AvgKbps(35*deltasigma.Second, 50*deltasigma.Second); rate > 400 {
@@ -199,10 +199,10 @@ func TestAttackSuppressedUnderEveryProtectedVariant(t *testing.T) {
 // TestBaselineAttackSucceeds pins the other half of the contrast: under
 // plain FLID-DL the same attack does profit.
 func TestBaselineAttackSucceeds(t *testing.T) {
-	exp := deltasigma.MustNew(deltasigma.WithDumbbell(500_000), deltasigma.WithProtocol("flid-dl"), deltasigma.WithSeed(8))
+	exp := deltasigma.MustNew(deltasigma.WithDumbbell(500_000), deltasigma.WithProtocol("flid-dl"), deltasigma.WithSeed(8),
+		deltasigma.WithTimeline(deltasigma.AttackerOnset{At: 20 * deltasigma.Second, Session: 1}))
 	atk := exp.AddSession(0).AddAttacker()
 	victim := exp.AddSession(1).Receivers[0]
-	exp.At(20*deltasigma.Second, atk.Inflate)
 	exp.Run(50 * deltasigma.Second)
 	atkRate := atk.Meter().AvgKbps(35*deltasigma.Second, 50*deltasigma.Second)
 	victimRate := victim.Meter().AvgKbps(35*deltasigma.Second, 50*deltasigma.Second)

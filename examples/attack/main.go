@@ -3,7 +3,7 @@
 // malicious halfway through and inflates its subscription to all 10 groups.
 // Under plain FLID-DL it captures most of the link; under FLID-DS the same
 // attack changes nothing. The two runs differ in exactly one option:
-// WithProtocol.
+// WithProtocol; the onset is declared with WithTimeline.
 package main
 
 import (
@@ -13,18 +13,19 @@ import (
 )
 
 func run(protocol string) (pre, post, victimPost float64) {
+	const half = 60 * deltasigma.Second
 	exp := deltasigma.MustNew(
 		deltasigma.WithDumbbell(1_000_000),
 		deltasigma.WithProtocol(protocol),
 		deltasigma.WithSeed(2003),
+		// Session 1's attacker inflates halfway through the run.
+		deltasigma.WithTimeline(deltasigma.AttackerOnset{At: half, Session: 1}),
 	)
 	atk := exp.AddSession(0).AddAttacker()
 	s2 := exp.AddSession(1)
 	exp.AddTCP(0)
 	exp.AddTCP(0)
 
-	const half = 60 * deltasigma.Second
-	exp.At(half, atk.Inflate)
 	exp.Run(2 * half)
 
 	pre = atk.Meter().AvgKbps(20*deltasigma.Second, half)

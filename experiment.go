@@ -532,12 +532,6 @@ func (e *Experiment) Start() {
 	}
 }
 
-// At schedules fn at virtual time t.
-func (e *Experiment) At(t Time, fn func()) {
-	e.mustBeOpen("At")
-	e.Topo.Scheduler().At(t, fn)
-}
-
 // Now returns the current virtual time.
 func (e *Experiment) Now() Time { return e.Topo.Scheduler().Now() }
 
@@ -578,7 +572,7 @@ func (e *Experiment) Run(until Time) *Result {
 // closes each experiment once its readings are taken. Every pending event
 // is dropped, and the parked memory holds no pointer into this experiment.
 // Meters, Result snapshots already taken and the read-only accessors stay
-// usable; Advance, Run, Start, At, the Add* verbs, StopTraffic and
+// usable; Advance, Run, Start, the Add* verbs, StopTraffic and
 // DrainAndAudit panic. Idempotent. A sharded experiment parks nothing.
 func (e *Experiment) Close() {
 	if e.closed {

@@ -108,15 +108,12 @@ func dynamicsSweep() deltasigma.Sweep {
 		AttackAts:  []deltasigma.Time{3 * deltasigma.Second},
 		Duration:   6 * deltasigma.Second,
 		Seeds:      []uint64{17},
-		Configure: func(p deltasigma.SweepPoint, e *deltasigma.Experiment) error {
-			// One scripted path event per point: the bottleneck loses 40%
-			// of its capacity mid-run, and flaps once near the end.
-			e.AddEvents(
-				deltasigma.LinkSetCapacity{At: 4 * deltasigma.Second, Link: 0, Bps: 600_000},
-				deltasigma.LinkDown{At: 5 * deltasigma.Second, Link: 0},
-				deltasigma.LinkUp{At: 5*deltasigma.Second + 200*deltasigma.Millisecond, Link: 0},
-			)
-			return nil
+		// The same scripted path events on every point: the bottleneck
+		// loses 40% of its capacity mid-run, and flaps once near the end.
+		Events: []deltasigma.TimelineEvent{
+			deltasigma.LinkSetCapacity{At: 4 * deltasigma.Second, Link: 0, Bps: 600_000},
+			deltasigma.LinkDown{At: 5 * deltasigma.Second, Link: 0},
+			deltasigma.LinkUp{At: 5*deltasigma.Second + 200*deltasigma.Millisecond, Link: 0},
 		},
 	}
 }

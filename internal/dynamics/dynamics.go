@@ -1,20 +1,20 @@
 // Package dynamics is the time-dynamics layer of the simulator: a
-// deterministic Timeline of scripted mid-run events plus generators —
-// Poisson membership churn and periodic link flapping — that drive
-// reusable sim timers. The facade's typed events (receiver join/leave,
-// attacker onset/stop, link re-parameterization) all resolve down to the
-// primitives in this package, so there is exactly one mechanism for
-// anything that happens after an experiment starts.
+// deterministic Timeline of scripted mid-run events, the Poisson
+// membership-churn generator, and FlapInstants, which lists the transitions
+// of a periodically flapped link. The facade's typed events (receiver
+// join/leave, attacker onset/stop, link re-parameterization and flapping)
+// all resolve to Timeline entries, so there is exactly one mechanism for
+// anything scheduled after an experiment starts; Churn alone re-arms its
+// own timer, because its instants are drawn as it runs.
 //
 // Determinism rules (see DESIGN.md "Dynamics"):
 //   - Timeline events are installed in declaration order; the scheduler's
 //     insertion-stable tie-break then fires same-timestamp events in the
 //     order they were declared.
-//   - Generators draw all randomness from an RNG handed to them at
-//     construction (forked from the experiment RNG at a fixed point), and
-//     draw in a fixed per-fire order — target first, next gap second — so
-//     a seeded run replays byte-identically whatever else the experiment
-//     contains.
+//   - Churn draws all randomness from an RNG handed to it at construction
+//     (forked from the experiment RNG at a fixed point), and draws in a
+//     fixed per-fire order — target first, next gap second — so a seeded
+//     run replays byte-identically whatever else the experiment contains.
 package dynamics
 
 import (
@@ -46,9 +46,6 @@ func (t *Timeline) Add(at sim.Time, do func()) {
 	}
 	t.items = append(t.items, item{at: at, do: do})
 }
-
-// Len reports how many events the timeline carries.
-func (t *Timeline) Len() int { return len(t.items) }
 
 // Install schedules every accumulated event on sched, in declaration
 // order, and marks the timeline installed.
@@ -140,88 +137,34 @@ func (c *Churn) fire() {
 	c.timer.ResetAt(at)
 }
 
-// Flapper drives periodic down/up cycles on anything with a two-state
-// lifecycle — the facade points it at a link's Down/Up pair. Each period
-// the target goes down at the period boundary and comes back up a tenth of
-// the period later. The up transition always fires, even past the horizon,
-// so a flapped link is never left dangling down at the end of a run.
-type Flapper struct {
-	sched   *sim.Scheduler
-	period  sim.Time
-	downFor sim.Time
-	until   sim.Time
-	down    func()
-	up      func()
-	timer   *sim.Timer
-	isDown  bool
+// maxFlaps bounds the cycles one flap may list: all its instants are
+// scheduled when the run starts, so a period far shorter than its window
+// would otherwise allocate without bound.
+const maxFlaps = 1 << 20
 
-	// Flaps counts completed down transitions.
-	Flaps uint64
-}
-
-// flapDown is how long a flapped target stays down in each period: a tenth
-// of it. A period too short to give a positive down time cannot flap.
-func flapDown(period sim.Time) sim.Time { return period / 10 }
-
-// NewFlapper builds a flapper cycling with the given period until the until
-// horizon. It refuses a period too short to give a positive down time.
-func NewFlapper(sched *sim.Scheduler, period, until sim.Time, down, up func()) (*Flapper, error) {
-	downFor := flapDown(period)
+// FlapInstants lists the down and up transitions of a target flapped with
+// the given period over [from, until]: the first down lands one full
+// period after from (clamped at zero, where a run starts), every later
+// down one period after the one before, downs past until are dropped, and
+// each down's matching up, a tenth of the period later, is kept even past
+// until, so a flapped target is never stranded down. The facade installs
+// these instants on the timeline and the adaptive attacker times its
+// bursts off the same ups. A period too short to give a positive down
+// time, or to fit at most maxFlaps cycles in the window, is an error.
+func FlapInstants(period, from, until sim.Time) (downs, ups []sim.Time, err error) {
+	downFor := period / 10
 	if downFor <= 0 {
-		return nil, fmt.Errorf("flap period %v leaves no down time", period)
+		return nil, nil, fmt.Errorf("flap period %v leaves no down time", period)
 	}
-	f := &Flapper{sched: sched, period: period, downFor: downFor, until: until, down: down, up: up}
-	f.timer = sched.NewTimer(f.fire)
-	return f, nil
-}
-
-// Start arms the first down transition one period after from.
-func (f *Flapper) Start(from sim.Time) {
-	if from < f.sched.Now() {
-		from = f.sched.Now()
+	from = max(from, 0)
+	n := max((until-from)/period, 0)
+	if n > maxFlaps {
+		return nil, nil, fmt.Errorf("flap period %v cycles %d times in [%v,%v], more than %d", period, n, from, until, maxFlaps)
 	}
-	at := from + f.period
-	if at > f.until {
-		return
+	downs, ups = make([]sim.Time, n), make([]sim.Time, n)
+	for i := range downs {
+		downs[i] = from + sim.Time(i+1)*period
+		ups[i] = downs[i] + downFor
 	}
-	f.timer.ResetAt(at)
-}
-
-// FlapInstants computes, without running anything, the exact down and up
-// transition times a Flapper with the same parameters would fire when
-// started at from. The adaptive-attacker scheduler uses it to time
-// inflation bursts to flap recoveries; keeping it next to Flapper.fire
-// makes the two trivially comparable, and a unit test pins that they
-// agree. Mirrors Flapper semantics exactly: the first down lands one full
-// period after from, downs past the until horizon are dropped, and every
-// fired down's matching up is included even when it falls past until.
-func FlapInstants(period, from, until sim.Time) (downs, ups []sim.Time) {
-	downFor := flapDown(period)
-	if downFor <= 0 {
-		return nil, nil
-	}
-	for t := from + period; t <= until; t += period {
-		downs = append(downs, t)
-		ups = append(ups, t+downFor)
-	}
-	return downs, ups
-}
-
-// fire alternates down and up transitions on the single reusable timer.
-func (f *Flapper) fire() {
-	if !f.isDown {
-		f.isDown = true
-		f.Flaps++
-		f.down()
-		// The matching up is unconditional: never strand the target down.
-		f.timer.Reset(f.downFor)
-		return
-	}
-	f.isDown = false
-	f.up()
-	at := f.sched.Now() + f.period - f.downFor
-	if at > f.until {
-		return
-	}
-	f.timer.ResetAt(at)
+	return downs, ups, nil
 }

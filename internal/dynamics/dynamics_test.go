@@ -1,6 +1,8 @@
 package dynamics
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"deltasigma/internal/sim"
@@ -16,9 +18,6 @@ func TestTimelineFiresInDeclarationOrder(t *testing.T) {
 	tl.Add(5, func() { got = append(got, 2) })
 	tl.Add(3, func() { got = append(got, 3) })
 	tl.Add(-1, func() { got = append(got, 4) }) // negative clamps to zero
-	if tl.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", tl.Len())
-	}
 	tl.Install(sched)
 	sched.Run()
 	want := []int{4, 3, 1, 2}
@@ -92,87 +91,39 @@ func TestChurnIsSeededDeterministic(t *testing.T) {
 	}
 }
 
-func TestFlapperAlwaysComesBackUp(t *testing.T) {
-	sched := sim.NewScheduler()
-	downs, ups := 0, 0
-	f, err := NewFlapper(sched, 2*sim.Second, 7*sim.Second,
-		func() { downs++ }, func() { ups++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Start(0)
-	sched.Run()
-	if downs == 0 {
-		t.Fatal("flapper never went down")
-	}
-	if downs != ups {
-		t.Fatalf("downs %d != ups %d: target stranded down", downs, ups)
-	}
-	if f.Flaps != uint64(downs) {
-		t.Fatalf("Flaps = %d, want %d", f.Flaps, downs)
-	}
-	// Down at 2s, up at 2.2s, down at 4s, up at 4.2s, down at 6s, up at
-	// 6.2s; the 8s down is past the horizon.
-	if downs != 3 {
-		t.Fatalf("downs = %d, want 3", downs)
-	}
-}
-
-// A flap period must leave a positive down time, a tenth of the period.
-func TestFlapperValidation(t *testing.T) {
-	sched := sim.NewScheduler()
-	for _, period := range []sim.Time{-1, 0, 9} {
-		if f, err := NewFlapper(sched, period, 10, func() {}, func() {}); err == nil || f != nil {
-			t.Errorf("NewFlapper(period=%v) = %v, %v; want an error", period, f, err)
+// TestFlapInstants pins the flap schedule the facade installs on the
+// timeline and the adaptive attacker reads: downs one period apart from
+// one period after from, each up a tenth of a period after its down.
+func TestFlapInstants(t *testing.T) {
+	const s = sim.Second
+	for _, c := range []struct {
+		name             string
+		period, from, to sim.Time
+		downs, ups       []sim.Time
+		err              string
+	}{
+		{name: "negative period", period: -1, to: 100, err: "leaves no down time"},
+		{name: "zero period", period: 0, to: 100, err: "leaves no down time"},
+		{name: "9ns period", period: 9, to: 100, err: "leaves no down time"},
+		{name: "10ns period downs for 1ns", period: 10, to: 25, downs: []sim.Time{10, 20}, ups: []sim.Time{11, 21}},
+		{name: "last up past to is kept", period: 2 * s, to: 7 * s,
+			downs: []sim.Time{2 * s, 4 * s, 6 * s}, ups: []sim.Time{2200 * sim.Millisecond, 4200 * sim.Millisecond, 6200 * sim.Millisecond}},
+		{name: "down exactly at to fires", period: 3 * s, from: 2 * s, to: 8 * s,
+			downs: []sim.Time{5 * s, 8 * s}, ups: []sim.Time{5300 * sim.Millisecond, 8300 * sim.Millisecond}},
+		{name: "negative from clamps to zero", period: 2 * s, from: -10 * s, to: 5 * s,
+			downs: []sim.Time{2 * s, 4 * s}, ups: []sim.Time{2200 * sim.Millisecond, 4200 * sim.Millisecond}},
+		{name: "window before zero flaps nothing", period: 2 * s, from: -10 * s, to: -5 * s},
+		{name: "more cycles than the bound", period: 10, to: 10 * (maxFlaps + 1), err: "more than"},
+	} {
+		downs, ups, err := FlapInstants(c.period, c.from, c.to)
+		if c.err != "" {
+			if err == nil || !strings.Contains(err.Error(), c.err) || downs != nil || ups != nil {
+				t.Errorf("%s: FlapInstants = %v, %v, %v; want no transitions and an error saying %q", c.name, downs, ups, err, c.err)
+			}
+			continue
 		}
-	}
-	if _, err := NewFlapper(sched, 10, 10, func() {}, func() {}); err != nil {
-		t.Errorf("NewFlapper(period=10) = %v; a 1-tick down time is valid", err)
-	}
-}
-
-// TestFlapInstantsMatchFlapper pins the static schedule computation to
-// the live generator: FlapInstants must predict exactly the down and up
-// transitions a running Flapper fires, since the adaptive attacker times
-// its bursts off the prediction while the links obey the generator.
-func TestFlapInstantsMatchFlapper(t *testing.T) {
-	const (
-		period = 3 * sim.Second
-		from   = 2 * sim.Second
-		until  = 20 * sim.Second
-	)
-	sched := sim.NewScheduler()
-	var downs, ups []sim.Time
-	f, err := NewFlapper(sched, period, until,
-		func() { downs = append(downs, sched.Now()) },
-		func() { ups = append(ups, sched.Now()) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Start(from)
-	sched.Run()
-
-	wantDowns, wantUps := FlapInstants(period, from, until)
-	if len(wantDowns) == 0 {
-		t.Fatal("test window produced no flaps")
-	}
-	if len(downs) != len(wantDowns) || len(ups) != len(wantUps) {
-		t.Fatalf("fired %d downs / %d ups, predicted %d / %d", len(downs), len(ups), len(wantDowns), len(wantUps))
-	}
-	for i := range wantDowns {
-		if downs[i] != wantDowns[i] || ups[i] != wantUps[i] {
-			t.Fatalf("cycle %d: fired down %v up %v, predicted %v %v", i, downs[i], ups[i], wantDowns[i], wantUps[i])
+		if err != nil || !slices.Equal(downs, c.downs) || !slices.Equal(ups, c.ups) {
+			t.Errorf("%s: FlapInstants = downs %v, ups %v, %v; want downs %v, ups %v", c.name, downs, ups, err, c.downs, c.ups)
 		}
-	}
-	if f.Flaps != uint64(len(wantDowns)) {
-		t.Fatalf("Flaps = %d, want %d", f.Flaps, len(wantDowns))
-	}
-
-	// Degenerate parameters predict nothing rather than panicking.
-	if d, u := FlapInstants(0, from, until); d != nil || u != nil {
-		t.Fatal("zero period should predict no transitions")
-	}
-	if d, u := FlapInstants(9, from, until); d != nil || u != nil {
-		t.Fatal("a period with no down time should predict no transitions")
 	}
 }

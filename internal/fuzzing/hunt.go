@@ -426,43 +426,32 @@ func repairHunt(sp *Spec) {
 			latestOnset = 1
 		}
 	}
-	// An adaptive attacker with nothing scripted degrades to its early
-	// fallback onset; give it a churn window to react to instead, so the
-	// strategy stays meaningfully adaptive under mutation.
-	if hasAdaptive && !hasDisturbance(events) {
-		events = append(events, EventSpec{
-			Kind: EvChurn, Session: 1, Rate: 0.5,
-			FromSec: 0.5, ToSec: round3(dur - 0.5),
-		})
-	}
 	sp.Events = events
 
 	// The measurement window opens past every onset — adaptive ones
-	// resolved through the same compilation the facade runs.
+	// resolved through the same compilation the facade runs. The event
+	// pass above kept only kinds timeline converts.
 	from := latestOnset
 	if hasAdaptive {
-		if tl, err := sp.timeline(); err == nil {
-			if ao := deltasigma.AdaptiveOnset(tl).Sec(); ao > from {
-				from = ao
-			}
+		tl, _ := sp.timeline()
+		if _, disturbed := deltasigma.AdaptiveOnset(tl); !disturbed {
+			// An adaptive attacker with nothing scripted degrades to its
+			// early fallback onset; give it a churn window to react to
+			// instead, so the strategy stays meaningfully adaptive under
+			// mutation.
+			sp.Events = append(sp.Events, EventSpec{
+				Kind: EvChurn, Session: 1, Rate: 0.5,
+				FromSec: 0.5, ToSec: round3(dur - 0.5),
+			})
+			tl, _ = sp.timeline()
 		}
+		onset, _ := deltasigma.AdaptiveOnset(tl)
+		from = max(from, onset.Sec())
 	}
 	if from < 1 {
 		from = 1
 	}
 	sp.armOracle(1, from)
-}
-
-// hasDisturbance reports whether any event gives an adaptive attacker a
-// trigger (matching the facade's adaptiveActions compilation).
-func hasDisturbance(events []EventSpec) bool {
-	for _, ev := range events {
-		switch ev.Kind {
-		case EvChurn, EvFlap, EvCap, EvDelay, EvJoin, EvLeave, EvUp:
-			return true
-		}
-	}
-	return false
 }
 
 // EvaluateAdvantage runs one hunt spec without the audit layer and

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"deltasigma"
 	"deltasigma/internal/flid"
 	"deltasigma/internal/sim"
 )
@@ -8,12 +9,17 @@ import (
 // attackExperiment is the shared body of Figures 1 and 7: receivers F1 and
 // F2 from different multicast sessions share a 1 Mbps bottleneck with two
 // TCP Reno receivers T1 and T2; after 100 s (scaled), F1 inflates its
-// subscription.
+// subscription, an onset declared on the timeline.
 func attackExperiment(opt Options, proto string) *Result {
 	dur := opt.scale(200 * sim.Second)
 	inflateAt := dur / 2
 
-	l := newLab(dumbbell(1_000_000), opt.Seed, proto)
+	l := openLab(
+		deltasigma.WithTopology(dumbbell(1_000_000)),
+		deltasigma.WithProtocol(proto),
+		deltasigma.WithSeed(opt.Seed),
+		deltasigma.WithTimeline(deltasigma.AttackerOnset{At: inflateAt, Session: 1}),
+	)
 	defer l.close()
 
 	// Session 1 carries the attacker F1, session 2 the victim F2.
@@ -22,7 +28,6 @@ func attackExperiment(opt Options, proto string) *Result {
 	t1 := l.addTCP(0)
 	t2 := l.addTCP(0)
 
-	l.e.At(inflateAt, atk.Inflate)
 	l.e.Run(dur)
 
 	res := &Result{}

@@ -35,9 +35,7 @@ import (
 const (
 	FairShare   = 250_000 // bits/s per session
 	PacketSize  = 576     // bytes, all data traffic
-	SlotDL      = 500 * sim.Millisecond
-	SlotDS      = 250 * sim.Millisecond
-	SmoothenWin = 5 // seconds of moving average for time-series figures
+	SmoothenWin = 5       // seconds of moving average for time-series figures
 )
 
 // Options scales experiments: tests run shortened versions.

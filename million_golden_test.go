@@ -16,14 +16,14 @@ func TestMillionUnderFullAudit(t *testing.T) {
 		deltasigma.WithProtocol("flid-ds"),
 		deltasigma.WithSeed(29),
 		deltasigma.WithAudit(deltasigma.AuditEvery(deltasigma.Second)),
+		deltasigma.WithTimeline(
+			deltasigma.AttackerOnset{At: 4 * deltasigma.Second, Session: 1},
+			deltasigma.PoissonChurn{Session: 1, Rate: 100, To: 10 * deltasigma.Second},
+		),
 	)
 	s := e.AddSession(0)
 	c := s.AddCohort(1_000_000)
 	s.AddAttacker()
-	e.AddEvents(
-		deltasigma.AttackerOnset{At: 4 * deltasigma.Second, Session: 1},
-		deltasigma.PoissonChurn{Session: 1, Rate: 100, To: 10 * deltasigma.Second},
-	)
 	e.Advance(10 * deltasigma.Second)
 	if c.Online() == 0 {
 		t.Fatal("the million-member cohort never came online")

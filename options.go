@@ -151,7 +151,8 @@ func WithPacketPool(p *packet.Pool) Option {
 // (LinkSetCapacity/LinkSetDelay/LinkDown/LinkUp/LinkFlap). Events carry
 // symbolic session/receiver/link indices and are resolved when the
 // experiment starts, so the timeline can be declared before any session is
-// wired. Repeated options and AddEvents calls accumulate.
+// wired. It is the one way to schedule anything after Start; repeated
+// options accumulate.
 func WithTimeline(events ...TimelineEvent) Option {
 	return func(s *settings) {
 		for _, ev := range events {
@@ -185,8 +186,7 @@ func WithFeedbackConsolidation(on bool) Option {
 // cross the shard cut mid-run is refused rather than run serially:
 //   - New returns an error when WithAudit or WithTimeline is also given;
 //   - TryAddAttacker returns an error for any non-classic strategy, and
-//     AddAttacker panics with it;
-//   - AddEvents panics.
+//     AddAttacker panics with it.
 //
 // A run with no migratable receiver host executes on shard 0 and reports
 // Shards 1, MigratedHosts 0 in Result.Sharding.

@@ -182,17 +182,6 @@ func TestShardRefusals(t *testing.T) {
 			_, s := sharded(t)
 			return panics(func() { s.AddAttacker(deltasigma.WithStrategy(deltasigma.StrategyAdaptive)) })
 		}, "TryAddAttacker"},
-		{"AddEvents panics", func(t *testing.T) error {
-			exp, _ := sharded(t)
-			return panics(func() { exp.AddEvents(linkDown) })
-		}, "AddEvents"},
-		{"AddEvents before receivers panics", func(*testing.T) error {
-			exp, err := build(deltasigma.WithShards(2))
-			if err != nil {
-				return err
-			}
-			return panics(func() { exp.AddEvents(linkDown) })
-		}, "AddEvents"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -123,10 +123,11 @@ type Sweep struct {
 	AttackAt Time
 	// Schedule overrides the session rate schedule (zero value = paper's).
 	Schedule RateSchedule
-	// Configure, when set, customizes each point's experiment after the
-	// session is wired and before it runs — cross traffic, extra sessions,
-	// protocol knobs. Returning an error fails the point, not the campaign.
-	Configure func(p SweepPoint, e *Experiment) error
+	// Events are scripted on every point's timeline after the point's own
+	// onset, churn and flap events — a capacity drop or an outage common
+	// to the whole grid. A point whose events fail to resolve panics at
+	// Start, which fails the point, not the campaign.
+	Events []TimelineEvent
 }
 
 // PointResult aggregates one grid point's run. Throughput statistics are
@@ -435,8 +436,7 @@ func (sw Sweep) Points() ([]SweepPoint, error) {
 //
 // Points that build the same experiment (see runKey) run once: the first
 // one in grid order is simulated, and every later one copies its result and
-// error under its own Point. A sweep with a Configure hook runs every point,
-// since the hook sees the raw point.
+// error under its own Point.
 func (sw Sweep) Run(workers int) (*CampaignResult, error) {
 	sw, err := sw.normalize()
 	if err != nil {
@@ -483,10 +483,11 @@ func (sw Sweep) Run(workers int) (*CampaignResult, error) {
 }
 
 // runKey is p as its experiment sees it: points with equal keys build
-// identical experiments. A key only merges points proven equal by reading
-// runPoint and TryAddAttacker; missing a merge costs a redundant run,
-// never a wrong result. The topology name is the network's identity, so
-// it stays; the axes a run ignores are canonicalized:
+// identical experiments (Sweep.Events are the same on every point). A key
+// only merges points proven equal by reading runPoint and TryAddAttacker;
+// missing a merge costs a redundant run, never a wrong result. The
+// topology name is the network's identity, so it stays; the axes a run
+// ignores are canonicalized:
 //   - without attackers, strategy and onset build nothing;
 //   - an attacker's strategy is the one it runs (effectiveStrategy), so on
 //     an unprotected protocol forging and colluding are classic;
@@ -505,16 +506,12 @@ func (p SweepPoint) runKey() SweepPoint {
 }
 
 // owners maps every grid point to the first point whose experiment it
-// builds: itself when its key is new. With a Configure hook every point
-// owns itself, because the hook may read any axis of the raw point.
+// builds: itself when its key is new.
 func (sw Sweep) owners(points []SweepPoint) []int {
 	owner := make([]int, len(points))
 	first := make(map[SweepPoint]int, len(points))
 	for i, p := range points {
 		owner[i] = i
-		if sw.Configure != nil {
-			continue
-		}
 		k := p.runKey()
 		if o, ok := first[k]; ok {
 			owner[i] = o
@@ -543,6 +540,27 @@ func (sw Sweep) runPoint(p SweepPoint, pool *packet.Pool) (PointResult, error) {
 	if sw.Schedule.N > 0 {
 		opts = append(opts, WithSchedule(sw.Schedule))
 	}
+	// Mid-run dynamics all ride the experiment timeline: attacker onset,
+	// Poisson membership churn and bottleneck flapping are the same
+	// mechanism a caller scripts through WithTimeline.
+	var events []TimelineEvent
+	if p.Attackers > 0 && AttackerStrategy(p.Strategy) != StrategyAdaptive {
+		// Adaptive attackers compile their own onset from the declared
+		// disturbances (churn/flap events below); a scripted AttackerOnset
+		// on top would fight their inflation windows.
+		onset := sw.AttackAt
+		if p.AttackAtNs > 0 {
+			onset = p.AttackAtNs
+		}
+		events = append(events, AttackerOnset{At: onset, Session: 1})
+	}
+	if p.ChurnRate > 0 {
+		events = append(events, PoissonChurn{Session: 1, Rate: p.ChurnRate, To: sw.Duration})
+	}
+	if p.FlapPeriodNs > 0 {
+		events = append(events, LinkFlap{Link: 0, Period: p.FlapPeriodNs, To: sw.Duration})
+	}
+	opts = append(opts, WithTimeline(append(events, sw.Events...)...))
 	e, err := New(opts...)
 	if err != nil {
 		return pr, err
@@ -572,31 +590,6 @@ func (sw Sweep) runPoint(p SweepPoint, pool *packet.Pool) (PointResult, error) {
 	if p.Cohort > 0 {
 		s.AddCohort(p.Cohort)
 	}
-	// Mid-run dynamics all ride the experiment timeline: attacker onset,
-	// Poisson membership churn and bottleneck flapping are the same
-	// mechanism a caller scripts through WithTimeline.
-	if p.Attackers > 0 && AttackerStrategy(p.Strategy) != StrategyAdaptive {
-		// Adaptive attackers compile their own onset from the declared
-		// disturbances (churn/flap events below); a scripted AttackerOnset
-		// on top would fight their inflation windows.
-		onset := sw.AttackAt
-		if p.AttackAtNs > 0 {
-			onset = p.AttackAtNs
-		}
-		e.AddEvents(AttackerOnset{At: onset, Session: 1})
-	}
-	if p.ChurnRate > 0 {
-		e.AddEvents(PoissonChurn{Session: 1, Rate: p.ChurnRate, To: sw.Duration})
-	}
-	if p.FlapPeriodNs > 0 {
-		e.AddEvents(LinkFlap{Link: 0, Period: p.FlapPeriodNs, To: sw.Duration})
-	}
-	if sw.Configure != nil {
-		if err := sw.Configure(p, e); err != nil {
-			return pr, err
-		}
-	}
-
 	e.Advance(sw.Duration)
 
 	var good, atk []float64

@@ -35,16 +35,14 @@ func TestSweepMergeSound(t *testing.T) {
 		// 168 points: adaptive attackers ignore the two onsets (−28), and
 		// forging is classic on the four unprotected protocols (−32).
 		{"shootout", shootout.Build(scenario.Options{Scale: 1, Seed: 2003}), 108},
-		// The hook reads the raw onset, so the adaptive points may not merge.
-		{"configure", short(deltasigma.Sweep{
+		// Sweep.Events are the same on every point, so the adaptive
+		// attacker still ignores the two onsets and they share one run.
+		{"events", short(deltasigma.Sweep{
 			Attackers:  []int{1},
 			Strategies: []string{"adaptive"},
 			AttackAts:  []deltasigma.Time{1500 * deltasigma.Millisecond, 3 * deltasigma.Second},
-			Configure: func(p deltasigma.SweepPoint, e *deltasigma.Experiment) error {
-				e.AddEvents(deltasigma.LinkSetCapacity{At: p.AttackAtNs, Link: 0, Bps: 600_000})
-				return nil
-			},
-		}), 2},
+			Events:     []deltasigma.TimelineEvent{deltasigma.LinkSetCapacity{At: 2 * deltasigma.Second, Link: 0, Bps: 600_000}},
+		}), 1},
 		// Without attackers the strategy builds nothing; with one, classic
 		// and forging differ on a protected protocol.
 		{"attackers-0", short(deltasigma.Sweep{

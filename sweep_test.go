@@ -161,17 +161,13 @@ func TestSweepFailingPointDoesNotPoisonCampaign(t *testing.T) {
 	}
 }
 
-// A panic inside a point's Configure hook is contained to that point.
+// A point that panics while it builds is contained to that point:
+// flid-ds-replicated has no fluid cohort model, so AddCohort panics.
 func TestSweepPanickingPointIsContained(t *testing.T) {
 	sw := deltasigma.Sweep{
-		Receivers: []int{1, 2},
+		Protocols: []string{"flid-ds", "flid-ds-replicated"},
+		Cohorts:   []int{10},
 		Duration:  2 * deltasigma.Second,
-		Configure: func(p deltasigma.SweepPoint, e *deltasigma.Experiment) error {
-			if p.Receivers == 2 {
-				panic("configure exploded")
-			}
-			return nil
-		},
 	}
 	res, err := sw.Run(2)
 	if err != nil {
@@ -183,10 +179,10 @@ func TestSweepPanickingPointIsContained(t *testing.T) {
 	if res.Points[0].Error != "" || res.Points[0].GoodMeanKbps <= 0 {
 		t.Fatalf("healthy point corrupted: %+v", res.Points[0])
 	}
-	if !strings.Contains(res.Points[1].Error, "configure exploded") {
+	if !strings.Contains(res.Points[1].Error, "AddCohort is not supported") {
 		t.Fatalf("error = %q, want the panic message", res.Points[1].Error)
 	}
-	if res.Points[1].Point.Receivers != 2 {
+	if res.Points[1].Point.Protocol != "flid-ds-replicated" {
 		t.Fatalf("panicked point lost its identity: %+v", res.Points[1].Point)
 	}
 }

@@ -8,12 +8,13 @@ import (
 )
 
 // TimelineEvent is a typed mid-run event scripted against virtual time.
-// Events are declared up front — through WithTimeline or AddEvents — and
-// resolved against the wired experiment when it starts: session, receiver
-// and link references are symbolic indices until then, so a timeline can
-// be built before any session exists (and by code, like Sweep, that never
-// sees the concrete objects). Events at the same virtual time fire in
-// declaration order.
+// Events are declared up front, through WithTimeline, and resolved against
+// the wired experiment when it starts: session, receiver and link
+// references are symbolic indices until then, so a timeline can be built
+// before any session exists (and by code, like Sweep, that never sees the
+// concrete objects). Events at the same virtual time fire in declaration
+// order. The timeline is the one way to schedule anything after Start; a
+// test that needs a raw closure schedules it on Topo.Scheduler() directly.
 //
 // The built-in events cover the three families of change the paper's
 // robustness story is about: membership churn (ReceiverJoin, ReceiverLeave,
@@ -255,8 +256,10 @@ func (ev LinkUp) resolve(e *Experiment) error {
 }
 
 // LinkFlap cycles a bottleneck down and up: every Period the link goes
-// down and comes back a tenth of the Period later. The up transition
-// always fires, even past To, so a flapped link is never stranded down.
+// down and comes back a tenth of the Period later, the first down one
+// Period after From (a negative From counts from zero). Each down and up
+// is one timeline entry; the up transition always fires, even past To, so
+// a flapped link is never stranded down.
 type LinkFlap struct {
 	Link     int
 	Period   Time
@@ -268,38 +271,23 @@ func (ev LinkFlap) resolve(e *Experiment) error {
 	if err != nil {
 		return err
 	}
-	f, err := dynamics.NewFlapper(e.Topo.Scheduler(), ev.Period, ev.To, l.Down, l.Up)
+	downs, ups, err := dynamics.FlapInstants(ev.Period, ev.From, ev.To)
 	if err != nil {
 		return fmt.Errorf("LinkFlap: %w", err)
 	}
 	if ev.To <= ev.From {
 		return fmt.Errorf("LinkFlap: window [%v,%v) is empty", ev.From, ev.To)
 	}
-	f.Start(ev.From)
+	down, up := l.Down, l.Up
+	for i := range downs {
+		e.timeline.Add(downs[i], down)
+		e.timeline.Add(ups[i], up)
+	}
 	return nil
 }
 
 // ---------------------------------------------------------------------------
 // Experiment wiring.
-
-// AddEvents appends typed events to the experiment timeline. Like all
-// wiring calls it must precede Start; WithTimeline is the equivalent
-// construction-time option.
-//
-// Timeline events run on the main scheduler and mutate receiver state, so
-// AddEvents panics on an experiment built with WithShards(n ≥ 2).
-func (e *Experiment) AddEvents(events ...TimelineEvent) {
-	e.mustNotHaveStarted("AddEvents")
-	for _, ev := range events {
-		if ev == nil {
-			panic("deltasigma: AddEvents(nil event)")
-		}
-	}
-	if len(events) > 0 && e.shardGroup != nil {
-		panic(e.shardRefusal("AddEvents", "dynamics mutate cross-shard state"))
-	}
-	e.events = append(e.events, events...)
-}
 
 // ChurnEvents totals membership toggles fired by PoissonChurn generators
 // so far.

@@ -3,6 +3,8 @@ package deltasigma_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
 	"deltasigma"
@@ -225,5 +227,50 @@ func TestTimelineBadReferencePanics(t *testing.T) {
 			exp.AddSession(1)
 			exp.Start()
 		}()
+	}
+}
+
+// A LinkFlap's transitions are timeline entries: the link is down just
+// after every down instant and up just after every up, the up past To
+// included, and nothing flaps after To. A From before zero counts from
+// zero, the instants AdaptiveOnset reads. A period with no down time is a
+// wiring bug and panics at Start.
+func TestLinkFlapTransitions(t *testing.T) {
+	const s, ms = deltasigma.Second, deltasigma.Millisecond
+	exp := deltasigma.MustNew(
+		deltasigma.WithSeed(2),
+		deltasigma.WithTimeline(deltasigma.LinkFlap{Link: 0, Period: 2 * s, From: -10 * s, To: 6*s + 100*ms}),
+	)
+	exp.AddSession(1)
+	link := exp.Topo.Bottlenecks()[0]
+	for _, step := range []struct {
+		at   deltasigma.Time
+		down bool
+	}{
+		{100 * ms, false}, // nothing flaps before From + Period counted from zero
+		{2*s - ms, false},
+		{2 * s, true}, {2*s + 200*ms, false},
+		{4 * s, true}, {4*s + 200*ms, false},
+		{6 * s, true}, {6*s + 200*ms, false}, // the up past To
+		{8*s + 100*ms, false},
+	} {
+		exp.Advance(step.at + 1)
+		if link.IsDown() != step.down {
+			t.Fatalf("just after %v: IsDown = %v, want %v", step.at, link.IsDown(), step.down)
+		}
+	}
+	if link.DroppedDown == 0 {
+		t.Error("the flapped link discarded nothing — the test is vacuous")
+	}
+
+	msg := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		exp := deltasigma.MustNew(deltasigma.WithTimeline(deltasigma.LinkFlap{Link: 0, Period: 9, To: s}))
+		exp.AddSession(1)
+		exp.Start()
+		return ""
+	}()
+	if !strings.Contains(msg, "leaves no down time") {
+		t.Errorf("a 9ns flap period at Start: panic %q, want one saying it leaves no down time", msg)
 	}
 }
