@@ -49,7 +49,8 @@ func adaptiveActions(events []TimelineEvent) []adaptiveAction {
 		case PoissonChurn:
 			window(ev.From, ev.To)
 		case LinkFlap:
-			// A period FlapInstants refuses fails the run at Start.
+			// WithTimeline refused a period FlapInstants refuses, so New
+			// failed; AdaptiveOnset reads such a flap as no disturbance.
 			_, ups, _ := dynamics.FlapInstants(ev.Period, ev.From, ev.To)
 			for _, up := range ups {
 				trigger(up)

@@ -89,9 +89,10 @@ func (s *ExperimentSession) AddAttacker(opts ...AttackerOption) *Receiver {
 }
 
 // TryAddAttacker is AddAttacker returning a typed error instead of
-// panicking: *NoAttackerError for protocols without an Attacker
-// constructor, refused before any receiver host is attached, or
-// *UnknownStrategyError.
+// panicking: *UnknownStrategyError, or *NoAttackerError for a protocol
+// without an attacker — a registered one (abr-cf) is refused before any
+// receiver host is attached, a WithProtocolImpl row whose receiver can be
+// turned into none after.
 //
 // On unprotected variants (no SIGMA control plane to collude against or
 // forge into) colluding and forging degrade to the classic inflator —
@@ -115,22 +116,27 @@ func (s *ExperimentSession) TryAddAttacker(opts ...AttackerOption) (*Receiver, e
 		call := fmt.Sprintf("TryAddAttacker(WithStrategy(%q))", st)
 		return nil, s.exp.shardRefusal(call, "the strategy mutates cross-shard state")
 	}
-	if s.exp.Protocol.Attacker == nil {
-		return nil, s.exp.Protocol.noAttackerError()
+	p := &s.exp.Protocol
+	if p.noAttacker != "" {
+		return nil, &NoAttackerError{p.Name, p.noAttacker}
 	}
 	if port.Host == nil {
 		port = s.exp.Topo.AttachReceiver("", DefaultDelay)
 	}
 	// Migration must precede agent construction, as for AddReceiverAt.
 	s.exp.maybeMigrate(port.Host)
-	atk := s.exp.Protocol.Attacker(port.Host, s.Sess, port.Edge.Addr(), s.exp.Topo.Rand().Fork())
+	atk, err := p.attacker(port.Host, s.Sess, port.Edge.Addr(), s.exp.Topo.Rand().Fork())
+	if err != nil {
+		return nil, err
+	}
 	r := s.wrap(atk, port.Host, port.Edge.Addr())
 	r.atk = atk
-	r.strategy = effectiveStrategy(s.exp.Protocol, st) // empty for plain attackers
+	r.strategy = effectiveStrategy(*p, st) // empty for plain attackers
 	switch r.strategy {
 	case StrategyColluding:
 		// Every built-in protected row's attacker is a KeyAttacker; a
-		// WithProtocolImpl row may bring its own, which attacks classically.
+		// WithProtocolImpl row whose protected receiver joins by plain IGMP
+		// gets an Inflator, which attacks classically.
 		ka, ok := r.agent.(*flid.KeyAttacker)
 		if !ok {
 			r.strategy = StrategyClassic

@@ -2,11 +2,60 @@ package deltasigma_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"deltasigma"
+	"deltasigma/internal/flid"
 )
+
+// TestAttackerFollowsReceiver checks what TryAddAttacker builds for every
+// registered row: the row's receiver, turned. Plain-IGMP rows get the
+// inflator, SIGMA rows the key attacker, and abr-cf its typed refusal,
+// before any host is attached.
+func TestAttackerFollowsReceiver(t *testing.T) {
+	want := map[string]string{
+		"flid-dl": "inflator", "dsc": "inflator", "mfcc": "inflator",
+		"flid-ds": "key attacker", "flid-ds-threshold": "key attacker", "flid-ds-replicated": "key attacker",
+		"abr-cf": "no attacker",
+	}
+	if len(want) != len(deltasigma.Protocols()) {
+		t.Fatalf("registry %v, table covers %d rows", deltasigma.Protocols(), len(want))
+	}
+	for _, name := range deltasigma.Protocols() {
+		exp := deltasigma.MustNew(deltasigma.WithProtocol(name))
+		s := exp.AddSession(0)
+		nodes := exp.Topo.Network().NodeCount()
+		r, err := s.TryAddAttacker()
+		var got string
+		var nae *deltasigma.NoAttackerError
+		switch {
+		case errors.As(err, &nae):
+			got = "no attacker"
+			if n := exp.Topo.Network().NodeCount(); n != nodes {
+				t.Errorf("%s: refused attacker changed the node count %d → %d", name, nodes, n)
+			}
+		case err != nil:
+			t.Fatalf("%s: TryAddAttacker: %v", name, err)
+		default:
+			switch r.Unwrap().(type) {
+			case *flid.Inflator:
+				got = "inflator"
+			case *flid.KeyAttacker:
+				got = "key attacker"
+			default:
+				got = fmt.Sprintf("%T", r.Unwrap())
+			}
+		}
+		if got != want[name] {
+			t.Errorf("%s: TryAddAttacker built %s, want %s", name, got, want[name])
+		}
+		if deltasigma.ProtocolHasAttacker(name) != (got != "no attacker") {
+			t.Errorf("%s: ProtocolHasAttacker = %v, but TryAddAttacker built %s", name, deltasigma.ProtocolHasAttacker(name), got)
+		}
+	}
+}
 
 // TestColludingStrategy wires two colluding attackers with unequal
 // entitlements — star spokes of different capacity, so one member's

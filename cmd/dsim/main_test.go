@@ -41,6 +41,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"attackstop before attack", []string{"-attack", "40", "-attackstop", "30", "-dur", "60"}, "must come after"},
 		{"attackstop past end", []string{"-attack", "10", "-attackstop", "80", "-dur", "60"}, "inside -dur"},
 		{"flap past end", []string{"-flap", "90", "-dur", "60"}, "inside -dur"},
+		{"flap with no down time", []string{"-sessions", "1", "-flap", "0.000000005", "-dur", "2"}, "LinkFlap: flap period 0.000s leaves no down time"},
 		{"negative cohort", []string{"-cohort", "-3"}, "-cohort"},
 		{"cohort on replicated", []string{"-cohort", "10", "-protocol", "flid-ds-replicated"}, "replicated"},
 		{"cohort on mfcc", []string{"-cohort", "10", "-protocol", "mfcc"}, "not supported"},

@@ -55,7 +55,7 @@ func TestProtocolRegistryNames(t *testing.T) {
 		if slot := deltasigma.MustNew(deltasigma.WithProtocol(name)).Slot(); slot != w.slot {
 			t.Errorf("protocol %q: experiment slot = %v, want %v", name, slot, w.slot)
 		}
-		if got := (caps{p.Attacker != nil, p.Cohorts, p.Feedback, p.EdgeAgent != nil}); got != w.caps {
+		if got := (caps{deltasigma.ProtocolHasAttacker(name), p.Cohorts, p.Feedback, p.EdgeAgent != nil}); got != w.caps {
 			t.Errorf("protocol %q: capabilities (attacker, cohorts, feedback, edge agent) = %v, want %v", name, got, w.caps)
 		}
 		// AddCohort honours the declaration.
@@ -146,6 +146,26 @@ func TestNewRejectsBadOptions(t *testing.T) {
 	}
 	if _, err := deltasigma.New(deltasigma.WithProtocolImpl(valid)); err != nil {
 		t.Fatalf("registered protocol rejected through WithProtocolImpl: %v", err)
+	}
+	// Every timeline value rule refuses its event through New, with an
+	// error naming the event, instead of panicking at Start.
+	const sec = deltasigma.Second
+	for _, c := range []struct {
+		event string
+		ev    deltasigma.TimelineEvent
+	}{
+		{"PoissonChurn", deltasigma.PoissonChurn{Session: 1, Rate: 0, To: 5 * sec}},
+		{"PoissonChurn", deltasigma.PoissonChurn{Session: 1, Rate: 1, From: 5 * sec, To: 5 * sec}},
+		{"LinkSetCapacity", deltasigma.LinkSetCapacity{At: sec, Bps: 0}},
+		{"LinkSetDelay", deltasigma.LinkSetDelay{At: sec, Delay: -deltasigma.Millisecond}},
+		{"LinkFlap", deltasigma.LinkFlap{Period: 9, To: 5 * sec}},
+		{"LinkFlap", deltasigma.LinkFlap{Period: deltasigma.Millisecond / 1000, To: 100 * sec}},
+		{"LinkFlap", deltasigma.LinkFlap{Period: 2 * sec, From: 6 * sec, To: 5 * sec}},
+		{"WithTimeline(nil event)", nil},
+	} {
+		if _, err := deltasigma.New(deltasigma.WithTimeline(c.ev)); err == nil || !strings.Contains(err.Error(), c.event) {
+			t.Errorf("WithTimeline(%+v): error %v, want one naming %s", c.ev, err, c.event)
+		}
 	}
 }
 

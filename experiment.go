@@ -50,7 +50,6 @@ type Experiment struct {
 	// Protocol is the congestion control variant sessions run.
 	Protocol Protocol
 
-	seed     uint64
 	slot     Time
 	schedule RateSchedule
 	pktSize  int
@@ -125,7 +124,6 @@ func New(opts ...Option) (*Experiment, error) {
 	e := &Experiment{
 		Topo:     t,
 		Protocol: s.protocol,
-		seed:     s.seed,
 		slot:     s.slot,
 		schedule: s.schedule,
 		pktSize:  s.pktSize,
@@ -193,9 +191,6 @@ func (e *Experiment) mustBeOpen(op string) {
 
 // Slot returns the slot duration sessions run on.
 func (e *Experiment) Slot() Time { return e.slot }
-
-// Seed returns the experiment seed.
-func (e *Experiment) Seed() uint64 { return e.seed }
 
 // ExperimentSession is one multicast session within an experiment.
 type ExperimentSession struct {

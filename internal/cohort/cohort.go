@@ -129,9 +129,6 @@ func (a *Agent) SetFeedbackDst(dst packet.Addr) { a.feedbackDst = dst }
 // Edge returns the cohort's private edge router.
 func (a *Agent) Edge() *mcast.Router { return a.edge }
 
-// Host returns the cohort's delivery host.
-func (a *Agent) Host() *netsim.Host { return a.host }
-
 // Members returns the configured population size.
 func (a *Agent) Members() uint64 { return a.members }
 

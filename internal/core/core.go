@@ -50,13 +50,6 @@ func (r RateSchedule) Check() error {
 	return nil
 }
 
-// Validate panics on nonsensical parameters.
-func (r RateSchedule) Validate() {
-	if err := r.Check(); err != nil {
-		panic(err)
-	}
-}
-
 // Cumulative returns the total rate of subscription level g (groups 1..g)
 // in bits/s; level 0 is zero.
 func (r RateSchedule) Cumulative(g int) int64 {

@@ -266,20 +266,22 @@ func TestPacerProperty(t *testing.T) {
 	}
 }
 
-func TestValidatePanics(t *testing.T) {
-	bad := []RateSchedule{
-		{Base: 0, Mult: 1.5, N: 10},
-		{Base: 100, Mult: 0.5, N: 10},
-		{Base: 100, Mult: 1.5, N: 0},
+func TestRateScheduleCheck(t *testing.T) {
+	for _, c := range []struct {
+		rs RateSchedule
+		ok bool
+	}{
+		{PaperSchedule(), true},
+		{RateSchedule{Base: 100, Mult: 1, N: 255}, true},
+		{RateSchedule{Base: 0, Mult: 1.5, N: 10}, false},
+		{RateSchedule{Base: 100, Mult: 0.5, N: 10}, false},
+		{RateSchedule{Base: 100, Mult: 1.5, N: 0}, false},
+		{RateSchedule{Base: 100, Mult: 1.5, N: 256}, false},
+	} {
+		if err := c.rs.Check(); (err == nil) != c.ok {
+			t.Errorf("Check(%+v) = %v, want ok %v", c.rs, err, c.ok)
+		}
 	}
-	for _, rs := range bad {
-		func() {
-			defer func() { recover() }()
-			rs.Validate()
-			t.Fatalf("Validate(%+v) should panic", rs)
-		}()
-	}
-	PaperSchedule().Validate() // must not panic
 }
 
 // A sender's rings hold a whole slot of emissions and campaign workers pay

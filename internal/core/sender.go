@@ -64,9 +64,11 @@ type SlotSender struct {
 	// place for the sender's lifetime.
 	slotTimer *sim.Timer
 	nextSlot  uint32
-	// scratch holds the per-slot auth/counts buffers, reused every slot so
-	// the slot loop allocates only what the hooks do.
-	scratch SlotScratch
+	// auth and counts are the per-slot buffers runSlot fills, reused every
+	// slot so the loop allocates only what the hooks do. Reuse is safe
+	// because every delta BeginSlot implementation copies what it keeps.
+	auth    []bool
+	counts  []int
 	running bool
 	congest bool // any congested report since the last slot began
 	// wireSize is the Size of the source's data packets (the session's
@@ -92,12 +94,15 @@ type SlotSender struct {
 // sess (every group but for single-channel schemes), with the increase
 // signal drawn from policy and emission jitter from rng.
 func NewSlotSender(host *netsim.Host, sess *Session, groups int, policy PeriodicUpgrades, rng *sim.RNG, hooks SenderHooks) *SlotSender {
-	sess.Rates.Validate()
+	if err := sess.Rates.Check(); err != nil {
+		panic(err)
+	}
 	s := &SlotSender{
 		Sess: sess, host: host, policy: policy, rng: rng, hooks: hooks,
 		pacers:          make([]Pacer, groups),
 		emitters:        make([]groupEmitter, groups),
-		scratch:         NewSlotScratch(groups),
+		auth:            make([]bool, groups),
+		counts:          make([]int, groups),
 		AuthCount:       make([]uint64, groups),
 		PacketsPerGroup: make([]uint64, groups),
 	}
@@ -182,7 +187,8 @@ func (s *SlotSender) runSlot(slot uint32) {
 	if inc > n {
 		inc = n
 	}
-	auth, counts := s.scratch.Begin()
+	auth, counts := s.auth, s.counts
+	clear(auth)
 	for g := 2; g <= inc; g++ {
 		auth[g-1] = true
 		s.AuthCount[g-1]++

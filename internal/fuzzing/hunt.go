@@ -317,16 +317,15 @@ func repairHunt(sp *Spec) {
 		ss.Receivers = append(ss.Receivers, ReceiverSpec{Attacker: true, Strategy: "classic"})
 	}
 
-	// Normalize strategies: unknown strings become classic, honest
-	// receivers carry none, and a lone colluder recruits a second member
-	// when the session has one to recruit (one-member collusion is just a
-	// worse classic attacker).
+	// Normalize attacker strategies: unknown strings become classic, and a
+	// lone colluder recruits a second member when the session has one to
+	// recruit (one-member collusion is just a worse classic attacker).
+	// normalize clears an honest receiver's strategy.
 	for si := range sp.Sessions {
 		colluders, firstOther := 0, -1
 		for ri := range sp.Sessions[si].Receivers {
 			rs := &sp.Sessions[si].Receivers[ri]
 			if !rs.Attacker {
-				rs.Strategy = ""
 				continue
 			}
 			switch rs.Strategy {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"slices"
 
 	"deltasigma"
 	"deltasigma/internal/campaign"
@@ -194,8 +193,8 @@ func WriteRepro(path string, r Repro) error {
 
 // MalformedReproError is ReadRepro's refusal of a file that does not
 // describe a runnable scenario: unreadable JSON, no session, a scalar out
-// of range, a topology that cannot be built, or a reference the spec rules
-// would drop.
+// of range, a spec the facade refuses to build or start, or anything the
+// spec rules would drop or clear.
 type MalformedReproError struct {
 	Path   string
 	Reason string
@@ -227,34 +226,39 @@ func ReadRepro(path string) (Repro, error) {
 	return r, nil
 }
 
-// malformed names the first way sp is out of range, names a topology,
-// protocol or attacker strategy that does not exist or cannot be built, or
-// would change under normalize; it returns "" for a well-formed spec.
+// malformed names the first way sp is out of range, fails to build or
+// start, or would change under normalize; it returns "" for a well-formed
+// spec.
 func (sp Spec) malformed() string {
 	if !(sp.DurationSec > 0) {
 		return fmt.Sprintf("duration_sec %g must be positive", sp.DurationSec)
 	}
-	// The file is refused for whatever Options or New refuse: a scalar out
-	// of range, a topology that cannot be built, an unknown protocol, or a
-	// schedule the protocol's slot cannot send.
-	opts, err := sp.Options()
-	var exp *deltasigma.Experiment
-	if err == nil {
-		exp, err = deltasigma.New(opts...)
-	}
-	if err != nil {
+	// The file is refused for whatever the facade refuses: Options, New,
+	// Wire and Start are asked, and a panic counts as a refusal.
+	if err := sp.start(); err != nil {
 		return err.Error()
 	}
-	exp.Close()
-	for si, ss := range sp.Sessions {
-		for ri, rs := range ss.Receivers {
-			if rs.Strategy != "" && !slices.Contains(huntStrategies, rs.Strategy) {
-				return fmt.Sprintf("receiver S%dR%d has unknown attacker strategy %q (want one of %v)", si+1, ri+1, rs.Strategy, huntStrategies)
-			}
-		}
-	}
 	if norm := clone(sp); norm.normalize() {
-		return "an event, the oracle or no_consolidation names a session, receiver, attacker, link, population or cohort the spec lacks"
+		return "an event, the oracle or no_consolidation names a session, receiver, attacker, link, population or cohort the spec lacks, or an honest receiver carries a strategy"
 	}
 	return ""
+}
+
+// start builds, wires and starts sp's experiment and closes it, reporting
+// the first error or panic.
+func (sp Spec) start() (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%v", r)
+		}
+	}()
+	exp, err := sp.build(nil)
+	if exp != nil {
+		defer exp.Close()
+	}
+	if err != nil {
+		return err
+	}
+	exp.Start()
+	return nil
 }

@@ -157,9 +157,11 @@ func (sp Spec) Options() ([]deltasigma.Option, error) {
 	return opts, nil
 }
 
-// checkScalars states the range of every count, delay, time, rate and
-// capacity a spec carries: Options refuses a spec that breaks one, so no
-// negative value is read as "unset", and ReadRepro refuses a repro file.
+// checkScalars states the range of the counts, receiver delays and start
+// times a spec carries, which Options and Wire would otherwise read as
+// "unset" when negative: Options refuses a spec that breaks one, and
+// ReadRepro refuses a repro file. An event's values are the facade's to
+// check: WithTimeline refuses them at New.
 func (sp Spec) checkScalars() error {
 	if sp.TCP < 0 || sp.Groups < 0 {
 		return fmt.Errorf("fuzzing: tcp %d and groups %d must be non-negative", sp.TCP, sp.Groups)
@@ -174,13 +176,6 @@ func (sp Spec) checkScalars() error {
 			if n <= 0 {
 				return fmt.Errorf("fuzzing: session %d has a cohort of %d members", si+1, n)
 			}
-		}
-	}
-	for i, ev := range sp.Events {
-		window := secs(ev.ToSec) > secs(ev.FromSec)
-		if ev.Kind == EvChurn && !(ev.Rate > 0 && window) || ev.Kind == EvCap && ev.Bps <= 0 ||
-			ev.Kind == EvDelay && ev.DelayMs < 0 || ev.Kind == EvFlap && !(secs(ev.PeriodSec)/10 > 0 && window) {
-			return fmt.Errorf("fuzzing: event %d (%s) has a rate, window, capacity, delay or period out of range", i+1, ev.Kind)
 		}
 	}
 	return nil
@@ -272,8 +267,8 @@ func (sp Spec) Wire(e *deltasigma.Experiment) error {
 // attacker, and churn on a session with no well-behaved members; the
 // oracle when its session lacks either population; and NoConsolidation
 // when nothing consolidates: no cohorts, and a protocol whose sender reads
-// no receiver feedback. Events are filtered in place. It reports whether
-// anything changed.
+// no receiver feedback; and the strategy of an honest receiver. Events are
+// filtered in place. It reports whether anything changed.
 func (sp *Spec) normalize() (changed bool) {
 	events := sp.Events[:0]
 	for _, ev := range sp.Events {
@@ -290,6 +285,13 @@ func (sp *Spec) normalize() (changed bool) {
 	}
 	if p, _ := deltasigma.LookupProtocol(sp.Protocol); sp.NoConsolidation && !sp.hasCohorts() && !p.Feedback {
 		sp.NoConsolidation, changed = false, true
+	}
+	for si := range sp.Sessions {
+		for ri := range sp.Sessions[si].Receivers {
+			if rs := &sp.Sessions[si].Receivers[ri]; !rs.Attacker && rs.Strategy != "" {
+				rs.Strategy, changed = "", true
+			}
+		}
 	}
 	return changed
 }

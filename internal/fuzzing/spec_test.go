@@ -136,6 +136,7 @@ func TestReadReproRejectsWhatBuildRejects(t *testing.T) {
 		{"zero link delay", ev(EventSpec{Kind: EvDelay, AtSec: 1, Link: 0})},
 		{"flap without a period", ev(EventSpec{Kind: EvFlap, Link: 0, FromSec: 1, ToSec: 5})},
 		{"flap in an empty window", ev(EventSpec{Kind: EvFlap, Link: 0, PeriodSec: 2, FromSec: 6, ToSec: 5})},
+		{"flap of 1 µs over 100 s", ev(EventSpec{Kind: EvFlap, Link: 0, PeriodSec: 0.000001, ToSec: 100})},
 		{"no_consolidation on a feedback protocol", func(sp *Spec) { sp.Protocol, sp.NoConsolidation = "dsc", true }},
 		{"empty cohort", func(sp *Spec) { sp.Sessions[1].Cohorts = []int{0} }},
 		{"negative cohort", func(sp *Spec) { sp.Sessions[0].Cohorts = []int{-4} }},
@@ -147,6 +148,7 @@ func TestReadReproRejectsWhatBuildRejects(t *testing.T) {
 		{"30 groups, past 65535 packets a slot", func(sp *Spec) { sp.Groups = 30 }},
 		{"unknown protocol", func(sp *Spec) { sp.Protocol = "flid-xx" }},
 		{"unknown strategy", func(sp *Spec) { sp.Sessions[0].Receivers[2].Strategy = "bribery" }},
+		{"cohort on mfcc", func(sp *Spec) { sp.Protocol, sp.Sessions[1].Cohorts = "mfcc", []int{50} }},
 		{"ring topology", func(sp *Spec) { sp.Topology.Kind = "ring" }},
 		{"dumbbell of two capacities", func(sp *Spec) { sp.Topology.CapacitiesBps = []int64{600_000, 300_000} }},
 		{"zero capacity", func(sp *Spec) { sp.Topology.CapacitiesBps = []int64{0} }},
@@ -175,6 +177,7 @@ func TestReadReproRejectsWhatFacadeIgnores(t *testing.T) {
 		{"no_consolidation without cohorts", func(sp *Spec) { sp.NoConsolidation = true }},
 		{"negative duration", func(sp *Spec) { sp.DurationSec = -1 }},
 		{"zero duration", func(sp *Spec) { sp.DurationSec = 0 }},
+		{"honest receiver with a strategy", func(sp *Spec) { sp.Sessions[0].Receivers[0].Strategy = "colluding" }},
 	}
 	for _, row := range rows {
 		if err := readEdited(t, row); err == nil {

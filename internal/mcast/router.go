@@ -169,9 +169,6 @@ func (r *Router) Name() string { return r.name }
 // IGMP/SIGMA messages here.
 func (r *Router) Addr() packet.Addr { return r.addr }
 
-// Fabric returns the multicast fabric this router forwards from.
-func (r *Router) Fabric() *Fabric { return r.fabric }
-
 // Network returns the underlying network.
 func (r *Router) Network() *netsim.Network { return r.net }
 

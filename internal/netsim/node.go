@@ -166,14 +166,6 @@ func (h *Host) Pool() *packet.Pool {
 	return h.net.pool
 }
 
-// Shard reports which shard the host runs on (0 unless migrated).
-func (h *Host) Shard() int {
-	if h.shard == nil {
-		return 0
-	}
-	return h.shard.index
-}
-
 // NewPacket mints a packet originated by this host, drawing from the
 // host's shard pool so agents on migrated hosts never touch the shared
 // pool mid-run. Agents that run on hosts (protocol receivers, membership

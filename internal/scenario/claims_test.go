@@ -154,7 +154,7 @@ func shootoutClaim(seed uint64) error {
 		switch {
 		case !ok:
 			return fmt.Errorf("%s: protocol not registered", p)
-		case proto.Attacker == nil:
+		case !deltasigma.ProtocolHasAttacker(p.Protocol):
 			if !strings.Contains(pt.Error, "no inflated-subscription attacker") {
 				return fmt.Errorf("%s: error %q is not the no-attacker refusal", p, pt.Error)
 			}

@@ -31,10 +31,11 @@ type GuessAttack struct {
 	// GuessesSent counts submitted key guesses.
 	GuessesSent uint64
 
-	// pool, when non-nil, switches the guessing loop to the colluding
-	// strategy: replay the cohort's learned real keys and deduplicate
-	// random guesses across members. mute suppresses the pool's client
-	// tap while the engine submits its own guess traffic.
+	// pool is the colluding cohort the engine belongs to (nil for a lone
+	// attacker): the engine replays the cohort's learned real keys and
+	// draws its guesses through the pool, deduplicated across members.
+	// mute suppresses the pool's client tap while the engine submits its
+	// own traffic.
 	pool *Collusion
 	mute bool
 }
@@ -100,58 +101,14 @@ func (a *GuessAttack) attackSlot() {
 	if !a.inflated {
 		return
 	}
-	sched := a.host.Scheduler()
-	cur := a.sess.SlotAt(sched.Now())
-	// Submit guessed keys for every group above the entitled level, for
-	// the next access slot.
-	target := core.AccessSlot(cur)
+	cur := a.sess.SlotAt(a.host.Scheduler().Now())
 	if a.pool != nil {
-		a.pooledSlot(cur, target)
-	} else {
-		pairs := a.pairs[:0]
-		for g := a.entitled() + 1; g <= a.sess.Rates.N; g++ {
-			for i := 0; i < guessesPerSlot; i++ {
-				pairs = append(pairs, packet.AddrKey{
-					Addr: a.sess.GroupAddr(g),
-					Key:  keys.Key(a.rng.Uint64()) & keyMask,
-				})
-				a.GuessesSent++
-			}
-		}
-		a.pairs = pairs
-		if len(pairs) > 0 {
-			a.client.Subscribe(target, pairs)
-		}
+		a.replay(cur)
 	}
-	a.timer.ResetAt(a.sess.SlotStart(cur+1) + 7*a.sess.SlotDur/10)
-}
-
-// pooledSlot is the colluding variant of a guessing slot: replay every
-// real key the cohort has learned for any still-subscribable slot — the
-// controller accepts any slot at or ahead of the current one, and even a
-// current-slot grant persists through the grace window — then spend the
-// per-slot guess budget only on groups the pool has no real key for,
-// deduplicated cohort-wide. Members' legitimate receivers subscribe one
-// evaluation behind the attack's guess target, so the replayed slots trail
-// target; that is exactly why they must be submitted separately.
-func (a *GuessAttack) pooledSlot(cur, target uint32) {
-	a.pool.gc(cur)
-	for _, slot := range a.pool.slots() {
-		pairs := a.pairs[:0]
-		for g := a.entitled() + 1; g <= a.sess.Rates.N; g++ {
-			addr := a.sess.GroupAddr(g)
-			if k, ok := a.pool.sharedKey(slot, addr); ok {
-				pairs = append(pairs, packet.AddrKey{Addr: addr, Key: k})
-				a.pool.SharedSubmitted++
-			}
-		}
-		a.pairs = pairs
-		if len(pairs) > 0 {
-			a.mute = true
-			a.client.Subscribe(slot, pairs)
-			a.mute = false
-		}
-	}
+	// Guess keys for the next access slot for every group above the
+	// entitled level that the pool holds no real key for; a colluder's
+	// guesses are deduplicated cohort-wide.
+	target := core.AccessSlot(cur)
 	pairs := a.pairs[:0]
 	for g := a.entitled() + 1; g <= a.sess.Rates.N; g++ {
 		addr := a.sess.GroupAddr(g)
@@ -163,10 +120,39 @@ func (a *GuessAttack) pooledSlot(cur, target uint32) {
 			a.GuessesSent++
 		}
 	}
-	a.pairs = pairs
-	if len(pairs) > 0 {
-		a.mute = true
-		a.client.Subscribe(target, pairs)
-		a.mute = false
+	a.submit(target, pairs)
+	a.timer.ResetAt(a.sess.SlotStart(cur+1) + 7*a.sess.SlotDur/10)
+}
+
+// replay submits every real key the cohort has learned for any
+// still-subscribable slot — the controller accepts any slot at or ahead of
+// the current one, and even a current-slot grant persists through the
+// grace window. Members' legitimate receivers subscribe one evaluation
+// behind the attack's guess target, so the replayed slots trail it; that
+// is exactly why they are submitted apart from the guesses.
+func (a *GuessAttack) replay(cur uint32) {
+	a.pool.gc(cur)
+	for _, slot := range a.pool.slots() {
+		pairs := a.pairs[:0]
+		for g := a.entitled() + 1; g <= a.sess.Rates.N; g++ {
+			addr := a.sess.GroupAddr(g)
+			if k, ok := a.pool.sharedKey(slot, addr); ok {
+				pairs = append(pairs, packet.AddrKey{Addr: addr, Key: k})
+				a.pool.SharedSubmitted++
+			}
+		}
+		a.submit(slot, pairs)
 	}
+}
+
+// submit sends pairs for slot, muting the pool's tap: the engine's own
+// traffic must never reach the shared store.
+func (a *GuessAttack) submit(slot uint32, pairs []packet.AddrKey) {
+	a.pairs = pairs
+	if len(pairs) == 0 {
+		return
+	}
+	a.mute = true
+	a.client.Subscribe(slot, pairs)
+	a.mute = false
 }

@@ -51,11 +51,11 @@ func NewCollusion() *Collusion {
 	}
 }
 
-// Join enrolls an attack engine: the engine switches its guessing loop to
-// the pooled strategy, and a tap on its SIGMA client captures the real
-// keys its embedded legitimate receiver submits. The engine mutes the tap
-// around its own guess submissions, so junk guesses never pollute the
-// shared store.
+// Join enrolls an attack engine: the engine replays the pool's keys and
+// draws its guesses through the pool, and a tap on its SIGMA client
+// captures the real keys its embedded legitimate receiver submits. The
+// engine mutes the tap around its own submissions, so junk guesses never
+// pollute the shared store.
 func (c *Collusion) Join(a *GuessAttack) {
 	a.pool = c
 	c.members = append(c.members, a)
@@ -108,16 +108,23 @@ func (c *Collusion) slots() []uint32 {
 }
 
 // sharedKey returns the pooled real key for a group in a slot, if any
-// member has decoded one.
+// member has decoded one; a nil pool (a lone attacker) holds none.
 func (c *Collusion) sharedKey(slot uint32, addr packet.Addr) (keys.Key, bool) {
+	if c == nil {
+		return 0, false
+	}
 	k, ok := c.shared[slot][addr]
 	return k, ok
 }
 
 // freshGuess draws a random key the cohort has not guessed for this
 // (slot, group) yet, with a bounded number of redraws so the per-slot
-// work stays O(guessesPerSlot) even when the unseen space thins out.
+// work stays O(guessesPerSlot) even when the unseen space thins out. A nil
+// pool (a lone attacker) draws once, independently of everyone.
 func (c *Collusion) freshGuess(rng *sim.RNG, slot uint32, addr packet.Addr) keys.Key {
+	if c == nil {
+		return keys.Key(rng.Uint64()) & keyMask
+	}
 	if slot != c.guessSlot {
 		// order-insensitive: clears every set
 		for _, seen := range c.guessed {

@@ -194,9 +194,6 @@ func NewController(router *mcast.Router, cfg Config) *Controller {
 	return c
 }
 
-// Router returns the edge router this controller guards.
-func (c *Controller) Router() *mcast.Router { return c.router }
-
 // CurrentSlot returns the slot number at the controller's clock.
 func (c *Controller) CurrentSlot() uint32 {
 	return uint32(c.sched.Now() / c.cfg.SlotDuration)

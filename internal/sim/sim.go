@@ -17,10 +17,7 @@
 // safely reads as inactive instead of resurrecting someone else's event.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is a virtual timestamp measured in nanoseconds since the start of the
 // simulation. It is deliberately distinct from time.Time: simulated time has
@@ -37,9 +34,6 @@ const (
 
 // Seconds converts a floating-point number of seconds to a virtual Time.
 func Seconds(s float64) Time { return Time(s * float64(Second)) }
-
-// Duration converts a time.Duration into a virtual Time span.
-func Duration(d time.Duration) Time { return Time(d.Nanoseconds()) }
 
 // Sec reports t as a floating-point number of seconds.
 func (t Time) Sec() float64 { return float64(t) / float64(Second) }

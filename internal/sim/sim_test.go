@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestSchedulerOrdersByTime(t *testing.T) {
@@ -216,9 +215,6 @@ func TestStopHaltsLoop(t *testing.T) {
 func TestTimeConversions(t *testing.T) {
 	if Seconds(1.5) != 1500*Millisecond {
 		t.Fatalf("Seconds(1.5) = %v", Seconds(1.5))
-	}
-	if Duration(250*time.Millisecond) != 250*Millisecond {
-		t.Fatalf("Duration(250ms) = %v", Duration(250*time.Millisecond))
 	}
 	if got := (2500 * Millisecond).Sec(); got != 2.5 {
 		t.Fatalf("Sec = %v, want 2.5", got)

@@ -148,16 +148,18 @@ func WithPacketPool(p *packet.Pool) Option {
 // WithTimeline scripts typed mid-run events against virtual time:
 // membership churn (ReceiverJoin/ReceiverLeave/PoissonChurn), attacker
 // lifecycle (AttackerOnset/AttackerStop) and link dynamics
-// (LinkSetCapacity/LinkSetDelay/LinkDown/LinkUp/LinkFlap). Events carry
-// symbolic session/receiver/link indices and are resolved when the
-// experiment starts, so the timeline can be declared before any session is
-// wired. It is the one way to schedule anything after Start; repeated
-// options accumulate.
+// (LinkSetCapacity/LinkSetDelay/LinkDown/LinkUp/LinkFlap). New refuses a
+// nil event or a value out of range — a rate, window, capacity, delay or
+// flap period — with an error naming the event. Events carry symbolic
+// session/receiver/link indices and are resolved when the experiment
+// starts, so the timeline can be declared before any session is wired. It
+// is the one way to schedule anything after Start; repeated options
+// accumulate.
 func WithTimeline(events ...TimelineEvent) Option {
 	return func(s *settings) {
 		for _, ev := range events {
-			if ev == nil {
-				s.fail(fmt.Errorf("deltasigma: WithTimeline(nil event)"))
+			if err := checkValues(ev); err != nil {
+				s.fail(fmt.Errorf("deltasigma: %w", err))
 				return
 			}
 		}

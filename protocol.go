@@ -46,7 +46,8 @@ type Attacker interface {
 // Protocol is one congestion control variant: a row of decision rules
 // over the shared kit (see docs/PROTOCOLS.md). The seven built-in rows are
 // looked up by name (LookupProtocol); WithProtocolImpl runs any other value.
-// Every field is read at construction time.
+// Every field is read at construction time. TryAddAttacker builds a row's
+// attacker from its Receiver.
 type Protocol struct {
 	// Name is the registry key.
 	Name string
@@ -75,11 +76,9 @@ type Protocol struct {
 	// Receiver builds a well-behaved receiver on host against the
 	// gatekeeper at edge.
 	Receiver func(host *Host, sess *Session, edge Addr) ReceiverAgent
-	// Attacker builds an inflated-subscription attacker; nil when the
-	// variant has none, and TryAddAttacker then returns *NoAttackerError.
-	Attacker func(host *Host, sess *Session, edge Addr, rng *RNG) Attacker
 
-	// noAttacker says why Attacker is nil.
+	// noAttacker, when set, says why the row has no attacker although its
+	// receiver could be turned into one.
 	noAttacker string
 }
 
@@ -117,12 +116,20 @@ func (e *NoAttackerError) Error() string {
 	return fmt.Sprintf("deltasigma: protocol %q has no inflated-subscription attacker: %s", e.Protocol, e.Reason)
 }
 
-// noAttackerError is TryAddAttacker's refusal when p.Attacker is nil.
-func (p *Protocol) noAttackerError() error {
-	if p.noAttacker == "" {
-		return &NoAttackerError{p.Name, "its row has no Attacker constructor"}
+// attacker builds an inflated-subscription attacker on host from the
+// row's own receiver: the attack depends only on what the receiver's edge
+// lets it join. A plain-IGMP receiver (*flid.Receiver) joins every group
+// (§2.1); a SIGMA key receiver keeps its fair share and guesses keys for
+// the groups above it (§4.2) with draws from rng; any other receiver has
+// no attack, and the error is a *NoAttackerError.
+func (p *Protocol) attacker(host *Host, sess *Session, edge Addr, rng *RNG) (Attacker, error) {
+	switch r := p.Receiver(host, sess, edge).(type) {
+	case *flid.Receiver:
+		return flid.NewInflator(r), nil
+	case flid.KeyReceiver:
+		return flid.NewKeyAttacker(sess, r, rng), nil
 	}
-	return &NoAttackerError{p.Name, p.noAttacker}
+	return nil, &NoAttackerError{p.Name, "its receiver neither joins by plain IGMP nor submits SIGMA keys"}
 }
 
 // upgradePolicy is the standard increase-signal policy every built-in
@@ -160,9 +167,6 @@ func ThresholdProtocol(thresholds []float64) Protocol {
 		Receiver: func(host *Host, sess *Session, edge Addr) ReceiverAgent {
 			return threshold.NewReceiver(host, sess, tolerances(sess), edge)
 		},
-		Attacker: func(host *Host, sess *Session, edge Addr, rng *RNG) Attacker {
-			return flid.NewKeyAttacker(sess, threshold.NewReceiver(host, sess, tolerances(sess), edge), rng)
-		},
 	}
 }
 
@@ -193,9 +197,6 @@ var protocols = []Protocol{
 		Receiver: func(host *Host, sess *Session, edge Addr) ReceiverAgent {
 			return dsc.NewReceiver(host, sess, edge)
 		},
-		Attacker: func(host *Host, sess *Session, edge Addr, rng *RNG) Attacker {
-			return flid.NewInflator(dsc.NewReceiver(host, sess, edge))
-		},
 	},
 	// flid-dl: FLID-DL over plain IGMP, the vulnerable baseline (§5.1).
 	{
@@ -203,9 +204,6 @@ var protocols = []Protocol{
 		Sender: plainSender,
 		Receiver: func(host *Host, sess *Session, edge Addr) ReceiverAgent {
 			return flid.NewReceiver(host, sess, edge, flid.FLIDRule)
-		},
-		Attacker: func(host *Host, sess *Session, edge Addr, rng *RNG) Attacker {
-			return flid.NewInflator(flid.NewReceiver(host, sess, edge, flid.FLIDRule))
 		},
 	},
 	// flid-ds: FLID-DL behind DELTA layered keys and SIGMA; its 250 ms
@@ -218,9 +216,6 @@ var protocols = []Protocol{
 		},
 		Receiver: func(host *Host, sess *Session, edge Addr) ReceiverAgent {
 			return flid.NewDSReceiver(host, sess, edge, flid.Layered)
-		},
-		Attacker: func(host *Host, sess *Session, edge Addr, rng *RNG) Attacker {
-			return flid.NewKeyAttacker(sess, flid.NewDSReceiver(host, sess, edge, flid.Layered), rng)
 		},
 	},
 	// flid-ds-replicated: one group per receiver, switched with Figure 5
@@ -235,9 +230,6 @@ var protocols = []Protocol{
 		Receiver: func(host *Host, sess *Session, edge Addr) ReceiverAgent {
 			return replicated.NewReceiver(host, sess, edge)
 		},
-		Attacker: func(host *Host, sess *Session, edge Addr, rng *RNG) Attacker {
-			return flid.NewKeyAttacker(sess, replicated.NewReceiver(host, sess, edge), rng)
-		},
 	},
 	ThresholdProtocol(nil),
 	// mfcc: edge routers advertise fair shares that receivers steer by
@@ -251,9 +243,6 @@ var protocols = []Protocol{
 		Sender: plainSender,
 		Receiver: func(host *Host, sess *Session, edge Addr) ReceiverAgent {
 			return mfcc.NewReceiver(host, sess, edge)
-		},
-		Attacker: func(host *Host, sess *Session, edge Addr, rng *RNG) Attacker {
-			return flid.NewInflator(mfcc.NewReceiver(host, sess, edge))
 		},
 	},
 }
@@ -278,8 +267,9 @@ func Protocols() []string {
 }
 
 // ProtocolHasAttacker reports whether the named registered protocol has an
-// inflated-subscription attacker (false for unknown names).
+// inflated-subscription attacker: every row but abr-cf, whose single
+// channel leaves nothing to inflate into (false for unknown names).
 func ProtocolHasAttacker(name string) bool {
 	p, ok := LookupProtocol(name)
-	return ok && p.Attacker != nil
+	return ok && p.noAttacker == ""
 }

@@ -8,9 +8,10 @@ import (
 )
 
 // TimelineEvent is a typed mid-run event scripted against virtual time.
-// Events are declared up front, through WithTimeline, and resolved against
-// the wired experiment when it starts: session, receiver and link
-// references are symbolic indices until then, so a timeline can be built
+// Events are declared up front, through WithTimeline, which checks their
+// values (New refuses a bad rate, window, capacity, delay or flap period),
+// and resolved against the wired experiment when it starts: session,
+// receiver and link references are symbolic indices until then, so a timeline can be built
 // before any session exists (and by code, like Sweep, that never sees the
 // concrete objects). Events at the same virtual time fire in declaration
 // order. The timeline is the one way to schedule anything after Start; a
@@ -22,9 +23,45 @@ import (
 // path dynamics (LinkSetCapacity, LinkSetDelay, LinkDown, LinkUp,
 // LinkFlap).
 type TimelineEvent interface {
-	// resolve validates the event against the started experiment and
-	// installs its actions on the experiment timeline.
+	// resolve resolves the event's references against the started
+	// experiment and installs its actions on the experiment timeline;
+	// checkValues has already passed its values.
 	resolve(e *Experiment) error
+}
+
+// checkValues states the range of every value a timeline event carries:
+// a churn's rate and window, a capacity, a delay, a flap's period (through
+// dynamics.FlapInstants, the instants the flap will install) and window.
+// WithTimeline refuses an event that breaks one, so New returns the error;
+// the references an event names resolve at Start.
+func checkValues(ev TimelineEvent) error {
+	switch ev := ev.(type) {
+	case nil:
+		return fmt.Errorf("WithTimeline(nil event)")
+	case PoissonChurn:
+		if ev.Rate <= 0 {
+			return fmt.Errorf("PoissonChurn: rate %v must be positive", ev.Rate)
+		}
+		if ev.To <= ev.From {
+			return fmt.Errorf("PoissonChurn: window [%v,%v) is empty", ev.From, ev.To)
+		}
+	case LinkSetCapacity:
+		if ev.Bps <= 0 {
+			return fmt.Errorf("LinkSetCapacity: %d bits/s must be positive", ev.Bps)
+		}
+	case LinkSetDelay:
+		if ev.Delay < 0 {
+			return fmt.Errorf("LinkSetDelay: delay %v is negative", ev.Delay)
+		}
+	case LinkFlap:
+		if _, _, err := dynamics.FlapInstants(ev.Period, ev.From, ev.To); err != nil {
+			return fmt.Errorf("LinkFlap: %w", err)
+		}
+		if ev.To <= ev.From {
+			return fmt.Errorf("LinkFlap: window [%v,%v) is empty", ev.From, ev.To)
+		}
+	}
+	return nil
 }
 
 // ReceiverJoin (re)starts a receiver mid-run: it joins the session at the
@@ -134,12 +171,6 @@ func (ev PoissonChurn) resolve(e *Experiment) error {
 	if err != nil {
 		return err
 	}
-	if ev.Rate <= 0 {
-		return fmt.Errorf("PoissonChurn: rate %v must be positive", ev.Rate)
-	}
-	if ev.To <= ev.From {
-		return fmt.Errorf("PoissonChurn: window [%v,%v) is empty", ev.From, ev.To)
-	}
 	var targets []churnTarget
 	var total uint64
 	for _, r := range s.Receivers {
@@ -196,9 +227,6 @@ func (ev LinkSetCapacity) resolve(e *Experiment) error {
 	if err != nil {
 		return err
 	}
-	if ev.Bps <= 0 {
-		return fmt.Errorf("LinkSetCapacity: %d bits/s must be positive", ev.Bps)
-	}
 	e.timeline.Add(ev.At, func() { l.SetRate(ev.Bps) })
 	return nil
 }
@@ -215,9 +243,6 @@ func (ev LinkSetDelay) resolve(e *Experiment) error {
 	l, err := e.bottleneckRef("LinkSetDelay", ev.Link)
 	if err != nil {
 		return err
-	}
-	if ev.Delay < 0 {
-		return fmt.Errorf("LinkSetDelay: delay %v is negative", ev.Delay)
 	}
 	e.timeline.Add(ev.At, func() { l.SetDelay(ev.Delay) })
 	return nil
@@ -271,13 +296,7 @@ func (ev LinkFlap) resolve(e *Experiment) error {
 	if err != nil {
 		return err
 	}
-	downs, ups, err := dynamics.FlapInstants(ev.Period, ev.From, ev.To)
-	if err != nil {
-		return fmt.Errorf("LinkFlap: %w", err)
-	}
-	if ev.To <= ev.From {
-		return fmt.Errorf("LinkFlap: window [%v,%v) is empty", ev.From, ev.To)
-	}
+	downs, ups, _ := dynamics.FlapInstants(ev.Period, ev.From, ev.To) // checkValues refused a bad period
 	down, up := l.Down, l.Up
 	for i := range downs {
 		e.timeline.Add(downs[i], down)
@@ -299,7 +318,7 @@ func (e *Experiment) ChurnEvents() uint64 {
 	return n
 }
 
-// resolveEvents validates and installs the declared timeline. Called once
+// resolveEvents resolves and installs the declared timeline. Called once
 // from Start; errors panic there — by Start time a bad index is a wiring
 // bug exactly like AddReceiver on a started experiment.
 func (e *Experiment) resolveEvents() error {

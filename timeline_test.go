@@ -3,7 +3,6 @@ package deltasigma_test
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -233,8 +232,8 @@ func TestTimelineBadReferencePanics(t *testing.T) {
 // A LinkFlap's transitions are timeline entries: the link is down just
 // after every down instant and up just after every up, the up past To
 // included, and nothing flaps after To. A From before zero counts from
-// zero, the instants AdaptiveOnset reads. A period with no down time is a
-// wiring bug and panics at Start.
+// zero, the instants AdaptiveOnset reads. New refuses a period with no
+// down time.
 func TestLinkFlapTransitions(t *testing.T) {
 	const s, ms = deltasigma.Second, deltasigma.Millisecond
 	exp := deltasigma.MustNew(
@@ -263,14 +262,8 @@ func TestLinkFlapTransitions(t *testing.T) {
 		t.Error("the flapped link discarded nothing — the test is vacuous")
 	}
 
-	msg := func() (msg string) {
-		defer func() { msg = fmt.Sprint(recover()) }()
-		exp := deltasigma.MustNew(deltasigma.WithTimeline(deltasigma.LinkFlap{Link: 0, Period: 9, To: s}))
-		exp.AddSession(1)
-		exp.Start()
-		return ""
-	}()
-	if !strings.Contains(msg, "leaves no down time") {
-		t.Errorf("a 9ns flap period at Start: panic %q, want one saying it leaves no down time", msg)
+	_, err := deltasigma.New(deltasigma.WithTimeline(deltasigma.LinkFlap{Link: 0, Period: 9, To: s}))
+	if err == nil || !strings.Contains(err.Error(), "leaves no down time") {
+		t.Errorf("a 9ns flap period: New error %v, want one saying it leaves no down time", err)
 	}
 }

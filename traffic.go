@@ -72,8 +72,8 @@ type CBR struct {
 	from, to Time
 }
 
-// Start begins emission. Safe mid-run — raw e.At closures and timeline
-// wiring drive this.
+// Start begins emission. Safe mid-run, from a closure scheduled on
+// Topo.Scheduler(); Burst puts an on-window on the experiment timeline.
 func (c *CBR) Start() { c.src.Start() }
 
 // Stop halts emission. Safe mid-run.
